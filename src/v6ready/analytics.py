@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
-from .classify import ResolutionStatus
+from .classify import ResolutionStatus, failure_breakdown
 from .names import DomainName, normalize
 from .psl import PublicSuffixList, registered_or_self
 
@@ -253,23 +253,16 @@ def state_share_rows(
 
 def cause_share_rows(statuses: Mapping[DomainName, ResolutionStatus]) -> list[dict]:
     """Cause shares over zones with IPv6 intent that do not resolve via IPv6."""
-    population = 0
-    counts: dict[str, int] = {}
-    for status in statuses.values():
-        if not status.intent_v6 or status.v6:
-            continue
-        population += 1
-        for cause in status.causes:
-            counts[cause] = counts.get(cause, 0) + 1
-    rows = []
-    for cause in sorted(counts):
-        rows.append({
+    breakdown = failure_breakdown(statuses.values())
+    return [
+        {
             "cause": cause,
-            "zones": counts[cause],
-            "population": population,
-            "pct": round(100.0 * counts[cause] / population, 4) if population else 0.0,
-        })
-    return rows
+            "zones": breakdown.counts[cause],
+            "population": breakdown.population,
+            "pct": round(breakdown.percentage(cause), 4),
+        }
+        for cause in sorted(breakdown.counts)
+    ]
 
 
 def write_csv(out: IO[str], rows: list[dict]) -> None:

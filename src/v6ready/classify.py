@@ -27,14 +27,6 @@ CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA = "in-bailiwick-ns-without-aaaa"
 CAUSE_OOB_NS_ZONE_UNRESOLVABLE = "oob-ns-zone-unresolvable"
 CAUSE_PARENT_UNRESOLVABLE = "parent-unresolvable"
 
-ALL_CAUSES = (
-    CAUSE_NO_AAAA_FOR_NS,
-    CAUSE_MISSING_GLUE,
-    CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA,
-    CAUSE_OOB_NS_ZONE_UNRESOLVABLE,
-    CAUSE_PARENT_UNRESOLVABLE,
-)
-
 
 class MissingParentEvidence(Exception):
     """The zone's delegating parent was never observed."""
@@ -69,24 +61,12 @@ class NsContext:
 
 
 @dataclass(frozen=True)
-class ViewFlags:
-    """Diagnostic glue/zone loop outcomes per protocol (None = not run)."""
-
-    v4: tuple[bool, bool] | None = None
-    v6: tuple[bool, bool] | None = None
-
-    def get(self, proto: str) -> tuple[bool, bool] | None:
-        return self.v4 if proto == V4 else self.v6
-
-
-@dataclass(frozen=True)
 class ResolutionStatus:
     state: str
     v4: bool
     v6: bool
     intent_v6: bool
     v6_failures: frozenset[FailureCause] = frozenset()
-    flags: ViewFlags = ViewFlags()
 
     def resolvable(self, proto: str) -> bool:
         return self.v4 if proto == V4 else self.v6
@@ -244,13 +224,11 @@ def classify(
         raise MissingParentEvidence(str(rs.zone))
     contexts = contexts or {}
     per_proto: dict[str, bool] = {}
-    diag: dict[str, tuple[bool, bool] | None] = {V4: None, V6: None}
     for proto in (V4, V6):
         if not parent_status.resolvable(proto):
             per_proto[proto] = False
             continue
         g, z = view_flags(rs, contexts, proto)
-        diag[proto] = (g, z)
         per_proto[proto] = g and z
     intent = _intent(rs, contexts, V6)
     if per_proto[V6]:
@@ -263,7 +241,6 @@ def classify(
         v6=per_proto[V6],
         intent_v6=intent,
         v6_failures=failures,
-        flags=ViewFlags(v4=diag[V4], v6=diag[V6]),
     )
 
 
@@ -290,7 +267,10 @@ class FailureBreakdown:
 
 
 def failure_breakdown(statuses: Iterable[ResolutionStatus]) -> FailureBreakdown:
-    """Per-cause counts restricted to intent_v6 and not v6-resolvable."""
+    """Per-cause counts restricted to intent_v6 and not v6-resolvable.
+
+    The only cause tally: ``snapshot_stats`` and ``cause_share_rows`` are
+    built from it."""
     counts: Counter = Counter()
     population = 0
     for status in statuses:

@@ -134,10 +134,14 @@ class RunConfig:
         return load_root_hints(self.roots)
 
 
-def _build_resolver(cfg: RunConfig, transport_factory=None) -> Resolver:
-    transport = transport_factory(cfg) if transport_factory else UdpTcpTransport()
+def _transport(cfg: RunConfig, transport_factory=None):
+    return transport_factory(cfg) if transport_factory else UdpTcpTransport()
+
+
+def _build_resolver(cfg: RunConfig, transport,
+                    cache: ResponseCache | None = None) -> Resolver:
     rng = random.Random(cfg.seed) if cfg.seed is not None else random.Random()
-    engine = QueryEngine(transport, policy=cfg.policy(), rng=rng)
+    engine = QueryEngine(transport, policy=cfg.policy(), cache=cache, rng=rng)
     return Resolver(
         engine,
         root_hints=cfg.hints(),
@@ -188,7 +192,7 @@ def cmd_check(args, transport_factory=None) -> int:
     except (ConfigError, DnsNameError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    resolver = _build_resolver(cfg, transport_factory)
+    resolver = _build_resolver(cfg, _transport(cfg, transport_factory))
     try:
         result = resolver.resolve_chain(target, enrich_result=True, probe_liveness=True)
     except (RootUnreachable, DepthLimitExceeded, OSError) as exc:
@@ -235,21 +239,13 @@ def cmd_scan(args, transport_factory=None) -> int:
         }
     out_path = Path(args.output) if args.output else Path(args.list + ".results.jsonl")
 
-    policy = cfg.policy()
-    transport = transport_factory(cfg) if transport_factory else UdpTcpTransport()
+    transport = _transport(cfg, transport_factory)
     shared_cache = ResponseCache()
     local = threading.local()
 
     def get_resolver() -> Resolver:
         if not hasattr(local, "resolver"):
-            rng = random.Random(cfg.seed) if cfg.seed is not None else random.Random()
-            engine = QueryEngine(transport, policy=policy, cache=shared_cache, rng=rng)
-            local.resolver = Resolver(
-                engine,
-                root_hints=cfg.hints(),
-                protocol_filter=cfg.protocol_filter,
-                server_port=cfg.port,
-            )
+            local.resolver = _build_resolver(cfg, transport, shared_cache)
         return local.resolver
 
     states: Counter = Counter()

@@ -47,6 +47,8 @@ from .wire import (
     RCODE_REFUSED,
     decode,
     encode,
+    frame_tcp,
+    read_tcp_frame,
 )
 
 DROP_AAAA_GLUE = "drop-aaaa-glue"
@@ -885,8 +887,6 @@ class LoopbackServer:
                     sock.sendto(out, peer)
 
         def tcp_loop(sock, family_addr):
-            import struct as _struct
-
             while self._running:
                 try:
                     conn, _peer = sock.accept()
@@ -894,14 +894,12 @@ class LoopbackServer:
                     return
                 with conn:
                     try:
-                        head = _recv_exact(conn, 2)
-                        (n,) = _struct.unpack("!H", head)
-                        data = _recv_exact(conn, n)
+                        data = read_tcp_frame(conn)
                     except OSError:
                         continue
                     out = self._flat_answer(data, "tcp", family_addr)
                     if out is not None:
-                        conn.sendall(_struct.pack("!H", len(out)) + out)
+                        conn.sendall(frame_tcp(out))
 
         pairs = [(self.udp4, udp_loop, "127.0.0.1"), (self.tcp4, tcp_loop, "127.0.0.1")]
         if self.udp6 is not None:
@@ -925,16 +923,6 @@ class LoopbackServer:
 
     def __exit__(self, *exc):
         self.stop()
-
-
-def _recv_exact(conn, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = conn.recv(n - len(buf))
-        if not chunk:
-            raise OSError("connection closed")
-        buf += chunk
-    return bytes(buf)
 
 
 def _rewrite_loopback(msg: DnsMessage) -> DnsMessage:

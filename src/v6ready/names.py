@@ -184,11 +184,6 @@ def _present_label(label: bytes) -> str:
     return "".join(out)
 
 
-def is_in_bailiwick(name: DomainName, zone: DomainName) -> bool:
-    """True iff ``name`` is ``zone`` itself or lies below it."""
-    return name.is_within(zone)
-
-
 def enclosing_zones(name: DomainName) -> list[DomainName]:
     """All label-boundary names from the root down to ``name`` inclusive."""
     return [name.ancestor_at_depth(d) for d in range(len(name.labels) + 1)]

@@ -23,6 +23,7 @@ from .classify import (
     ResolutionStatus,
     ROOT_STATUS,
     classify,
+    failure_breakdown,
     view_flags,
 )
 from .names import ROOT, DnsNameError, DomainName, normalize
@@ -148,10 +149,6 @@ class IngestResult:
     orphan_addresses: dict[DomainName, AddrRecords]
     stats: IngestStats
 
-    @property
-    def zones(self) -> list[DomainName]:
-        return sorted(self.record_sets)
-
 
 def ingest(tuples: Iterable[PassiveTuple], stats: IngestStats | None = None) -> IngestResult:
     """Build per-zone record sets from one monthly aggregate.
@@ -234,15 +231,12 @@ def ingest(tuples: Iterable[PassiveTuple], stats: IngestStats | None = None) -> 
 
 @dataclass
 class ZoneVerdict:
-    glue_res: dict[str, bool | None] = field(default_factory=lambda: {V4: None, V6: None})
-    zone_res: dict[str, bool | None] = field(default_factory=lambda: {V4: None, V6: None})
     res: dict[str, bool] = field(default_factory=lambda: {V4: False, V6: False})
 
 
 @dataclass
 class ResolutionTable:
     zones: dict[DomainName, ZoneVerdict]
-    ns_res: dict[DomainName, dict[str, bool]]
     unknown_parent: frozenset[DomainName]
     sweeps: dict[str, int]
     first_resolved_sweep: dict[tuple[DomainName, str], int]
@@ -341,8 +335,6 @@ def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable
                 if not parent_ok:
                     continue
                 g, z = view_flags(rs, ctx_for(rs), proto)
-                verdicts[zone].glue_res[proto] = g
-                verdicts[zone].zone_res[proto] = z
                 if g and z:
                     verdicts[zone].res[proto] = True
                     resolved.add(zone)
@@ -352,22 +344,8 @@ def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable
             prev_count = len(resolved)
         sweeps[proto] = sweep
 
-    ns_res: dict[DomainName, dict[str, bool]] = {}
-    for ns, z in ns_zone.items():
-        flags = {}
-        for proto in (V4, V6):
-            zone_ok = z == ROOT or (z in verdicts and verdicts[z].res[proto])
-            has_addr = False
-            for rs in record_sets.values():
-                if rs.addrs_with_bailiwick(ns, z, proto):
-                    has_addr = True
-                    break
-            flags[proto] = bool(zone_ok and has_addr)
-        ns_res[ns] = flags
-
     return ResolutionTable(
         zones=verdicts,
-        ns_res=ns_res,
         unknown_parent=unknown,
         sweeps=sweeps,
         first_resolved_sweep=first_resolved,
@@ -477,17 +455,11 @@ def snapshot_stats(
     month: str | None = None,
 ) -> SnapshotStats:
     counts = {"dual": 0, "v4-only": 0, "v6-only": 0, "none": 0}
-    cause_counts: dict[str, int] = {}
-    broken = 0
     intent_total = 0
     for status in statuses.values():
         counts[status.state] += 1
-        if status.intent_v6:
-            intent_total += 1
-            if not status.v6:
-                broken += 1
-                for cause in status.causes:
-                    cause_counts[cause] = cause_counts.get(cause, 0) + 1
+        intent_total += status.intent_v6
+    breakdown = failure_breakdown(statuses.values())
     return SnapshotStats(
         month=month,
         total=sum(counts.values()),
@@ -497,8 +469,8 @@ def snapshot_stats(
         none=counts["none"],
         unknown_parent=len(table.unknown_parent),
         intent_v6_total=intent_total,
-        intent_v6_broken=broken,
-        cause_counts=cause_counts,
+        intent_v6_broken=breakdown.population,
+        cause_counts=dict(breakdown.counts),
     )
 
 

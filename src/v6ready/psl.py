@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .names import DomainName, normalize
+from .names import DomainName
 
 EXACT = "exact"
 WILDCARD = "wildcard"
@@ -136,17 +136,3 @@ def registered_or_self(psl: PublicSuffixList, name: DomainName) -> DomainName:
         return name.ancestor_at_depth(2)
     return name
 
-
-TINY_DEFAULT_PSL = PublicSuffixList.parse(
-    "\n".join(["com", "net", "org", "test", "example"])
-)
-
-
-def parse_psl_or_default(path: str | None) -> PublicSuffixList:
-    if path is None:
-        return TINY_DEFAULT_PSL
-    return PublicSuffixList.load(path)
-
-
-def normalize_suffix_line(line: str) -> DomainName:
-    return normalize(line.strip())

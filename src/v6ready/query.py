@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -26,6 +25,8 @@ from .wire import (
     WireFormatError,
     decode,
     encode,
+    frame_tcp,
+    read_tcp_frame,
 )
 
 UDP = "udp"
@@ -105,7 +106,7 @@ class ResponseCache:
     """
 
     def __init__(self):
-        self._entries: dict[tuple, tuple[QueryOutcome, float]] = {}
+        self._entries: dict[tuple, QueryOutcome] = {}
         self._inflight: set[tuple] = set()
         self._cond = threading.Condition()
         self.hits = 0
@@ -123,7 +124,7 @@ class ResponseCache:
             while True:
                 if key in self._entries:
                     self.hits += 1
-                    return self._entries[key][0]
+                    return self._entries[key]
                 if key not in self._inflight:
                     self._inflight.add(key)
                     self.misses += 1
@@ -132,7 +133,7 @@ class ResponseCache:
 
     def fulfill(self, key: tuple, outcome: QueryOutcome) -> None:
         with self._cond:
-            self._entries[key] = (outcome, time.time())
+            self._entries[key] = outcome
             self._inflight.discard(key)
             self._cond.notify_all()
 
@@ -140,11 +141,6 @@ class ResponseCache:
         with self._cond:
             self._inflight.discard(key)
             self._cond.notify_all()
-
-    def peek(self, key: tuple) -> QueryOutcome | None:
-        with self._cond:
-            entry = self._entries.get(key)
-            return entry[0] if entry else None
 
 
 class QueryEngine:
@@ -160,7 +156,8 @@ class QueryEngine:
     ):
         self.transport = transport
         self.policy = policy or QueryPolicy()
-        self.cache = cache or ResponseCache()
+        # an empty cache is falsy (it has a length), so test for None
+        self.cache = cache if cache is not None else ResponseCache()
         self.rng = rng or random.Random()
         self._sleep = sleep
 
@@ -255,38 +252,6 @@ class UdpTcpTransport:
     def _tcp(self, family, server, payload, timeout) -> bytes:
         with socket.create_connection((server.ip, server.port), timeout=timeout) as sock:
             sock.settimeout(timeout)
-            sock.sendall(struct.pack("!H", len(payload)) + payload)
-            head = self._read_exact(sock, 2)
-            (n,) = struct.unpack("!H", head)
-            return self._read_exact(sock, n)
+            sock.sendall(frame_tcp(payload))
+            return read_tcp_frame(sock)
 
-    @staticmethod
-    def _read_exact(sock, n: int) -> bytes:
-        buf = bytearray()
-        while len(buf) < n:
-            chunk = sock.recv(n - len(buf))
-            if not chunk:
-                raise TransportUnreachable("connection closed mid-frame")
-            buf += chunk
-        return bytes(buf)
-
-
-class RouteTransport:
-    """Wraps a transport, rewriting virtual server addresses to real ones.
-
-    Used by the loopback harness: records keep their virtual addresses while
-    delivery goes to bound sockets.
-    """
-
-    def __init__(self, inner: Transport, route: dict[str, tuple[str, int]]):
-        self.inner = inner
-        self.route = route
-
-    def exchange(self, server: ServerAddress, transport: str, payload: bytes,
-                 timeout: float) -> bytes:
-        mapped = self.route.get(server.ip)
-        if mapped is None:
-            raise TransportUnreachable(f"no route for {server.ip}")
-        return self.inner.exchange(
-            ServerAddress(mapped[0], mapped[1]), transport, payload, timeout
-        )

@@ -6,11 +6,10 @@ import socket
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .names import ROOT, DomainName
+from .names import DomainName
 
 V4 = "v4"
 V6 = "v6"
-PROTOCOLS = (V4, V6)
 
 CLASS_IN = 1
 CLASS_CH = 3
@@ -184,7 +183,6 @@ class ZoneRecordSet:
     zone: DomainName
     ns_by_bailiwick: Mapping[DomainName, frozenset[DomainName]] = field(default_factory=dict)
     addr_by_bailiwick: Mapping[tuple[DomainName, DomainName], AddrRecords] = field(default_factory=dict)
-    orphans: frozenset[DomainName] = frozenset()
 
     def delegating_zone(self) -> DomainName | None:
         """Deepest proper-ancestor bailiwick that served NS for this zone."""
@@ -234,5 +232,3 @@ class ZoneRecordSet:
                 out |= addrs.for_protocol(proto)
         return frozenset(out)
 
-
-ROOT_ZONE = ROOT

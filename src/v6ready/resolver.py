@@ -14,8 +14,6 @@ observed reachability over that protocol.
 
 from __future__ import annotations
 
-import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -238,7 +236,6 @@ class Resolver:
         protocol_filter: str = PROTOCOL_BOTH,
         depth_limit: int = 32,
         subresolution_limit: int = 16,
-        layer_concurrency: int = 1,
         server_port: int = 53,
     ):
         self.engine = engine
@@ -246,7 +243,6 @@ class Resolver:
         self.protocol_filter = protocol_filter
         self.depth_limit = depth_limit
         self.subresolution_limit = subresolution_limit
-        self.layer_concurrency = max(1, layer_concurrency)
         self.server_port = server_port
         self._zones: dict[DomainName, _ZoneInfo] = {}
         self._active: set[DomainName] = set()
@@ -368,13 +364,8 @@ class Resolver:
         for _ns, addr in servers:
             if not self._allowed(addr.protocol):
                 raise PolicyViolation(f"{addr} violates {self.protocol_filter}")
-        if self.layer_concurrency > 1 and len(servers) > 1:
-            with ThreadPoolExecutor(max_workers=self.layer_concurrency) as pool:
-                outcomes = list(pool.map(
-                    lambda job: self.engine.query(job[1], qname, qtype), servers))
-        else:
-            outcomes = [self.engine.query(addr, qname, qtype) for _, addr in servers]
-        return list(zip(servers, outcomes))
+        return [((ns, addr), self.engine.query(addr, qname, qtype))
+                for ns, addr in servers]
 
     def _discover_cut(self, parent: _ZoneInfo, cand: DomainName) -> _ZoneInfo | None:
         """Probe the parent's servers for a delegation at ``cand``."""
@@ -390,7 +381,7 @@ class Resolver:
             parent.reached[addr.protocol] = True
             if ns in parent.parent_ns:
                 parent.reached_strict[addr.protocol] = True
-            found, new_glue, stray = self._interpret_ns_response(outcome.message, cand)
+            found, new_glue, stray = self._interpret_ns_reply(outcome.message, cand)
             targets |= found
             strays.extend(stray)
             for g_ns, g_addrs in new_glue.items():
@@ -419,7 +410,7 @@ class Resolver:
         return info
 
     @staticmethod
-    def _interpret_ns_response(msg: DnsMessage, cand: DomainName):
+    def _interpret_ns_reply(msg: DnsMessage, cand: DomainName):
         """Extract the NS set and in-zone glue for ``cand`` from one reply.
 
         Additionals whose owner lies outside ``cand`` are returned
@@ -674,8 +665,3 @@ def _record_text(rr: ResourceRecord) -> str:
         return b" ".join(rr.data).decode("utf-8", "replace")
     return rr.data.hex() if isinstance(rr.data, bytes) else str(rr.data)
 
-
-def write_chain_report(out, results: list[ChainResult]) -> None:
-    """One JSON document per target, stable field order."""
-    for result in results:
-        out.write(json.dumps(result.to_json_dict(), sort_keys=True) + "\n")

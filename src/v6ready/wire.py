@@ -302,10 +302,20 @@ def frame_tcp(payload: bytes) -> bytes:
     return struct.pack("!H", len(payload)) + payload
 
 
-def unframe_tcp(data: bytes) -> bytes:
-    if len(data) < 2:
-        raise WireFormatError("short TCP frame")
-    (n,) = struct.unpack_from("!H", data, 0)
-    if len(data) < 2 + n:
-        raise WireFormatError("TCP frame shorter than its length prefix")
-    return data[2 : 2 + n]
+def read_tcp_frame(sock) -> bytes:
+    """Read one length-prefixed DNS message from a stream socket.
+
+    Raises ConnectionError when the peer closes before the frame is whole.
+    """
+    head = _recv_exact(sock, 2)
+    return _recv_exact(sock, struct.unpack("!H", head)[0])
+
+
+def _recv_exact(sock, n: int) -> bytes:
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = sock.recv(n - len(buf))
+        if not chunk:
+            raise ConnectionError("connection closed mid-frame")
+        buf += chunk
+    return bytes(buf)

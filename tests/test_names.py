@@ -8,7 +8,6 @@ from v6ready.names import (
     NameTooLong,
     ROOT,
     enclosing_zones,
-    is_in_bailiwick,
     normalize,
 )
 
@@ -48,9 +47,9 @@ def test_escapes_round_trip():
 
 
 def test_bailiwick_in_zone_and_below():
-    assert is_in_bailiwick(normalize("ns3.sub.example.org"), normalize("sub.example.org"))
-    assert not is_in_bailiwick(normalize("ns1.example.net"), normalize("example.org"))
-    assert is_in_bailiwick(normalize("example.org"), normalize("example.org"))
+    assert normalize("ns3.sub.example.org").is_within(normalize("sub.example.org"))
+    assert not normalize("ns1.example.net").is_within(normalize("example.org"))
+    assert normalize("example.org").is_within(normalize("example.org"))
 
 
 def test_enclosing_zones_label_peeling():
@@ -71,7 +70,7 @@ names = st.lists(labels, min_size=0, max_size=5).map(DomainName)
 
 @given(names, names)
 def test_bailiwick_iff_enclosing_membership(name, zone):
-    assert is_in_bailiwick(name, zone) == (zone in enclosing_zones(name))
+    assert name.is_within(zone) == (zone in enclosing_zones(name))
 
 
 @given(names)

@@ -256,7 +256,7 @@ def test_snapshot_stats_arithmetic():
     for i in range(2):
         statuses[N(f"v{i}.x")] = ResolutionStatus("v4-only", True, False, False)
     statuses[N("n.x")] = ResolutionStatus("none", False, False, False)
-    table = ResolutionTable({}, {}, frozenset(), {V4: 1, V6: 1}, {})
+    table = ResolutionTable({}, frozenset(), {V4: 1, V6: 1}, {})
     stats = snapshot_stats(table, statuses)
     assert stats.total == 8
     assert stats.state_percentage("dual") == 62.5
@@ -266,7 +266,7 @@ def test_snapshot_stats_arithmetic():
 
 
 def test_snapshot_stats_empty_no_division_error():
-    table = ResolutionTable({}, {}, frozenset(), {V4: 1, V6: 1}, {})
+    table = ResolutionTable({}, frozenset(), {V4: 1, V6: 1}, {})
     stats = snapshot_stats(table, {})
     assert stats.total == 0
     assert stats.state_percentage("dual") == 0.0
@@ -291,7 +291,7 @@ def test_half_of_intent_zones_broken_in_two_scenario_derived_fixture():
             "v4-only", True, False, False,
             frozenset({FailureCause("no-aaaa-for-ns", ("ns.d.x",))})),
     }
-    table = ResolutionTable({}, {}, frozenset(), {V4: 1, V6: 1}, {})
+    table = ResolutionTable({}, frozenset(), {V4: 1, V6: 1}, {})
     stats = snapshot_stats(table, statuses)
     assert stats.intent_v6_total == 2
     assert stats.intent_v6_broken == 1

@@ -208,25 +208,6 @@ def test_root_unreachable_raises():
         resolver.resolve_chain("example.com")
 
 
-def test_layer_concurrency_gives_same_verdicts():
-    import random as random_mod
-
-    from v6ready.query import QueryEngine
-
-    u1 = healthy_depth4_universe()
-    sequential = make_resolver(u1).resolve_chain("c.b.a.t")
-    u2 = healthy_depth4_universe()
-    engine = QueryEngine(u2, policy=TEST_POLICY, rng=random_mod.Random(1),
-                         sleep=lambda s: None)
-    parallel = Resolver(
-        engine, root_hints=u2.root_hints(), layer_concurrency=4,
-    ).resolve_chain("c.b.a.t")
-    assert (sequential.v4_resolvable, sequential.v6_resolvable) == (
-        parallel.v4_resolvable, parallel.v6_resolvable)
-    assert [str(s.zone) for s in sequential.steps] == [
-        str(s.zone) for s in parallel.steps]
-
-
 def test_strict_vs_lenient_reachability():
     u = build_universe([
         root_fixture(),

@@ -1,4 +1,6 @@
+import socket
 import struct
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -120,7 +122,49 @@ def test_tcp_framing_round_trip():
     payload = wire.encode(minimal_query("com", RRType.NS))
     framed = wire.frame_tcp(payload)
     assert framed[:2] == struct.pack("!H", len(payload))
-    assert wire.unframe_tcp(framed) == payload
+    a, b = socket.socketpair()
+    with a, b:
+        # two writes: the reader must collect a frame that arrives in pieces
+        a.sendall(framed[:5])
+        a.sendall(framed[5:] + wire.frame_tcp(b"next"))
+        assert wire.read_tcp_frame(b) == payload
+        assert wire.read_tcp_frame(b) == b"next"
+
+
+@pytest.mark.parametrize("cut", [0, 1, 7])
+def test_tcp_frame_cut_short_raises_connection_error(cut):
+    framed = wire.frame_tcp(wire.encode(minimal_query("com", RRType.NS)))
+    a, b = socket.socketpair()
+    with b:
+        with a:
+            a.sendall(framed[:cut])
+        with pytest.raises(ConnectionError):
+            wire.read_tcp_frame(b)
+
+
+def test_tcp_peer_closing_mid_frame_is_unreachable():
+    from v6ready.query import ServerAddress, TCP, TransportUnreachable, UdpTcpTransport
+
+    listener = socket.create_server(("127.0.0.1", 0))
+    port = listener.getsockname()[1]
+
+    def serve():
+        conn, _peer = listener.accept()
+        with conn:
+            wire.read_tcp_frame(conn)
+            conn.sendall(b"\x00\x40" + b"short")
+
+    worker = threading.Thread(target=serve)
+    worker.start()
+    try:
+        with pytest.raises(TransportUnreachable):
+            UdpTcpTransport().exchange(
+                ServerAddress("127.0.0.1", port), TCP,
+                wire.encode(minimal_query("com", RRType.NS)), 2.0)
+    finally:
+        worker.join(timeout=5)
+        listener.close()
+    assert not worker.is_alive()
 
 
 def test_message_too_large():
