@@ -276,10 +276,13 @@ class Resolver:
             for info in chain[1:]  # the root is the axiom, not a delegation
         ]
         status = deepest.status or ROOT_STATUS
+        # Every delegated zone on the way down must answer over the
+        # protocol: servers that never do cut off all zones below them.
+        delegated = chain[1:] or chain
         flags = {}
         for proto in (V4, V6):
             flags[proto] = (self._allowed(proto) and status.resolvable(proto)
-                            and deepest.reached[proto])
+                            and all(info.reached[proto] for info in delegated))
         result = ChainResult(
             target=target,
             protocol_filter=self.protocol_filter,

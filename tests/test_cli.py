@@ -12,6 +12,7 @@ from universes import (
 )
 from v6ready import cli
 from v6ready.mocknet import (
+    BLACKHOLE_V6,
     LoopbackServer,
     build_universe,
     fixture_tuples,
@@ -42,6 +43,18 @@ def test_check_healthy_zone_exits_zero(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "state: dual" in out
+
+
+def test_check_below_v6_dark_parent_exits_one(tmp_path, capsys):
+    u = build_universe([
+        root_fixture(),
+        healthy_zone("t", 10, defects={BLACKHOLE_V6}),
+        healthy_zone("d.t", 11),
+    ])
+    rc = run_cli(["check", "d.t", "--roots", write_hints(tmp_path, u), *FAST], u)
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "state: v4-only" in out
 
 
 def test_check_broken_zone_exits_one_with_cause(tmp_path, capsys):

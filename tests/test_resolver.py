@@ -19,6 +19,7 @@ from v6ready.mocknet import (
     FixtureZone,
     WRONG_NS_SET_CHILD,
     build_universe,
+    ground_truth,
     zone_fixture,
 )
 from v6ready.records import AddrRecords, V4, V6
@@ -217,3 +218,21 @@ def test_strict_vs_lenient_reachability():
     resolver = make_resolver(u)
     res = resolver.resolve_chain("d.t")
     assert res.v6_resolvable and res.strict_v6  # parent-listed servers answer
+
+
+def test_zone_below_a_v6_dark_parent_is_not_v6_resolvable():
+    # t's servers never answer over IPv6, so d.t cannot be reached over
+    # IPv6 either, even though d.t's own servers would answer.
+    u = build_universe([
+        root_fixture(),
+        healthy_zone("t", 10, defects={BLACKHOLE_V6}),
+        healthy_zone("d.t", 11),
+    ])
+    truth = ground_truth(u)
+    resolver = make_resolver(u)
+    for zone in ("t", "d.t"):
+        res = resolver.resolve_chain(zone)
+        assert truth[N(zone)] == {V4: True, V6: False}, zone
+        assert (res.v4_resolvable, res.v6_resolvable) == (True, False), zone
+        assert res.state == "v4-only" and not res.strict_v6, zone
+    assert make_resolver(u).resolve_chain("x.d.t").state == "v4-only"
