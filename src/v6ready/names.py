@@ -121,14 +121,16 @@ def normalize(name: str | bytes | DomainName) -> DomainName:
 
     Accepts an optional trailing dot; RFC 1035 master-file escapes
     (``\\.`` and ``\\DDD``) are honored. Raises EmptyLabel, LabelTooLong
-    or NameTooLong on malformed input.
+    or NameTooLong on malformed input, and DnsNameError on any non-ASCII
+    character (IDNs must arrive in their ``xn--`` form).
     """
     if isinstance(name, DomainName):
         return name
-    if isinstance(name, bytes):
-        text = name.decode("ascii", errors="strict")
-    else:
-        text = name
+    # latin-1 maps every byte to one character, so non-ASCII bytes fail
+    # the same check as non-ASCII text
+    text = name.decode("latin-1") if isinstance(name, bytes) else name
+    if not text.isascii():
+        raise DnsNameError(f"non-ASCII character in {text!r}")
     if text in (".", ""):
         # A lone dot is the root; the empty string is tolerated as root too,
         # matching common passive-data conventions.

@@ -105,9 +105,13 @@ def _parse_json_line(line: str) -> PassiveTuple:
     if not isinstance(obj, dict):
         raise MalformedTuple("JSON record must be an object")
     try:
+        rdata = obj["rdata"]
+        if not isinstance(rdata, list):
+            # a string would otherwise be read one character per value
+            raise MalformedTuple("rdata must be a JSON list")
         return tuple_from_fields(
             obj["count"], obj["time_first"], obj["time_last"], obj["rrname"],
-            obj["rrtype"], obj["bailiwick"], obj["rdata"],
+            obj["rrtype"], obj["bailiwick"], rdata,
         )
     except KeyError as exc:
         raise MalformedTuple(f"missing field {exc}") from exc

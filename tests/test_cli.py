@@ -157,6 +157,23 @@ def test_scan_resumes_from_journal_without_new_exchanges(tmp_path, capsys):
     assert "2 already journaled" in capsys.readouterr().out
 
 
+def test_scan_survives_a_non_ascii_domain(tmp_path, capsys):
+    u = four_state_universe()
+    domains = tmp_path / "domains.txt"
+    domains.write_text("dualzone.t\n例え.jp\nv4zone.t\n", encoding="utf-8")
+    out = tmp_path / "results.jsonl"
+    rc = run_cli([
+        "scan", str(domains), "--roots", write_hints(tmp_path, u),
+        "--output", str(out), "--concurrency", "1", *FAST,
+    ], u)
+    assert rc == 0
+    assert "scanned 3 domains" in capsys.readouterr().out
+    rows = {r["domain"]: r for r in map(json.loads, out.read_text().splitlines())}
+    assert "non-ASCII" in rows["例え.jp"]["error"]
+    assert rows["dualzone.t"]["state"] == "dual"
+    assert rows["v4zone.t"]["state"] == "v4-only"
+
+
 def test_scan_rank_csv_preserves_ranks(tmp_path):
     u = four_state_universe()
     domains = tmp_path / "ranked.csv"

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from v6ready.names import (
+    DnsNameError,
     DomainName,
     EmptyLabel,
     LabelTooLong,
@@ -50,6 +51,12 @@ def test_bailiwick_in_zone_and_below():
     assert normalize("ns3.sub.example.org").is_within(normalize("sub.example.org"))
     assert not normalize("ns1.example.net").is_within(normalize("example.org"))
     assert normalize("example.org").is_within(normalize("example.org"))
+
+
+@pytest.mark.parametrize("name", ["例え.jp", "café.fr", b"caf\xc3\xa9.fr", b"\xff"])
+def test_non_ascii_name_raises_dns_name_error(name):
+    with pytest.raises(DnsNameError):
+        normalize(name)
 
 
 def test_enclosing_zones_label_peeling():

@@ -66,11 +66,33 @@ def test_malformed_tuples_counted_never_abort():
         "not\ta\tvalid\tline",  # wrong field count
         "1\t5\t2\texample.com\tNS\tcom\tns1.example.com",  # time_first > time_last
         "x\t1\t2\texample.com\tNS\tcom\tns1.example.com",  # non-numeric count
+        "1\t1\t2\tcafé.fr\tNS\tfr\tns1.cafe.fr",  # non-ASCII name
         "1\t1600000000\t1600000000\texample.com\tNS\tcom\tns1.example.com",
     ]
     tuples = list(iter_tuples(lines, stats))
-    assert stats.malformed == 3
+    assert stats.malformed == 4
     assert len(tuples) == 1 and stats.tuples == 1
+
+
+def test_non_ascii_ns_rdata_counted_as_malformed():
+    stats = IngestStats()
+    result = ingest([
+        T("example.com", "NS", "com", ["ns1.例え.jp"]),
+        T("example.org", "NS", "org", ["ns1.example.org"]),
+    ], stats)
+    assert stats.malformed == 1
+    assert set(result.record_sets) == {N("example.org")}
+
+
+def test_json_rdata_that_is_not_a_list_is_malformed():
+    stats = IngestStats()
+    base = {"count": 1, "time_first": 1600000000, "time_last": 1600000000,
+            "rrname": "example.com", "rrtype": "NS", "bailiwick": "com"}
+    lines = [json.dumps({**base, "rdata": "ns.x"}),
+             json.dumps({**base, "rdata": ["ns.x"]})]
+    tuples = list(iter_tuples(lines, stats))
+    assert stats.malformed == 1
+    assert [t.rdata for t in tuples] == [("ns.x",)]
 
 
 def test_tsv_and_jsonl_and_gzip_roundtrip(tmp_path):

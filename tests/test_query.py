@@ -10,6 +10,7 @@ from v6ready.query import (
     QueryEngine,
     QueryPolicy,
     RESPONSE,
+    ResponseCache,
     ServerAddress,
     TIMEOUT,
     TCP,
@@ -152,6 +153,17 @@ def test_policy_validation():
         QueryPolicy(max_retries=0)
     with pytest.raises(ValueError):
         QueryPolicy(retry_wait=-1)
+
+
+def test_engines_given_one_empty_cache_share_it():
+    transport = ScriptedTransport("ok")
+    cache = ResponseCache()
+    engines = [QueryEngine(transport, policy=QueryPolicy(retry_wait=0.0),
+                           cache=cache, rng=random.Random(seed)) for seed in (1, 2)]
+    assert all(engine.cache is cache for engine in engines)
+    first = engines[0].query(SERVER, QNAME, RRType.NS)
+    assert engines[1].query(SERVER, QNAME, RRType.NS) is first
+    assert len(transport.exchanges) == 1
 
 
 def test_cache_distinct_servers_not_shared():
