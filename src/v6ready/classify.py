@@ -269,8 +269,8 @@ class FailureBreakdown:
 def failure_breakdown(statuses: Iterable[ResolutionStatus]) -> FailureBreakdown:
     """Per-cause counts restricted to intent_v6 and not v6-resolvable.
 
-    The only cause tally: ``snapshot_stats`` and ``cause_share_rows`` are
-    built from it."""
+    ``snapshot_stats`` and ``cause_share_rows`` take their counts from here.
+    """
     counts: Counter = Counter()
     population = 0
     for status in statuses:
