@@ -39,7 +39,6 @@ class DomainGroup:
     kind: str  # hierarchy bucket or "rank-tier"
     tier: str | None = None
     unknown_suffix: bool = False
-    private_rule: bool = False
 
     @property
     def label(self) -> str:
@@ -108,11 +107,11 @@ def group_domain(
         if len(name.labels) == suffix_depth:
             # A multi-label public suffix is registry infrastructure,
             # grouped with the TLDs.
-            groups.add(DomainGroup(GROUP_TLD, private_rule=match.private))
+            groups.add(DomainGroup(GROUP_TLD))
         elif len(name.labels) == suffix_depth + 1:
-            groups.add(DomainGroup(GROUP_SECOND_LEVEL, private_rule=match.private))
+            groups.add(DomainGroup(GROUP_SECOND_LEVEL))
         else:
-            groups.add(DomainGroup(GROUP_BELOW_SECOND_LEVEL, private_rule=match.private))
+            groups.add(DomainGroup(GROUP_BELOW_SECOND_LEVEL))
     if toplist:
         registered = registered_or_self(psl, name)
         rank = toplist.get(name, toplist.get(registered))
@@ -180,7 +179,6 @@ class CdfResult:
     zone_count: int = 0
     top10_share: float = 0.0
     top10pct_share: float = 0.0
-    sets: list[tuple[frozenset[str], int]] = field(default_factory=list)
 
 
 def nsset_cdf(
@@ -205,7 +203,6 @@ def nsset_cdf(
     if not counts:
         return result
     ordered = sorted(counts.items(), key=lambda kv: (-kv[1], sorted(kv[0])))
-    result.sets = ordered
     result.set_count = len(ordered)
     result.zone_count = sum(counts.values())
     cum = 0

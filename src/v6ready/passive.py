@@ -151,7 +151,6 @@ def iter_tuples(lines: Iterable[str], stats: IngestStats | None = None) -> Itera
 class IngestResult:
     record_sets: dict[DomainName, ZoneRecordSet]
     orphan_addresses: dict[DomainName, AddrRecords]
-    stats: IngestStats
 
 
 def ingest(tuples: Iterable[PassiveTuple], stats: IngestStats | None = None) -> IngestResult:
@@ -227,7 +226,7 @@ def ingest(tuples: Iterable[PassiveTuple], stats: IngestStats | None = None) -> 
         for v4s, v6s in by_bw.values():
             merged = merged.merged(AddrRecords(frozenset(v4s), frozenset(v6s)))
         orphans[name] = merged
-    return IngestResult(record_sets, orphans, stats)
+    return IngestResult(record_sets, orphans)
 
 
 # -- fixed point -----------------------------------------------------------

@@ -106,18 +106,12 @@ def canonical_address(text: str) -> str:
 
 @dataclass(frozen=True)
 class ResourceRecord:
-    """One typed RR with the bailiwick it was observed under.
-
-    ``bailiwick`` is the zone the responding server answered for; records
-    whose owner is not at or below it are kept but flagged out-of-zone and
-    never trusted for resolution.
-    """
+    """One typed RR."""
 
     owner: DomainName
     rrtype: RRType
     ttl: int
     data: object
-    bailiwick: DomainName | None = None
 
     def __post_init__(self):
         if self.rrtype == RRType.A:
@@ -126,13 +120,6 @@ class ResourceRecord:
         elif self.rrtype == RRType.AAAA:
             if not (isinstance(self.data, bytes) and len(self.data) == 16):
                 raise ValueError("AAAA payload must be exactly 16 bytes")
-
-    @property
-    def in_bailiwick(self) -> bool:
-        """False when observed under a bailiwick that does not cover owner."""
-        if self.bailiwick is None:
-            return False
-        return self.owner.is_within(self.bailiwick)
 
     @property
     def address(self) -> str:
@@ -145,9 +132,6 @@ class ResourceRecord:
         if self.rrtype not in (RRType.NS, RRType.CNAME):
             raise ValueError("target only defined for NS/CNAME records")
         return self.data  # type: ignore[return-value]
-
-    def with_bailiwick(self, zone: DomainName) -> "ResourceRecord":
-        return ResourceRecord(self.owner, self.rrtype, self.ttl, self.data, zone)
 
 
 @dataclass(frozen=True)

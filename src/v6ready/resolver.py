@@ -118,7 +118,6 @@ class ChainResult:
     steps: list[DelegationStep]
     status: ResolutionStatus
     reached: dict[str, bool]
-    reached_strict: dict[str, bool]
     v4_resolvable: bool
     v6_resolvable: bool
     strict_v4: bool
@@ -289,7 +288,6 @@ class Resolver:
             steps=steps,
             status=status,
             reached=dict(deepest.reached),
-            reached_strict=dict(deepest.reached_strict),
             v4_resolvable=flags[V4],
             v6_resolvable=flags[V6],
             strict_v4=flags[V4] and deepest.reached_strict[V4],
@@ -430,7 +428,7 @@ class Resolver:
                 if rr.rrtype not in (RRType.A, RRType.AAAA):
                     continue
                 if not rr.owner.is_within(cand):
-                    out_of_zone.append(rr.with_bailiwick(cand))
+                    out_of_zone.append(rr)
                     continue
                 current = glue.get(rr.owner, AddrRecords())
                 if rr.rrtype == RRType.A:
