@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .classify import ResolutionStatus, failure_breakdown
-from .names import DomainName, normalize
+from .names import DnsNameError, DomainName, normalize
 from .psl import PublicSuffixList, registered_or_self
 
 GROUP_TLD = "tld"
@@ -45,35 +45,46 @@ class DomainGroup:
         return self.tier if self.kind == "rank-tier" else self.kind
 
 
-def parse_tld_list(text: str) -> frozenset[DomainName]:
-    """One TLD per line, '#' comments, case-insensitive."""
+def parse_tld_list(text: str, rejected: list[str] | None = None) -> frozenset[DomainName]:
+    """One TLD per line, '#' comments, case-insensitive. A line whose name
+    does not parse is skipped and appended to ``rejected``."""
     out = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            out.add(normalize(line))
+            try:
+                out.add(normalize(line))
+            except DnsNameError:
+                if rejected is not None:
+                    rejected.append(raw)
     return frozenset(out)
 
 
-def load_tld_list(path: str | Path) -> frozenset[DomainName]:
-    return parse_tld_list(Path(path).read_text(encoding="utf-8"))
+def load_tld_list(path: str | Path, rejected: list[str] | None = None) -> frozenset[DomainName]:
+    return parse_tld_list(Path(path).read_text(encoding="utf-8"), rejected)
 
 
-def parse_toplist(text: str) -> dict[DomainName, int]:
-    """rank,domain CSV (headerless); later duplicates keep the best rank."""
+def parse_toplist(text: str, rejected: list[str] | None = None) -> dict[DomainName, int]:
+    """rank,domain CSV (headerless); later duplicates keep the best rank. A
+    row whose name does not parse is skipped and appended to ``rejected``."""
     out: dict[DomainName, int] = {}
     for row in csv.reader(text.splitlines()):
         if not row or len(row) < 2 or not row[0].strip().isdigit():
             continue
         rank = int(row[0].strip())
-        name = normalize(row[1].strip())
+        try:
+            name = normalize(row[1].strip())
+        except DnsNameError:
+            if rejected is not None:
+                rejected.append(",".join(row))
+            continue
         if name not in out or rank < out[name]:
             out[name] = rank
     return out
 
 
-def load_toplist(path: str | Path) -> dict[DomainName, int]:
-    return parse_toplist(Path(path).read_text(encoding="utf-8"))
+def load_toplist(path: str | Path, rejected: list[str] | None = None) -> dict[DomainName, int]:
+    return parse_toplist(Path(path).read_text(encoding="utf-8"), rejected)
 
 
 def rank_tier(rank: int) -> str | None:
@@ -142,7 +153,11 @@ def parse_operator_rules(text: str) -> tuple[OperatorRule, ...]:
         parts = line.split(None, 1)
         if len(parts) != 2:
             raise ValueError(f"bad operator rule line: {raw!r}")
-        rules.append(OperatorRule(re.compile(parts[0]), parts[1].strip()))
+        try:
+            pattern = re.compile(parts[0])
+        except re.error as exc:
+            raise ValueError(f"bad operator rule pattern {parts[0]!r}: {exc}") from exc
+        rules.append(OperatorRule(pattern, parts[1].strip()))
     return tuple(rules)
 
 

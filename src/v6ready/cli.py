@@ -296,34 +296,60 @@ def cmd_scan(args, transport_factory=None) -> int:
 # -- simulate -------------------------------------------------------------------
 
 
-def cmd_simulate(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
-    stats = IngestStats()
-    tuples = []
-    readable = 0
-    for path in args.tuples:
+def _load_name_list(flag: str, path: str | None, load):
+    """``load(path)``, or None without a path; the lines it skips for an
+    invalid name are counted in one warning."""
+    if not path:
+        return None
+    rejected: list[str] = []
+    loaded = load(path, rejected)
+    if rejected:
+        print(f"warning: {flag} {path}: skipped {len(rejected)} line(s) with an "
+              f"invalid name, first {rejected[0]!r}", file=sys.stderr)
+    return loaded
+
+
+def _side_inputs(args):
+    """(psl, tlds, toplist, operator rules) from their files."""
+    psl = PublicSuffixList.load(args.psl) if args.psl else None
+    tlds = _load_name_list("--tlds", args.tlds, load_tld_list)
+    toplist = _load_name_list("--toplist", args.toplist, load_toplist)
+    rules = load_operator_rules(args.operator_rules) if args.operator_rules else ()
+    return psl, tlds, toplist, rules
+
+
+def _stream_tuples(paths, stats: IngestStats, readable: list):
+    """Tuples of every readable file in turn; ``readable`` gets each path
+    that opened."""
+    for path in paths:
         try:
             stream = open_tuple_stream(path)
         except OSError as exc:
             print(f"warning: cannot read {path}: {exc}", file=sys.stderr)
             continue
-        readable += 1
+        readable.append(path)
         with stream:
-            tuples.extend(iter_tuples(stream, stats))
-    if args.tuples and not readable:
+            yield from iter_tuples(stream, stats)
+
+
+def cmd_simulate(args) -> int:
+    try:
+        psl, tlds, toplist, rules = _side_inputs(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    outdir = Path(args.out)
+    outdir.mkdir(parents=True, exist_ok=True)
+    stats = IngestStats()
+    readable: list = []
+    result = ingest(_stream_tuples(args.tuples, stats, readable), stats)
+    if not readable:
         print("error: no tuple file was readable", file=sys.stderr)
         return EXIT_ERROR
 
-    result = ingest(tuples, stats)
     table = fixed_point(result.record_sets)
     statuses = classify_zones(result.record_sets, table)
     snapshot = snapshot_stats(table, statuses, month=args.month)
-
-    psl = PublicSuffixList.load(args.psl) if args.psl else None
-    tlds = load_tld_list(args.tlds) if args.tlds else None
-    toplist = load_toplist(args.toplist) if args.toplist else None
-    rules = load_operator_rules(args.operator_rules) if args.operator_rules else ()
 
     with open(outdir / "verdicts.jsonl", "w", encoding="utf-8") as fh:
         write_verdicts(fh, result.record_sets, statuses)

@@ -11,6 +11,8 @@ from typing import Iterable
 
 MAX_LABEL = 63
 MAX_WIRE = 255
+# the label bytes that present as themselves
+_PLAIN = bytes(b for b in range(0x21, 0x7F) if b not in b".\\")
 
 
 class DnsNameError(ValueError):
@@ -42,15 +44,9 @@ class DomainName:
 
     def __init__(self, labels: Iterable[bytes]):
         lab = tuple(bytes(l).lower() for l in labels)
-        wire_len = 1
-        for l in lab:
-            if not l:
-                raise EmptyLabel("empty label")
-            if len(l) > MAX_LABEL:
-                raise LabelTooLong(f"label exceeds {MAX_LABEL} bytes: {l[:16]!r}...")
-            wire_len += len(l) + 1
-        if wire_len > MAX_WIRE:
-            raise NameTooLong(f"name wire length {wire_len} exceeds {MAX_WIRE}")
+        if b"" in lab or (lab and max(map(len, lab)) > MAX_LABEL) \
+                or sum(map(len, lab)) + len(lab) + 1 > MAX_WIRE:
+            _raise_label_error(lab)
         object.__setattr__(self, "labels", lab)
         object.__setattr__(self, "_hash", hash(lab))
 
@@ -67,7 +63,7 @@ class DomainName:
 
     def __lt__(self, other: "DomainName") -> bool:
         # Hierarchical order: compare from the root side so siblings group.
-        return tuple(reversed(self.labels)) < tuple(reversed(other.labels))
+        return self.labels[::-1] < other.labels[::-1]
 
     def __repr__(self) -> str:
         return f"DomainName({str(self)!r})"
@@ -75,6 +71,8 @@ class DomainName:
     def __str__(self) -> str:
         if not self.labels:
             return "."
+        if not b"".join(self.labels).translate(None, _PLAIN):  # nothing to escape
+            return b".".join(self.labels).decode("ascii")
         return ".".join(_present_label(l) for l in self.labels)
 
     # -- structure --------------------------------------------------------
@@ -113,6 +111,18 @@ class DomainName:
         return DomainName(self.labels[-depth:])
 
 
+def _raise_label_error(lab: tuple[bytes, ...]) -> None:
+    """Raise the error of the first label, in order, that breaks a limit."""
+    wire_len = 1
+    for l in lab:
+        if not l:
+            raise EmptyLabel("empty label")
+        if len(l) > MAX_LABEL:
+            raise LabelTooLong(f"label exceeds {MAX_LABEL} bytes: {l[:16]!r}...")
+        wire_len += len(l) + 1
+    raise NameTooLong(f"name wire length {wire_len} exceeds {MAX_WIRE}")
+
+
 ROOT = DomainName(())
 
 
@@ -126,15 +136,33 @@ def normalize(name: str | bytes | DomainName) -> DomainName:
     """
     if isinstance(name, DomainName):
         return name
-    # latin-1 maps every byte to one character, so non-ASCII bytes fail
-    # the same check as non-ASCII text
-    text = name.decode("latin-1") if isinstance(name, bytes) else name
+    if isinstance(name, bytes):
+        # latin-1 maps every byte to one character, so non-ASCII bytes fail
+        # the same check as non-ASCII text
+        text = name.decode("latin-1")
+    elif isinstance(name, str):
+        text = name
+    else:
+        raise TypeError(f"a name must be text, not {type(name).__name__}")
     if not text.isascii():
         raise DnsNameError(f"non-ASCII character in {text!r}")
     if text in (".", ""):
         # A lone dot is the root; the empty string is tolerated as root too,
         # matching common passive-data conventions.
         return ROOT
+    if "\\" not in text:
+        # no escapes: every dot ends a label, and the wire form is one
+        # length byte per label plus the root's, two more than the text
+        raw = (text[:-1] if text[-1] == "." else text).lower().encode("ascii")
+        lab = tuple(raw.split(b"."))
+        if b"" in lab:
+            raise EmptyLabel(f"empty label in {text!r}")
+        if len(raw) + 2 > MAX_WIRE or max(map(len, lab)) > MAX_LABEL:
+            _raise_label_error(lab)
+        out = object.__new__(DomainName)
+        object.__setattr__(out, "labels", lab)
+        object.__setattr__(out, "_hash", hash(lab))
+        return out
     labels: list[bytes] = []
     current = bytearray()
     i, n = 0, len(text)

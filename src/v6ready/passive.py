@@ -24,7 +24,6 @@ from .classify import (
     ROOT_STATUS,
     classify,
     failure_breakdown,
-    view_flags,
 )
 from .names import ROOT, DnsNameError, DomainName, normalize
 from .records import (
@@ -40,10 +39,6 @@ from .records import (
 
 class MalformedTuple(ValueError):
     pass
-
-
-class IterationCapExceeded(RuntimeError):
-    """The fixed point failed to stabilize within zone_count + 1 sweeps."""
 
 
 @dataclass(frozen=True)
@@ -72,32 +67,44 @@ class IngestStats:
     cname_skipped: int = 0
 
 
+def _parse_name(text, names: dict[str, DomainName]) -> DomainName:
+    """``normalize(text)``, parsed once per distinct text; a failure is
+    raised again on every call, never memoised."""
+    name = names.get(text)
+    if name is None:
+        name = names[text] = normalize(text)
+    return name
+
+
 def tuple_from_fields(count, time_first, time_last, rrname, rrtype, bailiwick,
-                      rdata) -> PassiveTuple:
+                      rdata, names: dict[str, DomainName] | None = None) -> PassiveTuple:
+    """One validated tuple; ``names`` maps raw name text to names already
+    parsed, and is shared across the calls of one stream."""
+    names = {} if names is None else names
     try:
         return PassiveTuple(
             count=int(count),
             time_first=int(time_first),
             time_last=int(time_last),
-            rrname=normalize(rrname),
+            rrname=_parse_name(rrname, names),
             rrtype=rrtype if isinstance(rrtype, RRType) else RRType.from_text(str(rrtype)),
-            bailiwick=normalize(bailiwick),
+            bailiwick=_parse_name(bailiwick, names),
             rdata=tuple(str(v) for v in rdata),
         )
     except (ValueError, DnsNameError, TypeError) as exc:
         raise MalformedTuple(str(exc)) from exc
 
 
-def _parse_tsv_line(line: str) -> PassiveTuple:
+def _parse_tsv_line(line: str, names: dict[str, DomainName]) -> PassiveTuple:
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 7:
         raise MalformedTuple(f"expected 7 tab-separated fields, got {len(parts)}")
     rdata = [v for v in parts[6].split(",") if v]
     return tuple_from_fields(parts[0], parts[1], parts[2], parts[3], parts[4],
-                             parts[5], rdata)
+                             parts[5], rdata, names)
 
 
-def _parse_json_line(line: str) -> PassiveTuple:
+def _parse_json_line(line: str, names: dict[str, DomainName]) -> PassiveTuple:
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -111,7 +118,7 @@ def _parse_json_line(line: str) -> PassiveTuple:
             raise MalformedTuple("rdata must be a JSON list")
         return tuple_from_fields(
             obj["count"], obj["time_first"], obj["time_last"], obj["rrname"],
-            obj["rrtype"], obj["bailiwick"], rdata,
+            obj["rrtype"], obj["bailiwick"], rdata, names,
         )
     except KeyError as exc:
         raise MalformedTuple(f"missing field {exc}") from exc
@@ -133,13 +140,14 @@ def iter_tuples(lines: Iterable[str], stats: IngestStats | None = None) -> Itera
     """
     stats = stats if stats is not None else IngestStats()
     parser = None
+    names: dict[str, DomainName] = {}
     for line in lines:
         if not line.strip():
             continue
         if parser is None:
             parser = _parse_json_line if line.lstrip().startswith("{") else _parse_tsv_line
         try:
-            t = parser(line)
+            t = parser(line, names)
         except MalformedTuple:
             stats.malformed += 1
             continue
@@ -162,6 +170,7 @@ def ingest(tuples: Iterable[PassiveTuple], stats: IngestStats | None = None) -> 
     role are retained as orphans.
     """
     stats = stats if stats is not None else IngestStats()
+    names: dict[str, DomainName] = {}
     ns_map: dict[DomainName, dict[DomainName, set[DomainName]]] = {}
     addr_map: dict[DomainName, dict[DomainName, tuple[set[str], set[str]]]] = {}
     for t in tuples:
@@ -173,7 +182,7 @@ def ingest(tuples: Iterable[PassiveTuple], stats: IngestStats | None = None) -> 
             ok = True
             for value in t.rdata:
                 try:
-                    targets.add(normalize(value))
+                    targets.add(_parse_name(value, names))
                 except DnsNameError:
                     ok = False
                     break
@@ -243,6 +252,8 @@ class ResolutionTable:
     unknown_parent: frozenset[DomainName]
     sweeps: dict[str, int]
     first_resolved_sweep: dict[tuple[DomainName, str], int]
+    # every NS name of the record sets -> the deepest zone enclosing it
+    ns_zone: dict[DomainName, DomainName] = field(default_factory=dict)
 
     def resolvable(self, zone: DomainName, proto: str) -> bool:
         if zone == ROOT:
@@ -251,107 +262,188 @@ class ResolutionTable:
         return bool(verdict and verdict.res[proto])
 
 
-def _enclosing_known_zone(name: DomainName, known: set[DomainName]) -> DomainName:
-    """Deepest zone in ``known`` (always containing the root) covering ``name``."""
-    best = ROOT
-    for depth in range(len(name.labels), 0, -1):
-        candidate = name.ancestor_at_depth(depth)
-        if candidate in known:
-            return candidate
-    return best
+def _ns_zone_index(record_sets: dict[DomainName, ZoneRecordSet]) -> dict[DomainName, DomainName]:
+    """Each NS name of ``record_sets`` -> the deepest zone among them (or the
+    root) that encloses it."""
+    known = {zone.labels: zone for zone in record_sets}
+    index: dict[DomainName, DomainName] = {}
+    for rs in record_sets.values():
+        for targets in rs.ns_by_bailiwick.values():
+            for ns in targets:
+                if ns in index:
+                    continue
+                labels = ns.labels
+                for i in range(len(labels)):
+                    zone = known.get(labels[i:])
+                    if zone is not None:
+                        break
+                else:
+                    zone = ROOT
+                index[ns] = zone
+    return index
 
 
-def unknown_parent_zones(record_sets: dict[DomainName, ZoneRecordSet]) -> frozenset[DomainName]:
+def _unknown_parent_zones(parents: dict[DomainName, DomainName | None]) -> frozenset[DomainName]:
     """Zones that cannot be evaluated: no parent-view observation, a
-    delegating zone that was never observed, or an ancestor in that state."""
+    delegating zone that was never observed, or an ancestor in that state.
+    ``parents`` maps every zone but the root to its delegating zone."""
     base: set[DomainName] = set()
-    delegating: dict[DomainName, DomainName] = {}
-    for zone, rs in record_sets.items():
-        if zone == ROOT:
-            continue
-        parent = rs.delegating_zone()
-        if parent is None or (parent != ROOT and parent not in record_sets):
+    children: dict[DomainName, list[DomainName]] = {}
+    for zone, parent in parents.items():
+        if parent is None or (parent.labels and parent not in parents):
             base.add(zone)
         else:
-            delegating[zone] = parent
+            children.setdefault(parent, []).append(zone)
     # propagate unknownness down the delegation graph
-    changed = True
-    while changed:
-        changed = False
-        for zone, parent in delegating.items():
-            if zone not in base and parent in base:
-                base.add(zone)
-                changed = True
+    stack = list(base)
+    while stack:
+        for child in children.get(stack.pop(), ()):
+            if child not in base:
+                base.add(child)
+                stack.append(child)
     return frozenset(base)
 
 
-def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable:
-    """Iterate resolvability over the zone set until it stops growing.
+def _own_addresses(rs: ZoneRecordSet) -> tuple[dict[DomainName, AddrRecords], dict[DomainName, AddrRecords]]:
+    """(glue, apex): for the names inside the zone, the addresses served
+    under a proper ancestor of the zone, and under the zone itself."""
+    zone = rs.zone
+    depth = len(zone.labels)
+    glue: dict[DomainName, AddrRecords] = {}
+    apex: dict[DomainName, AddrRecords] = {}
+    for (name, bw), addrs in rs.addr_by_bailiwick.items():
+        if name.is_within(zone) and zone.is_within(bw):
+            if len(bw.labels) < depth:
+                glue[name] = glue[name].merged(addrs) if name in glue else addrs
+            else:
+                apex[name] = addrs
+    return glue, apex
 
-    Jacobi-style: each sweep evaluates every zone against the previous
-    sweep's table, so sweep counts are independent of iteration order.
-    Raises IterationCapExceeded after zone_count + 1 sweeps, which the
-    monotone growth of the resolved set makes unreachable absent a bug.
+
+_MET = {V4: None, V6: None}
+
+
+def _view_deps(rs: ZoneRecordSet, view: Iterable[DomainName], own: dict[DomainName, AddrRecords],
+               ns_zone: dict[DomainName, DomainName]) -> dict[str, set[DomainName] | None]:
+    """Per protocol, the zones any one of which, once resolved, makes some
+    NS of ``view`` usable; None where one already is.
+
+    ``own`` holds what the zone's side of the view serves for the names
+    inside the zone (glue for the parent view, apex records for the zone
+    view). Any NS is also usable through the addresses its enclosing zone
+    serves. That is the rule of ``classify.view_flags``, which also rules
+    out the zone itself as that enclosing zone: here such a clause waits
+    on the zone it belongs to, which cannot resolve before the clause is
+    met, so it comes to the same.
     """
-    zones = sorted(z for z in record_sets if z != ROOT)
-    unknown = unknown_parent_zones(record_sets)
-    known_zones = set(record_sets) | {ROOT}
-    ns_zone: dict[DomainName, DomainName] = {}
-    for rs in record_sets.values():
-        for ns in rs.all_ns():
-            if ns not in ns_zone:
-                ns_zone[ns] = _enclosing_known_zone(ns, known_zones)
+    deps: dict[str, set[DomainName] | None] = {V4: set(), V6: set()}
+    for ns in view:
+        mine = own.get(ns)
+        z = ns_zone[ns]
+        served = rs.addr_by_bailiwick.get((ns, z))
+        for proto in (V4, V6):
+            zones = deps[proto]
+            if zones is None:
+                continue
+            if mine is not None and mine.for_protocol(proto):
+                deps[proto] = None
+            elif served is not None and served.for_protocol(proto):
+                if z.labels:
+                    zones.add(z)
+                else:
+                    deps[proto] = None
+    return deps
 
-    verdicts = {z: ZoneVerdict() for z in zones}
+
+class _Propagation:
+    """Counter-based unit propagation over one protocol's clauses. A clause
+    is met once any one of its zones resolves; a zone resolves once all of
+    its clauses are met."""
+
+    def __init__(self):
+        self.unmet: dict[DomainName, int] = {}
+        self.clause_zone: list[DomainName] = []  # clause id -> its zone
+        self.watchers: dict[DomainName, list[int]] = {}  # zone -> clauses it meets
+        self.ready: list[DomainName] = []
+
+    def add(self, zone: DomainName, clauses: list[set[DomainName]]) -> None:
+        self.unmet[zone] = len(clauses)
+        if not clauses:
+            self.ready.append(zone)
+        for deps in clauses:
+            cid = len(self.clause_zone)
+            self.clause_zone.append(zone)
+            for dep in deps:
+                self.watchers.setdefault(dep, []).append(cid)
+
+    def rounds(self) -> Iterator[list[DomainName]]:
+        """The zones that resolve in each round, the first round first."""
+        unmet, clause_zone, watchers = self.unmet, self.clause_zone, self.watchers
+        met = [False] * len(clause_zone)
+        frontier = self.ready
+        while frontier:
+            yield frontier
+            following = []
+            for zone in frontier:
+                for cid in watchers.get(zone, ()):
+                    if not met[cid]:
+                        met[cid] = True
+                        waiting = clause_zone[cid]
+                        unmet[waiting] -= 1
+                        if not unmet[waiting]:
+                            following.append(waiting)
+            frontier = following
+
+
+def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable:
+    """The least set of zones resolvable per protocol, by counter-based
+    unit propagation in frontier rounds (Dowling & Gallier 1984).
+
+    A zone resolves once its delegating parent resolves AND some parent-view
+    NS is usable AND, if the zone's own NS set was observed, some zone-view
+    NS is usable: three clauses, each met by evidence alone or by any one of
+    the zones it depends on. Round ``k`` is the sweep in which a Jacobi
+    iteration over the whole table first resolves the zone, and ``sweeps``
+    counts the productive sweeps plus the confirming one. Every record set
+    is read once, for both protocols.
+    """
+    parents = {zone: rs.delegating_zone() for zone, rs in record_sets.items() if zone.labels}
+    unknown = _unknown_parent_zones(parents)
+    ns_zone = _ns_zone_index(record_sets)
+    propagations = {V4: _Propagation(), V6: _Propagation()}
+    for zone, parent in parents.items():
+        if zone in unknown:
+            continue
+        rs = record_sets[zone]
+        glue, apex = _own_addresses(rs)
+        parent_deps = _view_deps(rs, rs.ns_parent_view(), glue, ns_zone)
+        child_view = rs.ns_child_view()
+        zone_deps = _MET if child_view is None else _view_deps(rs, child_view, apex, ns_zone)
+        for proto, propagation in propagations.items():
+            clauses = [deps for deps in ({parent} if parent.labels else None,
+                                         parent_deps[proto], zone_deps[proto])
+                       if deps is not None]
+            if all(clauses):  # else a clause nothing can meet
+                propagation.add(zone, clauses)
+
+    verdicts = {zone: ZoneVerdict() for zone in parents}
     first_resolved: dict[tuple[DomainName, str], int] = {}
     sweeps: dict[str, int] = {}
-    cap = len(zones) + 1
-
-    for proto in (V4, V6):
-        resolved: set[DomainName] = set()
-        prev_count = -1
+    for proto, propagation in propagations.items():
         sweep = 0
-        while True:
-            sweep += 1
-            if sweep > max(cap, 2):
-                raise IterationCapExceeded(f"no fixed point after {sweep} sweeps")
-            snapshot = frozenset(resolved)
-
-            def ctx_for(rs: ZoneRecordSet) -> dict[DomainName, NsContext]:
-                out = {}
-                for ns in rs.all_ns():
-                    z = ns_zone.get(ns, ROOT)
-                    ok = z == ROOT or z in snapshot
-                    out[ns] = NsContext(
-                        zone=z, zone_known=True,
-                        v4=ok if proto == V4 else False,
-                        v6=ok if proto == V6 else False,
-                    )
-                return out
-
-            for zone in zones:
-                if zone in unknown or zone in resolved:
-                    continue
-                rs = record_sets[zone]
-                parent = rs.delegating_zone()
-                parent_ok = parent == ROOT or parent in snapshot
-                if not parent_ok:
-                    continue
-                g, z = view_flags(rs, ctx_for(rs), proto)
-                if g and z:
-                    verdicts[zone].res[proto] = True
-                    resolved.add(zone)
-                    first_resolved[(zone, proto)] = sweep
-            if len(resolved) == prev_count:
-                break
-            prev_count = len(resolved)
-        sweeps[proto] = sweep
+        for sweep, resolved in enumerate(propagation.rounds(), 1):
+            for zone in resolved:
+                verdicts[zone].res[proto] = True
+                first_resolved[(zone, proto)] = sweep
+        # the sweeps also ran a second one when nothing resolved in the first
+        sweeps[proto] = max(sweep + 1, 2)
 
     return ResolutionTable(
         zones=verdicts,
         unknown_parent=unknown,
         sweeps=sweeps,
         first_resolved_sweep=first_resolved,
+        ns_zone=ns_zone,
     )
 
 
@@ -361,10 +453,10 @@ def classify_zones(
 ) -> dict[DomainName, ResolutionStatus]:
     """Per-zone statuses with failure causes, derived from the fixed point.
 
-    Zones with unknown parentage are omitted (a gap in passive visibility
-    is not evidence of breakage).
+    ``table`` must come from ``fixed_point(record_sets)``. Zones with
+    unknown parentage are omitted (a gap in passive visibility is not
+    evidence of breakage).
     """
-    known_zones = set(record_sets) | {ROOT}
     statuses: dict[DomainName, ResolutionStatus] = {}
     for zone in sorted(record_sets, key=lambda z: len(z.labels)):
         if zone == ROOT or zone in table.unknown_parent:
@@ -379,7 +471,7 @@ def classify_zones(
                 continue
         contexts = {}
         for ns in rs.all_ns():
-            z = _enclosing_known_zone(ns, known_zones)
+            z = table.ns_zone[ns]
             contexts[ns] = NsContext(
                 zone=z, zone_known=True,
                 v4=table.resolvable(z, V4), v6=table.resolvable(z, V6),

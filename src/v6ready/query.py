@@ -226,6 +226,25 @@ class QueryEngine:
         return QueryOutcome(TIMEOUT)
 
 
+def _answers(query: bytes, reply: bytes) -> bool:
+    """``reply`` has the ID and question section of ``query``, the query
+    name compared without case (RFC 5452 §9.1). A FORMERR without a
+    question section also answers: a server that does not understand EDNS
+    may send one (RFC 6891 §7)."""
+    if len(reply) < 12 or reply[:2] != query[:2]:
+        return False
+    if reply[4:6] == b"\x00\x00" and reply[3] & 0xF == RCODE_FORMERR:
+        return True
+    if reply[4:6] != query[4:6]:
+        return False
+    name_end = 12
+    while query[name_end]:  # our own question: labels, no compression
+        name_end += query[name_end] + 1
+    name_end += 1
+    return (reply[12:name_end].lower() == query[12:name_end].lower()
+            and reply[name_end:name_end + 4] == query[name_end:name_end + 4])
+
+
 class UdpTcpTransport:
     """Real-socket transport. A fresh UDP socket per attempt gives each
     exchange a new ephemeral source port."""
@@ -243,11 +262,22 @@ class UdpTcpTransport:
             raise TransportUnreachable(str(exc)) from exc
 
     def _udp(self, family, server, payload, timeout) -> bytes:
+        """Send once, then read until the deadline for a datagram that
+        answers the query; every other datagram is dropped."""
+        deadline = time.monotonic() + timeout
+        peer = socket.inet_pton(family, server.ip)
         with socket.socket(family, socket.SOCK_DGRAM) as sock:
             sock.settimeout(timeout)
             sock.sendto(payload, (server.ip, server.port))
-            data, _addr = sock.recvfrom(65535)
-            return data
+            while True:
+                data, addr = sock.recvfrom(65535)
+                if (addr[1] == server.port and socket.inet_pton(family, addr[0]) == peer
+                        and _answers(payload, data)):
+                    return data
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise socket.timeout("no matching reply")
+                sock.settimeout(remaining)
 
     def _tcp(self, family, server, payload, timeout) -> bytes:
         with socket.create_connection((server.ip, server.port), timeout=timeout) as sock:

@@ -39,11 +39,13 @@ class RRType:
 
     @classmethod
     def from_text(cls, text: str) -> "RRType":
+        """The named type, or ``TYPEn``; a known type is its shared constant."""
         t = text.strip().upper()
         if t in _TYPE_VALUES:
-            return cls(_TYPE_VALUES[t])
+            return _BY_VALUE[_TYPE_VALUES[t]]
         if t.startswith("TYPE") and t[4:].isdigit():
-            return cls(int(t[4:]))
+            value = int(t[4:])
+            return _BY_VALUE.get(value) or cls(value)
         raise ValueError(f"unknown rrtype {text!r}")
 
 
@@ -61,6 +63,8 @@ RRType.MX = RRType(15)
 RRType.TXT = RRType(16)
 RRType.AAAA = RRType(28)
 RRType.OPT = RRType(41)
+_BY_VALUE = {t.value: t for t in (RRType.A, RRType.NS, RRType.CNAME, RRType.SOA,
+                                  RRType.MX, RRType.TXT, RRType.AAAA, RRType.OPT)}
 
 
 @dataclass(frozen=True)
@@ -168,10 +172,12 @@ class ZoneRecordSet:
     ns_by_bailiwick: Mapping[DomainName, frozenset[DomainName]] = field(default_factory=dict)
     addr_by_bailiwick: Mapping[tuple[DomainName, DomainName], AddrRecords] = field(default_factory=dict)
 
+    def _is_proper_ancestor(self, bw: DomainName) -> bool:
+        return len(bw.labels) < len(self.zone.labels) and self.zone.is_within(bw)
+
     def delegating_zone(self) -> DomainName | None:
         """Deepest proper-ancestor bailiwick that served NS for this zone."""
-        parents = [b for b in self.ns_by_bailiwick
-                   if b != self.zone and self.zone.is_within(b)]
+        parents = [b for b in self.ns_by_bailiwick if self._is_proper_ancestor(b)]
         if not parents:
             return None
         return max(parents, key=lambda b: len(b.labels))
@@ -180,7 +186,7 @@ class ZoneRecordSet:
         """Union of NS targets observed under proper-ancestor bailiwicks."""
         out: set[DomainName] = set()
         for bw, targets in self.ns_by_bailiwick.items():
-            if bw != self.zone and self.zone.is_within(bw):
+            if self._is_proper_ancestor(bw):
                 out |= targets
         return frozenset(out)
 
@@ -198,7 +204,7 @@ class ZoneRecordSet:
         """Addresses for ``ns`` observed under any proper ancestor of the zone."""
         out: set[str] = set()
         for (name, bw), addrs in self.addr_by_bailiwick.items():
-            if name == ns and bw != self.zone and self.zone.is_within(bw):
+            if name == ns and self._is_proper_ancestor(bw):
                 out |= addrs.for_protocol(proto)
         return frozenset(out)
 

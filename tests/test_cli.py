@@ -1,5 +1,6 @@
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -235,6 +236,44 @@ def test_simulate_all_inputs_unreadable_exits_two(tmp_path, capsys):
     rc = cli.main(["simulate", str(tmp_path / "missing.tsv"),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_simulate_skips_and_counts_invalid_toplist_and_tld_names(tmp_path, capsys):
+    toplist = tmp_path / "toplist.csv"
+    toplist.write_text("1,例え.jp\n", encoding="utf-8")
+    tlds = tmp_path / "tlds.txt"
+    tlds.write_text("org\ncafé\nnet\na..b\n", encoding="utf-8")
+    outdir = tmp_path / "out"
+    rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), "--psl", str(GOLDEN / "psl.dat"),
+                   "--tlds", str(tlds), "--toplist", str(toplist), "--out", str(outdir)])
+    assert rc == 0
+    warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+    assert len(warnings) == 2
+    assert "--tlds" in warnings[0] and "skipped 2 line(s)" in warnings[0]
+    assert "--toplist" in warnings[1] and "skipped 1 line(s)" in warnings[1]
+    assert (outdir / "states.csv").read_text().startswith("group,")
+
+
+@pytest.mark.parametrize("flag", ["--psl", "--tlds", "--toplist", "--operator-rules"])
+def test_simulate_missing_side_file_exits_two_before_passive_work(tmp_path, capsys, flag):
+    outdir = tmp_path / "out"
+    rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), flag, str(tmp_path / "missing"),
+                   "--out", str(outdir)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not outdir.exists()
+
+
+def test_simulate_bad_operator_rule_pattern_exits_two(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("ns[.example op\n")
+    rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), "--operator-rules", str(rules),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "bad operator rule pattern" in capsys.readouterr().err
 
 
 def test_simulate_with_psl_writes_cdf(tmp_path):

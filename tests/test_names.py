@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from v6ready.names import (
     DnsNameError,
@@ -89,3 +89,144 @@ def test_normalize_idempotent_through_presentation(name):
 def test_parent_of_child_is_identity(zone, label):
     child = zone.child(label)
     assert child.parent() == zone
+
+
+# -- the parser against the per-character reference ---------------------------
+
+
+def reference_labels(labels):
+    """The label checks of DomainName, one label at a time."""
+    lab = tuple(bytes(l).lower() for l in labels)
+    wire_len = 1
+    for l in lab:
+        if not l:
+            raise EmptyLabel("empty label")
+        if len(l) > 63:
+            raise LabelTooLong(f"label exceeds 63 bytes: {l[:16]!r}...")
+        wire_len += len(l) + 1
+    if wire_len > 255:
+        raise NameTooLong(f"name wire length {wire_len} exceeds 255")
+    return lab
+
+
+def reference_normalize(name):
+    """The per-character parser every input once went through."""
+    text = name.decode("latin-1") if isinstance(name, bytes) else name
+    if not text.isascii():
+        raise DnsNameError(f"non-ASCII character in {text!r}")
+    if text in (".", ""):
+        return ()
+    labels = []
+    current = bytearray()
+    i, n = 0, len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\\":
+            i += 1
+            if i >= n:
+                raise DnsNameError("dangling escape")
+            if text[i].isdigit():
+                if i + 3 > n or not text[i : i + 3].isdigit():
+                    raise DnsNameError("bad \\DDD escape")
+                code = int(text[i : i + 3])
+                if code > 255:
+                    raise DnsNameError("\\DDD escape out of range")
+                current.append(code)
+                i += 3
+            else:
+                current.append(ord(text[i]))
+                i += 1
+        elif ch == ".":
+            if not current:
+                raise EmptyLabel(f"empty label in {text!r}")
+            labels.append(bytes(current))
+            current = bytearray()
+            i += 1
+        else:
+            current.append(ord(ch))
+            i += 1
+    if current:
+        labels.append(bytes(current))
+    elif not text.endswith("."):
+        raise EmptyLabel(f"empty label in {text!r}")
+    return reference_labels(labels)
+
+
+def reference_present(labels):
+    out = []
+    for label in labels:
+        for b in label:
+            c = chr(b)
+            if c in ".\\":
+                out.append("\\" + c)
+            elif 0x21 <= b <= 0x7E:
+                out.append(c)
+            else:
+                out.append("\\%03d" % b)
+        out.append(".")
+    return "".join(out)[:-1] or "."
+
+
+def outcome(fn, arg):
+    try:
+        return ("ok", fn(arg))
+    except Exception as exc:  # the class and message are what is compared
+        return ("error", type(exc), str(exc))
+
+
+FRAGMENTS = [".", "..", "\\.", "\\", "\\\\", "\\065", "\\256", "\\1", "\\0a",
+             "a", "Z", "-", "_", "0", " ", "\t", "é", "例", "\x7f",
+             "x" * 61, "y" * 62, "z" * 63, "w" * 64, ("v" * 62 + ".") * 3]
+presentations = st.one_of(
+    st.text(max_size=40),
+    st.text(alphabet="aZ09.\\-", max_size=40),
+    st.lists(st.one_of(st.sampled_from(FRAGMENTS), st.text(max_size=4)),
+             max_size=12).map("".join),
+)
+
+
+@st.composite
+def near_wire_limit(draw):
+    """Escape-free names of 4 to 6 labels whose wire length is 250 to 260."""
+    count = draw(st.integers(min_value=4, max_value=6))
+    chars = draw(st.integers(min_value=248, max_value=258)) - (count - 1)
+    sizes = [chars // count + (i < chars % count) for i in range(count)]
+    return ".".join("a" * k for k in sizes) + draw(st.sampled_from(["", "."]))
+
+
+raw_names = st.one_of(
+    presentations,
+    near_wire_limit(),
+    st.binary(max_size=40),
+    presentations.map(lambda t: t.encode("utf-8")),
+)
+
+
+@settings(max_examples=600)
+@given(raw_names)
+def test_normalize_matches_per_character_reference(name):
+    got = outcome(lambda n: normalize(n).labels, name)
+    assert got == outcome(reference_normalize, name)
+    if got[0] == "ok":
+        assert str(normalize(name)) == reference_present(got[1])
+
+
+label_lists = st.one_of(
+    st.lists(st.binary(max_size=70), max_size=6),
+    st.lists(st.sampled_from([b"a" * 61, b"B" * 62, b"c" * 63, b"d" * 64, b"", b"e"]),
+             max_size=6),
+)
+
+
+@settings(max_examples=600)
+@given(label_lists)
+def test_domain_name_checks_match_reference(labels):
+    got = outcome(lambda ls: DomainName(ls).labels, labels)
+    assert got == outcome(reference_labels, labels)
+    if got[0] == "ok":
+        assert str(DomainName(labels)) == reference_present(got[1])
+
+
+def test_normalize_rejects_non_text():
+    with pytest.raises(TypeError):
+        normalize(5)

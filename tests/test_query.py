@@ -1,4 +1,5 @@
 import random
+import socket
 import threading
 
 import pytest
@@ -18,6 +19,7 @@ from v6ready.query import (
     TransportUnreachable,
     UDP,
     UNREACHABLE,
+    UdpTcpTransport,
 )
 from v6ready.records import RRType
 
@@ -185,3 +187,74 @@ def test_cache_abort_on_transport_crash():
     # the in-flight marker must be released so later callers are not stuck
     cache = engine.cache
     assert cache.begin(("192.0.2.53", 53, QNAME, RRType.NS, 1)) is None
+
+
+# -- UDP reply matching over loopback sockets --------------------------------
+
+
+def _udp_exchange(replies, timeout=1.0):
+    """One UdpTcpTransport UDP exchange against a loopback server that,
+    once the query arrives, sends ``replies(query) -> [(from_stray, bytes)]``
+    in order, from its own socket or from a second one."""
+    server = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    stray = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+    server.bind(("127.0.0.1", 0))
+    stray.bind(("127.0.0.1", 0))
+    server.settimeout(5)
+
+    def serve():
+        query, client = server.recvfrom(65535)
+        for from_stray, data in replies(query):
+            (stray if from_stray else server).sendto(data, client)
+
+    worker = threading.Thread(target=serve)
+    worker.start()
+    query = wire.DnsMessage(id=0x4242, question=wire.Question(QNAME, RRType.NS))
+    try:
+        return UdpTcpTransport().exchange(
+            ServerAddress("127.0.0.1", server.getsockname()[1]), UDP,
+            wire.encode(query), timeout)
+    finally:
+        worker.join(timeout=5)
+        server.close()
+        stray.close()
+
+
+def _reply(query: bytes, **overrides) -> bytes:
+    return wire.encode(wire.decode(query).reply_skeleton(**overrides))
+
+
+def test_udp_drops_stray_datagrams_and_returns_the_reply():
+    def replies(query):
+        other = wire.Question(normalize("example.net"), RRType.NS)
+        return [(False, _reply(query, id=0x4243)),  # wrong ID
+                (True, _reply(query)),  # right ID, from another port
+                (False, _reply(query, question=other)),  # right ID, other question
+                (False, b"\x42"),  # too short to be DNS
+                (False, _reply(query, aa=True))]
+
+    reply = wire.decode(_udp_exchange(replies))
+    assert reply.id == 0x4242 and reply.aa
+    assert reply.question == wire.Question(QNAME, RRType.NS)
+
+
+def test_udp_with_only_stray_datagrams_times_out():
+    def replies(query):
+        return [(False, _reply(query, id=0x4243)), (True, _reply(query))]
+
+    with pytest.raises(TransportTimeout):
+        _udp_exchange(replies, timeout=0.3)
+
+
+def test_udp_matches_question_without_case_and_formerr_without_question():
+    def upper(query):
+        raw = _reply(query)
+        name_end = 12 + len(b"\x07example\x03com\x00")
+        return [(False, raw[:12] + raw[12:name_end].upper() + raw[name_end:])]
+
+    assert wire.decode(_udp_exchange(upper)).id == 0x4242
+
+    def bare_formerr(query):
+        return [(False, _reply(query, question=None, rcode=wire.RCODE_FORMERR))]
+
+    assert wire.decode(_udp_exchange(bare_formerr)).rcode == wire.RCODE_FORMERR
