@@ -45,6 +45,7 @@ from .wire import (
     RCODE_FORMERR,
     RCODE_NXDOMAIN,
     RCODE_REFUSED,
+    WireFormatError,
     decode,
     encode,
     frame_tcp,
@@ -851,7 +852,7 @@ class LoopbackServer:
     def _flat_answer(self, payload: bytes, transport: str, family_addr: str) -> bytes | None:
         try:
             msg = decode(payload)
-        except Exception:
+        except WireFormatError:
             return None
         q = msg.question
         if q is None:

@@ -123,6 +123,19 @@ def _raise_label_error(lab: tuple[bytes, ...]) -> None:
     raise NameTooLong(f"name wire length {wire_len} exceeds {MAX_WIRE}")
 
 
+_set_labels = DomainName.labels.__set__
+_set_hash = DomainName._hash.__set__
+
+
+def _checked_name(lab: tuple[bytes, ...]) -> DomainName:
+    """The DomainName of ``lab``, trusted to be lowercase and within every
+    limit: the caller has checked what ``DomainName(labels)`` checks."""
+    out = object.__new__(DomainName)
+    _set_labels(out, lab)
+    _set_hash(out, hash(lab))
+    return out
+
+
 ROOT = DomainName(())
 
 
@@ -159,10 +172,7 @@ def normalize(name: str | bytes | DomainName) -> DomainName:
             raise EmptyLabel(f"empty label in {text!r}")
         if len(raw) + 2 > MAX_WIRE or max(map(len, lab)) > MAX_LABEL:
             _raise_label_error(lab)
-        out = object.__new__(DomainName)
-        object.__setattr__(out, "labels", lab)
-        object.__setattr__(out, "_hash", hash(lab))
-        return out
+        return _checked_name(lab)
     labels: list[bytes] = []
     current = bytearray()
     i, n = 0, len(text)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import socket
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import ClassVar, Mapping
 
 from .names import DomainName
 
@@ -17,18 +17,22 @@ CLASS_CH = 3
 
 @dataclass(frozen=True)
 class RRType:
-    """A 16-bit RR type. Unknown types round-trip through their value."""
+    """A 16-bit RR type. Unknown types round-trip through their value.
+
+    The value is the only field; the known types are shared class-level
+    constants, which ``from_text`` and ``wire.decode`` hand out.
+    """
 
     value: int
 
-    NS: "RRType" = None  # type: ignore[assignment]
-    A: "RRType" = None  # type: ignore[assignment]
-    AAAA: "RRType" = None  # type: ignore[assignment]
-    SOA: "RRType" = None  # type: ignore[assignment]
-    TXT: "RRType" = None  # type: ignore[assignment]
-    MX: "RRType" = None  # type: ignore[assignment]
-    CNAME: "RRType" = None  # type: ignore[assignment]
-    OPT: "RRType" = None  # type: ignore[assignment]
+    NS: ClassVar[RRType]
+    A: ClassVar[RRType]
+    AAAA: ClassVar[RRType]
+    SOA: ClassVar[RRType]
+    TXT: ClassVar[RRType]
+    MX: ClassVar[RRType]
+    CNAME: ClassVar[RRType]
+    OPT: ClassVar[RRType]
 
     def __post_init__(self):
         if not 0 <= self.value <= 0xFFFF:

@@ -2,6 +2,14 @@
 
 Encoding never emits name compression; decoding accepts it. The OPT
 pseudo-record is lifted out of the additional section into ``edns``.
+
+The decode contract: ``decode`` raises ``WireFormatError`` and nothing else
+on any input bytes. Each name is read in one pass, which lowercases its
+labels and checks the message bounds, compression pointers, label count
+and 255-octet wire length, so the ``DomainName`` is built without being
+checked again. A name inside rdata must end within that rdata, and A and
+AAAA rdata must be 4 and 16 bytes. Known record types decode to the
+shared ``RRType`` constants.
 """
 
 from __future__ import annotations
@@ -9,8 +17,9 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, replace
 
-from .names import DomainName
+from .names import MAX_LABEL, MAX_WIRE, DomainName, _checked_name
 from .records import (
+    _BY_VALUE,
     CLASS_IN,
     MxData,
     ResourceRecord,
@@ -167,65 +176,87 @@ def encode(msg: DnsMessage) -> bytes:
 
 
 def _decode_name(data: bytes, offset: int) -> tuple[DomainName, int]:
+    """The name at ``offset`` and the offset just past it in ``data``.
+
+    One walk: each label slice is lowercased as it is read and the wire
+    length is summed, so the name is built without a second check.
+    """
     labels: list[bytes] = []
+    wire_len = 1
     jumps = 0
     end = None  # offset after the name in the original stream
     pos = offset
+    size = len(data)
     while True:
-        if pos >= len(data):
+        if pos >= size:
             raise WireFormatError("truncated name")
         length = data[pos]
-        if length == 0:
-            pos += 1
-            if end is None:
-                end = pos
-            break
-        if length & 0xC0 == 0xC0:
-            if pos + 1 >= len(data):
-                raise WireFormatError("truncated compression pointer")
-            target = ((length & 0x3F) << 8) | data[pos + 1]
-            if end is None:
-                end = pos + 2
-            if target >= pos:
-                raise WireFormatError("forward compression pointer")
-            jumps += 1
-            if jumps > 64:
-                raise WireFormatError("compression pointer loop")
-            pos = target
+        if 0 < length <= MAX_LABEL:
+            stop = pos + 1 + length
+            if stop > size:
+                raise WireFormatError("label runs past message end")
+            labels.append(data[pos + 1 : stop].lower())
+            wire_len += 1 + length
+            pos = stop
+            # 129 labels take at least 259 octets, so only a long name
+            # needs counting
+            if wire_len > MAX_WIRE and len(labels) > 128:
+                raise WireFormatError("too many labels")
             continue
-        if length & 0xC0:
+        if length == 0:
+            if end is None:
+                end = pos + 1
+            break
+        if length & 0xC0 != 0xC0:
             raise WireFormatError(f"bad label length byte {length:#x}")
-        if pos + 1 + length > len(data):
-            raise WireFormatError("label runs past message end")
-        labels.append(data[pos + 1 : pos + 1 + length])
-        pos += 1 + length
-        if len(labels) > 128:
-            raise WireFormatError("too many labels")
-    try:
-        return DomainName(labels), end
-    except ValueError as exc:
-        raise WireFormatError(str(exc)) from exc
+        if pos + 1 >= size:
+            raise WireFormatError("truncated compression pointer")
+        target = ((length & 0x3F) << 8) | data[pos + 1]
+        if end is None:
+            end = pos + 2
+        if target >= pos:
+            raise WireFormatError("forward compression pointer")
+        jumps += 1
+        if jumps > 64:
+            raise WireFormatError("compression pointer loop")
+        pos = target
+    if wire_len > MAX_WIRE:
+        raise WireFormatError(f"name wire length {wire_len} exceeds {MAX_WIRE}")
+    return _checked_name(tuple(labels)), end
+
+
+def _decode_rdata_name(data: bytes, offset: int, rdend: int) -> tuple[DomainName, int]:
+    """A name inside rdata; its bytes must end within the rdata."""
+    name, end = _decode_name(data, offset)
+    if end > rdend:
+        raise WireFormatError("name runs past rdata")
+    return name, end
 
 
 def _decode_rdata(data: bytes, rdstart: int, rdlen: int, rrtype: RRType) -> object:
+    # a known type arrives as its shared constant, so identity tells types apart
     rdend = rdstart + rdlen
-    if rrtype in (RRType.NS, RRType.CNAME):
-        name, _ = _decode_name(data, rdstart)
-        return name
-    if rrtype in (RRType.A, RRType.AAAA):
+    if rrtype is RRType.NS or rrtype is RRType.CNAME:
+        return _decode_rdata_name(data, rdstart, rdend)[0]
+    if rrtype is RRType.A or rrtype is RRType.AAAA:
+        size = 4 if rrtype is RRType.A else 16
+        if rdlen != size:
+            raise WireFormatError(f"{rrtype} rdata is {rdlen} bytes, not {size}")
         return data[rdstart:rdend]
-    if rrtype == RRType.SOA:
-        mname, off = _decode_name(data, rdstart)
-        rname, off = _decode_name(data, off)
+    if rrtype is RRType.SOA:
+        mname, off = _decode_rdata_name(data, rdstart, rdend)
+        rname, off = _decode_rdata_name(data, off, rdend)
         if off + 20 > rdend:
             raise WireFormatError("short SOA rdata")
         serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", data, off)
         return SoaData(mname, rname, serial, refresh, retry, expire, minimum)
-    if rrtype == RRType.MX:
+    if rrtype is RRType.MX:
+        if rdlen < 2:
+            raise WireFormatError("short MX rdata")
         (pref,) = struct.unpack_from("!H", data, rdstart)
-        exchange, _ = _decode_name(data, rdstart + 2)
+        exchange, _ = _decode_rdata_name(data, rdstart + 2, rdend)
         return MxData(pref, exchange)
-    if rrtype == RRType.TXT:
+    if rrtype is RRType.TXT:
         chunks = []
         pos = rdstart
         while pos < rdend:
@@ -246,8 +277,8 @@ def _decode_rr(data: bytes, offset: int) -> tuple[ResourceRecord | None, Edns | 
     off += 10
     if off + rdlen > len(data):
         raise WireFormatError("rdata runs past message end")
-    rrtype = RRType(tval)
-    if rrtype == RRType.OPT:
+    rrtype = _BY_VALUE.get(tval) or RRType(tval)
+    if rrtype is RRType.OPT:
         # class carries the advertised UDP payload size
         return None, Edns(udp_payload_size=rrclass), off + rdlen
     payload = _decode_rdata(data, off, rdlen, rrtype)
@@ -268,7 +299,7 @@ def decode(data: bytes) -> DnsMessage:
             raise WireFormatError("truncated question")
         qtype, qclass = struct.unpack_from("!HH", data, offset)
         offset += 4
-        question = Question(qname, RRType(qtype), qclass)
+        question = Question(qname, _BY_VALUE.get(qtype) or RRType(qtype), qclass)
     sections: list[list[ResourceRecord]] = [[], [], []]
     edns = None
     for sect, count in zip(sections, (an, ns, ar)):

@@ -1,10 +1,14 @@
+import json
 import random
 import socket
+import struct
 import threading
 
 import pytest
 
-from v6ready import wire
+from universes import healthy_zone, root_fixture
+from v6ready import cli, wire
+from v6ready.mocknet import build_universe
 from v6ready.names import normalize
 from v6ready.query import (
     MALFORMED,
@@ -108,6 +112,54 @@ def test_failure_outcomes_are_cached():
 def test_malformed_reply():
     engine, _, _ = make_engine("garbage")
     assert engine.query(SERVER, QNAME, RRType.NS).kind == MALFORMED
+
+
+def with_short_a_record(raw: bytes) -> bytes:
+    """``raw`` with one more additional record: an A record of 3 bytes."""
+    arcount = int.from_bytes(raw[10:12], "big") + 1
+    return (raw[:10] + arcount.to_bytes(2, "big") + raw[12:]
+            + b"\x00" + struct.pack("!HHIH", 1, 1, 60, 3) + b"\x01\x02\x03")
+
+
+def test_reply_with_short_a_record_is_malformed():
+    class ShortA(ScriptedTransport):
+        def exchange(self, server, transport, payload, timeout):
+            return with_short_a_record(super().exchange(server, transport, payload, timeout))
+
+    engine = QueryEngine(ShortA("ok"), policy=QueryPolicy(retry_wait=0.0),
+                         rng=random.Random(1), sleep=lambda s: None)
+    assert engine.query(SERVER, QNAME, RRType.NS).kind == MALFORMED
+
+
+def test_scan_writes_a_row_for_a_domain_whose_servers_send_a_short_a_record(tmp_path):
+    u = build_universe([root_fixture(), healthy_zone("t", 10),
+                        healthy_zone("good.t", 11), healthy_zone("bad.t", 12),
+                        healthy_zone("fine.t", 13)])
+    bad = normalize("bad.t")
+
+    class ShortAFromBad:
+        """bad.t's own servers add a 3-byte A record to every reply."""
+
+        def exchange(self, server, transport, payload, timeout):
+            reply = u.exchange(server, transport, payload, timeout)
+            if u.address_name[server.ip].is_within(bad):
+                return with_short_a_record(reply)
+            return reply
+
+    hints = tmp_path / "roots.hints"
+    hints.write_text("".join(f"{n} {p} {a}\n" for n, p, a in u.root_hints()))
+    domains = tmp_path / "domains.txt"
+    domains.write_text("good.t\nbad.t\nfine.t\n")
+    out = tmp_path / "rows.jsonl"
+    rc = cli.main(["scan", str(domains), "--roots", str(hints), "--output", str(out),
+                   "--concurrency", "1", "--timeout", "0.2", "--tcp-timeout", "0.2",
+                   "--retry-wait", "0", "--seed", "1"],
+                  transport_factory=lambda cfg: ShortAFromBad())
+    assert rc == 0
+    rows = {r["domain"]: r for r in map(json.loads, out.read_text().splitlines())}
+    assert list(rows) == ["good.t", "bad.t", "fine.t"]
+    assert rows["good.t"]["state"] == rows["fine.t"]["state"] == "dual"
+    assert rows["bad.t"]["state"] == "none"
 
 
 def test_unreachable_network():

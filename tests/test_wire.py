@@ -1,3 +1,4 @@
+import dataclasses
 import socket
 import struct
 import threading
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v6ready import wire
-from v6ready.names import DomainName, normalize
+from v6ready.names import DomainName, MAX_WIRE, normalize
 from v6ready.records import (
     MxData,
     ResourceRecord,
@@ -239,3 +240,248 @@ messages = st.builds(
 @given(messages)
 def test_encode_decode_round_trip(msg):
     assert wire.decode(wire.encode(msg)) == msg
+
+
+# -- malformed rdata ---------------------------------------------------------
+
+
+def one_answer(rr: bytes, trailer: bytes = b"") -> bytes:
+    """A reply with no question and the one answer ``rr`` (owner: root)."""
+    return struct.pack("!HHHHHH", 1, 0x8000, 0, 1, 0, 0) + b"\x00" + rr + trailer
+
+
+def rr_bytes(rrtype: int, rdata: bytes, rdlen: int | None = None) -> bytes:
+    size = len(rdata) if rdlen is None else rdlen
+    return struct.pack("!HHIH", rrtype, 1, 60, size) + rdata
+
+
+MALFORMED_RDATA = {
+    "a-3-bytes": (one_answer(rr_bytes(1, b"\x01\x02\x03")), "A rdata is 3 bytes, not 4"),
+    "aaaa-4-bytes": (one_answer(rr_bytes(28, b"\x01\x02\x03\x04")),
+                     "AAAA rdata is 4 bytes, not 16"),
+    "mx-0-bytes-at-end": (one_answer(rr_bytes(15, b"")), "short MX rdata"),
+    "mx-1-byte-at-end": (one_answer(rr_bytes(15, b"\x00")), "short MX rdata"),
+    "mx-name-after-rdata": (one_answer(rr_bytes(15, b"\x00\x0a"), b"\x03net\x00"),
+                            "name runs past rdata"),
+    "ns-rdlen-0-then-name": (one_answer(rr_bytes(2, b""), b"\x03net\x00"),
+                             "name runs past rdata"),
+    "cname-name-over-rdlen": (one_answer(rr_bytes(5, b"\x03n", 2), b"et\x00"),
+                              "name runs past rdata"),
+    "soa-rname-after-rdata": (one_answer(rr_bytes(6, b"\x00", 1), b"\x00" + bytes(20)),
+                              "name runs past rdata"),
+}
+
+
+@pytest.mark.parametrize("raw, message", MALFORMED_RDATA.values(), ids=MALFORMED_RDATA)
+def test_malformed_rdata_raises_wire_format_error(raw, message):
+    with pytest.raises(wire.WireFormatError, match=message):
+        wire.decode(raw)
+
+
+def test_rdata_name_may_point_outside_its_rdata():
+    # NS rdata is a single pointer back to the owner: two bytes, inside rdlen
+    owner = b"\x07example\x03com\x00"
+    raw = (struct.pack("!HHHHHH", 1, 0x8000, 0, 1, 0, 0) + owner
+           + rr_bytes(2, b"\x02ns\xc0\x0c"))
+    assert wire.decode(raw).answer[0].target == normalize("ns.example.com")
+
+
+@st.composite
+def mangled_messages(draw):
+    """An encoded message with some bytes overwritten and maybe cut short."""
+    raw = bytearray(wire.encode(draw(messages)))
+    for _ in range(draw(st.integers(0, 4))):
+        raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
+    return bytes(raw[: draw(st.integers(0, len(raw)))])
+
+
+@st.composite
+def header_and_noise(draw):
+    """A header with small section counts over arbitrary bytes."""
+    counts = [draw(st.integers(0, 3)) for _ in range(4)]
+    header = struct.pack("!HHHHHH", 1, draw(st.integers(0, 0xFFFF)), *counts)
+    return header + draw(st.binary(max_size=120))
+
+
+@st.composite
+def one_odd_record(draw):
+    """One answer of a known type whose rdlen and rdata are arbitrary."""
+    rrtype = draw(st.sampled_from([1, 2, 5, 6, 15, 16, 28, 41, 0xFF31]))
+    rdata = draw(st.binary(max_size=24))
+    rdlen = draw(st.one_of(st.just(len(rdata)), st.integers(0, 30)))
+    return one_answer(rr_bytes(rrtype, rdata, rdlen), draw(st.binary(max_size=8)))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(st.binary(max_size=200), mangled_messages(), header_and_noise(),
+                 one_odd_record()))
+def test_decode_raises_only_wire_format_error(raw):
+    try:
+        wire.decode(raw)
+    except wire.WireFormatError:
+        pass
+
+
+# -- the one-pass name decoder against the per-label reference ---------------
+
+
+def reference_decode_name(data, offset):
+    """The per-label walk: labels as read, checked by ``DomainName(labels)``."""
+    labels = []
+    jumps = 0
+    end = None
+    pos = offset
+    while True:
+        if pos >= len(data):
+            raise wire.WireFormatError("truncated name")
+        length = data[pos]
+        if length == 0:
+            pos += 1
+            if end is None:
+                end = pos
+            break
+        if length & 0xC0 == 0xC0:
+            if pos + 1 >= len(data):
+                raise wire.WireFormatError("truncated compression pointer")
+            target = ((length & 0x3F) << 8) | data[pos + 1]
+            if end is None:
+                end = pos + 2
+            if target >= pos:
+                raise wire.WireFormatError("forward compression pointer")
+            jumps += 1
+            if jumps > 64:
+                raise wire.WireFormatError("compression pointer loop")
+            pos = target
+            continue
+        if length & 0xC0:
+            raise wire.WireFormatError(f"bad label length byte {length:#x}")
+        if pos + 1 + length > len(data):
+            raise wire.WireFormatError("label runs past message end")
+        labels.append(data[pos + 1 : pos + 1 + length])
+        pos += 1 + length
+        if len(labels) > 128:
+            raise wire.WireFormatError("too many labels")
+    try:
+        return DomainName(labels), end
+    except ValueError as exc:
+        raise wire.WireFormatError(str(exc)) from exc
+
+
+def decode_outcome(fn, data, offset):
+    try:
+        name, end = fn(data, offset)
+    except Exception as exc:  # the class and message are what is compared
+        return ("error", type(exc), str(exc))
+    assert type(name.labels) is tuple and all(type(l) is bytes for l in name.labels)
+    return ("ok", name.labels, end, hash(name))
+
+
+mixed_case_labels = st.one_of(
+    st.text(alphabet="aAbBxXzZ09-_", min_size=1, max_size=63).map(str.encode),
+    st.binary(min_size=1, max_size=63),
+)
+
+
+@st.composite
+def near_wire_limit_labels(draw):
+    """Labels of 1 to 63 octets whose wire length is 250 to 260."""
+    count = draw(st.integers(min_value=5, max_value=12))
+    total = draw(st.sampled_from([254, 255, 256, 250, 260])) - 1 - count
+    sizes = [total // count + (i < total % count) for i in range(count)]
+    return [draw(st.text(alphabet="aAzZ-0", min_size=k, max_size=k)).encode() for k in sizes]
+
+
+@st.composite
+def many_short_labels(draw):
+    """Around the 128-label bound."""
+    count = draw(st.integers(min_value=120, max_value=132))
+    return [draw(st.sampled_from([b"a", b"B", b"c9"]))] * count
+
+
+@st.composite
+def wire_names(draw):
+    """(message bytes, offset of a name): the labels split into pieces,
+    each later piece reached from the one before through a pointer, and
+    the bytes perhaps cut short or with one byte overwritten."""
+    labels = draw(st.one_of(st.lists(mixed_case_labels, max_size=6),
+                            near_wire_limit_labels(), many_short_labels()))
+    cuts = sorted(draw(st.lists(st.integers(0, len(labels)), max_size=3)))
+    pieces = [labels[a:b] for a, b in zip([0] + cuts, cuts + [len(labels)])]
+    data = bytearray(draw(st.binary(min_size=0, max_size=12)))
+    target = None
+    for piece in reversed(pieces):
+        start = len(data)
+        for label in piece:
+            data += bytes([len(label)]) + label
+        data += b"\x00" if target is None else struct.pack("!H", 0xC000 | target)
+        target = start
+    if draw(st.booleans()):
+        data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    if draw(st.integers(0, 4)) == 0:
+        data = data[: draw(st.integers(0, len(data)))]
+    return bytes(data), target
+
+
+@settings(max_examples=500, deadline=None)
+@given(wire_names())
+def test_name_decoder_matches_per_label_reference(case):
+    data, offset = case
+    got = decode_outcome(wire._decode_name, data, offset)
+    assert got == decode_outcome(reference_decode_name, data, offset)
+
+
+@pytest.mark.parametrize("wire_len", [254, 255, 256])
+def test_name_at_the_wire_limit(wire_len):
+    labels = [b"A" * 63, b"b" * 63, b"C" * 63, b"d" * (wire_len - 1 - 4 * 64 + 63)]
+    data = b"".join(bytes([len(l)]) + l for l in labels) + b"\x00"
+    assert len(data) == wire_len
+    if wire_len <= MAX_WIRE:
+        name, end = wire._decode_name(data, 0)
+        assert name.labels == tuple(l.lower() for l in labels) and end == wire_len
+    else:
+        with pytest.raises(wire.WireFormatError, match=f"name wire length {wire_len} exceeds 255"):
+            wire._decode_name(data, 0)
+
+
+# -- RRType ------------------------------------------------------------------
+
+
+def test_decode_gives_the_shared_rrtype_constants():
+    msg = wire.DnsMessage(
+        qr=True,
+        question=wire.Question(normalize("example.com"), RRType.NS),
+        answer=(ResourceRecord(normalize("example.com"), RRType.NS, 60,
+                               normalize("ns.example.com")),),
+        additional=(ResourceRecord(normalize("ns.example.com"), RRType.AAAA, 60,
+                                   pack_address("2001:db8::1")),),
+    )
+    got = wire.decode(wire.encode(msg))
+    assert got.question.qtype is RRType.NS
+    assert got.answer[0].rrtype is RRType.NS
+    assert got.additional[0].rrtype is RRType.AAAA
+
+
+def test_rrtype_is_a_one_field_value():
+    assert [f.name for f in dataclasses.fields(RRType)] == ["value"]
+    assert RRType(2) == RRType.NS and hash(RRType(2)) == hash(RRType.NS)
+    assert RRType(2) is not RRType.NS
+    assert RRType(28) != RRType.NS
+
+
+def test_unknown_rrtype_round_trips():
+    odd = RRType(0xFF31)
+    rr = ResourceRecord(normalize("x.test"), odd, 60, b"\x01\x02")
+    msg = wire.DnsMessage(question=wire.Question(normalize("x.test"), odd), answer=(rr,))
+    got = wire.decode(wire.encode(msg))
+    assert got == msg and got.answer[0].rrtype == odd
+    assert str(odd) == str(got.answer[0].rrtype) == "TYPE65329"
+
+
+def test_rrtype_from_text_unchanged():
+    for name in ("A", "NS", "CNAME", "SOA", "MX", "TXT", "AAAA", "OPT"):
+        assert RRType.from_text(name.lower()) is getattr(RRType, name)
+        assert str(getattr(RRType, name)) == name
+    assert RRType.from_text("TYPE65329") == RRType(0xFF31)
+    assert RRType.from_text("type2") is RRType.NS
+    with pytest.raises(ValueError):
+        RRType.from_text("BOGUS")
