@@ -123,16 +123,12 @@ def _raise_label_error(lab: tuple[bytes, ...]) -> None:
     raise NameTooLong(f"name wire length {wire_len} exceeds {MAX_WIRE}")
 
 
-_set_labels = DomainName.labels.__set__
-_set_hash = DomainName._hash.__set__
-
-
 def _checked_name(lab: tuple[bytes, ...]) -> DomainName:
     """The DomainName of ``lab``, trusted to be lowercase and within every
     limit: the caller has checked what ``DomainName(labels)`` checks."""
     out = object.__new__(DomainName)
-    _set_labels(out, lab)
-    _set_hash(out, hash(lab))
+    object.__setattr__(out, "labels", lab)
+    object.__setattr__(out, "_hash", hash(lab))
     return out
 
 

@@ -142,6 +142,9 @@ def test_tsv_and_jsonl_and_gzip_roundtrip(tmp_path):
 
 
 def test_rrtype_from_text_gives_the_shared_constants():
+    for name in ("A", "NS", "CNAME", "SOA", "MX", "TXT", "AAAA", "OPT"):
+        assert RRType.from_text(name.lower()) is getattr(RRType, name)
+        assert str(getattr(RRType, name)) == name
     assert RRType.from_text(" ns ") is RRType.NS
     assert RRType.from_text("TYPE28") is RRType.AAAA
     assert RRType.from_text("TYPE999") == RRType(999)
