@@ -15,7 +15,7 @@ shared ``RRType`` constants.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .names import MAX_LABEL, MAX_WIRE, DomainName, _checked_name
 from .records import (
@@ -77,11 +77,10 @@ class DnsMessage:
 
     def reply_skeleton(self, **overrides) -> "DnsMessage":
         """A response shell echoing id/question; sections start empty."""
-        base = DnsMessage(
-            id=self.id, qr=True, opcode=self.opcode, rd=self.rd,
-            question=self.question,
-        )
-        return replace(base, **overrides)
+        return DnsMessage(**{
+            "id": self.id, "qr": True, "opcode": self.opcode, "rd": self.rd,
+            "question": self.question, **overrides,
+        })
 
 
 def encode_name(name: DomainName) -> bytes:
