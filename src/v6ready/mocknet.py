@@ -207,11 +207,10 @@ class Universe:
         for zone in self.fixtures:
             if zone == ROOT:
                 continue
-            best = ROOT
-            for other in self.fixtures:
-                if other != zone and zone.is_within(other) and len(other) > len(best):
-                    best = other
-            self.parent[zone] = best
+            parent = zone.parent()
+            while parent not in self.fixtures:
+                parent = parent.parent()
+            self.parent[zone] = parent
         self.children: dict[DomainName, list[DomainName]] = {z: [] for z in self.fixtures}
         for zone, par in self.parent.items():
             self.children[par].append(zone)
@@ -1013,6 +1012,9 @@ def random_universe(
             host_zone_of[name] = host
             zone_ns[zone].append(name)
 
+    hosted_names: dict[DomainName, list[DomainName]] = {}
+    for name, host in sorted(host_zone_of.items()):
+        hosted_names.setdefault(host, []).append(name)
     fixtures: dict[DomainName, FixtureZone] = {}
     for zone in zones:
         defects: set[str] = set()
@@ -1026,11 +1028,8 @@ def random_universe(
             for name in zone_ns[zone]
         )
         own_ns = {name for name in zone_ns[zone] if host_zone_of[name] == zone}
-        hosted = tuple(
-            declared[name]
-            for name, host in sorted(host_zone_of.items())
-            if host == zone and name not in own_ns
-        )
+        hosted = tuple(declared[name] for name in hosted_names.get(zone, ())
+                       if name not in own_ns)
         fixtures[zone] = FixtureZone(
             zone=zone, ns=entries, hosted=hosted, defects=frozenset(defects),
         )
