@@ -3,7 +3,9 @@
 The resolution kernel applies the same two-view conjunction to evidence
 from either measurement path: at least one NS listed in the parent must
 resolve (glue view) AND at least one NS listed by the zone itself must
-resolve (zone view), each evaluated per protocol. Failure causes are then
+resolve (zone view), each evaluated per protocol. An NS counts only if
+it answered over that protocol when the caller saw it asked; the passive
+path passes no answers, so its NS are assumed live. Failure causes are then
 attributed from the evidence; causes are not mutually exclusive.
 """
 
@@ -26,6 +28,11 @@ CAUSE_MISSING_GLUE = "missing-glue"
 CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA = "in-bailiwick-ns-without-aaaa"
 CAUSE_OOB_NS_ZONE_UNRESOLVABLE = "oob-ns-zone-unresolvable"
 CAUSE_PARENT_UNRESOLVABLE = "parent-unresolvable"
+CAUSE_NS_UNRESPONSIVE = "ns-unresponsive"
+
+# Per (NS name, protocol): whether that NS answered any query over the
+# protocol. A pair that was never asked is absent.
+Answers = Mapping[tuple[DomainName, str], bool]
 
 
 class MissingParentEvidence(Exception):
@@ -97,15 +104,26 @@ def _ns_usable(
     proto: str,
     contexts: Mapping[DomainName, NsContext],
     parent_side: bool,
+    answers: Answers | None = None,
 ) -> bool:
     """One NS resolves over ``proto``: glue (parent side) or apex addresses
-    (zone side) for in-bailiwick names, or via its own resolved zone."""
+    (zone side) for in-bailiwick names, or via its own resolved zone; and
+    it did not stay silent over ``proto`` when asked."""
+    if answers is not None and not answers.get((ns, proto), True):
+        return False
     if ns.is_within(rs.zone):
         if parent_side:
             if rs.glue_addrs(ns, proto):
                 return True
         elif rs.apex_addrs(ns, proto):
             return True
+    return _via_own_zone(rs, ns, proto, contexts)
+
+
+def _via_own_zone(rs: ZoneRecordSet, ns: DomainName, proto: str,
+                  contexts: Mapping[DomainName, NsContext]) -> bool:
+    """``ns`` has an address over ``proto`` from its own zone, which
+    resolves over ``proto`` and is not ``rs.zone`` itself."""
     ctx = contexts.get(ns, _EMPTY_CONTEXT)
     if ctx.zone is None or not ctx.zone_known or ctx.zone == rs.zone:
         return False
@@ -118,6 +136,7 @@ def view_flags(
     rs: ZoneRecordSet,
     contexts: Mapping[DomainName, NsContext],
     proto: str,
+    answers: Answers | None = None,
 ) -> tuple[bool, bool]:
     """(glue_ok, zone_ok) over ``proto``.
 
@@ -125,12 +144,14 @@ def view_flags(
     absence of an observation is not evidence of breakage.
     """
     parent_view = rs.ns_parent_view()
-    glue_ok = any(_ns_usable(rs, ns, proto, contexts, True) for ns in parent_view)
+    glue_ok = any(_ns_usable(rs, ns, proto, contexts, True, answers)
+                  for ns in parent_view)
     child_view = rs.ns_child_view()
     if child_view is None:
         zone_ok = True
     else:
-        zone_ok = any(_ns_usable(rs, ns, proto, contexts, False) for ns in child_view)
+        zone_ok = any(_ns_usable(rs, ns, proto, contexts, False, answers)
+                      for ns in child_view)
     return glue_ok, zone_ok
 
 
@@ -151,6 +172,7 @@ def _failure_causes(
     parent_resolvable: bool,
     contexts: Mapping[DomainName, NsContext],
     proto: str,
+    answers: Answers | None = None,
 ) -> frozenset[FailureCause]:
     """Causes for a zone that does not resolve over ``proto``."""
     parent_view = rs.ns_parent_view()
@@ -162,7 +184,7 @@ def _failure_causes(
     if not parent_resolvable:
         parent = rs.delegating_zone()
         causes.add(FailureCause(CAUSE_PARENT_UNRESOLVABLE,
-                                (str(parent),) if parent else ()))
+                                (str(parent),) if parent is not None else ()))
     if parent_view and not any(
         _has_addr_anywhere(rs, ns, proto, contexts) for ns in parent_view
     ):
@@ -182,20 +204,18 @@ def _failure_causes(
     if apexless:
         causes.add(FailureCause(CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA,
                                 _witnesses(apexless)))
-    broken_refs = []
-    for ns in rs.all_ns():
-        if ns.is_within(rs.zone):
-            continue
-        ctx = contexts.get(ns, _EMPTY_CONTEXT)
-        usable = (
-            ctx.zone is not None and ctx.zone_known and ctx.resolvable(proto)
-            and rs.addrs_with_bailiwick(ns, ctx.zone, proto)
-        )
-        if not usable and _has_addr_anywhere(rs, ns, proto, contexts):
-            broken_refs.append(ns)
+    broken_refs = [
+        ns for ns in rs.all_ns()
+        if not ns.is_within(rs.zone)
+        and not _via_own_zone(rs, ns, proto, contexts)
+        and _has_addr_anywhere(rs, ns, proto, contexts)
+    ]
     if broken_refs:
         causes.add(FailureCause(CAUSE_OOB_NS_ZONE_UNRESOLVABLE,
                                 _witnesses(broken_refs)))
+    silent = [ns for ns in rs.all_ns() if (answers or {}).get((ns, proto)) is False]
+    if silent:
+        causes.add(FailureCause(CAUSE_NS_UNRESPONSIVE, _witnesses(silent)))
     if not causes:
         # Every remaining failure mode is an NS name with no usable
         # address evidence at all; report it as the missing-record case.
@@ -213,12 +233,14 @@ def classify(
     rs: ZoneRecordSet,
     parent_status: ResolutionStatus | None,
     contexts: Mapping[DomainName, NsContext] | None = None,
+    answers: Answers | None = None,
 ) -> ResolutionStatus:
     """Resolve a zone's per-protocol state and its IPv6 failure causes.
 
     ``parent_status`` is the already-computed status of the delegating
     zone (the root axiom is dual); ``contexts`` describes the zones of
-    out-of-bailiwick NS names.
+    out-of-bailiwick NS names; ``answers`` is the observed liveness of the
+    zone's NS (None: all assumed live).
     """
     if parent_status is None:
         raise MissingParentEvidence(str(rs.zone))
@@ -228,13 +250,14 @@ def classify(
         if not parent_status.resolvable(proto):
             per_proto[proto] = False
             continue
-        g, z = view_flags(rs, contexts, proto)
+        g, z = view_flags(rs, contexts, proto, answers)
         per_proto[proto] = g and z
     intent = _intent(rs, contexts, V6)
     if per_proto[V6]:
         failures: frozenset[FailureCause] = frozenset()
     else:
-        failures = _failure_causes(rs, parent_status.resolvable(V6), contexts, V6)
+        failures = _failure_causes(rs, parent_status.resolvable(V6), contexts,
+                                   V6, answers)
     return ResolutionStatus(
         state=state_of(per_proto[V4], per_proto[V6]),
         v4=per_proto[V4],

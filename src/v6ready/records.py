@@ -155,6 +155,12 @@ class AddrRecords:
     def merged(self, other: "AddrRecords") -> "AddrRecords":
         return AddrRecords(self.v4 | other.v4, self.v6 | other.v6)
 
+    def with_record(self, rr: ResourceRecord) -> "AddrRecords":
+        """These addresses plus the one an A or AAAA record carries."""
+        if rr.rrtype == RRType.A:
+            return AddrRecords(self.v4 | {rr.address}, self.v6)
+        return AddrRecords(self.v4, self.v6 | {rr.address})
+
     @property
     def empty(self) -> bool:
         return not self.v4 and not self.v6

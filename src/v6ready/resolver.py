@@ -6,10 +6,12 @@ zone cuts from referrals without relying on NXDOMAIN. Glue is captured
 from additional sections, parent and child NS sets are both recorded, and
 out-of-bailiwick NS names trigger subordinate walks from the root.
 
-Per-protocol verdicts combine the record-model kernel (the same two-view
-conjunction the passive path uses; reaching a server through glue is not
-enough when validating resolvers would reject the delegation) with
-observed reachability over that protocol.
+Per-protocol verdicts come from the record-model kernel (the same
+two-view conjunction the passive path uses; reaching a server through glue
+is not enough when validating resolvers would reject the delegation), fed
+with which NS answered over each protocol. The root's status comes from the
+hints that answered, and every zone's status flows down as its children's
+parent status, so a verdict covers the whole delegation chain.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classify import NsContext, ResolutionStatus, ROOT_STATUS, classify, state_of
+from .classify import (CAUSE_NS_UNRESPONSIVE, STATE_NONE, FailureCause, NsContext,
+                       ResolutionStatus, classify, state_of)
 from .names import ROOT, DomainName, enclosing_zones, normalize
 from .query import QueryEngine, ServerAddress, RESPONSE
 from .records import (
@@ -117,30 +120,31 @@ class ChainResult:
     protocol_filter: str
     steps: list[DelegationStep]
     status: ResolutionStatus
-    reached: dict[str, bool]
-    v4_resolvable: bool
-    v6_resolvable: bool
-    strict_v4: bool
-    strict_v6: bool
     enrichment: dict[str, dict[str, list[str]]] = field(default_factory=dict)
     server_version: dict[str, str] = field(default_factory=dict)
     liveness: list[tuple[str, str, str]] = field(default_factory=list)
 
     @property
+    def v4_resolvable(self) -> bool:
+        return self.status.v4
+
+    @property
+    def v6_resolvable(self) -> bool:
+        return self.status.v6
+
+    @property
     def state(self) -> str:
-        return state_of(self.v4_resolvable, self.v6_resolvable)
+        return self.status.state
 
     def to_json_dict(self) -> dict:
         return {
             "format": "chain-result",
-            "version": 1,
+            "version": 2,
             "target": str(self.target),
             "protocol_filter": self.protocol_filter,
             "state": self.state,
             "v4_resolvable": self.v4_resolvable,
             "v6_resolvable": self.v6_resolvable,
-            "strict": {"v4": self.strict_v4, "v6": self.strict_v6},
-            "reached": dict(self.reached),
             "intent_v6": self.status.intent_v6,
             "causes": sorted(self.status.causes),
             "cause_witnesses": {
@@ -185,8 +189,7 @@ class _ZoneInfo:
     sub_addrs: dict[DomainName, tuple[DomainName, AddrRecords]] = field(default_factory=dict)
     contexts: dict[DomainName, NsContext] = field(default_factory=dict)
     queried: list[tuple[str, str, str]] = field(default_factory=list)
-    reached: dict[str, bool] = field(default_factory=lambda: {V4: False, V6: False})
-    reached_strict: dict[str, bool] = field(default_factory=lambda: {V4: False, V6: False})
+    answers: dict[tuple[DomainName, str], bool] = field(default_factory=dict)
     status: ResolutionStatus | None = None
     servers: list[tuple[DomainName, ServerAddress]] = field(default_factory=list)
     taint: frozenset[DomainName] = frozenset()
@@ -272,27 +275,9 @@ class Resolver:
                 out_of_zone=tuple(info.out_of_zone),
                 status=info.status,
             )
-            for info in chain[1:]  # the root is the axiom, not a delegation
+            for info in chain[1:]  # the root is not a delegation
         ]
-        status = deepest.status or ROOT_STATUS
-        # Every delegated zone on the way down must answer over the
-        # protocol: servers that never do cut off all zones below them.
-        delegated = chain[1:] or chain
-        flags = {}
-        for proto in (V4, V6):
-            flags[proto] = (self._allowed(proto) and status.resolvable(proto)
-                            and all(info.reached[proto] for info in delegated))
-        result = ChainResult(
-            target=target,
-            protocol_filter=self.protocol_filter,
-            steps=steps,
-            status=status,
-            reached=dict(deepest.reached),
-            v4_resolvable=flags[V4],
-            v6_resolvable=flags[V6],
-            strict_v4=flags[V4] and deepest.reached_strict[V4],
-            strict_v6=flags[V6] and deepest.reached_strict[V6],
-        )
+        result = ChainResult(target, self.protocol_filter, steps, deepest.status)
         if enrich_result and deepest.zone != ROOT:
             result.enrichment, result.server_version = self.enrich(
                 deepest.zone, deepest.servers)
@@ -313,20 +298,19 @@ class Resolver:
         if len(boundaries) > self.depth_limit:
             raise DepthLimitExceeded(str(target))
         for cand in boundaries:
-            known = self._zones.get(cand)
-            if known is not None and cand not in self._active:
-                if known.taint and not (known.taint & self._active):
-                    del self._zones[cand]  # blockers unwound: re-resolve
-                    known = None
-            if known is not None:
-                chain.append(known)
-                current = known
-                if not known.servers:
-                    break
-                continue
-            info = self._discover_cut(current, cand)
+            info = self._zones.get(cand)
+            if info is not None and info.taint and cand not in self._active:
+                # Walk a zone again once its blockers have unwound, and also
+                # when a cycle cut may have made it fail: a False reached
+                # through a cut need not hold on the current path.
+                status = info.status
+                if not (info.taint & self._active) or not (status.v4 and status.v6):
+                    del self._zones[cand]
+                    info = None
             if info is None:
-                continue  # no cut at this boundary, keep descending
+                info = self._discover_cut(current, cand)
+                if info is None:
+                    continue  # no cut at this boundary, keep descending
             chain.append(info)
             current = info
             if not info.servers:
@@ -337,14 +321,7 @@ class Resolver:
         info = self._zones.get(ROOT)
         if info is not None:
             return info
-        names = sorted({name for name, _, _ in self.hints})
-        info = _ZoneInfo(
-            zone=ROOT,
-            parent_zone=None,
-            parent_ns=frozenset(names),
-            child_ns=None,
-            status=ROOT_STATUS,
-        )
+        info = _ZoneInfo(ROOT, None, frozenset(name for name, _, _ in self.hints))
         by_name: dict[DomainName, dict[str, list[str]]] = {}
         for name, proto, addr in self.hints:
             by_name.setdefault(name, {V4: [], V6: []})[proto].append(addr)
@@ -356,8 +333,18 @@ class Resolver:
                     continue
                 for addr in sorted(addrs[proto]):
                     info.servers.append((name, ServerAddress(addr, self.server_port)))
+        info.status = _root_status(info)
         self._zones[ROOT] = info
         return info
+
+    @staticmethod
+    def _note(info: _ZoneInfo, ns: DomainName, addr: ServerAddress, outcome) -> bool:
+        """Record one query to a server of ``info``; True if it answered."""
+        info.queried.append((addr.ip, addr.protocol, outcome.kind))
+        answered = outcome.kind == RESPONSE
+        key = (ns, addr.protocol)
+        info.answers[key] = answered or info.answers.get(key, False)
+        return answered
 
     def _query_layer(self, servers, qname, qtype):
         """Query (qname, qtype) at every server of a layer, joining before
@@ -373,41 +360,43 @@ class Resolver:
         targets: set[DomainName] = set()
         glue: dict[DomainName, AddrRecords] = {}
         strays: list[ResourceRecord] = []
-        saw_response = False
+        answered = False
         for (ns, addr), outcome in self._query_layer(parent.servers, cand, RRType.NS):
-            parent.queried.append((addr.ip, addr.protocol, outcome.kind))
-            if outcome.kind != RESPONSE:
+            if not self._note(parent, ns, addr, outcome):
                 continue
-            saw_response = True
-            parent.reached[addr.protocol] = True
-            if ns in parent.parent_ns:
-                parent.reached_strict[addr.protocol] = True
+            answered = True
             found, new_glue, stray = self._interpret_ns_reply(outcome.message, cand)
             targets |= found
             strays.extend(stray)
             for g_ns, g_addrs in new_glue.items():
                 glue[g_ns] = glue.get(g_ns, AddrRecords()).merged(g_addrs)
-        if parent.zone == ROOT and not saw_response and parent.servers:
-            if not parent.reached[V4] and not parent.reached[V6]:
+        if parent.zone == ROOT:
+            if not any(parent.answers.values()):
                 raise RootUnreachable("no root server answered")
-        if not targets:
-            return None
-        info = _ZoneInfo(
-            zone=cand,
-            parent_zone=parent.zone,
-            parent_ns=frozenset(targets),
-            glue=glue,
-            taint=parent.taint,
-        )
-        info.out_of_zone.extend(strays)
+            parent.status = _root_status(parent)
+        if answered and not targets:
+            return None  # no cut at this boundary
+        info = _ZoneInfo(zone=cand, parent_zone=parent.zone, parent_ns=frozenset(targets),
+                         glue=glue, taint=parent.taint, out_of_zone=strays)
         self._zones[cand] = info
+        if not answered:
+            # No server of the parent answered: whether or not ``cand`` is
+            # a zone, nothing below the parent can be reached through it.
+            silent = FailureCause(CAUSE_NS_UNRESPONSIVE, tuple(sorted(
+                {str(ns) for ns, _addr in parent.servers})))
+            info.status = ResolutionStatus(STATE_NONE, False, False, False,
+                                           frozenset({silent}))
+            return info
         self._active.add(cand)
         try:
             self._gather_zone_evidence(info)
-            info.status = classify(info.record_set(),
-                                   parent.status or ROOT_STATUS, info.contexts)
+        except BaseException:
+            del self._zones[cand]
+            raise
         finally:
             self._active.discard(cand)
+        info.status = classify(info.record_set(), parent.status, info.contexts,
+                               info.answers)
         return info
 
     @staticmethod
@@ -430,28 +419,18 @@ class Resolver:
                 if not rr.owner.is_within(cand):
                     out_of_zone.append(rr)
                     continue
-                current = glue.get(rr.owner, AddrRecords())
-                if rr.rrtype == RRType.A:
-                    glue[rr.owner] = current.merged(AddrRecords(v4=frozenset({rr.address})))
-                else:
-                    glue[rr.owner] = current.merged(AddrRecords(v6=frozenset({rr.address})))
+                glue[rr.owner] = glue.get(rr.owner, AddrRecords()).with_record(rr)
         return targets, glue, out_of_zone
 
     def _gather_zone_evidence(self, info: _ZoneInfo) -> None:
         """Contact the zone's own servers: child NS view, apex addresses,
         and subordinate walks for out-of-bailiwick NS names."""
-        for ns in sorted(info.parent_ns):
-            if not ns.is_within(info.zone):
-                self._resolve_ns_reference(info, ns)
         contact = self._contact_servers(info, info.parent_ns)
         child_ns = self._child_view(info, contact)
         extra = (child_ns or frozenset()) - info.parent_ns
         if extra:
             # Inconsistent NS sets: the layer's queries run against the
             # child-only servers as well.
-            for ns in sorted(extra):
-                if not ns.is_within(info.zone):
-                    self._resolve_ns_reference(info, ns)
             extra_contact = self._contact_servers(info, extra)
             more = self._child_view(info, extra_contact)
             if more is not None:
@@ -459,10 +438,6 @@ class Resolver:
         info.child_ns = child_ns
 
         all_ns = info.parent_ns | (info.child_ns or frozenset())
-        for ns in sorted(all_ns):
-            if not ns.is_within(info.zone) and ns not in info.contexts:
-                self._resolve_ns_reference(info, ns)
-
         contact = self._contact_servers(info, all_ns)
         info.servers = contact
         in_bailiwick = sorted(ns for ns in all_ns if ns.is_within(info.zone))
@@ -481,12 +456,8 @@ class Resolver:
     def _child_view(self, info: _ZoneInfo, contact) -> frozenset[DomainName] | None:
         child_ns: set[DomainName] | None = None
         for (ns, addr), outcome in self._query_layer(contact, info.zone, RRType.NS):
-            info.queried.append((addr.ip, addr.protocol, outcome.kind))
-            if outcome.kind != RESPONSE:
+            if not self._note(info, ns, addr, outcome):
                 continue
-            info.reached[addr.protocol] = True
-            if ns in info.parent_ns:
-                info.reached_strict[addr.protocol] = True
             msg = outcome.message
             found = {rr.target for rr in msg.answer + msg.authority
                      if rr.rrtype == RRType.NS and rr.owner == info.zone}
@@ -501,27 +472,22 @@ class Resolver:
         """Ask servers in order until one responds; returns its answers."""
         for ns, addr in contact:
             outcome = self.engine.query(addr, qname, rrtype)
-            info.queried.append((addr.ip, addr.protocol, outcome.kind))
-            if outcome.kind == RESPONSE:
-                info.reached[addr.protocol] = True
-                if ns in info.parent_ns:
-                    info.reached_strict[addr.protocol] = True
+            if self._note(info, ns, addr, outcome):
                 return list(outcome.message.answer)
         return []
 
     def _note_apex(self, info: _ZoneInfo, rr: ResourceRecord) -> None:
-        current = info.apex.get(rr.owner, AddrRecords())
-        if rr.rrtype == RRType.A:
-            info.apex[rr.owner] = current.merged(AddrRecords(v4=frozenset({rr.address})))
-        else:
-            info.apex[rr.owner] = current.merged(AddrRecords(v6=frozenset({rr.address})))
+        info.apex[rr.owner] = info.apex.get(rr.owner, AddrRecords()).with_record(rr)
 
     def _contact_servers(self, info: _ZoneInfo, ns_names) -> list[tuple[DomainName, ServerAddress]]:
         """One address per (NS, protocol), from glue, apex or subordinate
-        evidence, in deterministic order."""
+        evidence, in deterministic order. An out-of-bailiwick name is
+        walked the first time it is met."""
         out = []
         seen = set()
         for ns in sorted(ns_names):
+            if not ns.is_within(info.zone) and ns not in info.contexts:
+                self._resolve_ns_reference(info, ns)
             addrs = self._known_addrs(info, ns)
             for proto in (V4, V6):
                 if not self._allowed(proto):
@@ -549,10 +515,9 @@ class Resolver:
     def _resolve_ns_reference(self, info: _ZoneInfo, ns: DomainName) -> None:
         """Subordinate walk, from the root, for an out-of-bailiwick NS name."""
         if len(self._active) > self.subresolution_limit:
-            info.contexts[ns] = NsContext(zone=None, zone_known=False)
-            info.taint = info.taint | frozenset(self._active)
-            return
-        blockers = {cand for cand in enclosing_zones(ns)[1:] if cand in self._active}
+            blockers = set(self._active)
+        else:
+            blockers = {cand for cand in enclosing_zones(ns)[1:] if cand in self._active}
         if blockers:
             info.contexts[ns] = NsContext(zone=None, zone_known=False)
             info.taint = info.taint | frozenset(blockers)
@@ -567,19 +532,14 @@ class Resolver:
         if host.servers:
             for rrtype in (RRType.A, RRType.AAAA):
                 for rr in self._query_first(host.servers, ns, rrtype, host):
-                    if rr.owner != ns or rr.rrtype not in (RRType.A, RRType.AAAA):
-                        continue
-                    if rr.rrtype == RRType.A:
-                        addrs = addrs.merged(AddrRecords(v4=frozenset({rr.address})))
-                    else:
-                        addrs = addrs.merged(AddrRecords(v6=frozenset({rr.address})))
+                    if rr.owner == ns and rr.rrtype in (RRType.A, RRType.AAAA):
+                        addrs = addrs.with_record(rr)
         info.sub_addrs[ns] = (host.zone, addrs)
-        status = host.status or ROOT_STATUS
         info.contexts[ns] = NsContext(
             zone=host.zone,
             zone_known=True,
-            v4=status.v4,
-            v6=status.v6,
+            v4=host.status.v4,
+            v6=host.status.v6,
             has_addr_v4=bool(addrs.v4),
             has_addr_v6=bool(addrs.v6),
         )
@@ -639,6 +599,13 @@ class Resolver:
                 rows.append((addr, proto,
                              "responsive" if outcome.kind == RESPONSE else "unresponsive"))
         return rows
+
+
+def _root_status(root: _ZoneInfo) -> ResolutionStatus:
+    """The root resolves over a protocol once a hint answered over it."""
+    ok = [any(root.answers.get((ns, proto), False) for ns in root.parent_ns)
+          for proto in (V4, V6)]
+    return ResolutionStatus(state_of(*ok), ok[0], ok[1], True)
 
 
 def _invalid_address(addr: str) -> bool:

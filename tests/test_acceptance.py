@@ -18,6 +18,7 @@ from universes import (
     passive_verdicts,
     root_fixture,
     taxonomy_scenarios,
+    with_liveness_faults,
 )
 from v6ready.classify import (
     CAUSE_MISSING_GLUE,
@@ -32,15 +33,17 @@ from v6ready.mocknet import (
     BLACKHOLE_ALL,
     FORMERR_ON_EDNS,
     TRUNCATE_UDP,
+    BLACKHOLE_V6,
     build_universe,
     fixture_tuples,
+    ground_truth,
     random_universe,
 )
 from v6ready.names import normalize
 from v6ready.psl import PublicSuffixList
 from v6ready.query import QueryEngine, ServerAddress, TCP, UDP
 from v6ready.records import RRType, V4, V6
-from v6ready.resolver import PROTOCOL_V4_ONLY, PROTOCOL_V6_ONLY
+from v6ready.resolver import PROTOCOL_V4_ONLY, PROTOCOL_V6_ONLY, RootUnreachable
 
 
 @contextmanager
@@ -136,6 +139,38 @@ def test_active_passive_agreement():
                 active = {V4: res.v4_resolvable, V6: res.v6_resolvable}
                 assert active == passive, (seed, str(zone), active, passive)
         assert universes >= 50
+
+
+def test_active_verdicts_match_ground_truth_under_liveness_faults():
+    with criterion("liveness-differential", 60.0):
+        # About 15% of the zones, the root included, have servers that never
+        # answer over IPv6 or at all. One resolver crawls each universe in a
+        # shuffled order, as a scan shares one resolver across domains.
+        zones = faulted = 0
+        for seed in range(200):
+            base, _truth = random_universe(seed, 25)
+            u = with_liveness_faults(base, seed)
+            faulted += sum(1 for fz in u.fixtures.values()
+                           if fz.defects & {BLACKHOLE_V6, BLACKHOLE_ALL})
+            truth = ground_truth(u)
+            order = sorted(truth)
+            random.Random(seed).shuffle(order)
+            resolver = make_resolver(u)
+            for zone in order:
+                zones += 1
+                try:
+                    res = resolver.resolve_chain(zone)
+                except RootUnreachable:
+                    assert truth[zone] == {V4: False, V6: False}, (seed, str(zone))
+                    continue
+                got = {V4: res.v4_resolvable, V6: res.v6_resolvable}
+                assert got == truth[zone], (seed, str(zone), got, truth[zone])
+                for step in res.steps:
+                    if step.zone in truth:
+                        want = state_of(truth[step.zone][V4], truth[step.zone][V6])
+                        assert step.status.state == want, (seed, str(step.zone))
+        assert zones == 200 * 25
+        assert 0.1 < faulted / (200 * 26) < 0.2
 
 
 def transport_test_universe(defect):

@@ -2,11 +2,12 @@ import random
 
 import pytest
 
-from universes import N, crawl, passive_verdicts
+from universes import N, crawl, passive_verdicts, with_liveness_faults
 from v6ready.classify import (
     CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA,
     CAUSE_MISSING_GLUE,
     CAUSE_NO_AAAA_FOR_NS,
+    CAUSE_NS_UNRESPONSIVE,
     CAUSE_PARENT_UNRESOLVABLE,
     FailureCause,
     MissingParentEvidence,
@@ -19,7 +20,7 @@ from v6ready.classify import (
     state_of,
 )
 from v6ready.mocknet import fixture_tuples, random_universe
-from v6ready.records import AddrRecords, ZoneRecordSet
+from v6ready.records import V4, V6, AddrRecords, ZoneRecordSet
 
 
 def rs(zone, parent, ns_parent, ns_child=None, addrs=None):
@@ -139,6 +140,32 @@ def test_injected_defect_is_detected_exactly_once_soundness():
         assert status.causes == {expected}, f"{name}: {sorted(status.causes)}"
         for desc in descendants:
             assert results[desc].status.causes == {CAUSE_PARENT_UNRESOLVABLE}, name
+
+
+def test_ns_that_stayed_silent_is_unusable_and_named():
+    both = ({"10.1.0.1"}, {"fd00:1::1"})
+    evidence = rs("d.t", "t", ["ns1.d.t", "ns2.d.t"], ["ns1.d.t", "ns2.d.t"], {
+        ("ns1.d.t", "t"): both, ("ns1.d.t", "d.t"): both,
+        ("ns2.d.t", "t"): both, ("ns2.d.t", "d.t"): both,
+    })
+    assert classify(evidence, ROOT_STATUS, {}).state == "dual"  # all assumed live
+    # ns2 was never asked over IPv4, so it counts as live there.
+    answers = {(N("ns1.d.t"), V4): True, (N("ns1.d.t"), V6): False,
+               (N("ns2.d.t"), V6): False}
+    status = classify(evidence, ROOT_STATUS, {}, answers)
+    assert status.state == "v4-only"
+    assert {f.cause: f.witnesses for f in status.v6_failures} == {
+        CAUSE_NS_UNRESPONSIVE: ("ns1.d.t", "ns2.d.t")}
+    answers[(N("ns2.d.t"), V6)] = True
+    assert classify(evidence, ROOT_STATUS, {}, answers).state == "dual"
+
+
+def test_passive_path_never_reports_unresponsive_ns():
+    for seed in range(20):
+        u, _truth = random_universe(seed, 30)
+        _rs, _table, statuses = passive_verdicts(
+            fixture_tuples(with_liveness_faults(u, seed)))
+        assert not any(CAUSE_NS_UNRESPONSIVE in s.causes for s in statuses.values())
 
 
 def test_symmetry_mirror_detects_v4_breakage():

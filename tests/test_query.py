@@ -1,12 +1,11 @@
 import json
 import random
 import socket
-import struct
 import threading
 
 import pytest
 
-from universes import healthy_zone, root_fixture
+from universes import healthy_zone, root_fixture, with_short_a_record
 from v6ready import cli, wire
 from v6ready.mocknet import build_universe
 from v6ready.names import normalize
@@ -112,13 +111,6 @@ def test_failure_outcomes_are_cached():
 def test_malformed_reply():
     engine, _, _ = make_engine("garbage")
     assert engine.query(SERVER, QNAME, RRType.NS).kind == MALFORMED
-
-
-def with_short_a_record(raw: bytes) -> bytes:
-    """``raw`` with one more additional record: an A record of 3 bytes."""
-    arcount = int.from_bytes(raw[10:12], "big") + 1
-    return (raw[:10] + arcount.to_bytes(2, "big") + raw[12:]
-            + b"\x00" + struct.pack("!HHIH", 1, 1, 60, 3) + b"\x01\x02\x03")
 
 
 def test_reply_with_short_a_record_is_malformed():

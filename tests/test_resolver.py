@@ -1,3 +1,6 @@
+import random
+from dataclasses import replace
+
 import pytest
 
 from universes import (
@@ -11,10 +14,18 @@ from universes import (
     make_resolver,
     missing_glue_universe,
     root_fixture,
+    with_short_a_record,
 )
-from v6ready.classify import CAUSE_MISSING_GLUE, CAUSE_NO_AAAA_FOR_NS
+from v6ready.classify import (
+    CAUSE_MISSING_GLUE,
+    CAUSE_NO_AAAA_FOR_NS,
+    CAUSE_NS_UNRESPONSIVE,
+    CAUSE_OOB_NS_ZONE_UNRESOLVABLE,
+    CAUSE_PARENT_UNRESOLVABLE,
+)
 from v6ready.mocknet import (
     BLACKHOLE_V6,
+    DROP_AAAA_GLUE,
     FixtureNs,
     FixtureZone,
     WRONG_NS_SET_CHILD,
@@ -22,6 +33,7 @@ from v6ready.mocknet import (
     ground_truth,
     zone_fixture,
 )
+from v6ready.query import QueryEngine
 from v6ready.records import AddrRecords, V4, V6
 from v6ready.resolver import (
     PROTOCOL_V4_ONLY,
@@ -29,6 +41,7 @@ from v6ready.resolver import (
     Resolver,
     RootUnreachable,
 )
+from v6ready.wire import decode
 
 
 def test_broken_oob_scenario_is_v4_only():
@@ -217,7 +230,7 @@ def test_strict_vs_lenient_reachability():
     ])
     resolver = make_resolver(u)
     res = resolver.resolve_chain("d.t")
-    assert res.v6_resolvable and res.strict_v6  # parent-listed servers answer
+    assert res.v6_resolvable  # parent-listed servers answer
 
 
 def test_zone_below_a_v6_dark_parent_is_not_v6_resolvable():
@@ -234,5 +247,120 @@ def test_zone_below_a_v6_dark_parent_is_not_v6_resolvable():
         res = resolver.resolve_chain(zone)
         assert truth[N(zone)] == {V4: True, V6: False}, zone
         assert (res.v4_resolvable, res.v6_resolvable) == (True, False), zone
-        assert res.state == "v4-only" and not res.strict_v6, zone
+        assert res.state == "v4-only", zone
     assert make_resolver(u).resolve_chain("x.d.t").state == "v4-only"
+
+
+def cause_witnesses(res):
+    return {f.cause: f.witnesses for f in res.status.v6_failures}
+
+
+def test_v6_dark_parent_is_reported_with_its_silent_servers():
+    u = build_universe([
+        root_fixture(),
+        healthy_zone("t", 10, defects={BLACKHOLE_V6}),
+    ])
+    res = make_resolver(u).resolve_chain("t")
+    assert res.state == "v4-only"
+    assert cause_witnesses(res) == {CAUSE_NS_UNRESPONSIVE: ("ns0.t", "ns1.t")}
+
+
+def test_silent_own_server_and_v6_broken_host_zone_is_not_v6_resolvable():
+    # z.t's own server never answers over IPv6. Its other NS, ns.h.t,
+    # answers over IPv6, but h.t does not resolve over IPv6 (no AAAA glue).
+    u = build_universe([
+        root_fixture(),
+        healthy_zone("t", 10),
+        zone_fixture("h.t", [("ns0.h.t", ["10.11.0.1"], ["fd00:11::1"])],
+                     hosted=[("ns.h.t", ["10.11.0.2"], ["fd00:11::2"])],
+                     defects={DROP_AAAA_GLUE}),
+        zone_fixture("z.t", [("ns.z.t", ["10.12.0.1"], ["fd00:12::1"]),
+                             ("ns.h.t", [], [])],
+                     defects={BLACKHOLE_V6}),
+    ])
+    assert ground_truth(u)[N("z.t")] == {V4: True, V6: False}
+    res = make_resolver(u).resolve_chain("z.t")
+    assert (res.v4_resolvable, res.v6_resolvable) == (True, False)
+    assert res.state == "v4-only"
+    assert cause_witnesses(res) == {
+        CAUSE_NS_UNRESPONSIVE: ("ns.z.t",),
+        CAUSE_OOB_NS_ZONE_UNRESOLVABLE: ("ns.h.t",),
+    }
+
+
+def test_root_that_never_answers_over_v6_leaves_no_zone_v6_resolvable():
+    root = replace(root_fixture(), defects=frozenset({BLACKHOLE_V6}))
+    u = build_universe([root, healthy_zone("t", 10), healthy_zone("d.t", 11)])
+    truth = ground_truth(u)
+    resolver = make_resolver(u)
+    for zone in ("t", "d.t"):
+        res = resolver.resolve_chain(zone)
+        assert truth[N(zone)] == {V4: True, V6: False}, zone
+        assert res.state == "v4-only", zone
+    assert cause_witnesses(resolver.resolve_chain("t")) == {
+        CAUSE_PARENT_UNRESOLVABLE: (".",)}
+
+
+def test_every_step_state_is_that_zones_verdict():
+    u = build_universe([
+        root_fixture(),
+        healthy_zone("t", 10, defects={BLACKHOLE_V6}),
+        healthy_zone("d.t", 11),
+        healthy_zone("s.d.t", 12),
+    ])
+    res = make_resolver(u).resolve_chain("s.d.t")
+    assert [(str(s.zone), s.status.state) for s in res.steps] == [
+        ("t", "v4-only"), ("d.t", "v4-only"), ("s.d.t", "v4-only")]
+    for step in res.steps:
+        assert step.status.state == make_resolver(u).resolve_chain(step.zone).state
+
+
+def test_false_found_through_a_cycle_cut_is_not_reused():
+    # j -> b.a -> i.f -> j is a cycle of out-of-bailiwick NS; i.f also has
+    # a server of its own, so every zone resolves. Walking i.f walks j and
+    # b.a while i.f is mid-walk: b.a fails at that cut. The later walk of
+    # l.j walks j again and must walk b.a again too, not reuse its failure.
+    u = build_universe([
+        root_fixture(),
+        zone_fixture("a", [("ns.f", [], []), ("ns.a", ["10.1.0.1"], ["fd00:1::1"])]),
+        zone_fixture("b.a", [("ns.i.f", [], [])],
+                     hosted=[("ns.b.a", ["10.2.0.1"], ["fd00:2::1"])]),
+        zone_fixture("f", [("ns.k.j", [], []), ("ns1.f", ["10.3.0.1"], ["fd00:3::1"])],
+                     hosted=[("ns.f", ["10.3.0.2"], ["fd00:3::2"])]),
+        zone_fixture("i.f", [("ns0.i.f", ["10.4.0.1"], ["fd00:4::1"]), ("ns.j", [], [])],
+                     hosted=[("ns.i.f", ["10.4.0.2"], ["fd00:4::2"])]),
+        zone_fixture("j", [("ns.b.a", [], [])],
+                     hosted=[("ns.j", ["10.5.0.1"], ["fd00:5::1"])]),
+        healthy_zone("l.j", 6),
+    ])
+    truth = ground_truth(u)
+    assert all(v == {V4: True, V6: True} for v in truth.values())
+    resolver = make_resolver(u)
+    for zone in ("i.f", "l.j", "j", "b.a"):
+        assert resolver.resolve_chain(zone).state == "dual", zone
+
+
+def test_cut_whose_parent_servers_never_answer_is_unresolvable():
+    # t's servers append a 3-byte A record to every reply for names under
+    # bad.t, so every NS query for bad.t comes back malformed.
+    u = build_universe([root_fixture(), healthy_zone("t", 10),
+                        healthy_zone("bad.t", 12)])
+    t, bad = N("t"), N("bad.t")
+
+    class ShortAUnderBad:
+        def exchange(self, server, transport, payload, timeout):
+            reply = u.exchange(server, transport, payload, timeout)
+            if (u.owner_zone[u.address_name[server.ip]] == t
+                    and decode(payload).question.qname.is_within(bad)):
+                return with_short_a_record(reply)
+            return reply
+
+    engine = QueryEngine(ShortAUnderBad(), policy=TEST_POLICY,
+                         rng=random.Random(1), sleep=lambda s: None)
+    resolver = Resolver(engine, root_hints=u.root_hints())
+    for target in ("bad.t", "www.bad.t"):
+        res = resolver.resolve_chain(target)
+        assert res.state == "none", target
+        assert [str(s.zone) for s in res.steps] == ["t", "bad.t"], target
+        assert cause_witnesses(res) == {CAUSE_NS_UNRESPONSIVE: ("ns0.t", "ns1.t")}
+    assert resolver.resolve_chain("t").state == "dual"

@@ -4,8 +4,11 @@ trees of various depths, and the single-defect taxonomy set."""
 from __future__ import annotations
 
 import random
+import struct
+from dataclasses import replace
 
 from v6ready.mocknet import (
+    BLACKHOLE_ALL,
     BLACKHOLE_V6,
     DROP_AAAA_APEX,
     FixtureNs,
@@ -236,6 +239,26 @@ def liveness_gap_universe(total: int = 200, dead: int = 13) -> Universe:
             defects=defects,
         ))
     return build_universe(fixtures)
+
+
+def with_liveness_faults(universe: Universe, seed: int, rate: float = 0.15) -> Universe:
+    """The same tree with about ``rate`` of its zones, the root included,
+    given ``blackhole-v6`` or ``blackhole-all`` (seeded, even odds)."""
+    rng = random.Random(seed)
+    fixtures = {}
+    for zone, fz in sorted(universe.fixtures.items()):
+        if rng.random() < rate:
+            defect = rng.choice((BLACKHOLE_V6, BLACKHOLE_ALL))
+            fz = replace(fz, defects=fz.defects | {defect})
+        fixtures[zone] = fz
+    return Universe(fixtures, seed=seed)
+
+
+def with_short_a_record(raw: bytes) -> bytes:
+    """``raw`` with one more additional record: an A record of 3 bytes."""
+    arcount = int.from_bytes(raw[10:12], "big") + 1
+    return (raw[:10] + arcount.to_bytes(2, "big") + raw[12:]
+            + b"\x00" + struct.pack("!HHIH", 1, 1, 60, 3) + b"\x01\x02\x03")
 
 
 # -- run helpers ------------------------------------------------------------
