@@ -605,7 +605,7 @@ def _root_status(root: _ZoneInfo) -> ResolutionStatus:
     """The root resolves over a protocol once a hint answered over it."""
     ok = [any(root.answers.get((ns, proto), False) for ns in root.parent_ns)
           for proto in (V4, V6)]
-    return ResolutionStatus(state_of(*ok), ok[0], ok[1], True)
+    return ResolutionStatus(state_of(*ok), ok[0], ok[1], intent_v6=True)
 
 
 def _invalid_address(addr: str) -> bool:
