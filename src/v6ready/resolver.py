@@ -139,7 +139,7 @@ class ChainResult:
     def to_json_dict(self) -> dict:
         return {
             "format": "chain-result",
-            "version": 2,
+            "version": 3,
             "target": str(self.target),
             "protocol_filter": self.protocol_filter,
             "state": self.state,
@@ -338,9 +338,16 @@ class Resolver:
         return info
 
     @staticmethod
-    def _note(info: _ZoneInfo, ns: DomainName, addr: ServerAddress, outcome) -> bool:
-        """Record one query to a server of ``info``; True if it answered."""
-        info.queried.append((addr.ip, addr.protocol, outcome.kind))
+    def _note(info: _ZoneInfo, ns: DomainName, addr: ServerAddress, outcome,
+              own: bool = True) -> bool:
+        """Record whether a server of ``info`` answered; True if it did.
+
+        Only ``own`` queries, sent while ``info``'s evidence is gathered,
+        are listed in ``info.queried``: the list is complete once the zone
+        is discovered, whatever is walked later.
+        """
+        if own:
+            info.queried.append((addr.ip, addr.protocol, outcome.kind))
         answered = outcome.kind == RESPONSE
         key = (ns, addr.protocol)
         info.answers[key] = answered or info.answers.get(key, False)
@@ -362,7 +369,7 @@ class Resolver:
         strays: list[ResourceRecord] = []
         answered = False
         for (ns, addr), outcome in self._query_layer(parent.servers, cand, RRType.NS):
-            if not self._note(parent, ns, addr, outcome):
+            if not self._note(parent, ns, addr, outcome, own=False):
                 continue
             answered = True
             found, new_glue, stray = self._interpret_ns_reply(outcome.message, cand)
@@ -468,11 +475,12 @@ class Resolver:
                     self._note_apex(info, rr)
         return frozenset(child_ns) if child_ns is not None else None
 
-    def _query_first(self, contact, qname, rrtype, info: _ZoneInfo) -> list[ResourceRecord]:
+    def _query_first(self, contact, qname, rrtype, info: _ZoneInfo,
+                     own: bool = True) -> list[ResourceRecord]:
         """Ask servers in order until one responds; returns its answers."""
         for ns, addr in contact:
             outcome = self.engine.query(addr, qname, rrtype)
-            if self._note(info, ns, addr, outcome):
+            if self._note(info, ns, addr, outcome, own):
                 return list(outcome.message.answer)
         return []
 
@@ -531,7 +539,7 @@ class Resolver:
         addrs = AddrRecords()
         if host.servers:
             for rrtype in (RRType.A, RRType.AAAA):
-                for rr in self._query_first(host.servers, ns, rrtype, host):
+                for rr in self._query_first(host.servers, ns, rrtype, host, own=False):
                     if rr.owner == ns and rr.rrtype in (RRType.A, RRType.AAAA):
                         addrs = addrs.with_record(rr)
         info.sub_addrs[ns] = (host.zone, addrs)
