@@ -15,7 +15,7 @@ import os
 import random
 import sys
 import threading
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +59,7 @@ EXIT_NOT_V6 = 1
 EXIT_ERROR = 2
 
 ENV_PREFIX = "V6READY_"
+FORMATS = ("text", "structured")
 
 
 class ConfigError(ValueError):
@@ -84,13 +85,10 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        filt = PROTOCOL_BOTH
-        if getattr(args, "v4_only", False) and getattr(args, "v6_only", False):
+        if args.v4_only and args.v6_only:
             raise ConfigError("--v4-only and --v6-only are mutually exclusive")
-        if getattr(args, "v4_only", False):
-            filt = PROTOCOL_V4_ONLY
-        if getattr(args, "v6_only", False):
-            filt = PROTOCOL_V6_ONLY
+        filt = (PROTOCOL_V4_ONLY if args.v4_only
+                else PROTOCOL_V6_ONLY if args.v6_only else PROTOCOL_BOTH)
         cfg = cls(
             roots=args.roots,
             protocol_filter=filt,
@@ -113,6 +111,8 @@ class RunConfig:
             raise ConfigError("timeouts must be positive")
         if self.retry_wait < 0:
             raise ConfigError("--retry-wait must be >= 0")
+        if self.fmt not in FORMATS:
+            raise ConfigError(f"--format must be one of {', '.join(FORMATS)}")
         if self.concurrency < 1:
             raise ConfigError("--concurrency must be >= 1")
         if not 1 <= self.port <= 65535:
@@ -129,9 +129,7 @@ class RunConfig:
         )
 
     def hints(self):
-        if self.roots is None:
-            return default_root_hints()
-        return load_root_hints(self.roots)
+        return default_root_hints() if self.roots is None else load_root_hints(self.roots)
 
 
 def _transport(cfg: RunConfig, transport_factory=None):
@@ -140,14 +138,11 @@ def _transport(cfg: RunConfig, transport_factory=None):
 
 def _build_resolver(cfg: RunConfig, transport,
                     cache: ResponseCache | None = None) -> Resolver:
-    rng = random.Random(cfg.seed) if cfg.seed is not None else random.Random()
-    engine = QueryEngine(transport, policy=cfg.policy(), cache=cache, rng=rng)
-    return Resolver(
-        engine,
-        root_hints=cfg.hints(),
-        protocol_filter=cfg.protocol_filter,
-        server_port=cfg.port,
-    )
+    # without --seed, Random(None) seeds itself from the system
+    engine = QueryEngine(transport, policy=cfg.policy(), cache=cache,
+                         rng=random.Random(cfg.seed))
+    return Resolver(engine, root_hints=cfg.hints(), protocol_filter=cfg.protocol_filter,
+                    server_port=cfg.port)
 
 
 # -- check ---------------------------------------------------------------------
@@ -224,37 +219,64 @@ def _parse_domain_list(path: str) -> list[tuple[str, int | None]]:
     return out
 
 
+def _scanned_domains(out_path: Path) -> set[str]:
+    """The ``domain`` of every complete row in ``out_path``, the scan's
+    journal. A last line without its newline is a torn write: it is cut
+    off, so its domain is scanned again. Any other line that is not a row
+    is a ValueError, raised before the file is touched."""
+    if not out_path.exists():
+        return set()
+    data = out_path.read_bytes()
+    end = data.rfind(b"\n") + 1
+    done = set()
+    for number, line in enumerate(data[:end].splitlines(), 1):
+        try:
+            row = json.loads(line)
+        except ValueError:
+            row = None
+        if not isinstance(row, dict) or not isinstance(row.get("domain"), str):
+            raise ValueError(f"{out_path}:{number}: not a scan row")
+        done.add(row["domain"])
+    if end < len(data):
+        with open(out_path, "r+b") as fh:
+            fh.truncate(end)
+    return done
+
+
+def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
+    """``fn`` over ``items`` on ``pool`` in input order, with at most
+    ``window`` items submitted and not yet yielded."""
+    running: deque = deque()
+    for item in items:
+        if len(running) == window:
+            yield running.popleft().result()
+        running.append(pool.submit(fn, item))
+    while running:
+        yield running.popleft().result()
+
+
 def cmd_scan(args, transport_factory=None) -> int:
+    out_path = Path(args.output) if args.output else Path(args.list + ".results.jsonl")
     try:
         cfg = RunConfig.from_args(args)
         domains = _parse_domain_list(args.list)
+        completed = _scanned_domains(out_path)
     except (ConfigError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    journal_path = Path(args.journal) if args.journal else None
-    completed: set[str] = set()
-    if journal_path and journal_path.exists():
-        completed = {
-            line.strip() for line in journal_path.read_text().splitlines() if line.strip()
-        }
-    out_path = Path(args.output) if args.output else Path(args.list + ".results.jsonl")
 
     transport = _transport(cfg, transport_factory)
     shared_cache = ResponseCache()
-    local = threading.local()
-
-    def get_resolver() -> Resolver:
-        if not hasattr(local, "resolver"):
-            local.resolver = _build_resolver(cfg, transport, shared_cache)
-        return local.resolver
-
+    local = threading.local()  # one resolver per worker
     states: Counter = Counter()
 
     def work(item):
+        if not hasattr(local, "resolver"):
+            local.resolver = _build_resolver(cfg, transport, shared_cache)
         domain, rank = item
         row = {"domain": domain, "rank": rank, "error": None}
         try:
-            result = get_resolver().resolve_chain(domain)
+            result = local.resolver.resolve_chain(domain)
             row.update(result.to_json_dict())
         except (RootUnreachable, DepthLimitExceeded, DnsNameError, OSError) as exc:
             row["error"] = str(exc)
@@ -262,33 +284,20 @@ def cmd_scan(args, transport_factory=None) -> int:
 
     pending = [(d, r) for d, r in domains if d not in completed]
     skipped = len(domains) - len(pending)
-    # workers resolve concurrently; rows land here in input order, so the
-    # journal and output writes stay single-threaded
+    # workers resolve concurrently, at most four domains ahead each; rows
+    # land here in input order, so the output writes stay single-threaded
     with open(out_path, "a", encoding="utf-8") as out, ThreadPoolExecutor(
         max_workers=cfg.concurrency
     ) as pool:
-        journal = open(journal_path, "a", encoding="utf-8") if journal_path else None
-        try:
-            for row in pool.map(work, pending):
-                out.write(json.dumps(row, sort_keys=True) + "\n")
-                out.flush()
-                if journal:
-                    journal.write(row["domain"] + "\n")
-                    journal.flush()
-                if row["error"] is not None:
-                    states["error"] += 1
-                else:
-                    states[row["state"]] += 1
-        finally:
-            if journal:
-                journal.close()
+        for row in _in_order(pool, work, pending, 4 * cfg.concurrency):
+            out.write(json.dumps(row, sort_keys=True) + "\n")
+            out.flush()
+            states[row.get("state", "error")] += 1
     total = sum(states.values())
-    print(f"scanned {total} domains ({skipped} already journaled)")
+    print(f"scanned {total} domains ({skipped} already in the output)")
     for state in ("dual", "v4-only", "v6-only", "none", "error"):
-        if total:
-            print(f"  {state:8s} {states[state]:6d}  {100.0 * states[state] / total:6.2f}%")
-        else:
-            print(f"  {state:8s} {states[state]:6d}")
+        share = f"  {100.0 * states[state] / total:6.2f}%" if total else ""
+        print(f"  {state:8s} {states[state]:6d}{share}")
     print(f"results: {out_path}")
     return EXIT_OK
 
@@ -400,20 +409,18 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                        default=_env("V4_ONLY") == "1")
     proto.add_argument("--v6-only", action="store_true",
                        default=_env("V6_ONLY") == "1")
-    p.add_argument("--timeout", type=float, default=float(_env("TIMEOUT") or 3.0),
+    # An environment value stays a string: argparse converts it with the
+    # flag's type only when the subcommand that owns the flag is parsed.
+    p.add_argument("--timeout", type=float, default=_env("TIMEOUT") or 3.0,
                    help="UDP timeout seconds")
-    p.add_argument("--tcp-timeout", type=float,
-                   default=float(_env("TCP_TIMEOUT") or 10.0))
-    p.add_argument("--retries", type=int, default=int(_env("RETRIES") or 4),
+    p.add_argument("--tcp-timeout", type=float, default=_env("TCP_TIMEOUT") or 10.0)
+    p.add_argument("--retries", type=int, default=_env("RETRIES") or 4,
                    help="attempts per transport path")
-    p.add_argument("--retry-wait", type=float,
-                   default=float(_env("RETRY_WAIT") or 20.0),
+    p.add_argument("--retry-wait", type=float, default=_env("RETRY_WAIT") or 20.0,
                    help="seconds between timeout-driven attempts")
-    p.add_argument("--format", choices=("text", "structured"),
-                   default=_env("FORMAT") or "text")
-    p.add_argument("--seed", type=int,
-                   default=int(_env("SEED")) if _env("SEED") else None)
-    p.add_argument("--port", type=int, default=int(_env("PORT") or 53),
+    p.add_argument("--format", choices=FORMATS, default=_env("FORMAT") or "text")
+    p.add_argument("--seed", type=int, default=_env("SEED"))
+    p.add_argument("--port", type=int, default=_env("PORT") or 53,
                    help="server port (loopback test harnesses use high ports)")
 
 
@@ -431,12 +438,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="scan a domain list (resumable)")
     p_scan.add_argument("list", help="domain-per-line file or rank,domain CSV")
-    p_scan.add_argument("--journal", default=_env("JOURNAL"),
-                        help="completed-domain journal for resumption")
     p_scan.add_argument("--output", default=_env("OUTPUT"),
-                        help="results JSONL path")
-    p_scan.add_argument("--concurrency", type=int,
-                        default=int(_env("CONCURRENCY") or 8))
+                        help="results JSONL path; domains already in it are skipped")
+    p_scan.add_argument("--concurrency", type=int, default=_env("CONCURRENCY") or 8)
     _add_common_flags(p_scan)
 
     p_sim = sub.add_parser("simulate", help="passive fixed-point simulation")

@@ -16,6 +16,7 @@ parent status, so a verdict covers the whole delegation chain.
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -52,33 +53,24 @@ class PolicyViolation(AssertionError):
 
 
 # Published root server set; tests point hints at the simulated universe.
-DEFAULT_ROOT_HINTS: tuple[tuple[str, str, str], ...] = (
-    ("a.root-servers.net", V4, "198.41.0.4"),
-    ("a.root-servers.net", V6, "2001:503:ba3e::2:30"),
-    ("b.root-servers.net", V4, "170.247.170.2"),
-    ("b.root-servers.net", V6, "2801:1b8:10::b"),
-    ("c.root-servers.net", V4, "192.33.4.12"),
-    ("c.root-servers.net", V6, "2001:500:2::c"),
-    ("d.root-servers.net", V4, "199.7.91.13"),
-    ("d.root-servers.net", V6, "2001:500:2d::d"),
-    ("e.root-servers.net", V4, "192.203.230.10"),
-    ("e.root-servers.net", V6, "2001:500:a8::e"),
-    ("f.root-servers.net", V4, "192.5.5.241"),
-    ("f.root-servers.net", V6, "2001:500:2f::f"),
-    ("g.root-servers.net", V4, "192.112.36.4"),
-    ("g.root-servers.net", V6, "2001:500:12::d0d"),
-    ("h.root-servers.net", V4, "198.97.190.53"),
-    ("h.root-servers.net", V6, "2001:500:1::53"),
-    ("i.root-servers.net", V4, "192.36.148.17"),
-    ("i.root-servers.net", V6, "2001:7fe::53"),
-    ("j.root-servers.net", V4, "192.58.128.30"),
-    ("j.root-servers.net", V6, "2001:503:c27::2:30"),
-    ("k.root-servers.net", V4, "193.0.14.129"),
-    ("k.root-servers.net", V6, "2001:7fd::1"),
-    ("l.root-servers.net", V4, "199.7.83.42"),
-    ("l.root-servers.net", V6, "2001:500:9f::42"),
-    ("m.root-servers.net", V4, "202.12.27.33"),
-    ("m.root-servers.net", V6, "2001:dc3::35"),
+DEFAULT_ROOT_HINTS: tuple[tuple[str, str, str], ...] = tuple(
+    (f"{letter}.root-servers.net", proto, addr)
+    for letter, v4, v6 in (
+        ("a", "198.41.0.4", "2001:503:ba3e::2:30"),
+        ("b", "170.247.170.2", "2801:1b8:10::b"),
+        ("c", "192.33.4.12", "2001:500:2::c"),
+        ("d", "199.7.91.13", "2001:500:2d::d"),
+        ("e", "192.203.230.10", "2001:500:a8::e"),
+        ("f", "192.5.5.241", "2001:500:2f::f"),
+        ("g", "192.112.36.4", "2001:500:12::d0d"),
+        ("h", "198.97.190.53", "2001:500:1::53"),
+        ("i", "192.36.148.17", "2001:7fe::53"),
+        ("j", "192.58.128.30", "2001:503:c27::2:30"),
+        ("k", "193.0.14.129", "2001:7fd::1"),
+        ("l", "199.7.83.42", "2001:500:9f::42"),
+        ("m", "202.12.27.33", "2001:dc3::35"),
+    )
+    for proto, addr in ((V4, v4), (V6, v6))
 )
 
 
@@ -340,12 +332,9 @@ class Resolver:
     @staticmethod
     def _note(info: _ZoneInfo, ns: DomainName, addr: ServerAddress, outcome,
               own: bool = True) -> bool:
-        """Record whether a server of ``info`` answered; True if it did.
-
-        Only ``own`` queries, sent while ``info``'s evidence is gathered,
-        are listed in ``info.queried``: the list is complete once the zone
-        is discovered, whatever is walked later.
-        """
+        """Record one query to a server of ``info``; True if it answered.
+        Only ``own`` queries, those that gather ``info``'s evidence, are
+        listed in ``info.queried``, so the list is final once it is found."""
         if own:
             info.queried.append((addr.ip, addr.protocol, outcome.kind))
         answered = outcome.kind == RESPONSE
@@ -617,8 +606,6 @@ def _root_status(root: _ZoneInfo) -> ResolutionStatus:
 
 
 def _invalid_address(addr: str) -> bool:
-    import ipaddress
-
     try:
         parsed = ipaddress.ip_address(addr)
     except ValueError:

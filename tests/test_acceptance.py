@@ -173,6 +173,38 @@ def test_active_verdicts_match_ground_truth_under_liveness_faults():
         assert 0.1 < faulted / (200 * 26) < 0.2
 
 
+def test_chain_documents_do_not_depend_on_crawl_order_under_liveness_faults():
+    with criterion("crawl-order-independence", 60.0):
+        # The trees of the liveness differential, each crawled by one
+        # resolver in sorted and in shuffled order. Only the queried lists
+        # may differ: where two zones depend on each other, whether one of
+        # them contacts a server of the other depends on which was walked
+        # first (seed 116).
+        def documents(u, order):
+            resolver = make_resolver(u)
+            docs = {}
+            for zone in order:
+                try:
+                    doc = resolver.resolve_chain(zone).to_json_dict()
+                except RootUnreachable:
+                    doc = None
+                else:
+                    for step in doc["steps"]:
+                        del step["queried"]
+                docs[zone] = doc
+            return docs
+
+        for seed in range(200):
+            base, truth = random_universe(seed, 25)
+            u = with_liveness_faults(base, seed)
+            order = sorted(truth)
+            in_order = documents(u, order)
+            random.Random(seed).shuffle(order)
+            shuffled = documents(u, order)
+            for zone in order:
+                assert shuffled[zone] == in_order[zone], (seed, str(zone))
+
+
 def transport_test_universe(defect):
     return build_universe([
         root_fixture(),

@@ -18,6 +18,7 @@ from v6ready.mocknet import (
     build_universe,
     fixture_tuples,
     ground_truth,
+    random_universe,
     zone_fixture,
 )
 from v6ready.records import V4, V6
@@ -139,23 +140,97 @@ def test_scan_four_states_summary(tmp_path, capsys):
     }
 
 
+def scan_args(tmp_path, universe, domains, out, concurrency=1):
+    return ["scan", str(domains), "--roots", write_hints(tmp_path, universe),
+            "--output", str(out), "--concurrency", str(concurrency), *FAST]
+
+
 def test_scan_resumes_from_journal_without_new_exchanges(tmp_path, capsys):
+    # The output file is the journal: a rerun skips every domain in it.
     u = four_state_universe()
     domains = tmp_path / "domains.txt"
     domains.write_text("dualzone.t\nv4zone.t\n")
-    journal = tmp_path / "journal.txt"
     out = tmp_path / "results.jsonl"
-    args = [
-        "scan", str(domains), "--roots", write_hints(tmp_path, u),
-        "--journal", str(journal), "--output", str(out),
-        "--concurrency", "1", *FAST,
-    ]
+    args = scan_args(tmp_path, u, domains, out)
     assert run_cli(args, u) == 0
     first_packets = len(u.log.entries)
-    assert journal.read_text().splitlines() == ["dualzone.t", "v4zone.t"]
+    rows = out.read_bytes()
     assert run_cli(args, u) == 0
     assert len(u.log.entries) == first_packets  # rerun touched the network zero times
-    assert "2 already journaled" in capsys.readouterr().out
+    assert "scanned 0 domains (2 already in the output)" in capsys.readouterr().out
+    assert out.read_bytes() == rows
+    assert [json.loads(l)["domain"] for l in out.read_text().splitlines()] == [
+        "dualzone.t", "v4zone.t"]
+
+
+def test_scan_cuts_a_torn_last_row_and_scans_its_domain_again(tmp_path, capsys):
+    u = four_state_universe()
+    domains = tmp_path / "domains.txt"
+    domains.write_text("dualzone.t\nv4zone.t\n")
+    out = tmp_path / "results.jsonl"
+    args = scan_args(tmp_path, u, domains, out)
+    assert run_cli(args, u) == 0
+    rows = out.read_bytes()
+    out.write_bytes(rows[:-40])  # killed while writing the second row
+    assert run_cli(args, u) == 0
+    assert "scanned 1 domains (1 already in the output)" in capsys.readouterr().out
+    assert out.read_bytes() == rows
+
+
+def test_scan_refuses_an_output_with_a_corrupt_row(tmp_path, capsys):
+    u = four_state_universe()
+    domains = tmp_path / "domains.txt"
+    domains.write_text("dualzone.t\nv4zone.t\nv6zone.t\n")
+    out = tmp_path / "results.jsonl"
+    out.write_text('{"domain": "dualzone.t"}\n["v4zone.t"]\n{"domain": "v6zone.t"}\n{"dom')
+    before = out.read_bytes()
+    assert run_cli(scan_args(tmp_path, u, domains, out), u) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{out}:2:" in err
+    assert out.read_bytes() == before
+    assert u.log.entries == []
+
+
+def test_scan_submits_a_bounded_window_of_domains(tmp_path, monkeypatch):
+    u = four_state_universe()
+    names = [f"h{i}.dualzone.t" for i in range(200)]
+    domains = tmp_path / "domains.txt"
+    domains.write_text("\n".join(names) + "\n")
+    out = tmp_path / "results.jsonl"
+    submitted, ahead = [], []
+
+    class Recording(cli.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(1)
+            written = len(out.read_text().splitlines()) if out.exists() else 0
+            ahead.append(len(submitted) - written)
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    assert run_cli(scan_args(tmp_path, u, domains, out, concurrency=2), u) == 0
+    assert len(submitted) == 200
+    assert max(ahead) == 4 * 2
+    assert [json.loads(l)["domain"] for l in out.read_text().splitlines()] == names
+
+
+def test_scan_rows_depend_only_on_the_domain(tmp_path):
+    # One resolver per worker and none shared: a row must not depend on
+    # which domains a worker walked before it.
+    u, truth = random_universe(seed=3, size=150)
+    names = sorted(str(zone) for zone in truth)
+
+    def rows(order, concurrency, name):
+        domains = tmp_path / f"{name}.txt"
+        domains.write_text("\n".join(order) + "\n")
+        out = tmp_path / f"{name}.jsonl"
+        assert run_cli(scan_args(tmp_path, u, domains, out, concurrency), u) == 0
+        return out.read_text().splitlines()
+
+    one = rows(names, 1, "one")
+    assert rows(names, 2, "two") == one
+    by_domain = {json.loads(line)["domain"]: line for line in one}
+    for line in rows(names[::-1], 1, "reversed"):
+        assert line == by_domain[json.loads(line)["domain"]]
 
 
 def test_scan_survives_a_non_ascii_domain(tmp_path, capsys):
@@ -301,6 +376,26 @@ def test_environment_variables_override_defaults(tmp_path, capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert doc["format"] == "chain-result"
+
+
+def test_a_bad_environment_number_breaks_only_its_own_command(tmp_path, capsys,
+                                                              monkeypatch):
+    monkeypatch.setenv("V6READY_CONCURRENCY", "eight")
+    rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", str(GOLDEN / "domains.txt"), "--output", str(tmp_path / "o")])
+    assert exc.value.code == 2
+    assert "invalid int value: 'eight'" in capsys.readouterr().err
+
+
+def test_environment_format_outside_its_choices_exits_two(tmp_path, capsys, monkeypatch):
+    u = healthy_depth3_universe()
+    monkeypatch.setenv("V6READY_FORMAT", "json")
+    rc = run_cli(["check", "d.t", "--roots", write_hints(tmp_path, u), *FAST], u)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: --format")
+    assert u.log.entries == []
 
 
 def test_scan_with_worker_pool(tmp_path, capsys):
