@@ -333,8 +333,8 @@ class Resolver:
     def _note(info: _ZoneInfo, ns: DomainName, addr: ServerAddress, outcome,
               own: bool = True) -> bool:
         """Record one query to a server of ``info``; True if it answered.
-        Only ``own`` queries, those that gather ``info``'s evidence, are
-        listed in ``info.queried``, so the list is final once it is found."""
+        Only ``own`` queries, which gather ``info``'s evidence, go into
+        ``info.queried``, so that list is final once the zone is found."""
         if own:
             info.queried.append((addr.ip, addr.protocol, outcome.kind))
         answered = outcome.kind == RESPONSE
