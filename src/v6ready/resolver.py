@@ -16,7 +16,6 @@ parent status, so a verdict covers the whole delegation chain.
 
 from __future__ import annotations
 
-import ipaddress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -53,24 +52,33 @@ class PolicyViolation(AssertionError):
 
 
 # Published root server set; tests point hints at the simulated universe.
-DEFAULT_ROOT_HINTS: tuple[tuple[str, str, str], ...] = tuple(
-    (f"{letter}.root-servers.net", proto, addr)
-    for letter, v4, v6 in (
-        ("a", "198.41.0.4", "2001:503:ba3e::2:30"),
-        ("b", "170.247.170.2", "2801:1b8:10::b"),
-        ("c", "192.33.4.12", "2001:500:2::c"),
-        ("d", "199.7.91.13", "2001:500:2d::d"),
-        ("e", "192.203.230.10", "2001:500:a8::e"),
-        ("f", "192.5.5.241", "2001:500:2f::f"),
-        ("g", "192.112.36.4", "2001:500:12::d0d"),
-        ("h", "198.97.190.53", "2001:500:1::53"),
-        ("i", "192.36.148.17", "2001:7fe::53"),
-        ("j", "192.58.128.30", "2001:503:c27::2:30"),
-        ("k", "193.0.14.129", "2001:7fd::1"),
-        ("l", "199.7.83.42", "2001:500:9f::42"),
-        ("m", "202.12.27.33", "2001:dc3::35"),
-    )
-    for proto, addr in ((V4, v4), (V6, v6))
+DEFAULT_ROOT_HINTS: tuple[tuple[str, str, str], ...] = (
+    ("a.root-servers.net", V4, "198.41.0.4"),
+    ("a.root-servers.net", V6, "2001:503:ba3e::2:30"),
+    ("b.root-servers.net", V4, "170.247.170.2"),
+    ("b.root-servers.net", V6, "2801:1b8:10::b"),
+    ("c.root-servers.net", V4, "192.33.4.12"),
+    ("c.root-servers.net", V6, "2001:500:2::c"),
+    ("d.root-servers.net", V4, "199.7.91.13"),
+    ("d.root-servers.net", V6, "2001:500:2d::d"),
+    ("e.root-servers.net", V4, "192.203.230.10"),
+    ("e.root-servers.net", V6, "2001:500:a8::e"),
+    ("f.root-servers.net", V4, "192.5.5.241"),
+    ("f.root-servers.net", V6, "2001:500:2f::f"),
+    ("g.root-servers.net", V4, "192.112.36.4"),
+    ("g.root-servers.net", V6, "2001:500:12::d0d"),
+    ("h.root-servers.net", V4, "198.97.190.53"),
+    ("h.root-servers.net", V6, "2001:500:1::53"),
+    ("i.root-servers.net", V4, "192.36.148.17"),
+    ("i.root-servers.net", V6, "2001:7fe::53"),
+    ("j.root-servers.net", V4, "192.58.128.30"),
+    ("j.root-servers.net", V6, "2001:503:c27::2:30"),
+    ("k.root-servers.net", V4, "193.0.14.129"),
+    ("k.root-servers.net", V6, "2001:7fd::1"),
+    ("l.root-servers.net", V4, "199.7.83.42"),
+    ("l.root-servers.net", V6, "2001:500:9f::42"),
+    ("m.root-servers.net", V4, "202.12.27.33"),
+    ("m.root-servers.net", V6, "2001:dc3::35"),
 )
 
 
@@ -357,7 +365,9 @@ class Resolver:
         glue: dict[DomainName, AddrRecords] = {}
         strays: list[ResourceRecord] = []
         answered = False
+        probes = []
         for (ns, addr), outcome in self._query_layer(parent.servers, cand, RRType.NS):
+            probes.append((addr.ip, addr.protocol, outcome.kind))
             if not self._note(parent, ns, addr, outcome, own=False):
                 continue
             answered = True
@@ -382,6 +392,7 @@ class Resolver:
                 {str(ns) for ns, _addr in parent.servers})))
             info.status = ResolutionStatus(STATE_NONE, False, False, False,
                                            frozenset({silent}))
+            info.queried = probes  # the unanswered probes are this step's evidence
             return info
         self._active.add(cand)
         try:
@@ -606,6 +617,8 @@ def _root_status(root: _ZoneInfo) -> ResolutionStatus:
 
 
 def _invalid_address(addr: str) -> bool:
+    import ipaddress
+
     try:
         parsed = ipaddress.ip_address(addr)
     except ValueError:

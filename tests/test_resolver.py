@@ -24,6 +24,7 @@ from v6ready.classify import (
     CAUSE_PARENT_UNRESOLVABLE,
 )
 from v6ready.mocknet import (
+    BLACKHOLE_ALL,
     BLACKHOLE_V6,
     DROP_AAAA_GLUE,
     FixtureNs,
@@ -263,6 +264,23 @@ def test_v6_dark_parent_is_reported_with_its_silent_servers():
     res = make_resolver(u).resolve_chain("t")
     assert res.state == "v4-only"
     assert cause_witnesses(res) == {CAUSE_NS_UNRESPONSIVE: ("ns0.t", "ns1.t")}
+
+
+def test_silent_parent_step_lists_its_unanswered_probes():
+    # No server of t answers, so d.t's step ends the chain; the NS queries
+    # that timed out at t's servers are the evidence for its cause.
+    u = build_universe([
+        root_fixture(),
+        healthy_zone("t", 10, defects={BLACKHOLE_ALL}),
+        healthy_zone("d.t", 11),
+    ])
+    res = make_resolver(u).resolve_chain("d.t")
+    assert [str(s.zone) for s in res.steps] == ["t", "d.t"]
+    assert cause_witnesses(res) == {CAUSE_NS_UNRESPONSIVE: ("ns0.t", "ns1.t")}
+    assert res.steps[-1].queried_servers == [
+        ("10.10.0.1", V4, "timeout"), ("fd00:a::1", V6, "timeout"),
+        ("10.10.1.1", V4, "timeout"), ("fd00:a:1::1", V6, "timeout"),
+    ]
 
 
 def test_silent_own_server_and_v6_broken_host_zone_is_not_v6_resolvable():
