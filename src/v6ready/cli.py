@@ -85,10 +85,13 @@ class RunConfig:
 
     @classmethod
     def from_args(cls, args) -> "RunConfig":
-        if args.v4_only and args.v6_only:
+        filt = PROTOCOL_BOTH
+        if getattr(args, "v4_only", False) and getattr(args, "v6_only", False):
             raise ConfigError("--v4-only and --v6-only are mutually exclusive")
-        filt = (PROTOCOL_V4_ONLY if args.v4_only
-                else PROTOCOL_V6_ONLY if args.v6_only else PROTOCOL_BOTH)
+        if getattr(args, "v4_only", False):
+            filt = PROTOCOL_V4_ONLY
+        if getattr(args, "v6_only", False):
+            filt = PROTOCOL_V6_ONLY
         cfg = cls(
             roots=args.roots,
             protocol_filter=filt,
@@ -129,7 +132,9 @@ class RunConfig:
         )
 
     def hints(self):
-        return default_root_hints() if self.roots is None else load_root_hints(self.roots)
+        if self.roots is None:
+            return default_root_hints()
+        return load_root_hints(self.roots)
 
 
 def _transport(cfg: RunConfig, transport_factory=None):
@@ -138,11 +143,14 @@ def _transport(cfg: RunConfig, transport_factory=None):
 
 def _build_resolver(cfg: RunConfig, transport,
                     cache: ResponseCache | None = None) -> Resolver:
-    # without --seed, Random(None) seeds itself from the system
-    engine = QueryEngine(transport, policy=cfg.policy(), cache=cache,
-                         rng=random.Random(cfg.seed))
-    return Resolver(engine, root_hints=cfg.hints(), protocol_filter=cfg.protocol_filter,
-                    server_port=cfg.port)
+    rng = random.Random(cfg.seed) if cfg.seed is not None else random.Random()
+    engine = QueryEngine(transport, policy=cfg.policy(), cache=cache, rng=rng)
+    return Resolver(
+        engine,
+        root_hints=cfg.hints(),
+        protocol_filter=cfg.protocol_filter,
+        server_port=cfg.port,
+    )
 
 
 # -- check ---------------------------------------------------------------------
@@ -221,26 +229,35 @@ def _parse_domain_list(path: str) -> list[tuple[str, int | None]]:
 
 def _scanned_domains(out_path: Path) -> set[str]:
     """The ``domain`` of every complete row in ``out_path``, the scan's
-    journal. A last line without its newline is a torn write: it is cut
-    off, so its domain is scanned again. Any other line that is not a row
-    is a ValueError, raised before the file is touched."""
+    journal, read one line at a time. A last line without its newline is a
+    torn write: it is cut off, so its domain is scanned again. Any other
+    line that is not a row is a ValueError, raised before the file is
+    touched."""
+    done: set[str] = set()
     if not out_path.exists():
-        return set()
-    data = out_path.read_bytes()
-    end = data.rfind(b"\n") + 1
-    done = set()
-    for number, line in enumerate(data[:end].splitlines(), 1):
-        try:
-            row = json.loads(line)
-        except ValueError:
-            row = None
-        if not isinstance(row, dict) or not isinstance(row.get("domain"), str):
-            raise ValueError(f"{out_path}:{number}: not a scan row")
-        done.add(row["domain"])
-    if end < len(data):
-        with open(out_path, "r+b") as fh:
-            fh.truncate(end)
+        return done
+    with open(out_path, "r+b") as fh:
+        end = 0  # where the last complete line ends
+        for number, line in enumerate(fh, 1):
+            if not line.endswith(b"\n"):
+                fh.truncate(end)
+                break
+            try:
+                row = json.loads(line)
+            except ValueError:
+                row = None
+            if not isinstance(row, dict) or not isinstance(row.get("domain"), str):
+                raise ValueError(f"{out_path}:{number}: not a scan row")
+            done.add(row["domain"])
+            end += len(line)
     return done
+
+
+# Domains each worker may run ahead of the oldest unwritten row, at about
+# 4 KB each (a future and its serialized row). A domain whose servers are
+# all dead holds back every row after it for minutes under the default
+# timeouts, where a live one takes under a second.
+SCAN_WINDOW = 1024
 
 
 def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
@@ -267,37 +284,43 @@ def cmd_scan(args, transport_factory=None) -> int:
 
     transport = _transport(cfg, transport_factory)
     shared_cache = ResponseCache()
-    local = threading.local()  # one resolver per worker
-    states: Counter = Counter()
+    local = threading.local()
 
-    def work(item):
+    def get_resolver() -> Resolver:
         if not hasattr(local, "resolver"):
             local.resolver = _build_resolver(cfg, transport, shared_cache)
+        return local.resolver
+
+    def work(item) -> tuple[str, str]:
         domain, rank = item
         row = {"domain": domain, "rank": rank, "error": None}
         try:
-            result = local.resolver.resolve_chain(domain)
+            result = get_resolver().resolve_chain(domain)
             row.update(result.to_json_dict())
         except (RootUnreachable, DepthLimitExceeded, DnsNameError, OSError) as exc:
             row["error"] = str(exc)
-        return row
+        state = "error" if row["error"] is not None else row["state"]
+        return state, json.dumps(row, sort_keys=True) + "\n"
 
+    states: Counter = Counter()
     pending = [(d, r) for d, r in domains if d not in completed]
     skipped = len(domains) - len(pending)
-    # workers resolve concurrently, at most four domains ahead each; rows
-    # land here in input order, so the output writes stay single-threaded
+    # workers resolve concurrently; rows land here in input order, so the
+    # output writes stay single-threaded
     with open(out_path, "a", encoding="utf-8") as out, ThreadPoolExecutor(
         max_workers=cfg.concurrency
     ) as pool:
-        for row in _in_order(pool, work, pending, 4 * cfg.concurrency):
-            out.write(json.dumps(row, sort_keys=True) + "\n")
+        for state, line in _in_order(pool, work, pending, SCAN_WINDOW * cfg.concurrency):
+            out.write(line)
             out.flush()
-            states[row.get("state", "error")] += 1
+            states[state] += 1
     total = sum(states.values())
     print(f"scanned {total} domains ({skipped} already in the output)")
     for state in ("dual", "v4-only", "v6-only", "none", "error"):
-        share = f"  {100.0 * states[state] / total:6.2f}%" if total else ""
-        print(f"  {state:8s} {states[state]:6d}{share}")
+        if total:
+            print(f"  {state:8s} {states[state]:6d}  {100.0 * states[state] / total:6.2f}%")
+        else:
+            print(f"  {state:8s} {states[state]:6d}")
     print(f"results: {out_path}")
     return EXIT_OK
 
@@ -419,7 +442,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retry-wait", type=float, default=_env("RETRY_WAIT") or 20.0,
                    help="seconds between timeout-driven attempts")
     p.add_argument("--format", choices=FORMATS, default=_env("FORMAT") or "text")
-    p.add_argument("--seed", type=int, default=_env("SEED"))
+    p.add_argument("--seed", type=int, default=_env("SEED") or None)
     p.add_argument("--port", type=int, default=_env("PORT") or 53,
                    help="server port (loopback test harnesses use high ports)")
 

@@ -207,6 +207,7 @@ def test_scan_submits_a_bounded_window_of_domains(tmp_path, monkeypatch):
             return super().submit(fn, *args, **kwargs)
 
     monkeypatch.setattr(cli, "ThreadPoolExecutor", Recording)
+    monkeypatch.setattr(cli, "SCAN_WINDOW", 4)
     assert run_cli(scan_args(tmp_path, u, domains, out, concurrency=2), u) == 0
     assert len(submitted) == 200
     assert max(ahead) == 4 * 2
@@ -376,6 +377,11 @@ def test_environment_variables_override_defaults(tmp_path, capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 1
     assert doc["format"] == "chain-result"
+    monkeypatch.setenv("V6READY_SEED", "")  # empty: no seed, as if unset
+    rc = run_cli(["check", "example.org", "--timeout", "0.2",
+                  "--tcp-timeout", "0.2"], u)
+    assert rc == 1
+    assert json.loads(capsys.readouterr().out)["format"] == "chain-result"
 
 
 def test_a_bad_environment_number_breaks_only_its_own_command(tmp_path, capsys,
