@@ -11,13 +11,14 @@ resolve over IPv6.
 from __future__ import annotations
 
 import csv
+import itertools
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from .classify import ResolutionStatus, failure_breakdown
-from .names import DnsNameError, DomainName, normalize
+from .names import _PLAIN, MAX_LABEL, MAX_WIRE, DnsNameError, DomainName, normalize
 from .psl import PublicSuffixList, registered_or_self
 
 GROUP_TLD = "tld"
@@ -45,45 +46,95 @@ class DomainGroup:
         return self.tier if self.kind == "rank-tier" else self.kind
 
 
-def parse_tld_list(text: str, rejected: list[str] | None = None) -> frozenset[DomainName]:
-    """One TLD per line, '#' comments, case-insensitive. A line whose name
-    does not parse is skipped and appended to ``rejected``."""
+# The characters of a toplist row or TLD-list line that takes the fast path:
+# the label bytes that present as themselves, without the CSV quote, plus
+# the dot. A name of these characters has no escape, space or non-ASCII
+# character, so its canonical text is its lowercased text without the one
+# trailing dot.
+_PLAIN_ROW = _PLAIN.replace(b'"', b"") + b"."
+
+
+def _plain(text: str, also: bytes = b"") -> bool:
+    """True iff ``text`` holds only ``_PLAIN_ROW`` characters and ``also``."""
+    return text.isascii() and not text.encode().translate(None, _PLAIN_ROW + also)
+
+
+def _plain_key(name: str) -> str | None:
+    """``str(normalize(name))`` of a ``_plain`` name, None where
+    ``normalize`` raises; the checks are those of its fast path."""
+    if name in (".", ""):
+        return "."
+    if name[-1] == ".":
+        name = name[:-1]
+    if name[0] == "." or name[-1] == "." or ".." in name or len(name) > MAX_LABEL and (
+            len(name) + 2 > MAX_WIRE or max(map(len, name.split("."))) > MAX_LABEL):
+        return None
+    return name.lower()
+
+
+def _name_key(name: str) -> str | None:
+    """The canonical text of a name, ``str(normalize(name))``, or None
+    when the name does not parse."""
+    if _plain(name):
+        return _plain_key(name)
+    try:
+        return str(normalize(name))
+    except DnsNameError:
+        return None
+
+
+def parse_tld_list(text: str, rejected: list[str] | None = None) -> frozenset[str]:
+    """The canonical text of each TLD: one per line, '#' comments,
+    case-insensitive. A line whose name does not parse is skipped and
+    appended to ``rejected``."""
     out = set()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
-            try:
-                out.add(normalize(line))
-            except DnsNameError:
-                if rejected is not None:
-                    rejected.append(raw)
+            key = _name_key(line)
+            if key is not None:
+                out.add(key)
+            elif rejected is not None:
+                rejected.append(raw)
     return frozenset(out)
 
 
-def load_tld_list(path: str | Path, rejected: list[str] | None = None) -> frozenset[DomainName]:
+def load_tld_list(path: str | Path, rejected: list[str] | None = None) -> frozenset[str]:
     return parse_tld_list(Path(path).read_text(encoding="utf-8"), rejected)
 
 
-def parse_toplist(text: str, rejected: list[str] | None = None) -> dict[DomainName, int]:
-    """rank,domain CSV (headerless); later duplicates keep the best rank. A
-    row whose name does not parse is skipped and appended to ``rejected``."""
-    out: dict[DomainName, int] = {}
-    for row in csv.reader(text.splitlines()):
-        if not row or len(row) < 2 or not row[0].strip().isdigit():
+def parse_toplist(text: str, rejected: list[str] | None = None) -> dict[str, int]:
+    """rank,domain CSV (headerless), keyed by the canonical text of the
+    name; the rank is ASCII digits, and later duplicates keep the best rank.
+    A row whose name does not parse is skipped and appended to ``rejected``.
+
+    A ``_plain`` row is split on commas; any other row, and the lines a
+    quoted field of it runs on into, goes through ``csv.reader``.
+    """
+    out: dict[str, int] = {}
+    lines = iter(text.splitlines())
+    every_line_plain = _plain(text, b"\r\n")
+    for line in lines:
+        plain = every_line_plain or _plain(line)
+        row = line.split(",") if plain else next(csv.reader(itertools.chain((line,), lines)))
+        if len(row) < 2:
             continue
-        rank = int(row[0].strip())
-        try:
-            name = normalize(row[1].strip())
-        except DnsNameError:
+        rank = row[0].strip()
+        if not (rank.isascii() and rank.isdigit()):
+            continue
+        name = row[1].strip()
+        key = _plain_key(name) if plain else _name_key(name)
+        if key is None:
             if rejected is not None:
                 rejected.append(",".join(row))
             continue
-        if name not in out or rank < out[name]:
-            out[name] = rank
+        rank = int(rank)
+        if key not in out or rank < out[key]:
+            out[key] = rank
     return out
 
 
-def load_toplist(path: str | Path, rejected: list[str] | None = None) -> dict[DomainName, int]:
+def load_toplist(path: str | Path, rejected: list[str] | None = None) -> dict[str, int]:
     return parse_toplist(Path(path).read_text(encoding="utf-8"), rejected)
 
 
@@ -97,16 +148,17 @@ def rank_tier(rank: int) -> str | None:
 def group_domain(
     name: DomainName,
     psl: PublicSuffixList,
-    tlds: frozenset[DomainName],
-    toplist: Mapping[DomainName, int] | None = None,
+    tlds: frozenset[str],
+    toplist: Mapping[str, int] | None = None,
 ) -> frozenset[DomainGroup]:
-    """Exactly one hierarchy group plus an optional rank tier."""
+    """Exactly one hierarchy group plus an optional rank tier. ``tlds`` and
+    ``toplist`` hold names by their canonical text, ``str(name)``."""
     if name.is_root:
         raise ValueError("the root has no grouping")
     groups: set[DomainGroup] = set()
     match = psl.match(name)
     if len(name.labels) == 1:
-        groups.add(DomainGroup(GROUP_TLD, unknown_suffix=name not in tlds))
+        groups.add(DomainGroup(GROUP_TLD, unknown_suffix=str(name) not in tlds))
     elif match is None:
         # No PSL rule: group under the rightmost label, flagged.
         if len(name.labels) == 2:
@@ -124,8 +176,9 @@ def group_domain(
         else:
             groups.add(DomainGroup(GROUP_BELOW_SECOND_LEVEL))
     if toplist:
-        registered = registered_or_self(psl, name)
-        rank = toplist.get(name, toplist.get(registered))
+        rank = toplist.get(str(name))
+        if rank is None:
+            rank = toplist.get(str(registered_or_self(psl, name)))
         if rank is not None:
             tier = rank_tier(rank)
             if tier:
@@ -236,8 +289,8 @@ def nsset_cdf(
 def state_share_rows(
     statuses: Mapping[DomainName, ResolutionStatus],
     psl: PublicSuffixList | None = None,
-    tlds: frozenset[DomainName] | None = None,
-    toplist: Mapping[DomainName, int] | None = None,
+    tlds: frozenset[str] | None = None,
+    toplist: Mapping[str, int] | None = None,
 ) -> list[dict]:
     """Per-group resolvability state shares; the 'all' row is always present."""
     buckets: dict[str, dict[str, int]] = {}

@@ -10,6 +10,7 @@ environment, 1 = not, 2 = operational error.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import random
@@ -328,13 +329,23 @@ def cmd_scan(args, transport_factory=None) -> int:
 # -- simulate -------------------------------------------------------------------
 
 
-def _load_name_list(flag: str, path: str | None, load):
-    """``load(path)``, or None without a path; the lines it skips for an
-    invalid name are counted in one warning."""
+def _side_file(flag: str, path: str | None, load, *args):
+    """``load(path, *args)``, or None without a path. A file that cannot be
+    read, is not UTF-8 text or does not parse raises a ValueError that
+    names the flag and the path."""
     if not path:
         return None
+    try:
+        return load(path, *args)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise ValueError(f"{flag} {path}: {exc}") from None
+
+
+def _load_name_list(flag: str, path: str | None, load):
+    """``_side_file(flag, path, load)``; the lines it skips for an invalid
+    name are counted in one warning."""
     rejected: list[str] = []
-    loaded = load(path, rejected)
+    loaded = _side_file(flag, path, load, rejected)
     if rejected:
         print(f"warning: {flag} {path}: skipped {len(rejected)} line(s) with an "
               f"invalid name, first {rejected[0]!r}", file=sys.stderr)
@@ -343,10 +354,10 @@ def _load_name_list(flag: str, path: str | None, load):
 
 def _side_inputs(args):
     """(psl, tlds, toplist, operator rules) from their files."""
-    psl = PublicSuffixList.load(args.psl) if args.psl else None
+    psl = _side_file("--psl", args.psl, PublicSuffixList.load)
     tlds = _load_name_list("--tlds", args.tlds, load_tld_list)
     toplist = _load_name_list("--toplist", args.toplist, load_toplist)
-    rules = load_operator_rules(args.operator_rules) if args.operator_rules else ()
+    rules = _side_file("--operator-rules", args.operator_rules, load_operator_rules) or ()
     return psl, tlds, toplist, rules
 
 
@@ -367,7 +378,7 @@ def _stream_tuples(paths, stats: IngestStats, readable: list):
 def cmd_simulate(args) -> int:
     try:
         psl, tlds, toplist, rules = _side_inputs(args)
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     outdir = Path(args.out)

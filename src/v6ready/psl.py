@@ -6,14 +6,10 @@ flag groupings that rest on privately-registered suffixes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .names import DomainName
-
-EXACT = "exact"
-WILDCARD = "wildcard"
-EXCEPTION = "exception"
 
 
 def _psl_label(part: str) -> bytes:
@@ -25,33 +21,22 @@ def _psl_label(part: str) -> bytes:
         return part.lower().encode("utf-8")
 
 
-@dataclass(frozen=True)
-class PslRule:
-    labels: tuple[bytes, ...]  # leftmost-first, "*" kept literally
-    kind: str
+class PslMatch(NamedTuple):
+    suffix: DomainName
     private: bool
 
-    @property
-    def depth(self) -> int:
-        return len(self.labels)
 
-
-@dataclass(frozen=True)
-class PslMatch:
-    suffix: DomainName
-    rule: PslRule
-
-    @property
-    def private(self) -> bool:
-        return self.rule.private
+# A rule is (labels, exception, private): labels leftmost-first with "*"
+# kept literally, a "*" label matching any one label except the last.
+Rule = tuple[tuple[bytes, ...], bool, bool]
 
 
 class PublicSuffixList:
-    def __init__(self, rules: list[PslRule]):
-        self.rules = rules
-        self._by_tail: dict[bytes, list[PslRule]] = {}
+    def __init__(self, rules: list[Rule]):
+        # keyed by the last label; each list keeps the rules' file order
+        self._by_tail: dict[bytes, list[Rule]] = {}
         for rule in rules:
-            self._by_tail.setdefault(rule.labels[-1], []).append(rule)
+            self._by_tail.setdefault(rule[0][-1], []).append(rule)
 
     @classmethod
     def parse(cls, text: str) -> "PublicSuffixList":
@@ -68,49 +53,40 @@ class PublicSuffixList:
                     private = False
                 continue
             line = line.split()[0]
-            kind = EXACT
-            if line.startswith("!"):
-                kind = EXCEPTION
+            exception = line.startswith("!")
+            if exception:
                 line = line[1:]
-            parts = tuple(_psl_label(p) for p in line.split(".") if p)
-            if not parts:
-                continue
-            if parts[0] == b"*" and kind == EXACT:
-                kind = WILDCARD
-            rules.append(PslRule(parts, kind, private))
+            if line.isascii():
+                parts = line.lower().encode().split(b".")
+            else:
+                parts = [_psl_label(p) for p in line.split(".")]
+            if b"" in parts:
+                parts = [p for p in parts if p]
+                if not parts:
+                    continue
+            rules.append((tuple(parts), exception, private))
         return cls(rules)
 
     @classmethod
     def load(cls, path: str | Path) -> "PublicSuffixList":
         return cls.parse(Path(path).read_text(encoding="utf-8"))
 
-    def _matches(self, name: DomainName) -> list[PslRule]:
-        if not name.labels:
-            return []
-        out = []
-        for rule in self._by_tail.get(name.labels[-1], ()):
-            if rule.depth > len(name.labels):
-                continue
-            tail = name.labels[-rule.depth:]
-            if all(r in (b"*", t) for r, t in zip(rule.labels, tail)):
-                out.append(rule)
-        return out
-
     def match(self, name: DomainName) -> PslMatch | None:
-        """The prevailing rule for ``name``: exceptions first, else longest."""
-        candidates = self._matches(name)
+        """The prevailing rule for ``name``: the longest exception, else the
+        longest rule; of rules as long, the first in the file."""
+        labels = name.labels
+        if not labels:
+            return None
+        candidates = [
+            (exception, len(rule), private)
+            for rule, exception, private in self._by_tail.get(labels[-1], ())
+            if len(rule) <= len(labels)
+            and all(r == b"*" or r == t for r, t in zip(rule, labels[-len(rule):]))
+        ]
         if not candidates:
             return None
-        exceptions = [r for r in candidates if r.kind == EXCEPTION]
-        if exceptions:
-            rule = max(exceptions, key=lambda r: r.depth)
-            depth = rule.depth - 1
-        else:
-            rule = max(candidates, key=lambda r: r.depth)
-            depth = rule.depth
-        if depth > len(name.labels):
-            return None
-        return PslMatch(name.ancestor_at_depth(depth), rule)
+        exception, depth, private = max(candidates, key=lambda c: c[:2])
+        return PslMatch(name.ancestor_at_depth(depth - 1 if exception else depth), private)
 
     def public_suffix(self, name: DomainName) -> DomainName | None:
         m = self.match(name)
@@ -135,4 +111,3 @@ def registered_or_self(psl: PublicSuffixList, name: DomainName) -> DomainName:
     if len(name.labels) >= 2:
         return name.ancestor_at_depth(2)
     return name
-

@@ -497,3 +497,41 @@ def test_loopback_tcp_fallback_on_truncation(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert doc["state"] == "dual"
+
+
+def test_simulate_skips_a_toplist_row_whose_rank_is_not_ascii_digits(tmp_path, capsys):
+    toplist = tmp_path / "toplist.csv"
+    toplist.write_text("1,z1.z0\n²,z3.z0\n", encoding="utf-8")
+    outdir = tmp_path / "out"
+    rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), "--psl", str(GOLDEN / "psl.dat"),
+                   "--tlds", str(GOLDEN / "tlds.txt"), "--toplist", str(toplist),
+                   "--out", str(outdir)])
+    assert rc == 0
+    assert "error:" not in capsys.readouterr().err
+    groups = [l.split(",")[0] for l in (outdir / "states.csv").read_text().splitlines()]
+    assert "top1k" in groups and "1k-10k" not in groups
+
+
+@pytest.mark.parametrize("flag", ["--psl", "--tlds", "--toplist", "--operator-rules"])
+def test_simulate_side_file_not_utf8_names_the_flag_and_path(tmp_path, capsys, flag):
+    side = tmp_path / "side.txt"
+    side.write_bytes(b"com\n\xff\xfe\n")
+    outdir = tmp_path / "out"
+    rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), flag, str(side),
+                   "--out", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {side}: 'utf-8' codec can't decode byte 0xff")
+    assert not outdir.exists()
+
+
+def test_simulate_toplist_field_over_the_csv_limit_exits_two(tmp_path, capsys):
+    toplist = tmp_path / "toplist.csv"
+    # a stray quote runs the field on over every later line
+    toplist.write_text('1,"a.com\n' + "".join(f"{i},site{i}.com\n" for i in range(2, 9000)))
+    outdir = tmp_path / "out"
+    rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), "--toplist", str(toplist),
+                   "--out", str(outdir)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: --toplist {toplist}: field larger")
+    assert not outdir.exists()

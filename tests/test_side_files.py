@@ -1,0 +1,257 @@
+"""The toplist, TLD-list and PSL parsers against per-line references.
+
+Each reference is the parser as it was before names were keyed by their
+canonical text: every toplist row through ``csv.reader`` and
+``normalize``, every TLD line through ``normalize``, and one rule object
+per PSL line matched by scanning the rules under the name's last label.
+The toplist reference takes a rank of ASCII digits only, as the parser
+does.
+"""
+
+import csv
+from dataclasses import dataclass
+
+from hypothesis import given, settings, strategies as st
+
+from universes import N
+from v6ready.analytics import parse_tld_list, parse_toplist
+from v6ready.names import DnsNameError, DomainName, normalize
+from v6ready.psl import PublicSuffixList
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the class and message are what is compared
+        return ("error", type(exc), str(exc))
+
+
+# -- toplist and TLD list ----------------------------------------------------
+
+
+def reference_toplist(text, rejected):
+    out = {}
+    for row in csv.reader(text.splitlines()):
+        if not row or len(row) < 2:
+            continue
+        rank = row[0].strip()
+        if not (rank.isascii() and rank.isdigit()):
+            continue
+        try:
+            name = normalize(row[1].strip())
+        except DnsNameError:
+            rejected.append(",".join(row))
+            continue
+        if name not in out or int(rank) < out[name]:
+            out[name] = int(rank)
+    return {str(name): rank for name, rank in out.items()}
+
+
+def reference_tld_list(text, rejected):
+    out = set()
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            try:
+                out.add(normalize(line))
+            except DnsNameError:
+                rejected.append(raw)
+    return {str(name) for name in out}
+
+
+NAME_FRAGMENTS = ["a", "B", "com", "Org", "-", "_", "0", "*", "xn--p1ai", ".", "..",
+                  "\\.", "\\065", "\\256", "\\", " ", "\t", '"', ",", "é", "例", "²",
+                  "x" * 63, "y" * 64]
+
+
+@st.composite
+def near_wire_limit(draw):
+    """Escape-free names of 4 to 6 labels whose wire length is 250 to 260."""
+    count = draw(st.integers(min_value=4, max_value=6))
+    chars = draw(st.integers(min_value=248, max_value=258)) - (count - 1)
+    sizes = [chars // count + (i < chars % count) for i in range(count)]
+    return ".".join("a" * k for k in sizes) + draw(st.sampled_from(["", "."]))
+
+
+names = st.one_of(
+    st.sampled_from(["a.com", "A.COM.", "b.org", "", ".", "a..com", ".a"]),  # duplicates
+    st.lists(st.sampled_from(NAME_FRAGMENTS), min_size=1, max_size=6).map(".".join),
+    st.lists(st.sampled_from(NAME_FRAGMENTS), max_size=6).map("".join),
+    near_wire_limit(),
+    st.text(max_size=12),
+)
+ranks = st.one_of(
+    st.integers(min_value=0, max_value=2_000_000).map(str),
+    st.sampled_from(["", "x", "²", "٣", " 5 ", "1_0", "-1", "+3", "1.0", "0x1"]),
+)
+
+
+def csv_field(text, style):
+    if style == "quoted":
+        return '"' + text.replace('"', '""') + '"'
+    if style == "spaced":
+        return f" {text} "
+    return text
+
+
+@st.composite
+def toplist_rows(draw):
+    styles = st.sampled_from(["plain", "plain", "quoted", "spaced"])
+    fields = [csv_field(draw(ranks), draw(styles)), csv_field(draw(names), draw(styles))]
+    fields += draw(st.lists(st.sampled_from(["x", "", '"q"', " 1"]), max_size=2))
+    return ",".join(fields[:draw(st.integers(min_value=1, max_value=4))])
+
+
+line_texts = st.lists(st.one_of(toplist_rows(), toplist_rows(), st.text(max_size=20)),
+                      max_size=12)
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@settings(max_examples=800, deadline=None)
+@given(line_texts, line_ends)
+def test_parse_toplist_matches_csv_reference(lines, end):
+    text = end.join(lines)
+    got_rejected, want_rejected = [], []
+    got = outcome(parse_toplist, text, got_rejected)
+    assert got == outcome(reference_toplist, text, want_rejected)
+    assert got_rejected == want_rejected
+
+
+tld_lines = st.one_of(
+    names,
+    names.map(lambda n: f"  {n}  # comment"),
+    names.map(str.upper),
+    st.text(max_size=20),
+)
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.lists(tld_lines, max_size=12), line_ends)
+def test_parse_tld_list_matches_normalize_reference(lines, end):
+    text = end.join(lines)
+    got_rejected, want_rejected = [], []
+    got = outcome(parse_tld_list, text, got_rejected)
+    assert got == outcome(lambda t, r: frozenset(reference_tld_list(t, r)), text, want_rejected)
+    assert got_rejected == want_rejected
+
+
+def test_toplist_keys_are_canonical_text():
+    rejected = []
+    toplist = parse_toplist('3,WWW.Example.COM.\n2,"a\\.b.com"\n1," spaced.org "\n'
+                            "4,www.example.com\n5,a..b\n", rejected)
+    assert toplist == {"www.example.com": 3, "a\\.b.com": 2, "spaced.org": 1}
+    assert rejected == ["5,a..b"]
+
+
+# -- public suffix list ------------------------------------------------------
+
+
+def reference_psl_label(part):
+    if part.isascii():
+        return part.lower().encode()
+    try:
+        return part.lower().encode("idna")
+    except UnicodeError:
+        return part.lower().encode("utf-8")
+
+
+@dataclass(frozen=True)
+class ReferenceRule:
+    labels: tuple
+    exception: bool
+    private: bool
+
+
+class ReferencePsl:
+    def __init__(self, text):
+        self.by_tail = {}
+        private = False
+        for raw in text.splitlines():
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("//"):
+                if "===BEGIN PRIVATE DOMAINS===" in line:
+                    private = True
+                elif "===END PRIVATE DOMAINS===" in line:
+                    private = False
+                continue
+            line = line.split()[0]
+            exception = line.startswith("!")
+            if exception:
+                line = line[1:]
+            parts = tuple(reference_psl_label(p) for p in line.split(".") if p)
+            if parts:
+                rule = ReferenceRule(parts, exception, private)
+                self.by_tail.setdefault(parts[-1], []).append(rule)
+
+    def match(self, name):
+        """(suffix, private) of the prevailing rule, or None."""
+        if not name.labels:
+            return None
+        candidates = []
+        for rule in self.by_tail.get(name.labels[-1], ()):
+            depth = len(rule.labels)
+            if depth <= len(name.labels) and all(
+                    r in (b"*", t) for r, t in zip(rule.labels, name.labels[-depth:])):
+                candidates.append(rule)
+        if not candidates:
+            return None
+        exceptions = [r for r in candidates if r.exception]
+        if exceptions:
+            rule = max(exceptions, key=lambda r: len(r.labels))
+            depth = len(rule.labels) - 1
+        else:
+            rule = max(candidates, key=lambda r: len(r.labels))
+            depth = len(rule.labels)
+        return name.ancestor_at_depth(depth), rule.private
+
+    def registered_domain(self, name):
+        m = self.match(name)
+        if m is None:
+            return None
+        depth = len(m[0].labels)
+        if len(name.labels) <= depth:
+            return None
+        return name.ancestor_at_depth(depth + 1)
+
+
+RULE_LABELS = ["com", "CO", "uk", "a", "b", "*", "рф", "École", "xn--p1ai", "例"]
+NAME_LABELS = ["com", "co", "uk", "a", "b", "www", "*", "xn--p1ai",
+               "école".encode("idna").decode()]
+rule_lines = st.builds(
+    lambda bang, labels, edge, tail: bang + edge + ".".join(labels) + tail,
+    st.sampled_from(["", "", "!"]),
+    st.lists(st.sampled_from(RULE_LABELS), min_size=1, max_size=4),
+    st.sampled_from(["", "", "."]),
+    st.sampled_from(["", "", ".", "  // note", "\tx"]),
+)
+psl_lines = st.one_of(
+    rule_lines, rule_lines, rule_lines,
+    st.sampled_from(["// ===BEGIN PRIVATE DOMAINS===", "// ===END PRIVATE DOMAINS===",
+                     "// comment", "", "   ", "!", ".", "..", "!*"]),
+)
+psl_names = st.lists(st.sampled_from(NAME_LABELS), max_size=5).map(
+    lambda labels: DomainName(label.encode() for label in labels))
+
+
+@settings(max_examples=800, deadline=None)
+@given(st.lists(psl_lines, max_size=14), st.lists(psl_names, min_size=1, max_size=8))
+def test_psl_match_matches_reference(lines, names_to_match):
+    text = "\n".join(lines)
+    # a rule set listed twice, the second time in the private section
+    for text in (text, f"{text}\n// ===BEGIN PRIVATE DOMAINS===\n{text}"):
+        psl, reference = PublicSuffixList.parse(text), ReferencePsl(text)
+        for name in names_to_match:
+            m = psl.match(name)
+            assert (None if m is None else tuple(m)) == reference.match(name)
+            assert psl.registered_domain(name) == reference.registered_domain(name)
+
+
+def test_psl_inner_wildcard_and_repeated_rule():
+    psl = PublicSuffixList.parse("a.*.com\n// ===BEGIN PRIVATE DOMAINS===\na.*.com\n"
+                                 "b.com\n// ===END PRIVATE DOMAINS===\n*.com\n")
+    m = psl.match(N("x.a.y.com"))
+    assert (str(m.suffix), m.private) == ("a.y.com", False)
+    m = psl.match(N("x.b.com"))
+    assert (str(m.suffix), m.private) == ("b.com", True)  # the first of two as long
