@@ -6,7 +6,9 @@ resolve (glue view) AND at least one NS listed by the zone itself must
 resolve (zone view), each evaluated per protocol. An NS counts only if
 it answered over that protocol when the caller saw it asked; the passive
 path passes no answers, so its NS are assumed live. Failure causes are then
-attributed from the evidence; causes are not mutually exclusive.
+attributed from the evidence; causes are not mutually exclusive. The
+passive path takes its verdicts from the fixed point and asks ``explain``
+only for the causes.
 """
 
 from __future__ import annotations
@@ -35,10 +37,6 @@ CAUSE_NS_UNRESPONSIVE = "ns-unresponsive"
 Answers = Mapping[tuple[DomainName, str], bool]
 
 
-class MissingParentEvidence(Exception):
-    """The zone's delegating parent was never observed."""
-
-
 @dataclass(frozen=True)
 class FailureCause:
     cause: str
@@ -49,22 +47,17 @@ class FailureCause:
 class NsContext:
     """What the caller knows about one NS name's own zone.
 
-    ``zone`` is the deepest observed zone enclosing the name. A missing or
-    unknown zone makes the NS unusable as an out-of-bailiwick reference.
+    ``zone`` is the deepest observed zone enclosing the name, and ``v4``
+    and ``v6`` whether it resolves. A zone of None (never reached) makes
+    the NS unusable as an out-of-bailiwick reference.
     """
 
     zone: DomainName | None = None
-    zone_known: bool = False
     v4: bool = False
     v6: bool = False
-    has_addr_v4: bool = False
-    has_addr_v6: bool = False
 
     def resolvable(self, proto: str) -> bool:
         return self.v4 if proto == V4 else self.v6
-
-    def has_addr(self, proto: str) -> bool:
-        return self.has_addr_v4 if proto == V4 else self.has_addr_v6
 
 
 @dataclass(frozen=True)
@@ -125,7 +118,7 @@ def _via_own_zone(rs: ZoneRecordSet, ns: DomainName, proto: str,
     """``ns`` has an address over ``proto`` from its own zone, which
     resolves over ``proto`` and is not ``rs.zone`` itself."""
     ctx = contexts.get(ns, _EMPTY_CONTEXT)
-    if ctx.zone is None or not ctx.zone_known or ctx.zone == rs.zone:
+    if ctx.zone is None or ctx.zone == rs.zone:
         return False
     if not ctx.resolvable(proto):
         return False
@@ -155,16 +148,8 @@ def view_flags(
     return glue_ok, zone_ok
 
 
-def _has_addr_anywhere(rs: ZoneRecordSet, ns: DomainName, proto: str,
-                       contexts: Mapping[DomainName, NsContext]) -> bool:
-    if rs.any_addrs(ns, proto):
-        return True
-    return contexts.get(ns, _EMPTY_CONTEXT).has_addr(proto)
-
-
-def _intent(rs: ZoneRecordSet, contexts: Mapping[DomainName, NsContext],
-            proto: str) -> bool:
-    return any(_has_addr_anywhere(rs, ns, proto, contexts) for ns in rs.all_ns())
+def _intent(rs: ZoneRecordSet, proto: str) -> bool:
+    return any(rs.any_addrs(ns, proto) for ns in rs.all_ns())
 
 
 def _failure_causes(
@@ -176,7 +161,7 @@ def _failure_causes(
 ) -> frozenset[FailureCause]:
     """Causes for a zone that does not resolve over ``proto``."""
     parent_view = rs.ns_parent_view()
-    if not _intent(rs, contexts, proto):
+    if not _intent(rs, proto):
         # No deeper diagnosis without evidence of intent.
         return frozenset({FailureCause(CAUSE_NO_AAAA_FOR_NS,
                                        _witnesses(parent_view or rs.all_ns()))})
@@ -185,15 +170,13 @@ def _failure_causes(
         parent = rs.delegating_zone()
         causes.add(FailureCause(CAUSE_PARENT_UNRESOLVABLE,
                                 (str(parent),) if parent is not None else ()))
-    if parent_view and not any(
-        _has_addr_anywhere(rs, ns, proto, contexts) for ns in parent_view
-    ):
+    if parent_view and not any(rs.any_addrs(ns, proto) for ns in parent_view):
         causes.add(FailureCause(CAUSE_NO_AAAA_FOR_NS, _witnesses(parent_view)))
     gluless = [
         ns for ns in parent_view
         if ns.is_within(rs.zone)
         and not rs.glue_addrs(ns, proto)
-        and _has_addr_anywhere(rs, ns, proto, contexts)
+        and rs.any_addrs(ns, proto)
     ]
     if gluless:
         causes.add(FailureCause(CAUSE_MISSING_GLUE, _witnesses(gluless)))
@@ -208,7 +191,7 @@ def _failure_causes(
         ns for ns in rs.all_ns()
         if not ns.is_within(rs.zone)
         and not _via_own_zone(rs, ns, proto, contexts)
-        and _has_addr_anywhere(rs, ns, proto, contexts)
+        and rs.any_addrs(ns, proto)
     ]
     if broken_refs:
         causes.add(FailureCause(CAUSE_OOB_NS_ZONE_UNRESOLVABLE,
@@ -219,8 +202,7 @@ def _failure_causes(
     if not causes:
         # Every remaining failure mode is an NS name with no usable
         # address evidence at all; report it as the missing-record case.
-        bare = [ns for ns in rs.all_ns()
-                if not _has_addr_anywhere(rs, ns, proto, contexts)]
+        bare = [ns for ns in rs.all_ns() if not rs.any_addrs(ns, proto)]
         causes.add(FailureCause(CAUSE_NO_AAAA_FOR_NS, _witnesses(bare or rs.all_ns())))
     return frozenset(causes)
 
@@ -229,9 +211,26 @@ def _witnesses(names: Iterable[DomainName]) -> tuple[str, ...]:
     return tuple(sorted(str(n) for n in names))
 
 
+def explain(
+    rs: ZoneRecordSet,
+    v4: bool,
+    v6: bool,
+    parent_v6: bool,
+    contexts: Mapping[DomainName, NsContext],
+    answers: Answers | None = None,
+) -> ResolutionStatus:
+    """The status of a zone whose verdicts are ``v4`` and ``v6``: its IPv6
+    intent and, unless it resolves over IPv6, the causes. ``parent_v6``
+    is whether the delegating zone resolves over IPv6."""
+    failures: frozenset[FailureCause] = frozenset()
+    if not v6:
+        failures = _failure_causes(rs, parent_v6, contexts, V6, answers)
+    return ResolutionStatus(state_of(v4, v6), v4, v6, _intent(rs, V6), failures)
+
+
 def classify(
     rs: ZoneRecordSet,
-    parent_status: ResolutionStatus | None,
+    parent_status: ResolutionStatus,
     contexts: Mapping[DomainName, NsContext] | None = None,
     answers: Answers | None = None,
 ) -> ResolutionStatus:
@@ -240,31 +239,14 @@ def classify(
     ``parent_status`` is the already-computed status of the delegating
     zone (the root axiom is dual); ``contexts`` describes the zones of
     out-of-bailiwick NS names; ``answers`` is the observed liveness of the
-    zone's NS (None: all assumed live).
+    zone's NS (None: all assumed live). Over each protocol the zone
+    resolves if its parent does and both views hold.
     """
-    if parent_status is None:
-        raise MissingParentEvidence(str(rs.zone))
     contexts = contexts or {}
-    per_proto: dict[str, bool] = {}
-    for proto in (V4, V6):
-        if not parent_status.resolvable(proto):
-            per_proto[proto] = False
-            continue
-        g, z = view_flags(rs, contexts, proto, answers)
-        per_proto[proto] = g and z
-    intent = _intent(rs, contexts, V6)
-    if per_proto[V6]:
-        failures: frozenset[FailureCause] = frozenset()
-    else:
-        failures = _failure_causes(rs, parent_status.resolvable(V6), contexts,
-                                   V6, answers)
-    return ResolutionStatus(
-        state=state_of(per_proto[V4], per_proto[V6]),
-        v4=per_proto[V4],
-        v6=per_proto[V6],
-        intent_v6=intent,
-        v6_failures=failures,
-    )
+    v4, v6 = (parent_status.resolvable(proto)
+              and all(view_flags(rs, contexts, proto, answers))
+              for proto in (V4, V6))
+    return explain(rs, v4, v6, parent_status.v6, contexts, answers)
 
 
 def mirror_causes(

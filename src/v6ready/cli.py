@@ -31,7 +31,7 @@ from .analytics import (
     state_share_rows,
     write_csv,
 )
-from .names import DnsNameError, normalize
+from .names import DnsNameError, DomainName, normalize
 from .passive import (
     IngestStats,
     classify_zones,
@@ -73,7 +73,7 @@ def _env(name: str) -> str | None:
 
 @dataclass
 class RunConfig:
-    roots: str | None
+    roots: list[tuple[DomainName, str, str]]  # the root hints
     protocol_filter: str
     timeout: float
     tcp_timeout: float
@@ -93,8 +93,14 @@ class RunConfig:
             filt = PROTOCOL_V4_ONLY
         if getattr(args, "v6_only", False):
             filt = PROTOCOL_V6_ONLY
+        roots = default_root_hints()
+        if args.roots is not None:
+            try:
+                roots = load_root_hints(args.roots)
+            except (OSError, ValueError) as exc:
+                raise ConfigError(f"--roots {args.roots}: {exc}") from None
         cfg = cls(
-            roots=args.roots,
+            roots=roots,
             protocol_filter=filt,
             timeout=args.timeout,
             tcp_timeout=args.tcp_timeout,
@@ -121,8 +127,6 @@ class RunConfig:
             raise ConfigError("--concurrency must be >= 1")
         if not 1 <= self.port <= 65535:
             raise ConfigError("--port out of range")
-        if self.roots is not None and not Path(self.roots).is_file():
-            raise ConfigError(f"root hints file not found: {self.roots}")
 
     def policy(self) -> QueryPolicy:
         return QueryPolicy(
@@ -131,11 +135,6 @@ class RunConfig:
             udp_timeout=self.timeout,
             tcp_timeout=self.tcp_timeout,
         )
-
-    def hints(self):
-        if self.roots is None:
-            return default_root_hints()
-        return load_root_hints(self.roots)
 
 
 def _transport(cfg: RunConfig, transport_factory=None):
@@ -148,7 +147,7 @@ def _build_resolver(cfg: RunConfig, transport,
     engine = QueryEngine(transport, policy=cfg.policy(), cache=cache, rng=rng)
     return Resolver(
         engine,
-        root_hints=cfg.hints(),
+        root_hints=cfg.roots,
         protocol_filter=cfg.protocol_filter,
         server_port=cfg.port,
     )

@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .classify import (
-    MissingParentEvidence,
-    NsContext,
-    ResolutionStatus,
-    ROOT_STATUS,
-    classify,
-    failure_breakdown,
-)
+from .classify import NsContext, ResolutionStatus, explain, failure_breakdown
 from .names import ROOT, DnsNameError, DomainName, normalize
 from .records import (
     AddrRecords,
@@ -79,9 +72,12 @@ def _parse_name(text, names: dict[str, DomainName]) -> DomainName:
 def tuple_from_fields(count, time_first, time_last, rrname, rrtype, bailiwick,
                       rdata, names: dict[str, DomainName] | None = None) -> PassiveTuple:
     """One validated tuple; ``names`` maps raw name text to names already
-    parsed, and is shared across the calls of one stream."""
+    parsed, and is shared across the calls of one stream. Every rdata value
+    must be text."""
     names = {} if names is None else names
     try:
+        if not all(isinstance(v, str) for v in rdata):
+            raise TypeError("rdata values must be strings")
         return PassiveTuple(
             count=int(count),
             time_first=int(time_first),
@@ -89,9 +85,9 @@ def tuple_from_fields(count, time_first, time_last, rrname, rrtype, bailiwick,
             rrname=_parse_name(rrname, names),
             rrtype=rrtype if isinstance(rrtype, RRType) else RRType.from_text(str(rrtype)),
             bailiwick=_parse_name(bailiwick, names),
-            rdata=tuple(str(v) for v in rdata),
+            rdata=tuple(rdata),
         )
-    except (ValueError, DnsNameError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise MalformedTuple(str(exc)) from exc
 
 
@@ -197,7 +193,7 @@ def ingest(tuples: Iterable[PassiveTuple], stats: IngestStats | None = None) -> 
             for value in t.rdata:
                 try:
                     canon = canonical_address(value)
-                except OSError:
+                except (OSError, ValueError):
                     ok = False
                     break
                 if address_protocol(canon) != want:
@@ -451,35 +447,25 @@ def classify_zones(
     record_sets: dict[DomainName, ZoneRecordSet],
     table: ResolutionTable,
 ) -> dict[DomainName, ResolutionStatus]:
-    """Per-zone statuses with failure causes, derived from the fixed point.
+    """Per-zone statuses: the fixed point's verdicts, with IPv6 intent and
+    failure causes.
 
     ``table`` must come from ``fixed_point(record_sets)``. Zones with
     unknown parentage are omitted (a gap in passive visibility is not
     evidence of breakage).
     """
+    resolvable = table.resolvable
     statuses: dict[DomainName, ResolutionStatus] = {}
-    for zone in sorted(record_sets, key=lambda z: len(z.labels)):
-        if zone == ROOT or zone in table.unknown_parent:
+    for zone, verdict in table.zones.items():
+        if zone in table.unknown_parent:
             continue
         rs = record_sets[zone]
-        parent = rs.delegating_zone()
-        if parent == ROOT:
-            parent_status = ROOT_STATUS
-        else:
-            parent_status = statuses.get(parent)
-            if parent_status is None:
-                continue
         contexts = {}
         for ns in rs.all_ns():
             z = table.ns_zone[ns]
-            contexts[ns] = NsContext(
-                zone=z, zone_known=True,
-                v4=table.resolvable(z, V4), v6=table.resolvable(z, V6),
-            )
-        try:
-            statuses[zone] = classify(rs, parent_status, contexts)
-        except MissingParentEvidence:
-            continue
+            contexts[ns] = NsContext(z, resolvable(z, V4), resolvable(z, V6))
+        statuses[zone] = explain(rs, verdict.res[V4], verdict.res[V6],
+                                 resolvable(rs.delegating_zone(), V6), contexts)
     return statuses
 
 

@@ -16,6 +16,7 @@ parent status, so a verdict covers the whole delegation chain.
 
 from __future__ import annotations
 
+import ipaddress
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -51,6 +52,12 @@ class PolicyViolation(AssertionError):
     """Internal invariant broke: a query escaped the protocol filter."""
 
 
+# Zone cuts one chain may pass, and zones that may be mid-discovery before
+# every further out-of-bailiwick NS reference is treated as blocked.
+DEPTH_LIMIT = 32
+SUBRESOLUTION_LIMIT = 16
+
+
 # Published root server set; tests point hints at the simulated universe.
 DEFAULT_ROOT_HINTS: tuple[tuple[str, str, str], ...] = (
     ("a.root-servers.net", V4, "198.41.0.4"),
@@ -83,16 +90,25 @@ DEFAULT_ROOT_HINTS: tuple[tuple[str, str, str], ...] = (
 
 
 def load_root_hints(path: str | Path) -> list[tuple[DomainName, str, str]]:
-    """Whitespace-separated (name, protocol, address) lines; '#' comments."""
+    """Whitespace-separated (name, protocol, address) lines of UTF-8 text;
+    '#' comments. Each address must be one of the family its protocol
+    names. Any other line is a ValueError."""
     hints = []
-    for raw in Path(path).read_text().splitlines():
+    for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 3 or parts[1] not in (V4, V6):
             raise ValueError(f"bad root hints line: {raw!r}")
-        hints.append((normalize(parts[0]), parts[1], parts[2]))
+        name, proto, addr = parts
+        family = 4 if proto == V4 else 6
+        try:
+            if ipaddress.ip_address(addr).version != family:
+                raise ValueError(f"not an IPv{family} address")
+            hints.append((normalize(name), proto, addr))
+        except ValueError as exc:
+            raise ValueError(f"bad root hints line {raw!r}: {exc}") from None
     if not hints:
         raise ValueError(f"no usable hints in {path}")
     return hints
@@ -184,9 +200,10 @@ class _ZoneInfo:
     parent_zone: DomainName | None
     parent_ns: frozenset[DomainName]
     child_ns: frozenset[DomainName] | None = None
-    glue: dict[DomainName, AddrRecords] = field(default_factory=dict)
-    apex: dict[DomainName, AddrRecords] = field(default_factory=dict)
-    sub_addrs: dict[DomainName, tuple[DomainName, AddrRecords]] = field(default_factory=dict)
+    # (name, bailiwick) -> the addresses served for it there: glue from the
+    # parent, apex records from the zone, and the lookup of each
+    # out-of-bailiwick NS in its own zone; never an empty entry
+    addrs: dict[tuple[DomainName, DomainName], AddrRecords] = field(default_factory=dict)
     contexts: dict[DomainName, NsContext] = field(default_factory=dict)
     queried: list[tuple[str, str, str]] = field(default_factory=list)
     answers: dict[tuple[DomainName, str], bool] = field(default_factory=dict)
@@ -196,6 +213,15 @@ class _ZoneInfo:
     cname_ns: set[DomainName] = field(default_factory=set)
     out_of_zone: list[ResourceRecord] = field(default_factory=list)
 
+    def glue(self) -> dict[DomainName, AddrRecords]:
+        """The parent's addresses for names inside the zone."""
+        return {ns: a for (ns, bw), a in self.addrs.items()
+                if bw == self.parent_zone and ns.is_within(self.zone)}
+
+    def note_addr(self, bailiwick: DomainName, rr: ResourceRecord) -> None:
+        key = (rr.owner, bailiwick)
+        self.addrs[key] = self.addrs.get(key, AddrRecords()).with_record(rr)
+
     def record_set(self) -> ZoneRecordSet:
         ns_by_bw: dict[DomainName, frozenset[DomainName]] = {}
         if self.parent_zone is not None:
@@ -204,20 +230,7 @@ class _ZoneInfo:
             ns_by_bw[self.zone] = self.parent_ns
         if self.child_ns is not None:
             ns_by_bw[self.zone] = self.child_ns
-        addrs: dict[tuple[DomainName, DomainName], AddrRecords] = {}
-        if self.parent_zone is not None:
-            for ns, a in self.glue.items():
-                if not a.empty:
-                    addrs[(ns, self.parent_zone)] = a
-        for ns, a in self.apex.items():
-            if not a.empty:
-                key = (ns, self.zone)
-                addrs[key] = addrs.get(key, AddrRecords()).merged(a)
-        for ns, (host_zone, a) in self.sub_addrs.items():
-            if not a.empty:
-                key = (ns, host_zone)
-                addrs[key] = addrs.get(key, AddrRecords()).merged(a)
-        return ZoneRecordSet(self.zone, ns_by_bw, addrs)
+        return ZoneRecordSet(self.zone, ns_by_bw, dict(self.addrs))
 
 
 class Resolver:
@@ -236,15 +249,11 @@ class Resolver:
         engine: QueryEngine,
         root_hints: list[tuple[DomainName, str, str]] | None = None,
         protocol_filter: str = PROTOCOL_BOTH,
-        depth_limit: int = 32,
-        subresolution_limit: int = 16,
         server_port: int = 53,
     ):
         self.engine = engine
         self.hints = root_hints or default_root_hints()
         self.protocol_filter = protocol_filter
-        self.depth_limit = depth_limit
-        self.subresolution_limit = subresolution_limit
         self.server_port = server_port
         self._zones: dict[DomainName, _ZoneInfo] = {}
         self._active: set[DomainName] = set()
@@ -269,7 +278,7 @@ class Resolver:
                 zone=info.zone,
                 parent_ns_set=info.parent_ns,
                 child_ns_set=info.child_ns,
-                glue=dict(info.glue),
+                glue=info.glue(),
                 queried_servers=list(info.queried),
                 cname_ns=frozenset(info.cname_ns),
                 out_of_zone=tuple(info.out_of_zone),
@@ -295,7 +304,7 @@ class Resolver:
         chain = [root]
         current = root
         boundaries = enclosing_zones(target)[1:]
-        if len(boundaries) > self.depth_limit:
+        if len(boundaries) > DEPTH_LIMIT:
             raise DepthLimitExceeded(str(target))
         for cand in boundaries:
             info = self._zones.get(cand)
@@ -327,7 +336,8 @@ class Resolver:
             by_name.setdefault(name, {V4: [], V6: []})[proto].append(addr)
         for name in sorted(by_name):
             addrs = by_name[name]
-            info.apex[name] = AddrRecords(frozenset(addrs[V4]), frozenset(addrs[V6]))
+            info.addrs[(name, ROOT)] = AddrRecords(frozenset(addrs[V4]),
+                                                   frozenset(addrs[V6]))
             for proto in (V4, V6):
                 if not self._allowed(proto):
                     continue
@@ -362,7 +372,7 @@ class Resolver:
     def _discover_cut(self, parent: _ZoneInfo, cand: DomainName) -> _ZoneInfo | None:
         """Probe the parent's servers for a delegation at ``cand``."""
         targets: set[DomainName] = set()
-        glue: dict[DomainName, AddrRecords] = {}
+        glue: list[ResourceRecord] = []
         strays: list[ResourceRecord] = []
         answered = False
         probes = []
@@ -373,9 +383,8 @@ class Resolver:
             answered = True
             found, new_glue, stray = self._interpret_ns_reply(outcome.message, cand)
             targets |= found
+            glue.extend(new_glue)
             strays.extend(stray)
-            for g_ns, g_addrs in new_glue.items():
-                glue[g_ns] = glue.get(g_ns, AddrRecords()).merged(g_addrs)
         if parent.zone == ROOT:
             if not any(parent.answers.values()):
                 raise RootUnreachable("no root server answered")
@@ -383,7 +392,9 @@ class Resolver:
         if answered and not targets:
             return None  # no cut at this boundary
         info = _ZoneInfo(zone=cand, parent_zone=parent.zone, parent_ns=frozenset(targets),
-                         glue=glue, taint=parent.taint, out_of_zone=strays)
+                         taint=parent.taint, out_of_zone=strays)
+        for rr in glue:
+            info.note_addr(parent.zone, rr)
         self._zones[cand] = info
         if not answered:
             # No server of the parent answered: whether or not ``cand`` is
@@ -408,7 +419,8 @@ class Resolver:
 
     @staticmethod
     def _interpret_ns_reply(msg: DnsMessage, cand: DomainName):
-        """Extract the NS set and in-zone glue for ``cand`` from one reply.
+        """Extract the NS set and the in-zone glue records for ``cand`` from
+        one reply.
 
         Additionals whose owner lies outside ``cand`` are returned
         separately: kept for reporting, never trusted for resolution.
@@ -417,7 +429,7 @@ class Resolver:
         for rr in msg.answer + msg.authority:
             if rr.rrtype == RRType.NS and rr.owner == cand:
                 targets.add(rr.target)
-        glue: dict[DomainName, AddrRecords] = {}
+        glue: list[ResourceRecord] = []
         out_of_zone: list[ResourceRecord] = []
         if targets:
             for rr in msg.additional:
@@ -426,7 +438,7 @@ class Resolver:
                 if not rr.owner.is_within(cand):
                     out_of_zone.append(rr)
                     continue
-                glue[rr.owner] = glue.get(rr.owner, AddrRecords()).with_record(rr)
+                glue.append(rr)
         return targets, glue, out_of_zone
 
     def _gather_zone_evidence(self, info: _ZoneInfo) -> None:
@@ -458,7 +470,7 @@ class Resolver:
                             # invalid for NS targets: recorded, never chased
                             info.cname_ns.add(ns)
                         elif rr.rrtype in (RRType.A, RRType.AAAA):
-                            self._note_apex(info, rr)
+                            info.note_addr(info.zone, rr)
 
     def _child_view(self, info: _ZoneInfo, contact) -> frozenset[DomainName] | None:
         child_ns: set[DomainName] | None = None
@@ -472,7 +484,7 @@ class Resolver:
                 child_ns = (child_ns or set()) | found
             for rr in msg.additional:
                 if rr.rrtype in (RRType.A, RRType.AAAA) and rr.owner.is_within(info.zone):
-                    self._note_apex(info, rr)
+                    info.note_addr(info.zone, rr)
         return frozenset(child_ns) if child_ns is not None else None
 
     def _query_first(self, contact, qname, rrtype, info: _ZoneInfo,
@@ -483,9 +495,6 @@ class Resolver:
             if self._note(info, ns, addr, outcome, own):
                 return list(outcome.message.answer)
         return []
-
-    def _note_apex(self, info: _ZoneInfo, rr: ResourceRecord) -> None:
-        info.apex[rr.owner] = info.apex.get(rr.owner, AddrRecords()).with_record(rr)
 
     def _contact_servers(self, info: _ZoneInfo, ns_names) -> list[tuple[DomainName, ServerAddress]]:
         """One address per (NS, protocol), from glue, apex or subordinate
@@ -512,45 +521,29 @@ class Resolver:
 
     def _known_addrs(self, info: _ZoneInfo, ns: DomainName) -> AddrRecords:
         merged = AddrRecords()
-        if ns in info.glue:
-            merged = merged.merged(info.glue[ns])
-        if ns in info.apex:
-            merged = merged.merged(info.apex[ns])
-        if ns in info.sub_addrs:
-            merged = merged.merged(info.sub_addrs[ns][1])
+        for (name, _bw), addrs in info.addrs.items():
+            if name == ns:
+                merged = merged.merged(addrs)
         return merged
 
     def _resolve_ns_reference(self, info: _ZoneInfo, ns: DomainName) -> None:
         """Subordinate walk, from the root, for an out-of-bailiwick NS name."""
-        if len(self._active) > self.subresolution_limit:
+        if len(self._active) > SUBRESOLUTION_LIMIT:
             blockers = set(self._active)
         else:
             blockers = {cand for cand in enclosing_zones(ns)[1:] if cand in self._active}
         if blockers:
-            info.contexts[ns] = NsContext(zone=None, zone_known=False)
+            info.contexts[ns] = NsContext()
             info.taint = info.taint | frozenset(blockers)
             return
-        chain = self._walk(ns)
-        host = chain[-1]
-        if host.zone == ROOT:
-            info.contexts[ns] = NsContext(zone=ROOT, zone_known=False)
-            return
+        host = self._walk(ns)[-1]
         info.taint = info.taint | host.taint
-        addrs = AddrRecords()
         if host.servers:
             for rrtype in (RRType.A, RRType.AAAA):
                 for rr in self._query_first(host.servers, ns, rrtype, host, own=False):
                     if rr.owner == ns and rr.rrtype in (RRType.A, RRType.AAAA):
-                        addrs = addrs.with_record(rr)
-        info.sub_addrs[ns] = (host.zone, addrs)
-        info.contexts[ns] = NsContext(
-            zone=host.zone,
-            zone_known=True,
-            v4=host.status.v4,
-            v6=host.status.v6,
-            has_addr_v4=bool(addrs.v4),
-            has_addr_v6=bool(addrs.v6),
-        )
+                        info.note_addr(host.zone, rr)
+        info.contexts[ns] = NsContext(host.zone, host.status.v4, host.status.v6)
 
     # -- enrichment and liveness ---------------------------------------------
 
@@ -617,8 +610,6 @@ def _root_status(root: _ZoneInfo) -> ResolutionStatus:
 
 
 def _invalid_address(addr: str) -> bool:
-    import ipaddress
-
     try:
         parsed = ipaddress.ip_address(addr)
     except ValueError:

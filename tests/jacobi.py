@@ -85,7 +85,7 @@ def jacobi_fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> Resoluti
                     z = ns_zone.get(ns, ROOT)
                     ok = z == ROOT or z in snapshot
                     out[ns] = NsContext(
-                        zone=z, zone_known=True,
+                        zone=z,
                         v4=ok if proto == V4 else False,
                         v6=ok if proto == V6 else False,
                     )

@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from universes import N, crawl, passive_verdicts, with_liveness_faults
 from v6ready.classify import (
     CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA,
@@ -10,7 +8,6 @@ from v6ready.classify import (
     CAUSE_NS_UNRESPONSIVE,
     CAUSE_PARENT_UNRESOLVABLE,
     FailureCause,
-    MissingParentEvidence,
     NsContext,
     ResolutionStatus,
     ROOT_STATUS,
@@ -46,8 +43,8 @@ def test_oob_ns_with_only_a_records_is_no_aaaa():
         },
     )
     contexts = {
-        N("ns1.example.net"): NsContext(N("example.net"), True, v4=True, v6=True),
-        N("ns2.example.net"): NsContext(N("example.net"), True, v4=True, v6=True),
+        N("ns1.example.net"): NsContext(N("example.net"), v4=True, v6=True),
+        N("ns2.example.net"): NsContext(N("example.net"), v4=True, v6=True),
     }
     status = classify(evidence, ROOT_STATUS, contexts)
     assert status.state == "v4-only"
@@ -100,12 +97,6 @@ def test_glue_present_but_apex_missing_aaaa():
     status = classify(evidence, ROOT_STATUS, {})
     assert status.state == "v4-only"
     assert status.causes == {CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA}
-
-
-def test_missing_parent_evidence_raises():
-    evidence = rs("x.example", "example", ["ns.x.example"])
-    with pytest.raises(MissingParentEvidence):
-        classify(evidence, None, {})
 
 
 def test_dual_state_has_no_failures():

@@ -251,6 +251,57 @@ def test_scan_survives_a_non_ascii_domain(tmp_path, capsys):
     assert rows["v4zone.t"]["state"] == "v4-only"
 
 
+# 33 labels: one zone cut more than a chain may pass
+TOO_DEEP = "a." * 32 + "t"
+
+
+def test_check_name_deeper_than_the_depth_limit_exits_two(tmp_path, capsys):
+    u = four_state_universe()
+    rc = run_cli(["check", TOO_DEEP, "--roots", write_hints(tmp_path, u), *FAST], u)
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:")
+    assert not u.log.entries
+
+
+def test_scan_writes_an_error_row_for_a_name_deeper_than_the_depth_limit(tmp_path, capsys):
+    u = four_state_universe()
+    domains = tmp_path / "domains.txt"
+    domains.write_text(f"{TOO_DEEP}\nv4zone.t\n")
+    out = tmp_path / "results.jsonl"
+    rc = run_cli(scan_args(tmp_path, u, domains, out), u)
+    assert rc == 0
+    assert "scanned 2 domains" in capsys.readouterr().out
+    rows = {r["domain"]: r for r in map(json.loads, out.read_text().splitlines())}
+    assert rows[TOO_DEEP]["error"]
+    assert rows["v4zone.t"]["state"] == "v4-only"
+
+
+BAD_ROOT_HINTS = {
+    "not-three-fields": b"a.root v4\n",
+    "not-utf8": b"a.root v4 10.0.0.1 # \xff\n",
+    "no-hints": b"# comments only\n\n",
+    "bad-name": b"bad..name v4 10.0.0.1\n",
+    "v6-address-as-v4": b"a.root v4 2001:db8::1\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ROOT_HINTS))
+def test_bad_root_hints_exit_two_before_any_query(tmp_path, capsys, case):
+    u = four_state_universe()
+    hints = tmp_path / "roots.hints"
+    hints.write_bytes(BAD_ROOT_HINTS[case])
+    domains = tmp_path / "domains.txt"
+    domains.write_text("v4zone.t\n")
+    out = tmp_path / "results.jsonl"
+    for argv in (["check", "v4zone.t", "--v4-only"],
+                 ["scan", str(domains), "--output", str(out), "--v4-only"]):
+        rc = run_cli([*argv, "--roots", str(hints), *FAST], u)
+        assert rc == 2, argv
+        assert capsys.readouterr().err.startswith(f"error: --roots {hints}: "), argv
+    assert not out.exists()
+    assert not u.log.entries
+
+
 def test_scan_rank_csv_preserves_ranks(tmp_path):
     u = four_state_universe()
     domains = tmp_path / "ranked.csv"

@@ -3,6 +3,7 @@ import io
 import json
 
 import jacobi
+from hypothesis import given, settings, strategies as st
 from universes import N, passive_verdicts
 from v6ready.passive import (
     IngestStats,
@@ -155,6 +156,88 @@ def test_invalid_address_values_are_malformed():
     stats = IngestStats()
     ingest([T("ns1.example.com", "A", "com", ["not-an-ip"])], stats)
     assert stats.malformed == 1
+
+
+def test_address_with_a_nul_byte_is_malformed():
+    stats = IngestStats()
+    lines = ["1\t1\t2\tns.a.com\tA\tcom\t1.2.3.4\x00\n",
+             "1\t1\t2\tns.a.com\tAAAA\tcom\t2001:db8::1\x00\n"]
+    result = ingest(iter_tuples(lines, stats), stats)
+    assert (stats.tuples, stats.malformed) == (2, 2)
+    assert not result.orphan_addresses
+
+
+def test_json_numbers_that_do_not_fit_are_malformed():
+    stats = IngestStats()
+    base = {"count": 1, "time_first": 1600000000, "time_last": 1600000000,
+            "rrname": "example.com", "rrtype": "NS", "bailiwick": "com",
+            "rdata": ["ns.x"]}
+    lines = [json.dumps(base).replace(f'"{field}": {value}', f'"{field}": {big}')
+             for field, value in (("count", 1), ("time_first", 1600000000),
+                                  ("time_last", 1600000000))
+             for big in ("1e400", "-1e400")]
+    lines.append(json.dumps(base))
+    tuples = list(iter_tuples(lines, stats))
+    assert (stats.tuples, stats.malformed) == (1, 6)
+    assert [t.rdata for t in tuples] == [("ns.x",)]
+
+
+def test_json_rdata_values_that_are_not_text_are_malformed():
+    stats = IngestStats()
+    base = {"count": 1, "time_first": 1600000000, "time_last": 1600000000,
+            "rrname": "example.com", "rrtype": "NS", "bailiwick": "com"}
+    lines = [json.dumps({**base, "rdata": rdata})
+             for rdata in ([1], [{"x": 1}], ["ns.x", None], [["ns.x"]], [True])]
+    lines.append(json.dumps({**base, "rdata": ["ns.x"]}))
+    tuples = list(iter_tuples(lines, stats))
+    assert (stats.tuples, stats.malformed) == (1, 5)
+    assert [t.rdata for t in tuples] == [("ns.x",)]
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+_name_texts = st.sampled_from(["com", "a.com", "ns.a.com", "ns.a.com.", ".", "",
+                               "a..com", "ns\x00.a.com", "例え.jp"]) | st.text()
+_rdata_texts = _name_texts | st.sampled_from(
+    ["192.0.2.1", "2001:db8::1", "1.2.3.4\x00", "::ffff:1.2.3.4", "1.2.3", "fe80::1%eth0"])
+_fields = {
+    "count": st.sampled_from([1, 2, 0, -1, 1e400, "1", 1.5]) | _json_values,
+    "time_first": st.sampled_from([1, 2, 1e400, -1e400, "x"]) | _json_values,
+    "time_last": st.sampled_from([2, 1, 1e400]) | _json_values,
+    "rrname": _name_texts | _json_values,
+    "rrtype": st.sampled_from(["NS", "A", "AAAA", "CNAME", "TXT", "TYPE2", "TYPE99999"])
+    | _json_values,
+    "bailiwick": _name_texts | _json_values,
+    "rdata": st.lists(_rdata_texts | _json_values, max_size=3) | _json_values,
+}
+_json_lines = st.builds(
+    lambda obj, drop, extra: json.dumps({k: v for k, v in obj.items() if k not in drop}
+                                        | extra).replace("Infinity", "1e400"),
+    st.fixed_dictionaries(_fields),
+    st.sets(st.sampled_from(sorted(_fields)), max_size=2),
+    st.dictionaries(st.text(max_size=5), _json_values, max_size=2),
+)
+_tsv_lines = st.builds(
+    lambda parts: "\t".join(parts) + "\n",
+    st.tuples(*(st.sampled_from(["1", "2", "0", "-1", "1e400", "x"]) | st.text(),) * 3,
+              _name_texts, st.sampled_from(["NS", "A", "AAAA", "CNAME", "MX"]) | st.text(),
+              _name_texts,
+              st.lists(_rdata_texts, max_size=3).map(",".join))
+    | st.lists(st.text(), max_size=9).map(tuple),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_json_lines | _tsv_lines | st.text(), max_size=6))
+def test_every_line_is_counted_once_and_ingest_never_raises(lines):
+    stats = IngestStats()
+    tuples = list(iter_tuples(lines, stats))
+    assert stats.tuples == len(tuples)
+    assert stats.tuples + stats.malformed == sum(1 for line in lines if line.strip())
+    ingest(tuples, stats)
 
 
 # -- fixed point -------------------------------------------------------------
@@ -378,9 +461,12 @@ def test_write_verdicts_versioned_jsonl():
 
 
 def test_classify_zones_agrees_with_table_flags():
-    # classify() recomputes the kernel with full contexts; at the fixed
-    # point it must land exactly on the table's per-protocol flags.
+    # classify() recomputes the kernel from the table's contexts and the
+    # parent's status; at the fixed point it must land exactly on the
+    # status classify_zones derives from the table's flags.
+    from v6ready.classify import ROOT_STATUS, NsContext, classify
     from v6ready.mocknet import fixture_tuples, random_universe
+    from v6ready.names import ROOT
 
     for seed in (31, 32, 33, 34):
         u, _ = random_universe(seed, 50)
@@ -390,6 +476,15 @@ def test_classify_zones_agrees_with_table_flags():
         for zone, status in statuses.items():
             assert status.v4 == table.zones[zone].res[V4], str(zone)
             assert status.v6 == table.zones[zone].res[V6], str(zone)
+            rs = result.record_sets[zone]
+            parent = rs.delegating_zone()
+            parent_status = ROOT_STATUS if parent == ROOT else statuses[parent]
+            contexts = {
+                ns: NsContext(table.ns_zone[ns], table.resolvable(table.ns_zone[ns], V4),
+                              table.resolvable(table.ns_zone[ns], V6))
+                for ns in rs.all_ns()
+            }
+            assert classify(rs, parent_status, contexts) == status, str(zone)
 
 
 def test_fixed_point_matches_jacobi_reference_on_oracle_seeds():

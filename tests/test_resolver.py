@@ -13,6 +13,7 @@ from universes import (
     healthy_zone,
     make_resolver,
     missing_glue_universe,
+    passive_verdicts,
     root_fixture,
     with_short_a_record,
 )
@@ -31,6 +32,7 @@ from v6ready.mocknet import (
     FixtureZone,
     WRONG_NS_SET_CHILD,
     build_universe,
+    fixture_tuples,
     ground_truth,
     zone_fixture,
 )
@@ -382,3 +384,16 @@ def test_cut_whose_parent_servers_never_answer_is_unresolvable():
         assert [str(s.zone) for s in res.steps] == ["t", "bad.t"], target
         assert cause_witnesses(res) == {CAUSE_NS_UNRESPONSIVE: ("ns0.t", "ns1.t")}
     assert resolver.resolve_chain("t").state == "dual"
+
+
+def test_ns_named_in_the_root_zone_is_looked_up_at_the_root():
+    # t's only NS is a.rootsrv, whose addresses the root zone serves: the
+    # walk must ask the root for them, as it asks any other host zone.
+    u = build_universe([root_fixture(), zone_fixture("t", [("a.rootsrv", [], [])])])
+    t = N("t")
+    assert ground_truth(u)[t] == {V4: True, V6: True}
+    _rs, _table, statuses = passive_verdicts(fixture_tuples(u))
+    res = make_resolver(u).resolve_chain("t")
+    assert (res.v4_resolvable, res.v6_resolvable) == (True, True)
+    assert res.status == statuses[t]
+    assert res.state == "dual" and not res.status.v6_failures
