@@ -13,6 +13,7 @@ Regenerate them only when an output format changes on purpose:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import sys
 from pathlib import Path
@@ -129,6 +130,35 @@ def test_golden_file_set(produced):
 @pytest.mark.parametrize("key", _keys())
 def test_golden_output_identical(produced, key):
     assert produced[key] == (EXPECTED / key).read_bytes(), key
+
+
+# sha256 over the 110 queries of one `scan` of domains.txt and one enriched
+# `check` on combined_two_scenario_universe, in the order they are sent
+TRAFFIC_SHA256 = "2481a7ac2ffbd8900ddc4aa326f2c7cd3500d5f433daef2727a7749222758518"
+
+
+def test_query_traffic_fingerprint(tmp_path):
+    """The packets themselves, not only the outputs built from them: which
+    server is asked what, over which transport, with or without EDNS."""
+    universe = combined_two_scenario_universe()
+    hints = _hints(tmp_path)
+    rc, _ = _quiet(["scan", str(GOLDEN / "domains.txt"), "--output",
+                    str(tmp_path / "scan.jsonl"), "--concurrency", "1",
+                    "--roots", hints, *FAST], universe)
+    assert rc == 0
+    rc, _ = _quiet(["check", "www.sub.example.org", "--format", "structured",
+                    "--roots", hints, *FAST], universe)
+    assert rc in (0, 1)
+    digest = hashlib.sha256()
+    queries = universe.log.queries()
+    for entry in queries:
+        q = entry.message.question
+        edns = entry.message.edns
+        digest.update(repr((
+            entry.address, entry.transport, str(q.qname), str(q.qtype), q.qclass,
+            edns.udp_payload_size if edns else None)).encode() + b"\n")
+    assert len(queries) == 110
+    assert digest.hexdigest() == TRAFFIC_SHA256
 
 
 if __name__ == "__main__":
