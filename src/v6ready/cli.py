@@ -220,7 +220,9 @@ def _parse_domain_list(path: str) -> list[tuple[str, int | None]]:
             continue
         if "," in line:
             rank_text, domain = line.split(",", 1)
-            rank = int(rank_text.strip()) if rank_text.strip().isdigit() else None
+            rank_text = rank_text.strip()
+            # ASCII digits: isdigit() also takes "²", which int() rejects
+            rank = int(rank_text) if rank_text.isascii() and rank_text.isdigit() else None
             out.append((domain.strip(), rank))
         else:
             out.append((line, None))

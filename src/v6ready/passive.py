@@ -72,16 +72,19 @@ def _parse_name(text, names: dict[str, DomainName]) -> DomainName:
 def tuple_from_fields(count, time_first, time_last, rrname, rrtype, bailiwick,
                       rdata, names: dict[str, DomainName] | None = None) -> PassiveTuple:
     """One validated tuple; ``names`` maps raw name text to names already
-    parsed, and is shared across the calls of one stream. Every rdata value
-    must be text."""
+    parsed, and is shared across the calls of one stream. The three numbers
+    must be ``int`` (so a JSON integer, never a bool, float or string) and
+    every rdata value text."""
     names = {} if names is None else names
     try:
+        if not (type(count) is type(time_first) is type(time_last) is int):
+            raise TypeError("count, time_first and time_last must be integers")
         if not all(isinstance(v, str) for v in rdata):
             raise TypeError("rdata values must be strings")
         return PassiveTuple(
-            count=int(count),
-            time_first=int(time_first),
-            time_last=int(time_last),
+            count=count,
+            time_first=time_first,
+            time_last=time_last,
             rrname=_parse_name(rrname, names),
             rrtype=rrtype if isinstance(rrtype, RRType) else RRType.from_text(str(rrtype)),
             bailiwick=_parse_name(bailiwick, names),
@@ -96,8 +99,16 @@ def _parse_tsv_line(line: str, names: dict[str, DomainName]) -> PassiveTuple:
     if len(parts) != 7:
         raise MalformedTuple(f"expected 7 tab-separated fields, got {len(parts)}")
     rdata = [v for v in parts[6].split(",") if v]
-    return tuple_from_fields(parts[0], parts[1], parts[2], parts[3], parts[4],
-                             parts[5], rdata, names)
+    return tuple_from_fields(_tsv_int(parts[0]), _tsv_int(parts[1]), _tsv_int(parts[2]),
+                             parts[3], parts[4], parts[5], rdata, names)
+
+
+def _tsv_int(text: str) -> int:
+    """A TSV number: ASCII digits only (``int`` also takes ``+1``, ``1_0``,
+    `` 2 `` and other scripts' digits)."""
+    if text.isascii() and text.isdigit():
+        return int(text)
+    raise MalformedTuple(f"not a number: {text!r}")
 
 
 def _parse_json_line(line: str, names: dict[str, DomainName]) -> PassiveTuple:

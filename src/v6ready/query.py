@@ -4,6 +4,17 @@ Behavior per scan policy: UDP first with EDNS, retry over TCP on
 truncation, drop EDNS after a FORMERR, at most ``max_retries``
 timeout-driven attempts per transport path spaced by ``retry_wait``,
 and every outcome (including failures) cached per (server, qname, qtype).
+A reply counts only if it carries the query's ID and question.
+
+Each engine remembers two packets, one slot each, for its own lifetime:
+the last query it encoded, without its ID, and the last reply it decoded,
+with the bytes after its ID. A resolver asks each server of a zone the
+same question in a row, and the servers send the same bytes apart from
+the ID, so an attempt that repeats the last question only prefixes a
+fresh ID, and a reply that repeats the last body reuses its decoded
+message under its own ID. A slot holds one packet and is overwritten by
+the next, so the memory stays bounded however long a scan runs; slots
+are never shared between engines.
 """
 
 from __future__ import annotations
@@ -160,6 +171,10 @@ class QueryEngine:
         self.cache = cache if cache is not None else ResponseCache()
         self.rng = rng or random.Random()
         self._sleep = sleep
+        # ((qname, qtype, qclass, edns), query bytes after the ID)
+        self._last_query: tuple = (None, b"")
+        # (reply bytes after the ID, the decoded reply)
+        self._last_reply: tuple = (None, None)
 
     def query(
         self,
@@ -201,29 +216,53 @@ class QueryEngine:
 
     def _attempt_path(self, server, qname, qtype, qclass, transport, edns) -> QueryOutcome:
         timeout = self.policy.udp_timeout if transport == UDP else self.policy.tcp_timeout
+        body = self._query_body(qname, qtype, qclass, edns)
         for attempt in range(self.policy.max_retries):
             if attempt:
                 self._sleep(self.policy.retry_wait)
             msg_id = self.rng.randrange(0x10000)
-            query_msg = DnsMessage(
-                id=msg_id,
-                question=Question(qname, qtype, qclass),
-                edns=Edns(self.policy.edns_payload) if edns else None,
-            )
+            payload = msg_id.to_bytes(2, "big") + body
             try:
-                raw = self.transport.exchange(server, transport, encode(query_msg), timeout)
+                raw = self.transport.exchange(server, transport, payload, timeout)
             except TransportTimeout:
                 continue
             except TransportUnreachable:
                 return QueryOutcome(UNREACHABLE)
+            if not _answers(payload, raw):
+                return QueryOutcome(MALFORMED)
             try:
-                msg = decode(raw)
+                msg = self._decode_reply(raw)
             except WireFormatError:
                 return QueryOutcome(MALFORMED)
-            if msg.id != msg_id or not msg.qr:
+            if not msg.qr:
                 return QueryOutcome(MALFORMED)
             return QueryOutcome(RESPONSE, msg, transport, edns)
         return QueryOutcome(TIMEOUT)
+
+    def _query_body(self, qname, qtype, qclass, edns) -> bytes:
+        """The encoded query after its 2-byte ID."""
+        question = (qname, qtype, qclass, edns)
+        last_question, body = self._last_query
+        if last_question != question:
+            body = encode(DnsMessage(
+                question=Question(qname, qtype, qclass),
+                edns=Edns(self.policy.edns_payload) if edns else None,
+            ))[2:]
+            self._last_query = (question, body)
+        return body
+
+    def _decode_reply(self, raw: bytes) -> DnsMessage:
+        """``decode(raw)``. A reply whose bytes after the ID repeat the last
+        decoded one shares that message's sections, which are immutable."""
+        body = raw[2:]
+        last_body, m = self._last_reply
+        if body != last_body:
+            msg = decode(raw)
+            self._last_reply = (body, msg)
+            return msg
+        return DnsMessage(int.from_bytes(raw[:2], "big"), m.qr, m.opcode, m.aa, m.tc,
+                          m.rd, m.ra, m.rcode, m.question, m.answer, m.authority,
+                          m.additional, m.edns)
 
 
 def _answers(query: bytes, reply: bytes) -> bool:

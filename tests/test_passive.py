@@ -3,6 +3,7 @@ import io
 import json
 
 import jacobi
+import pytest
 from hypothesis import given, settings, strategies as st
 from universes import N, passive_verdicts
 from v6ready.passive import (
@@ -180,6 +181,35 @@ def test_json_numbers_that_do_not_fit_are_malformed():
     tuples = list(iter_tuples(lines, stats))
     assert (stats.tuples, stats.malformed) == (1, 6)
     assert [t.rdata for t in tuples] == [("ns.x",)]
+
+
+_JSON_BASE = {"count": 1, "time_first": 1600000000, "time_last": 1600000000,
+              "rrname": "example.com", "rrtype": "NS", "bailiwick": "com",
+              "rdata": ["ns.x"]}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("count", True), ("time_first", 1.9), ("time_last", "1600000000"), ("count", "2"),
+    ("count", 1.0),
+])
+def test_json_number_that_is_not_a_json_integer_is_malformed(field, value):
+    stats = IngestStats()
+    lines = [json.dumps({**_JSON_BASE, field: value}), json.dumps(_JSON_BASE)]
+    tuples = list(iter_tuples(lines, stats))
+    assert (stats.tuples, stats.malformed) == (1, 1)
+    assert tuples[0].count == 1
+
+
+@pytest.mark.parametrize("number", ["١", "1_0", "+1", " 2 ", "-1", "²"])
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_tsv_number_that_is_not_ascii_digits_is_malformed(column, number):
+    stats = IngestStats()
+    fields = ["1", "1", "20", "example.com", "NS", "com", "ns.x"]
+    good = "\t".join(fields)
+    fields[column] = number
+    tuples = list(iter_tuples(["\t".join(fields), good], stats))
+    assert (stats.tuples, stats.malformed) == (1, 1)
+    assert (tuples[0].count, tuples[0].time_first, tuples[0].time_last) == (1, 1, 20)
 
 
 def test_json_rdata_values_that_are_not_text_are_malformed():

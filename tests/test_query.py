@@ -1,12 +1,15 @@
 import json
 import random
 import socket
+import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from universes import healthy_zone, root_fixture, with_short_a_record
 from v6ready import cli, wire
+from v6ready import query as query_module
 from v6ready.mocknet import build_universe
 from v6ready.names import normalize
 from v6ready.query import (
@@ -24,7 +27,7 @@ from v6ready.query import (
     UNREACHABLE,
     UdpTcpTransport,
 )
-from v6ready.records import RRType
+from v6ready.records import ResourceRecord, RRType
 
 SERVER = ServerAddress("192.0.2.53")
 QNAME = normalize("example.com")
@@ -231,6 +234,218 @@ def test_cache_abort_on_transport_crash():
     # the in-flight marker must be released so later callers are not stuck
     cache = engine.cache
     assert cache.begin(("192.0.2.53", 53, QNAME, RRType.NS, 1)) is None
+
+
+# -- the packet memo: one query and one reply remembered per engine ----------
+
+
+class Recorder:
+    """Replies with ``reply(payload, transport)`` and records each payload;
+    ``drops`` exchanges time out first."""
+
+    def __init__(self, reply, drops=0):
+        self.reply = reply
+        self.drops = drops
+        self.payloads = []
+
+    def exchange(self, server, transport, payload, timeout):
+        self.payloads.append(payload)
+        if self.drops:
+            self.drops -= 1
+            raise TransportTimeout("dropped")
+        return self.reply(payload, transport)
+
+
+def _engine(transport, seed=7, **policy_kwargs):
+    return QueryEngine(transport, policy=QueryPolicy(retry_wait=0.0, **policy_kwargs),
+                       rng=random.Random(seed), sleep=lambda s: None)
+
+
+_labels = st.text("abcdefghijklmnopqrstuvwxyz0123456789-", min_size=1, max_size=12)
+_questions = st.tuples(
+    st.lists(_labels, min_size=1, max_size=4).map(lambda ls: normalize(".".join(ls))),
+    st.integers(0, 0xFFFF).map(RRType),
+    st.integers(0, 0xFFFF),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(questions=st.lists(st.tuples(_questions, st.sampled_from(
+           ["ok", "tc", "formerr", "tc+formerr"]), st.integers(0, 2)),
+           min_size=1, max_size=6),
+       edns_payload=st.none() | st.integers(512, 0xFFFF),
+       seed=st.integers(0, 2**32))
+def test_every_sent_query_equals_a_freshly_encoded_one(questions, edns_payload, seed):
+    formerr_at = []  # indexes of the payloads answered with FORMERR
+
+    def reply(payload, transport):
+        msg = wire.decode(payload)
+        if "formerr" in behavior and msg.edns is not None:
+            formerr_at.append(len(recorder.payloads) - 1)
+            return wire.encode(msg.reply_skeleton(rcode=wire.RCODE_FORMERR))
+        if "tc" in behavior and transport == UDP:
+            return wire.encode(msg.reply_skeleton(tc=True))
+        return wire.encode(msg.reply_skeleton(aa=True))
+
+    recorder = Recorder(reply)
+    engine = _engine(recorder, seed, edns_payload=edns_payload)
+    ids = random.Random(seed)  # the engine draws one ID per attempt
+    for i, ((qname, qtype, qclass), behavior, drops) in enumerate(questions):
+        recorder.drops = drops
+        start = len(recorder.payloads)
+        outcome = engine.query(ServerAddress(f"192.0.2.{i + 1}"), qname, qtype, qclass)
+        assert outcome.kind == RESPONSE
+        for j in range(start, len(recorder.payloads)):
+            edns = edns_payload is not None and not any(start <= k < j for k in formerr_at)
+            payload = recorder.payloads[j]
+            assert payload == wire.encode(wire.DnsMessage(
+                id=ids.randrange(0x10000),
+                question=wire.Question(qname, qtype, qclass),
+                edns=wire.Edns(edns_payload) if edns else None))
+
+
+def _ns_reply(payload, transport):
+    """The same answer from every server: only the ID differs."""
+    msg = wire.decode(payload)
+    ns = ResourceRecord(msg.question.qname, RRType.NS, 300, normalize("ns1.example.com"))
+    return wire.encode(msg.reply_skeleton(aa=True, answer=(ns,)))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(query_module, name)
+    monkeypatch.setattr(query_module, name, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
+def test_servers_sending_the_same_reply_share_one_decoded_answer(monkeypatch):
+    encodes = _count_calls(monkeypatch, "encode")
+    decodes = _count_calls(monkeypatch, "decode")
+    recorder = Recorder(_ns_reply)
+    engine = _engine(recorder)
+    first = engine.query(ServerAddress("192.0.2.1"), QNAME, RRType.NS)
+    second = engine.query(ServerAddress("192.0.2.2"), QNAME, RRType.NS)
+    assert first.kind == second.kind == RESPONSE
+    assert [first.message.id, second.message.id] == [
+        int.from_bytes(p[:2], "big") for p in recorder.payloads]
+    assert first.message.id != second.message.id
+    assert second.message.answer is first.message.answer
+    assert second.message.answer[0].data == normalize("ns1.example.com")
+    assert (len(encodes), len(decodes)) == (1, 1)
+
+
+def test_remembered_reply_body_under_a_wrong_id_is_malformed():
+    replies = []
+
+    def reply(payload, transport):
+        if not replies:
+            replies.append(_ns_reply(payload, transport))
+            return replies[0]
+        wrong = (int.from_bytes(payload[:2], "big") ^ 1).to_bytes(2, "big")
+        return wrong + replies[0][2:]
+
+    engine = _engine(Recorder(reply))
+    assert engine.query(ServerAddress("192.0.2.1"), QNAME, RRType.NS).kind == RESPONSE
+    assert engine.query(ServerAddress("192.0.2.2"), QNAME, RRType.NS).kind == MALFORMED
+
+
+def test_malformed_reply_after_a_good_one_is_malformed_and_never_remembered():
+    def reply(payload, transport):
+        raw = _ns_reply(payload, transport)
+        return raw if len(recorder.payloads) == 1 else with_short_a_record(raw)
+
+    recorder = Recorder(reply)
+    engine = _engine(recorder)
+    outcomes = [engine.query(ServerAddress(f"192.0.2.{i}"), QNAME, RRType.NS)
+                for i in (1, 2, 3)]
+    assert [o.kind for o in outcomes] == [RESPONSE, MALFORMED, MALFORMED]
+
+
+def test_each_new_engine_starts_with_empty_slots(monkeypatch):
+    encodes = _count_calls(monkeypatch, "encode")
+    decodes = _count_calls(monkeypatch, "decode")
+    transport = Recorder(_ns_reply)
+    for seed in (1, 2):
+        outcome = _engine(transport, seed).query(SERVER, QNAME, RRType.NS)
+        assert outcome.kind == RESPONSE
+    assert (len(encodes), len(decodes)) == (2, 2)
+
+
+def test_an_engine_shared_by_threads_pairs_each_reply_with_its_own_message():
+    names = [normalize(f"n{k}.example") for k in range(3)]
+    engine = _engine(Recorder(_ns_reply))
+    wrong = []
+
+    def run(worker):
+        for i in range(150):
+            qname = names[(worker + i) % len(names)]
+            server = ServerAddress(f"192.0.2.{worker}", 1000 + i)
+            outcome = engine.query(server, qname, RRType.NS)
+            if outcome.kind != RESPONSE or outcome.message.answer[0].owner != qname:
+                wrong.append((worker, i, outcome))
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+# -- a reply must answer the question that was sent ---------------------------
+
+EVIL = normalize("evil.example")
+
+
+def _evil_reply(payload):
+    """The query's ID, with the question and answer of evil.example A."""
+    msg = wire.decode(payload)
+    a = ResourceRecord(EVIL, RRType.A, 300, bytes([192, 0, 2, 66]))
+    return wire.encode(msg.reply_skeleton(
+        aa=True, question=wire.Question(EVIL, RRType.A), answer=(a,)))
+
+
+@pytest.mark.parametrize("over", [UDP, TCP])
+def test_reply_to_another_question_is_malformed(over):
+    def reply(payload, transport):
+        if transport != over:  # reach TCP through a truncated UDP reply
+            return wire.encode(wire.decode(payload).reply_skeleton(tc=True))
+        return _evil_reply(payload)
+
+    recorder = Recorder(reply)
+    outcome = _engine(recorder).query(SERVER, normalize("good.example"), RRType.A)
+    assert outcome.kind == MALFORMED
+    assert len(recorder.payloads) == (1 if over == UDP else 2)
+
+
+def test_reply_question_matches_without_case():
+    def reply(payload, transport):
+        raw = wire.encode(wire.decode(payload).reply_skeleton(aa=True))
+        name_end = 12 + len(b"\x07example\x03com\x00")
+        return raw[:12] + raw[12:name_end].upper() + raw[name_end:]
+
+    outcome = _engine(Recorder(reply)).query(SERVER, QNAME, RRType.NS)
+    assert outcome.kind == RESPONSE
+    assert outcome.message.question == wire.Question(QNAME, RRType.NS)
+
+
+def test_formerr_without_a_question_answers_and_drops_edns():
+    def reply(payload, transport):
+        msg = wire.decode(payload)
+        if msg.edns is not None:
+            return wire.encode(msg.reply_skeleton(question=None, rcode=wire.RCODE_FORMERR))
+        return wire.encode(msg.reply_skeleton(aa=True))
+
+    outcome = _engine(Recorder(reply)).query(SERVER, QNAME, RRType.NS)
+    assert outcome.kind == RESPONSE
+    assert outcome.edns_used is False
+    assert outcome.message.rcode == wire.RCODE_NOERROR
 
 
 # -- UDP reply matching over loopback sockets --------------------------------
