@@ -220,13 +220,21 @@ def _parse_domain_list(path: str) -> list[tuple[str, int | None]]:
             continue
         if "," in line:
             rank_text, domain = line.split(",", 1)
-            rank_text = rank_text.strip()
-            # ASCII digits: isdigit() also takes "²", which int() rejects
-            rank = int(rank_text) if rank_text.isascii() and rank_text.isdigit() else None
-            out.append((domain.strip(), rank))
+            out.append((domain.strip(), _rank(rank_text.strip())))
         else:
             out.append((line, None))
     return out
+
+
+def _rank(text: str) -> int | None:
+    """ASCII digits as a number, else None: ``isdigit()`` also takes "²",
+    and ``int()`` refuses more than 4,300 digits."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    return None
 
 
 def _scanned_domains(out_path: Path) -> set[str]:

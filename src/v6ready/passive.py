@@ -107,14 +107,17 @@ def _tsv_int(text: str) -> int:
     """A TSV number: ASCII digits only (``int`` also takes ``+1``, ``1_0``,
     `` 2 `` and other scripts' digits)."""
     if text.isascii() and text.isdigit():
-        return int(text)
+        try:
+            return int(text)
+        except ValueError as exc:  # more digits than int() converts
+            raise MalformedTuple(str(exc)) from exc
     raise MalformedTuple(f"not a number: {text!r}")
 
 
 def _parse_json_line(line: str, names: dict[str, DomainName]) -> PassiveTuple:
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or more digits than int() converts
         raise MalformedTuple(str(exc)) from exc
     if not isinstance(obj, dict):
         raise MalformedTuple("JSON record must be an object")

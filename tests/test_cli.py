@@ -320,19 +320,21 @@ def test_scan_rank_csv_preserves_ranks(tmp_path):
 def test_scan_reads_a_rank_that_is_not_ascii_digits_as_no_rank(tmp_path, capsys):
     u = four_state_universe()
     domains = tmp_path / "ranked.csv"
-    domains.write_text("²,dualzone.t\n٣,v4zone.t\n7,v6zone.t\n", encoding="utf-8")
+    domains.write_text(f"²,dualzone.t\n٣,v4zone.t\n7,v6zone.t\n{'9' * 5000},nozone.t\n",
+                       encoding="utf-8")
     out = tmp_path / "results.jsonl"
     rc = run_cli([
         "scan", str(domains), "--roots", write_hints(tmp_path, u),
         "--output", str(out), "--concurrency", "1", *FAST,
     ], u)
     assert rc == 0
-    assert "scanned 3 domains" in capsys.readouterr().out
+    assert "scanned 4 domains" in capsys.readouterr().out
     rows = {r["domain"]: r for r in map(json.loads, out.read_text().splitlines())}
     assert rows["dualzone.t"]["rank"] is None
     assert rows["dualzone.t"]["state"] == "dual"
     assert rows["v4zone.t"]["rank"] is None
     assert rows["v6zone.t"]["rank"] == 7
+    assert rows["nozone.t"]["rank"] is None
 
 
 def write_tuples(path, tuples):

@@ -200,7 +200,16 @@ def test_json_number_that_is_not_a_json_integer_is_malformed(field, value):
     assert tuples[0].count == 1
 
 
-@pytest.mark.parametrize("number", ["١", "1_0", "+1", " 2 ", "-1", "²"])
+def test_json_number_with_more_digits_than_int_converts_is_malformed():
+    stats = IngestStats()
+    huge = json.dumps(_JSON_BASE).replace('"count": 1', '"count": ' + "9" * 5000)
+    tuples = list(iter_tuples([huge, json.dumps(_JSON_BASE)], stats))
+    assert (stats.tuples, stats.malformed) == (1, 1)
+    assert tuples[0].count == 1
+
+
+@pytest.mark.parametrize("number", ["١", "1_0", "+1", " 2 ", "-1", "²",
+                                    pytest.param("9" * 5000, id="5000-digits")])
 @pytest.mark.parametrize("column", [0, 1, 2])
 def test_tsv_number_that_is_not_ascii_digits_is_malformed(column, number):
     stats = IngestStats()
