@@ -3,7 +3,12 @@
 The inputs under ``tests/golden/`` are committed: passive tuples exported
 by ``mocknet.fixture_tuples`` from one seeded ``random_universe``, a tiny
 PSL, TLD list and toplist, and a scan list over the zones of
-``combined_two_scenario_universe``. Every run must reproduce the files
+``combined_two_scenario_universe``. A second ``simulate`` reads the tuples
+of another universe from a TSV file and a gzipped JSONL file at once,
+mixed with what a real aggregate holds: repeated lines, split NS sets,
+records that carry no delegation evidence, names and types in other
+spellings, blank lines, and one line of each malformed kind that
+``bench/gen.py`` injects. Every run must reproduce the files
 under ``tests/golden/expected/`` byte for byte.
 
 Regenerate them only when an output format changes on purpose:
@@ -13,8 +18,11 @@ Regenerate them only when an output format changes on purpose:
 from __future__ import annotations
 
 import contextlib
+import gzip
 import hashlib
 import io
+import json
+import random
 import sys
 from pathlib import Path
 
@@ -53,6 +61,82 @@ DOMAINS = ("org\nnet\n10,example.net\n20,example.org\nsub.example.org\n"
            "bad..name\nwww.sub.example.org\n")
 
 
+TUPLE_FIELDS = ("count", "time_first", "time_last", "rrname", "rrtype",
+                "bailiwick", "rdata")
+
+
+def _malformed(zone: str) -> list[dict | str]:
+    """One record of each malformed kind ``bench/gen.py`` injects; the
+    first is cut short (a string, in either form)."""
+    base = {"count": 1, "time_first": 100, "time_last": 200, "rrname": zone,
+            "rrtype": "NS", "bailiwick": zone, "rdata": [f"ns1.{zone}"]}
+    return ["1\t2\t3\tx.com\tNS", {**base, "count": "many"}, {**base, "count": 0},
+            {**base, "time_first": 300}, {**base, "rdata": []},
+            {**base, "rrtype": "BOGUS"}, {**base, "rrname": "x" * 64 + "." + zone},
+            {**base, "rdata": [f"ns1..{zone}"]},
+            {**base, "rrname": f"ns1.{zone}", "rrtype": "A", "rdata": ["fd00::1"]},
+            {**base, "rrname": f"ns1.{zone}", "rrtype": "AAAA", "rdata": ["10.1.2.3"]}]
+
+
+def mixed_records() -> tuple[list, list]:
+    """(TSV records, JSON records) of one aggregate split over two files."""
+    universe, _truth = random_universe(seed=12, size=40)
+    rng = random.Random(12)
+    rows = []
+    for t in fixture_tuples(universe):
+        row = [str(t.rrname), str(t.rrtype), str(t.bailiwick), list(t.rdata)]
+        rows.append(row)
+        r = rng.random()
+        if r < 0.2:
+            rows.append(row)
+        elif r < 0.35 and len(row[3]) > 1:
+            rows.append([*row[:3], row[3][:1]])
+        elif r < 0.45 and row[0] != ".":
+            rows.append([row[0].upper() + ".", row[1].lower(), row[2], row[3]])
+    zones = sorted({row[0] for row in rows if row[1] == "NS"})
+    for zone in zones[::3]:
+        rows += [[zone, "SOA", zone, [f"ns1.{zone} hostmaster.{zone} 1 7200 3600 1209600 300"]],
+                 [zone, "MX", zone, [f"10 mail.{zone}"]], [zone, "TXT", zone, ["v=spf1 -all"]],
+                 [f"www.{zone}", "CNAME", zone, [zone]], [zone, "TYPE99", zone, ["x"]]]
+    rows += [["\\122\\048", "NS", ".", ["ns0-1.z0"]],
+             ["a\\.b.z0", "A", "z0", ["10.9.9.9"]]]
+    rng.shuffle(rows)
+    records = []
+    for rrname, rrtype, bailiwick, rdata in rows:
+        first = 1_600_000_000 + rng.randrange(86400 * 28)
+        records.append(dict(zip(TUPLE_FIELDS, (1 + rng.randrange(500), first,
+                                               first + rng.randrange(86400 * 3),
+                                               rrname, rrtype, bailiwick, rdata))))
+    half = len(records) // 2
+    tsv, jsonl = records[:half], records[half:]
+    for part in (tsv, jsonl):
+        for record in _malformed(zones[1 + rng.randrange(len(zones) - 1)]):
+            part.insert(1 + rng.randrange(len(part)), record)
+    return tsv, jsonl
+
+
+def _tsv_line(record: dict | str) -> str:
+    if isinstance(record, str):
+        return record
+    return "\t".join([*(str(record[f]) for f in TUPLE_FIELDS[:6]), ",".join(record["rdata"])])
+
+
+def _json_line(record: dict | str) -> str:
+    return '{"count": 1, "rrname": ' if isinstance(record, str) else json.dumps(record)
+
+
+def write_mixed_inputs() -> None:
+    tsv, jsonl = mixed_records()
+    tsv_lines = [_tsv_line(r) for r in tsv]
+    json_lines = [_json_line(r) for r in jsonl]
+    tsv_lines[len(tsv_lines) // 2:len(tsv_lines) // 2] = ["", "   "]
+    json_lines[:0] = ["", " \t"]
+    json_lines.insert(len(json_lines) // 2, "")
+    (GOLDEN / "mixed.tsv").write_text("\n".join(tsv_lines) + "\n", encoding="utf-8")
+    (GOLDEN / "mixed.jsonl.gz").write_bytes(
+        gzip.compress(("\n".join(json_lines) + "\n").encode("utf-8"), mtime=0))
+
+
 def write_inputs() -> None:
     """The committed inputs; seeded, so rewriting them changes nothing."""
     GOLDEN.mkdir(exist_ok=True)
@@ -67,6 +151,7 @@ def write_inputs() -> None:
     (GOLDEN / "tlds.txt").write_text(TLDS, encoding="utf-8")
     (GOLDEN / "toplist.csv").write_text(TOPLIST, encoding="utf-8")
     (GOLDEN / "domains.txt").write_text(DOMAINS, encoding="utf-8")
+    write_mixed_inputs()
 
 
 def _quiet(argv, universe=None) -> tuple[int, str]:
@@ -88,15 +173,18 @@ def _hints(work: Path) -> str:
 def produce(work: Path) -> dict[str, bytes]:
     """Every golden output, keyed by its path under ``expected/``."""
     out: dict[str, bytes] = {}
-    sim = work / "simulate"
-    rc, _ = _quiet(["simulate", str(GOLDEN / "tuples.tsv"),
-                    "--psl", str(GOLDEN / "psl.dat"),
-                    "--tlds", str(GOLDEN / "tlds.txt"),
-                    "--toplist", str(GOLDEN / "toplist.csv"),
-                    "--month", "2023-02", "--out", str(sim)])
-    assert rc == 0
-    for name in SIMULATE_FILES:
-        out[f"simulate/{name}"] = (sim / name).read_bytes()
+    for key, tuple_files, month in (("simulate", ["tuples.tsv"], "2023-02"),
+                                    ("simulate-mixed", ["mixed.tsv", "mixed.jsonl.gz"],
+                                     "2023-03")):
+        sim = work / key
+        rc, _ = _quiet(["simulate", *(str(GOLDEN / f) for f in tuple_files),
+                        "--psl", str(GOLDEN / "psl.dat"),
+                        "--tlds", str(GOLDEN / "tlds.txt"),
+                        "--toplist", str(GOLDEN / "toplist.csv"),
+                        "--month", month, "--out", str(sim)])
+        assert rc == 0
+        for name in SIMULATE_FILES:
+            out[f"{key}/{name}"] = (sim / name).read_bytes()
     hints = _hints(work)
     for target in CHECK_TARGETS:
         rc, text = _quiet(["check", target, "--format", "structured",
