@@ -37,7 +37,6 @@ from .passive import (
     classify_zones,
     fixed_point,
     ingest,
-    iter_tuples,
     open_tuple_stream,
     snapshot_stats,
     write_verdicts,
@@ -370,9 +369,9 @@ def _side_inputs(args):
     return psl, tlds, toplist, rules
 
 
-def _stream_tuples(paths, stats: IngestStats, readable: list):
-    """Tuples of every readable file in turn; ``readable`` gets each path
-    that opened."""
+def _tuple_files(paths, readable: list):
+    """Every readable tuple file in turn, as an open stream of its lines;
+    ``readable`` gets each path that opened."""
     for path in paths:
         try:
             stream = open_tuple_stream(path)
@@ -381,7 +380,7 @@ def _stream_tuples(paths, stats: IngestStats, readable: list):
             continue
         readable.append(path)
         with stream:
-            yield from iter_tuples(stream, stats)
+            yield stream
 
 
 def cmd_simulate(args) -> int:
@@ -394,7 +393,7 @@ def cmd_simulate(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     stats = IngestStats()
     readable: list = []
-    result = ingest(_stream_tuples(args.tuples, stats, readable), stats)
+    result = ingest(_tuple_files(args.tuples, readable), stats)
     if not readable:
         print("error: no tuple file was readable", file=sys.stderr)
         return EXIT_ERROR

@@ -6,13 +6,30 @@ either tab-separated or JSON form, optionally gzip-compressed. The root
 zone is assumed resolvable over both protocols; every other zone must be
 reached through a delegating parent that resolves first, which makes the
 computation an iterative fixed point.
+
+``ingest`` files each line straight into per-zone maps, one loop per
+file, without building a ``PassiveTuple``. A line takes that fast path
+only where the careful parser (``_tsv_tuple``, ``_json_tuple`` and
+``tuple_from_fields``) would accept it with the same fields: in TSV seven
+fields, three numbers of ASCII digits short enough for ``int``,
+``count >= 1``, ``time_first <= time_last`` and no empty rdata value; in
+JSON ``int`` numbers under the same two bounds, text names and a non-empty
+list of text rdata; in both an rrtype spelled as a known type, and an
+rrname and bailiwick already in the names memo, so known to be valid.
+Every other line (a name seen for the first time, a blank or malformed
+line) goes through the careful parser, which stays the one statement of
+the line rules and seeds the memo; a property test holds the two paths
+equal. ``_Evidence.file`` states what a tuple contributes, for lines and
+``PassiveTuple``s alike.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+import itertools
 import json
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -95,7 +112,10 @@ def tuple_from_fields(count, time_first, time_last, rrname, rrtype, bailiwick,
 
 
 def _parse_tsv_line(line: str, names: dict[str, DomainName]) -> PassiveTuple:
-    parts = line.rstrip("\n").split("\t")
+    return _tsv_tuple(line.rstrip("\n").split("\t"), names)
+
+
+def _tsv_tuple(parts: list[str], names: dict[str, DomainName]) -> PassiveTuple:
     if len(parts) != 7:
         raise MalformedTuple(f"expected 7 tab-separated fields, got {len(parts)}")
     rdata = [v for v in parts[6].split(",") if v]
@@ -119,6 +139,10 @@ def _parse_json_line(line: str, names: dict[str, DomainName]) -> PassiveTuple:
         obj = json.loads(line)
     except ValueError as exc:  # a JSONDecodeError, or more digits than int() converts
         raise MalformedTuple(str(exc)) from exc
+    return _json_tuple(obj, names)
+
+
+def _json_tuple(obj, names: dict[str, DomainName]) -> PassiveTuple:
     if not isinstance(obj, dict):
         raise MalformedTuple("JSON record must be an object")
     try:
@@ -171,81 +195,220 @@ class IngestResult:
     orphan_addresses: dict[DomainName, AddrRecords]
 
 
-def ingest(tuples: Iterable[PassiveTuple], stats: IngestStats | None = None) -> IngestResult:
-    """Build per-zone record sets from one monthly aggregate.
+_NS, _A, _AAAA, _CNAME = (t.value for t in (RRType.NS, RRType.A, RRType.AAAA, RRType.CNAME))
+# the rrtype spellings the fast path takes; any other goes through RRType.from_text
+_RRTYPE_CODES = {text: RRType.from_text(text).value
+                 for text in ("NS", "A", "AAAA", "CNAME", "SOA", "MX", "TXT")}
+# int() converts this many digits under any limit sys.set_int_max_str_digits allows
+_SHORT_DIGITS = sys.int_info.str_digits_check_threshold
+
+
+class _Evidence:
+    """The NS, A and AAAA evidence of one aggregate, filed per zone.
+
+    ``file`` is the one statement of what a well-formed tuple contributes,
+    whether it comes from a line or from a ``PassiveTuple``. ``names`` maps
+    raw name text to its parsed name for rrnames, bailiwicks and NS
+    targets alike, and never holds a failure (see ``_parse_name``);
+    ``addresses`` maps address text to its canonical form and protocol.
+    """
+
+    def __init__(self, stats: IngestStats):
+        self.stats = stats
+        self.names: dict[str, DomainName] = {}
+        self.addresses: dict[str, tuple[str, str]] = {}
+        self.ns_map: dict[DomainName, dict[DomainName, set[DomainName]]] = {}
+        self.addr_map: dict[DomainName, dict[DomainName, tuple[set[str], set[str]]]] = {}
+
+    def file(self, rrname: DomainName, code: int, bailiwick: DomainName,
+             rdata: Iterable[str]) -> None:
+        """File one tuple of rrtype value ``code``; one whose NS targets are
+        not all names, or whose addresses are not all of its type's family,
+        is counted malformed instead."""
+        if code == _NS:
+            names = self.names
+            targets = set()
+            for value in rdata:
+                target = names.get(value)
+                if target is None:
+                    try:
+                        target = _parse_name(value, names)
+                    except DnsNameError:
+                        self.stats.malformed += 1
+                        return
+                targets.add(target)
+            by_bw = self.ns_map.get(rrname)
+            if by_bw is None:
+                by_bw = self.ns_map[rrname] = {}
+            slot = by_bw.get(bailiwick)
+            if slot is None:
+                by_bw[bailiwick] = targets
+            else:
+                slot.update(targets)
+        elif code == _A or code == _AAAA:
+            want = V4 if code == _A else V6
+            addresses = self.addresses
+            values = []
+            for value in rdata:
+                known = addresses.get(value)
+                if known is None:
+                    try:
+                        canon = canonical_address(value)
+                    except (OSError, ValueError):
+                        self.stats.malformed += 1
+                        return
+                    known = addresses[value] = (canon, address_protocol(canon))
+                if known[1] != want:
+                    self.stats.malformed += 1
+                    return
+                values.append(known[0])
+            by_bw = self.addr_map.get(rrname)
+            if by_bw is None:
+                by_bw = self.addr_map[rrname] = {}
+            slot = by_bw.get(bailiwick)
+            if slot is None:
+                slot = by_bw[bailiwick] = (set(), set())
+            slot[0 if want == V4 else 1].update(values)
+        elif code == _CNAME:
+            self.stats.cname_skipped += 1
+        # other rrtypes carry no delegation evidence
+
+    def result(self) -> IngestResult:
+        """The record sets, with the addresses of each (NS, bailiwick) pair
+        built once and shared by every zone that lists the NS, and the
+        addresses of names no zone lists as an NS."""
+        addr_map = self.addr_map
+        shared: dict[DomainName, list[tuple[tuple[DomainName, DomainName], AddrRecords]]] = {}
+        record_sets: dict[DomainName, ZoneRecordSet] = {}
+        referenced: set[DomainName] = set()
+        for zone, by_bw in self.ns_map.items():
+            all_targets: set[DomainName] = set()
+            for targets in by_bw.values():
+                all_targets |= targets
+            referenced |= all_targets
+            addrs: dict[tuple[DomainName, DomainName], AddrRecords] = {}
+            for ns in all_targets:
+                entries = shared.get(ns)
+                if entries is None:
+                    entries = shared[ns] = [
+                        ((ns, bw), AddrRecords(frozenset(v4s), frozenset(v6s)))
+                        for bw, (v4s, v6s) in addr_map.get(ns, {}).items()]
+                addrs.update(entries)
+            record_sets[zone] = ZoneRecordSet(
+                zone=zone,
+                ns_by_bailiwick={bw: frozenset(ts) for bw, ts in by_bw.items()},
+                addr_by_bailiwick=addrs,
+            )
+        orphans = {}
+        for name, by_bw in addr_map.items():
+            if name in referenced:
+                continue
+            merged = AddrRecords()
+            for v4s, v6s in by_bw.values():
+                merged = merged.merged(AddrRecords(frozenset(v4s), frozenset(v6s)))
+            orphans[name] = merged
+        return IngestResult(record_sets, orphans)
+
+
+def _file_tsv(lines: Iterable[str], evidence: _Evidence) -> None:
+    names, stats, file, codes = evidence.names, evidence.stats, evidence.file, _RRTYPE_CODES
+    for line in lines:
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) == 7:
+            count, first, last, rrname, rrtype, bailiwick, rdata = parts
+            digits = count + first + last
+            name = names.get(rrname)
+            bw = names.get(bailiwick)
+            code = codes.get(rrtype)
+            values = rdata.split(",")
+            if (count and first and last and digits.isdigit() and digits.isascii()
+                    and len(digits) <= _SHORT_DIGITS and int(count) >= 1
+                    and int(first) <= int(last) and name is not None and bw is not None
+                    and code is not None and "" not in values):
+                stats.tuples += 1
+                file(name, code, bw, values)
+                continue
+        if not line.strip():
+            continue
+        try:
+            t = _tsv_tuple(parts, names)
+        except MalformedTuple:
+            stats.malformed += 1
+            continue
+        stats.tuples += 1
+        file(t.rrname, t.rrtype.value, t.bailiwick, t.rdata)
+
+
+def _file_json(lines: Iterable[str], evidence: _Evidence) -> None:
+    names, stats, file, codes = evidence.names, evidence.stats, evidence.file, _RRTYPE_CODES
+    loads = json.loads
+    for line in lines:
+        try:
+            obj = loads(line)
+        except ValueError:
+            obj = None  # read again below, to be counted as malformed
+        if type(obj) is dict:
+            count, first, last = obj.get("count"), obj.get("time_first"), obj.get("time_last")
+            rrname, rrtype, bailiwick = obj.get("rrname"), obj.get("rrtype"), obj.get("bailiwick")
+            rdata = obj.get("rdata")
+            if (type(count) is int and type(first) is int and type(last) is int
+                    and count >= 1 and first <= last and type(rrname) is str
+                    and type(rrtype) is str and type(bailiwick) is str
+                    and type(rdata) is list and rdata
+                    and all(type(value) is str for value in rdata)):
+                name = names.get(rrname)
+                bw = names.get(bailiwick)
+                code = codes.get(rrtype)
+                if name is not None and bw is not None and code is not None:
+                    stats.tuples += 1
+                    file(name, code, bw, rdata)
+                    continue
+        if not line.strip():
+            continue
+        try:
+            t = _parse_json_line(line, names) if obj is None else _json_tuple(obj, names)
+        except MalformedTuple:
+            stats.malformed += 1
+            continue
+        stats.tuples += 1
+        file(t.rrname, t.rrtype.value, t.bailiwick, t.rdata)
+
+
+def _file_lines(lines: Iterable[str], evidence: _Evidence) -> None:
+    """File one tuple file's lines, read as JSON or TSV by its first
+    non-blank line."""
+    lines = iter(lines)
+    for head in lines:
+        if head.strip():
+            break
+    else:
+        return
+    form = _file_json if head.lstrip().startswith("{") else _file_tsv
+    form(itertools.chain((head,), lines), evidence)
+
+
+def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> IngestResult:
+    """Build per-zone record sets from one monthly aggregate, given as the
+    lines of each of its tuple files in turn.
 
     NS targets are grouped by the responding bailiwick; A/AAAA records are
     grouped per (name, bailiwick) and attached to every zone that lists the
     name as an NS. CNAME tuples are skipped; names with addresses but no NS
-    role are retained as orphans.
+    role are retained as orphans. Malformed lines are counted and skipped.
     """
-    stats = stats if stats is not None else IngestStats()
-    names: dict[str, DomainName] = {}
-    ns_map: dict[DomainName, dict[DomainName, set[DomainName]]] = {}
-    addr_map: dict[DomainName, dict[DomainName, tuple[set[str], set[str]]]] = {}
-    for t in tuples:
-        if t.rrtype == RRType.CNAME:
-            stats.cname_skipped += 1
-            continue
-        if t.rrtype == RRType.NS:
-            targets = set()
-            ok = True
-            for value in t.rdata:
-                try:
-                    targets.add(_parse_name(value, names))
-                except DnsNameError:
-                    ok = False
-                    break
-            if not ok or not targets:
-                stats.malformed += 1
-                continue
-            ns_map.setdefault(t.rrname, {}).setdefault(t.bailiwick, set()).update(targets)
-        elif t.rrtype in (RRType.A, RRType.AAAA):
-            want = V4 if t.rrtype == RRType.A else V6
-            values = []
-            ok = True
-            for value in t.rdata:
-                try:
-                    canon = canonical_address(value)
-                except (OSError, ValueError):
-                    ok = False
-                    break
-                if address_protocol(canon) != want:
-                    ok = False
-                    break
-                values.append(canon)
-            if not ok:
-                stats.malformed += 1
-                continue
-            slot = addr_map.setdefault(t.rrname, {}).setdefault(t.bailiwick, (set(), set()))
-            slot[0 if want == V4 else 1].update(values)
-        # other rrtypes carry no delegation evidence
+    evidence = _Evidence(stats if stats is not None else IngestStats())
+    for lines in files:
+        _file_lines(lines, evidence)
+    return evidence.result()
 
-    record_sets: dict[DomainName, ZoneRecordSet] = {}
-    referenced: set[DomainName] = set()
-    for zone, by_bw in ns_map.items():
-        all_targets: set[DomainName] = set()
-        for targets in by_bw.values():
-            all_targets |= targets
-        referenced |= all_targets
-        addrs: dict[tuple[DomainName, DomainName], AddrRecords] = {}
-        for ns in all_targets:
-            for bw, (v4s, v6s) in addr_map.get(ns, {}).items():
-                addrs[(ns, bw)] = AddrRecords(frozenset(v4s), frozenset(v6s))
-        record_sets[zone] = ZoneRecordSet(
-            zone=zone,
-            ns_by_bailiwick={bw: frozenset(ts) for bw, ts in by_bw.items()},
-            addr_by_bailiwick=addrs,
-        )
-    orphans = {}
-    for name, by_bw in addr_map.items():
-        if name in referenced:
-            continue
-        merged = AddrRecords()
-        for v4s, v6s in by_bw.values():
-            merged = merged.merged(AddrRecords(frozenset(v4s), frozenset(v6s)))
-        orphans[name] = merged
-    return IngestResult(record_sets, orphans)
+
+def ingest_tuples(tuples: Iterable[PassiveTuple], stats: IngestStats | None = None) -> IngestResult:
+    """``ingest`` over tuples already parsed."""
+    evidence = _Evidence(stats if stats is not None else IngestStats())
+    file = evidence.file
+    for t in tuples:
+        file(t.rrname, t.rrtype.value, t.bailiwick, t.rdata)
+    return evidence.result()
 
 
 # -- fixed point -----------------------------------------------------------

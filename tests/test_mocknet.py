@@ -263,7 +263,7 @@ def test_restoring_dropped_records_never_breaks_resolution():
 
     from universes import crawl
     from v6ready.mocknet import DROP_AAAA_APEX, DROP_AAAA_GLUE
-    from v6ready.passive import fixed_point, ingest
+    from v6ready.passive import fixed_point, ingest_tuples
 
     for seed in (21, 22, 23):
         u, truth = random_universe(seed, 30, {"drop-aaaa-glue": 0.3,
@@ -278,8 +278,8 @@ def test_restoring_dropped_records_never_breaks_resolution():
             after = truth2[zone]
             for proto in (V4, V6):
                 assert before[proto] <= after[proto], (seed, str(zone), proto)
-        table_before = fixed_point(ingest(fixture_tuples(u)).record_sets)
-        table_after = fixed_point(ingest(fixture_tuples(improved)).record_sets)
+        table_before = fixed_point(ingest_tuples(fixture_tuples(u)).record_sets)
+        table_after = fixed_point(ingest_tuples(fixture_tuples(improved)).record_sets)
         for zone in truth:
             for proto in (V4, V6):
                 assert (table_before.zones[zone].res[proto]

@@ -12,6 +12,7 @@ from v6ready.passive import (
     classify_zones,
     fixed_point,
     ingest,
+    ingest_tuples,
     iter_tuples,
     open_tuple_stream,
     snapshot_stats,
@@ -33,14 +34,14 @@ def checked_fixed_point(record_sets):
 
 
 def test_single_ns_tuple_builds_parent_view():
-    result = ingest([T("example.com", "NS", "com", ["ns1.example.com"])])
+    result = ingest_tuples([T("example.com", "NS", "com", ["ns1.example.com"])])
     zone = result.record_sets[N("example.com")]
     assert zone.ns_parent_view() == frozenset({N("ns1.example.com")})
     assert zone.ns_child_view() is None
 
 
 def test_parent_and_child_views_both_retained():
-    result = ingest([
+    result = ingest_tuples([
         T("example.com", "NS", "com", ["ns1.example.com"]),
         T("example.com", "NS", "example.com", ["ns2.example.com"]),
     ])
@@ -50,7 +51,7 @@ def test_parent_and_child_views_both_retained():
 
 
 def test_orphan_address_retained():
-    result = ingest([
+    result = ingest_tuples([
         T("example.com", "NS", "com", ["ns1.example.com"]),
         T("stray.example.net", "A", "example.net", ["192.0.2.9"]),
     ])
@@ -60,7 +61,7 @@ def test_orphan_address_retained():
 
 def test_cname_tuples_skipped_and_counted():
     stats = IngestStats()
-    result = ingest([
+    result = ingest_tuples([
         T("example.com", "NS", "com", ["ns1.example.com"]),
         T("ns1.example.com", "CNAME", "example.com", ["other.example.com"]),
     ], stats)
@@ -85,7 +86,7 @@ def test_malformed_tuples_counted_never_abort():
 
 def test_non_ascii_ns_rdata_counted_as_malformed():
     stats = IngestStats()
-    result = ingest([
+    result = ingest_tuples([
         T("example.com", "NS", "com", ["ns1.例え.jp"]),
         T("example.org", "NS", "org", ["ns1.example.org"]),
     ], stats)
@@ -155,7 +156,7 @@ def test_rrtype_from_text_gives_the_shared_constants():
 
 def test_invalid_address_values_are_malformed():
     stats = IngestStats()
-    ingest([T("ns1.example.com", "A", "com", ["not-an-ip"])], stats)
+    ingest_tuples([T("ns1.example.com", "A", "com", ["not-an-ip"])], stats)
     assert stats.malformed == 1
 
 
@@ -163,7 +164,7 @@ def test_address_with_a_nul_byte_is_malformed():
     stats = IngestStats()
     lines = ["1\t1\t2\tns.a.com\tA\tcom\t1.2.3.4\x00\n",
              "1\t1\t2\tns.a.com\tAAAA\tcom\t2001:db8::1\x00\n"]
-    result = ingest(iter_tuples(lines, stats), stats)
+    result = ingest([lines], stats)
     assert (stats.tuples, stats.malformed) == (2, 2)
     assert not result.orphan_addresses
 
@@ -276,7 +277,86 @@ def test_every_line_is_counted_once_and_ingest_never_raises(lines):
     tuples = list(iter_tuples(lines, stats))
     assert stats.tuples == len(tuples)
     assert stats.tuples + stats.malformed == sum(1 for line in lines if line.strip())
-    ingest(tuples, stats)
+    ingest_tuples(tuples, stats)
+
+
+# Tuple lines that mostly repeat a few valid names, so that later lines take
+# the fast path of ``ingest``, each with at most one flaw of those the
+# careful parser rejects or the filing rules count as malformed.
+_VALID = {
+    "count": [1, 2, 20], "time_first": [1, 2], "time_last": [2, 20],
+    "rrname": ["com", "a.com", "A.COM.", "ns.a.com", "ns\\046x.a.com"],
+    "rrtype": ["NS", "A", "AAAA", "CNAME", "TXT", "ns", "TYPE99"],
+}
+_VALID["bailiwick"] = _VALID["rrname"]
+_VALUES = ["ns.a.com", "NS.A.COM", "a.com", "192.0.2.1", "2001:db8::1", "::ffff:1.2.3.4"]
+_HUGE = 10 ** 30  # written as a number of 5,000 digits
+_NUMBER_FLAWS = {
+    "tsv": ["0", "007", "-1", "+1", "", "١", "1_0", " 2", "30", _HUGE],
+    "json": [0, -1, 30, True, False, 1.0, 2.5, "1", None, _HUGE],
+}
+_FLAWS = {
+    "rrname": ["a..com", "é.com", "x" * 64 + ".com", "", 5, ["a.com"], None],
+    "rrtype": ["BOGUS", " NS", "TYPE99999", "", 2, None],
+    "bailiwick": ["a..com", "é.com", ".", 5, ["com"]],
+    "rdata": [[], [""], ["a.com", ""], ["ns..a.com"], ["1.2.3"], ["é"], "ns.a.com",
+              ["a.com", 5], [None], None],
+}
+
+
+@st.composite
+def _tuple_line(draw, form: str) -> str:
+    record = {key: draw(st.sampled_from(pool)) for key, pool in _VALID.items()}
+    record["rdata"] = draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=3))
+    flaw = draw(st.sampled_from(["count", "time_first", "time_last", *_FLAWS, None, None]))
+    if flaw in _FLAWS:
+        record[flaw] = draw(st.sampled_from(_FLAWS[flaw]))
+    elif flaw is not None:
+        record[flaw] = draw(st.sampled_from(_NUMBER_FLAWS[form]))
+    if form == "tsv":
+        rdata = record["rdata"]
+        fields = [*(str(record[key]) for key in ("count", "time_first", "time_last",
+                                                 "rrname", "rrtype", "bailiwick")),
+                  ",".join(map(str, rdata)) if isinstance(rdata, list) else str(rdata)]
+        line = "\t".join(fields) + draw(st.sampled_from(["\n", "", "\r\n", "\tx\n"]))
+    else:
+        if draw(st.integers(0, 9)) == 0:
+            del record[draw(st.sampled_from(sorted(record)))]
+        line = json.dumps(record)
+    return line.replace(str(_HUGE), "9" * 5000)
+
+
+@st.composite
+def _tuple_file(draw) -> list[str]:
+    """Lines of one form, with a few of the other and a few that are blank
+    or not a record at all, some of them repeated."""
+    form = draw(st.sampled_from(["tsv", "json"]))
+    other = "json" if form == "tsv" else "tsv"
+    line = st.one_of(_tuple_line(form), _tuple_line(form), _tuple_line(form),
+                     _tuple_line(other) | st.sampled_from(["", "  \n", "{", "x", "[1]"]))
+    lines = draw(st.lists(line, min_size=1, max_size=10))
+    lines += draw(st.lists(st.sampled_from(lines), max_size=10))
+    return draw(st.permutations(lines))
+
+
+def _record_set_order(result):
+    """Everything in a result, in its dicts' order."""
+    return ([(zone, list(rs.ns_by_bailiwick.items()), list(rs.addr_by_bailiwick.items()))
+             for zone, rs in result.record_sets.items()],
+            list(result.orphan_addresses.items()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_tuple_file(), min_size=1, max_size=3))
+def test_filing_lines_equals_filing_the_careful_parsers_tuples(files):
+    stats = IngestStats()
+    result = ingest(files, stats)
+    parsed, careful = IngestStats(), IngestStats()
+    expected = ingest_tuples([t for lines in files for t in iter_tuples(lines, parsed)],
+                             careful)
+    assert _record_set_order(result) == _record_set_order(expected)
+    assert stats == IngestStats(parsed.tuples, parsed.malformed + careful.malformed,
+                                careful.cname_skipped)
 
 
 # -- fixed point -------------------------------------------------------------
@@ -293,7 +373,7 @@ def com_with_root_glue(v6=True):
 
 
 def test_single_link_resolves_in_first_sweep():
-    result = ingest(com_with_root_glue())
+    result = ingest_tuples(com_with_root_glue())
     table = checked_fixed_point(result.record_sets)
     assert table.zones[N("com")].res == {V4: True, V6: True}
     assert table.first_resolved_sweep[(N("com"), V6)] == 1
@@ -306,7 +386,7 @@ def test_mutual_cycle_unresolvable_terminates_in_two_sweeps():
         T("a", "NS", "a", ["ns.b"]),
         T("b", "NS", "b", ["ns.a"]),
     ]
-    result = ingest(tuples)
+    result = ingest_tuples(tuples)
     table = checked_fixed_point(result.record_sets)
     assert table.zones[N("a")].res == {V4: False, V6: False}
     assert table.zones[N("b")].res == {V4: False, V6: False}
@@ -328,7 +408,7 @@ def test_dependency_chain_resolves_in_three_sweeps():
         T("a", "NS", ".", ["ns1.b"]),
         T("ns1.b", "A", "b", ["192.0.2.5"]),
     ]
-    result = ingest(tuples)
+    result = ingest_tuples(tuples)
     table = checked_fixed_point(result.record_sets)
     for z in ("a", "b", "c"):
         assert table.zones[N(z)].res[V4] is True
@@ -343,7 +423,7 @@ def test_monotone_convergence_and_pass_bound():
 
     for seed in (1, 2, 3):
         u, _ = random_universe(seed, 60)
-        result = ingest(fixture_tuples(u))
+        result = ingest_tuples(fixture_tuples(u))
         table = checked_fixed_point(result.record_sets)
         zone_count = len(result.record_sets) - 1  # root excluded
         for proto in (V4, V6):
@@ -366,7 +446,7 @@ def test_protocol_independence_dropping_aaaa_keeps_v4():
 
 
 def test_fixed_point_idempotent():
-    result = ingest(com_with_root_glue())
+    result = ingest_tuples(com_with_root_glue())
     t1 = checked_fixed_point(result.record_sets)
     t2 = checked_fixed_point(result.record_sets)
     assert t1.zones[N("com")].res == t2.zones[N("com")].res
@@ -390,7 +470,7 @@ def test_iteration_cap_turns_bugs_into_errors(monkeypatch):
     for i in range(3):
         tuples += [T(f"z{i}", "NS", ".", [f"ns.z{i}"]),
                    T(f"ns.z{i}", "A", ".", [f"192.0.2.{10 + i}"])]
-    result = ingest(tuples)
+    result = ingest_tuples(tuples)
     try:
         jacobi.jacobi_fixed_point(result.record_sets)
     except jacobi.IterationCapExceeded:
@@ -409,7 +489,7 @@ def test_unknown_parent_zones_excluded_and_counted():
         # healthy reference zone
         *com_with_root_glue(),
     ]
-    result = ingest(tuples)
+    result = ingest_tuples(tuples)
     table = checked_fixed_point(result.record_sets)
     assert N("onlychild.example") in table.unknown_parent
     assert N("deep.unseen.zz") in table.unknown_parent
@@ -486,7 +566,7 @@ def test_two_scenario_tuples_give_two_v4_only_zones_with_distinct_causes():
 
 
 def test_write_verdicts_versioned_jsonl():
-    result = ingest(com_with_root_glue())
+    result = ingest_tuples(com_with_root_glue())
     table = checked_fixed_point(result.record_sets)
     statuses = classify_zones(result.record_sets, table)
     out = io.StringIO()
@@ -509,7 +589,7 @@ def test_classify_zones_agrees_with_table_flags():
 
     for seed in (31, 32, 33, 34):
         u, _ = random_universe(seed, 50)
-        result = ingest(fixture_tuples(u))
+        result = ingest_tuples(fixture_tuples(u))
         table = checked_fixed_point(result.record_sets)
         statuses = classify_zones(result.record_sets, table)
         for zone, status in statuses.items():
@@ -539,6 +619,6 @@ def test_fixed_point_matches_jacobi_reference_on_oracle_seeds():
     for seed in range(200):
         size = 5 + (seed * 13) % 96
         u, _truth = random_universe(seed, size, rate_profiles[seed % len(rate_profiles)])
-        record_sets = ingest(fixture_tuples(u)).record_sets
+        record_sets = ingest_tuples(fixture_tuples(u)).record_sets
         jacobi.assert_same_table(fixed_point(record_sets),
                                  jacobi.jacobi_fixed_point(record_sets), seed)

@@ -18,7 +18,7 @@ from v6ready.mocknet import (
     zone_fixture,
 )
 from v6ready.names import normalize
-from v6ready.passive import classify_zones, fixed_point, ingest
+from v6ready.passive import classify_zones, fixed_point, ingest_tuples
 from v6ready.query import QueryEngine, QueryPolicy
 from v6ready.records import AddrRecords
 from v6ready.resolver import PROTOCOL_BOTH, Resolver
@@ -289,7 +289,7 @@ def crawl(universe: Universe, protocol_filter: str = PROTOCOL_BOTH, seed: int = 
 
 def passive_verdicts(tuples):
     """(record_sets, table, statuses) from a tuple list."""
-    result = ingest(tuples)
+    result = ingest_tuples(tuples)
     table = fixed_point(result.record_sets)
     statuses = classify_zones(result.record_sets, table)
     return result.record_sets, table, statuses
