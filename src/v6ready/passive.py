@@ -222,9 +222,9 @@ class _Evidence:
 
     def file(self, rrname: DomainName, code: int, bailiwick: DomainName,
              rdata: Iterable[str]) -> None:
-        """File one tuple of rrtype value ``code``; one whose NS targets are
-        not all names, or whose addresses are not all of its type's family,
-        is counted malformed instead."""
+        """File one tuple of rrtype value ``code``, and count it: as a tuple,
+        or as malformed if its NS targets are not all names or its
+        addresses are not all of its type's family."""
         if code == _NS:
             names = self.names
             targets = set()
@@ -272,6 +272,7 @@ class _Evidence:
         elif code == _CNAME:
             self.stats.cname_skipped += 1
         # other rrtypes carry no delegation evidence
+        self.stats.tuples += 1
 
     def result(self) -> IngestResult:
         """The record sets, with the addresses of each (NS, bailiwick) pair
@@ -325,7 +326,6 @@ def _file_tsv(lines: Iterable[str], evidence: _Evidence) -> None:
                     and len(digits) <= _SHORT_DIGITS and int(count) >= 1
                     and int(first) <= int(last) and name is not None and bw is not None
                     and code is not None and "" not in values):
-                stats.tuples += 1
                 file(name, code, bw, values)
                 continue
         if not line.strip():
@@ -335,7 +335,6 @@ def _file_tsv(lines: Iterable[str], evidence: _Evidence) -> None:
         except MalformedTuple:
             stats.malformed += 1
             continue
-        stats.tuples += 1
         file(t.rrname, t.rrtype.value, t.bailiwick, t.rdata)
 
 
@@ -360,7 +359,6 @@ def _file_json(lines: Iterable[str], evidence: _Evidence) -> None:
                 bw = names.get(bailiwick)
                 code = codes.get(rrtype)
                 if name is not None and bw is not None and code is not None:
-                    stats.tuples += 1
                     file(name, code, bw, rdata)
                     continue
         if not line.strip():
@@ -370,7 +368,6 @@ def _file_json(lines: Iterable[str], evidence: _Evidence) -> None:
         except MalformedTuple:
             stats.malformed += 1
             continue
-        stats.tuples += 1
         file(t.rrname, t.rrtype.value, t.bailiwick, t.rdata)
 
 
@@ -394,7 +391,8 @@ def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> 
     NS targets are grouped by the responding bailiwick; A/AAAA records are
     grouped per (name, bailiwick) and attached to every zone that lists the
     name as an NS. CNAME tuples are skipped; names with addresses but no NS
-    role are retained as orphans. Malformed lines are counted and skipped.
+    role are retained as orphans. Each non-blank line counts once in
+    ``stats``: as a tuple, or as malformed, and then it is skipped.
     """
     evidence = _Evidence(stats if stats is not None else IngestStats())
     for lines in files:
@@ -403,7 +401,7 @@ def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> 
 
 
 def ingest_tuples(tuples: Iterable[PassiveTuple], stats: IngestStats | None = None) -> IngestResult:
-    """``ingest`` over tuples already parsed."""
+    """``ingest`` over tuples already parsed, each counted once."""
     evidence = _Evidence(stats if stats is not None else IngestStats())
     file = evidence.file
     for t in tuples:
