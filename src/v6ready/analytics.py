@@ -20,6 +20,7 @@ from typing import IO, Iterable, Mapping
 from .classify import ResolutionStatus, failure_breakdown
 from .names import _PLAIN, MAX_LABEL, MAX_WIRE, DnsNameError, DomainName, normalize
 from .psl import PublicSuffixList, registered_or_self
+from .records import ascii_int
 
 GROUP_TLD = "tld"
 GROUP_SECOND_LEVEL = "second-level"
@@ -119,8 +120,8 @@ def parse_toplist(text: str, rejected: list[str] | None = None) -> dict[str, int
         row = line.split(",") if plain else next(csv.reader(itertools.chain((line,), lines)))
         if len(row) < 2:
             continue
-        rank = row[0].strip()
-        if not (rank.isascii() and rank.isdigit()):
+        rank = ascii_int(row[0].strip())
+        if rank is None:
             continue
         name = row[1].strip()
         key = _plain_key(name) if plain else _name_key(name)
@@ -128,7 +129,6 @@ def parse_toplist(text: str, rejected: list[str] | None = None) -> dict[str, int
             if rejected is not None:
                 rejected.append(",".join(row))
             continue
-        rank = int(rank)
         if key not in out or rank < out[key]:
             out[key] = rank
     return out

@@ -43,6 +43,7 @@ from .passive import (
 )
 from .psl import PublicSuffixList
 from .query import QueryEngine, QueryPolicy, ResponseCache, UdpTcpTransport
+from .records import ascii_int
 from .resolver import (
     DepthLimitExceeded,
     PROTOCOL_BOTH,
@@ -219,21 +220,10 @@ def _parse_domain_list(path: str) -> list[tuple[str, int | None]]:
             continue
         if "," in line:
             rank_text, domain = line.split(",", 1)
-            out.append((domain.strip(), _rank(rank_text.strip())))
+            out.append((domain.strip(), ascii_int(rank_text.strip())))
         else:
             out.append((line, None))
     return out
-
-
-def _rank(text: str) -> int | None:
-    """ASCII digits as a number, else None: ``isdigit()`` also takes "²",
-    and ``int()`` refuses more than 4,300 digits."""
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:
-            pass
-    return None
 
 
 def _scanned_domains(out_path: Path) -> set[str]:

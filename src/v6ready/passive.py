@@ -43,6 +43,7 @@ from .records import (
     V6,
     ZoneRecordSet,
     address_protocol,
+    ascii_int,
     canonical_address,
 )
 
@@ -124,14 +125,10 @@ def _tsv_tuple(parts: list[str], names: dict[str, DomainName]) -> PassiveTuple:
 
 
 def _tsv_int(text: str) -> int:
-    """A TSV number: ASCII digits only (``int`` also takes ``+1``, ``1_0``,
-    `` 2 `` and other scripts' digits)."""
-    if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError as exc:  # more digits than int() converts
-            raise MalformedTuple(str(exc)) from exc
-    raise MalformedTuple(f"not a number: {text!r}")
+    value = ascii_int(text)
+    if value is None:
+        raise MalformedTuple(f"not a number: {text!r}")
+    return value
 
 
 def _parse_json_line(line: str, names: dict[str, DomainName]) -> PassiveTuple:

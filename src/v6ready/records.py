@@ -88,6 +88,19 @@ class MxData:
     exchange: DomainName
 
 
+def ascii_int(text: str) -> int | None:
+    """``text`` as a number if it is ASCII digits only, else None: ``int``
+    also takes "+1", "1_0", " 2 " and other scripts' digits ("²" passes
+    ``isdigit`` and fails ``int``), and refuses more digits than its
+    conversion limit (4,300 by default)."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def pack_address(text: str) -> bytes:
     """Presentation address to packed bytes; 4 for IPv4, 16 for IPv6."""
     if ":" in text:

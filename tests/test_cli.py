@@ -572,7 +572,7 @@ def test_loopback_tcp_fallback_on_truncation(tmp_path, capsys):
 
 def test_simulate_skips_a_toplist_row_whose_rank_is_not_ascii_digits(tmp_path, capsys):
     toplist = tmp_path / "toplist.csv"
-    toplist.write_text("1,z1.z0\n²,z3.z0\n", encoding="utf-8")
+    toplist.write_text(f"1,z1.z0\n²,z3.z0\n{'9' * 5000},z3.z0\n", encoding="utf-8")
     outdir = tmp_path / "out"
     rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), "--psl", str(GOLDEN / "psl.dat"),
                    "--tlds", str(GOLDEN / "tlds.txt"), "--toplist", str(toplist),
