@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from universes import (
     combined_two_scenario_universe,
@@ -253,6 +254,29 @@ def test_fixture_file_round_trip(tmp_path):
     assert sorted(rebuilt.fixtures) == sorted(u.fixtures)
     for zone in u.fixtures:
         assert rebuilt.fixtures[zone] == u.fixtures[zone], str(zone)
+    assert ground_truth(rebuilt) == ground_truth(u)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16), size=st.integers(2, 60), faults=st.booleans())
+def test_fixture_file_round_trip_on_random_universes(seed, size, faults):
+    import io
+    import tempfile
+    from pathlib import Path
+
+    from universes import with_liveness_faults
+    from v6ready.mocknet import dump_fixtures, load_fixtures
+
+    u, _truth = random_universe(seed=seed, size=size)
+    if faults:
+        u = with_liveness_faults(u, seed)
+    buf = io.StringIO()
+    dump_fixtures(buf, u.fixtures.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fixtures.jsonl"
+        path.write_text(buf.getvalue())
+        rebuilt = build_universe(load_fixtures(path))
+    assert rebuilt.fixtures == u.fixtures
     assert ground_truth(rebuilt) == ground_truth(u)
 
 
