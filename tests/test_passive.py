@@ -4,7 +4,7 @@ import json
 
 import jacobi
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from universes import N, passive_verdicts
 from v6ready.passive import (
     IngestStats,
@@ -283,13 +283,16 @@ def test_every_line_is_counted_once_and_ingest_never_raises(lines):
     assert stats.tuples + stats.malformed == non_blank
 
 
-# Tuple lines that mostly repeat a few valid names, so that later lines take
-# the fast path of ``ingest``, each with at most one flaw of those the
-# careful parser rejects or the filing rules count as malformed.
+# Tuple lines over a few valid names, all but one put in the names memo by
+# a first line of NS targets, so that most later lines take the fast path
+# of ``ingest``; each line has at most one flaw of those the careful parser
+# rejects or the filing rules count as malformed.
+TUPLE_FIELDS = ("count", "time_first", "time_last", "rrname", "rrtype", "bailiwick")
+_SEEDED = ["com", "a.com", "A.COM.", "ns.a.com", "ns\\046x.a.com"]
 _VALID = {
     "count": [1, 2, 20], "time_first": [1, 2], "time_last": [2, 20],
-    "rrname": ["com", "a.com", "A.COM.", "ns.a.com", "ns\\046x.a.com"],
-    "rrtype": ["NS", "A", "AAAA", "CNAME", "TXT", "ns", "TYPE99"],
+    "rrname": [*_SEEDED, "b.com"],
+    "rrtype": ["NS", "A", "AAAA", "CNAME", "TXT", "NS", "A", "ns", "TYPE99"],
 }
 _VALID["bailiwick"] = _VALID["rrname"]
 _VALUES = ["ns.a.com", "NS.A.COM", "a.com", "192.0.2.1", "2001:db8::1", "::ffff:1.2.3.4"]
@@ -307,39 +310,61 @@ _FLAWS = {
 }
 
 
-@st.composite
-def _tuple_line(draw, form: str) -> str:
-    record = {key: draw(st.sampled_from(pool)) for key, pool in _VALID.items()}
-    record["rdata"] = draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=3))
-    flaw = draw(st.sampled_from(["count", "time_first", "time_last", *_FLAWS, None, None]))
-    if flaw in _FLAWS:
-        record[flaw] = draw(st.sampled_from(_FLAWS[flaw]))
-    elif flaw is not None:
-        record[flaw] = draw(st.sampled_from(_NUMBER_FLAWS[form]))
+def _flaws(form: str) -> list:
+    """(field, value) pairs, None for no flaw."""
+    pairs = [(key, value) for key in ("count", "time_first", "time_last")
+             for value in _NUMBER_FLAWS[form]]
+    pairs += [(key, value) for key, values in _FLAWS.items() for value in values]
+    return [None] * (len(pairs) // 3) + pairs
+
+
+def _render(record: dict, form: str) -> str:
     if form == "tsv":
         rdata = record["rdata"]
-        fields = [*(str(record[key]) for key in ("count", "time_first", "time_last",
-                                                 "rrname", "rrtype", "bailiwick")),
+        fields = [*(str(record[key]) for key in TUPLE_FIELDS),
                   ",".join(map(str, rdata)) if isinstance(rdata, list) else str(rdata)]
-        line = "\t".join(fields) + draw(st.sampled_from(["\n", "", "\r\n", "\tx\n"]))
+        line = "\t".join(fields)
     else:
-        if draw(st.integers(0, 9)) == 0:
-            del record[draw(st.sampled_from(sorted(record)))]
         line = json.dumps(record)
     return line.replace(str(_HUGE), "9" * 5000)
 
 
 @st.composite
+def _tuple_line(draw, form: str) -> str:
+    record = {key: draw(st.sampled_from(pool)) for key, pool in _VALID.items()}
+    record["rdata"] = draw(st.lists(st.sampled_from(_VALUES), min_size=1, max_size=3))
+    flaw = draw(st.sampled_from(_flaws(form)))
+    if flaw is not None:
+        record[flaw[0]] = flaw[1]
+    if form == "tsv":
+        return _render(record, form) + draw(st.sampled_from(["\n", "", "\r\n", "\tx\n"]))
+    if draw(st.integers(0, 9)) == 0:
+        del record[draw(st.sampled_from(sorted(record)))]
+    return _render(record, form)
+
+
+@st.composite
 def _tuple_file(draw) -> list[str]:
-    """Lines of one form, with a few of the other and a few that are blank
-    or not a record at all, some of them repeated."""
+    """A first line that puts valid names in the memo, then lines of the
+    same form, a few of the other and a few that are blank or not a record
+    at all, some of them repeated."""
     form = draw(st.sampled_from(["tsv", "json"]))
     other = "json" if form == "tsv" else "tsv"
     line = st.one_of(_tuple_line(form), _tuple_line(form), _tuple_line(form),
                      _tuple_line(other) | st.sampled_from(["", "  \n", "{", "x", "[1]"]))
     lines = draw(st.lists(line, min_size=1, max_size=10))
     lines += draw(st.lists(st.sampled_from(lines), max_size=10))
-    return draw(st.permutations(lines))
+    seed = dict(zip(TUPLE_FIELDS, (1, 1, 1, "com", "NS", ".")), rdata=_SEEDED)
+    return [_render(seed, form), *draw(st.permutations(lines))]
+
+
+def _every_flaw(form: str) -> list[str]:
+    """The first line, one valid line, and one line for each flaw."""
+    valid = dict(zip(TUPLE_FIELDS, (1, 1, 2, "a.com", "NS", "com")), rdata=["ns.a.com"])
+    seed = dict(zip(TUPLE_FIELDS, (1, 1, 1, "com", "NS", ".")), rdata=_SEEDED)
+    return [_render(seed, form), _render(valid, form),
+            *(_render({**valid, key: value}, form)
+              for key, value in filter(None, _flaws(form)))]
 
 
 def _record_set_order(result):
@@ -351,6 +376,7 @@ def _record_set_order(result):
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_tuple_file(), min_size=1, max_size=3))
+@example([_every_flaw("tsv"), _every_flaw("json")])
 def test_filing_lines_equals_filing_the_careful_parsers_tuples(files):
     stats = IngestStats()
     result = ingest(files, stats)
