@@ -342,7 +342,7 @@ def _file_json(lines: Iterable[str], evidence: _Evidence) -> None:
         try:
             obj = loads(line)
         except ValueError:
-            obj = None  # read again below, to be counted as malformed
+            obj = None  # read again below: skipped if blank, else malformed
         if type(obj) is dict:
             count, first, last = obj.get("count"), obj.get("time_first"), obj.get("time_last")
             rrname, rrtype, bailiwick = obj.get("rrname"), obj.get("rrtype"), obj.get("bailiwick")
@@ -389,7 +389,7 @@ def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> 
     grouped per (name, bailiwick) and attached to every zone that lists the
     name as an NS. CNAME tuples are skipped; names with addresses but no NS
     role are retained as orphans. Each non-blank line counts once in
-    ``stats``: as a tuple, or as malformed, and then it is skipped.
+    ``stats``, as a tuple or as malformed; a malformed line is skipped.
     """
     evidence = _Evidence(stats if stats is not None else IngestStats())
     for lines in files:
