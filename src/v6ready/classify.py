@@ -1,14 +1,18 @@
-"""Per-zone resolvability states and the misconfiguration taxonomy.
+"""Per-zone resolvability: the clauses both measurement paths propagate, and
+the misconfiguration taxonomy.
 
-The resolution kernel applies the same two-view conjunction to evidence
-from either measurement path: at least one NS listed in the parent must
-resolve (glue view) AND at least one NS listed by the zone itself must
-resolve (zone view), each evaluated per protocol. An NS counts only if
-it answered over that protocol when the caller saw it asked; the passive
-path passes no answers, so its NS are assumed live. Failure causes are then
-attributed from the evidence; causes are not mutually exclusive. The
-passive path takes its verdicts from the fixed point and asks ``explain``
-only for the causes.
+A zone resolves over a protocol when its delegating parent does AND at
+least one NS listed in the parent is usable (glue view) AND at least one
+NS listed by the zone itself is usable (zone view). ``zone_clauses`` states
+that rule as clauses over the zones an NS depends on, and ``_Propagation``
+computes their least model by unit propagation: the passive path over
+every record set at once, the active path over the zones it has crawled.
+An NS counts only if it did not stay silent over the protocol when asked;
+the passive path passes no answers, so its NS are assumed live.
+
+``classify`` turns a zone's verdicts and evidence into its status: IPv6
+intent and, for a zone that does not resolve over IPv6, the failure causes,
+which are not mutually exclusive.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .names import DomainName
-from .records import V4, V6, ZoneRecordSet
+from .records import V4, V6, AddrRecords, ZoneRecordSet
 
 STATE_DUAL = "dual"
 STATE_V4_ONLY = "v4-only"
@@ -86,31 +90,159 @@ def state_of(v4: bool, v6: bool) -> str:
     return STATE_NONE
 
 
-ROOT_STATUS = ResolutionStatus(STATE_DUAL, True, True, True)
-
 _EMPTY_CONTEXT = NsContext()
+_BOTH = frozenset({V4, V6})
+_MET = {V4: None, V6: None}
 
 
-def _ns_usable(
+# -- verdicts ------------------------------------------------------------------
+
+
+def _own_addresses(rs: ZoneRecordSet) -> tuple[dict[DomainName, AddrRecords], dict[DomainName, AddrRecords]]:
+    """(glue, apex): for the names inside the zone, the addresses served
+    under a proper ancestor of the zone, and under the zone itself."""
+    zone = rs.zone
+    depth = len(zone.labels)
+    glue: dict[DomainName, AddrRecords] = {}
+    apex: dict[DomainName, AddrRecords] = {}
+    for (name, bw), addrs in rs.addr_by_bailiwick.items():
+        if name.is_within(zone) and zone.is_within(bw):
+            if len(bw.labels) < depth:
+                glue[name] = glue[name].merged(addrs) if name in glue else addrs
+            else:
+                apex[name] = addrs
+    return glue, apex
+
+
+def _view_deps(rs: ZoneRecordSet, view: Iterable[DomainName], own: dict[DomainName, AddrRecords],
+               ns_zone: Mapping[DomainName, DomainName], answers: Answers | None,
+               root: frozenset[str]) -> dict[str, set[DomainName] | None]:
+    """Per protocol, the zones any one of which, once resolved, makes some
+    NS of ``view`` usable; None where one already is.
+
+    ``own`` holds what the zone's side of the view serves for the names
+    inside the zone (glue for the parent view, apex records for the zone
+    view). Any NS is also usable through the addresses its enclosing zone
+    ``ns_zone[ns]`` serves, once that zone resolves; the root resolves
+    over the protocols in ``root``. Where that enclosing zone is the zone
+    itself, the clause waits on the zone it belongs to, which cannot
+    resolve before the clause is met, so the NS is not usable that way.
+    An NS that was asked over a protocol and never answered (``answers``)
+    is not usable over it.
+    """
+    deps: dict[str, set[DomainName] | None] = {V4: set(), V6: set()}
+    for ns in view:
+        mine = own.get(ns)
+        z = ns_zone[ns]
+        served = rs.addr_by_bailiwick.get((ns, z))
+        for proto in (V4, V6):
+            zones = deps[proto]
+            if zones is None:
+                continue
+            if answers is not None and answers.get((ns, proto)) is False:
+                continue
+            if mine is not None and mine.for_protocol(proto):
+                deps[proto] = None
+            elif served is not None and served.for_protocol(proto):
+                if z.labels:
+                    zones.add(z)
+                elif proto in root:
+                    deps[proto] = None
+    return deps
+
+
+def zone_clauses(
     rs: ZoneRecordSet,
-    ns: DomainName,
-    proto: str,
-    contexts: Mapping[DomainName, NsContext],
-    parent_side: bool,
+    parent: DomainName,
+    ns_zone: Mapping[DomainName, DomainName],
     answers: Answers | None = None,
-) -> bool:
-    """One NS resolves over ``proto``: glue (parent side) or apex addresses
-    (zone side) for in-bailiwick names, or via its own resolved zone; and
-    it did not stay silent over ``proto`` when asked."""
-    if answers is not None and not answers.get((ns, proto), True):
-        return False
-    if ns.is_within(rs.zone):
-        if parent_side:
-            if rs.glue_addrs(ns, proto):
-                return True
-        elif rs.apex_addrs(ns, proto):
-            return True
-    return _via_own_zone(rs, ns, proto, contexts)
+    root: frozenset[str] = _BOTH,
+) -> dict[str, list[set[DomainName]] | None]:
+    """Per protocol, the clauses under which the zone resolves, or None
+    where one of them can never be met.
+
+    The zone resolves once its delegating zone ``parent`` resolves AND
+    some parent-view NS is usable AND, if the zone's own NS set was
+    observed, some zone-view NS is usable (see ``_view_deps``; a zone
+    whose own NS claims were never observed meets the last clause: absence
+    of an observation is not evidence of breakage). Each clause is the set
+    of zones any one of which meets it; a clause evidence alone meets is
+    left out. The root is no zone of a clause: it resolves over the
+    protocols in ``root``, on the passive path both, as an axiom.
+    ``answers`` is the observed liveness of the zone's NS (None: all
+    assumed live).
+    """
+    glue, apex = _own_addresses(rs)
+    parent_deps = _view_deps(rs, rs.ns_parent_view(), glue, ns_zone, answers, root)
+    child_view = rs.ns_child_view()
+    zone_deps = (_MET if child_view is None
+                 else _view_deps(rs, child_view, apex, ns_zone, answers, root))
+    out: dict[str, list[set[DomainName]] | None] = {}
+    for proto in (V4, V6):
+        if parent.labels:
+            parent_deps_p: set[DomainName] | None = {parent}
+        else:
+            parent_deps_p = None if proto in root else set()
+        clauses = [deps for deps in (parent_deps_p, parent_deps[proto], zone_deps[proto])
+                   if deps is not None]
+        out[proto] = clauses if all(clauses) else None
+    return out
+
+
+class _Propagation:
+    """Counter-based unit propagation over one protocol's clauses (Dowling &
+    Gallier 1984). A clause is met once any one of its zones resolves; a
+    zone resolves once all of its clauses are met.
+
+    The counters persist from one ``propagate`` call to the next, so zones
+    added later continue from what has resolved so far: the least model
+    only grows as zones are added.
+    """
+
+    def __init__(self):
+        self.unmet: dict[DomainName, int] = {}
+        self.clause_zone: list[DomainName] = []  # clause id -> its zone
+        self.met: list[bool] = []  # clause id -> met
+        self.watchers: dict[DomainName, list[int]] = {}  # zone -> clauses it meets
+        self.resolved: set[DomainName] = set()
+
+    def propagate(self, new: Iterable[tuple[DomainName, list[set[DomainName]]]]) -> list[list[DomainName]]:
+        """Add the ``new`` (zone, clauses) pairs; returns the zones that
+        resolve in each round, the first round first."""
+        unmet, clause_zone, met, watchers = self.unmet, self.clause_zone, self.met, self.watchers
+        resolved = self.resolved
+        frontier = []
+        for zone, clauses in new:
+            count = 0
+            for deps in clauses:
+                if resolved.isdisjoint(deps):
+                    cid = len(clause_zone)
+                    clause_zone.append(zone)
+                    met.append(False)
+                    for dep in deps:
+                        watchers.setdefault(dep, []).append(cid)
+                    count += 1
+            unmet[zone] = count
+            if not count:
+                frontier.append(zone)
+        rounds = []
+        while frontier:
+            resolved.update(frontier)
+            rounds.append(frontier)
+            following = []
+            for zone in frontier:
+                for cid in watchers.pop(zone, ()):
+                    if not met[cid]:
+                        met[cid] = True
+                        waiting = clause_zone[cid]
+                        unmet[waiting] -= 1
+                        if not unmet[waiting]:
+                            following.append(waiting)
+            frontier = following
+        return rounds
+
+
+# -- statuses ------------------------------------------------------------------
 
 
 def _via_own_zone(rs: ZoneRecordSet, ns: DomainName, proto: str,
@@ -123,29 +255,6 @@ def _via_own_zone(rs: ZoneRecordSet, ns: DomainName, proto: str,
     if not ctx.resolvable(proto):
         return False
     return bool(rs.addrs_with_bailiwick(ns, ctx.zone, proto))
-
-
-def view_flags(
-    rs: ZoneRecordSet,
-    contexts: Mapping[DomainName, NsContext],
-    proto: str,
-    answers: Answers | None = None,
-) -> tuple[bool, bool]:
-    """(glue_ok, zone_ok) over ``proto``.
-
-    A zone whose own NS claims were never observed gets zone_ok vacuously;
-    absence of an observation is not evidence of breakage.
-    """
-    parent_view = rs.ns_parent_view()
-    glue_ok = any(_ns_usable(rs, ns, proto, contexts, True, answers)
-                  for ns in parent_view)
-    child_view = rs.ns_child_view()
-    if child_view is None:
-        zone_ok = True
-    else:
-        zone_ok = any(_ns_usable(rs, ns, proto, contexts, False, answers)
-                      for ns in child_view)
-    return glue_ok, zone_ok
 
 
 def _intent(rs: ZoneRecordSet, proto: str) -> bool:
@@ -211,7 +320,7 @@ def _witnesses(names: Iterable[DomainName]) -> tuple[str, ...]:
     return tuple(sorted(str(n) for n in names))
 
 
-def explain(
+def classify(
     rs: ZoneRecordSet,
     v4: bool,
     v6: bool,
@@ -220,42 +329,14 @@ def explain(
     answers: Answers | None = None,
 ) -> ResolutionStatus:
     """The status of a zone whose verdicts are ``v4`` and ``v6``: its IPv6
-    intent and, unless it resolves over IPv6, the causes. ``parent_v6``
-    is whether the delegating zone resolves over IPv6."""
+    intent and, unless it resolves over IPv6, the causes. ``parent_v6`` is
+    whether the delegating zone resolves over IPv6, ``contexts`` describes
+    the zones of the NS names, and ``answers`` is the observed liveness of
+    the zone's NS (None: all assumed live)."""
     failures: frozenset[FailureCause] = frozenset()
     if not v6:
         failures = _failure_causes(rs, parent_v6, contexts, V6, answers)
     return ResolutionStatus(state_of(v4, v6), v4, v6, _intent(rs, V6), failures)
-
-
-def classify(
-    rs: ZoneRecordSet,
-    parent_status: ResolutionStatus,
-    contexts: Mapping[DomainName, NsContext] | None = None,
-    answers: Answers | None = None,
-) -> ResolutionStatus:
-    """Resolve a zone's per-protocol state and its IPv6 failure causes.
-
-    ``parent_status`` is the already-computed status of the delegating
-    zone (the root axiom is dual); ``contexts`` describes the zones of
-    out-of-bailiwick NS names; ``answers`` is the observed liveness of the
-    zone's NS (None: all assumed live). Over each protocol the zone
-    resolves if its parent does and both views hold.
-    """
-    contexts = contexts or {}
-    v4, v6 = (parent_status.resolvable(proto)
-              and all(view_flags(rs, contexts, proto, answers))
-              for proto in (V4, V6))
-    return explain(rs, v4, v6, parent_status.v6, contexts, answers)
-
-
-def mirror_causes(
-    rs: ZoneRecordSet,
-    parent_resolvable_v4: bool,
-    contexts: Mapping[DomainName, NsContext] | None = None,
-) -> frozenset[FailureCause]:
-    """Self-test helper: the same cause logic aimed at IPv4 breakage."""
-    return _failure_causes(rs, parent_resolvable_v4, contexts or {}, V4)
 
 
 @dataclass

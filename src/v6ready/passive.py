@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .classify import NsContext, ResolutionStatus, explain, failure_breakdown
+from .classify import (NsContext, ResolutionStatus, _Propagation, classify,
+                       failure_breakdown, zone_clauses)
 from .names import ROOT, DnsNameError, DomainName, normalize
 from .records import (
     AddrRecords,
@@ -472,97 +473,6 @@ def _unknown_parent_zones(parents: dict[DomainName, DomainName | None]) -> froze
     return frozenset(base)
 
 
-def _own_addresses(rs: ZoneRecordSet) -> tuple[dict[DomainName, AddrRecords], dict[DomainName, AddrRecords]]:
-    """(glue, apex): for the names inside the zone, the addresses served
-    under a proper ancestor of the zone, and under the zone itself."""
-    zone = rs.zone
-    depth = len(zone.labels)
-    glue: dict[DomainName, AddrRecords] = {}
-    apex: dict[DomainName, AddrRecords] = {}
-    for (name, bw), addrs in rs.addr_by_bailiwick.items():
-        if name.is_within(zone) and zone.is_within(bw):
-            if len(bw.labels) < depth:
-                glue[name] = glue[name].merged(addrs) if name in glue else addrs
-            else:
-                apex[name] = addrs
-    return glue, apex
-
-
-_MET = {V4: None, V6: None}
-
-
-def _view_deps(rs: ZoneRecordSet, view: Iterable[DomainName], own: dict[DomainName, AddrRecords],
-               ns_zone: dict[DomainName, DomainName]) -> dict[str, set[DomainName] | None]:
-    """Per protocol, the zones any one of which, once resolved, makes some
-    NS of ``view`` usable; None where one already is.
-
-    ``own`` holds what the zone's side of the view serves for the names
-    inside the zone (glue for the parent view, apex records for the zone
-    view). Any NS is also usable through the addresses its enclosing zone
-    serves. That is the rule of ``classify.view_flags``, which also rules
-    out the zone itself as that enclosing zone: here such a clause waits
-    on the zone it belongs to, which cannot resolve before the clause is
-    met, so it comes to the same.
-    """
-    deps: dict[str, set[DomainName] | None] = {V4: set(), V6: set()}
-    for ns in view:
-        mine = own.get(ns)
-        z = ns_zone[ns]
-        served = rs.addr_by_bailiwick.get((ns, z))
-        for proto in (V4, V6):
-            zones = deps[proto]
-            if zones is None:
-                continue
-            if mine is not None and mine.for_protocol(proto):
-                deps[proto] = None
-            elif served is not None and served.for_protocol(proto):
-                if z.labels:
-                    zones.add(z)
-                else:
-                    deps[proto] = None
-    return deps
-
-
-class _Propagation:
-    """Counter-based unit propagation over one protocol's clauses. A clause
-    is met once any one of its zones resolves; a zone resolves once all of
-    its clauses are met."""
-
-    def __init__(self):
-        self.unmet: dict[DomainName, int] = {}
-        self.clause_zone: list[DomainName] = []  # clause id -> its zone
-        self.watchers: dict[DomainName, list[int]] = {}  # zone -> clauses it meets
-        self.ready: list[DomainName] = []
-
-    def add(self, zone: DomainName, clauses: list[set[DomainName]]) -> None:
-        self.unmet[zone] = len(clauses)
-        if not clauses:
-            self.ready.append(zone)
-        for deps in clauses:
-            cid = len(self.clause_zone)
-            self.clause_zone.append(zone)
-            for dep in deps:
-                self.watchers.setdefault(dep, []).append(cid)
-
-    def rounds(self) -> Iterator[list[DomainName]]:
-        """The zones that resolve in each round, the first round first."""
-        unmet, clause_zone, watchers = self.unmet, self.clause_zone, self.watchers
-        met = [False] * len(clause_zone)
-        frontier = self.ready
-        while frontier:
-            yield frontier
-            following = []
-            for zone in frontier:
-                for cid in watchers.get(zone, ()):
-                    if not met[cid]:
-                        met[cid] = True
-                        waiting = clause_zone[cid]
-                        unmet[waiting] -= 1
-                        if not unmet[waiting]:
-                            following.append(waiting)
-            frontier = following
-
-
 def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable:
     """The least set of zones resolvable per protocol, by counter-based
     unit propagation in frontier rounds (Dowling & Gallier 1984).
@@ -578,33 +488,25 @@ def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable
     parents = {zone: rs.delegating_zone() for zone, rs in record_sets.items() if zone.labels}
     unknown = _unknown_parent_zones(parents)
     ns_zone = _ns_zone_index(record_sets)
-    propagations = {V4: _Propagation(), V6: _Propagation()}
+    new: dict[str, list] = {V4: [], V6: []}
     for zone, parent in parents.items():
         if zone in unknown:
             continue
-        rs = record_sets[zone]
-        glue, apex = _own_addresses(rs)
-        parent_deps = _view_deps(rs, rs.ns_parent_view(), glue, ns_zone)
-        child_view = rs.ns_child_view()
-        zone_deps = _MET if child_view is None else _view_deps(rs, child_view, apex, ns_zone)
-        for proto, propagation in propagations.items():
-            clauses = [deps for deps in ({parent} if parent.labels else None,
-                                         parent_deps[proto], zone_deps[proto])
-                       if deps is not None]
-            if all(clauses):  # else a clause nothing can meet
-                propagation.add(zone, clauses)
+        for proto, clauses in zone_clauses(record_sets[zone], parent, ns_zone).items():
+            if clauses is not None:  # else a clause nothing can meet
+                new[proto].append((zone, clauses))
 
     verdicts = {zone: ZoneVerdict() for zone in parents}
     first_resolved: dict[tuple[DomainName, str], int] = {}
     sweeps: dict[str, int] = {}
-    for proto, propagation in propagations.items():
-        sweep = 0
-        for sweep, resolved in enumerate(propagation.rounds(), 1):
+    for proto, pairs in new.items():
+        rounds = _Propagation().propagate(pairs)
+        for sweep, resolved in enumerate(rounds, 1):
             for zone in resolved:
                 verdicts[zone].res[proto] = True
                 first_resolved[(zone, proto)] = sweep
         # the sweeps also ran a second one when nothing resolved in the first
-        sweeps[proto] = max(sweep + 1, 2)
+        sweeps[proto] = max(len(rounds) + 1, 2)
 
     return ResolutionTable(
         zones=verdicts,
@@ -636,8 +538,8 @@ def classify_zones(
         for ns in rs.all_ns():
             z = table.ns_zone[ns]
             contexts[ns] = NsContext(z, resolvable(z, V4), resolvable(z, V6))
-        statuses[zone] = explain(rs, verdict.res[V4], verdict.res[V6],
-                                 resolvable(rs.delegating_zone(), V6), contexts)
+        statuses[zone] = classify(rs, verdict.res[V4], verdict.res[V6],
+                                  resolvable(rs.delegating_zone(), V6), contexts)
     return statuses
 
 

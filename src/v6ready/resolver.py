@@ -4,14 +4,16 @@ The walk starts at the root and probes one NS query per label boundary
 (QNAME-minimized: only the boundary name is ever sent upward), inferring
 zone cuts from referrals without relying on NXDOMAIN. Glue is captured
 from additional sections, parent and child NS sets are both recorded, and
-out-of-bailiwick NS names trigger subordinate walks from the root.
+each out-of-bailiwick NS name is looked up in its own zone, found by a
+walk from the root.
 
-Per-protocol verdicts come from the record-model kernel (the same
-two-view conjunction the passive path uses; reaching a server through glue
-is not enough when validating resolvers would reject the delegation), fed
-with which NS answered over each protocol. The root's status comes from the
-hints that answered, and every zone's status flows down as its children's
-parent status, so a verdict covers the whole delegation chain.
+The crawl only gathers evidence. The per-protocol verdicts follow from it
+by the unit propagation the passive path runs (``classify.zone_clauses``:
+the same two-view conjunction; reaching a server through glue is not
+enough when validating resolvers would reject the delegation), fed with
+which NS answered over each protocol. The root resolves over the
+protocols on which some hint answered, and a zone's parent is one of its
+clauses, so a verdict covers the whole delegation chain.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .classify import (CAUSE_NS_UNRESPONSIVE, STATE_NONE, FailureCause, NsContext,
-                       ResolutionStatus, classify, state_of)
+                       ResolutionStatus, _Propagation, classify, state_of, zone_clauses)
 from .names import ROOT, DomainName, enclosing_zones, normalize
 from .query import QueryEngine, ServerAddress, RESPONSE
 from .records import (
@@ -40,6 +42,9 @@ PROTOCOL_V4_ONLY = "v4-only"
 PROTOCOL_V6_ONLY = "v6-only"
 
 
+CHAIN_RESULT_VERSION = 3
+
+
 class RootUnreachable(Exception):
     pass
 
@@ -52,10 +57,8 @@ class PolicyViolation(AssertionError):
     """Internal invariant broke: a query escaped the protocol filter."""
 
 
-# Zone cuts one chain may pass, and zones that may be mid-discovery before
-# every further out-of-bailiwick NS reference is treated as blocked.
+# Labels a walked name may have: zone cuts one chain may pass.
 DEPTH_LIMIT = 32
-SUBRESOLUTION_LIMIT = 16
 
 
 # Published root server set; tests point hints at the simulated universe.
@@ -155,7 +158,7 @@ class ChainResult:
     def to_json_dict(self) -> dict:
         return {
             "format": "chain-result",
-            "version": 3,
+            "version": CHAIN_RESULT_VERSION,
             "target": str(self.target),
             "protocol_filter": self.protocol_filter,
             "state": self.state,
@@ -198,29 +201,39 @@ class ChainResult:
 class _ZoneInfo:
     zone: DomainName
     parent_zone: DomainName | None
-    parent_ns: frozenset[DomainName]
+    parent_ns: frozenset[DomainName] = frozenset()
     child_ns: frozenset[DomainName] | None = None
     # (name, bailiwick) -> the addresses served for it there: glue from the
     # parent, apex records from the zone, and the lookup of each
     # out-of-bailiwick NS in its own zone; never an empty entry
     addrs: dict[tuple[DomainName, DomainName], AddrRecords] = field(default_factory=dict)
-    contexts: dict[DomainName, NsContext] = field(default_factory=dict)
+    # out-of-bailiwick NS -> the deepest zone found enclosing it, where its
+    # addresses were looked up; None while that zone was being gathered
+    hosts: dict[DomainName, DomainName | None] = field(default_factory=dict)
     queried: list[tuple[str, str, str]] = field(default_factory=list)
     answers: dict[tuple[DomainName, str], bool] = field(default_factory=dict)
-    status: ResolutionStatus | None = None
     servers: list[tuple[DomainName, ServerAddress]] = field(default_factory=list)
-    taint: frozenset[DomainName] = frozenset()
     cname_ns: set[DomainName] = field(default_factory=set)
     out_of_zone: list[ResourceRecord] = field(default_factory=list)
+    silent: bool = False  # no server of the parent answered the NS query for it
+    status: ResolutionStatus | None = None
+    # every ((name, bailiwick), address) ever filed, in any gather pass
+    filed: set[tuple[tuple[DomainName, DomainName], bytes]] = field(default_factory=set)
 
     def glue(self) -> dict[DomainName, AddrRecords]:
         """The parent's addresses for names inside the zone."""
         return {ns: a for (ns, bw), a in self.addrs.items()
                 if bw == self.parent_zone and ns.is_within(self.zone)}
 
-    def note_addr(self, bailiwick: DomainName, rr: ResourceRecord) -> None:
+    def note_addr(self, bailiwick: DomainName, rr: ResourceRecord) -> bool:
+        """File the address ``rr`` carries; True if no pass filed it before."""
         key = (rr.owner, bailiwick)
-        self.addrs[key] = self.addrs.get(key, AddrRecords()).with_record(rr)
+        self.addrs[key] = self.addrs.get(key, _NO_ADDRS).with_record(rr)
+        fact = (key, rr.data)
+        if fact in self.filed:
+            return False
+        self.filed.add(fact)
+        return True
 
     def record_set(self) -> ZoneRecordSet:
         ns_by_bw: dict[DomainName, frozenset[DomainName]] = {}
@@ -232,16 +245,49 @@ class _ZoneInfo:
             ns_by_bw[self.zone] = self.child_ns
         return ZoneRecordSet(self.zone, ns_by_bw, dict(self.addrs))
 
+    def ns_zones(self) -> dict[DomainName, DomainName]:
+        """Each NS of the zone -> the zone whose addresses for it count
+        besides glue and apex records: its host zone if it is out of
+        bailiwick, else the zone itself, which adds nothing."""
+        zones = {}
+        for ns in self.parent_ns | (self.child_ns or frozenset()):
+            host = self.hosts.get(ns)  # a host may be the root, which is falsy
+            zones[ns] = self.zone if host is None else host
+        return zones
+
+
+_NO_ADDRS = AddrRecords()
+
+
+def _run(task):
+    """Run a crawl generator to its result. A generator yields another one
+    when it needs that one's result first; this stack of them stands in
+    for recursion, so a chain of out-of-bailiwick NS references of any
+    length is crawled."""
+    stack = [task]
+    result = None
+    while stack:
+        try:
+            needed = stack[-1].send(result)
+        except StopIteration as done:
+            stack.pop()
+            result = done.value
+        else:
+            stack.append(needed)
+            result = None
+    return result
+
 
 class Resolver:
     """Walks delegation chains against a query engine.
 
-    One resolver instance represents one measurement run: discovered zone
-    cuts are memoized, so bulk scans and subordinate walks share work on
-    top of the engine's response cache. A zone evaluated while one of its
-    dependencies was itself mid-resolution is marked tainted and re-walked
-    the next time it is needed outside that cycle; the response cache makes
-    the second pass nearly free.
+    One resolver instance represents one measurement run. Its crawl only
+    gathers evidence: each zone cut is discovered once and memoized, so
+    bulk scans and the walks for out-of-bailiwick NS names share work on
+    top of the engine's response cache. The verdicts come afterwards, from
+    the crawled zones' clauses (``classify.zone_clauses``) by the unit
+    propagation the passive path uses. One propagation per protocol lasts
+    the whole run, since the least model only grows as zones are added.
     """
 
     def __init__(
@@ -256,7 +302,13 @@ class Resolver:
         self.protocol_filter = protocol_filter
         self.server_port = server_port
         self._zones: dict[DomainName, _ZoneInfo] = {}
-        self._active: set[DomainName] = set()
+        self._found: list[_ZoneInfo] = []  # the zones in the order they were discovered
+        self._fed = 0  # the first _fed of _found are in the propagations
+        # zones being gathered -> whether a walk had to wait for it
+        self._gathering: dict[DomainName, bool] = {}
+        self._added = 0  # addresses filed for the first time, by any zone
+        self._root_answered: set[str] = set()  # protocols over which a root hint answered
+        self._propagations = {V4: _Propagation(), V6: _Propagation()}
 
     def _allowed(self, proto: str) -> bool:
         if self.protocol_filter == PROTOCOL_V4_ONLY:
@@ -271,7 +323,8 @@ class Resolver:
                       enrich_result: bool = False,
                       probe_liveness: bool = False) -> ChainResult:
         target = normalize(target)
-        chain = self._walk(target)
+        chain = self._crawl(target)
+        self._propagate()
         deepest = chain[-1]
         steps = [
             DelegationStep(
@@ -282,11 +335,11 @@ class Resolver:
                 queried_servers=list(info.queried),
                 cname_ns=frozenset(info.cname_ns),
                 out_of_zone=tuple(info.out_of_zone),
-                status=info.status,
+                status=self._status(info),
             )
             for info in chain[1:]  # the root is not a delegation
         ]
-        result = ChainResult(target, self.protocol_filter, steps, deepest.status)
+        result = ChainResult(target, self.protocol_filter, steps, self._status(deepest))
         if enrich_result and deepest.zone != ROOT:
             result.enrichment, result.server_version = self.enrich(
                 deepest.zone, deepest.servers)
@@ -297,29 +350,43 @@ class Resolver:
                     self.probe_ns_liveness(ns, addrs, deepest.zone))
         return result
 
-    # -- the walk ----------------------------------------------------------------
+    # -- the crawl: evidence only ---------------------------------------------
 
-    def _walk(self, target: DomainName) -> list[_ZoneInfo]:
-        root = self._root_info()
-        chain = [root]
-        current = root
+    def _crawl(self, target: DomainName) -> list[_ZoneInfo]:
+        """The zones from the root down to the deepest zone enclosing
+        ``target``, with every zone they depend on crawled. Nothing a crawl
+        that raises found is kept."""
+        mark = len(self._found)
+        try:
+            return _run(self._walk(target))
+        except BaseException:
+            for info in self._found[mark:]:
+                if self._zones.get(info.zone) is info:
+                    del self._zones[info.zone]
+            del self._found[mark:]
+            self._gathering.clear()
+            raise
+
+    def _walk(self, target: DomainName):
+        """Generator: the zones from the root down to the deepest zone
+        enclosing ``target``, each zone found on the way gathered first;
+        None if the walk has to wait for a zone still being gathered."""
         boundaries = enclosing_zones(target)[1:]
         if len(boundaries) > DEPTH_LIMIT:
             raise DepthLimitExceeded(str(target))
+        current = self._root_info()
+        chain = [current]
         for cand in boundaries:
+            if cand in self._gathering:
+                self._gathering[cand] = True
+                return None
             info = self._zones.get(cand)
-            if info is not None and info.taint and cand not in self._active:
-                # Walk a zone again once its blockers have unwound, and also
-                # when a cycle cut may have made it fail: a False reached
-                # through a cut need not hold on the current path.
-                status = info.status
-                if not (info.taint & self._active) or not (status.v4 and status.v6):
-                    del self._zones[cand]
-                    info = None
             if info is None:
                 info = self._discover_cut(current, cand)
                 if info is None:
                     continue  # no cut at this boundary, keep descending
+                if not info.silent:
+                    yield self._gather(info)
             chain.append(info)
             current = info
             if not info.servers:
@@ -343,18 +410,14 @@ class Resolver:
                     continue
                 for addr in sorted(addrs[proto]):
                     info.servers.append((name, ServerAddress(addr, self.server_port)))
-        info.status = _root_status(info)
         self._zones[ROOT] = info
         return info
 
     @staticmethod
-    def _note(info: _ZoneInfo, ns: DomainName, addr: ServerAddress, outcome,
-              own: bool = True) -> bool:
-        """Record one query to a server of ``info``; True if it answered.
-        Only ``own`` queries, which gather ``info``'s evidence, go into
-        ``info.queried``, so that list is final once the zone is found."""
-        if own:
-            info.queried.append((addr.ip, addr.protocol, outcome.kind))
+    def _note(info: _ZoneInfo, ns: DomainName, addr: ServerAddress, outcome) -> bool:
+        """Record one query sent to a server of ``info`` to gather its
+        evidence; True if it answered."""
+        info.queried.append((addr.ip, addr.protocol, outcome.kind))
         answered = outcome.kind == RESPONSE
         key = (ns, addr.protocol)
         info.answers[key] = answered or info.answers.get(key, False)
@@ -370,52 +433,53 @@ class Resolver:
                 for ns, addr in servers]
 
     def _discover_cut(self, parent: _ZoneInfo, cand: DomainName) -> _ZoneInfo | None:
-        """Probe the parent's servers for a delegation at ``cand``."""
+        """Probe the parent's servers for a delegation at ``cand``: the new
+        zone, or None where there is no cut."""
+        info = _ZoneInfo(cand, parent.zone)
+        if not self._probe(parent, info):
+            return None
+        self._zones[cand] = info
+        self._found.append(info)
+        return info
+
+    def _probe(self, parent: _ZoneInfo, info: _ZoneInfo) -> bool:
+        """Ask the parent's servers for the NS set of ``info.zone`` and file
+        what they serve for it; False if they answered and there is no cut.
+
+        When no server of the parent answers, nothing below the parent can
+        be reached through the name, whether or not it is a zone: it is
+        kept as a silent zone, whose step lists the unanswered probes as
+        its evidence.
+        """
         targets: set[DomainName] = set()
         glue: list[ResourceRecord] = []
         strays: list[ResourceRecord] = []
-        answered = False
         probes = []
-        for (ns, addr), outcome in self._query_layer(parent.servers, cand, RRType.NS):
+        answered = False
+        for (_ns, addr), outcome in self._query_layer(parent.servers, info.zone, RRType.NS):
             probes.append((addr.ip, addr.protocol, outcome.kind))
-            if not self._note(parent, ns, addr, outcome, own=False):
+            if outcome.kind != RESPONSE:
                 continue
             answered = True
-            found, new_glue, stray = self._interpret_ns_reply(outcome.message, cand)
+            if parent.zone == ROOT:
+                self._root_answered.add(addr.protocol)
+            found, new_glue, stray = self._interpret_ns_reply(outcome.message, info.zone)
             targets |= found
             glue.extend(new_glue)
             strays.extend(stray)
-        if parent.zone == ROOT:
-            if not any(parent.answers.values()):
-                raise RootUnreachable("no root server answered")
-            parent.status = _root_status(parent)
+        if parent.zone == ROOT and not self._root_answered:
+            raise RootUnreachable("no root server answered")
         if answered and not targets:
-            return None  # no cut at this boundary
-        info = _ZoneInfo(zone=cand, parent_zone=parent.zone, parent_ns=frozenset(targets),
-                         taint=parent.taint, out_of_zone=strays)
+            return False
+        info.parent_ns = frozenset(targets)
+        info.out_of_zone = strays
+        info.silent = not answered
+        if info.silent:
+            info.queried = probes
+        info.addrs = {}
         for rr in glue:
-            info.note_addr(parent.zone, rr)
-        self._zones[cand] = info
-        if not answered:
-            # No server of the parent answered: whether or not ``cand`` is
-            # a zone, nothing below the parent can be reached through it.
-            silent = FailureCause(CAUSE_NS_UNRESPONSIVE, tuple(sorted(
-                {str(ns) for ns, _addr in parent.servers})))
-            info.status = ResolutionStatus(STATE_NONE, False, False, False,
-                                           frozenset({silent}))
-            info.queried = probes  # the unanswered probes are this step's evidence
-            return info
-        self._active.add(cand)
-        try:
-            self._gather_zone_evidence(info)
-        except BaseException:
-            del self._zones[cand]
-            raise
-        finally:
-            self._active.discard(cand)
-        info.status = classify(info.record_set(), parent.status, info.contexts,
-                               info.answers)
-        return info
+            self._added += info.note_addr(parent.zone, rr)
+        return True
 
     @staticmethod
     def _interpret_ns_reply(msg: DnsMessage, cand: DomainName):
@@ -441,23 +505,54 @@ class Resolver:
                 glue.append(rr)
         return targets, glue, out_of_zone
 
-    def _gather_zone_evidence(self, info: _ZoneInfo) -> None:
-        """Contact the zone's own servers: child NS view, apex addresses,
-        and subordinate walks for out-of-bailiwick NS names."""
-        contact = self._contact_servers(info, info.parent_ns)
+    def _gather(self, info: _ZoneInfo):
+        """Generator: gather a newly found zone's evidence.
+
+        If a walk had to wait for the zone meanwhile, the zones found since
+        it may lack addresses: probe and gather each of them, the zone
+        included, afresh from what the others hold now, until a pass files
+        no address that no pass filed before. The engine's cache answers
+        every question already asked, so only servers that became known
+        see new queries, and each zone keeps what its last pass found.
+        """
+        start = len(self._found) - 1
+        self._gathering[info.zone] = False
+        yield from self._gather_pass(info)
+        waited_for = self._gathering.pop(info.zone)
+        while waited_for:
+            added = self._added
+            for other in self._found[start:]:
+                if self._zones.get(other.zone) is not other:
+                    continue
+                if not self._probe(self._zones[other.parent_zone], other):
+                    # the parent servers asked first had all stayed silent
+                    del self._zones[other.zone]
+                elif not other.silent:
+                    yield from self._gather_pass(other)
+            waited_for = self._added != added
+
+    def _gather_pass(self, info: _ZoneInfo):
+        """Generator: contact the zone's own servers for its NS set and the
+        addresses of its in-bailiwick NS, each out-of-bailiwick NS looked
+        up in its own zone first."""
+        info.queried = []
+        info.answers = {}
+        info.hosts = {}
+        info.cname_ns = set()
+        contact = yield from self._contact_servers(info, info.parent_ns)
         child_ns = self._child_view(info, contact)
         extra = (child_ns or frozenset()) - info.parent_ns
         if extra:
             # Inconsistent NS sets: the layer's queries run against the
             # child-only servers as well.
-            extra_contact = self._contact_servers(info, extra)
+            extra_contact = yield from self._contact_servers(info, extra)
             more = self._child_view(info, extra_contact)
             if more is not None:
                 child_ns = (child_ns or frozenset()) | more
         info.child_ns = child_ns
 
         all_ns = info.parent_ns | (info.child_ns or frozenset())
-        contact = self._contact_servers(info, all_ns)
+        contact = yield from self._contact_servers(info, all_ns)
         info.servers = contact
         in_bailiwick = sorted(ns for ns in all_ns if ns.is_within(info.zone))
         if contact:
@@ -470,7 +565,7 @@ class Resolver:
                             # invalid for NS targets: recorded, never chased
                             info.cname_ns.add(ns)
                         elif rr.rrtype in (RRType.A, RRType.AAAA):
-                            info.note_addr(info.zone, rr)
+                            self._added += info.note_addr(info.zone, rr)
 
     def _child_view(self, info: _ZoneInfo, contact) -> frozenset[DomainName] | None:
         child_ns: set[DomainName] | None = None
@@ -484,27 +579,41 @@ class Resolver:
                 child_ns = (child_ns or set()) | found
             for rr in msg.additional:
                 if rr.rrtype in (RRType.A, RRType.AAAA) and rr.owner.is_within(info.zone):
-                    info.note_addr(info.zone, rr)
+                    self._added += info.note_addr(info.zone, rr)
         return frozenset(child_ns) if child_ns is not None else None
 
-    def _query_first(self, contact, qname, rrtype, info: _ZoneInfo,
-                     own: bool = True) -> list[ResourceRecord]:
-        """Ask servers in order until one responds; returns its answers."""
+    def _query_first(self, contact, qname, rrtype,
+                     info: _ZoneInfo | None = None) -> list[ResourceRecord]:
+        """Ask servers in order until one responds; returns its answers.
+        The queries gather ``info``'s evidence, if it is given."""
         for ns, addr in contact:
             outcome = self.engine.query(addr, qname, rrtype)
-            if self._note(info, ns, addr, outcome, own):
+            if info is not None:
+                answered = self._note(info, ns, addr, outcome)
+            else:
+                answered = outcome.kind == RESPONSE
+            if answered:
                 return list(outcome.message.answer)
         return []
 
-    def _contact_servers(self, info: _ZoneInfo, ns_names) -> list[tuple[DomainName, ServerAddress]]:
-        """One address per (NS, protocol), from glue, apex or subordinate
-        evidence, in deterministic order. An out-of-bailiwick name is
-        walked the first time it is met."""
+    def _contact_servers(self, info: _ZoneInfo, ns_names):
+        """Generator: one address per (NS, protocol), from glue, apex or
+        host-zone evidence, in deterministic order. An out-of-bailiwick
+        name is looked up in its own zone the first time it is met, after
+        a walk to that zone; while that zone is being gathered, the name
+        waits with no address."""
         out = []
         seen = set()
         for ns in sorted(ns_names):
-            if not ns.is_within(info.zone) and ns not in info.contexts:
-                self._resolve_ns_reference(info, ns)
+            if not ns.is_within(info.zone) and ns not in info.hosts:
+                chain = yield self._walk(ns)
+                info.hosts[ns] = None if chain is None else chain[-1].zone
+                if chain is not None:
+                    host = chain[-1]
+                    for rrtype in (RRType.A, RRType.AAAA):
+                        for rr in self._query_first(host.servers, ns, rrtype):
+                            if rr.owner == ns and rr.rrtype in (RRType.A, RRType.AAAA):
+                                self._added += info.note_addr(host.zone, rr)
             addrs = self._known_addrs(info, ns)
             for proto in (V4, V6):
                 if not self._allowed(proto):
@@ -526,24 +635,55 @@ class Resolver:
                 merged = merged.merged(addrs)
         return merged
 
-    def _resolve_ns_reference(self, info: _ZoneInfo, ns: DomainName) -> None:
-        """Subordinate walk, from the root, for an out-of-bailiwick NS name."""
-        if len(self._active) > SUBRESOLUTION_LIMIT:
-            blockers = set(self._active)
+    # -- verdicts ----------------------------------------------------------------
+
+    def _propagate(self) -> None:
+        """Feed the clauses of the zones found since the last call to the
+        propagations. A crawl ends with every zone it found gathered and
+        every zone they depend on crawled, so the verdicts that follow are
+        final."""
+        root = frozenset(self._root_answered)
+        new: dict[str, list] = {V4: [], V6: []}
+        for info in self._found[self._fed:]:
+            if info.silent or self._zones.get(info.zone) is not info:
+                continue
+            clauses = zone_clauses(info.record_set(), info.parent_zone, info.ns_zones(),
+                                   info.answers, root)
+            for proto, zone_clauses_ in clauses.items():
+                if zone_clauses_ is not None:
+                    new[proto].append((info.zone, zone_clauses_))
+        self._fed = len(self._found)
+        for proto, propagation in self._propagations.items():
+            propagation.propagate(new[proto])
+
+    def _resolves(self, zone: DomainName, proto: str) -> bool:
+        """The root resolves over a protocol once a root hint answered over
+        it; every other zone once the propagation says so."""
+        if zone == ROOT:
+            return proto in self._root_answered
+        return zone in self._propagations[proto].resolved
+
+    def _status(self, info: _ZoneInfo) -> ResolutionStatus:
+        """The zone's status, memoised once its verdicts are final."""
+        if info.zone == ROOT:
+            ok = [self._resolves(ROOT, proto) for proto in (V4, V6)]
+            return ResolutionStatus(state_of(*ok), ok[0], ok[1], intent_v6=True)
+        if info.status is not None:
+            return info.status
+        if info.silent:
+            parent = self._zones[info.parent_zone]
+            cause = FailureCause(CAUSE_NS_UNRESPONSIVE, tuple(sorted(
+                {str(ns) for ns, _addr in parent.servers})))
+            info.status = ResolutionStatus(STATE_NONE, False, False, False,
+                                           frozenset({cause}))
         else:
-            blockers = {cand for cand in enclosing_zones(ns)[1:] if cand in self._active}
-        if blockers:
-            info.contexts[ns] = NsContext()
-            info.taint = info.taint | frozenset(blockers)
-            return
-        host = self._walk(ns)[-1]
-        info.taint = info.taint | host.taint
-        if host.servers:
-            for rrtype in (RRType.A, RRType.AAAA):
-                for rr in self._query_first(host.servers, ns, rrtype, host, own=False):
-                    if rr.owner == ns and rr.rrtype in (RRType.A, RRType.AAAA):
-                        info.note_addr(host.zone, rr)
-        info.contexts[ns] = NsContext(host.zone, host.status.v4, host.status.v6)
+            contexts = {ns: NsContext(z, self._resolves(z, V4), self._resolves(z, V6))
+                        for ns, z in info.ns_zones().items()}
+            info.status = classify(info.record_set(), self._resolves(info.zone, V4),
+                                   self._resolves(info.zone, V6),
+                                   self._resolves(info.parent_zone, V6), contexts,
+                                   info.answers)
+        return info.status
 
     # -- enrichment and liveness ---------------------------------------------
 
@@ -600,13 +740,6 @@ class Resolver:
                 rows.append((addr, proto,
                              "responsive" if outcome.kind == RESPONSE else "unresponsive"))
         return rows
-
-
-def _root_status(root: _ZoneInfo) -> ResolutionStatus:
-    """The root resolves over a protocol once a hint answered over it."""
-    ok = [any(root.answers.get((ns, proto), False) for ns in root.parent_ns)
-          for proto in (V4, V6)]
-    return ResolutionStatus(state_of(*ok), ok[0], ok[1], intent_v6=True)
 
 
 def _invalid_address(addr: str) -> bool:

@@ -1,7 +1,7 @@
 """Reference fixed point: the Jacobi sweep loop that ``passive.fixed_point``
 replaced, kept as a test oracle.
 
-Each sweep evaluates every zone with ``classify.view_flags`` against the
+Each sweep evaluates every zone with ``kernel.view_flags`` against the
 previous sweep's resolved set, so sweep counts are independent of
 iteration order. ``passive.fixed_point`` must give the same zones, sweeps,
 first-resolved sweeps and unknown-parent set.
@@ -9,7 +9,8 @@ first-resolved sweeps and unknown-parent set.
 
 from __future__ import annotations
 
-from v6ready.classify import NsContext, view_flags
+from kernel import view_flags
+from v6ready.classify import NsContext
 from v6ready.names import ROOT, DomainName
 from v6ready.passive import ResolutionTable, ZoneVerdict
 from v6ready.records import V4, V6, ZoneRecordSet

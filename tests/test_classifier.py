@@ -1,5 +1,6 @@
 import random
 
+from kernel import ROOT_STATUS, classify, mirror_causes
 from universes import N, crawl, passive_verdicts, with_liveness_faults
 from v6ready.classify import (
     CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA,
@@ -10,10 +11,7 @@ from v6ready.classify import (
     FailureCause,
     NsContext,
     ResolutionStatus,
-    ROOT_STATUS,
-    classify,
     failure_breakdown,
-    mirror_causes,
     state_of,
 )
 from v6ready.mocknet import fixture_tuples, random_universe

@@ -94,7 +94,7 @@ def test_disjoint_parent_and_child_ns_sets():
     # simplest faithful construction is the wrong-ns-set defect plus a
     # v6-less extra, but here we assert the conjunction over views using
     # the passive kernel directly.
-    from v6ready.classify import ROOT_STATUS, classify
+    from kernel import ROOT_STATUS, classify
     from v6ready.records import ZoneRecordSet
 
     rs = ZoneRecordSet(

@@ -15,6 +15,7 @@ from universes import (
     missing_glue_universe,
     passive_verdicts,
     root_fixture,
+    with_liveness_faults,
     with_short_a_record,
 )
 from v6ready.classify import (
@@ -34,6 +35,7 @@ from v6ready.mocknet import (
     build_universe,
     fixture_tuples,
     ground_truth,
+    random_universe,
     zone_fixture,
 )
 from v6ready.query import QueryEngine
@@ -397,3 +399,59 @@ def test_ns_named_in_the_root_zone_is_looked_up_at_the_root():
     assert (res.v4_resolvable, res.v6_resolvable) == (True, True)
     assert res.status == statuses[t]
     assert res.state == "dual" and not res.status.v6_failures
+
+
+def out_of_bailiwick_chain(k):
+    """h0.t's only NS lives in h1.t, whose only NS lives in h2.t, and so on
+    for ``k`` zones; the last one has its own NS, with glue."""
+    fixtures = [root_fixture(), healthy_zone("t", 10)]
+    for i in range(k):
+        hosted = [(f"ns.h{i}.t", [f"10.1.{i}.1"], [f"fd00:1:{i:x}::1"])] if i else []
+        if i < k - 1:
+            ns = [(f"ns.h{i + 1}.t", [], [])]
+        else:
+            ns = [(f"ns0.h{i}.t", ["10.2.0.1"], ["fd00:2::1"])]
+        fixtures.append(zone_fixture(f"h{i}.t", ns, hosted=hosted))
+    return build_universe(fixtures)
+
+
+def test_long_chain_of_out_of_bailiwick_hops_resolves():
+    # Crawling h0.t waits on the walk to each next hop's zone in turn.
+    for k in (20, 40):
+        u = out_of_bailiwick_chain(k)
+        assert ground_truth(u)[N("h0.t")] == {V4: True, V6: True}
+        assert make_resolver(u).resolve_chain("h0.t").state == "dual", k
+    # far deeper than Python's recursion limit allows a recursive walk
+    u = out_of_bailiwick_chain(200)
+    res = make_resolver(u).resolve_chain("h0.t")
+    assert res.state == "dual"
+    assert [str(s.zone) for s in res.steps] == ["t", "h0.t"]
+
+
+def test_each_zone_is_discovered_once_per_resolver(monkeypatch):
+    # The trees of the liveness differential, each crawled in a shuffled
+    # order by one resolver: no zone cut is found twice, those in cycles of
+    # out-of-bailiwick NS included.
+    discovered = []
+    discover_cut = Resolver._discover_cut
+
+    def counted(resolver, parent, cand):
+        info = discover_cut(resolver, parent, cand)
+        if info is not None:
+            discovered.append((id(resolver), cand))
+        return info
+
+    monkeypatch.setattr(Resolver, "_discover_cut", counted)
+    resolvers = []  # kept alive, so that no two share an id
+    for seed in range(200):
+        base, truth = random_universe(seed, 25)
+        u = with_liveness_faults(base, seed)
+        order = sorted(truth)
+        random.Random(seed).shuffle(order)
+        resolvers.append(make_resolver(u))
+        for zone in order:
+            try:
+                resolvers[-1].resolve_chain(zone)
+            except RootUnreachable:
+                pass
+    assert len(discovered) == len(set(discovered)) > 3900
