@@ -45,6 +45,7 @@ from .psl import PublicSuffixList
 from .query import QueryEngine, QueryPolicy, ResponseCache, UdpTcpTransport
 from .records import ascii_int
 from .resolver import (
+    CHAIN_RESULT_VERSION,
     DepthLimitExceeded,
     PROTOCOL_BOTH,
     PROTOCOL_V4_ONLY,
@@ -230,7 +231,8 @@ def _scanned_domains(out_path: Path) -> set[str]:
     """The ``domain`` of every complete row in ``out_path``, the scan's
     journal, read one line at a time. A last line without its newline is a
     torn write: it is cut off, so its domain is scanned again. Any other
-    line that is not a row is a ValueError, raised before the file is
+    line that is not a row, or is a row of another chain-result version
+    (built under other rules), is a ValueError, raised before the file is
     touched."""
     done: set[str] = set()
     if not out_path.exists():
@@ -247,6 +249,9 @@ def _scanned_domains(out_path: Path) -> set[str]:
                 row = None
             if not isinstance(row, dict) or not isinstance(row.get("domain"), str):
                 raise ValueError(f"{out_path}:{number}: not a scan row")
+            if row.get("version", CHAIN_RESULT_VERSION) != CHAIN_RESULT_VERSION:
+                raise ValueError(f"{out_path}:{number}: a chain-result version "
+                                 f"{row['version']!r} row, not {CHAIN_RESULT_VERSION}")
             done.add(row["domain"])
             end += len(line)
     return done

@@ -42,7 +42,7 @@ PROTOCOL_V4_ONLY = "v4-only"
 PROTOCOL_V6_ONLY = "v6-only"
 
 
-CHAIN_RESULT_VERSION = 3
+CHAIN_RESULT_VERSION = 4
 
 
 class RootUnreachable(Exception):

@@ -191,6 +191,27 @@ def test_scan_refuses_an_output_with_a_corrupt_row(tmp_path, capsys):
     assert u.log.entries == []
 
 
+def test_scan_refuses_to_resume_rows_of_another_chain_result_version(tmp_path, capsys):
+    # Rows built under other rules must not be mixed with this scan's rows.
+    u = four_state_universe()
+    domains = tmp_path / "domains.txt"
+    domains.write_text("dualzone.t\nv4zone.t\n")
+    out = tmp_path / "results.jsonl"
+    assert run_cli(scan_args(tmp_path, u, domains, out), u) == 0
+    first, second = out.read_text().splitlines()
+    old = json.loads(second)
+    old["version"] = 3
+    out.write_text(first + "\n" + json.dumps(old) + "\n")
+    before = out.read_bytes()
+    u.log.entries.clear()
+    capsys.readouterr()
+    assert run_cli(scan_args(tmp_path, u, domains, out), u) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{out}:2:" in err and "version 3" in err
+    assert out.read_bytes() == before
+    assert u.log.entries == []
+
+
 def test_scan_submits_a_bounded_window_of_domains(tmp_path, monkeypatch):
     u = four_state_universe()
     names = [f"h{i}.dualzone.t" for i in range(200)]
