@@ -25,6 +25,7 @@ equal. ``_Evidence.file`` states what a tuple contributes, for lines and
 
 from __future__ import annotations
 
+import codecs
 import gzip
 import io
 import itertools
@@ -156,13 +157,24 @@ def _json_tuple(obj, names: dict[str, DomainName]) -> PassiveTuple:
         raise MalformedTuple(f"missing field {exc}") from exc
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> tuple[str, int]:
+    """Read bytes that are not UTF-8 as a NUL and a tab. No tuple line
+    parses with them in either form (a TSV line gains a field, and a JSON
+    line a control character), so the line counts as malformed, at no cost
+    to the lines that decode."""
+    return "\x00\t", exc.end
+
+
+codecs.register_error("v6ready-not-utf8", _not_utf8)
+
+
 def open_tuple_stream(path: str | Path) -> IO[str]:
     raw = open(path, "rb")
     head = raw.read(2)
     raw.seek(0)
     if head == b"\x1f\x8b":
-        return io.TextIOWrapper(gzip.GzipFile(fileobj=raw), encoding="utf-8")
-    return io.TextIOWrapper(raw, encoding="utf-8")
+        raw = gzip.GzipFile(fileobj=raw)
+    return io.TextIOWrapper(raw, encoding="utf-8", errors="v6ready-not-utf8")
 
 
 def iter_tuples(lines: Iterable[str], stats: IngestStats | None = None) -> Iterator[PassiveTuple]:
@@ -371,15 +383,19 @@ def _file_json(lines: Iterable[str], evidence: _Evidence) -> None:
 
 def _file_lines(lines: Iterable[str], evidence: _Evidence) -> None:
     """File one tuple file's lines, read as JSON or TSV by its first
-    non-blank line."""
+    non-blank line. A compressed file that ends early keeps the lines read
+    before the end, and its torn tail counts as one malformed line."""
     lines = iter(lines)
-    for head in lines:
-        if head.strip():
-            break
-    else:
-        return
-    form = _file_json if head.lstrip().startswith("{") else _file_tsv
-    form(itertools.chain((head,), lines), evidence)
+    try:
+        for head in lines:
+            if head.strip():
+                break
+        else:
+            return
+        form = _file_json if head.lstrip().startswith("{") else _file_tsv
+        form(itertools.chain((head,), lines), evidence)
+    except EOFError:  # gzip: the compressed stream ended before its end marker
+        evidence.stats.malformed += 1
 
 
 def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> IngestResult:

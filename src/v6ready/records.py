@@ -43,12 +43,13 @@ class RRType:
 
     @classmethod
     def from_text(cls, text: str) -> "RRType":
-        """The named type, or ``TYPEn``; a known type is its shared constant."""
+        """The named type, or ``TYPEn`` with ``n`` in ASCII digits and at
+        most 65535; a known type is its shared constant."""
         t = text.strip().upper()
         if t in _TYPE_VALUES:
             return _BY_VALUE[_TYPE_VALUES[t]]
-        if t.startswith("TYPE") and t[4:].isdigit():
-            value = int(t[4:])
+        value = ascii_int(t[4:]) if t.startswith("TYPE") else None
+        if value is not None and value <= 0xFFFF:
             return _BY_VALUE.get(value) or cls(value)
         raise ValueError(f"unknown rrtype {text!r}")
 

@@ -1,5 +1,7 @@
+import gzip
 import json
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -404,6 +406,37 @@ def test_simulate_all_inputs_unreadable_exits_two(tmp_path, capsys):
     rc = cli.main(["simulate", str(tmp_path / "missing.tsv"),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+def test_simulate_counts_a_line_that_is_not_utf8_as_malformed(tmp_path, capsys):
+    # In either form, bytes that are not UTF-8 make their line malformed,
+    # wherever they stand; the file's other lines are filed.
+    tsv = tmp_path / "bad.tsv"
+    tsv.write_bytes(b"\xff\xfe\n"
+                    b"1\t1\t2\tcom\tNS\t.\tns1.com\n"
+                    b"1\t1\t2\tcom\tTXT\tcom\tv=\xff\n")
+    jsonl = tmp_path / "bad.jsonl"
+    good = {"count": 1, "time_first": 1, "time_last": 2, "rrname": "ns1.com",
+            "rrtype": "A", "bailiwick": "com", "rdata": ["192.0.2.1"]}
+    jsonl.write_bytes(json.dumps(good).encode() + b"\n"
+                      + json.dumps({**good, "note": "NOTE"}).encode().replace(b"NOTE", b"\xc3") + b"\n")
+    outdir = tmp_path / "out"
+    assert cli.main(["simulate", str(tsv), str(jsonl), "--out", str(outdir)]) == 0
+    ingest = json.loads((outdir / "stats.json").read_text())["ingest"]
+    assert (ingest["tuples"], ingest["malformed"]) == (2, 3)
+
+
+def test_simulate_keeps_the_lines_before_a_compressed_file_ends_early(tmp_path, capsys):
+    text = "".join(f"1\t1\t2\tz{i}.com\tNS\tcom\tns1.z{i}.com\n" for i in range(2000))
+    data = gzip.compress(text.encode())
+    torn = data[:len(data) // 2]
+    (tmp_path / "half.tsv.gz").write_bytes(torn)
+    complete = zlib.decompressobj(wbits=31).decompress(torn).count(b"\n")
+    assert 0 < complete < 2000
+    outdir = tmp_path / "out"
+    assert cli.main(["simulate", str(tmp_path / "half.tsv.gz"), "--out", str(outdir)]) == 0
+    ingest = json.loads((outdir / "stats.json").read_text())["ingest"]
+    assert (ingest["tuples"], ingest["malformed"]) == (complete, 1)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

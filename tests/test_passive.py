@@ -154,6 +154,27 @@ def test_rrtype_from_text_gives_the_shared_constants():
     assert T("example.com", "A", "com", ["192.0.2.1"]).rrtype is RRType.A
 
 
+def test_type_numbers_are_ascii_digits_up_to_65535():
+    # Other scripts' digits, numbers past 16 bits and numbers past int()'s
+    # conversion limit make the line malformed, in either form; a TYPE1
+    # line would file its address as glue.
+    assert RRType.from_text("TYPE65535") == RRType(65535)
+    bad = ["TYPE\u0661", "TYPE\u00b2", "TYPE70000", "TYPE" + "1" * 5000]
+    for rrtype in bad:
+        with pytest.raises(ValueError):
+            RRType.from_text(rrtype)
+    fields = ["1", "1", "2", "ns.a.com", None, "com", "192.0.2.1"]
+    tsv = ["\t".join(fields[:4] + [t] + fields[5:]) + "\n" for t in bad]
+    jsonl = [json.dumps(dict(zip(("count", "time_first", "time_last", "rrname",
+                                  "rrtype", "bailiwick"), (1, 1, 2, "ns.a.com", t, "com")),
+                             rdata=["192.0.2.1"])) + "\n" for t in bad]
+    for lines in (tsv, jsonl):
+        stats = IngestStats()
+        result = ingest([lines], stats)
+        assert (stats.tuples, stats.malformed) == (0, len(bad))
+        assert not result.orphan_addresses
+
+
 def test_invalid_address_values_are_malformed():
     stats = IngestStats()
     ingest_tuples([T("ns1.example.com", "A", "com", ["not-an-ip"])], stats)
