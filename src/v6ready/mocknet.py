@@ -701,11 +701,14 @@ DEFAULT_DEFECT_RATES = {
 }
 
 
+FIXTURES_FORMAT = {"format": "mocknet-fixtures", "version": 1}
+
+
 def dump_fixtures(out, fixtures: Iterable[FixtureZone]) -> None:
     """One JSON document per zone, after a format header line."""
     import json
 
-    out.write(json.dumps({"format": "mocknet-fixtures", "version": 1}) + "\n")
+    out.write(json.dumps(FIXTURES_FORMAT) + "\n")
     for fz in sorted(fixtures, key=lambda f: f.zone):
         doc = {
             "zone": str(fz.zone),
@@ -736,7 +739,8 @@ def dump_fixtures(out, fixtures: Iterable[FixtureZone]) -> None:
 
 
 def load_fixtures(path) -> list[FixtureZone]:
-    """Read a fixture file produced by dump_fixtures (or written by hand)."""
+    """Read a fixture file produced by dump_fixtures (or written by hand).
+    A header of another format or version is a ValueError."""
     import json
     from pathlib import Path
 
@@ -746,8 +750,11 @@ def load_fixtures(path) -> list[FixtureZone]:
     if not lines:
         return []
     header = json.loads(lines[0])
-    if header.get("format") != "mocknet-fixtures":
+    if header.get("format") != FIXTURES_FORMAT["format"]:
         raise ValueError(f"not a fixture file: {path}")
+    if header.get("version") != FIXTURES_FORMAT["version"]:
+        raise ValueError(f"{path}: fixture file version {header.get('version')!r}, "
+                         f"not {FIXTURES_FORMAT['version']}")
     for line in lines[1:]:
         doc = json.loads(line)
 

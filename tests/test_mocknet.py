@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -255,6 +257,21 @@ def test_fixture_file_round_trip(tmp_path):
     for zone in u.fixtures:
         assert rebuilt.fixtures[zone] == u.fixtures[zone], str(zone)
     assert ground_truth(rebuilt) == ground_truth(u)
+
+
+def test_fixture_file_of_an_unknown_version_is_refused(tmp_path):
+    from v6ready.mocknet import load_fixtures
+
+    zone = json.dumps({"zone": ".", "ns": [{"name": "a.root", "v4": ["10.0.0.1"]}]})
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text('{"format": "mocknet-fixtures", "version": 1}\n' + zone + "\n")
+    assert [str(fz.zone) for fz in load_fixtures(path)] == ["."]
+    for header in ('{"format": "mocknet-fixtures", "version": 2}',
+                   '{"format": "mocknet-fixtures", "version": "1"}',
+                   '{"format": "mocknet-fixtures"}'):
+        path.write_text(header + "\n" + zone + "\n")
+        with pytest.raises(ValueError, match="version"):
+            load_fixtures(path)
 
 
 @settings(max_examples=40, deadline=None)
