@@ -1,25 +1,18 @@
-"""Per-zone resolvability: the clauses both measurement paths propagate, and
-the misconfiguration taxonomy.
+"""Per-zone resolvability and the misconfiguration taxonomy.
 
-A zone resolves over a protocol when its delegating parent does AND at
-least one NS listed in the parent is usable (glue view) AND at least one
-NS listed by the zone itself is usable (zone view). ``zone_clauses`` states
-that rule as clauses over the zones an NS depends on, and ``_Propagation``
-computes their least model by unit propagation: the passive path over
-every record set at once, the active path over the zones it has crawled.
-An NS counts only if it did not stay silent over the protocol when asked;
-the passive path passes no answers, so its NS are assumed live.
-
+``zone_clauses`` states when a zone resolves as clauses over the zones it
+depends on, and ``_Propagation`` computes their least model: the passive
+path over every record set, the active path over the zones it crawled.
 ``classify`` turns a zone's verdicts and evidence into its status: IPv6
-intent and, for a zone that does not resolve over IPv6, the failure causes,
-which are not mutually exclusive.
+intent and, unless it resolves over IPv6, the failure causes, which are
+not mutually exclusive.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .names import DomainName
 from .records import V4, V6, AddrRecords, ZoneRecordSet
@@ -48,32 +41,12 @@ class FailureCause:
 
 
 @dataclass(frozen=True)
-class NsContext:
-    """What the caller knows about one NS name's own zone.
-
-    ``zone`` is the deepest observed zone enclosing the name, and ``v4``
-    and ``v6`` whether it resolves. A zone of None (never reached) makes
-    the NS unusable as an out-of-bailiwick reference.
-    """
-
-    zone: DomainName | None = None
-    v4: bool = False
-    v6: bool = False
-
-    def resolvable(self, proto: str) -> bool:
-        return self.v4 if proto == V4 else self.v6
-
-
-@dataclass(frozen=True)
 class ResolutionStatus:
     state: str
     v4: bool
     v6: bool
     intent_v6: bool
     v6_failures: frozenset[FailureCause] = frozenset()
-
-    def resolvable(self, proto: str) -> bool:
-        return self.v4 if proto == V4 else self.v6
 
     @property
     def causes(self) -> frozenset[str]:
@@ -90,9 +63,9 @@ def state_of(v4: bool, v6: bool) -> str:
     return STATE_NONE
 
 
-_EMPTY_CONTEXT = NsContext()
-_BOTH = frozenset({V4, V6})
-_MET = {V4: None, V6: None}
+Resolves = Callable[[DomainName, str], bool]  # (zone, protocol) -> resolves
+
+_NO_ADDRS = AddrRecords()
 
 
 # -- verdicts ------------------------------------------------------------------
@@ -115,20 +88,17 @@ def _own_addresses(rs: ZoneRecordSet) -> tuple[dict[DomainName, AddrRecords], di
 
 
 def _view_deps(rs: ZoneRecordSet, view: Iterable[DomainName], own: dict[DomainName, AddrRecords],
-               ns_zone: Mapping[DomainName, DomainName], answers: Answers | None,
-               root: frozenset[str]) -> dict[str, set[DomainName] | None]:
+               ns_zone: Mapping[DomainName, DomainName],
+               answers: Answers | None) -> dict[str, set[DomainName] | None]:
     """Per protocol, the zones any one of which, once resolved, makes some
     NS of ``view`` usable; None where one already is.
 
-    ``own`` holds what the zone's side of the view serves for the names
-    inside the zone (glue for the parent view, apex records for the zone
-    view). Any NS is also usable through the addresses its enclosing zone
-    ``ns_zone[ns]`` serves, once that zone resolves; the root resolves
-    over the protocols in ``root``. Where that enclosing zone is the zone
-    itself, the clause waits on the zone it belongs to, which cannot
-    resolve before the clause is met, so the NS is not usable that way.
-    An NS that was asked over a protocol and never answered (``answers``)
-    is not usable over it.
+    An NS is usable through what the zone's side of the view serves for
+    names inside the zone (``own``: glue for the parent view, apex records
+    for the zone view), or through the addresses its enclosing zone
+    ``ns_zone[ns]`` serves once that zone resolves. Where that is the zone
+    itself, the clause waits on its own zone, so it comes to not usable. An
+    NS asked over a protocol that never answered is not usable over it.
     """
     deps: dict[str, set[DomainName] | None] = {V4: set(), V6: set()}
     for ns in view:
@@ -144,10 +114,7 @@ def _view_deps(rs: ZoneRecordSet, view: Iterable[DomainName], own: dict[DomainNa
             if mine is not None and mine.for_protocol(proto):
                 deps[proto] = None
             elif served is not None and served.for_protocol(proto):
-                if z.labels:
-                    zones.add(z)
-                elif proto in root:
-                    deps[proto] = None
+                zones.add(z)
     return deps
 
 
@@ -156,34 +123,24 @@ def zone_clauses(
     parent: DomainName,
     ns_zone: Mapping[DomainName, DomainName],
     answers: Answers | None = None,
-    root: frozenset[str] = _BOTH,
 ) -> dict[str, list[set[DomainName]] | None]:
-    """Per protocol, the clauses under which the zone resolves, or None
-    where one of them can never be met.
+    """Per protocol, the clauses of the zone, each the set of zones any one
+    of which meets it; None where one can never be met. A clause evidence
+    alone meets is left out.
 
-    The zone resolves once its delegating zone ``parent`` resolves AND
-    some parent-view NS is usable AND, if the zone's own NS set was
-    observed, some zone-view NS is usable (see ``_view_deps``; a zone
-    whose own NS claims were never observed meets the last clause: absence
-    of an observation is not evidence of breakage). Each clause is the set
-    of zones any one of which meets it; a clause evidence alone meets is
-    left out. The root is no zone of a clause: it resolves over the
-    protocols in ``root``, on the passive path both, as an axiom.
-    ``answers`` is the observed liveness of the zone's NS (None: all
-    assumed live).
+    The zone resolves once its delegating zone ``parent`` resolves AND some
+    parent-view NS is usable AND, if the zone's own NS set was observed,
+    some zone-view NS is usable (see ``_view_deps``). ``answers`` is the
+    observed liveness of the zone's NS (None: all assumed live).
     """
     glue, apex = _own_addresses(rs)
-    parent_deps = _view_deps(rs, rs.ns_parent_view(), glue, ns_zone, answers, root)
+    parent_deps = _view_deps(rs, rs.ns_parent_view(), glue, ns_zone, answers)
     child_view = rs.ns_child_view()
-    zone_deps = (_MET if child_view is None
-                 else _view_deps(rs, child_view, apex, ns_zone, answers, root))
+    zone_deps = ({V4: None, V6: None} if child_view is None
+                 else _view_deps(rs, child_view, apex, ns_zone, answers))
     out: dict[str, list[set[DomainName]] | None] = {}
     for proto in (V4, V6):
-        if parent.labels:
-            parent_deps_p: set[DomainName] | None = {parent}
-        else:
-            parent_deps_p = None if proto in root else set()
-        clauses = [deps for deps in (parent_deps_p, parent_deps[proto], zone_deps[proto])
+        clauses = [deps for deps in ({parent}, parent_deps[proto], zone_deps[proto])
                    if deps is not None]
         out[proto] = clauses if all(clauses) else None
     return out
@@ -192,11 +149,11 @@ def zone_clauses(
 class _Propagation:
     """Counter-based unit propagation over one protocol's clauses (Dowling &
     Gallier 1984). A clause is met once any one of its zones resolves; a
-    zone resolves once all of its clauses are met.
-
-    The counters persist from one ``propagate`` call to the next, so zones
-    added later continue from what has resolved so far: the least model
-    only grows as zones are added.
+    zone resolves once all of its clauses are met. The counters persist
+    from one ``propagate`` call to the next: the least model only grows as
+    zones are added. The root has no clauses: it is entered in ``resolved``
+    over the protocols it resolves over (on the passive path both, as an
+    axiom), so a clause that names it is met when it is added.
     """
 
     def __init__(self):
@@ -246,15 +203,13 @@ class _Propagation:
 
 
 def _via_own_zone(rs: ZoneRecordSet, ns: DomainName, proto: str,
-                  contexts: Mapping[DomainName, NsContext]) -> bool:
-    """``ns`` has an address over ``proto`` from its own zone, which
-    resolves over ``proto`` and is not ``rs.zone`` itself."""
-    ctx = contexts.get(ns, _EMPTY_CONTEXT)
-    if ctx.zone is None or ctx.zone == rs.zone:
+                  ns_zone: Mapping[DomainName, DomainName], resolves: Resolves) -> bool:
+    """``ns`` has an address over ``proto`` from its own zone
+    ``ns_zone[ns]``, which resolves over ``proto`` and is not ``rs.zone``."""
+    zone = ns_zone.get(ns)
+    if zone is None or zone == rs.zone or not resolves(zone, proto):
         return False
-    if not ctx.resolvable(proto):
-        return False
-    return bool(rs.addrs_with_bailiwick(ns, ctx.zone, proto))
+    return bool(rs.addrs_with_bailiwick(ns, zone, proto))
 
 
 def _intent(rs: ZoneRecordSet, proto: str) -> bool:
@@ -264,7 +219,8 @@ def _intent(rs: ZoneRecordSet, proto: str) -> bool:
 def _failure_causes(
     rs: ZoneRecordSet,
     parent_resolvable: bool,
-    contexts: Mapping[DomainName, NsContext],
+    ns_zone: Mapping[DomainName, DomainName],
+    resolves: Resolves,
     proto: str,
     answers: Answers | None = None,
 ) -> frozenset[FailureCause]:
@@ -275,6 +231,7 @@ def _failure_causes(
         return frozenset({FailureCause(CAUSE_NO_AAAA_FOR_NS,
                                        _witnesses(parent_view or rs.all_ns()))})
     causes: set[FailureCause] = set()
+    glue, apex = _own_addresses(rs)
     if not parent_resolvable:
         parent = rs.delegating_zone()
         causes.add(FailureCause(CAUSE_PARENT_UNRESOLVABLE,
@@ -284,14 +241,14 @@ def _failure_causes(
     gluless = [
         ns for ns in parent_view
         if ns.is_within(rs.zone)
-        and not rs.glue_addrs(ns, proto)
+        and not glue.get(ns, _NO_ADDRS).for_protocol(proto)
         and rs.any_addrs(ns, proto)
     ]
     if gluless:
         causes.add(FailureCause(CAUSE_MISSING_GLUE, _witnesses(gluless)))
     apexless = [
         ns for ns in rs.all_ns()
-        if ns.is_within(rs.zone) and not rs.apex_addrs(ns, proto)
+        if ns.is_within(rs.zone) and not apex.get(ns, _NO_ADDRS).for_protocol(proto)
     ]
     if apexless:
         causes.add(FailureCause(CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA,
@@ -299,7 +256,7 @@ def _failure_causes(
     broken_refs = [
         ns for ns in rs.all_ns()
         if not ns.is_within(rs.zone)
-        and not _via_own_zone(rs, ns, proto, contexts)
+        and not _via_own_zone(rs, ns, proto, ns_zone, resolves)
         and rs.any_addrs(ns, proto)
     ]
     if broken_refs:
@@ -325,17 +282,17 @@ def classify(
     v4: bool,
     v6: bool,
     parent_v6: bool,
-    contexts: Mapping[DomainName, NsContext],
+    ns_zone: Mapping[DomainName, DomainName],
+    resolves: Resolves,
     answers: Answers | None = None,
 ) -> ResolutionStatus:
     """The status of a zone whose verdicts are ``v4`` and ``v6``: its IPv6
     intent and, unless it resolves over IPv6, the causes. ``parent_v6`` is
-    whether the delegating zone resolves over IPv6, ``contexts`` describes
-    the zones of the NS names, and ``answers`` is the observed liveness of
-    the zone's NS (None: all assumed live)."""
+    whether the delegating zone resolves over IPv6; ``ns_zone``,
+    ``resolves`` and ``answers`` are as for ``zone_clauses``."""
     failures: frozenset[FailureCause] = frozenset()
     if not v6:
-        failures = _failure_causes(rs, parent_v6, contexts, V6, answers)
+        failures = _failure_causes(rs, parent_v6, ns_zone, resolves, V6, answers)
     return ResolutionStatus(state_of(v4, v6), v4, v6, _intent(rs, V6), failures)
 
 

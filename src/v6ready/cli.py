@@ -250,8 +250,7 @@ def _scanned_domains(out_path: Path) -> set[str]:
             if not isinstance(row, dict) or not isinstance(row.get("domain"), str):
                 raise ValueError(f"{out_path}:{number}: not a scan row")
             if row.get("version", CHAIN_RESULT_VERSION) != CHAIN_RESULT_VERSION:
-                raise ValueError(f"{out_path}:{number}: a chain-result version "
-                                 f"{row['version']!r} row, not {CHAIN_RESULT_VERSION}")
+                raise ValueError(f"{out_path}:{number}: a row of version {row['version']!r}")
             done.add(row["domain"])
             end += len(line)
     return done

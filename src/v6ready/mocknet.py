@@ -701,14 +701,11 @@ DEFAULT_DEFECT_RATES = {
 }
 
 
-FIXTURES_FORMAT = {"format": "mocknet-fixtures", "version": 1}
-
-
 def dump_fixtures(out, fixtures: Iterable[FixtureZone]) -> None:
     """One JSON document per zone, after a format header line."""
     import json
 
-    out.write(json.dumps(FIXTURES_FORMAT) + "\n")
+    out.write(json.dumps({"format": "mocknet-fixtures", "version": 1}) + "\n")
     for fz in sorted(fixtures, key=lambda f: f.zone):
         doc = {
             "zone": str(fz.zone),
@@ -750,11 +747,10 @@ def load_fixtures(path) -> list[FixtureZone]:
     if not lines:
         return []
     header = json.loads(lines[0])
-    if header.get("format") != FIXTURES_FORMAT["format"]:
+    if header.get("format") != "mocknet-fixtures":
         raise ValueError(f"not a fixture file: {path}")
-    if header.get("version") != FIXTURES_FORMAT["version"]:
-        raise ValueError(f"{path}: fixture file version {header.get('version')!r}, "
-                         f"not {FIXTURES_FORMAT['version']}")
+    if header.get("version") != 1:
+        raise ValueError(f"{path}: fixture file version {header.get('version')!r}, not 1")
     for line in lines[1:]:
         doc = json.loads(line)
 

@@ -35,8 +35,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from .classify import (NsContext, ResolutionStatus, _Propagation, classify,
-                       failure_breakdown, zone_clauses)
+from .classify import (ResolutionStatus, _Propagation, classify, failure_breakdown,
+                       zone_clauses)
 from .names import ROOT, DnsNameError, DomainName, normalize
 from .records import (
     AddrRecords,
@@ -158,10 +158,9 @@ def _json_tuple(obj, names: dict[str, DomainName]) -> PassiveTuple:
 
 
 def _not_utf8(exc: UnicodeDecodeError) -> tuple[str, int]:
-    """Read bytes that are not UTF-8 as a NUL and a tab. No tuple line
-    parses with them in either form (a TSV line gains a field, and a JSON
-    line a control character), so the line counts as malformed, at no cost
-    to the lines that decode."""
+    """Bytes that are not UTF-8 read as a NUL and a tab, which no tuple line
+    parses with in either form (a TSV line gains a field, a JSON line a
+    control character): their line is malformed, at no cost to the rest."""
     return "\x00\t", exc.end
 
 
@@ -490,16 +489,12 @@ def _unknown_parent_zones(parents: dict[DomainName, DomainName | None]) -> froze
 
 
 def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable:
-    """The least set of zones resolvable per protocol, by counter-based
-    unit propagation in frontier rounds (Dowling & Gallier 1984).
-
-    A zone resolves once its delegating parent resolves AND some parent-view
-    NS is usable AND, if the zone's own NS set was observed, some zone-view
-    NS is usable: three clauses, each met by evidence alone or by any one of
-    the zones it depends on. Round ``k`` is the sweep in which a Jacobi
-    iteration over the whole table first resolves the zone, and ``sweeps``
-    counts the productive sweeps plus the confirming one. Every record set
-    is read once, for both protocols.
+    """The least set of zones resolvable per protocol: the least model of
+    the zones' clauses (``classify.zone_clauses``), by propagation in
+    frontier rounds. Round ``k`` is the sweep in which a Jacobi iteration
+    over the whole table first resolves the zone, and ``sweeps`` counts the
+    productive sweeps plus the confirming one. Every record set is read
+    once, for both protocols.
     """
     parents = {zone: rs.delegating_zone() for zone, rs in record_sets.items() if zone.labels}
     unknown = _unknown_parent_zones(parents)
@@ -516,7 +511,9 @@ def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable
     first_resolved: dict[tuple[DomainName, str], int] = {}
     sweeps: dict[str, int] = {}
     for proto, pairs in new.items():
-        rounds = _Propagation().propagate(pairs)
+        propagation = _Propagation()
+        propagation.resolved.add(ROOT)
+        rounds = propagation.propagate(pairs)
         for sweep, resolved in enumerate(rounds, 1):
             for zone in resolved:
                 verdicts[zone].res[proto] = True
@@ -550,12 +547,9 @@ def classify_zones(
         if zone in table.unknown_parent:
             continue
         rs = record_sets[zone]
-        contexts = {}
-        for ns in rs.all_ns():
-            z = table.ns_zone[ns]
-            contexts[ns] = NsContext(z, resolvable(z, V4), resolvable(z, V6))
         statuses[zone] = classify(rs, verdict.res[V4], verdict.res[V6],
-                                  resolvable(rs.delegating_zone(), V6), contexts)
+                                  resolvable(rs.delegating_zone(), V6), table.ns_zone,
+                                  resolvable)
     return statuses
 
 

@@ -175,10 +175,6 @@ class AddrRecords:
             return AddrRecords(self.v4 | {rr.address}, self.v6)
         return AddrRecords(self.v4, self.v6 | {rr.address})
 
-    @property
-    def empty(self) -> bool:
-        return not self.v4 and not self.v6
-
 
 _NO_ADDRS = AddrRecords()
 
@@ -223,18 +219,6 @@ class ZoneRecordSet:
         for targets in self.ns_by_bailiwick.values():
             out |= targets
         return frozenset(out)
-
-    def glue_addrs(self, ns: DomainName, proto: str) -> frozenset[str]:
-        """Addresses for ``ns`` observed under any proper ancestor of the zone."""
-        out: set[str] = set()
-        for (name, bw), addrs in self.addr_by_bailiwick.items():
-            if name == ns and self._is_proper_ancestor(bw):
-                out |= addrs.for_protocol(proto)
-        return frozenset(out)
-
-    def apex_addrs(self, ns: DomainName, proto: str) -> frozenset[str]:
-        """Addresses for ``ns`` observed under the zone's own bailiwick."""
-        return self.addr_by_bailiwick.get((ns, self.zone), _NO_ADDRS).for_protocol(proto)
 
     def addrs_with_bailiwick(self, ns: DomainName, bw: DomainName, proto: str) -> frozenset[str]:
         return self.addr_by_bailiwick.get((ns, bw), _NO_ADDRS).for_protocol(proto)

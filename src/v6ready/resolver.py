@@ -22,8 +22,8 @@ import ipaddress
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .classify import (CAUSE_NS_UNRESPONSIVE, STATE_NONE, FailureCause, NsContext,
-                       ResolutionStatus, _Propagation, classify, state_of, zone_clauses)
+from .classify import (CAUSE_NS_UNRESPONSIVE, STATE_NONE, FailureCause, ResolutionStatus,
+                       _own_addresses, _Propagation, classify, state_of, zone_clauses)
 from .names import ROOT, DomainName, enclosing_zones, normalize
 from .query import QueryEngine, ServerAddress, RESPONSE
 from .records import (
@@ -40,8 +40,6 @@ from .wire import DnsMessage, RCODE_NOERROR
 PROTOCOL_BOTH = "both"
 PROTOCOL_V4_ONLY = "v4-only"
 PROTOCOL_V6_ONLY = "v6-only"
-
-
 CHAIN_RESULT_VERSION = 4
 
 
@@ -57,7 +55,7 @@ class PolicyViolation(AssertionError):
     """Internal invariant broke: a query escaped the protocol filter."""
 
 
-# Labels a walked name may have: zone cuts one chain may pass.
+# Labels a target may have: zone cuts one chain may pass.
 DEPTH_LIMIT = 32
 
 
@@ -208,8 +206,8 @@ class _ZoneInfo:
     # out-of-bailiwick NS in its own zone; never an empty entry
     addrs: dict[tuple[DomainName, DomainName], AddrRecords] = field(default_factory=dict)
     # out-of-bailiwick NS -> the deepest zone found enclosing it, where its
-    # addresses were looked up; None while that zone was being gathered
-    hosts: dict[DomainName, DomainName | None] = field(default_factory=dict)
+    # addresses were looked up
+    hosts: dict[DomainName, DomainName] = field(default_factory=dict)
     queried: list[tuple[str, str, str]] = field(default_factory=list)
     answers: dict[tuple[DomainName, str], bool] = field(default_factory=dict)
     servers: list[tuple[DomainName, ServerAddress]] = field(default_factory=list)
@@ -217,43 +215,17 @@ class _ZoneInfo:
     out_of_zone: list[ResourceRecord] = field(default_factory=list)
     silent: bool = False  # no server of the parent answered the NS query for it
     status: ResolutionStatus | None = None
-    # every ((name, bailiwick), address) ever filed, in any gather pass
-    filed: set[tuple[tuple[DomainName, DomainName], bytes]] = field(default_factory=set)
-
-    def glue(self) -> dict[DomainName, AddrRecords]:
-        """The parent's addresses for names inside the zone."""
-        return {ns: a for (ns, bw), a in self.addrs.items()
-                if bw == self.parent_zone and ns.is_within(self.zone)}
-
-    def note_addr(self, bailiwick: DomainName, rr: ResourceRecord) -> bool:
-        """File the address ``rr`` carries; True if no pass filed it before."""
-        key = (rr.owner, bailiwick)
-        self.addrs[key] = self.addrs.get(key, _NO_ADDRS).with_record(rr)
-        fact = (key, rr.data)
-        if fact in self.filed:
-            return False
-        self.filed.add(fact)
-        return True
 
     def record_set(self) -> ZoneRecordSet:
-        ns_by_bw: dict[DomainName, frozenset[DomainName]] = {}
-        if self.parent_zone is not None:
-            ns_by_bw[self.parent_zone] = self.parent_ns
-        else:
-            ns_by_bw[self.zone] = self.parent_ns
+        ns_by_bw = {self.parent_zone: self.parent_ns}
         if self.child_ns is not None:
             ns_by_bw[self.zone] = self.child_ns
         return ZoneRecordSet(self.zone, ns_by_bw, dict(self.addrs))
 
     def ns_zones(self) -> dict[DomainName, DomainName]:
-        """Each NS of the zone -> the zone whose addresses for it count
-        besides glue and apex records: its host zone if it is out of
-        bailiwick, else the zone itself, which adds nothing."""
-        zones = {}
-        for ns in self.parent_ns | (self.child_ns or frozenset()):
-            host = self.hosts.get(ns)  # a host may be the root, which is falsy
-            zones[ns] = self.zone if host is None else host
-        return zones
+        """Each NS -> its host zone, or else the zone itself (adds nothing)."""
+        return {ns: self.hosts.get(ns, self.zone)
+                for ns in self.parent_ns | (self.child_ns or frozenset())}
 
 
 _NO_ADDRS = AddrRecords()
@@ -261,11 +233,9 @@ _NO_ADDRS = AddrRecords()
 
 def _run(task):
     """Run a crawl generator to its result. A generator yields another one
-    when it needs that one's result first; this stack of them stands in
-    for recursion, so a chain of out-of-bailiwick NS references of any
-    length is crawled."""
-    stack = [task]
-    result = None
+    whose result it needs first; this stack of them stands in for
+    recursion, so no chain of out-of-bailiwick NS references is too long."""
+    stack, result = [task], None
     while stack:
         try:
             needed = stack[-1].send(result)
@@ -281,13 +251,11 @@ def _run(task):
 class Resolver:
     """Walks delegation chains against a query engine.
 
-    One resolver instance represents one measurement run. Its crawl only
-    gathers evidence: each zone cut is discovered once and memoized, so
-    bulk scans and the walks for out-of-bailiwick NS names share work on
-    top of the engine's response cache. The verdicts come afterwards, from
-    the crawled zones' clauses (``classify.zone_clauses``) by the unit
-    propagation the passive path uses. One propagation per protocol lasts
-    the whole run, since the least model only grows as zones are added.
+    One resolver instance represents one measurement run: each zone cut is
+    discovered once and memoized, so bulk scans and the walks for
+    out-of-bailiwick NS names share work on top of the engine's response
+    cache. One propagation per protocol lasts the whole run, since the
+    least model only grows as zones are added.
     """
 
     def __init__(
@@ -306,7 +274,8 @@ class Resolver:
         self._fed = 0  # the first _fed of _found are in the propagations
         # zones being gathered -> whether a walk had to wait for it
         self._gathering: dict[DomainName, bool] = {}
-        self._added = 0  # addresses filed for the first time, by any zone
+        # (zone, (name, bailiwick), address) for every address any gather filed
+        self._filed: set[tuple[DomainName, tuple[DomainName, DomainName], bytes]] = set()
         self._root_answered: set[str] = set()  # protocols over which a root hint answered
         self._propagations = {V4: _Propagation(), V6: _Propagation()}
 
@@ -323,7 +292,9 @@ class Resolver:
                       enrich_result: bool = False,
                       probe_liveness: bool = False) -> ChainResult:
         target = normalize(target)
-        chain = self._crawl(target)
+        if len(target.labels) > DEPTH_LIMIT:
+            raise DepthLimitExceeded(str(target))
+        chain = _run(self._walk(target))
         self._propagate()
         deepest = chain[-1]
         steps = [
@@ -331,7 +302,7 @@ class Resolver:
                 zone=info.zone,
                 parent_ns_set=info.parent_ns,
                 child_ns_set=info.child_ns,
-                glue=info.glue(),
+                glue=_own_addresses(info.record_set())[0],
                 queried_servers=list(info.queried),
                 cname_ns=frozenset(info.cname_ns),
                 out_of_zone=tuple(info.out_of_zone),
@@ -352,40 +323,24 @@ class Resolver:
 
     # -- the crawl: evidence only ---------------------------------------------
 
-    def _crawl(self, target: DomainName) -> list[_ZoneInfo]:
-        """The zones from the root down to the deepest zone enclosing
-        ``target``, with every zone they depend on crawled. Nothing a crawl
-        that raises found is kept."""
-        mark = len(self._found)
-        try:
-            return _run(self._walk(target))
-        except BaseException:
-            for info in self._found[mark:]:
-                if self._zones.get(info.zone) is info:
-                    del self._zones[info.zone]
-            del self._found[mark:]
-            self._gathering.clear()
-            raise
-
     def _walk(self, target: DomainName):
         """Generator: the zones from the root down to the deepest zone
         enclosing ``target``, each zone found on the way gathered first;
         None if the walk has to wait for a zone still being gathered."""
-        boundaries = enclosing_zones(target)[1:]
-        if len(boundaries) > DEPTH_LIMIT:
-            raise DepthLimitExceeded(str(target))
         current = self._root_info()
         chain = [current]
-        for cand in boundaries:
+        for cand in enclosing_zones(target)[1:]:
             if cand in self._gathering:
                 self._gathering[cand] = True
                 return None
             info = self._zones.get(cand)
             if info is None:
-                info = self._discover_cut(current, cand)
-                if info is None:
+                info = _ZoneInfo(cand, current.zone)
+                if not self._probe(current, info):
                     continue  # no cut at this boundary, keep descending
-                if not info.silent:
+                self._zones[cand] = info
+                self._found.append(info)
+                if not info.silent and self._zones.get(info.zone) is info:
                     yield self._gather(info)
             chain.append(info)
             current = info
@@ -415,8 +370,7 @@ class Resolver:
 
     @staticmethod
     def _note(info: _ZoneInfo, ns: DomainName, addr: ServerAddress, outcome) -> bool:
-        """Record one query sent to a server of ``info`` to gather its
-        evidence; True if it answered."""
+        """Record one query that gathers ``info``'s evidence; True if answered."""
         info.queried.append((addr.ip, addr.protocol, outcome.kind))
         answered = outcome.kind == RESPONSE
         key = (ns, addr.protocol)
@@ -432,35 +386,19 @@ class Resolver:
         return [((ns, addr), self.engine.query(addr, qname, qtype))
                 for ns, addr in servers]
 
-    def _discover_cut(self, parent: _ZoneInfo, cand: DomainName) -> _ZoneInfo | None:
-        """Probe the parent's servers for a delegation at ``cand``: the new
-        zone, or None where there is no cut."""
-        info = _ZoneInfo(cand, parent.zone)
-        if not self._probe(parent, info):
-            return None
-        self._zones[cand] = info
-        self._found.append(info)
-        return info
-
     def _probe(self, parent: _ZoneInfo, info: _ZoneInfo) -> bool:
-        """Ask the parent's servers for the NS set of ``info.zone`` and file
-        what they serve for it; False if they answered and there is no cut.
-
-        When no server of the parent answers, nothing below the parent can
-        be reached through the name, whether or not it is a zone: it is
-        kept as a silent zone, whose step lists the unanswered probes as
-        its evidence.
-        """
+        """File what the parent's servers serve for the NS query of
+        ``info.zone``; False if they answered and there is no cut. If none
+        answered, nothing below the parent can be reached through the name:
+        it is a silent zone, whose step lists the unanswered probes."""
         targets: set[DomainName] = set()
         glue: list[ResourceRecord] = []
         strays: list[ResourceRecord] = []
         probes = []
-        answered = False
         for (_ns, addr), outcome in self._query_layer(parent.servers, info.zone, RRType.NS):
             probes.append((addr.ip, addr.protocol, outcome.kind))
             if outcome.kind != RESPONSE:
                 continue
-            answered = True
             if parent.zone == ROOT:
                 self._root_answered.add(addr.protocol)
             found, new_glue, stray = self._interpret_ns_reply(outcome.message, info.zone)
@@ -469,17 +407,22 @@ class Resolver:
             strays.extend(stray)
         if parent.zone == ROOT and not self._root_answered:
             raise RootUnreachable("no root server answered")
-        if answered and not targets:
+        silent = all(kind != RESPONSE for _ip, _proto, kind in probes)
+        if not (targets or silent):
             return False
-        info.parent_ns = frozenset(targets)
-        info.out_of_zone = strays
-        info.silent = not answered
-        if info.silent:
+        info.parent_ns, info.out_of_zone, info.silent = frozenset(targets), strays, silent
+        if silent:
             info.queried = probes
         info.addrs = {}
         for rr in glue:
-            self._added += info.note_addr(parent.zone, rr)
+            self._note_addr(info, parent.zone, rr)
         return True
+
+    def _note_addr(self, info: _ZoneInfo, bailiwick: DomainName, rr: ResourceRecord) -> None:
+        """File the address ``rr`` carries for ``info``."""
+        key = (rr.owner, bailiwick)
+        info.addrs[key] = info.addrs.get(key, _NO_ADDRS).with_record(rr)
+        self._filed.add((info.zone, key, rr.data))
 
     @staticmethod
     def _interpret_ns_reply(msg: DnsMessage, cand: DomainName):
@@ -506,30 +449,27 @@ class Resolver:
         return targets, glue, out_of_zone
 
     def _gather(self, info: _ZoneInfo):
-        """Generator: gather a newly found zone's evidence.
-
-        If a walk had to wait for the zone meanwhile, the zones found since
-        it may lack addresses: probe and gather each of them, the zone
-        included, afresh from what the others hold now, until a pass files
-        no address that no pass filed before. The engine's cache answers
-        every question already asked, so only servers that became known
-        see new queries, and each zone keeps what its last pass found.
-        """
+        """Generator: gather a newly found zone's evidence. If a walk had to
+        wait for the zone meanwhile, the zones found since may lack
+        addresses: all of them are probed and gathered afresh, in turn,
+        until a pass files no address that no gather filed before. The
+        response cache answers the questions asked before."""
         start = len(self._found) - 1
         self._gathering[info.zone] = False
         yield from self._gather_pass(info)
         waited_for = self._gathering.pop(info.zone)
         while waited_for:
-            added = self._added
+            filed = len(self._filed)
             for other in self._found[start:]:
                 if self._zones.get(other.zone) is not other:
                     continue
                 if not self._probe(self._zones[other.parent_zone], other):
-                    # the parent servers asked first had all stayed silent
+                    # the parent's servers changed (one address per NS and
+                    # protocol), and those now asked deny the cut
                     del self._zones[other.zone]
                 elif not other.silent:
                     yield from self._gather_pass(other)
-            waited_for = self._added != added
+            waited_for = len(self._filed) != filed
 
     def _gather_pass(self, info: _ZoneInfo):
         """Generator: contact the zone's own servers for its NS set and the
@@ -565,21 +505,18 @@ class Resolver:
                             # invalid for NS targets: recorded, never chased
                             info.cname_ns.add(ns)
                         elif rr.rrtype in (RRType.A, RRType.AAAA):
-                            self._added += info.note_addr(info.zone, rr)
+                            self._note_addr(info, info.zone, rr)
 
     def _child_view(self, info: _ZoneInfo, contact) -> frozenset[DomainName] | None:
         child_ns: set[DomainName] | None = None
         for (ns, addr), outcome in self._query_layer(contact, info.zone, RRType.NS):
             if not self._note(info, ns, addr, outcome):
                 continue
-            msg = outcome.message
-            found = {rr.target for rr in msg.answer + msg.authority
-                     if rr.rrtype == RRType.NS and rr.owner == info.zone}
+            found, glue, _strays = self._interpret_ns_reply(outcome.message, info.zone)
             if found:
                 child_ns = (child_ns or set()) | found
-            for rr in msg.additional:
-                if rr.rrtype in (RRType.A, RRType.AAAA) and rr.owner.is_within(info.zone):
-                    self._added += info.note_addr(info.zone, rr)
+            for rr in glue:
+                self._note_addr(info, info.zone, rr)
         return frozenset(child_ns) if child_ns is not None else None
 
     def _query_first(self, contact, qname, rrtype,
@@ -589,31 +526,28 @@ class Resolver:
         for ns, addr in contact:
             outcome = self.engine.query(addr, qname, rrtype)
             if info is not None:
-                answered = self._note(info, ns, addr, outcome)
-            else:
-                answered = outcome.kind == RESPONSE
-            if answered:
+                self._note(info, ns, addr, outcome)
+            if outcome.kind == RESPONSE:
                 return list(outcome.message.answer)
         return []
 
     def _contact_servers(self, info: _ZoneInfo, ns_names):
         """Generator: one address per (NS, protocol), from glue, apex or
-        host-zone evidence, in deterministic order. An out-of-bailiwick
-        name is looked up in its own zone the first time it is met, after
-        a walk to that zone; while that zone is being gathered, the name
-        waits with no address."""
+        host-zone evidence, in deterministic order. An out-of-bailiwick name
+        is looked up in its own zone, after a walk to it, the first time it
+        is met; while that zone is being gathered, the name has no address."""
         out = []
         seen = set()
         for ns in sorted(ns_names):
             if not ns.is_within(info.zone) and ns not in info.hosts:
                 chain = yield self._walk(ns)
-                info.hosts[ns] = None if chain is None else chain[-1].zone
                 if chain is not None:
                     host = chain[-1]
+                    info.hosts[ns] = host.zone
                     for rrtype in (RRType.A, RRType.AAAA):
                         for rr in self._query_first(host.servers, ns, rrtype):
                             if rr.owner == ns and rr.rrtype in (RRType.A, RRType.AAAA):
-                                self._added += info.note_addr(host.zone, rr)
+                                self._note_addr(info, host.zone, rr)
             addrs = self._known_addrs(info, ns)
             for proto in (V4, V6):
                 if not self._allowed(proto):
@@ -639,50 +573,40 @@ class Resolver:
 
     def _propagate(self) -> None:
         """Feed the clauses of the zones found since the last call to the
-        propagations. A crawl ends with every zone it found gathered and
-        every zone they depend on crawled, so the verdicts that follow are
-        final."""
-        root = frozenset(self._root_answered)
+        propagations. A crawl ends with every zone it found, and every zone
+        those depend on, gathered, so the verdicts then are final."""
         new: dict[str, list] = {V4: [], V6: []}
         for info in self._found[self._fed:]:
-            if info.silent or self._zones.get(info.zone) is not info:
-                continue
-            clauses = zone_clauses(info.record_set(), info.parent_zone, info.ns_zones(),
-                                   info.answers, root)
-            for proto, zone_clauses_ in clauses.items():
-                if zone_clauses_ is not None:
-                    new[proto].append((info.zone, zone_clauses_))
+            if not info.silent and self._zones.get(info.zone) is info:
+                clauses = zone_clauses(info.record_set(), info.parent_zone,
+                                       info.ns_zones(), info.answers)
+                for proto in (V4, V6):
+                    if clauses[proto] is not None:
+                        new[proto].append((info.zone, clauses[proto]))
         self._fed = len(self._found)
         for proto, propagation in self._propagations.items():
+            if proto in self._root_answered:  # the root resolves over it
+                propagation.resolved.add(ROOT)
             propagation.propagate(new[proto])
 
     def _resolves(self, zone: DomainName, proto: str) -> bool:
-        """The root resolves over a protocol once a root hint answered over
-        it; every other zone once the propagation says so."""
-        if zone == ROOT:
-            return proto in self._root_answered
         return zone in self._propagations[proto].resolved
 
     def _status(self, info: _ZoneInfo) -> ResolutionStatus:
         """The zone's status, memoised once its verdicts are final."""
         if info.zone == ROOT:
-            ok = [self._resolves(ROOT, proto) for proto in (V4, V6)]
-            return ResolutionStatus(state_of(*ok), ok[0], ok[1], intent_v6=True)
-        if info.status is not None:
-            return info.status
-        if info.silent:
-            parent = self._zones[info.parent_zone]
-            cause = FailureCause(CAUSE_NS_UNRESPONSIVE, tuple(sorted(
-                {str(ns) for ns, _addr in parent.servers})))
+            v4, v6 = (self._resolves(ROOT, proto) for proto in (V4, V6))
+            return ResolutionStatus(state_of(v4, v6), v4, v6, intent_v6=True)
+        if info.status is None and info.silent:
+            names = {str(ns) for ns, _addr in self._zones[info.parent_zone].servers}
+            silent = FailureCause(CAUSE_NS_UNRESPONSIVE, tuple(sorted(names)))
             info.status = ResolutionStatus(STATE_NONE, False, False, False,
-                                           frozenset({cause}))
-        else:
-            contexts = {ns: NsContext(z, self._resolves(z, V4), self._resolves(z, V6))
-                        for ns, z in info.ns_zones().items()}
+                                           frozenset({silent}))
+        elif info.status is None:
             info.status = classify(info.record_set(), self._resolves(info.zone, V4),
                                    self._resolves(info.zone, V6),
-                                   self._resolves(info.parent_zone, V6), contexts,
-                                   info.answers)
+                                   self._resolves(info.parent_zone, V6),
+                                   info.ns_zones(), self._resolves, info.answers)
         return info.status
 
     # -- enrichment and liveness ---------------------------------------------

@@ -9,8 +9,7 @@ first-resolved sweeps and unknown-parent set.
 
 from __future__ import annotations
 
-from kernel import view_flags
-from v6ready.classify import NsContext
+from kernel import NsContext, view_flags
 from v6ready.names import ROOT, DomainName
 from v6ready.passive import ResolutionTable, ZoneVerdict
 from v6ready.records import V4, V6, ZoneRecordSet

@@ -10,16 +10,62 @@ builds the zone's status with ``v6ready.classify.classify``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Mapping
 
 from v6ready import classify as model
-from v6ready.classify import (STATE_DUAL, Answers, FailureCause, NsContext,
-                              ResolutionStatus, _failure_causes, _via_own_zone)
+from v6ready.classify import (STATE_DUAL, Answers, FailureCause, ResolutionStatus,
+                              _failure_causes)
 from v6ready.names import DomainName
 from v6ready.records import V4, V6, ZoneRecordSet
 
 # The root's status on the passive path, where it is an axiom.
 ROOT_STATUS = ResolutionStatus(STATE_DUAL, True, True, True)
+
+
+@dataclass(frozen=True)
+class NsContext:
+    """What the caller knows about one NS name's own zone.
+
+    ``zone`` is the deepest observed zone enclosing the name, and ``v4``
+    and ``v6`` whether it resolves. A zone of None (never reached) makes
+    the NS unusable as an out-of-bailiwick reference.
+    """
+
+    zone: DomainName | None = None
+    v4: bool = False
+    v6: bool = False
+
+    def resolvable(self, proto: str) -> bool:
+        return self.v4 if proto == V4 else self.v6
+
+
+def _model_args(contexts: Mapping[DomainName, NsContext]):
+    """``contexts`` as the (ns_zone, resolves) pair ``v6ready.classify``
+    takes."""
+    ns_zone = {ns: ctx.zone for ns, ctx in contexts.items() if ctx.zone is not None}
+    resolved = {(ctx.zone, proto) for ctx in contexts.values()
+                for proto in (V4, V6) if ctx.resolvable(proto)}
+    return ns_zone, lambda zone, proto: (zone, proto) in resolved
+
+
+def _via_own_zone(rs: ZoneRecordSet, ns: DomainName, proto: str,
+                  contexts: Mapping[DomainName, NsContext]) -> bool:
+    """``ns`` has an address over ``proto`` from its own zone, which
+    resolves over ``proto`` and is not ``rs.zone`` itself."""
+    ctx = contexts.get(ns, NsContext())
+    if ctx.zone is None or ctx.zone == rs.zone or not ctx.resolvable(proto):
+        return False
+    return bool(rs.addrs_with_bailiwick(ns, ctx.zone, proto))
+
+
+def _glue_addrs(rs: ZoneRecordSet, ns: DomainName, proto: str) -> frozenset[str]:
+    """Addresses for ``ns`` observed under any proper ancestor of the zone."""
+    out: set[str] = set()
+    for (name, bw), addrs in rs.addr_by_bailiwick.items():
+        if name == ns and len(bw.labels) < len(rs.zone.labels) and rs.zone.is_within(bw):
+            out |= addrs.for_protocol(proto)
+    return frozenset(out)
 
 
 def _ns_usable(
@@ -37,9 +83,9 @@ def _ns_usable(
         return False
     if ns.is_within(rs.zone):
         if parent_side:
-            if rs.glue_addrs(ns, proto):
+            if _glue_addrs(rs, ns, proto):
                 return True
-        elif rs.apex_addrs(ns, proto):
+        elif rs.addrs_with_bailiwick(ns, rs.zone, proto):
             return True
     return _via_own_zone(rs, ns, proto, contexts)
 
@@ -77,10 +123,9 @@ def classify(
     already-computed status of its delegating zone: over each protocol the
     zone resolves if its parent does and both views hold."""
     contexts = contexts or {}
-    v4, v6 = (parent_status.resolvable(proto)
-              and all(view_flags(rs, contexts, proto, answers))
+    v4, v6 = (getattr(parent_status, proto) and all(view_flags(rs, contexts, proto, answers))
               for proto in (V4, V6))
-    return model.classify(rs, v4, v6, parent_status.v6, contexts, answers)
+    return model.classify(rs, v4, v6, parent_status.v6, *_model_args(contexts), answers)
 
 
 def mirror_causes(
@@ -89,4 +134,4 @@ def mirror_causes(
     contexts: Mapping[DomainName, NsContext] | None = None,
 ) -> frozenset[FailureCause]:
     """The cause logic aimed at IPv4 breakage."""
-    return _failure_causes(rs, parent_resolvable_v4, contexts or {}, V4)
+    return _failure_causes(rs, parent_resolvable_v4, *_model_args(contexts or {}), V4)

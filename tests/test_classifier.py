@@ -1,6 +1,6 @@
 import random
 
-from kernel import ROOT_STATUS, classify, mirror_causes
+from kernel import ROOT_STATUS, NsContext, classify, mirror_causes
 from universes import N, crawl, passive_verdicts, with_liveness_faults
 from v6ready.classify import (
     CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA,
@@ -9,7 +9,6 @@ from v6ready.classify import (
     CAUSE_NS_UNRESPONSIVE,
     CAUSE_PARENT_UNRESOLVABLE,
     FailureCause,
-    NsContext,
     ResolutionStatus,
     failure_breakdown,
     state_of,

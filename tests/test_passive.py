@@ -633,8 +633,7 @@ def test_classify_zones_agrees_with_table_flags():
     # classify() recomputes the kernel from the table's contexts and the
     # parent's status; at the fixed point it must land exactly on the
     # status classify_zones derives from the table's flags.
-    from kernel import ROOT_STATUS, classify
-    from v6ready.classify import NsContext
+    from kernel import ROOT_STATUS, NsContext, classify
     from v6ready.mocknet import fixture_tuples, random_universe
     from v6ready.names import ROOT
 
