@@ -157,14 +157,10 @@ def _json_tuple(obj, names: dict[str, DomainName]) -> PassiveTuple:
         raise MalformedTuple(f"missing field {exc}") from exc
 
 
-def _not_utf8(exc: UnicodeDecodeError) -> tuple[str, int]:
-    """Bytes that are not UTF-8 read as a NUL and a tab, which no tuple line
-    parses with in either form (a TSV line gains a field, a JSON line a
-    control character): their line is malformed, at no cost to the rest."""
-    return "\x00\t", exc.end
-
-
-codecs.register_error("v6ready-not-utf8", _not_utf8)
+# Bytes that are not UTF-8 read as a NUL and a tab, which no tuple line
+# parses with in either form (a TSV line gains a field, a JSON line a
+# control character): their line is malformed, at no cost to the rest.
+codecs.register_error("v6ready-not-utf8", lambda exc: ("\x00\t", exc.end))
 
 
 def open_tuple_stream(path: str | Path) -> IO[str]:

@@ -215,6 +215,7 @@ class _ZoneInfo:
     out_of_zone: list[ResourceRecord] = field(default_factory=list)
     silent: bool = False  # no server of the parent answered the NS query for it
     status: ResolutionStatus | None = None
+    passed: int = 0  # the resolver's pass count when its last probe or gather ended
 
     def record_set(self) -> ZoneRecordSet:
         ns_by_bw = {self.parent_zone: self.parent_ns}
@@ -272,8 +273,9 @@ class Resolver:
         self._zones: dict[DomainName, _ZoneInfo] = {}
         self._found: list[_ZoneInfo] = []  # the zones in the order they were discovered
         self._fed = 0  # the first _fed of _found are in the propagations
-        # zones being gathered -> whether a walk had to wait for it
-        self._gathering: dict[DomainName, bool] = {}
+        # zones being gathered -> the pass count when a walk first waited for one
+        self._gathering: dict[DomainName, int | None] = {}
+        self._passes = 0  # probes and gathers ended
         # (zone, (name, bailiwick), address) for every address any gather filed
         self._filed: set[tuple[DomainName, tuple[DomainName, DomainName], bytes]] = set()
         self._root_answered: set[str] = set()  # protocols over which a root hint answered
@@ -324,14 +326,14 @@ class Resolver:
     # -- the crawl: evidence only ---------------------------------------------
 
     def _walk(self, target: DomainName):
-        """Generator: the zones from the root down to the deepest zone
-        enclosing ``target``, each zone found on the way gathered first;
-        None if the walk has to wait for a zone still being gathered."""
+        """Generator: the zones from the root down to the deepest zone enclosing
+        ``target``, each found one gathered first; None to wait for one."""
         current = self._root_info()
         chain = [current]
         for cand in enclosing_zones(target)[1:]:
             if cand in self._gathering:
-                self._gathering[cand] = True
+                if self._gathering[cand] is None:
+                    self._gathering[cand] = self._passes
                 return None
             info = self._zones.get(cand)
             if info is None:
@@ -416,6 +418,7 @@ class Resolver:
         info.addrs = {}
         for rr in glue:
             self._note_addr(info, parent.zone, rr)
+        info.passed = self._passes = self._passes + 1
         return True
 
     def _note_addr(self, info: _ZoneInfo, bailiwick: DomainName, rr: ResourceRecord) -> None:
@@ -449,36 +452,37 @@ class Resolver:
         return targets, glue, out_of_zone
 
     def _gather(self, info: _ZoneInfo):
-        """Generator: gather a newly found zone's evidence. If a walk had to
-        wait for the zone meanwhile, the zones found since may lack
-        addresses: all of them are probed and gathered afresh, in turn,
-        until a pass files no address that no gather filed before. The
-        response cache answers the questions asked before."""
+        """Generator: gather a newly found zone's evidence. If a walk waited
+        for the zone meanwhile, the zones found since whose last probe or
+        gather ended after that are gathered afresh, in turn (and probed
+        again where their parent is among them), until a pass files no
+        address no gather filed before; the cache answers old questions."""
         start = len(self._found) - 1
-        self._gathering[info.zone] = False
+        self._gathering[info.zone] = None
         yield from self._gather_pass(info)
-        waited_for = self._gathering.pop(info.zone)
-        while waited_for:
+        since = self._gathering.pop(info.zone)
+        while since is not None:
+            group = [other for other in self._found[start:]
+                     if other.passed > since and self._zones.get(other.zone) is other]
+            regathered = {other.zone for other in group}
             filed = len(self._filed)
-            for other in self._found[start:]:
-                if self._zones.get(other.zone) is not other:
-                    continue
-                if not self._probe(self._zones[other.parent_zone], other):
+            for other in group:
+                if (other.parent_zone in regathered
+                        and not self._probe(self._zones[other.parent_zone], other)):
                     # the parent's servers changed (one address per NS and
                     # protocol), and those now asked deny the cut
                     del self._zones[other.zone]
                 elif not other.silent:
                     yield from self._gather_pass(other)
-            waited_for = len(self._filed) != filed
+            since = since if len(self._filed) != filed else None
 
     def _gather_pass(self, info: _ZoneInfo):
         """Generator: contact the zone's own servers for its NS set and the
         addresses of its in-bailiwick NS, each out-of-bailiwick NS looked
         up in its own zone first."""
-        info.queried = []
-        info.answers = {}
-        info.hosts = {}
-        info.cname_ns = set()
+        info.addrs = {key: a for key, a in info.addrs.items()  # the glue the probe filed
+                      if key[1] == info.parent_zone and key[0].is_within(info.zone)}
+        info.queried, info.answers, info.hosts, info.cname_ns = [], {}, {}, set()
         contact = yield from self._contact_servers(info, info.parent_ns)
         child_ns = self._child_view(info, contact)
         extra = (child_ns or frozenset()) - info.parent_ns
@@ -506,6 +510,7 @@ class Resolver:
                             info.cname_ns.add(ns)
                         elif rr.rrtype in (RRType.A, RRType.AAAA):
                             self._note_addr(info, info.zone, rr)
+        info.passed = self._passes = self._passes + 1
 
     def _child_view(self, info: _ZoneInfo, contact) -> frozenset[DomainName] | None:
         child_ns: set[DomainName] | None = None
@@ -578,11 +583,10 @@ class Resolver:
         new: dict[str, list] = {V4: [], V6: []}
         for info in self._found[self._fed:]:
             if not info.silent and self._zones.get(info.zone) is info:
-                clauses = zone_clauses(info.record_set(), info.parent_zone,
-                                       info.ns_zones(), info.answers)
-                for proto in (V4, V6):
-                    if clauses[proto] is not None:
-                        new[proto].append((info.zone, clauses[proto]))
+                for proto, clauses in zone_clauses(info.record_set(), info.parent_zone,
+                                                   info.ns_zones(), info.answers).items():
+                    if clauses is not None:
+                        new[proto].append((info.zone, clauses))
         self._fed = len(self._found)
         for proto, propagation in self._propagations.items():
             if proto in self._root_answered:  # the root resolves over it

@@ -339,9 +339,9 @@ def test_every_step_state_is_that_zones_verdict():
 
 def test_false_found_through_a_cycle_cut_is_not_reused():
     # j -> b.a -> i.f -> j is a cycle of out-of-bailiwick NS; i.f also has
-    # a server of its own, so every zone resolves. Walking i.f walks j and
-    # b.a while i.f is mid-walk: b.a fails at that cut. The later walk of
-    # l.j walks j again and must walk b.a again too, not reuse its failure.
+    # a server of its own, so every zone resolves. Crawling i.f reaches j
+    # and b.a while i.f is still being gathered: b.a waits for i.f, and no
+    # verdict may keep a failure from before i.f's servers were known.
     u = build_universe([
         root_fixture(),
         zone_fixture("a", [("ns.f", [], []), ("ns.a", ["10.1.0.1"], ["fd00:1::1"])]),
