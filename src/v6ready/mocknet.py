@@ -621,7 +621,7 @@ def ground_truth(universe: Universe) -> dict[DomainName, dict[str, bool]]:
 
     def resolvable(zone: DomainName, proto: str,
                    path: frozenset[DomainName]) -> tuple[bool, bool]:
-        """(result, tainted): tainted means a cycle cut may have hidden a path."""
+        """(result, cut): cut means a cycle cut may have hidden a path."""
         key = (zone, proto)
         if key in memo:
             return memo[key], False
@@ -635,21 +635,21 @@ def ground_truth(universe: Universe) -> dict[DomainName, dict[str, bool]]:
             memo[key] = ok
             return ok, False
         path = path | {zone}
-        tainted = False
+        cut = False
 
         def via_own_zone(ns: DomainName) -> bool:
-            nonlocal tainted
+            nonlocal cut
             owner = universe.owner_zone.get(ns)
             if owner is None:
                 return False
             ok, t = resolvable(owner, proto, path)
-            tainted = tainted or t
+            cut = cut or t
             if not ok:
                 return False
             return bool(universe.apex_addrs(ns, proto)) and server_responds(ns, proto)
 
         parent_ok, t = resolvable(universe.parent[zone], proto, path)
-        tainted = tainted or t
+        cut = cut or t
         if not parent_ok:
             result = False
         else:
@@ -672,9 +672,9 @@ def ground_truth(universe: Universe) -> dict[DomainName, dict[str, bool]]:
                     zone_ok = True
                     break
             result = glue_ok and zone_ok
-        if result or not tainted:
+        if result or not cut:
             memo[key] = result
-        return result, tainted and not result
+        return result, cut and not result
 
     truth = {}
     for zone in sorted(universe.fixtures):
