@@ -8,8 +8,11 @@ of another universe from a TSV file and a gzipped JSONL file at once,
 mixed with what a real aggregate holds: repeated lines, split NS sets,
 records that carry no delegation evidence, names and types in other
 spellings, blank lines, and one line of each malformed kind that
-``bench/gen.py`` injects. Every run must reproduce the files
-under ``tests/golden/expected/`` byte for byte.
+``bench/gen.py`` injects. A second ``scan`` crawls the zones of a seeded
+tree with liveness faults, whose zones depend on each other through their
+out-of-bailiwick NS, so the crawl has to gather some of them again. Every
+run must reproduce the files under ``tests/golden/expected/`` byte for
+byte.
 
 Regenerate them only when an output format changes on purpose:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -30,7 +33,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from universes import combined_two_scenario_universe  # noqa: E402
+from universes import combined_two_scenario_universe, with_liveness_faults  # noqa: E402
 from v6ready import cli  # noqa: E402
 from v6ready.mocknet import fixture_tuples, random_universe  # noqa: E402
 
@@ -162,10 +165,17 @@ def _quiet(argv, universe=None) -> tuple[int, str]:
     return rc, buf.getvalue()
 
 
-def _hints(work: Path) -> str:
+def cycles_universe():
+    """A 25-zone tree with dependency cycles and black-holed servers; the
+    tree of seed 69 of the liveness differential."""
+    base, truth = random_universe(69, 25)
+    return with_liveness_faults(base, 69), sorted(truth)
+
+
+def _hints(work: Path, universe=None) -> str:
     path = work / "roots.hints"
-    lines = [f"{name} {proto} {addr}" for name, proto, addr
-             in combined_two_scenario_universe().root_hints()]
+    universe = universe or combined_two_scenario_universe()
+    lines = [f"{name} {proto} {addr}" for name, proto, addr in universe.root_hints()]
     path.write_text("\n".join(lines) + "\n")
     return str(path)
 
@@ -198,6 +208,14 @@ def produce(work: Path) -> dict[str, bytes]:
                    combined_two_scenario_universe())
     assert rc == 0
     out["scan/rows.jsonl"] = rows.read_bytes()
+    universe, zones = cycles_universe()
+    domains = work / "cycles.txt"
+    domains.write_text("".join(f"{zone}\n" for zone in zones), encoding="utf-8")
+    rows = work / "cycles.jsonl"
+    rc, _ = _quiet(["scan", str(domains), "--output", str(rows), "--concurrency", "1",
+                    "--roots", _hints(work, universe), *FAST], universe)
+    assert rc == 0
+    out["scan-cycles/rows.jsonl"] = rows.read_bytes()
     return out
 
 
