@@ -5,7 +5,8 @@ The walk starts at the root and probes one NS query per label boundary
 zone cuts from referrals without relying on NXDOMAIN. Glue is captured
 from additional sections, parent and child NS sets are both recorded, and
 each out-of-bailiwick NS name is looked up in its own zone, found by a
-walk from the root.
+walk from the root; a zone whose servers change is gathered again by
+every zone that read them, so zones may depend on each other.
 
 The crawl only gathers evidence. The per-protocol verdicts follow from it
 by the unit propagation the passive path runs (``classify.zone_clauses``:
@@ -19,6 +20,7 @@ clauses, so a verdict covers the whole delegation chain.
 from __future__ import annotations
 
 import ipaddress
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -215,7 +217,6 @@ class _ZoneInfo:
     out_of_zone: list[ResourceRecord] = field(default_factory=list)
     silent: bool = False  # no server of the parent answered the NS query for it
     status: ResolutionStatus | None = None
-    passed: int = 0  # the resolver's pass count when its last probe or gather ended
 
     def record_set(self) -> ZoneRecordSet:
         ns_by_bw = {self.parent_zone: self.parent_ns}
@@ -257,6 +258,12 @@ class Resolver:
     out-of-bailiwick NS names share work on top of the engine's response
     cache. One propagation per protocol lasts the whole run, since the
     least model only grows as zones are added.
+
+    A walk reads what a zone holds; one in its first gather has no servers
+    yet, so a walk stops there. A zone's readers are the children probed at
+    it and the zones whose walk for an out-of-bailiwick NS ended at it: when
+    a gather changes its servers they are stale, and ``resolve_chain``
+    probes and gathers each again until none is.
     """
 
     def __init__(
@@ -270,12 +277,12 @@ class Resolver:
         self.hints = root_hints or default_root_hints()
         self.protocol_filter = protocol_filter
         self.server_port = server_port
-        self._zones: dict[DomainName, _ZoneInfo] = {}
+        self._zones: dict[DomainName, _ZoneInfo] = {ROOT: self._root_info()}
         self._found: list[_ZoneInfo] = []  # the zones in the order they were discovered
         self._fed = 0  # the first _fed of _found are in the propagations
-        # zones being gathered -> the pass count when a walk first waited for one
-        self._gathering: dict[DomainName, int | None] = {}
-        self._passes = 0  # probes and gathers ended
+        # zone -> the zones that read its servers since they last changed
+        self._readers: defaultdict[DomainName, set[DomainName]] = defaultdict(set)
+        self._stale: set[DomainName] = set()  # zones that read servers which changed since
         # (zone, (name, bailiwick), address) for every address any gather filed
         self._filed: set[tuple[DomainName, tuple[DomainName, DomainName], bytes]] = set()
         self._root_answered: set[str] = set()  # protocols over which a root hint answered
@@ -297,6 +304,10 @@ class Resolver:
         if len(target.labels) > DEPTH_LIMIT:
             raise DepthLimitExceeded(str(target))
         chain = _run(self._walk(target))
+        while self._stale:
+            self._again(min(self._stale))
+            if not self._stale:
+                chain = _run(self._walk(target))
         self._propagate()
         deepest = chain[-1]
         steps = [
@@ -327,14 +338,11 @@ class Resolver:
 
     def _walk(self, target: DomainName):
         """Generator: the zones from the root down to the deepest zone enclosing
-        ``target``, each found one gathered first; None to wait for one."""
-        current = self._root_info()
+        ``target``, each found one gathered first; it stops early at a zone
+        with no servers, such as one still in its first gather."""
+        current = self._zones[ROOT]
         chain = [current]
         for cand in enclosing_zones(target)[1:]:
-            if cand in self._gathering:
-                if self._gathering[cand] is None:
-                    self._gathering[cand] = self._passes
-                return None
             info = self._zones.get(cand)
             if info is None:
                 info = _ZoneInfo(cand, current.zone)
@@ -342,18 +350,39 @@ class Resolver:
                     continue  # no cut at this boundary, keep descending
                 self._zones[cand] = info
                 self._found.append(info)
-                if not info.silent and self._zones.get(info.zone) is info:
+                self._readers[current.zone].add(cand)
+                if not info.silent:
                     yield self._gather(info)
+                    if info.servers:  # it had none while its readers read it
+                        self._stale.update(self._readers.pop(cand, ()))
             chain.append(info)
             current = info
             if not info.servers:
                 break  # nothing answered for this zone; cannot descend further
         return chain
 
+    def _again(self, zone: DomainName) -> None:
+        """Probe a stale zone at its parent and gather it again, or drop it
+        where the parent's servers changed and now deny the cut. Its readers
+        go stale in turn only if its servers changed and an address was
+        filed that no gather filed before: those are finite, so repeats end."""
+        self._stale.remove(zone)
+        info = self._zones.get(zone)
+        if info is None:
+            return  # dropped since it went stale
+        servers, filed = info.servers, len(self._filed)
+        parent = self._zones.get(info.parent_zone)
+        if parent is None or not self._probe(parent, info):
+            del self._zones[zone]
+            self._stale.update(self._readers.pop(zone, ()))
+            return
+        self._readers[parent.zone].add(zone)
+        if not info.silent:
+            _run(self._gather(info))
+            if info.servers != servers and len(self._filed) > filed:
+                self._stale.update(self._readers.pop(zone, ()))
+
     def _root_info(self) -> _ZoneInfo:
-        info = self._zones.get(ROOT)
-        if info is not None:
-            return info
         info = _ZoneInfo(ROOT, None, frozenset(name for name, _, _ in self.hints))
         by_name: dict[DomainName, dict[str, list[str]]] = {}
         for name, proto, addr in self.hints:
@@ -367,7 +396,6 @@ class Resolver:
                     continue
                 for addr in sorted(addrs[proto]):
                     info.servers.append((name, ServerAddress(addr, self.server_port)))
-        self._zones[ROOT] = info
         return info
 
     @staticmethod
@@ -418,7 +446,6 @@ class Resolver:
         info.addrs = {}
         for rr in glue:
             self._note_addr(info, parent.zone, rr)
-        info.passed = self._passes = self._passes + 1
         return True
 
     def _note_addr(self, info: _ZoneInfo, bailiwick: DomainName, rr: ResourceRecord) -> None:
@@ -435,48 +462,17 @@ class Resolver:
         Additionals whose owner lies outside ``cand`` are returned
         separately: kept for reporting, never trusted for resolution.
         """
-        targets: set[DomainName] = set()
-        for rr in msg.answer + msg.authority:
-            if rr.rrtype == RRType.NS and rr.owner == cand:
-                targets.add(rr.target)
+        targets = {rr.target for rr in msg.answer + msg.authority
+                   if rr.rrtype == RRType.NS and rr.owner == cand}
         glue: list[ResourceRecord] = []
         out_of_zone: list[ResourceRecord] = []
         if targets:
             for rr in msg.additional:
-                if rr.rrtype not in (RRType.A, RRType.AAAA):
-                    continue
-                if not rr.owner.is_within(cand):
-                    out_of_zone.append(rr)
-                    continue
-                glue.append(rr)
+                if rr.rrtype in (RRType.A, RRType.AAAA):
+                    (glue if rr.owner.is_within(cand) else out_of_zone).append(rr)
         return targets, glue, out_of_zone
 
     def _gather(self, info: _ZoneInfo):
-        """Generator: gather a newly found zone's evidence. If a walk waited
-        for the zone meanwhile, the zones found since whose last probe or
-        gather ended after that are gathered afresh, in turn (and probed
-        again where their parent is among them), until a pass files no
-        address no gather filed before; the cache answers old questions."""
-        start = len(self._found) - 1
-        self._gathering[info.zone] = None
-        yield from self._gather_pass(info)
-        since = self._gathering.pop(info.zone)
-        while since is not None:
-            group = [other for other in self._found[start:]
-                     if other.passed > since and self._zones.get(other.zone) is other]
-            regathered = {other.zone for other in group}
-            filed = len(self._filed)
-            for other in group:
-                if (other.parent_zone in regathered
-                        and not self._probe(self._zones[other.parent_zone], other)):
-                    # the parent's servers changed (one address per NS and
-                    # protocol), and those now asked deny the cut
-                    del self._zones[other.zone]
-                elif not other.silent:
-                    yield from self._gather_pass(other)
-            since = since if len(self._filed) != filed else None
-
-    def _gather_pass(self, info: _ZoneInfo):
         """Generator: contact the zone's own servers for its NS set and the
         addresses of its in-bailiwick NS, each out-of-bailiwick NS looked
         up in its own zone first."""
@@ -510,7 +506,6 @@ class Resolver:
                             info.cname_ns.add(ns)
                         elif rr.rrtype in (RRType.A, RRType.AAAA):
                             self._note_addr(info, info.zone, rr)
-        info.passed = self._passes = self._passes + 1
 
     def _child_view(self, info: _ZoneInfo, contact) -> frozenset[DomainName] | None:
         child_ns: set[DomainName] | None = None
@@ -539,20 +534,19 @@ class Resolver:
     def _contact_servers(self, info: _ZoneInfo, ns_names):
         """Generator: one address per (NS, protocol), from glue, apex or
         host-zone evidence, in deterministic order. An out-of-bailiwick name
-        is looked up in its own zone, after a walk to it, the first time it
-        is met; while that zone is being gathered, the name has no address."""
+        is looked up where a walk to it ends, the first time it is met: in its
+        own zone, or in none while the walk stops at a zone with no servers."""
         out = []
         seen = set()
         for ns in sorted(ns_names):
             if not ns.is_within(info.zone) and ns not in info.hosts:
-                chain = yield self._walk(ns)
-                if chain is not None:
-                    host = chain[-1]
-                    info.hosts[ns] = host.zone
-                    for rrtype in (RRType.A, RRType.AAAA):
-                        for rr in self._query_first(host.servers, ns, rrtype):
-                            if rr.owner == ns and rr.rrtype in (RRType.A, RRType.AAAA):
-                                self._note_addr(info, host.zone, rr)
+                host = (yield self._walk(ns))[-1]
+                info.hosts[ns] = host.zone
+                self._readers[host.zone].add(info.zone)
+                for rrtype in (RRType.A, RRType.AAAA):
+                    for rr in self._query_first(host.servers, ns, rrtype):
+                        if rr.owner == ns and rr.rrtype in (RRType.A, RRType.AAAA):
+                            self._note_addr(info, host.zone, rr)
             addrs = self._known_addrs(info, ns)
             for proto in (V4, V6):
                 if not self._allowed(proto):
@@ -579,7 +573,12 @@ class Resolver:
     def _propagate(self) -> None:
         """Feed the clauses of the zones found since the last call to the
         propagations. A crawl ends with every zone it found, and every zone
-        those depend on, gathered, so the verdicts then are final."""
+        those depend on, gathered, so the verdicts then are final.
+
+        Nothing is stale here, and a fed zone never is again: a zone goes
+        stale only when one it read changes, and changes only when found or
+        stale, so every change starts at a zone found in the current call,
+        which only zones gathered in that call have read."""
         new: dict[str, list] = {V4: [], V6: []}
         for info in self._found[self._fed:]:
             if not info.silent and self._zones.get(info.zone) is info:

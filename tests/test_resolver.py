@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -340,8 +341,9 @@ def test_every_step_state_is_that_zones_verdict():
 def test_false_found_through_a_cycle_cut_is_not_reused():
     # j -> b.a -> i.f -> j is a cycle of out-of-bailiwick NS; i.f also has
     # a server of its own, so every zone resolves. Crawling i.f reaches j
-    # and b.a while i.f is still being gathered: b.a waits for i.f, and no
-    # verdict may keep a failure from before i.f's servers were known.
+    # and b.a while i.f is still in its first gather: b.a's walk stops at
+    # i.f, and no verdict may keep a failure from before i.f's servers were
+    # known.
     u = build_universe([
         root_fixture(),
         zone_fixture("a", [("ns.f", [], []), ("ns.a", ["10.1.0.1"], ["fd00:1::1"])]),
@@ -360,6 +362,38 @@ def test_false_found_through_a_cycle_cut_is_not_reused():
     resolver = make_resolver(u)
     for zone in ("i.f", "l.j", "j", "b.a"):
         assert resolver.resolve_chain(zone).state == "dual", zone
+
+
+def test_two_zone_cycle_is_not_gathered_again_to_confirm():
+    # x.t has a server of its own, with glue, and one in y.t; y.t's only
+    # server lives in x.t. Whichever zone is crawled first reads the other
+    # one before its first gather ends, and so is gathered again; after
+    # that, each is gathered again only if a zone it read has changed.
+    u = build_universe([
+        root_fixture(),
+        healthy_zone("t", 10),
+        zone_fixture("x.t", [("ns.y.t", [], []), ("ns0.x.t", ["10.60.0.1"], ["fd00:60::1"])],
+                     hosted=[("ns.x.t", ["10.60.0.2"], ["fd00:60::2"])]),
+        zone_fixture("y.t", [("ns.x.t", [], [])],
+                     hosted=[("ns.y.t", ["10.60.0.3"], ["fd00:60::3"])]),
+    ])
+    truth = ground_truth(u)
+    assert truth[N("x.t")] == truth[N("y.t")] == {V4: True, V6: True}
+    for order in (("x.t", "y.t"), ("y.t", "x.t")):
+        resolver = make_resolver(u)
+        # each gather asks the zone's servers for its NS set in one layer:
+        # the parent and child NS sets agree here
+        gathers = Counter()
+        child_view = resolver._child_view
+
+        def counted(info, contact):
+            gathers[str(info.zone)] += 1
+            return child_view(info, contact)
+
+        resolver._child_view = counted
+        for zone in order:
+            assert resolver.resolve_chain(zone).state == "dual", (order, zone)
+        assert gathers["x.t"] + gathers["y.t"] <= 5, (order, gathers)
 
 
 def test_cut_whose_parent_servers_never_answer_is_unresolvable():
@@ -416,7 +450,8 @@ def out_of_bailiwick_chain(k):
 
 
 def test_long_chain_of_out_of_bailiwick_hops_resolves():
-    # Crawling h0.t waits on the walk to each next hop's zone in turn.
+    # Crawling h0.t walks to each next hop's zone in turn before it can
+    # gather the zone before it.
     for k in (20, 40):
         u = out_of_bailiwick_chain(k)
         assert ground_truth(u)[N("h0.t")] == {V4: True, V6: True}
