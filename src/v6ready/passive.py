@@ -31,6 +31,7 @@ import io
 import itertools
 import json
 import sys
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -378,8 +379,9 @@ def _file_json(lines: Iterable[str], evidence: _Evidence) -> None:
 
 def _file_lines(lines: Iterable[str], evidence: _Evidence) -> None:
     """File one tuple file's lines, read as JSON or TSV by its first
-    non-blank line. A compressed file that ends early keeps the lines read
-    before the end, and its torn tail counts as one malformed line."""
+    non-blank line. A compressed file that ends early or holds corrupt data
+    keeps the lines read before the damage, and the rest counts as one
+    malformed line."""
     lines = iter(lines)
     try:
         for head in lines:
@@ -389,7 +391,9 @@ def _file_lines(lines: Iterable[str], evidence: _Evidence) -> None:
             return
         form = _file_json if head.lstrip().startswith("{") else _file_tsv
         form(itertools.chain((head,), lines), evidence)
-    except EOFError:  # gzip: the compressed stream ended before its end marker
+    # gzip: the stream ended before its end marker, its checksum or length
+    # is wrong, or the deflate data itself is invalid
+    except (EOFError, gzip.BadGzipFile, zlib.error):
         evidence.stats.malformed += 1
 
 

@@ -439,6 +439,52 @@ def test_simulate_keeps_the_lines_before_a_compressed_file_ends_early(tmp_path, 
     assert (ingest["tuples"], ingest["malformed"]) == (complete, 1)
 
 
+def _flipped(data: bytes, pos: int) -> bytes:
+    return data[:pos] + bytes([data[pos] ^ 0x10]) + data[pos + 1:]
+
+
+def _simulate_counts(tmp_path, data: bytes) -> tuple[int, int]:
+    (tmp_path / "bad.tsv.gz").write_bytes(data)
+    outdir = tmp_path / "out"
+    assert cli.main(["simulate", str(tmp_path / "bad.tsv.gz"), "--out", str(outdir)]) == 0
+    ingest = json.loads((outdir / "stats.json").read_text())["ingest"]
+    return ingest["tuples"], ingest["malformed"]
+
+
+def test_simulate_keeps_the_lines_before_corrupt_compressed_data(tmp_path, capsys):
+    # a flipped byte in the middle of the deflate data that makes it
+    # invalid at once, without decoding garbage first: zlib.error
+    text = "".join(f"1\t1\t2\tz{i}.com\tNS\tcom\tns1.z{i}.com\n"
+                   for i in range(20000)).encode()
+    data = gzip.compress(text, mtime=0)
+    pos = len(data) // 2
+    stream = zlib.decompressobj(wbits=31)
+    decoded = stream.decompress(data[:pos])
+    while pos < len(data) - 8:  # the trailer holds the CRC-32 and length
+        try:
+            stream.copy().decompress(_flipped(data, pos)[pos:pos + 4])
+        except zlib.error:
+            break
+        decoded += stream.decompress(data[pos:pos + 1])
+        pos += 1
+    else:
+        pytest.fail("no flip makes the deflate data invalid at once")
+    tuples, malformed = _simulate_counts(tmp_path, _flipped(data, pos))
+    before = decoded.count(b"\n")  # the lines decoded before the damage
+    assert 0 < tuples <= before < 20000
+    assert malformed == 1
+
+
+def test_simulate_counts_a_compressed_file_with_a_bad_checksum_once(tmp_path, capsys):
+    # a flipped byte of the CRC-32 in the trailer: gzip.BadGzipFile
+    text = "".join(f"1\t1\t2\tz{i}.com\tNS\tcom\tns1.z{i}.com\n" for i in range(2000))
+    data = gzip.compress(text.encode(), mtime=0)
+    bad = _flipped(data, len(data) - 8)
+    with pytest.raises(gzip.BadGzipFile):
+        gzip.decompress(bad)
+    assert _simulate_counts(tmp_path, bad) == (2000, 1)
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
