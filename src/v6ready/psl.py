@@ -33,10 +33,19 @@ Rule = tuple[tuple[bytes, ...], bool, bool]
 
 class PublicSuffixList:
     def __init__(self, rules: list[Rule]):
-        # keyed by the last label; each list keeps the rules' file order
-        self._by_tail: dict[bytes, list[Rule]] = {}
-        for rule in rules:
-            self._by_tail.setdefault(rule[0][-1], []).append(rule)
+        # (labels, exception) -> (place in the file, private) of the first
+        # such rule; a later duplicate never decides a match
+        self._rules: dict[tuple[tuple[bytes, ...], bool], tuple[int, bool]] = {}
+        for place, (labels, exception, private) in enumerate(rules):
+            self._rules.setdefault((labels, exception), (place, private))
+        # rule length -> the places of the "*" labels, before the last, of
+        # each rule that long
+        self._stars: dict[int, set[tuple[int, ...]]] = {}
+        for labels in {labels for labels, _exception in self._rules if b"*" in labels}:
+            stars = tuple(i for i, label in enumerate(labels[:-1]) if label == b"*")
+            self._stars.setdefault(len(labels), set()).add(stars)
+        for length in {len(labels) for labels, _exception in self._rules}:
+            self._stars.setdefault(length, set()).add(())
 
     @classmethod
     def parse(cls, text: str) -> "PublicSuffixList":
@@ -75,17 +84,19 @@ class PublicSuffixList:
         """The prevailing rule for ``name``: the longest exception, else the
         longest rule; of rules as long, the first in the file."""
         labels = name.labels
-        if not labels:
+        found = []  # ((exception, length, -place), private) of each matching rule
+        for depth in range(1, len(labels) + 1):
+            suffix = labels[-depth:]
+            for stars in self._stars.get(depth, ()):
+                key = (tuple(b"*" if i in stars else label for i, label in enumerate(suffix))
+                       if stars else suffix)
+                for exception in (False, True):
+                    rule = self._rules.get((key, exception))
+                    if rule is not None:
+                        found.append(((exception, depth, -rule[0]), rule[1]))
+        if not found:
             return None
-        candidates = [
-            (exception, len(rule), private)
-            for rule, exception, private in self._by_tail.get(labels[-1], ())
-            if len(rule) <= len(labels)
-            and all(r == b"*" or r == t for r, t in zip(rule, labels[-len(rule):]))
-        ]
-        if not candidates:
-            return None
-        exception, depth, private = max(candidates, key=lambda c: c[:2])
+        (exception, depth, _place), private = max(found)
         return PslMatch(name.ancestor_at_depth(depth - 1 if exception else depth), private)
 
     def public_suffix(self, name: DomainName) -> DomainName | None:

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from psl_scan import ScanningSuffixList
 from universes import N
 from v6ready.analytics import (
     GROUP_BELOW_SECOND_LEVEL,
@@ -18,6 +20,7 @@ from v6ready.analytics import (
     state_share_rows,
 )
 from v6ready.classify import ResolutionStatus
+from v6ready.names import DomainName
 from v6ready.psl import PublicSuffixList
 
 PSL_TEXT = """\
@@ -64,6 +67,36 @@ def test_psl_exception_rule():
 def test_psl_private_section_flagged():
     match = PSL.match(N("site.hosting.example"))
     assert match is not None and match.private
+
+
+# a rule line, or a section marker; "*" may stand at any label, the last
+# one included, and labels repeat, so rules overlap, tie and duplicate
+psl_lines = st.one_of(
+    st.builds(lambda bang, labels: bang + ".".join(labels),
+              st.sampled_from(["", "!"]),
+              st.lists(st.sampled_from(["a", "b", "c", "*"]), min_size=1, max_size=4)),
+    st.sampled_from(["// ===BEGIN PRIVATE DOMAINS===", "// ===END PRIVATE DOMAINS==="]))
+psl_names = st.lists(st.sampled_from([b"a", b"b", b"c", b"d", b"*"]), max_size=5)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(psl_lines, max_size=12), st.lists(psl_names, min_size=1, max_size=8))
+def test_psl_lookup_picks_the_rule_the_scan_picks(lines, names):
+    text = "\n".join(lines)
+    psl, scan = PublicSuffixList.parse(text), ScanningSuffixList.parse(text)
+    for labels in names:
+        name = DomainName(labels)
+        assert psl.match(name) == scan.match(name), (text, name)
+
+
+def test_psl_ties_go_to_the_first_rule_in_the_file():
+    private = "// ===BEGIN PRIVATE DOMAINS===\n"
+    for first, second in (("*.b", "a.b"), ("a.b", "*.b")):
+        psl = PublicSuffixList.parse(f"{first}\n{private}{second}\n!x.a.b\n!*.a.b\n")
+        assert psl.match(N("a.b")) == (N("a.b"), False), first
+        assert psl.match(N("c.b")) == (N("c.b"), first == "a.b"), first
+        assert psl.match(N("x.a.b")) == (N("a.b"), True), first  # the exception
+        assert psl.match(N("y.a.b")) == (N("a.b"), True), first
 
 
 def test_group_canonical_psl_second_level():
