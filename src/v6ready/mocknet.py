@@ -18,8 +18,12 @@ Defect meanings (attached to the zone they break):
 
 from __future__ import annotations
 
+import json
 import random
-from dataclasses import dataclass
+import socket
+import threading
+from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Iterable, Mapping
 
 from .names import ROOT, DomainName, normalize
@@ -39,6 +43,8 @@ from .records import (
     SoaData,
     V4,
     V6,
+    canonical_address,
+    pack_address,
 )
 from .wire import (
     DnsMessage,
@@ -87,8 +93,6 @@ class FixtureNs:
     v6: tuple[str, ...] = ()
 
     def __post_init__(self):
-        from .records import canonical_address
-
         object.__setattr__(self, "v4", tuple(canonical_address(a) for a in self.v4))
         object.__setattr__(self, "v6", tuple(canonical_address(a) for a in self.v6))
 
@@ -293,8 +297,6 @@ class Universe:
             subset = fz.glue_in_parent.get(ns)
             if subset is None:
                 return ()
-            from .records import canonical_address
-
             return tuple(sorted(canonical_address(a)
                                 for a in subset.for_protocol(proto)))
         host = self.host_of.get(ns)
@@ -404,7 +406,7 @@ class Universe:
             for proto, rrtype in ((V4, RRType.A), (V6, RRType.AAAA)):
                 for addr in self.glue_addrs(child, target, proto):
                     additional.append(ResourceRecord(
-                        target, rrtype, 3600, _pack(addr)))
+                        target, rrtype, 3600, pack_address(addr)))
         return msg.reply_skeleton(authority=authority, additional=tuple(additional))
 
     def _apex_answer(self, msg: DnsMessage, zone: DomainName,
@@ -424,7 +426,7 @@ class Universe:
                         continue
                     for proto, rrtype in ((V4, RRType.A), (V6, RRType.AAAA)):
                         for addr in self.apex_addrs(t, proto):
-                            additional.append(ResourceRecord(t, rrtype, 3600, _pack(addr)))
+                            additional.append(ResourceRecord(t, rrtype, 3600, pack_address(addr)))
                 return msg.reply_skeleton(aa=True, answer=answer,
                                           additional=tuple(additional))
             if q.qtype == RRType.SOA:
@@ -455,7 +457,7 @@ class Universe:
                 # the apex name doubles as a nameserver host
                 proto = V4 if q.qtype == RRType.A else V6
                 answer = tuple(
-                    ResourceRecord(zone, q.qtype, 3600, _pack(a))
+                    ResourceRecord(zone, q.qtype, 3600, pack_address(a))
                     for a in self.apex_addrs(zone, proto)
                 )
                 return msg.reply_skeleton(aa=True, answer=answer)
@@ -468,7 +470,7 @@ class Universe:
             if q.qtype in (RRType.A, RRType.AAAA):
                 proto = V4 if q.qtype == RRType.A else V6
                 answer = tuple(
-                    ResourceRecord(q.qname, q.qtype, 3600, _pack(a))
+                    ResourceRecord(q.qname, q.qtype, 3600, pack_address(a))
                     for a in self.apex_addrs(q.qname, proto)
                 )
                 return msg.reply_skeleton(aa=True, answer=answer)
@@ -528,12 +530,6 @@ class Universe:
                 rdata=values,
             ))
         return out
-
-
-def _pack(addr: str) -> bytes:
-    from .records import pack_address
-
-    return pack_address(addr)
 
 
 def _rr_text(rr: ResourceRecord) -> str | None:
@@ -703,8 +699,6 @@ DEFAULT_DEFECT_RATES = {
 
 def dump_fixtures(out, fixtures: Iterable[FixtureZone]) -> None:
     """One JSON document per zone, after a format header line."""
-    import json
-
     out.write(json.dumps({"format": "mocknet-fixtures", "version": 1}) + "\n")
     for fz in sorted(fixtures, key=lambda f: f.zone):
         doc = {
@@ -738,9 +732,6 @@ def dump_fixtures(out, fixtures: Iterable[FixtureZone]) -> None:
 def load_fixtures(path) -> list[FixtureZone]:
     """Read a fixture file produced by dump_fixtures (or written by hand).
     A header of another format or version is a ValueError."""
-    import json
-    from pathlib import Path
-
     fixtures = []
     lines = [l for l in Path(path).read_text(encoding="utf-8").splitlines()
              if l.strip()]
@@ -799,8 +790,6 @@ class LoopbackServer:
     """
 
     def __init__(self, universe: Universe, port: int = 0, enable_v6: bool = True):
-        import socket as _socket
-
         self.universe = universe
         self._threads = []
         self._running = False
@@ -811,22 +800,22 @@ class LoopbackServer:
         for _attempt in range(16):
             socks = []
             try:
-                udp4 = _socket.socket(_socket.AF_INET, _socket.SOCK_DGRAM)
+                udp4 = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
                 socks.append(udp4)
                 udp4.bind(("127.0.0.1", port))
                 chosen = udp4.getsockname()[1]
-                tcp4 = _socket.socket(_socket.AF_INET, _socket.SOCK_STREAM)
+                tcp4 = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
                 socks.append(tcp4)
-                tcp4.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
+                tcp4.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 tcp4.bind(("127.0.0.1", chosen))
                 tcp4.listen(16)
                 if enable_v6:
-                    udp6 = _socket.socket(_socket.AF_INET6, _socket.SOCK_DGRAM)
+                    udp6 = socket.socket(socket.AF_INET6, socket.SOCK_DGRAM)
                     socks.append(udp6)
                     udp6.bind(("::1", chosen))
-                    tcp6 = _socket.socket(_socket.AF_INET6, _socket.SOCK_STREAM)
+                    tcp6 = socket.socket(socket.AF_INET6, socket.SOCK_STREAM)
                     socks.append(tcp6)
-                    tcp6.setsockopt(_socket.SOL_SOCKET, _socket.SO_REUSEADDR, 1)
+                    tcp6.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                     tcp6.bind(("::1", chosen))
                     tcp6.listen(16)
                     self.udp6, self.tcp6 = udp6, tcp6
@@ -875,8 +864,6 @@ class LoopbackServer:
         return encode(_rewrite_loopback(reply))
 
     def start(self) -> None:
-        import threading
-
         self._running = True
 
         def udp_loop(sock, family_addr):
@@ -929,10 +916,6 @@ class LoopbackServer:
 
 
 def _rewrite_loopback(msg: DnsMessage) -> DnsMessage:
-    from dataclasses import replace as _replace
-
-    from .records import pack_address
-
     def rewrite(section):
         seen = set()
         out = []
@@ -949,7 +932,7 @@ def _rewrite_loopback(msg: DnsMessage) -> DnsMessage:
             out.append(rr)
         return tuple(out)
 
-    return _replace(
+    return replace(
         msg,
         answer=rewrite(msg.answer),
         authority=rewrite(msg.authority),
