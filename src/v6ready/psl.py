@@ -33,18 +33,21 @@ Rule = tuple[tuple[bytes, ...], bool, bool]
 
 class PublicSuffixList:
     def __init__(self, rules: list[Rule]):
-        # (labels, exception) -> (place in the file, private) of the first
-        # such rule; a later duplicate never decides a match
-        self._rules: dict[tuple[tuple[bytes, ...], bool], tuple[int, bool]] = {}
-        for place, (labels, exception, private) in enumerate(rules):
-            self._rules.setdefault((labels, exception), (place, private))
+        # labels -> place in the file of the first such rule, exceptions and
+        # the others apart: a later duplicate never decides a match
+        self._rules: dict[tuple[bytes, ...], int] = {}
+        self._exceptions: dict[tuple[bytes, ...], int] = {}
+        for place, (labels, exception, _private) in enumerate(rules):
+            (self._exceptions if exception else self._rules).setdefault(labels, place)
+        self._private = [private for _labels, _exception, private in rules]
         # rule length -> the places of the "*" labels, before the last, of
         # each rule that long
         self._stars: dict[int, set[tuple[int, ...]]] = {}
-        for labels in {labels for labels, _exception in self._rules if b"*" in labels}:
-            stars = tuple(i for i, label in enumerate(labels[:-1]) if label == b"*")
-            self._stars.setdefault(len(labels), set()).add(stars)
-        for length in {len(labels) for labels, _exception in self._rules}:
+        for labels, _exception, _private in rules:
+            if b"*" in labels:
+                stars = tuple(i for i, label in enumerate(labels[:-1]) if label == b"*")
+                self._stars.setdefault(len(labels), set()).add(stars)
+        for length in {len(labels) for labels in (*self._rules, *self._exceptions)}:
             self._stars.setdefault(length, set()).add(())
 
     @classmethod
@@ -84,20 +87,25 @@ class PublicSuffixList:
         """The prevailing rule for ``name``: the longest exception, else the
         longest rule; of rules as long, the first in the file."""
         labels = name.labels
-        found = []  # ((exception, length, -place), private) of each matching rule
-        for depth in range(1, len(labels) + 1):
+        found = []  # (exception, length, -place) of each matching rule
+        for depth, shapes in self._stars.items():
+            if depth > len(labels):
+                continue
             suffix = labels[-depth:]
-            for stars in self._stars.get(depth, ()):
+            for stars in shapes:
                 key = (tuple(b"*" if i in stars else label for i, label in enumerate(suffix))
                        if stars else suffix)
-                for exception in (False, True):
-                    rule = self._rules.get((key, exception))
-                    if rule is not None:
-                        found.append(((exception, depth, -rule[0]), rule[1]))
+                place = self._rules.get(key)
+                if place is not None:
+                    found.append((False, depth, -place))
+                place = self._exceptions.get(key)
+                if place is not None:
+                    found.append((True, depth, -place))
         if not found:
             return None
-        (exception, depth, _place), private = max(found)
-        return PslMatch(name.ancestor_at_depth(depth - 1 if exception else depth), private)
+        exception, depth, place = max(found)
+        return PslMatch(name.ancestor_at_depth(depth - 1 if exception else depth),
+                        self._private[-place])
 
     def public_suffix(self, name: DomainName) -> DomainName | None:
         m = self.match(name)

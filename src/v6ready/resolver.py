@@ -280,9 +280,9 @@ class Resolver:
         self._zones: dict[DomainName, _ZoneInfo] = {ROOT: self._root_info()}
         self._found: list[_ZoneInfo] = []  # the zones in the order they were discovered
         self._fed = 0  # the first _fed of _found are in the propagations
-        # zone -> the zones that read its servers since they last changed
+        # zone -> the zones that read its servers after they last changed
         self._readers: defaultdict[DomainName, set[DomainName]] = defaultdict(set)
-        self._stale: set[DomainName] = set()  # zones that read servers which changed since
+        self._stale: set[DomainName] = set()  # zones that read servers which changed later
         # (zone, (name, bailiwick), address) for every address any gather filed
         self._filed: set[tuple[DomainName, tuple[DomainName, DomainName], bytes]] = set()
         self._root_answered: set[str] = set()  # protocols over which a root hint answered
@@ -369,7 +369,7 @@ class Resolver:
         self._stale.remove(zone)
         info = self._zones.get(zone)
         if info is None:
-            return  # dropped since it went stale
+            return  # dropped after it went stale
         servers, filed = info.servers, len(self._filed)
         parent = self._zones.get(info.parent_zone)
         if parent is None or not self._probe(parent, info):
