@@ -5,8 +5,7 @@ The walk starts at the root and probes one NS query per label boundary
 zone cuts from referrals without relying on NXDOMAIN. Glue is captured
 from additional sections, parent and child NS sets are both recorded, and
 each out-of-bailiwick NS name is looked up in its own zone, found by a
-walk from the root; a zone whose servers change is gathered again by
-every zone that read them, so zones may depend on each other.
+walk from the root.
 
 The crawl only gathers evidence. The per-protocol verdicts follow from it
 by the unit propagation the passive path runs (``classify.zone_clauses``:
@@ -256,8 +255,8 @@ class Resolver:
     One resolver instance represents one measurement run: each zone cut is
     discovered once and memoized, so bulk scans and the walks for
     out-of-bailiwick NS names share work on top of the engine's response
-    cache. One propagation per protocol lasts the whole run, since the
-    least model only grows as zones are added.
+    cache. One propagation per protocol lasts the whole run: the least
+    model only grows as zones are added.
 
     A walk reads what a zone holds; one in its first gather has no servers
     yet, so a walk stops there. A zone's readers are the children probed at
@@ -571,7 +570,7 @@ class Resolver:
     # -- verdicts ----------------------------------------------------------------
 
     def _propagate(self) -> None:
-        """Feed the clauses of the zones found since the last call to the
+        """Feed the clauses of the zones found after the last call to the
         propagations. A crawl ends with every zone it found, and every zone
         those depend on, gathered, so the verdicts then are final.
 
