@@ -366,9 +366,10 @@ def test_false_found_through_a_cycle_cut_is_not_reused():
 
 def test_two_zone_cycle_is_not_gathered_again_to_confirm():
     # x.t has a server of its own, with glue, and one in y.t; y.t's only
-    # server lives in x.t. Whichever zone is crawled first reads the other
-    # one before its first gather ends, and so is gathered again; after
-    # that, each is gathered again only if a zone it read has changed.
+    # server lives in x.t. Whichever zone is crawled first, the other one is
+    # found during its first gather and reads it before that gather ends, so
+    # is gathered again; after that, each is gathered again only if a zone
+    # it read has changed.
     u = build_universe([
         root_fixture(),
         healthy_zone("t", 10),
