@@ -2,6 +2,7 @@ import gzip
 import io
 import json
 
+import careful_parser
 import jacobi
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,14 +17,13 @@ from v6ready.passive import (
     iter_tuples,
     open_tuple_stream,
     snapshot_stats,
-    tuple_from_fields,
     write_verdicts,
 )
 from v6ready.records import RRType, V4, V6
 
 
 def T(rrname, rrtype, bailiwick, rdata, count=1, t0=1600000000, t1=1600000000):
-    return tuple_from_fields(count, t0, t1, rrname, rrtype, bailiwick, rdata)
+    return careful_parser.tuple_from_fields(count, t0, t1, rrname, rrtype, bailiwick, rdata)
 
 
 def checked_fixed_point(record_sets):
@@ -402,8 +402,8 @@ def test_filing_lines_equals_filing_the_careful_parsers_tuples(files):
     stats = IngestStats()
     result = ingest(files, stats)
     parsed, careful = IngestStats(), IngestStats()
-    expected = ingest_tuples([t for lines in files for t in iter_tuples(lines, parsed)],
-                             careful)
+    expected = ingest_tuples(
+        [t for lines in files for t in careful_parser.iter_tuples(lines, parsed)], careful)
     assert _record_set_order(result) == _record_set_order(expected)
     assert stats == IngestStats(careful.tuples, parsed.malformed + careful.malformed,
                                 careful.cname_skipped)
