@@ -279,20 +279,20 @@ def _witnesses(names: Iterable[DomainName]) -> tuple[str, ...]:
 
 def classify(
     rs: ZoneRecordSet,
-    v4: bool,
-    v6: bool,
-    parent_v6: bool,
     ns_zone: Mapping[DomainName, DomainName],
     resolves: Resolves,
     answers: Answers | None = None,
 ) -> ResolutionStatus:
-    """The status of a zone whose verdicts are ``v4`` and ``v6``: its IPv6
-    intent and, unless it resolves over IPv6, the causes. ``parent_v6`` is
-    whether the delegating zone resolves over IPv6; ``ns_zone``,
-    ``resolves`` and ``answers`` are as for ``zone_clauses``."""
+    """The status of a zone whose verdicts are ``resolves(rs.zone, ·)``:
+    its IPv6 intent and, unless it resolves over IPv6, the causes, which
+    read whether the delegating zone resolves over IPv6 from ``resolves``
+    too; ``ns_zone``, ``resolves`` and ``answers`` are as for
+    ``zone_clauses``."""
+    v4, v6 = resolves(rs.zone, V4), resolves(rs.zone, V6)
     failures: frozenset[FailureCause] = frozenset()
     if not v6:
-        failures = _failure_causes(rs, parent_v6, ns_zone, resolves, V6, answers)
+        failures = _failure_causes(rs, resolves(rs.delegating_zone(), V6), ns_zone, resolves,
+                                   V6, answers)
     return ResolutionStatus(state_of(v4, v6), v4, v6, _intent(rs, V6), failures)
 
 

@@ -789,11 +789,10 @@ class LoopbackServer:
     in-process virtual transport instead.
     """
 
-    def __init__(self, universe: Universe, port: int = 0, enable_v6: bool = True):
+    def __init__(self, universe: Universe, port: int = 0):
         self.universe = universe
         self._threads = []
         self._running = False
-        self.udp6 = self.tcp6 = None
         # One port must be free across both families; with an ephemeral
         # request, retry if the v4-chosen port is taken on ::1.
         last_error = None
@@ -809,16 +808,14 @@ class LoopbackServer:
                 tcp4.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
                 tcp4.bind(("127.0.0.1", chosen))
                 tcp4.listen(16)
-                if enable_v6:
-                    udp6 = socket.socket(socket.AF_INET6, socket.SOCK_DGRAM)
-                    socks.append(udp6)
-                    udp6.bind(("::1", chosen))
-                    tcp6 = socket.socket(socket.AF_INET6, socket.SOCK_STREAM)
-                    socks.append(tcp6)
-                    tcp6.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                    tcp6.bind(("::1", chosen))
-                    tcp6.listen(16)
-                    self.udp6, self.tcp6 = udp6, tcp6
+                udp6 = socket.socket(socket.AF_INET6, socket.SOCK_DGRAM)
+                socks.append(udp6)
+                udp6.bind(("::1", chosen))
+                tcp6 = socket.socket(socket.AF_INET6, socket.SOCK_STREAM)
+                socks.append(tcp6)
+                tcp6.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+                tcp6.bind(("::1", chosen))
+                tcp6.listen(16)
             except OSError as exc:
                 last_error = exc
                 for sock in socks:
@@ -826,7 +823,7 @@ class LoopbackServer:
                 if port:  # explicit port: nothing to retry
                     raise
                 continue
-            self.udp4, self.tcp4 = udp4, tcp4
+            self.udp4, self.tcp4, self.udp6, self.tcp6 = udp4, tcp4, udp6, tcp6
             self.port = chosen
             self._socks = socks
             break
@@ -891,9 +888,8 @@ class LoopbackServer:
                     if out is not None:
                         conn.sendall(frame_tcp(out))
 
-        pairs = [(self.udp4, udp_loop, "127.0.0.1"), (self.tcp4, tcp_loop, "127.0.0.1")]
-        if self.udp6 is not None:
-            pairs += [(self.udp6, udp_loop, "::1"), (self.tcp6, tcp_loop, "::1")]
+        pairs = [(self.udp4, udp_loop, "127.0.0.1"), (self.tcp4, tcp_loop, "127.0.0.1"),
+                 (self.udp6, udp_loop, "::1"), (self.tcp6, tcp_loop, "::1")]
         for sock, fn, family_addr in pairs:
             t = threading.Thread(target=fn, args=(sock, family_addr), daemon=True)
             t.start()

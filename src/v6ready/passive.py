@@ -7,19 +7,12 @@ zone is assumed resolvable over both protocols; every other zone must be
 reached through a delegating parent that resolves first, which makes the
 computation an iterative fixed point.
 
-``ingest`` files each line straight into per-zone maps, one loop per
-file, without building a ``PassiveTuple``. A line takes that fast path
-only where the careful parser (``_tsv_tuple``, ``_json_tuple`` and
-``tuple_from_fields``) would accept it with the same fields: in TSV seven
-fields, three numbers of ASCII digits short enough for ``int``,
-``count >= 1``, ``time_first <= time_last`` and no empty rdata value; in
-JSON ``int`` numbers under the same two bounds, text names and a non-empty
-list of text rdata; in both an rrtype spelled as a known type, and an
-rrname and bailiwick already in the names memo, so known to be valid.
-Every other line (a name seen for the first time, a blank or malformed
-line) goes through the careful parser, which stays the one statement of
-the line rules and seeds the memo; a property test holds the two paths
-equal. ``_Evidence.file`` states what a tuple contributes, for lines and
+``_read_fields`` is the one reader of tuple lines: ``_tsv_fields`` and
+``_json_fields`` state what each form requires of its fields, and
+``_checked_fields`` the rules every tuple keeps, whatever its form.
+``ingest`` files the fields it reads straight into per-zone maps, without
+building a ``PassiveTuple``; ``iter_tuples`` wraps them in one.
+``_Evidence.file`` states what a tuple contributes, for lines and
 ``PassiveTuple``s alike.
 """
 
@@ -30,7 +23,6 @@ import gzip
 import io
 import itertools
 import json
-import sys
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,7 +38,6 @@ from .records import (
     V6,
     ZoneRecordSet,
     address_protocol,
-    ascii_int,
     canonical_address,
 )
 
@@ -65,14 +56,6 @@ class PassiveTuple:
     bailiwick: DomainName
     rdata: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.count < 1:
-            raise MalformedTuple("count must be >= 1")
-        if self.time_first > self.time_last:
-            raise MalformedTuple("time_first after time_last")
-        if not self.rdata:
-            raise MalformedTuple("empty rdata")
-
 
 @dataclass
 class IngestStats:
@@ -90,74 +73,6 @@ def _parse_name(text, names: dict[str, DomainName]) -> DomainName:
     return name
 
 
-def tuple_from_fields(count, time_first, time_last, rrname, rrtype, bailiwick,
-                      rdata, names: dict[str, DomainName] | None = None) -> PassiveTuple:
-    """One validated tuple; ``names`` maps raw name text to names already
-    parsed, and is shared across the calls of one stream. The three numbers
-    must be ``int`` (so a JSON integer, never a bool, float or string) and
-    every rdata value text."""
-    names = {} if names is None else names
-    try:
-        if not (type(count) is type(time_first) is type(time_last) is int):
-            raise TypeError("count, time_first and time_last must be integers")
-        if not all(isinstance(v, str) for v in rdata):
-            raise TypeError("rdata values must be strings")
-        return PassiveTuple(
-            count=count,
-            time_first=time_first,
-            time_last=time_last,
-            rrname=_parse_name(rrname, names),
-            rrtype=rrtype if isinstance(rrtype, RRType) else RRType.from_text(str(rrtype)),
-            bailiwick=_parse_name(bailiwick, names),
-            rdata=tuple(rdata),
-        )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise MalformedTuple(str(exc)) from exc
-
-
-def _parse_tsv_line(line: str, names: dict[str, DomainName]) -> PassiveTuple:
-    return _tsv_tuple(line.rstrip("\n").split("\t"), names)
-
-
-def _tsv_tuple(parts: list[str], names: dict[str, DomainName]) -> PassiveTuple:
-    if len(parts) != 7:
-        raise MalformedTuple(f"expected 7 tab-separated fields, got {len(parts)}")
-    rdata = [v for v in parts[6].split(",") if v]
-    return tuple_from_fields(_tsv_int(parts[0]), _tsv_int(parts[1]), _tsv_int(parts[2]),
-                             parts[3], parts[4], parts[5], rdata, names)
-
-
-def _tsv_int(text: str) -> int:
-    value = ascii_int(text)
-    if value is None:
-        raise MalformedTuple(f"not a number: {text!r}")
-    return value
-
-
-def _parse_json_line(line: str, names: dict[str, DomainName]) -> PassiveTuple:
-    try:
-        obj = json.loads(line)
-    except ValueError as exc:  # a JSONDecodeError, or more digits than int() converts
-        raise MalformedTuple(str(exc)) from exc
-    return _json_tuple(obj, names)
-
-
-def _json_tuple(obj, names: dict[str, DomainName]) -> PassiveTuple:
-    if not isinstance(obj, dict):
-        raise MalformedTuple("JSON record must be an object")
-    try:
-        rdata = obj["rdata"]
-        if not isinstance(rdata, list):
-            # a string would otherwise be read one character per value
-            raise MalformedTuple("rdata must be a JSON list")
-        return tuple_from_fields(
-            obj["count"], obj["time_first"], obj["time_last"], obj["rrname"],
-            obj["rrtype"], obj["bailiwick"], rdata, names,
-        )
-    except KeyError as exc:
-        raise MalformedTuple(f"missing field {exc}") from exc
-
-
 # Bytes that are not UTF-8 read as a NUL and a tab, which no tuple line
 # parses with in either form (a TSV line gains a field, a JSON line a
 # control character): their line is malformed, at no cost to the rest.
@@ -173,26 +88,111 @@ def open_tuple_stream(path: str | Path) -> IO[str]:
     return io.TextIOWrapper(raw, encoding="utf-8", errors="v6ready-not-utf8")
 
 
+def _checked_fields(count: int, time_first: int, time_last: int, rrname: str, rrtype: str,
+                    bailiwick: str, rdata: list[str], names: dict[str, DomainName],
+                    rrtypes: dict[str, RRType]) -> tuple:
+    """The rules of every tuple, whatever its form: ``count >= 1``,
+    ``time_first <= time_last``, some rdata, names that parse and an
+    rrtype ``RRType.from_text`` takes. ``names`` and ``rrtypes`` hold the
+    spellings already parsed, so each is parsed once per stream."""
+    if count < 1:
+        raise MalformedTuple("count must be >= 1")
+    if time_first > time_last:
+        raise MalformedTuple("time_first after time_last")
+    if not rdata:
+        raise MalformedTuple("empty rdata")
+    name = names.get(rrname)  # `is None`: the root is a falsy name
+    if name is None:
+        name = _parse_name(rrname, names)
+    bw = names.get(bailiwick)
+    if bw is None:
+        bw = _parse_name(bailiwick, names)
+    kind = rrtypes.get(rrtype)
+    if kind is None:
+        kind = rrtypes[rrtype] = RRType.from_text(rrtype)
+    return count, time_first, time_last, name, kind, bw, rdata
+
+
+def _tsv_fields(line: str, names: dict[str, DomainName],
+                rrtypes: dict[str, RRType]) -> tuple:
+    """A TSV line: seven tab-separated fields (unpacking any other number
+    is a ``ValueError``), three numbers of ASCII digits, and the rdata
+    values separated by commas, empty ones dropped."""
+    count, first, last, rrname, rrtype, bailiwick, rdata = line.rstrip("\n").split("\t")
+    digits = count + first + last
+    if not (digits.isascii() and digits.isdigit()):
+        # int() alone also takes "+1", "1_0", " 2 " and other scripts' digits
+        raise MalformedTuple("count, time_first and time_last must be ASCII digits")
+    values = rdata.split(",")
+    if "" in values:
+        values = [v for v in values if v]
+    # int() raises a ValueError for an empty number, and past its
+    # conversion limit (4,300 digits by default)
+    return _checked_fields(int(count), int(first), int(last), rrname, rrtype, bailiwick,
+                           values, names, rrtypes)
+
+
+def _json_fields(line: str, names: dict[str, DomainName],
+                 rrtypes: dict[str, RRType]) -> tuple:
+    """A JSON line: an object with the seven keys, JSON integers (never
+    a bool) for the numbers, text names and rrtype, and a list of text
+    rdata values."""
+    obj = json.loads(line)  # a ValueError if not JSON or past int()'s limit
+    if type(obj) is not dict:
+        raise MalformedTuple("JSON record must be an object")
+    get = obj.get
+    count, first, last = get("count"), get("time_first"), get("time_last")
+    rrname, rrtype, bailiwick, rdata = get("rrname"), get("rrtype"), get("bailiwick"), get("rdata")
+    if not (type(count) is type(first) is type(last) is int
+            and type(rrname) is type(rrtype) is type(bailiwick) is str
+            # a string would otherwise be read one character per value
+            and type(rdata) is list and all(type(v) is str for v in rdata)):
+        raise MalformedTuple("a field is missing or of the wrong JSON type")
+    return _checked_fields(count, first, last, rrname, rrtype, bailiwick, rdata,
+                           names, rrtypes)
+
+
+def _read_fields(lines: Iterable[str], stats: IngestStats, names: dict[str, DomainName],
+                 rrtypes: dict[str, RRType]) -> Iterator[tuple]:
+    """The fields (count, time_first, time_last, rrname, rrtype,
+    bailiwick, rdata values) of each tuple line of one file, read as JSON
+    or TSV by its first non-blank line. Blank lines are skipped, and every
+    other line that fails its form's rules is counted as malformed. A
+    compressed file that ends early or holds corrupt data keeps the lines
+    read before the damage, and the rest counts as one malformed line."""
+    lines = iter(lines)
+    try:
+        for head in lines:
+            if head.strip():
+                break
+        else:
+            return
+        read = _json_fields if head.lstrip().startswith("{") else _tsv_fields
+        for line in itertools.chain((head,), lines):
+            try:
+                fields = read(line, names, rrtypes)
+            # MalformedTuple, a name, rrtype, number or JSON error, or JSON
+            # nested deeper than the decoder recurses
+            except (ValueError, RecursionError):
+                if line.strip():  # no blank line reads as a tuple
+                    stats.malformed += 1
+                continue
+            yield fields
+    # gzip: the stream ended before its end marker, its checksum or length
+    # is wrong, or the deflate data itself is invalid
+    except (EOFError, gzip.BadGzipFile, zlib.error):
+        stats.malformed += 1
+
+
 def iter_tuples(lines: Iterable[str], stats: IngestStats | None = None) -> Iterator[PassiveTuple]:
     """Parse tuple lines, auto-detecting JSON vs TSV from the first record.
 
     Malformed lines are counted and skipped; the stream never aborts.
     """
     stats = stats if stats is not None else IngestStats()
-    parser = None
-    names: dict[str, DomainName] = {}
-    for line in lines:
-        if not line.strip():
-            continue
-        if parser is None:
-            parser = _parse_json_line if line.lstrip().startswith("{") else _parse_tsv_line
-        try:
-            t = parser(line, names)
-        except MalformedTuple:
-            stats.malformed += 1
-            continue
+    for count, first, last, rrname, rrtype, bailiwick, rdata in _read_fields(lines, stats, {}, {}):
         stats.tuples += 1
-        yield t
+        yield PassiveTuple(count, first, last, rrname, rrtype, bailiwick, tuple(rdata))
 
 
 @dataclass
@@ -202,11 +202,6 @@ class IngestResult:
 
 
 _NS, _A, _AAAA, _CNAME = (t.value for t in (RRType.NS, RRType.A, RRType.AAAA, RRType.CNAME))
-# the rrtype spellings the fast path takes; any other goes through RRType.from_text
-_RRTYPE_CODES = {text: RRType.from_text(text).value
-                 for text in ("NS", "A", "AAAA", "CNAME", "SOA", "MX", "TXT")}
-# int() converts this many digits under any limit sys.set_int_max_str_digits allows
-_SHORT_DIGITS = sys.int_info.str_digits_check_threshold
 
 
 class _Evidence:
@@ -317,86 +312,6 @@ class _Evidence:
         return IngestResult(record_sets, orphans)
 
 
-def _file_tsv(lines: Iterable[str], evidence: _Evidence) -> None:
-    names, stats, file, codes = evidence.names, evidence.stats, evidence.file, _RRTYPE_CODES
-    for line in lines:
-        parts = line.rstrip("\n").split("\t")
-        if len(parts) == 7:
-            count, first, last, rrname, rrtype, bailiwick, rdata = parts
-            digits = count + first + last
-            name = names.get(rrname)
-            bw = names.get(bailiwick)
-            code = codes.get(rrtype)
-            values = rdata.split(",")
-            if (count and first and last and digits.isdigit() and digits.isascii()
-                    and len(digits) <= _SHORT_DIGITS and int(count) >= 1
-                    and int(first) <= int(last) and name is not None and bw is not None
-                    and code is not None and "" not in values):
-                file(name, code, bw, values)
-                continue
-        if not line.strip():
-            continue
-        try:
-            t = _tsv_tuple(parts, names)
-        except MalformedTuple:
-            stats.malformed += 1
-            continue
-        file(t.rrname, t.rrtype.value, t.bailiwick, t.rdata)
-
-
-def _file_json(lines: Iterable[str], evidence: _Evidence) -> None:
-    names, stats, file, codes = evidence.names, evidence.stats, evidence.file, _RRTYPE_CODES
-    loads = json.loads
-    for line in lines:
-        try:
-            obj = loads(line)
-        except ValueError:
-            obj = None  # read again below: skipped if blank, else malformed
-        if type(obj) is dict:
-            count, first, last = obj.get("count"), obj.get("time_first"), obj.get("time_last")
-            rrname, rrtype, bailiwick = obj.get("rrname"), obj.get("rrtype"), obj.get("bailiwick")
-            rdata = obj.get("rdata")
-            if (type(count) is int and type(first) is int and type(last) is int
-                    and count >= 1 and first <= last and type(rrname) is str
-                    and type(rrtype) is str and type(bailiwick) is str
-                    and type(rdata) is list and rdata
-                    and all(type(value) is str for value in rdata)):
-                name = names.get(rrname)
-                bw = names.get(bailiwick)
-                code = codes.get(rrtype)
-                if name is not None and bw is not None and code is not None:
-                    file(name, code, bw, rdata)
-                    continue
-        if not line.strip():
-            continue
-        try:
-            t = _parse_json_line(line, names) if obj is None else _json_tuple(obj, names)
-        except MalformedTuple:
-            stats.malformed += 1
-            continue
-        file(t.rrname, t.rrtype.value, t.bailiwick, t.rdata)
-
-
-def _file_lines(lines: Iterable[str], evidence: _Evidence) -> None:
-    """File one tuple file's lines, read as JSON or TSV by its first
-    non-blank line. A compressed file that ends early or holds corrupt data
-    keeps the lines read before the damage, and the rest counts as one
-    malformed line."""
-    lines = iter(lines)
-    try:
-        for head in lines:
-            if head.strip():
-                break
-        else:
-            return
-        form = _file_json if head.lstrip().startswith("{") else _file_tsv
-        form(itertools.chain((head,), lines), evidence)
-    # gzip: the stream ended before its end marker, its checksum or length
-    # is wrong, or the deflate data itself is invalid
-    except (EOFError, gzip.BadGzipFile, zlib.error):
-        evidence.stats.malformed += 1
-
-
 def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> IngestResult:
     """Build per-zone record sets from one monthly aggregate, given as the
     lines of each of its tuple files in turn.
@@ -408,8 +323,11 @@ def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> 
     ``stats``, as a tuple or as malformed; a malformed line is skipped.
     """
     evidence = _Evidence(stats if stats is not None else IngestStats())
+    file, rrtypes = evidence.file, {}
     for lines in files:
-        _file_lines(lines, evidence)
+        for _, _, _, rrname, rrtype, bailiwick, rdata in _read_fields(
+                lines, evidence.stats, evidence.names, rrtypes):
+            file(rrname, rrtype.value, bailiwick, rdata)
     return evidence.result()
 
 
@@ -541,16 +459,8 @@ def classify_zones(
     unknown parentage are omitted (a gap in passive visibility is not
     evidence of breakage).
     """
-    resolvable = table.resolvable
-    statuses: dict[DomainName, ResolutionStatus] = {}
-    for zone, verdict in table.zones.items():
-        if zone in table.unknown_parent:
-            continue
-        rs = record_sets[zone]
-        statuses[zone] = classify(rs, verdict.res[V4], verdict.res[V6],
-                                  resolvable(rs.delegating_zone(), V6), table.ns_zone,
-                                  resolvable)
-    return statuses
+    return {zone: classify(record_sets[zone], table.ns_zone, table.resolvable)
+            for zone in table.zones if zone not in table.unknown_parent}
 
 
 # -- aggregate stats --------------------------------------------------------
@@ -580,12 +490,6 @@ class SnapshotStats:
         if not self.intent_v6_broken:
             return 0.0
         return 100.0 * self.cause_counts.get(cause, 0) / self.intent_v6_broken
-
-    def broken_share_of_intent(self) -> float:
-        """Share of zones with IPv6 intent that still fail over IPv6."""
-        if not self.intent_v6_total:
-            return 0.0
-        return 100.0 * self.intent_v6_broken / self.intent_v6_total
 
     def to_json(self) -> dict:
         return {

@@ -101,12 +101,6 @@ MALFORMED = "malformed"
 class QueryOutcome:
     kind: str
     message: DnsMessage | None = None
-    transport_used: str | None = None
-    edns_used: bool | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.kind == RESPONSE
 
 
 class ResponseCache:
@@ -236,7 +230,7 @@ class QueryEngine:
                 return QueryOutcome(MALFORMED)
             if not msg.qr:
                 return QueryOutcome(MALFORMED)
-            return QueryOutcome(RESPONSE, msg, transport, edns)
+            return QueryOutcome(RESPONSE, msg)
         return QueryOutcome(TIMEOUT)
 
     def _query_body(self, qname, qtype, qclass, edns) -> bytes:

@@ -605,10 +605,8 @@ class Resolver:
             info.status = ResolutionStatus(STATE_NONE, False, False, False,
                                            frozenset({silent}))
         elif info.status is None:
-            info.status = classify(info.record_set(), self._resolves(info.zone, V4),
-                                   self._resolves(info.zone, V6),
-                                   self._resolves(info.parent_zone, V6),
-                                   info.ns_zones(), self._resolves, info.answers)
+            info.status = classify(info.record_set(), info.ns_zones(), self._resolves,
+                                   info.answers)
         return info.status
 
     # -- enrichment and liveness ---------------------------------------------

@@ -125,7 +125,13 @@ def classify(
     contexts = contexts or {}
     v4, v6 = (getattr(parent_status, proto) and all(view_flags(rs, contexts, proto, answers))
               for proto in (V4, V6))
-    return model.classify(rs, v4, v6, parent_status.v6, *_model_args(contexts), answers)
+    ns_zone, ns_resolves = _model_args(contexts)
+    own = {(rs.zone, V4): v4, (rs.zone, V6): v6, (rs.delegating_zone(), V6): parent_status.v6}
+
+    def resolves(zone: DomainName, proto: str) -> bool:
+        return own[zone, proto] if (zone, proto) in own else ns_resolves(zone, proto)
+
+    return model.classify(rs, ns_zone, resolves, answers)
 
 
 def mirror_causes(

@@ -41,7 +41,7 @@ from v6ready.mocknet import (
 )
 from v6ready.names import normalize
 from v6ready.psl import PublicSuffixList
-from v6ready.query import QueryEngine, ServerAddress, TCP, UDP
+from v6ready.query import RESPONSE, QueryEngine, ServerAddress, TCP, UDP
 from v6ready.records import RRType, V4, V6
 from v6ready.resolver import PROTOCOL_V4_ONLY, PROTOCOL_V6_ONLY, RootUnreachable
 
@@ -216,7 +216,7 @@ def test_transport_behaviors():
                              sleep=lambda s: None)
         addr = ServerAddress(u.listen_addrs(N("ns0.d.t"), V4)[0])
         outcome = engine.query(addr, N("d.t"), RRType.SOA)
-        assert outcome.ok and outcome.transport_used == TCP
+        assert outcome.kind == RESPONSE
         transports = [e.transport for e in u.log.queries() if e.address == addr.ip]
         assert transports == [UDP, TCP]
 
@@ -226,7 +226,7 @@ def test_transport_behaviors():
                              sleep=lambda s: None)
         addr = ServerAddress(u.listen_addrs(N("ns0.d.t"), V4)[0])
         outcome = engine.query(addr, N("d.t"), RRType.SOA)
-        assert outcome.ok and outcome.edns_used is False
+        assert outcome.kind == RESPONSE
         edns_flags = [e.message.edns is not None
                       for e in u.log.queries() if e.address == addr.ip]
         assert edns_flags == [True, False]

@@ -23,6 +23,7 @@ from v6ready.mocknet import (
     random_universe,
     zone_fixture,
 )
+from v6ready.passive import IngestStats, iter_tuples, open_tuple_stream
 from v6ready.records import V4, V6
 
 
@@ -426,9 +427,12 @@ def test_simulate_counts_a_line_that_is_not_utf8_as_malformed(tmp_path, capsys):
     assert (ingest["tuples"], ingest["malformed"]) == (2, 3)
 
 
+def _ns_lines(n: int) -> bytes:
+    return "".join(f"1\t1\t2\tz{i}.com\tNS\tcom\tns1.z{i}.com\n" for i in range(n)).encode()
+
+
 def test_simulate_keeps_the_lines_before_a_compressed_file_ends_early(tmp_path, capsys):
-    text = "".join(f"1\t1\t2\tz{i}.com\tNS\tcom\tns1.z{i}.com\n" for i in range(2000))
-    data = gzip.compress(text.encode())
+    data = gzip.compress(_ns_lines(2000))
     torn = data[:len(data) // 2]
     (tmp_path / "half.tsv.gz").write_bytes(torn)
     complete = zlib.decompressobj(wbits=31).decompress(torn).count(b"\n")
@@ -451,12 +455,10 @@ def _simulate_counts(tmp_path, data: bytes) -> tuple[int, int]:
     return ingest["tuples"], ingest["malformed"]
 
 
-def test_simulate_keeps_the_lines_before_corrupt_compressed_data(tmp_path, capsys):
-    # a flipped byte in the middle of the deflate data that makes it
-    # invalid at once, without decoding garbage first: zlib.error
-    text = "".join(f"1\t1\t2\tz{i}.com\tNS\tcom\tns1.z{i}.com\n"
-                   for i in range(20000)).encode()
-    data = gzip.compress(text, mtime=0)
+def _corrupt_at_once(data: bytes) -> tuple[bytes, int]:
+    """``data`` with a flipped byte in the middle of its deflate data that
+    makes it invalid at once, without decoding garbage first (zlib.error),
+    and the number of lines decoded before the damage."""
     pos = len(data) // 2
     stream = zlib.decompressobj(wbits=31)
     decoded = stream.decompress(data[:pos])
@@ -464,25 +466,49 @@ def test_simulate_keeps_the_lines_before_corrupt_compressed_data(tmp_path, capsy
         try:
             stream.copy().decompress(_flipped(data, pos)[pos:pos + 4])
         except zlib.error:
-            break
+            return _flipped(data, pos), decoded.count(b"\n")
         decoded += stream.decompress(data[pos:pos + 1])
         pos += 1
-    else:
-        pytest.fail("no flip makes the deflate data invalid at once")
-    tuples, malformed = _simulate_counts(tmp_path, _flipped(data, pos))
-    before = decoded.count(b"\n")  # the lines decoded before the damage
+    pytest.fail("no flip makes the deflate data invalid at once")
+
+
+def test_simulate_keeps_the_lines_before_corrupt_compressed_data(tmp_path, capsys):
+    bad, before = _corrupt_at_once(gzip.compress(_ns_lines(20000), mtime=0))
+    tuples, malformed = _simulate_counts(tmp_path, bad)
     assert 0 < tuples <= before < 20000
     assert malformed == 1
 
 
 def test_simulate_counts_a_compressed_file_with_a_bad_checksum_once(tmp_path, capsys):
     # a flipped byte of the CRC-32 in the trailer: gzip.BadGzipFile
-    text = "".join(f"1\t1\t2\tz{i}.com\tNS\tcom\tns1.z{i}.com\n" for i in range(2000))
-    data = gzip.compress(text.encode(), mtime=0)
+    data = gzip.compress(_ns_lines(2000), mtime=0)
     bad = _flipped(data, len(data) - 8)
     with pytest.raises(gzip.BadGzipFile):
         gzip.decompress(bad)
     assert _simulate_counts(tmp_path, bad) == (2000, 1)
+
+
+def _iter_tuples_counts(path: Path) -> tuple[int, int]:
+    stats = IngestStats()
+    with open_tuple_stream(path) as stream:
+        assert len(list(iter_tuples(stream, stats))) == stats.tuples
+    return stats.tuples, stats.malformed
+
+
+def test_iter_tuples_keeps_the_lines_before_a_compressed_file_ends_early(tmp_path):
+    torn = gzip.compress(_ns_lines(2000), mtime=0)[:2000]
+    (tmp_path / "torn.tsv.gz").write_bytes(torn)
+    complete = zlib.decompressobj(wbits=31).decompress(torn).count(b"\n")
+    assert 0 < complete < 2000
+    assert _iter_tuples_counts(tmp_path / "torn.tsv.gz") == (complete, 1)
+
+
+def test_iter_tuples_keeps_the_lines_before_corrupt_compressed_data(tmp_path):
+    bad, before = _corrupt_at_once(gzip.compress(_ns_lines(20000), mtime=0))
+    (tmp_path / "bad.tsv.gz").write_bytes(bad)
+    tuples, malformed = _iter_tuples_counts(tmp_path / "bad.tsv.gz")
+    assert 0 < tuples <= before < 20000
+    assert malformed == 1
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

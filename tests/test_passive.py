@@ -1,6 +1,7 @@
 import gzip
 import io
 import json
+import sys
 
 import careful_parser
 import jacobi
@@ -255,6 +256,17 @@ def test_json_rdata_values_that_are_not_text_are_malformed():
     assert [t.rdata for t in tuples] == [("ns.x",)]
 
 
+def test_json_nested_deeper_than_the_decoder_recurses_is_malformed():
+    deep = '{"rdata": ' + "[" * 100_000
+    lines = [json.dumps(_JSON_BASE), deep, json.dumps(_JSON_BASE)]
+    stats = IngestStats()
+    assert len(list(iter_tuples(lines, stats))) == 2
+    assert (stats.tuples, stats.malformed) == (2, 1)
+    stats = IngestStats()
+    ingest([lines], stats)
+    assert (stats.tuples, stats.malformed) == (2, 1)
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
@@ -305,9 +317,9 @@ def test_every_line_is_counted_once_and_ingest_never_raises(lines):
 
 
 # Tuple lines over a few valid names, all but one put in the names memo by
-# a first line of NS targets, so that most later lines take the fast path
-# of ``ingest``; each line has at most one flaw of those the careful parser
-# rejects or the filing rules count as malformed.
+# a first line of NS targets, so that most later lines find their names
+# there; each line has at most one flaw of those the careful parser in
+# ``careful_parser`` rejects or the filing rules count as malformed.
 TUPLE_FIELDS = ("count", "time_first", "time_last", "rrname", "rrtype", "bailiwick")
 _SEEDED = ["com", "a.com", "A.COM.", "ns.a.com", "ns\\046x.a.com"]
 _VALID = {
@@ -407,6 +419,23 @@ def test_filing_lines_equals_filing_the_careful_parsers_tuples(files):
     assert _record_set_order(result) == _record_set_order(expected)
     assert stats == IngestStats(careful.tuples, parsed.malformed + careful.malformed,
                                 careful.cname_skipped)
+
+
+@pytest.mark.parametrize("form", ["tsv", "json"])
+def test_numbers_are_read_up_to_the_int_conversion_limit(form):
+    # no cap of the reader's own: a count of as many digits as int()
+    # converts is a tuple, one more digit makes the line malformed
+    limit = sys.get_int_max_str_digits()
+    line = _render(dict(zip(TUPLE_FIELDS, (7, 1, 2, "a.com", "NS", "com")),
+                        rdata=["ns.a.com"]), form)
+    lines = [line.replace("7", "9" * limit), line.replace("7", "9" * (limit + 1))]
+    stats = IngestStats()
+    assert [t.count for t in iter_tuples(lines, stats)] == [10 ** limit - 1]
+    assert (stats.tuples, stats.malformed) == (1, 1)
+    stats = IngestStats()
+    result = ingest([lines], stats)
+    assert (stats.tuples, stats.malformed) == (1, 1)
+    assert set(result.record_sets) == {N("a.com")}
 
 
 # -- fixed point -------------------------------------------------------------
@@ -575,7 +604,6 @@ def test_snapshot_stats_empty_no_division_error():
     assert stats.total == 0
     assert stats.state_percentage("dual") == 0.0
     assert stats.cause_percentage("missing-glue") == 0.0
-    assert stats.broken_share_of_intent() == 0.0
 
 
 def test_half_of_intent_zones_broken_in_two_scenario_derived_fixture():
@@ -599,7 +627,6 @@ def test_half_of_intent_zones_broken_in_two_scenario_derived_fixture():
     stats = snapshot_stats(table, statuses)
     assert stats.intent_v6_total == 2
     assert stats.intent_v6_broken == 1
-    assert stats.broken_share_of_intent() == 50.0
 
 
 def test_two_scenario_tuples_give_two_v4_only_zones_with_distinct_causes():

@@ -71,7 +71,6 @@ def test_truncation_falls_back_to_tcp():
     engine, transport, _ = make_engine("truncate-udp")
     outcome = engine.query(SERVER, QNAME, RRType.NS)
     assert outcome.kind == RESPONSE
-    assert outcome.transport_used == TCP
     assert not outcome.message.tc
     assert [t for _, t, _ in transport.exchanges] == [UDP, TCP]
 
@@ -80,7 +79,6 @@ def test_formerr_disables_edns_once():
     engine, transport, _ = make_engine("formerr-on-edns")
     outcome = engine.query(SERVER, QNAME, RRType.NS)
     assert outcome.kind == RESPONSE
-    assert outcome.edns_used is False
     assert outcome.message.rcode == wire.RCODE_NOERROR
     assert transport.exchanges[0][2].edns is not None
     assert transport.exchanges[1][2].edns is None
@@ -442,9 +440,10 @@ def test_formerr_without_a_question_answers_and_drops_edns():
             return wire.encode(msg.reply_skeleton(question=None, rcode=wire.RCODE_FORMERR))
         return wire.encode(msg.reply_skeleton(aa=True))
 
-    outcome = _engine(Recorder(reply)).query(SERVER, QNAME, RRType.NS)
+    recorder = Recorder(reply)
+    outcome = _engine(recorder).query(SERVER, QNAME, RRType.NS)
     assert outcome.kind == RESPONSE
-    assert outcome.edns_used is False
+    assert [wire.decode(p).edns is None for p in recorder.payloads] == [False, True]
     assert outcome.message.rcode == wire.RCODE_NOERROR
 
 
