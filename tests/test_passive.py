@@ -318,7 +318,7 @@ def test_every_line_is_counted_once_and_ingest_never_raises(lines):
 
 # Tuple lines over a few valid names, all but one put in the names memo by
 # a first line of NS targets, so that most later lines find their names
-# there; each line has at most one flaw of those the careful parser in
+# there; each line has at most one flaw of those the reference parser in
 # ``careful_parser`` rejects or the filing rules count as malformed.
 TUPLE_FIELDS = ("count", "time_first", "time_last", "rrname", "rrtype", "bailiwick")
 _SEEDED = ["com", "a.com", "A.COM.", "ns.a.com", "ns\\046x.a.com"]
