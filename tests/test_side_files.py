@@ -5,10 +5,11 @@ canonical text: every toplist row through ``csv.reader`` and
 ``normalize``, every TLD line through ``normalize``, and one rule object
 per PSL line matched by scanning the rules under the name's last label.
 The toplist reference takes a rank of ASCII digits only, as the parser
-does.
+does, and skips a rank of more digits than ``int`` converts.
 """
 
 import csv
+import sys
 from dataclasses import dataclass
 
 from hypothesis import given, settings, strategies as st
@@ -38,12 +39,16 @@ def reference_toplist(text, rejected):
         if not (rank.isascii() and rank.isdigit()):
             continue
         try:
+            rank = int(rank)
+        except ValueError:  # past the conversion limit
+            continue
+        try:
             name = normalize(row[1].strip())
         except DnsNameError:
             rejected.append(",".join(row))
             continue
-        if name not in out or int(rank) < out[name]:
-            out[name] = int(rank)
+        if name not in out or rank < out[name]:
+            out[name] = rank
     return {str(name): rank for name, rank in out.items()}
 
 
@@ -80,9 +85,11 @@ names = st.one_of(
     near_wire_limit(),
     st.text(max_size=12),
 )
+# the most digits ``int`` converts, and one more
+LIMIT_RANKS = ["1" * sys.get_int_max_str_digits(), "1" * (sys.get_int_max_str_digits() + 1)]
 ranks = st.one_of(
     st.integers(min_value=0, max_value=2_000_000).map(str),
-    st.sampled_from(["", "x", "²", "٣", " 5 ", "1_0", "-1", "+3", "1.0", "0x1"]),
+    st.sampled_from(["", "x", "²", "٣", " 5 ", "1_0", "-1", "+3", "1.0", "0x1", *LIMIT_RANKS]),
 )
 
 
@@ -111,6 +118,64 @@ line_ends = st.sampled_from(["\n", "\r\n", "\r"])
 @given(line_texts, line_ends)
 def test_parse_toplist_matches_csv_reference(lines, end):
     text = end.join(lines)
+    got_rejected, want_rejected = [], []
+    got = outcome(parse_toplist, text, got_rejected)
+    assert got == outcome(reference_toplist, text, want_rejected)
+    assert got_rejected == want_rejected
+
+
+# Texts of plain characters only, mostly ``rank,name`` rows, so that many
+# are read column by column and the rest hold a few rows that are not read so.
+regular_ranks = st.one_of(
+    st.integers(min_value=0, max_value=40).map(str),
+    st.integers(min_value=0, max_value=40).map("00{}".format),
+    st.integers(min_value=0, max_value=2_000_000).map(str),
+    st.sampled_from(LIMIT_RANKS[:1]),
+)
+regular_names = st.one_of(
+    st.sampled_from(["a.com", "A.Com.", "b.org", "B.ORG", "c", "c.", "7", "x" * 63,
+                     "X" * 62 + ".", ".".join("a" * 31)]),
+    st.lists(st.sampled_from(["a", "B", "com", "-", "_", "0", "*", "xn--p1ai"]),
+             min_size=1, max_size=5).map(".".join).flatmap(
+        lambda name: st.sampled_from([name, name + "."])),
+)
+regular_fields = st.one_of(regular_ranks, regular_names)
+three_fields = st.builds("{},{},{}".format, regular_fields, regular_fields, regular_fields)
+odd_names = st.sampled_from(["", ".", "..", "a..", ".a", ".a.", "a..b", "x" * 63 + ".",
+                             "y" * 64, "Y" * 64 + ".", ".".join(["x" * 63] * 3),
+                             ".".join(["x" * 63] * 4)])
+odd_ranks = st.one_of(st.just(LIMIT_RANKS[1]),
+                      st.sampled_from(["", "x", "-1", "+3", "1.0", "1_0", "0x1"]))
+# each a list of rows; a row of three fields next to one of one field has as
+# many commas as lines
+odd_rows = st.one_of(
+    st.builds("{},{}".format, regular_ranks, odd_names).map(lambda row: [row]),
+    st.builds("{},{}".format, odd_ranks, regular_names).map(lambda row: [row]),
+    st.one_of(regular_fields, three_fields, st.sampled_from(["", ","])).map(lambda row: [row]),
+    st.tuples(three_fields, regular_fields).map(list),
+    st.tuples(regular_fields, three_fields).map(list),
+)
+
+
+@st.composite
+def plain_toplists(draw):
+    """Rows of ranks and names of the column checks, with up to two runs of
+    other rows at the start, the end or anywhere."""
+    rows = draw(st.lists(st.builds("{},{}".format, regular_ranks, regular_names),
+                         max_size=12))
+    for _ in range(draw(st.sampled_from([0, 1, 1, 2]))):
+        place = draw(st.sampled_from([0, len(rows), draw(st.integers(0, len(rows)))]))
+        rows[place:place] = draw(odd_rows)
+    ends = draw(st.lists(line_ends, min_size=len(rows), max_size=len(rows)))
+    text = "".join(row + end for row, end in zip(rows, ends))
+    if rows and draw(st.booleans()):  # no line end after the last row
+        text = text[:-len(ends[-1])]
+    return text
+
+
+@settings(max_examples=1500, deadline=None)
+@given(plain_toplists())
+def test_parse_toplist_of_plain_texts_matches_csv_reference(text):
     got_rejected, want_rejected = [], []
     got = outcome(parse_toplist, text, got_rejected)
     assert got == outcome(reference_toplist, text, want_rejected)
