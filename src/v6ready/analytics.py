@@ -104,17 +104,68 @@ def load_tld_list(path: str | Path, rejected: list[str] | None = None) -> frozen
     return parse_tld_list(Path(path).read_text(encoding="utf-8"), rejected)
 
 
+def _toplist_columns(text: str) -> dict[str, int] | None:
+    """``parse_toplist`` of a ``_plain`` text whose every line is one
+    ``rank,name`` row that no rule of the per-row loop skips or rejects,
+    read column by column; None for any other text.
+
+    In a ``_plain`` text ``str.splitlines`` breaks only at ``\\n``, ``\\r``
+    and ``\\r\\n``, so its lines are the csv rows, and no field has spaces
+    to strip. Each column is checked as a whole: every rank is ASCII digits
+    that ``int`` converts (``ascii_int``), and every name is non-empty, has
+    no leading dot and no ``..``, and is at most ``MAX_LABEL`` characters,
+    so it needs no label or wire-length check and its key is its lowercased
+    text without the one trailing dot (``_plain_key``)."""
+    lines = text.splitlines()
+    # as many commas as lines, and none of them holds two
+    if (not lines or text.count(",") != len(lines)
+            or max(map(str.count, lines, itertools.repeat(","))) != 1):
+        return None
+    # each of these is about as large as the text: it is dropped as soon as
+    # the next is made, so that no two are held at once
+    fields = ",".join(lines)
+    del lines
+    fields = fields.split(",")
+    ranks, names = fields[0::2], fields[1::2]
+    del fields
+    if not all(map(str.isdigit, ranks)) or "" in names or max(map(len, names)) > MAX_LABEL:
+        return None
+    try:
+        values = list(map(int, ranks))
+    except ValueError:  # more digits than int() converts
+        return None
+    del ranks
+    joined = ",".join(names)
+    del names
+    if joined[0] == "." or ",." in joined or ".." in joined:
+        return None
+    joined = joined.lower().replace(".,", ",")
+    keys = (joined[:-1] if joined[-1] == "." else joined).split(",")
+    del joined
+    out = dict(zip(keys, values))
+    if len(out) < len(keys):  # a name listed twice keeps its best rank
+        for key, rank in zip(keys, values):
+            if rank < out[key]:
+                out[key] = rank
+    return out
+
+
 def parse_toplist(text: str, rejected: list[str] | None = None) -> dict[str, int]:
     """rank,domain CSV (headerless), keyed by the canonical text of the
     name; the rank is ASCII digits, and later duplicates keep the best rank.
     A row whose name does not parse is skipped and appended to ``rejected``.
 
-    A ``_plain`` row is split on commas; any other row, and the lines a
-    quoted field of it runs on into, goes through ``csv.reader``.
+    A ``_plain`` text of ``rank,name`` rows alone is read column by column
+    (``_toplist_columns``). Otherwise a ``_plain`` row is split on commas;
+    any other row, and the lines a quoted field of it runs on into, goes
+    through ``csv.reader``.
     """
-    out: dict[str, int] = {}
-    lines = iter(text.splitlines())
     every_line_plain = _plain(text, b"\r\n")
+    out = _toplist_columns(text) if every_line_plain else None
+    if out is not None:
+        return out
+    out = {}
+    lines = iter(text.splitlines())
     for line in lines:
         plain = every_line_plain or _plain(line)
         row = line.split(",") if plain else next(csv.reader(itertools.chain((line,), lines)))
@@ -178,7 +229,7 @@ def group_domain(
     if toplist:
         rank = toplist.get(str(name))
         if rank is None:
-            rank = toplist.get(str(registered_or_self(psl, name)))
+            rank = toplist.get(str(registered_or_self(name, match)))
         if rank is not None:
             tier = rank_tier(rank)
             if tier:
@@ -233,7 +284,7 @@ def ns_set_key(
                 label = rule.label
                 break
         if label is None:
-            label = str(registered_or_self(psl, ns))
+            label = str(registered_or_self(ns, psl.match(ns)))
         out.add(label)
     return frozenset(out)
 

@@ -123,10 +123,12 @@ class PublicSuffixList:
         return name.ancestor_at_depth(depth + 1)
 
 
-def registered_or_self(psl: PublicSuffixList, name: DomainName) -> DomainName:
-    reg = psl.registered_domain(name)
-    if reg is not None:
-        return reg
+def registered_or_self(name: DomainName, match: PslMatch | None) -> DomainName:
+    """The registered domain of ``name`` under ``match``, its prevailing PSL
+    rule (``PublicSuffixList.match``); else its last two labels; else the
+    name itself."""
+    if match is not None and len(name.labels) > len(match.suffix.labels):
+        return name.ancestor_at_depth(len(match.suffix.labels) + 1)
     if len(name.labels) >= 2:
         return name.ancestor_at_depth(2)
     return name

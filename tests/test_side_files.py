@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from hypothesis import given, settings, strategies as st
 
 from universes import N
+from v6ready import analytics
 from v6ready.analytics import parse_tld_list, parse_toplist
 from v6ready.names import DnsNameError, DomainName, normalize
 from v6ready.psl import PublicSuffixList
@@ -180,6 +181,19 @@ def test_parse_toplist_of_plain_texts_matches_csv_reference(text):
     got = outcome(parse_toplist, text, got_rejected)
     assert got == outcome(reference_toplist, text, want_rejected)
     assert got_rejected == want_rejected
+
+
+def test_a_toplist_of_plain_rows_is_read_column_by_column(monkeypatch):
+    def per_row(*args):
+        raise AssertionError("a row was read on its own")
+
+    for helper in ("ascii_int", "_plain_key", "_name_key"):
+        monkeypatch.setattr(analytics, helper, per_row)
+    # 1,000 rows, 300 names listed twice with a better and then a worse rank
+    text = "".join(f"{rank:04},Site{rank % 700}.Example.\r\n" for rank in range(1, 1001))
+    toplist = parse_toplist(text)
+    assert toplist == reference_toplist(text, [])
+    assert toplist["site1.example"] == 1 and toplist["site0.example"] == 700
 
 
 tld_lines = st.one_of(
