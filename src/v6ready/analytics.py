@@ -101,7 +101,7 @@ def parse_tld_list(text: str, rejected: list[str] | None = None) -> frozenset[st
 
 
 def load_tld_list(path: str | Path, rejected: list[str] | None = None) -> frozenset[str]:
-    return parse_tld_list(Path(path).read_text(encoding="utf-8"), rejected)
+    return parse_tld_list(Path(path).read_text(encoding="utf-8-sig"), rejected)
 
 
 def _toplist_columns(text: str) -> dict[str, int] | None:
@@ -186,7 +186,7 @@ def parse_toplist(text: str, rejected: list[str] | None = None) -> dict[str, int
 
 
 def load_toplist(path: str | Path, rejected: list[str] | None = None) -> dict[str, int]:
-    return parse_toplist(Path(path).read_text(encoding="utf-8"), rejected)
+    return parse_toplist(Path(path).read_text(encoding="utf-8-sig"), rejected)
 
 
 def rank_tier(rank: int) -> str | None:
@@ -266,7 +266,7 @@ def parse_operator_rules(text: str) -> tuple[OperatorRule, ...]:
 
 
 def load_operator_rules(path: str | Path) -> tuple[OperatorRule, ...]:
-    return parse_operator_rules(Path(path).read_text(encoding="utf-8"))
+    return parse_operator_rules(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def ns_set_key(

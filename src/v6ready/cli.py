@@ -215,7 +215,7 @@ def cmd_check(args, transport_factory=None) -> int:
 def _parse_domain_list(path: str) -> list[tuple[str, int | None]]:
     """One domain per line, or rank,domain CSV rows."""
     out = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

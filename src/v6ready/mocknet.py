@@ -733,7 +733,7 @@ def load_fixtures(path) -> list[FixtureZone]:
     """Read a fixture file produced by dump_fixtures (or written by hand).
     A header of another format or version is a ValueError."""
     fixtures = []
-    lines = [l for l in Path(path).read_text(encoding="utf-8").splitlines()
+    lines = [l for l in Path(path).read_text(encoding="utf-8-sig").splitlines()
              if l.strip()]
     if not lines:
         return []

@@ -85,7 +85,8 @@ def open_tuple_stream(path: str | Path) -> IO[str]:
     raw.seek(0)
     if head == b"\x1f\x8b":
         raw = gzip.GzipFile(fileobj=raw)
-    return io.TextIOWrapper(raw, encoding="utf-8", errors="v6ready-not-utf8")
+    # "utf-8-sig" drops one byte-order mark at the start, and only there
+    return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="v6ready-not-utf8")
 
 
 def _checked_fields(count: int, time_first: int, time_last: int, rrname: str, rrtype: str,

@@ -81,7 +81,7 @@ class PublicSuffixList:
 
     @classmethod
     def load(cls, path: str | Path) -> "PublicSuffixList":
-        return cls.parse(Path(path).read_text(encoding="utf-8"))
+        return cls.parse(Path(path).read_text(encoding="utf-8-sig"))
 
     def match(self, name: DomainName) -> PslMatch | None:
         """The prevailing rule for ``name``: the longest exception, else the

@@ -96,7 +96,7 @@ def load_root_hints(path: str | Path) -> list[tuple[DomainName, str, str]]:
     '#' comments. Each address must be one of the family its protocol
     names. Any other line is a ValueError."""
     hints = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from universes import (
+    N,
     broken_oob_universe,
     combined_two_scenario_universe,
     healthy_depth3_universe,
@@ -14,17 +15,21 @@ from universes import (
     root_fixture,
 )
 from v6ready import cli
+from v6ready.analytics import load_operator_rules, load_tld_list, load_toplist
 from v6ready.mocknet import (
     BLACKHOLE_V6,
     LoopbackServer,
     build_universe,
     fixture_tuples,
     ground_truth,
+    load_fixtures,
     random_universe,
     zone_fixture,
 )
 from v6ready.passive import IngestStats, iter_tuples, open_tuple_stream
+from v6ready.psl import PublicSuffixList
 from v6ready.records import V4, V6
+from v6ready.resolver import load_root_hints
 
 
 def write_hints(tmp_path, universe):
@@ -732,3 +737,69 @@ def test_simulate_toplist_field_over_the_csv_limit_exits_two(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: --toplist {toplist}: field larger")
     assert not outdir.exists()
+
+
+# -- a UTF-8 byte-order mark at the start of an input file -------------------
+
+
+def _with_bom(path: Path, text: str) -> Path:
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    return path
+
+
+@pytest.mark.parametrize("name", ["tuples.jsonl", "tuples.tsv", "tuples.tsv.gz"])
+def test_a_byte_order_mark_opens_a_tuple_file(tmp_path, name):
+    if name.endswith(".jsonl"):
+        text = "".join(json.dumps({"count": 1, "time_first": 1, "time_last": 2,
+                                   "rrname": f"z{i}.com", "rrtype": "NS", "bailiwick": "com",
+                                   "rdata": [f"ns1.z{i}.com"]}) + "\n" for i in range(3))
+    else:
+        text = _ns_lines(3).decode()
+    path = _with_bom(tmp_path / name, text)
+    if name.endswith(".gz"):
+        path.write_bytes(gzip.compress(path.read_bytes()))
+    assert _iter_tuples_counts(path) == (3, 0)
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_toplist_row(tmp_path):
+    rejected = []
+    toplist = load_toplist(_with_bom(tmp_path / "toplist.csv", "1,google.com\n2,b.com"),
+                           rejected)
+    assert (toplist, rejected) == ({"google.com": 1, "b.com": 2}, [])
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_tld(tmp_path):
+    rejected = []
+    tlds = load_tld_list(_with_bom(tmp_path / "tlds.txt", "com\nnet\n"), rejected)
+    assert (tlds, rejected) == ({"com", "net"}, [])
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_operator_rule(tmp_path):
+    rules = load_operator_rules(_with_bom(tmp_path / "rules.txt", r"\.example\.net$ ex" + "\n"))
+    assert [(rule.pattern.pattern, rule.label) for rule in rules] == [(r"\.example\.net$", "ex")]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_psl_line(tmp_path):
+    psl = PublicSuffixList.load(_with_bom(tmp_path / "psl.dat",
+                                          "// ===BEGIN PRIVATE DOMAINS===\nfoo.com\n"))
+    assert psl.match(N("a.foo.com")) == (N("foo.com"), True)
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_scan_domain(tmp_path):
+    path = _with_bom(tmp_path / "domains.txt", "a.com\n2,b.com\n")
+    assert cli._parse_domain_list(str(path)) == [("a.com", None), ("b.com", 2)]
+    path = _with_bom(tmp_path / "ranked.csv", "1,a.com\n")
+    assert cli._parse_domain_list(str(path)) == [("a.com", 1)]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_first_root_hint(tmp_path):
+    path = _with_bom(tmp_path / "roots.hints", "a.root-servers.test v4 10.0.0.1\n")
+    assert load_root_hints(path) == [(N("a.root-servers.test"), V4,
+                                      "10.0.0.1")]
+
+
+def test_a_byte_order_mark_is_not_part_of_the_fixture_header(tmp_path):
+    zone = json.dumps({"zone": ".", "ns": [{"name": "a.root", "v4": ["10.0.0.1"]}]})
+    path = _with_bom(tmp_path / "fixtures.jsonl",
+                     '{"format": "mocknet-fixtures", "version": 1}\n' + zone + "\n")
+    assert [str(fz.zone) for fz in load_fixtures(path)] == ["."]
