@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
+from . import INPUT_ENCODING
 from .classify import ResolutionStatus, failure_breakdown
 from .names import _PLAIN, MAX_LABEL, MAX_WIRE, DnsNameError, DomainName, normalize
 from .psl import PublicSuffixList, registered_or_self
@@ -101,7 +102,7 @@ def parse_tld_list(text: str, rejected: list[str] | None = None) -> frozenset[st
 
 
 def load_tld_list(path: str | Path, rejected: list[str] | None = None) -> frozenset[str]:
-    return parse_tld_list(Path(path).read_text(encoding="utf-8-sig"), rejected)
+    return parse_tld_list(Path(path).read_text(encoding=INPUT_ENCODING), rejected)
 
 
 def _toplist_columns(text: str) -> dict[str, int] | None:
@@ -186,7 +187,7 @@ def parse_toplist(text: str, rejected: list[str] | None = None) -> dict[str, int
 
 
 def load_toplist(path: str | Path, rejected: list[str] | None = None) -> dict[str, int]:
-    return parse_toplist(Path(path).read_text(encoding="utf-8-sig"), rejected)
+    return parse_toplist(Path(path).read_text(encoding=INPUT_ENCODING), rejected)
 
 
 def rank_tier(rank: int) -> str | None:
@@ -266,7 +267,7 @@ def parse_operator_rules(text: str) -> tuple[OperatorRule, ...]:
 
 
 def load_operator_rules(path: str | Path) -> tuple[OperatorRule, ...]:
-    return parse_operator_rules(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_operator_rules(Path(path).read_text(encoding=INPUT_ENCODING))
 
 
 def ns_set_key(

@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+from . import INPUT_ENCODING
 from .analytics import (
     cause_share_rows,
     cdf_rows,
@@ -215,7 +216,7 @@ def cmd_check(args, transport_factory=None) -> int:
 def _parse_domain_list(path: str) -> list[tuple[str, int | None]]:
     """One domain per line, or rank,domain CSV rows."""
     out = []
-    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
+    for raw in Path(path).read_text(encoding=INPUT_ENCODING).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -26,6 +26,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping
 
+from . import INPUT_ENCODING
 from .names import ROOT, DomainName, normalize
 from .passive import PassiveTuple
 from .query import (
@@ -733,7 +734,7 @@ def load_fixtures(path) -> list[FixtureZone]:
     """Read a fixture file produced by dump_fixtures (or written by hand).
     A header of another format or version is a ValueError."""
     fixtures = []
-    lines = [l for l in Path(path).read_text(encoding="utf-8-sig").splitlines()
+    lines = [l for l in Path(path).read_text(encoding=INPUT_ENCODING).splitlines()
              if l.strip()]
     if not lines:
         return []

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
+from . import INPUT_ENCODING
 from .classify import (ResolutionStatus, _Propagation, classify, failure_breakdown,
                        zone_clauses)
 from .names import ROOT, DnsNameError, DomainName, normalize
@@ -85,8 +86,7 @@ def open_tuple_stream(path: str | Path) -> IO[str]:
     raw.seek(0)
     if head == b"\x1f\x8b":
         raw = gzip.GzipFile(fileobj=raw)
-    # "utf-8-sig" drops one byte-order mark at the start, and only there
-    return io.TextIOWrapper(raw, encoding="utf-8-sig", errors="v6ready-not-utf8")
+    return io.TextIOWrapper(raw, encoding=INPUT_ENCODING, errors="v6ready-not-utf8")
 
 
 def _checked_fields(count: int, time_first: int, time_last: int, rrname: str, rrtype: str,

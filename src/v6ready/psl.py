@@ -9,6 +9,7 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
+from . import INPUT_ENCODING
 from .names import DomainName
 
 
@@ -81,7 +82,7 @@ class PublicSuffixList:
 
     @classmethod
     def load(cls, path: str | Path) -> "PublicSuffixList":
-        return cls.parse(Path(path).read_text(encoding="utf-8-sig"))
+        return cls.parse(Path(path).read_text(encoding=INPUT_ENCODING))
 
     def match(self, name: DomainName) -> PslMatch | None:
         """The prevailing rule for ``name``: the longest exception, else the

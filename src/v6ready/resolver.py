@@ -23,6 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from . import INPUT_ENCODING
 from .classify import (CAUSE_NS_UNRESPONSIVE, STATE_NONE, FailureCause, ResolutionStatus,
                        _own_addresses, _Propagation, classify, state_of, zone_clauses)
 from .names import ROOT, DomainName, enclosing_zones, normalize
@@ -96,7 +97,7 @@ def load_root_hints(path: str | Path) -> list[tuple[DomainName, str, str]]:
     '#' comments. Each address must be one of the family its protocol
     names. Any other line is a ValueError."""
     hints = []
-    for raw in Path(path).read_text(encoding="utf-8-sig").splitlines():
+    for raw in Path(path).read_text(encoding=INPUT_ENCODING).splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
