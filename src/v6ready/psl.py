@@ -113,23 +113,24 @@ class PublicSuffixList:
         return m.suffix if m else None
 
     def registered_domain(self, name: DomainName) -> DomainName | None:
-        """The suffix plus one label; None when the name is a suffix itself
-        or matches no rule."""
-        m = self.match(name)
-        if m is None:
-            return None
-        depth = len(m.suffix.labels)
-        if len(name.labels) <= depth:
-            return None
-        return name.ancestor_at_depth(depth + 1)
+        return registered(name, self.match(name))
+
+
+def registered(name: DomainName, match: PslMatch | None) -> DomainName | None:
+    """The registered domain of ``name`` under ``match``, its prevailing PSL
+    rule (``PublicSuffixList.match``): the suffix plus one label; None when
+    the name is a suffix itself or matches no rule."""
+    if match is None or len(name.labels) <= len(match.suffix.labels):
+        return None
+    return name.ancestor_at_depth(len(match.suffix.labels) + 1)
 
 
 def registered_or_self(name: DomainName, match: PslMatch | None) -> DomainName:
-    """The registered domain of ``name`` under ``match``, its prevailing PSL
-    rule (``PublicSuffixList.match``); else its last two labels; else the
-    name itself."""
-    if match is not None and len(name.labels) > len(match.suffix.labels):
-        return name.ancestor_at_depth(len(match.suffix.labels) + 1)
+    """``registered(name, match)``; else the last two labels of ``name``;
+    else the name itself."""
+    domain = registered(name, match)
+    if domain is not None:
+        return domain
     if len(name.labels) >= 2:
         return name.ancestor_at_depth(2)
     return name
