@@ -105,21 +105,30 @@ def load_tld_list(path: str | Path, rejected: list[str] | None = None) -> frozen
     return parse_tld_list(Path(path).read_text(encoding=INPUT_ENCODING), rejected)
 
 
+# more than MAX_LABEL label characters in a row, in names joined by commas
+_LONG_LABEL = re.compile(f"[^.,]{{{MAX_LABEL + 1}}}")
+
+
 def _toplist_columns(text: str) -> dict[str, int] | None:
     """``parse_toplist`` of a ``_plain`` text whose every line is one
     ``rank,name`` row that no rule of the per-row loop skips or rejects,
-    read column by column; None for any other text.
+    read column by column; None for any other text, which the per-row loop
+    then reads from the start.
 
     In a ``_plain`` text ``str.splitlines`` breaks only at ``\\n``, ``\\r``
     and ``\\r\\n``, so its lines are the csv rows, and no field has spaces
     to strip. Each column is checked as a whole: every rank is ASCII digits
     that ``int`` converts (``ascii_int``), and every name is non-empty, has
-    no leading dot and no ``..``, and is at most ``MAX_LABEL`` characters,
-    so it needs no label or wire-length check and its key is its lowercased
-    text without the one trailing dot (``_plain_key``)."""
+    no leading dot and no ``..``, and, where the longest is past
+    ``MAX_LABEL`` characters, has no label past ``MAX_LABEL`` and fits the
+    wire (``_plain_key``); its key is its lowercased text without the one
+    trailing dot. A text with one row that fails a check (a header, a blank
+    line, a row of one or three fields, a name the loop maps to "." or
+    rejects) is read by the loop alone."""
     lines = text.splitlines()
-    # as many commas as lines, and none of them holds two
-    if (not lines or text.count(",") != len(lines)
+    # as many commas as lines and none of them holds two; no name starts
+    # with a dot or holds ".."
+    if (not lines or text.count(",") != len(lines) or ",." in text or ".." in text
             or max(map(str.count, lines, itertools.repeat(","))) != 1):
         return None
     # each of these is about as large as the text: it is dropped as soon as
@@ -129,20 +138,23 @@ def _toplist_columns(text: str) -> dict[str, int] | None:
     fields = fields.split(",")
     ranks, names = fields[0::2], fields[1::2]
     del fields
-    if not all(map(str.isdigit, ranks)) or "" in names or max(map(len, names)) > MAX_LABEL:
+    if not all(map(str.isdigit, ranks)) or "" in names:
         return None
     try:
         values = list(map(int, ranks))
     except ValueError:  # more digits than int() converts
         return None
     del ranks
-    joined = ",".join(names)
+    joined = ",".join(names).lower().replace(".,", ",")
     del names
-    if joined[0] == "." or ",." in joined or ".." in joined:
-        return None
-    joined = joined.lower().replace(".,", ",")
     keys = (joined[:-1] if joined[-1] == "." else joined).split(",")
     del joined
+    longest = max(map(len, keys))
+    if longest > MAX_LABEL:
+        # only a name past MAX_LABEL characters can hold too long a label
+        long_names = ",".join(itertools.compress(keys, map(MAX_LABEL.__lt__, map(len, keys))))
+        if longest + 2 > MAX_WIRE or _LONG_LABEL.search(long_names):
+            return None
     out = dict(zip(keys, values))
     if len(out) < len(keys):  # a name listed twice keeps its best rank
         for key, rank in zip(keys, values):

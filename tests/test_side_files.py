@@ -133,18 +133,25 @@ regular_ranks = st.one_of(
     st.integers(min_value=0, max_value=2_000_000).map(str),
     st.sampled_from(LIMIT_RANKS[:1]),
 )
+# the longest name that fits the wire: 253 characters, 255 bytes on the wire
+LONGEST_NAME = ".".join(["x" * 63] * 3 + ["x" * 61])
 regular_names = st.one_of(
     st.sampled_from(["a.com", "A.Com.", "b.org", "B.ORG", "c", "c.", "7", "x" * 63,
-                     "X" * 62 + ".", ".".join("a" * 31)]),
+                     "X" * 62 + ".", ".".join("a" * 31), "www." + "X" * 63 + ".com",
+                     ".".join(["x" * 63] * 3) + ".", LONGEST_NAME, LONGEST_NAME + "."]),
     st.lists(st.sampled_from(["a", "B", "com", "-", "_", "0", "*", "xn--p1ai"]),
              min_size=1, max_size=5).map(".".join).flatmap(
         lambda name: st.sampled_from([name, name + "."])),
 )
 regular_fields = st.one_of(regular_ranks, regular_names)
 three_fields = st.builds("{},{},{}".format, regular_fields, regular_fields, regular_fields)
-odd_names = st.sampled_from(["", ".", "..", "a..", ".a", ".a.", "a..b", "x" * 63 + ".",
-                             "y" * 64, "Y" * 64 + ".", ".".join(["x" * 63] * 3),
-                             ".".join(["x" * 63] * 4)])
+odd_names = st.one_of(
+    st.sampled_from(["", ".", "..", "a..", ".a", ".a.", "a..b", "x" * 63 + ".", "y" * 64,
+                     "Y" * 64 + ".", "www." + "y" * 64 + ".com", "y" * 64 + ".com.",
+                     "a." + "y" * 64, ".".join(["x" * 63] * 4), "x" + LONGEST_NAME,
+                     "x" + LONGEST_NAME + "."]),
+    near_wire_limit(),
+)
 odd_ranks = st.one_of(st.just(LIMIT_RANKS[1]),
                       st.sampled_from(["", "x", "-1", "+3", "1.0", "1_0", "0x1"]))
 # each a list of rows; a row of three fields next to one of one field has as
@@ -189,11 +196,14 @@ def test_a_toplist_of_plain_rows_is_read_column_by_column(monkeypatch):
 
     for helper in ("ascii_int", "_plain_key", "_name_key"):
         monkeypatch.setattr(analytics, helper, per_row)
-    # 1,000 rows, 300 names listed twice with a better and then a worse rank
+    # 1,000 rows, 300 names listed twice with a better and then a worse rank,
+    # and names past 63 characters up to the longest that fits the wire
     text = "".join(f"{rank:04},Site{rank % 700}.Example.\r\n" for rank in range(1, 1001))
+    text += f"1001,www.{'x' * 63}.com\n1002,{LONGEST_NAME}.\n"
     toplist = parse_toplist(text)
     assert toplist == reference_toplist(text, [])
     assert toplist["site1.example"] == 1 and toplist["site0.example"] == 700
+    assert toplist[LONGEST_NAME] == 1002
 
 
 tld_lines = st.one_of(
