@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import os
 import random
@@ -311,13 +312,17 @@ def cmd_scan(args, transport_factory=None) -> int:
     skipped = len(domains) - len(pending)
     # workers resolve concurrently; rows land here in input order, so the
     # output writes stay single-threaded
-    with open(out_path, "a", encoding="utf-8") as out, ThreadPoolExecutor(
-        max_workers=cfg.concurrency
-    ) as pool:
-        for state, line in _in_order(pool, work, pending, SCAN_WINDOW * cfg.concurrency):
-            out.write(line)
-            out.flush()
-            states[state] += 1
+    pool = ThreadPoolExecutor(max_workers=cfg.concurrency)
+    try:
+        with open(out_path, "a", encoding="utf-8") as out:
+            for state, line in _in_order(pool, work, pending, SCAN_WINDOW * cfg.concurrency):
+                out.write(line)
+                out.flush()
+                states[state] += 1
+    finally:
+        # on an interrupt or an error, the domains submitted but not yet
+        # started are dropped instead of resolved before the scan stops
+        pool.shutdown(cancel_futures=True)
     total = sum(states.values())
     print(f"scanned {total} domains ({skipped} already in the output)")
     for state in ("dual", "v4-only", "v6-only", "none", "error"):
@@ -494,21 +499,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The collector is one per process, so is the count of the commands that
+# paused it: overlapping calls of ``main`` share one pause.
+_pause_lock = threading.Lock()
+_pauses = 0  # commands running with the collector paused
+_was_enabled = False  # the collector's state before the first of them
+
+
+def _pause_collector() -> None:
+    global _pauses, _was_enabled
+    with _pause_lock:
+        if not _pauses:
+            _was_enabled = gc.isenabled()
+            gc.disable()
+        _pauses += 1
+
+
+def _resume_collector() -> None:
+    """Put the collector back as it was before the first of the
+    overlapping pauses, once the last of them ends."""
+    global _pauses
+    with _pause_lock:
+        _pauses -= 1
+        if not _pauses and _was_enabled:
+            gc.enable()
+
+
 def main(argv=None, transport_factory=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command line; returns its exit code.
+
+    The command runs with the cyclic garbage collector paused, ``scan``'s
+    worker threads included. Nothing a command builds is ever in a
+    reference cycle (``tests/test_acyclic.py``), so reference counting
+    frees it all, and the collections would only walk the long-lived
+    record sets, caches and memos again and again. The collector is put
+    back as the caller had it when the command returns or raises. The
+    library API (``Resolver``, ``ingest``, ``fixed_point``, ...) leaves the
+    host process's policy alone.
+    """
+    args = build_parser().parse_args(argv)
+    _pause_collector()
     try:
         if args.command == "check":
             return cmd_check(args, transport_factory)
         if args.command == "scan":
             return cmd_scan(args, transport_factory)
-        if args.command == "simulate":
-            return cmd_simulate(args)
+        return cmd_simulate(args)
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_ERROR
-    parser.error("unknown command")
-    return EXIT_ERROR
+    finally:
+        _resume_collector()
 
 
 def entrypoint() -> None:

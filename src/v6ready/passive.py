@@ -81,11 +81,11 @@ codecs.register_error("v6ready-not-utf8", lambda exc: ("\x00\t", exc.end))
 
 
 def open_tuple_stream(path: str | Path) -> IO[str]:
-    raw = open(path, "rb")
-    head = raw.read(2)
-    raw.seek(0)
-    if head == b"\x1f\x8b":
-        raw = gzip.GzipFile(fileobj=raw)
+    """The text lines of a tuple file, gunzipped when it starts with the
+    gzip magic; closing the stream closes the file."""
+    with open(path, "rb") as probe:
+        gzipped = probe.read(2) == b"\x1f\x8b"
+    raw = gzip.open(path) if gzipped else open(path, "rb")
     return io.TextIOWrapper(raw, encoding=INPUT_ENCODING, errors="v6ready-not-utf8")
 
 

@@ -108,13 +108,6 @@ class PublicSuffixList:
         return PslMatch(name.ancestor_at_depth(depth - 1 if exception else depth),
                         self._private[-place])
 
-    def public_suffix(self, name: DomainName) -> DomainName | None:
-        m = self.match(name)
-        return m.suffix if m else None
-
-    def registered_domain(self, name: DomainName) -> DomainName | None:
-        return registered(name, self.match(name))
-
 
 def registered(name: DomainName, match: PslMatch | None) -> DomainName | None:
     """The registered domain of ``name`` under ``match``, its prevailing PSL

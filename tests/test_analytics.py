@@ -21,7 +21,7 @@ from v6ready.analytics import (
 )
 from v6ready.classify import ResolutionStatus
 from v6ready.names import DomainName
-from v6ready.psl import PublicSuffixList
+from v6ready.psl import PublicSuffixList, registered
 
 PSL_TEXT = """\
 // ===BEGIN ICANN DOMAINS===
@@ -50,18 +50,18 @@ def hierarchy(name, toplist=None):
 
 
 def test_psl_exact_rule():
-    assert str(PSL.public_suffix(N("bbc.co.uk"))) == "co.uk"
-    assert str(PSL.registered_domain(N("www.bbc.co.uk"))) == "bbc.co.uk"
+    assert str(PSL.match(N("bbc.co.uk")).suffix) == "co.uk"
+    assert str(registered(N("www.bbc.co.uk"), PSL.match(N("www.bbc.co.uk")))) == "bbc.co.uk"
 
 
 def test_psl_wildcard_rule():
-    assert str(PSL.public_suffix(N("a.random.ck"))) == "random.ck"
-    assert PSL.registered_domain(N("random.ck")) is None
+    assert str(PSL.match(N("a.random.ck")).suffix) == "random.ck"
+    assert registered(N("random.ck"), PSL.match(N("random.ck"))) is None
 
 
 def test_psl_exception_rule():
-    assert str(PSL.public_suffix(N("www.ck"))) == "ck"
-    assert str(PSL.registered_domain(N("www.ck"))) == "www.ck"
+    assert str(PSL.match(N("www.ck")).suffix) == "ck"
+    assert str(registered(N("www.ck"), PSL.match(N("www.ck")))) == "www.ck"
 
 
 def test_psl_private_section_flagged():

@@ -1,6 +1,9 @@
+import gc
 import gzip
 import json
 import sys
+import threading
+import time
 import zlib
 from pathlib import Path
 
@@ -241,6 +244,51 @@ def test_scan_submits_a_bounded_window_of_domains(tmp_path, monkeypatch):
     assert len(submitted) == 200
     assert max(ahead) == 4 * 2
     assert [json.loads(l)["domain"] for l in out.read_text().splitlines()] == names
+
+
+@pytest.mark.parametrize("concurrency", [1, 2])
+def test_an_interrupted_scan_drops_the_domains_not_started(tmp_path, monkeypatch, capsys,
+                                                            concurrency):
+    # Ctrl-C at the second row: the domains submitted but not started are
+    # dropped, not resolved before "interrupted".
+    u = four_state_universe()
+    names = [f"h{i}.dualzone.t" for i in range(200)]
+    domains = tmp_path / "domains.txt"
+    domains.write_text("\n".join(names) + "\n")
+    out = tmp_path / "results.jsonl"
+    calls, released = [], threading.Event()
+    real_resolve = cli.Resolver.resolve_chain
+
+    def resolve_chain(self, *args, **kwargs):
+        calls.append(1)
+        if len(calls) > 2:  # held until the pool has been told to shut down
+            released.wait(10)
+        return real_resolve(self, *args, **kwargs)
+
+    class Releasing(cli.ThreadPoolExecutor):
+        def shutdown(self, wait=True, *, cancel_futures=False):
+            super().shutdown(wait=False, cancel_futures=cancel_futures)
+            released.set()
+            super().shutdown(wait=wait)
+
+    real_in_order = cli._in_order
+
+    def interrupted(*args):
+        for number, row in enumerate(real_in_order(*args)):
+            if number == 1:
+                raise KeyboardInterrupt
+            yield row
+
+    monkeypatch.setattr(cli.Resolver, "resolve_chain", resolve_chain)
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", Releasing)
+    monkeypatch.setattr(cli, "_in_order", interrupted)
+    assert run_cli(scan_args(tmp_path, u, domains, out, concurrency), u) == 2
+    assert "interrupted" in capsys.readouterr().err
+    written = len(out.read_text().splitlines())
+    assert written == 1
+    # the rows written, the row the interrupt dropped, and one running
+    # domain per worker
+    assert len(calls) <= written + 1 + concurrency
 
 
 def test_scan_rows_depend_only_on_the_domain(tmp_path):
@@ -803,3 +851,118 @@ def test_a_byte_order_mark_is_not_part_of_the_fixture_header(tmp_path):
     path = _with_bom(tmp_path / "fixtures.jsonl",
                      '{"format": "mocknet-fixtures", "version": 1}\n' + zone + "\n")
     assert [str(fz.zone) for fz in load_fixtures(path)] == ["."]
+
+
+# -- the collector pause -------------------------------------------------------
+
+
+@pytest.fixture
+def collector_restored():
+    yield
+    gc.enable()
+
+
+@pytest.mark.parametrize("target, want", [("d.t", 0), ("example.org", 1), ("bad..name", 2)])
+def test_main_enables_the_collector_again_after_each_exit_code(
+        tmp_path, capsys, collector_restored, target, want):
+    u = combined_two_scenario_universe() if want == 1 else healthy_depth3_universe()
+    assert run_cli(["check", target, "--roots", write_hints(tmp_path, u), *FAST], u) == want
+    assert gc.isenabled()
+
+
+def test_a_command_runs_with_the_collector_paused(monkeypatch, collector_restored):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(gc.isenabled()) or 0)
+    assert cli.main(["simulate", "x.tsv"]) == 0
+    assert seen == [False] and gc.isenabled()
+
+
+def test_main_enables_the_collector_again_after_an_interrupt(
+        monkeypatch, capsys, collector_restored):
+    def interrupt(args, transport_factory=None):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_check", interrupt)
+    assert cli.main(["check", "d.t"]) == 2
+    assert "interrupted" in capsys.readouterr().err
+    assert gc.isenabled()
+
+
+def test_main_enables_the_collector_again_after_an_escaping_exception(
+        monkeypatch, collector_restored):
+    def fail(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_simulate", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        cli.main(["simulate", "x.tsv"])
+    assert gc.isenabled()
+
+
+def test_main_leaves_the_collector_off_for_a_caller_that_turned_it_off(
+        monkeypatch, collector_restored):
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: 0)
+    gc.disable()
+    assert cli.main(["simulate", "x.tsv"]) == 0
+    assert not gc.isenabled()
+
+
+def test_two_threads_in_main_at_once_leave_the_collector_enabled(
+        monkeypatch, collector_restored):
+    # The first call returns while the second's command still runs: that
+    # command stays paused, and the collector is back on once both are out.
+    both_inside = threading.Barrier(2, timeout=10)
+    first_left = threading.Event()
+    seen, codes = [], []
+
+    def command(args):
+        both_inside.wait()
+        if args.month == "second":
+            assert first_left.wait(10)
+            seen.append(gc.isenabled())
+        return 0
+
+    def call(month):
+        codes.append(cli.main(["simulate", "x.tsv", "--month", month]))
+        if month == "first":
+            first_left.set()
+
+    monkeypatch.setattr(cli, "cmd_simulate", command)
+    threads = [threading.Thread(target=call, args=(month,)) for month in ("first", "second")]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(10)
+    assert not any(thread.is_alive() for thread in threads)
+    assert codes == [0, 0] and seen == [False]
+    assert gc.isenabled()
+
+
+def test_threads_racing_through_main_each_run_paused(monkeypatch, collector_restored):
+    seen = []
+
+    def command(args):
+        seen.append(gc.isenabled())
+        time.sleep(0)  # let the other threads in and out
+        seen.append(gc.isenabled())
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_simulate", command)
+
+    def calls():
+        for _ in range(50):
+            cli.main(["simulate", "x.tsv"])
+
+    threads = [threading.Thread(target=calls) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(seen) == 2 * 8 * 50 and not any(seen)
+    assert gc.isenabled()

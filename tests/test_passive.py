@@ -145,6 +145,18 @@ def test_tsv_and_jsonl_and_gzip_roundtrip(tmp_path):
     assert parsed[0][0].rrtype == RRType.NS
 
 
+@pytest.mark.parametrize("name", ["tuples.tsv", "tuples.tsv.gz"])
+def test_closing_a_tuple_stream_closes_its_file(tmp_path, name):
+    data = b"1\t1600000000\t1600000000\texample.com\tNS\tcom\tns1.example.com\n"
+    path = tmp_path / name
+    path.write_bytes(gzip.compress(data) if name.endswith(".gz") else data)
+    stream = open_tuple_stream(path)
+    raw = getattr(stream.buffer, "fileobj", stream.buffer)  # under the gzip stream, if any
+    assert stream.read() == data.decode() and not raw.closed
+    stream.close()
+    assert raw.closed
+
+
 def test_rrtype_from_text_gives_the_shared_constants():
     for name in ("A", "NS", "CNAME", "SOA", "MX", "TXT", "AAAA", "OPT"):
         assert RRType.from_text(name.lower()) is getattr(RRType, name)
