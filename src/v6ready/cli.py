@@ -3,14 +3,17 @@ simulation over tuple files.
 
 Every flag can also be supplied through an environment variable with the
 ``V6READY_`` prefix (``V6READY_ROOTS``, ``V6READY_TIMEOUT``, ...); explicit
-flags win. Exit codes for ``check``: 0 = resolvable in an IPv6-only
-environment, 1 = not, 2 = operational error.
+flags win. ``main`` reads the environment on every call; it builds the
+argument parser once per process for each distinct set of ``V6READY_*``
+values and reuses it. Exit codes for ``check``: 0 = resolvable in an
+IPv6-only environment, 1 = not, 2 = operational error.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import gc
 import json
 import os
@@ -96,8 +99,9 @@ class RunConfig:
             filt = PROTOCOL_V4_ONLY
         if getattr(args, "v6_only", False):
             filt = PROTOCOL_V6_ONLY
-        roots = default_root_hints()
-        if args.roots is not None:
+        if args.roots is None:
+            roots = default_root_hints()
+        else:
             try:
                 roots = load_root_hints(args.roots)
             except (OSError, ValueError) as exc:
@@ -499,6 +503,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# A parser's defaults hold the ``V6READY_*`` values of the moment it was
+# built (argparse converts and checks a string default only when it
+# parses), so one is kept per distinct set of them. ``parse_args`` changes
+# nothing in a parser, so overlapping calls of ``main`` share one. A few
+# are kept, at about 30 KB each: a process that sets a fresh value for
+# every call (a new ``V6READY_OUTPUT`` per scan, say) keeps no more.
+@functools.lru_cache(maxsize=8)
+def _parser_for(env: frozenset) -> argparse.ArgumentParser:
+    """``build_parser()``, built while the ``V6READY_*`` environment
+    holds the ``(name, value)`` pairs ``env``."""
+    return build_parser()
+
+
+def _env_values() -> frozenset:
+    """The ``(name, value)`` pairs of the ``V6READY_*`` environment."""
+    environ = os.environ
+    return frozenset([(name, environ[name]) for name in environ
+                      if name.startswith(ENV_PREFIX)])
+
+
 # The collector is one per process, so is the count of the commands that
 # paused it: overlapping calls of ``main`` share one pause.
 _pause_lock = threading.Lock()
@@ -536,8 +560,12 @@ def main(argv=None, transport_factory=None) -> int:
     back as the caller had it when the command returns or raises. The
     library API (``Resolver``, ``ingest``, ``fixed_point``, ...) leaves the
     host process's policy alone.
+
+    The environment is read on every call. The parser for its
+    ``V6READY_*`` values is built by the first call that sees them and
+    reused by the later ones.
     """
-    args = build_parser().parse_args(argv)
+    args = _parser_for(_env_values()).parse_args(argv)
     _pause_collector()
     try:
         if args.command == "check":

@@ -60,6 +60,9 @@ class PolicyViolation(AssertionError):
 # Labels a target may have: zone cuts one chain may pass.
 DEPTH_LIMIT = 32
 
+# The CHAOS-class name a server answers with its software version.
+VERSION_BIND = normalize("version.bind")
+
 
 # Published root server set; tests point hints at the simulated universe.
 DEFAULT_ROOT_HINTS: tuple[tuple[str, str, str], ...] = (
@@ -631,9 +634,8 @@ class Resolver:
                     if rr.rrtype == rrtype
                 )
             enrichment[str(rrtype)] = per_server
-        version_name = normalize("version.bind")
         for _ns, addr in servers:
-            outcome = self.engine.query(addr, version_name, RRType.TXT, CLASS_CH)
+            outcome = self.engine.query(addr, VERSION_BIND, RRType.TXT, CLASS_CH)
             if outcome.kind == RESPONSE and outcome.message.rcode == RCODE_NOERROR:
                 chunks = [
                     b"".join(rr.data).decode("utf-8", "replace")

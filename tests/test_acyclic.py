@@ -151,6 +151,22 @@ def test_check_leaves_no_cycles(tmp_path, case, indent_dumps):
     assert_acyclic(case, tmp_path, indent_dumps)
 
 
+def test_a_second_main_call_leaves_only_its_indented_json(tmp_path):
+    # The first call builds the parser, which stays for the calls after
+    # it; a parser built per call used to leave its own cycles each time.
+    universe, target = chain(1)
+    argv = ["check", target, "--format", "structured",
+            "--roots", write_hints(tmp_path, universe.root_hints()), *FAST]
+
+    def run():
+        _expect(0, cli.main(argv, lambda cfg: universe))
+
+    run()
+    found = cyclic_garbage(run)
+    assert not [obj for obj in found if _from_v6ready(obj)]
+    assert len(found) == JSON_INDENT_GARBAGE
+
+
 class Dead:
     def exchange(self, server, transport, payload, timeout):
         raise TransportTimeout("dead")

@@ -639,8 +639,10 @@ def test_a_bad_environment_number_breaks_only_its_own_command(tmp_path, capsys,
     monkeypatch.setenv("V6READY_CONCURRENCY", "eight")
     rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), "--out", str(tmp_path / "out")])
     assert rc == 0
+    u = four_state_universe()  # never the real network, should the scan start
     with pytest.raises(SystemExit) as exc:
-        cli.main(["scan", str(GOLDEN / "domains.txt"), "--output", str(tmp_path / "o")])
+        run_cli(["scan", str(GOLDEN / "domains.txt"), "--roots", write_hints(tmp_path, u),
+                 "--output", str(tmp_path / "o"), *FAST], u)
     assert exc.value.code == 2
     assert "invalid int value: 'eight'" in capsys.readouterr().err
 
@@ -966,3 +968,127 @@ def test_threads_racing_through_main_each_run_paused(monkeypatch, collector_rest
     assert not any(thread.is_alive() for thread in threads)
     assert len(seen) == 2 * 8 * 50 and not any(seen)
     assert gc.isenabled()
+
+
+# -- one parser per environment ------------------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch, collector_restored):
+    """The number of parsers built so far, counted from an empty memo."""
+    count = [0]
+    build = cli.build_parser
+
+    def counting():
+        count[0] += 1
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser_for.cache_clear()
+    yield count
+    cli._parser_for.cache_clear()
+
+
+@pytest.fixture
+def parsed_checks(monkeypatch):
+    """The parsed arguments of each ``check`` that ``main`` runs."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_check",
+                        lambda args, transport_factory=None: seen.append(args) or 0)
+    return seen
+
+
+def test_main_builds_the_parser_once_per_environment(monkeypatch, builds, parsed_checks):
+    for _ in range(3):
+        assert cli.main(["check", "d.t"]) == 0
+    assert builds[0] == 1
+    monkeypatch.setenv("V6READY_PORT", "5353")
+    for _ in range(2):
+        assert cli.main(["check", "d.t"]) == 0
+    monkeypatch.delenv("V6READY_PORT")
+    assert cli.main(["check", "d.t"]) == 0  # the first environment's parser again
+    assert builds[0] == 2
+    assert [args.port for args in parsed_checks] == [53, 53, 53, 5353, 5353, 53]
+
+
+def test_each_call_sees_the_environment_it_runs_in(monkeypatch, builds, parsed_checks):
+    # set, changed, emptied, set again, removed
+    values = ["7", "8", "", "7", None]
+    for value in values:
+        if value is None:
+            monkeypatch.delenv("V6READY_SEED")
+        else:
+            monkeypatch.setenv("V6READY_SEED", value)
+        assert cli.main(["check", "d.t"]) == 0
+    assert [args.seed for args in parsed_checks] == [7, 8, None, 7, None]
+    assert cli.main(["check", "d.t", "--seed", "3"]) == 0  # a flag still wins
+    assert parsed_checks[-1].seed == 3
+
+
+def test_a_fixed_environment_number_works_after_a_bad_one(tmp_path, capsys, monkeypatch,
+                                                         collector_restored):
+    u = four_state_universe()
+    domains = tmp_path / "domains.txt"
+    domains.write_text("dualzone.t\nv4zone.t\n")
+    argv = ["scan", str(domains), "--roots", write_hints(tmp_path, u),
+            "--output", str(tmp_path / "results.jsonl"), *FAST]
+    monkeypatch.setenv("V6READY_CONCURRENCY", "eight")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv, u)
+    assert exc.value.code == 2
+    assert "invalid int value: 'eight'" in capsys.readouterr().err
+    monkeypatch.setenv("V6READY_CONCURRENCY", "2")
+    assert run_cli(argv, u) == 0
+    assert "scanned 2 domains" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("bad", [["--port", "x"], ["--bogus"], ["--format", "json"]],
+                         ids=["bad-number", "unknown-flag", "not-a-choice"])
+def test_a_command_line_that_fails_to_parse_leaves_the_next_call_alone(
+        tmp_path, capsys, collector_restored, bad):
+    u = healthy_depth3_universe()
+    argv = ["check", "d.t", "--format", "structured", "--roots", write_hints(tmp_path, u),
+            *FAST]
+    assert run_cli(argv, u) == 0
+    before = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        run_cli([*argv, *bad], u)
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert run_cli(argv, u) == 0
+    assert capsys.readouterr().out == before
+
+
+def test_threads_racing_through_main_each_get_their_own_arguments(monkeypatch, builds):
+    # They start from an empty memo, so the first calls race to build it too.
+    local = threading.local()
+    matched = []
+
+    def command(args):
+        local.got.append((args.tuples, args.month, args.out, args.psl))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_simulate", command)
+
+    def calls(n):
+        local.got, wanted = [], []
+        for i in range(50):
+            psl = f"psl{n}" if i % 2 else None
+            argv = ["simulate", f"t{n}-{i}.tsv", "--month", f"{n}-{i}", "--out", f"out{n}"]
+            cli.main(argv + (["--psl", psl] if psl else []))
+            wanted.append(([f"t{n}-{i}.tsv"], f"{n}-{i}", f"out{n}", psl))
+        matched.append(local.got == wanted)
+
+    threads = [threading.Thread(target=calls, args=(n,)) for n in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert matched == [True] * 8
+    assert 1 <= builds[0] <= 8
