@@ -220,17 +220,17 @@ def group_domain(
     if name.is_root:
         raise ValueError("the root has no grouping")
     groups: set[DomainGroup] = set()
-    match = psl.match(name)
+    suffix = psl.match(name)
     if len(name.labels) == 1:
         groups.add(DomainGroup(GROUP_TLD, unknown_suffix=str(name) not in tlds))
-    elif match is None:
+    elif suffix is None:
         # No PSL rule: group under the rightmost label, flagged.
         if len(name.labels) == 2:
             groups.add(DomainGroup(GROUP_SECOND_LEVEL, unknown_suffix=True))
         else:
             groups.add(DomainGroup(GROUP_BELOW_SECOND_LEVEL, unknown_suffix=True))
     else:
-        suffix_depth = len(match.suffix.labels)
+        suffix_depth = len(suffix.labels)
         if len(name.labels) == suffix_depth:
             # A multi-label public suffix is registry infrastructure,
             # grouped with the TLDs.
@@ -242,7 +242,7 @@ def group_domain(
     if toplist:
         rank = toplist.get(str(name))
         if rank is None:
-            rank = toplist.get(str(registered_or_self(name, match)))
+            rank = toplist.get(str(registered_or_self(name, suffix)))
         if rank is not None:
             tier = rank_tier(rank)
             if tier:

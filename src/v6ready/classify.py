@@ -163,9 +163,9 @@ class _Propagation:
         self.watchers: dict[DomainName, list[int]] = {}  # zone -> clauses it meets
         self.resolved: set[DomainName] = set()
 
-    def propagate(self, new: Iterable[tuple[DomainName, list[set[DomainName]]]]) -> list[list[DomainName]]:
-        """Add the ``new`` (zone, clauses) pairs; returns the zones that
-        resolve in each round, the first round first."""
+    def propagate(self, new: Iterable[tuple[DomainName, list[set[DomainName]]]]) -> int:
+        """Add the ``new`` (zone, clauses) pairs; returns the number of
+        rounds in which zones resolved."""
         unmet, clause_zone, met, watchers = self.unmet, self.clause_zone, self.met, self.watchers
         resolved = self.resolved
         frontier = []
@@ -182,10 +182,10 @@ class _Propagation:
             unmet[zone] = count
             if not count:
                 frontier.append(zone)
-        rounds = []
+        rounds = 0
         while frontier:
             resolved.update(frontier)
-            rounds.append(frontier)
+            rounds += 1
             following = []
             for zone in frontier:
                 for cid in watchers.pop(zone, ()):

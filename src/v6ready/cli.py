@@ -563,9 +563,14 @@ def main(argv=None, transport_factory=None) -> int:
 
     The environment is read on every call. The parser for its
     ``V6READY_*`` values is built by the first call that sees them and
-    reused by the later ones.
+    reused by the later ones. A command line that fails to parse returns
+    2 after argparse prints the usage and the error on stderr, and ``-h``
+    returns 0 after it prints the help; neither raises ``SystemExit``.
     """
-    args = _parser_for(_env_values()).parse_args(argv)
+    try:
+        args = _parser_for(_env_values()).parse_args(argv)
+    except SystemExit as exc:  # argparse's exit after the help or an error
+        return EXIT_ERROR if exc.code else EXIT_OK
     _pause_collector()
     try:
         if args.command == "check":

@@ -29,8 +29,8 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from . import INPUT_ENCODING
-from .classify import (ResolutionStatus, _Propagation, classify, failure_breakdown,
-                       zone_clauses)
+from .classify import (FailureBreakdown, ResolutionStatus, _Propagation, classify,
+                       failure_breakdown, zone_clauses)
 from .names import ROOT, DnsNameError, DomainName, normalize
 from .records import (
     AddrRecords,
@@ -345,24 +345,16 @@ def ingest_tuples(tuples: Iterable[PassiveTuple], stats: IngestStats | None = No
 
 
 @dataclass
-class ZoneVerdict:
-    res: dict[str, bool] = field(default_factory=lambda: {V4: False, V6: False})
-
-
-@dataclass
 class ResolutionTable:
-    zones: dict[DomainName, ZoneVerdict]
+    # per protocol, the zones that resolve over it, the root included
+    resolved: dict[str, set[DomainName]]
     unknown_parent: frozenset[DomainName]
     sweeps: dict[str, int]
-    first_resolved_sweep: dict[tuple[DomainName, str], int]
     # every NS name of the record sets -> the deepest zone enclosing it
     ns_zone: dict[DomainName, DomainName] = field(default_factory=dict)
 
     def resolvable(self, zone: DomainName, proto: str) -> bool:
-        if zone == ROOT:
-            return True
-        verdict = self.zones.get(zone)
-        return bool(verdict and verdict.res[proto])
+        return zone in self.resolved[proto]
 
 
 def _ns_zone_index(record_sets: dict[DomainName, ZoneRecordSet]) -> dict[DomainName, DomainName]:
@@ -426,27 +418,16 @@ def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable
             if clauses is not None:  # else a clause nothing can meet
                 new[proto].append((zone, clauses))
 
-    verdicts = {zone: ZoneVerdict() for zone in parents}
-    first_resolved: dict[tuple[DomainName, str], int] = {}
+    resolved: dict[str, set[DomainName]] = {}
     sweeps: dict[str, int] = {}
     for proto, pairs in new.items():
         propagation = _Propagation()
         propagation.resolved.add(ROOT)
         rounds = propagation.propagate(pairs)
-        for sweep, resolved in enumerate(rounds, 1):
-            for zone in resolved:
-                verdicts[zone].res[proto] = True
-                first_resolved[(zone, proto)] = sweep
+        resolved[proto] = propagation.resolved
         # the sweeps also ran a second one when nothing resolved in the first
-        sweeps[proto] = max(len(rounds) + 1, 2)
-
-    return ResolutionTable(
-        zones=verdicts,
-        unknown_parent=unknown,
-        sweeps=sweeps,
-        first_resolved_sweep=first_resolved,
-        ns_zone=ns_zone,
-    )
+        sweeps[proto] = max(rounds + 1, 2)
+    return ResolutionTable(resolved, unknown, sweeps, ns_zone)
 
 
 def classify_zones(
@@ -460,8 +441,9 @@ def classify_zones(
     unknown parentage are omitted (a gap in passive visibility is not
     evidence of breakage).
     """
-    return {zone: classify(record_sets[zone], table.ns_zone, table.resolvable)
-            for zone in table.zones if zone not in table.unknown_parent}
+    unknown = table.unknown_parent
+    return {zone: classify(rs, table.ns_zone, table.resolvable)
+            for zone, rs in record_sets.items() if zone.labels and zone not in unknown}
 
 
 # -- aggregate stats --------------------------------------------------------
@@ -477,8 +459,7 @@ class SnapshotStats:
     none: int
     unknown_parent: int
     intent_v6_total: int
-    intent_v6_broken: int
-    cause_counts: dict[str, int]
+    breakdown: FailureBreakdown
 
     def state_percentage(self, state: str) -> float:
         if not self.total:
@@ -486,11 +467,6 @@ class SnapshotStats:
         value = {"dual": self.dual, "v4-only": self.v4_only,
                  "v6-only": self.v6_only, "none": self.none}[state]
         return 100.0 * value / self.total
-
-    def cause_percentage(self, cause: str) -> float:
-        if not self.intent_v6_broken:
-            return 0.0
-        return 100.0 * self.cause_counts.get(cause, 0) / self.intent_v6_broken
 
     def to_json(self) -> dict:
         return {
@@ -510,11 +486,11 @@ class SnapshotStats:
             },
             "unknown_parent": self.unknown_parent,
             "intent_v6_total": self.intent_v6_total,
-            "intent_v6_broken": self.intent_v6_broken,
-            "cause_counts": dict(sorted(self.cause_counts.items())),
+            "intent_v6_broken": self.breakdown.population,
+            "cause_counts": dict(sorted(self.breakdown.counts.items())),
             "cause_percentages": {
-                c: round(self.cause_percentage(c), 4)
-                for c in sorted(self.cause_counts)
+                c: round(self.breakdown.percentage(c), 4)
+                for c in sorted(self.breakdown.counts)
             },
         }
 
@@ -529,7 +505,6 @@ def snapshot_stats(
     for status in statuses.values():
         counts[status.state] += 1
         intent_total += status.intent_v6
-    breakdown = failure_breakdown(statuses.values())
     return SnapshotStats(
         month=month,
         total=sum(counts.values()),
@@ -539,8 +514,7 @@ def snapshot_stats(
         none=counts["none"],
         unknown_parent=len(table.unknown_parent),
         intent_v6_total=intent_total,
-        intent_v6_broken=breakdown.population,
-        cause_counts=dict(breakdown.counts),
+        breakdown=failure_breakdown(statuses.values()),
     )
 
 

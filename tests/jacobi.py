@@ -3,15 +3,15 @@ replaced, kept as a test oracle.
 
 Each sweep evaluates every zone with ``kernel.view_flags`` against the
 previous sweep's resolved set, so sweep counts are independent of
-iteration order. ``passive.fixed_point`` must give the same zones, sweeps,
-first-resolved sweeps and unknown-parent set.
+iteration order. ``passive.fixed_point`` must give the same resolved sets,
+sweeps, unknown-parent set and NS zones.
 """
 
 from __future__ import annotations
 
 from kernel import NsContext, view_flags
 from v6ready.names import ROOT, DomainName
-from v6ready.passive import ResolutionTable, ZoneVerdict
+from v6ready.passive import ResolutionTable
 from v6ready.records import V4, V6, ZoneRecordSet
 
 
@@ -64,8 +64,7 @@ def jacobi_fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> Resoluti
             if ns not in ns_zone:
                 ns_zone[ns] = enclosing_known_zone(ns, known_zones)
 
-    verdicts = {z: ZoneVerdict() for z in zones}
-    first_resolved: dict[tuple[DomainName, str], int] = {}
+    resolved_by_proto: dict[str, set[DomainName]] = {}
     sweeps: dict[str, int] = {}
     cap = len(zones) + 1
 
@@ -101,26 +100,23 @@ def jacobi_fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> Resoluti
                     continue
                 g, z = view_flags(rs, ctx_for(rs), proto)
                 if g and z:
-                    verdicts[zone].res[proto] = True
                     resolved.add(zone)
-                    first_resolved[(zone, proto)] = sweep
             if len(resolved) == prev_count:
                 break
             prev_count = len(resolved)
+        resolved_by_proto[proto] = resolved | {ROOT}
         sweeps[proto] = sweep
 
     return ResolutionTable(
-        zones=verdicts,
+        resolved=resolved_by_proto,
         unknown_parent=unknown,
         sweeps=sweeps,
-        first_resolved_sweep=first_resolved,
         ns_zone=ns_zone,
     )
 
 
 def assert_same_table(got: ResolutionTable, want: ResolutionTable, label="") -> None:
-    assert got.zones == want.zones, label
+    assert got.resolved == want.resolved, label
     assert got.sweeps == want.sweeps, label
-    assert got.first_resolved_sweep == want.first_resolved_sweep, label
     assert got.unknown_parent == want.unknown_parent, label
     assert got.ns_zone == want.ns_zone, label

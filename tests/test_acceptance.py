@@ -15,6 +15,7 @@ from universes import (
     liveness_gap_universe,
     make_resolver,
     missing_glue_universe,
+    passive_res,
     passive_verdicts,
     root_fixture,
     taxonomy_scenarios,
@@ -72,8 +73,8 @@ def test_two_scenario_fidelity():
             assert res.state == "v4-only", zone
             assert res.status.causes == {cause}, zone
             # passive path over the tuples exported from the active run
-            _rs, table, statuses = passive_verdicts(u.export_tuples())
-            assert table.zones[N(zone)].res == {V4: True, V6: False}, zone
+            rs, table, statuses = passive_verdicts(u.export_tuples())
+            assert passive_res(rs, table, N(zone)) == {V4: True, V6: False}, zone
             assert statuses[N(zone)].state == "v4-only", zone
             assert statuses[N(zone)].causes == {cause}, zone
 
@@ -110,7 +111,7 @@ def test_oracle_equivalence():
             universes += 1
             for zone, expected in truth.items():
                 assert zone not in table.unknown_parent, str(zone)
-                got = table.zones[zone].res
+                got = passive_res(result_sets, table, zone)
                 assert got == expected, (seed, str(zone), got, expected)
                 zones_checked += 1
         assert universes >= 200
@@ -131,11 +132,11 @@ def test_active_passive_agreement():
                 acyclic_oob=True,
             )
             _resolver, results = crawl(u)
-            _rs, table, _statuses = passive_verdicts(u.export_tuples())
+            rs, table, _statuses = passive_verdicts(u.export_tuples())
             universes += 1
             for zone, res in results.items():
-                assert zone in table.zones, (seed, str(zone))
-                passive = table.zones[zone].res
+                assert zone in rs, (seed, str(zone))
+                passive = passive_res(rs, table, zone)
                 active = {V4: res.v4_resolvable, V6: res.v6_resolvable}
                 assert active == passive, (seed, str(zone), active, passive)
         assert universes >= 50

@@ -50,23 +50,22 @@ def hierarchy(name, toplist=None):
 
 
 def test_psl_exact_rule():
-    assert str(PSL.match(N("bbc.co.uk")).suffix) == "co.uk"
+    assert str(PSL.match(N("bbc.co.uk"))) == "co.uk"
     assert str(registered(N("www.bbc.co.uk"), PSL.match(N("www.bbc.co.uk")))) == "bbc.co.uk"
 
 
 def test_psl_wildcard_rule():
-    assert str(PSL.match(N("a.random.ck")).suffix) == "random.ck"
+    assert str(PSL.match(N("a.random.ck"))) == "random.ck"
     assert registered(N("random.ck"), PSL.match(N("random.ck"))) is None
 
 
 def test_psl_exception_rule():
-    assert str(PSL.match(N("www.ck")).suffix) == "ck"
+    assert str(PSL.match(N("www.ck"))) == "ck"
     assert str(registered(N("www.ck"), PSL.match(N("www.ck")))) == "www.ck"
 
 
-def test_psl_private_section_flagged():
-    match = PSL.match(N("site.hosting.example"))
-    assert match is not None and match.private
+def test_psl_private_section_rule_is_honoured():
+    assert PSL.match(N("site.hosting.example")) == N("hosting.example")
 
 
 # a rule line, or a section marker; "*" may stand at any label, the last
@@ -89,14 +88,14 @@ def test_psl_lookup_picks_the_rule_the_scan_picks(lines, names):
         assert psl.match(name) == scan.match(name), (text, name)
 
 
-def test_psl_ties_go_to_the_first_rule_in_the_file():
+def test_psl_rules_as_long_give_one_suffix_in_either_order():
     private = "// ===BEGIN PRIVATE DOMAINS===\n"
     for first, second in (("*.b", "a.b"), ("a.b", "*.b")):
         psl = PublicSuffixList.parse(f"{first}\n{private}{second}\n!x.a.b\n!*.a.b\n")
-        assert psl.match(N("a.b")) == (N("a.b"), False), first
-        assert psl.match(N("c.b")) == (N("c.b"), first == "a.b"), first
-        assert psl.match(N("x.a.b")) == (N("a.b"), True), first  # the exception
-        assert psl.match(N("y.a.b")) == (N("a.b"), True), first
+        assert psl.match(N("a.b")) == N("a.b"), first
+        assert psl.match(N("c.b")) == N("c.b"), first
+        assert psl.match(N("x.a.b")) == N("a.b"), first  # the exception
+        assert psl.match(N("y.a.b")) == N("a.b"), first
 
 
 def test_group_canonical_psl_second_level():

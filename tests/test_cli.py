@@ -1,5 +1,6 @@
 import gc
 import gzip
+import ipaddress
 import json
 import sys
 import threading
@@ -8,6 +9,7 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from universes import (
     N,
@@ -29,6 +31,7 @@ from v6ready.mocknet import (
     random_universe,
     zone_fixture,
 )
+from v6ready.names import DomainName
 from v6ready.passive import IngestStats, iter_tuples, open_tuple_stream
 from v6ready.psl import PublicSuffixList
 from v6ready.records import V4, V6
@@ -114,9 +117,10 @@ def test_check_unreachable_roots_exits_two(tmp_path, capsys):
 
 def test_check_conflicting_protocol_flags_rejected(tmp_path, capsys):
     u = healthy_depth3_universe()
-    with pytest.raises(SystemExit):  # argparse mutual exclusion
-        run_cli(["check", "d.t", "--v4-only", "--v6-only",
-                 "--roots", write_hints(tmp_path, u)], u)
+    rc = run_cli(["check", "d.t", "--v4-only", "--v6-only",
+                  "--roots", write_hints(tmp_path, u)], u)
+    assert rc == 2  # argparse mutual exclusion
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def four_state_universe():
@@ -640,10 +644,9 @@ def test_a_bad_environment_number_breaks_only_its_own_command(tmp_path, capsys,
     rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), "--out", str(tmp_path / "out")])
     assert rc == 0
     u = four_state_universe()  # never the real network, should the scan start
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["scan", str(GOLDEN / "domains.txt"), "--roots", write_hints(tmp_path, u),
-                 "--output", str(tmp_path / "o"), *FAST], u)
-    assert exc.value.code == 2
+    rc = run_cli(["scan", str(GOLDEN / "domains.txt"), "--roots", write_hints(tmp_path, u),
+                  "--output", str(tmp_path / "o"), *FAST], u)
+    assert rc == 2
     assert "invalid int value: 'eight'" in capsys.readouterr().err
 
 
@@ -830,9 +833,9 @@ def test_a_byte_order_mark_is_not_part_of_the_first_operator_rule(tmp_path):
 
 
 def test_a_byte_order_mark_is_not_part_of_the_first_psl_line(tmp_path):
-    psl = PublicSuffixList.load(_with_bom(tmp_path / "psl.dat",
-                                          "// ===BEGIN PRIVATE DOMAINS===\nfoo.com\n"))
-    assert psl.match(N("a.foo.com")) == (N("foo.com"), True)
+    # read with the mark, the first line would be a rule and no exception
+    psl = PublicSuffixList.load(_with_bom(tmp_path / "psl.dat", "!foo.com\n*.com\n"))
+    assert psl.match(N("a.foo.com")) == N("com")
 
 
 def test_a_byte_order_mark_is_not_part_of_the_first_scan_domain(tmp_path):
@@ -853,6 +856,63 @@ def test_a_byte_order_mark_is_not_part_of_the_fixture_header(tmp_path):
     path = _with_bom(tmp_path / "fixtures.jsonl",
                      '{"format": "mocknet-fixtures", "version": 1}\n' + zone + "\n")
     assert [str(fz.zone) for fz in load_fixtures(path)] == ["."]
+
+
+# -- the root hints and scan list parsers on any text --------------------------
+
+LINE_ENDS = st.sampled_from(["\n", "\r\n", "\r", "\x85", "\u2028"])
+
+
+def _texts_of(lines):
+    """Any text, or lines drawn from ``lines``."""
+    return st.one_of(st.text(max_size=40), st.tuples(st.lists(lines, max_size=6), LINE_ENDS)
+                     .map(lambda drawn: drawn[1].join(drawn[0])))
+
+
+hint_texts = _texts_of(st.one_of(
+    st.tuples(st.sampled_from(["a.root", "B.ROOT.", "bad..name"]),
+              st.sampled_from(["v4", "v6", "v5"]),
+              st.sampled_from(["10.0.0.1", "2001:db8::1", "::ffff:10.0.0.1", "fe80::1%eth0",
+                               "10.0.0.256", "x"])).map(" ".join),
+    st.sampled_from(["", "  ", "# note"]),
+    st.text(max_size=12)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(hint_texts)
+def test_root_hints_of_any_text_match_their_protocols_or_raise_a_value_error(
+        tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "any.hints"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        hints = load_root_hints(path)
+    except ValueError:
+        return
+    assert hints
+    for name, proto, address in hints:
+        assert isinstance(name, DomainName)
+        assert ipaddress.ip_address(address).version == {V4: 4, V6: 6}[proto]
+
+
+domain_list_texts = _texts_of(st.lists(st.one_of(
+    st.sampled_from(["1", " 2 ", "007", "+3", "1_0", "²", "٣", "a.com", " b.org ", "#", ""]),
+    st.text(max_size=8)), max_size=3).map(",".join))
+
+
+@settings(max_examples=400, deadline=None)
+@given(domain_list_texts)
+def test_a_domain_list_of_any_text_parses_with_ranks_of_ascii_digits(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "any-domains.txt"
+    path.write_bytes(text.encode("utf-8"))
+    entries = cli._parse_domain_list(str(path))
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in
+                               path.read_text(encoding="utf-8-sig").splitlines()) if line]
+    assert len(entries) == len(lines)
+    for (_domain, rank), line in zip(entries, lines):
+        field = line.split(",", 1)[0].strip() if "," in line else None
+        digits = field is not None and field.isascii() and field.isdigit()
+        assert rank is None or (digits and rank == int(field)), line
+        assert rank is not None or not digits, line
 
 
 # -- the collector pause -------------------------------------------------------
@@ -1033,9 +1093,7 @@ def test_a_fixed_environment_number_works_after_a_bad_one(tmp_path, capsys, monk
     argv = ["scan", str(domains), "--roots", write_hints(tmp_path, u),
             "--output", str(tmp_path / "results.jsonl"), *FAST]
     monkeypatch.setenv("V6READY_CONCURRENCY", "eight")
-    with pytest.raises(SystemExit) as exc:
-        run_cli(argv, u)
-    assert exc.value.code == 2
+    assert run_cli(argv, u) == 2
     assert "invalid int value: 'eight'" in capsys.readouterr().err
     monkeypatch.setenv("V6READY_CONCURRENCY", "2")
     assert run_cli(argv, u) == 0
@@ -1051,12 +1109,17 @@ def test_a_command_line_that_fails_to_parse_leaves_the_next_call_alone(
             *FAST]
     assert run_cli(argv, u) == 0
     before = capsys.readouterr().out
-    with pytest.raises(SystemExit) as exc:
-        run_cli([*argv, *bad], u)
-    assert exc.value.code == 2
-    capsys.readouterr()
+    assert run_cli([*argv, *bad], u) == 2
+    assert "error:" in capsys.readouterr().err
     assert run_cli(argv, u) == 0
     assert capsys.readouterr().out == before
+
+
+def test_help_prints_the_usage_and_returns_zero(capsys):
+    assert cli.main(["-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: v6ready")
+    assert cli.main(["simulate", "--help"]) == 0
+    assert "--tlds" in capsys.readouterr().out
 
 
 def test_threads_racing_through_main_each_get_their_own_arguments(monkeypatch, builds):

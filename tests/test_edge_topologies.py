@@ -1,7 +1,7 @@
 """Hand-built delegation shapes the random generator does not produce,
 checked for three-way agreement (ground truth, fixed point, active walk)."""
 
-from universes import N, crawl, passive_verdicts, root_fixture, healthy_zone
+from universes import N, crawl, passive_res, passive_verdicts, root_fixture, healthy_zone
 from v6ready.mocknet import (
     FixtureNs,
     FixtureZone,
@@ -15,10 +15,10 @@ from v6ready.records import AddrRecords, V4, V6
 
 def three_way(universe):
     truth = ground_truth(universe)
-    _rs, table, _statuses = passive_verdicts(fixture_tuples(universe))
+    rs, table, _statuses = passive_verdicts(fixture_tuples(universe))
     _resolver, results = crawl(universe)
     for zone, expected in truth.items():
-        assert table.zones[zone].res == expected, f"passive {zone}"
+        assert passive_res(rs, table, zone) == expected, f"passive {zone}"
         active = {V4: results[zone].v4_resolvable, V6: results[zone].v6_resolvable}
         assert active == expected, f"active {zone}"
     return truth

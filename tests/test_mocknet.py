@@ -8,6 +8,7 @@ from universes import (
     crawl,
     healthy_depth3_universe,
     make_resolver,
+    passive_res,
     passive_verdicts,
 )
 from v6ready.mocknet import (
@@ -207,19 +208,19 @@ def test_conformance_no_defects_active_and_passive_dual():
     _resolver, results = crawl(u)
     for zone, res in results.items():
         assert res.v4_resolvable and res.v6_resolvable, str(zone)
-    _rs, table, _statuses = passive_verdicts(fixture_tuples(u))
+    rs, table, _statuses = passive_verdicts(fixture_tuples(u))
     for zone in truth:
-        assert table.zones[zone].res == {V4: True, V6: True}
+        assert passive_res(rs, table, zone) == {V4: True, V6: True}
 
 
 def test_export_faithfulness_from_crawl_history():
     for seed in (5, 9):
         u, truth = random_universe(seed, 25, {"ns-no-v4": 0.0}, acyclic_oob=True)
         crawl(u)
-        _rs, table, _statuses = passive_verdicts(u.export_tuples())
+        rs, table, _statuses = passive_verdicts(u.export_tuples())
         for zone, expected in truth.items():
-            assert zone in table.zones, f"{zone} missing from export"
-            assert table.zones[zone].res == expected, str(zone)
+            assert zone in rs, f"{zone} missing from export"
+            assert passive_res(rs, table, zone) == expected, str(zone)
 
 
 def test_version_and_serials_served():
@@ -319,12 +320,14 @@ def test_restoring_dropped_records_never_breaks_resolution():
             after = truth2[zone]
             for proto in (V4, V6):
                 assert before[proto] <= after[proto], (seed, str(zone), proto)
-        table_before = fixed_point(ingest_tuples(fixture_tuples(u)).record_sets)
-        table_after = fixed_point(ingest_tuples(fixture_tuples(improved)).record_sets)
+        sets_before = ingest_tuples(fixture_tuples(u)).record_sets
+        sets_after = ingest_tuples(fixture_tuples(improved)).record_sets
+        table_before, table_after = fixed_point(sets_before), fixed_point(sets_after)
         for zone in truth:
+            before = passive_res(sets_before, table_before, zone)
+            after = passive_res(sets_after, table_after, zone)
             for proto in (V4, V6):
-                assert (table_before.zones[zone].res[proto]
-                        <= table_after.zones[zone].res[proto]), (seed, str(zone))
+                assert before[proto] <= after[proto], (seed, str(zone))
         _r, before_active = crawl(u)
         _r, after_active = crawl(improved)
         for zone in truth:

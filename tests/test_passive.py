@@ -7,7 +7,7 @@ import careful_parser
 import jacobi
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from universes import N, passive_verdicts
+from universes import N, passive_res, passive_verdicts
 from v6ready.passive import (
     IngestStats,
     ResolutionTable,
@@ -466,8 +466,8 @@ def com_with_root_glue(v6=True):
 def test_single_link_resolves_in_first_sweep():
     result = ingest_tuples(com_with_root_glue())
     table = checked_fixed_point(result.record_sets)
-    assert table.zones[N("com")].res == {V4: True, V6: True}
-    assert table.first_resolved_sweep[(N("com"), V6)] == 1
+    assert passive_res(result.record_sets, table, N("com")) == {V4: True, V6: True}
+    assert table.sweeps == {V4: 2, V6: 2}  # one productive sweep plus confirmation
 
 
 def test_mutual_cycle_unresolvable_terminates_in_two_sweeps():
@@ -479,8 +479,8 @@ def test_mutual_cycle_unresolvable_terminates_in_two_sweeps():
     ]
     result = ingest_tuples(tuples)
     table = checked_fixed_point(result.record_sets)
-    assert table.zones[N("a")].res == {V4: False, V6: False}
-    assert table.zones[N("b")].res == {V4: False, V6: False}
+    assert passive_res(result.record_sets, table, N("a")) == {V4: False, V6: False}
+    assert passive_res(result.record_sets, table, N("b")) == {V4: False, V6: False}
     assert table.sweeps[V4] == 2
     # brute-force oracle on the 2-node graph: no address records exist at
     # all, so no delegation path can terminate; both stay unresolvable.
@@ -502,10 +502,7 @@ def test_dependency_chain_resolves_in_three_sweeps():
     result = ingest_tuples(tuples)
     table = checked_fixed_point(result.record_sets)
     for z in ("a", "b", "c"):
-        assert table.zones[N(z)].res[V4] is True
-    assert table.first_resolved_sweep[(N("c"), V4)] == 1
-    assert table.first_resolved_sweep[(N("b"), V4)] == 2
-    assert table.first_resolved_sweep[(N("a"), V4)] == 3
+        assert table.resolvable(N(z), V4) is True
     assert table.sweeps[V4] == 4  # three productive sweeps plus confirmation
 
 
@@ -519,9 +516,6 @@ def test_monotone_convergence_and_pass_bound():
         zone_count = len(result.record_sets) - 1  # root excluded
         for proto in (V4, V6):
             assert table.sweeps[proto] <= zone_count + 1
-            sweeps = [s for (z, p), s in table.first_resolved_sweep.items()
-                      if p == proto]
-            assert all(s <= table.sweeps[proto] for s in sweeps)
 
 
 def test_protocol_independence_dropping_aaaa_keeps_v4():
@@ -532,15 +526,14 @@ def test_protocol_independence_dropping_aaaa_keeps_v4():
     with_v6 = passive_verdicts(tuples)[1]
     without_v6 = passive_verdicts(
         [t for t in tuples if t.rrtype != RRType.AAAA])[1]
-    for zone, verdict in with_v6.zones.items():
-        assert verdict.res[V4] == without_v6.zones[zone].res[V4]
+    assert with_v6.resolved[V4] == without_v6.resolved[V4]
 
 
 def test_fixed_point_idempotent():
     result = ingest_tuples(com_with_root_glue())
     t1 = checked_fixed_point(result.record_sets)
     t2 = checked_fixed_point(result.record_sets)
-    assert t1.zones[N("com")].res == t2.zones[N("com")].res
+    assert t1.resolved == t2.resolved
     assert t1.sweeps == t2.sweeps
 
 
@@ -615,7 +608,7 @@ def test_snapshot_stats_empty_no_division_error():
     stats = snapshot_stats(table, {})
     assert stats.total == 0
     assert stats.state_percentage("dual") == 0.0
-    assert stats.cause_percentage("missing-glue") == 0.0
+    assert stats.breakdown.percentage("missing-glue") == 0.0
 
 
 def test_half_of_intent_zones_broken_in_two_scenario_derived_fixture():
@@ -638,7 +631,7 @@ def test_half_of_intent_zones_broken_in_two_scenario_derived_fixture():
     table = ResolutionTable({}, frozenset(), {V4: 1, V6: 1}, {})
     stats = snapshot_stats(table, statuses)
     assert stats.intent_v6_total == 2
-    assert stats.intent_v6_broken == 1
+    assert stats.breakdown.population == 1
 
 
 def test_two_scenario_tuples_give_two_v4_only_zones_with_distinct_causes():
@@ -682,8 +675,8 @@ def test_classify_zones_agrees_with_table_flags():
         table = checked_fixed_point(result.record_sets)
         statuses = classify_zones(result.record_sets, table)
         for zone, status in statuses.items():
-            assert status.v4 == table.zones[zone].res[V4], str(zone)
-            assert status.v6 == table.zones[zone].res[V6], str(zone)
+            assert status.v4 == table.resolvable(zone, V4), str(zone)
+            assert status.v6 == table.resolvable(zone, V6), str(zone)
             rs = result.record_sets[zone]
             parent = rs.delegating_zone()
             parent_status = ROOT_STATUS if parent == ROOT else statuses[parent]

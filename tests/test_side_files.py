@@ -248,22 +248,14 @@ def reference_psl_label(part):
 class ReferenceRule:
     labels: tuple
     exception: bool
-    private: bool
 
 
 class ReferencePsl:
     def __init__(self, text):
         self.by_tail = {}
-        private = False
         for raw in text.splitlines():
             line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("//"):
-                if "===BEGIN PRIVATE DOMAINS===" in line:
-                    private = True
-                elif "===END PRIVATE DOMAINS===" in line:
-                    private = False
+            if not line or line.startswith("//"):
                 continue
             line = line.split()[0]
             exception = line.startswith("!")
@@ -271,11 +263,11 @@ class ReferencePsl:
                 line = line[1:]
             parts = tuple(reference_psl_label(p) for p in line.split(".") if p)
             if parts:
-                rule = ReferenceRule(parts, exception, private)
+                rule = ReferenceRule(parts, exception)
                 self.by_tail.setdefault(parts[-1], []).append(rule)
 
     def match(self, name):
-        """(suffix, private) of the prevailing rule, or None."""
+        """The suffix of the prevailing rule, or None."""
         if not name.labels:
             return None
         candidates = []
@@ -293,13 +285,13 @@ class ReferencePsl:
         else:
             rule = max(candidates, key=lambda r: len(r.labels))
             depth = len(rule.labels)
-        return name.ancestor_at_depth(depth), rule.private
+        return name.ancestor_at_depth(depth)
 
     def registered_domain(self, name):
         m = self.match(name)
         if m is None:
             return None
-        depth = len(m[0].labels)
+        depth = len(m.labels)
         if len(name.labels) <= depth:
             return None
         return name.ancestor_at_depth(depth + 1)
@@ -333,14 +325,12 @@ def test_psl_match_matches_reference(lines, names_to_match):
         psl, reference = PublicSuffixList.parse(text), ReferencePsl(text)
         for name in names_to_match:
             m = psl.match(name)
-            assert (None if m is None else tuple(m)) == reference.match(name)
+            assert m == reference.match(name)
             assert registered(name, m) == reference.registered_domain(name)
 
 
 def test_psl_inner_wildcard_and_repeated_rule():
     psl = PublicSuffixList.parse("a.*.com\n// ===BEGIN PRIVATE DOMAINS===\na.*.com\n"
                                  "b.com\n// ===END PRIVATE DOMAINS===\n*.com\n")
-    m = psl.match(N("x.a.y.com"))
-    assert (str(m.suffix), m.private) == ("a.y.com", False)
-    m = psl.match(N("x.b.com"))
-    assert (str(m.suffix), m.private) == ("b.com", True)  # the first of two as long
+    assert str(psl.match(N("x.a.y.com"))) == "a.y.com"
+    assert str(psl.match(N("x.b.com"))) == "b.com"

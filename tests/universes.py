@@ -20,7 +20,7 @@ from v6ready.mocknet import (
 from v6ready.names import normalize
 from v6ready.passive import classify_zones, fixed_point, ingest_tuples
 from v6ready.query import QueryEngine, QueryPolicy
-from v6ready.records import AddrRecords
+from v6ready.records import V4, V6, AddrRecords
 from v6ready.resolver import PROTOCOL_BOTH, Resolver
 
 N = normalize
@@ -293,3 +293,10 @@ def passive_verdicts(tuples):
     table = fixed_point(result.record_sets)
     statuses = classify_zones(result.record_sets, table)
     return result.record_sets, table, statuses
+
+
+def passive_res(record_sets, table, zone):
+    """The fixed point's verdict on ``zone``, one of ``record_sets``, as
+    {V4: resolvable, V6: resolvable}."""
+    assert zone in record_sets, str(zone)
+    return {proto: table.resolvable(zone, proto) for proto in (V4, V6)}
