@@ -261,7 +261,10 @@ class OperatorRule:
 
 def parse_operator_rules(text: str) -> tuple[OperatorRule, ...]:
     """Lines of ``REGEX<whitespace>LABEL``; '#' comments. Default is empty:
-    operator knowledge is site-specific and ships as configuration."""
+    operator knowledge is site-specific and ships as configuration. A line
+    without a label, or a pattern that does not compile (a repeat count
+    past the engine's limit and groups nested too deep included), raises a
+    ValueError."""
     rules = []
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -272,7 +275,7 @@ def parse_operator_rules(text: str) -> tuple[OperatorRule, ...]:
             raise ValueError(f"bad operator rule line: {raw!r}")
         try:
             pattern = re.compile(parts[0])
-        except re.error as exc:
+        except (re.error, OverflowError, RecursionError) as exc:
             raise ValueError(f"bad operator rule pattern {parts[0]!r}: {exc}") from exc
         rules.append(OperatorRule(pattern, parts[1].strip()))
     return tuple(rules)

@@ -29,10 +29,10 @@ from . import INPUT_ENCODING
 from .analytics import (
     cause_share_rows,
     cdf_rows,
-    load_operator_rules,
-    load_tld_list,
-    load_toplist,
     nsset_cdf,
+    parse_operator_rules,
+    parse_tld_list,
+    parse_toplist,
     state_share_rows,
     write_csv,
 )
@@ -341,23 +341,47 @@ def cmd_scan(args, transport_factory=None) -> int:
 # -- simulate -------------------------------------------------------------------
 
 
-def _side_file(flag: str, path: str | None, load, *args):
-    """``load(path, *args)``, or None without a path. A file that cannot be
-    read, is not UTF-8 text or does not parse raises a ValueError that
-    names the flag and the path."""
+# The last parse of each side-file parser, (text, value, rejected lines),
+# kept from one ``simulate`` to the next: a run of monthly snapshots reads
+# the same PSL, TLD list and toplist every month. An entry is replaced
+# whole, so threads running ``simulate`` at once each see one whole parse.
+_last_parse: dict = {}
+
+
+def _side_file(flag: str, path: str | None, parse, rejected: list[str] | None = None):
+    """``parse(text)`` of the file at ``path`` (``parse(text, rejected)``
+    when ``rejected`` is given), or None without a path. A file that
+    cannot be read, is not UTF-8 text or does not parse raises a
+    ValueError that names the flag and the path, and is not kept.
+
+    The file is read on every call but parsed only when its text differs
+    from the last text given to ``parse``; otherwise the last value is
+    returned and its skipped lines are added to ``rejected`` again. The
+    value is shared by every call that reads the same text, so it is
+    read-only: ``cmd_simulate`` and ``analytics`` never change a
+    ``PublicSuffixList``, TLD frozenset, toplist dict or rules tuple.
+    """
     if not path:
         return None
     try:
-        return load(path, *args)
+        text = Path(path).read_text(encoding=INPUT_ENCODING)
+        last = _last_parse.get(parse)
+        if last is None or last[0] != text:
+            skipped: list[str] = []
+            value = parse(text) if rejected is None else parse(text, skipped)
+            last = _last_parse[parse] = (text, value, skipped)
     except (OSError, ValueError, csv.Error) as exc:
         raise ValueError(f"{flag} {path}: {exc}") from None
+    if rejected is not None:
+        rejected.extend(last[2])
+    return last[1]
 
 
-def _load_name_list(flag: str, path: str | None, load):
-    """``_side_file(flag, path, load)``; the lines it skips for an invalid
+def _load_name_list(flag: str, path: str | None, parse):
+    """``_side_file(flag, path, parse)``; the lines it skips for an invalid
     name are counted in one warning."""
     rejected: list[str] = []
-    loaded = _side_file(flag, path, load, rejected)
+    loaded = _side_file(flag, path, parse, rejected)
     if rejected:
         print(f"warning: {flag} {path}: skipped {len(rejected)} line(s) with an "
               f"invalid name, first {rejected[0]!r}", file=sys.stderr)
@@ -366,10 +390,10 @@ def _load_name_list(flag: str, path: str | None, load):
 
 def _side_inputs(args):
     """(psl, tlds, toplist, operator rules) from their files."""
-    psl = _side_file("--psl", args.psl, PublicSuffixList.load)
-    tlds = _load_name_list("--tlds", args.tlds, load_tld_list)
-    toplist = _load_name_list("--toplist", args.toplist, load_toplist)
-    rules = _side_file("--operator-rules", args.operator_rules, load_operator_rules) or ()
+    psl = _side_file("--psl", args.psl, PublicSuffixList.parse)
+    tlds = _load_name_list("--tlds", args.tlds, parse_tld_list)
+    toplist = _load_name_list("--toplist", args.toplist, parse_toplist)
+    rules = _side_file("--operator-rules", args.operator_rules, parse_operator_rules) or ()
     return psl, tlds, toplist, rules
 
 

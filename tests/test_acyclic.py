@@ -269,7 +269,8 @@ def tuple_lines(size: int, form: str) -> list[str]:
     return lines
 
 
-def simulate_case(form="tsv", malformed=False, damaged=False, side=(), toplist_header=False):
+def simulate_case(form="tsv", malformed=False, damaged=False, side=(), toplist_header=False,
+                  runs=1):
     def case(work, size):
         lines = tuple_lines(size, form)
         if malformed:
@@ -296,7 +297,11 @@ def simulate_case(form="tsv", malformed=False, damaged=False, side=(), toplist_h
             (work / "rules.txt").write_text("\\.z0$ zero\n^ns0- first\n")
             argv += ["--operator-rules", str(work / "rules.txt")]
         args = parsed(argv)
-        return lambda: _expect(0, cli.cmd_simulate(args))
+
+        def run():
+            for _ in range(runs):
+                _expect(0, cli.cmd_simulate(args))
+        return run
     return case
 
 
@@ -312,3 +317,8 @@ def simulate_case(form="tsv", malformed=False, damaged=False, side=(), toplist_h
         "toplist-per-row", "operator-rules"])
 def test_simulate_leaves_no_cycles(tmp_path, case):
     assert_acyclic(case, tmp_path, 1)  # stats.json is indented JSON
+
+
+def test_simulate_twice_with_every_side_file_leaves_no_cycles(tmp_path):
+    # the second call takes every side file's parse from the first
+    assert_acyclic(simulate_case("tsv", side={"psl", "rules"}, runs=2), tmp_path, 2)

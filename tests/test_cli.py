@@ -2,6 +2,7 @@ import gc
 import gzip
 import ipaddress
 import json
+import os
 import sys
 import threading
 import time
@@ -790,6 +791,105 @@ def test_simulate_toplist_field_over_the_csv_limit_exits_two(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err.startswith(f"error: --toplist {toplist}: field larger")
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("pattern", ["a{99999999999}", "(" * 1200 + ")" * 1200],
+                         ids=["repeat-count-too-large", "groups-nested-too-deep"])
+def test_simulate_operator_rule_the_engine_cannot_compile_exits_two(tmp_path, capsys, pattern):
+    rules = tmp_path / "rules.txt"
+    rules.write_text(f"{pattern} op\n")
+    outdir = tmp_path / "out"
+    rc = cli.main(["simulate", str(GOLDEN / "tuples.tsv"), "--operator-rules", str(rules),
+                   "--out", str(outdir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --operator-rules {rules}: bad operator rule pattern")
+    assert not outdir.exists()
+
+
+# -- side files parsed once per content, within one process --------------------
+
+SIDE_FLAGS = ["--psl", str(GOLDEN / "psl.dat"), "--tlds", str(GOLDEN / "tlds.txt"),
+              "--toplist", str(GOLDEN / "toplist.csv")]
+
+
+def _simulate_outputs(outdir: Path, *flags) -> dict[str, bytes]:
+    """The files ``simulate`` of the golden tuples writes to ``outdir``."""
+    assert cli.main(["simulate", str(GOLDEN / "tuples.tsv"), *flags,
+                     "--out", str(outdir)]) == 0
+    return {path.name: path.read_bytes() for path in sorted(outdir.iterdir())}
+
+
+# (flag, text, another text of the same size, the other flags)
+REWRITES = {
+    "toplist": ("--toplist", "0005,z1.z0\n", "5000,z1.z0\n", SIDE_FLAGS[:4]),
+    "psl": ("--psl", "z0\nz1.z0\n", "z0\nz3.z0\n", SIDE_FLAGS[2:4]),
+    # the TLD list's names reach no output, but a line it skips is warned of
+    "tlds": ("--tlds", "z0\nz1\n", "z0\n..\n", SIDE_FLAGS[:2]),
+    "operator-rules": ("--operator-rules", "\\.z0$ zero\n", "\\.z8$ zero\n", SIDE_FLAGS),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REWRITES))
+def test_a_side_file_rewritten_with_its_size_and_mtime_kept_is_read_again(
+        tmp_path, capsys, case):
+    flag, before, after, others = REWRITES[case]
+
+    def run(name: str, side: Path) -> tuple[dict, str]:
+        outputs = _simulate_outputs(tmp_path / name, *others, flag, str(side))
+        return outputs, capsys.readouterr().err.replace(str(side), "SIDE")
+
+    (tmp_path / "after.txt").write_text(after)
+    want = run("want", tmp_path / "after.txt")
+    side = tmp_path / "side.txt"
+    side.write_text(before)
+    kept = side.stat()
+    first = run("first", side)
+    side.write_text(after)
+    os.utime(side, ns=(kept.st_atime_ns, kept.st_mtime_ns))
+    assert (side.stat().st_size, side.stat().st_mtime_ns) == (kept.st_size, kept.st_mtime_ns)
+    assert run("second", side) == want
+    assert first != want
+
+
+def test_a_toplist_rejected_row_warns_on_every_call(tmp_path, capsys):
+    toplist = tmp_path / "toplist.csv"
+    toplist.write_text("5,z1.z0\n7,例え.jp\n", encoding="utf-8")
+    warnings = []
+    for run in ("first", "second"):
+        _simulate_outputs(tmp_path / run, "--toplist", str(toplist))
+        warnings.append([l for l in capsys.readouterr().err.splitlines()
+                         if l.startswith("warning:")])
+    assert warnings[0] == warnings[1]
+    assert len(warnings[0]) == 1 and "--toplist" in warnings[0][0]
+    assert "skipped 1 line(s)" in warnings[0][0]
+
+
+def test_a_psl_that_is_not_utf8_fails_on_every_call_until_it_is_mended(tmp_path, capsys):
+    psl = tmp_path / "psl.dat"
+    psl.write_bytes(b"z0\n\xff\xfe\n")
+    outdir = tmp_path / "out"
+    argv = ["simulate", str(GOLDEN / "tuples.tsv"), "--psl", str(psl), "--out", str(outdir)]
+    errors = []
+    for _ in range(2):
+        assert cli.main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith(f"error: --psl {psl}: 'utf-8' codec can't decode byte 0xff")
+    assert not outdir.exists()
+    psl.write_text("z0\n")
+    assert cli.main(argv) == 0
+    assert (outdir / "nsset-cdf.csv").exists()
+
+
+def test_two_calls_with_the_same_side_files_write_the_same_outputs(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("\\.z0$ zero\n^ns0- first\n")
+    flags = [*SIDE_FLAGS, "--operator-rules", str(rules), "--month", "2023-02"]
+    first = _simulate_outputs(tmp_path / "first", *flags)
+    second = _simulate_outputs(tmp_path / "second", *flags)
+    assert {"states.csv", "nsset-cdf.csv"} <= first.keys()
+    assert second == first
 
 
 # -- a UTF-8 byte-order mark at the start of an input file -------------------

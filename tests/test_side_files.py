@@ -5,18 +5,21 @@ canonical text: every toplist row through ``csv.reader`` and
 ``normalize``, every TLD line through ``normalize``, and one rule object
 per PSL line matched by scanning the rules under the name's last label.
 The toplist reference takes a rank of ASCII digits only, as the parser
-does, and skips a rank of more digits than ``int`` converts.
+does, and skips a rank of more digits than ``int`` converts. The operator
+rules parser has no reference: any text gives rules or a ValueError.
 """
 
 import csv
+import re
 import sys
 from dataclasses import dataclass
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from universes import N
 from v6ready import analytics
-from v6ready.analytics import parse_tld_list, parse_toplist
+from v6ready.analytics import parse_operator_rules, parse_tld_list, parse_toplist
 from v6ready.names import DnsNameError, DomainName, normalize
 from v6ready.psl import PublicSuffixList, registered
 
@@ -334,3 +337,38 @@ def test_psl_inner_wildcard_and_repeated_rule():
                                  "b.com\n// ===END PRIVATE DOMAINS===\n*.com\n")
     assert str(psl.match(N("x.a.y.com"))) == "a.y.com"
     assert str(psl.match(N("x.b.com"))) == "b.com"
+
+
+# -- operator rules ----------------------------------------------------------
+
+REGEX_PIECES = ["(", ")", "[", "]", "{", "}", "{2,1}", "{99999999999}", "?", "*", "+", "|",
+                "\\", "\\d", "^", "$", ".", "(?P<n>", "(?P=n)", "(?i)", "(?L)", "\\1", "a",
+                "ns", "-", "#"]
+rule_patterns = st.lists(st.sampled_from(REGEX_PIECES), min_size=1, max_size=8).map("".join)
+operator_rule_lines = st.one_of(
+    st.builds(lambda pattern, label: pattern + label, rule_patterns,
+              st.sampled_from(["", " op", "\tbig co", " op # note"])),
+    st.sampled_from(["", "   ", "# note"]),
+    st.text(max_size=20),
+)
+
+
+# a pattern such as "[[" compiles with a FutureWarning from the re module
+@pytest.mark.filterwarnings("ignore:Possible nested set:FutureWarning")
+@settings(max_examples=800, deadline=None)
+@given(st.lists(operator_rule_lines, max_size=6), line_ends)
+@example(["a{99999999999} op"], "\n")
+@example(["(" * 1200 + ")" * 1200 + " op"], "\n")
+def test_operator_rules_of_any_text_parse_or_raise_a_value_error(lines, end):
+    text = end.join(lines)
+    try:
+        rules = parse_operator_rules(text)
+    except ValueError:
+        return
+    lines = [line for line in (raw.split("#", 1)[0].strip() for raw in text.splitlines())
+             if line]
+    assert len(rules) == len(lines)
+    for rule, line in zip(rules, lines):
+        pattern, label = line.split(None, 1)
+        assert isinstance(rule.pattern, re.Pattern) and rule.pattern.pattern == pattern
+        assert rule.label == label.strip() != ""
