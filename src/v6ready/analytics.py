@@ -13,12 +13,13 @@ from __future__ import annotations
 import csv
 import itertools
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Mapping
 
 from . import INPUT_ENCODING
-from .classify import ResolutionStatus, failure_breakdown
+from .classify import STATES, FailureBreakdown, ResolutionStatus
 from .names import _PLAIN, MAX_LABEL, MAX_WIRE, DnsNameError, DomainName, normalize
 from .psl import PublicSuffixList, registered_or_self
 from .records import ascii_int
@@ -33,20 +34,6 @@ RANK_TIERS = (
     ("10k-100k", 100_000),
     ("100k-1m", 1_000_000),
 )
-
-STATES = ("dual", "v4-only", "v6-only", "none")
-
-
-@dataclass(frozen=True)
-class DomainGroup:
-    kind: str  # hierarchy bucket or "rank-tier"
-    tier: str | None = None
-    unknown_suffix: bool = False
-
-    @property
-    def label(self) -> str:
-        return self.tier if self.kind == "rank-tier" else self.kind
-
 
 # The characters of a toplist row or TLD-list line that takes the fast path:
 # the label bytes that present as themselves, without the CSV quote, plus
@@ -212,42 +199,36 @@ def rank_tier(rank: int) -> str | None:
 def group_domain(
     name: DomainName,
     psl: PublicSuffixList,
-    tlds: frozenset[str],
     toplist: Mapping[str, int] | None = None,
-) -> frozenset[DomainGroup]:
-    """Exactly one hierarchy group plus an optional rank tier. ``tlds`` and
-    ``toplist`` hold names by their canonical text, ``str(name)``."""
+) -> tuple[str, ...]:
+    """The labels of the groups of ``name``: its hierarchy group, then its
+    rank tier if it has one. ``toplist`` holds names by their canonical
+    text, ``str(name)``."""
     if name.is_root:
         raise ValueError("the root has no grouping")
-    groups: set[DomainGroup] = set()
     suffix = psl.match(name)
-    if len(name.labels) == 1:
-        groups.add(DomainGroup(GROUP_TLD, unknown_suffix=str(name) not in tlds))
+    depth = len(name.labels)
+    if depth == 1:
+        hierarchy = GROUP_TLD
     elif suffix is None:
-        # No PSL rule: group under the rightmost label, flagged.
-        if len(name.labels) == 2:
-            groups.add(DomainGroup(GROUP_SECOND_LEVEL, unknown_suffix=True))
-        else:
-            groups.add(DomainGroup(GROUP_BELOW_SECOND_LEVEL, unknown_suffix=True))
+        # No PSL rule: group under the rightmost label.
+        hierarchy = GROUP_SECOND_LEVEL if depth == 2 else GROUP_BELOW_SECOND_LEVEL
+    elif depth == len(suffix.labels):
+        # A multi-label public suffix is registry infrastructure, grouped
+        # with the TLDs.
+        hierarchy = GROUP_TLD
+    elif depth == len(suffix.labels) + 1:
+        hierarchy = GROUP_SECOND_LEVEL
     else:
-        suffix_depth = len(suffix.labels)
-        if len(name.labels) == suffix_depth:
-            # A multi-label public suffix is registry infrastructure,
-            # grouped with the TLDs.
-            groups.add(DomainGroup(GROUP_TLD))
-        elif len(name.labels) == suffix_depth + 1:
-            groups.add(DomainGroup(GROUP_SECOND_LEVEL))
-        else:
-            groups.add(DomainGroup(GROUP_BELOW_SECOND_LEVEL))
+        hierarchy = GROUP_BELOW_SECOND_LEVEL
     if toplist:
         rank = toplist.get(str(name))
         if rank is None:
             rank = toplist.get(str(registered_or_self(name, suffix)))
-        if rank is not None:
-            tier = rank_tier(rank)
-            if tier:
-                groups.add(DomainGroup("rank-tier", tier=tier))
-    return frozenset(groups)
+        tier = rank_tier(rank) if rank is not None else None
+        if tier:
+            return hierarchy, tier
+    return (hierarchy,)
 
 
 # -- NS set aggregation -----------------------------------------------------
@@ -360,17 +341,14 @@ def state_share_rows(
     toplist: Mapping[str, int] | None = None,
 ) -> list[dict]:
     """Per-group resolvability state shares; the 'all' row is always present."""
-    buckets: dict[str, dict[str, int]] = {}
-
-    def bump(label: str, state: str):
-        b = buckets.setdefault(label, {s: 0 for s in STATES})
-        b[state] += 1
-
+    buckets: defaultdict[str, dict[str, int]] = defaultdict(lambda: dict.fromkeys(STATES, 0))
     for zone, status in statuses.items():
-        bump("all", status.state)
+        state = status.state
+        buckets["all"][state] += 1
+        # the TLD list switches the group rows on; its names reach no row
         if psl is not None and tlds is not None and not zone.is_root:
-            for group in group_domain(zone, psl, tlds, toplist):
-                bump(group.label, status.state)
+            for label in group_domain(zone, psl, toplist):
+                buckets[label][state] += 1
     rows = []
     for label in sorted(buckets, key=lambda x: (x != "all", x)):
         counts = buckets[label]
@@ -383,9 +361,8 @@ def state_share_rows(
     return rows
 
 
-def cause_share_rows(statuses: Mapping[DomainName, ResolutionStatus]) -> list[dict]:
+def cause_share_rows(breakdown: FailureBreakdown) -> list[dict]:
     """Cause shares over zones with IPv6 intent that do not resolve via IPv6."""
-    breakdown = failure_breakdown(statuses.values())
     return [
         {
             "cause": cause,

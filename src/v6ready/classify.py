@@ -21,6 +21,7 @@ STATE_DUAL = "dual"
 STATE_V4_ONLY = "v4-only"
 STATE_V6_ONLY = "v6-only"
 STATE_NONE = "none"
+STATES = (STATE_DUAL, STATE_V4_ONLY, STATE_V6_ONLY, STATE_NONE)  # in output order
 
 CAUSE_NO_AAAA_FOR_NS = "no-aaaa-for-ns"
 CAUSE_MISSING_GLUE = "missing-glue"
@@ -42,15 +43,24 @@ class FailureCause:
 
 @dataclass(frozen=True)
 class ResolutionStatus:
-    state: str
     v4: bool
     v6: bool
     intent_v6: bool
     v6_failures: frozenset[FailureCause] = frozenset()
 
     @property
+    def state(self) -> str:
+        return state_of(self.v4, self.v6)
+
+    @property
     def causes(self) -> frozenset[str]:
         return frozenset(f.cause for f in self.v6_failures)
+
+    @property
+    def cause_witnesses(self) -> dict[str, list[str]]:
+        """Each failure cause -> its witnesses, in cause order."""
+        return {f.cause: list(f.witnesses)
+                for f in sorted(self.v6_failures, key=lambda f: f.cause)}
 
 
 def state_of(v4: bool, v6: bool) -> str:
@@ -293,7 +303,7 @@ def classify(
     if not v6:
         failures = _failure_causes(rs, resolves(rs.delegating_zone(), V6), ns_zone, resolves,
                                    V6, answers)
-    return ResolutionStatus(state_of(v4, v6), v4, v6, _intent(rs, V6), failures)
+    return ResolutionStatus(v4, v6, _intent(rs, V6), failures)
 
 
 @dataclass
@@ -310,10 +320,9 @@ class FailureBreakdown:
 
 
 def failure_breakdown(statuses: Iterable[ResolutionStatus]) -> FailureBreakdown:
-    """Per-cause counts restricted to intent_v6 and not v6-resolvable.
-
-    ``snapshot_stats`` and ``cause_share_rows`` take their counts from here.
-    """
+    """Per-cause counts restricted to intent_v6 and not v6-resolvable:
+    the one cause tally of a snapshot (``snapshot_stats``), which
+    ``stats.json`` and ``causes.csv`` both read."""
     counts: Counter = Counter()
     population = 0
     for status in statuses:

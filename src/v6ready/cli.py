@@ -36,6 +36,7 @@ from .analytics import (
     state_share_rows,
     write_csv,
 )
+from .classify import STATES
 from .names import DnsNameError, DomainName, normalize
 from .passive import (
     IngestStats,
@@ -172,9 +173,8 @@ def _render_check_text(result) -> str:
     lines.append(f"ipv6 intent: {'yes' if result.status.intent_v6 else 'no'}")
     if result.status.v6_failures:
         lines.append("ipv6 failure causes:")
-        for f in sorted(result.status.v6_failures, key=lambda f: f.cause):
-            witnesses = ", ".join(f.witnesses) if f.witnesses else "-"
-            lines.append(f"  {f.cause}: {witnesses}")
+        for cause, witnesses in result.status.cause_witnesses.items():
+            lines.append(f"  {cause}: {', '.join(witnesses) or '-'}")
     if result.steps:
         lines.append("delegation chain:")
         for step in result.steps:
@@ -205,7 +205,7 @@ def cmd_check(args, transport_factory=None) -> int:
     resolver = _build_resolver(cfg, _transport(cfg, transport_factory))
     try:
         result = resolver.resolve_chain(target, enrich_result=True, probe_liveness=True)
-    except (RootUnreachable, DepthLimitExceeded, OSError) as exc:
+    except (RootUnreachable, DepthLimitExceeded, DnsNameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     if cfg.fmt == "structured":
@@ -329,7 +329,7 @@ def cmd_scan(args, transport_factory=None) -> int:
         pool.shutdown(cancel_futures=True)
     total = sum(states.values())
     print(f"scanned {total} domains ({skipped} already in the output)")
-    for state in ("dual", "v4-only", "v6-only", "none", "error"):
+    for state in (*STATES, "error"):
         if total:
             print(f"  {state:8s} {states[state]:6d}  {100.0 * states[state] / total:6.2f}%")
         else:
@@ -418,7 +418,11 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     stats = IngestStats()
     readable: list = []
     result = ingest(_tuple_files(args.tuples, readable), stats)
@@ -430,39 +434,40 @@ def cmd_simulate(args) -> int:
     statuses = classify_zones(result.record_sets, table)
     snapshot = snapshot_stats(table, statuses, month=args.month)
 
-    with open(outdir / "verdicts.jsonl", "w", encoding="utf-8") as fh:
-        write_verdicts(fh, result.record_sets, statuses)
     doc = snapshot.to_json()
     doc["ingest"] = {
         "tuples": stats.tuples,
         "malformed": stats.malformed,
         "cname_skipped": stats.cname_skipped,
-        "orphan_addresses": len(result.orphan_addresses),
+        "orphan_addresses": result.orphan_addresses,
     }
-    (outdir / "stats.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-    with open(outdir / "states.csv", "w", newline="", encoding="utf-8") as fh:
-        write_csv(fh, state_share_rows(statuses, psl, tlds, toplist))
-    with open(outdir / "causes.csv", "w", newline="", encoding="utf-8") as fh:
-        write_csv(fh, cause_share_rows(statuses))
-    if psl is not None:
-        entries = [
-            (result.record_sets[zone].all_ns(), statuses[zone].v6)
-            for zone in statuses
-        ]
-        cdf = nsset_cdf(entries, psl, rules)
-        with open(outdir / "nsset-cdf.csv", "w", newline="", encoding="utf-8") as fh:
-            write_csv(fh, cdf_rows(cdf))
-        summary_extra = (f", top-10 NS sets cover "
-                         f"{100.0 * cdf.top10_share:.1f}% of non-v6 zones"
-                         if cdf.zone_count else "")
-    else:
-        summary_extra = ""
+    summary_extra = ""
+    try:
+        with open(outdir / "verdicts.jsonl", "w", encoding="utf-8") as fh:
+            write_verdicts(fh, result.record_sets, statuses)
+        (outdir / "stats.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        with open(outdir / "states.csv", "w", newline="", encoding="utf-8") as fh:
+            write_csv(fh, state_share_rows(statuses, psl, tlds, toplist))
+        with open(outdir / "causes.csv", "w", newline="", encoding="utf-8") as fh:
+            write_csv(fh, cause_share_rows(snapshot.breakdown))
+        if psl is not None:
+            entries = [
+                (result.record_sets[zone].all_ns(), statuses[zone].v6)
+                for zone in statuses
+            ]
+            cdf = nsset_cdf(entries, psl, rules)
+            with open(outdir / "nsset-cdf.csv", "w", newline="", encoding="utf-8") as fh:
+                write_csv(fh, cdf_rows(cdf))
+            if cdf.zone_count:
+                summary_extra = (f", top-10 NS sets cover "
+                                 f"{100.0 * cdf.top10_share:.1f}% of non-v6 zones")
+    except OSError as exc:
+        print(f"error: --out {args.out}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    states = ", ".join(f"{state} {snapshot.states[state]}" for state in STATES)
     print(
-        f"zones: {snapshot.total} (dual {snapshot.dual}, v4-only {snapshot.v4_only}, "
-        f"v6-only {snapshot.v6_only}, none {snapshot.none}; "
-        f"unknown-parent {snapshot.unknown_parent}; malformed tuples "
-        f"{stats.malformed}){summary_extra}"
+        f"zones: {snapshot.total} ({states}; unknown-parent {snapshot.unknown_parent}; "
+        f"malformed tuples {stats.malformed}){summary_extra}"
     )
     print(f"outputs in {outdir}")
     return EXIT_OK

@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import IO, Iterable, Iterator
 
 from . import INPUT_ENCODING
-from .classify import (FailureBreakdown, ResolutionStatus, _Propagation, classify,
+from .classify import (STATES, FailureBreakdown, ResolutionStatus, _Propagation, classify,
                        failure_breakdown, zone_clauses)
 from .names import ROOT, DnsNameError, DomainName, normalize
 from .records import (
@@ -199,7 +199,7 @@ def iter_tuples(lines: Iterable[str], stats: IngestStats | None = None) -> Itera
 @dataclass
 class IngestResult:
     record_sets: dict[DomainName, ZoneRecordSet]
-    orphan_addresses: dict[DomainName, AddrRecords]
+    orphan_addresses: int  # names with addresses that no zone lists as an NS
 
 
 _NS, _A, _AAAA, _CNAME = (t.value for t in (RRType.NS, RRType.A, RRType.AAAA, RRType.CNAME))
@@ -279,7 +279,7 @@ class _Evidence:
     def result(self) -> IngestResult:
         """The record sets, with the addresses of each (NS, bailiwick) pair
         built once and shared by every zone that lists the NS, and the
-        addresses of names no zone lists as an NS."""
+        count of names with addresses that no zone lists as an NS."""
         addr_map = self.addr_map
         shared: dict[DomainName, list[tuple[tuple[DomainName, DomainName], AddrRecords]]] = {}
         record_sets: dict[DomainName, ZoneRecordSet] = {}
@@ -302,15 +302,7 @@ class _Evidence:
                 ns_by_bailiwick={bw: frozenset(ts) for bw, ts in by_bw.items()},
                 addr_by_bailiwick=addrs,
             )
-        orphans = {}
-        for name, by_bw in addr_map.items():
-            if name in referenced:
-                continue
-            merged = AddrRecords()
-            for v4s, v6s in by_bw.values():
-                merged = merged.merged(AddrRecords(frozenset(v4s), frozenset(v6s)))
-            orphans[name] = merged
-        return IngestResult(record_sets, orphans)
+        return IngestResult(record_sets, len(addr_map.keys() - referenced))
 
 
 def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> IngestResult:
@@ -452,21 +444,18 @@ def classify_zones(
 @dataclass
 class SnapshotStats:
     month: str | None
-    total: int
-    dual: int
-    v4_only: int
-    v6_only: int
-    none: int
+    states: dict[str, int]  # zones per state, over STATES
     unknown_parent: int
     intent_v6_total: int
     breakdown: FailureBreakdown
 
+    @property
+    def total(self) -> int:
+        return sum(self.states.values())
+
     def state_percentage(self, state: str) -> float:
-        if not self.total:
-            return 0.0
-        value = {"dual": self.dual, "v4-only": self.v4_only,
-                 "v6-only": self.v6_only, "none": self.none}[state]
-        return 100.0 * value / self.total
+        total = self.total
+        return 100.0 * self.states[state] / total if total else 0.0
 
     def to_json(self) -> dict:
         return {
@@ -474,16 +463,8 @@ class SnapshotStats:
             "version": 1,
             "month": self.month,
             "total_zones": self.total,
-            "states": {
-                "dual": self.dual,
-                "v4-only": self.v4_only,
-                "v6-only": self.v6_only,
-                "none": self.none,
-            },
-            "state_percentages": {
-                s: round(self.state_percentage(s), 4)
-                for s in ("dual", "v4-only", "v6-only", "none")
-            },
+            "states": dict(self.states),
+            "state_percentages": {s: round(self.state_percentage(s), 4) for s in STATES},
             "unknown_parent": self.unknown_parent,
             "intent_v6_total": self.intent_v6_total,
             "intent_v6_broken": self.breakdown.population,
@@ -500,22 +481,15 @@ def snapshot_stats(
     statuses: dict[DomainName, ResolutionStatus],
     month: str | None = None,
 ) -> SnapshotStats:
-    counts = {"dual": 0, "v4-only": 0, "v6-only": 0, "none": 0}
+    """The snapshot's tally: zones per state, and the IPv6 failure causes
+    (``failure_breakdown``) that ``stats.json`` and ``causes.csv`` read."""
+    counts = dict.fromkeys(STATES, 0)
     intent_total = 0
     for status in statuses.values():
         counts[status.state] += 1
         intent_total += status.intent_v6
-    return SnapshotStats(
-        month=month,
-        total=sum(counts.values()),
-        dual=counts["dual"],
-        v4_only=counts["v4-only"],
-        v6_only=counts["v6-only"],
-        none=counts["none"],
-        unknown_parent=len(table.unknown_parent),
-        intent_v6_total=intent_total,
-        breakdown=failure_breakdown(statuses.values()),
-    )
+    return SnapshotStats(month, counts, len(table.unknown_parent), intent_total,
+                         failure_breakdown(statuses.values()))
 
 
 VERDICT_FORMAT = {"format": "zone-verdicts", "version": 1}
@@ -538,10 +512,7 @@ def write_verdicts(
             "v6": status.v6,
             "intent_v6": status.intent_v6,
             "causes": sorted(status.causes),
-            "cause_witnesses": {
-                f.cause: list(f.witnesses) for f in sorted(
-                    status.v6_failures, key=lambda f: f.cause)
-            },
+            "cause_witnesses": status.cause_witnesses,
             "views": {
                 "parent_ns": sorted(str(n) for n in rs.ns_parent_view()),
                 "child_ns": (sorted(str(n) for n in rs.ns_child_view())

@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import INPUT_ENCODING
-from .classify import (CAUSE_NS_UNRESPONSIVE, STATE_NONE, FailureCause, ResolutionStatus,
-                       _own_addresses, _Propagation, classify, state_of, zone_clauses)
-from .names import ROOT, DomainName, enclosing_zones, normalize
+from .classify import (CAUSE_NS_UNRESPONSIVE, FailureCause, ResolutionStatus, _own_addresses,
+                       _Propagation, classify, zone_clauses)
+from .names import ROOT, DnsNameError, DomainName, enclosing_zones, normalize
 from .query import QueryEngine, ServerAddress, RESPONSE
 from .records import (
     AddrRecords,
@@ -169,10 +169,7 @@ class ChainResult:
             "v6_resolvable": self.v6_resolvable,
             "intent_v6": self.status.intent_v6,
             "causes": sorted(self.status.causes),
-            "cause_witnesses": {
-                f.cause: list(f.witnesses)
-                for f in sorted(self.status.v6_failures, key=lambda f: f.cause)
-            },
+            "cause_witnesses": self.status.cause_witnesses,
             "steps": [
                 {
                     "zone": str(s.zone),
@@ -304,6 +301,8 @@ class Resolver:
                       enrich_result: bool = False,
                       probe_liveness: bool = False) -> ChainResult:
         target = normalize(target)
+        if target.is_root:  # no hint is ever probed for it, so no verdict holds
+            raise DnsNameError("the root is not a delegation to check")
         if len(target.labels) > DEPTH_LIMIT:
             raise DepthLimitExceeded(str(target))
         chain = _run(self._walk(target))
@@ -602,12 +601,11 @@ class Resolver:
         """The zone's status, memoised once its verdicts are final."""
         if info.zone == ROOT:
             v4, v6 = (self._resolves(ROOT, proto) for proto in (V4, V6))
-            return ResolutionStatus(state_of(v4, v6), v4, v6, intent_v6=True)
+            return ResolutionStatus(v4, v6, intent_v6=True)
         if info.status is None and info.silent:
             names = {str(ns) for ns, _addr in self._zones[info.parent_zone].servers}
             silent = FailureCause(CAUSE_NS_UNRESPONSIVE, tuple(sorted(names)))
-            info.status = ResolutionStatus(STATE_NONE, False, False, False,
-                                           frozenset({silent}))
+            info.status = ResolutionStatus(False, False, False, frozenset({silent}))
         elif info.status is None:
             info.status = classify(info.record_set(), info.ns_zones(), self._resolves,
                                    info.answers)

@@ -14,13 +14,12 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from v6ready import classify as model
-from v6ready.classify import (STATE_DUAL, Answers, FailureCause, ResolutionStatus,
-                              _failure_causes)
+from v6ready.classify import Answers, FailureCause, ResolutionStatus, _failure_causes
 from v6ready.names import DomainName
 from v6ready.records import V4, V6, ZoneRecordSet
 
 # The root's status on the passive path, where it is an axiom.
-ROOT_STATUS = ResolutionStatus(STATE_DUAL, True, True, True)
+ROOT_STATUS = ResolutionStatus(True, True, True)
 
 
 @dataclass(frozen=True)

@@ -318,8 +318,7 @@ def test_analytics_arithmetic():
                 cs = frozenset() if v6 else frozenset(
                     FailureCause(c, ())
                     for c in rng.sample(causes_pool, rng.randint(1, 2)))
-                statuses.append(ResolutionStatus(
-                    state_of(True, v6), True, v6, intent, cs))
+                statuses.append(ResolutionStatus(True, v6, intent, cs))
             b = failure_breakdown(statuses)
             pop = sum(1 for s in statuses if s.intent_v6 and not s.v6)
             assert b.population == pop

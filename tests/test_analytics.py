@@ -19,7 +19,7 @@ from v6ready.analytics import (
     rank_tier,
     state_share_rows,
 )
-from v6ready.classify import ResolutionStatus
+from v6ready.classify import ResolutionStatus, failure_breakdown
 from v6ready.names import DomainName
 from v6ready.psl import PublicSuffixList, registered
 
@@ -42,11 +42,10 @@ PSL = PublicSuffixList.parse(PSL_TEXT)
 TLDS = parse_tld_list("com\nnet\norg\nuk\nck\n")
 
 
-def hierarchy(name, toplist=None):
-    groups = group_domain(N(name), PSL, TLDS, toplist)
-    kinds = [g for g in groups if g.kind != "rank-tier"]
-    assert len(kinds) == 1
-    return kinds[0]
+def hierarchy(name):
+    groups = group_domain(N(name), PSL)
+    assert len(groups) == 1
+    return groups[0]
 
 
 def test_psl_exact_rule():
@@ -99,25 +98,33 @@ def test_psl_rules_as_long_give_one_suffix_in_either_order():
 
 
 def test_group_canonical_psl_second_level():
-    assert hierarchy("bbc.co.uk").kind == GROUP_SECOND_LEVEL
+    assert hierarchy("bbc.co.uk") == GROUP_SECOND_LEVEL
 
 
 def test_group_below_second_level():
-    assert hierarchy("a.b.example.com").kind == GROUP_BELOW_SECOND_LEVEL
+    assert hierarchy("a.b.example.com") == GROUP_BELOW_SECOND_LEVEL
 
 
 def test_group_tld_with_icann_list():
-    g = hierarchy("com")
-    assert g.kind == GROUP_TLD and not g.unknown_suffix
+    assert hierarchy("com") == GROUP_TLD
 
 
 def test_group_multi_label_public_suffix_counts_as_tld():
-    assert hierarchy("co.uk").kind == GROUP_TLD
+    assert hierarchy("co.uk") == GROUP_TLD
 
 
-def test_group_unknown_suffix_flagged():
-    g = hierarchy("foo.zz")
-    assert g.kind == GROUP_SECOND_LEVEL and g.unknown_suffix
+def test_group_unknown_suffix_by_its_label_count():
+    # no PSL rule: the rightmost label stands in for the suffix
+    assert hierarchy("zz") == GROUP_TLD
+    assert hierarchy("foo.zz") == GROUP_SECOND_LEVEL
+    assert hierarchy("a.foo.zz") == GROUP_BELOW_SECOND_LEVEL
+
+
+def test_group_single_label_under_a_root_exception_rule_is_a_tld():
+    psl = PublicSuffixList.parse("!zz\n")
+    assert psl.match(N("zz")) == N(".")
+    assert group_domain(N("zz"), psl) == (GROUP_TLD,)
+    assert group_domain(N("a.zz"), psl) == (GROUP_BELOW_SECOND_LEVEL,)
 
 
 def test_rank_tiers_follow_four_buckets():
@@ -132,16 +139,15 @@ def test_rank_tiers_follow_four_buckets():
 
 def test_toplist_rank_assignment():
     toplist = parse_toplist("1,bbc.co.uk\n5000,example.com\n")
-    groups = group_domain(N("news.bbc.co.uk"), PSL, TLDS, toplist)
-    tiers = {g.tier for g in groups if g.kind == "rank-tier"}
-    assert tiers == {"top1k"}
-    groups = group_domain(N("example.com"), PSL, TLDS, toplist)
-    assert {g.tier for g in groups if g.kind == "rank-tier"} == {"1k-10k"}
+    assert group_domain(N("news.bbc.co.uk"), PSL, toplist) == (GROUP_BELOW_SECOND_LEVEL,
+                                                                "top1k")
+    assert group_domain(N("example.com"), PSL, toplist) == (GROUP_SECOND_LEVEL, "1k-10k")
+    assert group_domain(N("other.com"), PSL, toplist) == (GROUP_SECOND_LEVEL,)
 
 
 def test_grouping_stable_under_renormalization():
-    a = group_domain(N("WWW.BBC.CO.UK"), PSL, TLDS)
-    b = group_domain(N(str(N("www.bbc.co.uk"))), PSL, TLDS)
+    a = group_domain(N("WWW.BBC.CO.UK"), PSL)
+    b = group_domain(N(str(N("www.bbc.co.uk"))), PSL)
     assert a == b
 
 
@@ -226,10 +232,10 @@ def test_ns_set_key_order_insensitive():
 
 def test_state_and_cause_share_rows():
     statuses = {
-        N("a.com"): ResolutionStatus("dual", True, True, True),
-        N("b.com"): ResolutionStatus("v4-only", True, False, True, frozenset()),
-        N("c.com"): ResolutionStatus("none", False, False, False),
-        N("d.com"): ResolutionStatus("dual", True, True, True),
+        N("a.com"): ResolutionStatus(True, True, True),
+        N("b.com"): ResolutionStatus(True, False, True, frozenset()),
+        N("c.com"): ResolutionStatus(False, False, False),
+        N("d.com"): ResolutionStatus(True, True, True),
     }
     rows = state_share_rows(statuses, PSL, TLDS)
     all_row = [r for r in rows if r["group"] == "all"][0]
@@ -237,5 +243,5 @@ def test_state_and_cause_share_rows():
     assert all_row["dual"] == 2 and all_row["dual_pct"] == 50.0
     second = [r for r in rows if r["group"] == GROUP_SECOND_LEVEL][0]
     assert second["total"] == 4
-    cause_rows = cause_share_rows(statuses)
+    cause_rows = cause_share_rows(failure_breakdown(statuses.values()))
     assert cause_rows == []  # b.com has intent but no recorded causes

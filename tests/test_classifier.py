@@ -11,7 +11,6 @@ from v6ready.classify import (
     FailureCause,
     ResolutionStatus,
     failure_breakdown,
-    state_of,
 )
 from v6ready.mocknet import fixture_tuples, random_universe
 from v6ready.records import V4, V6, AddrRecords, ZoneRecordSet
@@ -66,7 +65,7 @@ def test_in_bailiwick_child_aaaa_but_a_only_glue_is_missing_glue():
 
 
 def test_broken_parent_propagates_regardless_of_own_records():
-    parent_status = ResolutionStatus("v4-only", True, False, True)
+    parent_status = ResolutionStatus(True, False, True)
     evidence = rs(
         "good.bad.example", "bad.example",
         ["ns.good.bad.example"],
@@ -181,12 +180,10 @@ def test_failure_breakdown_percentages():
     statuses = []
     for _ in range(4):
         statuses.append(ResolutionStatus(
-            "v4-only", True, False, True,
-            frozenset({FailureCause(CAUSE_MISSING_GLUE, ())})))
+            True, False, True, frozenset({FailureCause(CAUSE_MISSING_GLUE, ())})))
     for _ in range(6):
         statuses.append(ResolutionStatus(
-            "v4-only", True, False, True,
-            frozenset({FailureCause(CAUSE_NO_AAAA_FOR_NS, ())})))
+            True, False, True, frozenset({FailureCause(CAUSE_NO_AAAA_FOR_NS, ())})))
     b = failure_breakdown(statuses)
     assert b.population == 10
     assert b.percentage(CAUSE_MISSING_GLUE) == 40.0
@@ -204,8 +201,7 @@ def test_failure_breakdown_matches_recount_oracle():
         cs = frozenset(
             FailureCause(c, ()) for c in rng.sample(causes_pool, rng.randint(1, 3))
         ) if not v6 else frozenset()
-        statuses.append(ResolutionStatus(
-            state_of(True, v6), True, v6, intent, cs))
+        statuses.append(ResolutionStatus(True, v6, intent, cs))
     b = failure_breakdown(statuses)
     # independent recount
     population = sum(1 for s in statuses if s.intent_v6 and not s.v6)

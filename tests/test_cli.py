@@ -10,7 +10,7 @@ import zlib
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from universes import (
     N,
@@ -358,6 +358,31 @@ def test_scan_writes_an_error_row_for_a_name_deeper_than_the_depth_limit(tmp_pat
     assert rows["v4zone.t"]["state"] == "v4-only"
 
 
+@pytest.mark.parametrize("target", [".", ""])
+def test_check_the_root_exits_two_before_any_query(tmp_path, capsys, target):
+    u, _truth = random_universe(3, 10)
+    rc = run_cli(["check", target, "--roots", write_hints(tmp_path, u), *FAST], u)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:")
+    assert "target:" not in captured.out
+    assert not u.log.entries
+
+
+def test_scan_writes_an_error_row_for_the_root_or_an_empty_domain(tmp_path, capsys):
+    u = four_state_universe()
+    domains = tmp_path / "domains.txt"
+    domains.write_text("z0,\n.\nv4zone.t\n")  # a trailing comma leaves the domain empty
+    out = tmp_path / "results.jsonl"
+    rc = run_cli(scan_args(tmp_path, u, domains, out), u)
+    assert rc == 0
+    assert "scanned 3 domains" in capsys.readouterr().out
+    rows = {r["domain"]: r for r in map(json.loads, out.read_text().splitlines())}
+    assert rows[""]["error"] and "state" not in rows[""]
+    assert rows["."]["error"] and "state" not in rows["."]
+    assert rows["v4zone.t"]["state"] == "v4-only"
+
+
 BAD_ROOT_HINTS = {
     "not-three-fields": b"a.root v4\n",
     "not-utf8": b"a.root v4 10.0.0.1 # \xff\n",
@@ -465,6 +490,22 @@ def test_simulate_all_inputs_unreadable_exits_two(tmp_path, capsys):
     rc = cli.main(["simulate", str(tmp_path / "missing.tsv"),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("unusable", ["a-file", "an-output-that-is-a-directory"])
+def test_simulate_out_it_cannot_write_exits_two(tmp_path, capsys, unusable):
+    tuples = tmp_path / "tuples.tsv"
+    write_tuples(tuples, fixture_tuples(healthy_depth3_universe()))
+    outdir = tmp_path / "out"
+    if unusable == "a-file":
+        outdir.write_text("")
+    else:
+        (outdir / "stats.json").mkdir(parents=True)
+    rc = cli.main(["simulate", str(tuples), "--out", str(outdir)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: --out {outdir}: ")
+    assert "zones:" not in captured.out
 
 
 def test_simulate_counts_a_line_that_is_not_utf8_as_malformed(tmp_path, capsys):
@@ -1013,6 +1054,28 @@ def test_a_domain_list_of_any_text_parses_with_ranks_of_ascii_digits(tmp_path_fa
         digits = field is not None and field.isascii() and field.isdigit()
         assert rank is None or (digits and rank == int(field)), line
         assert rank is not None or not digits, line
+
+
+def test_check_of_any_target_text_exits_zero_one_or_two(tmp_path):
+    u, truth = random_universe(3, 10)
+    flags = ["--roots", write_hints(tmp_path, u), "--retries", "1", *FAST]
+    zones = sorted(str(zone) for zone in truth)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.sampled_from(zones), st.text(max_size=20),
+                     st.builds("-{}".format, st.text(max_size=6))))
+    @example(".")
+    @example("")
+    @example("--roots")
+    def check(target):
+        # a target argparse would read as a flag goes after "--"
+        argv = ["check", *flags, *(["--"] if target.startswith("-") else []), target]
+        rc = cli.main(argv, transport_factory=lambda cfg: u)
+        assert rc in (0, 1, 2), target
+        if target in (".", ""):
+            assert rc == 2
+
+    check()
 
 
 # -- the collector pause -------------------------------------------------------

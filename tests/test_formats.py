@@ -8,7 +8,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
-from v6ready.classify import FailureBreakdown, ResolutionStatus
+from v6ready.classify import STATES, FailureBreakdown, ResolutionStatus
 from v6ready.mocknet import dump_fixtures
 from v6ready.names import normalize
 from v6ready.passive import VERDICT_FORMAT, SnapshotStats
@@ -21,8 +21,9 @@ DOCUMENTED = re.compile(r'format"?: "([a-z-]+)",\s*"?version"?: (\d+)')
 
 def written_versions() -> dict[str, int]:
     chain = ChainResult(normalize("example.com"), "both", [],
-                        ResolutionStatus("none", False, False, False)).to_json_dict()
-    stats = SnapshotStats(None, 0, 0, 0, 0, 0, 0, 0, FailureBreakdown(0, Counter())).to_json()
+                        ResolutionStatus(False, False, False)).to_json_dict()
+    stats = SnapshotStats(None, dict.fromkeys(STATES, 0), 0, 0,
+                          FailureBreakdown(0, Counter())).to_json()
     out = io.StringIO()
     dump_fixtures(out, [])
     fixtures = json.loads(out.getvalue())

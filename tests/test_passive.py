@@ -56,8 +56,7 @@ def test_orphan_address_retained():
         T("example.com", "NS", "com", ["ns1.example.com"]),
         T("stray.example.net", "A", "example.net", ["192.0.2.9"]),
     ])
-    assert N("stray.example.net") in result.orphan_addresses
-    assert "192.0.2.9" in result.orphan_addresses[N("stray.example.net")].v4
+    assert result.orphan_addresses == 1
 
 
 def test_cname_tuples_skipped_and_counted():
@@ -416,7 +415,7 @@ def _record_set_order(result):
     """Everything in a result, in its dicts' order."""
     return ([(zone, list(rs.ns_by_bailiwick.items()), list(rs.addr_by_bailiwick.items()))
              for zone, rs in result.record_sets.items()],
-            list(result.orphan_addresses.items()))
+            result.orphan_addresses)
 
 
 @settings(max_examples=300, deadline=None)
@@ -590,17 +589,18 @@ def test_snapshot_stats_arithmetic():
 
     statuses = {}
     for i in range(5):
-        statuses[N(f"d{i}.x")] = ResolutionStatus("dual", True, True, True)
+        statuses[N(f"d{i}.x")] = ResolutionStatus(True, True, True)
     for i in range(2):
-        statuses[N(f"v{i}.x")] = ResolutionStatus("v4-only", True, False, False)
-    statuses[N("n.x")] = ResolutionStatus("none", False, False, False)
+        statuses[N(f"v{i}.x")] = ResolutionStatus(True, False, False)
+    statuses[N("n.x")] = ResolutionStatus(False, False, False)
     table = ResolutionTable({}, frozenset(), {V4: 1, V6: 1}, {})
     stats = snapshot_stats(table, statuses)
     assert stats.total == 8
     assert stats.state_percentage("dual") == 62.5
     assert stats.state_percentage("v4-only") == 25.0
     assert stats.state_percentage("none") == 12.5
-    assert stats.dual + stats.v4_only + stats.v6_only + stats.none == stats.total
+    assert stats.states == {"dual": 5, "v4-only": 2, "v6-only": 0, "none": 1}
+    assert sum(stats.states.values()) == stats.total
 
 
 def test_snapshot_stats_empty_no_division_error():
@@ -617,16 +617,13 @@ def test_half_of_intent_zones_broken_in_two_scenario_derived_fixture():
     from v6ready.classify import FailureCause, ResolutionStatus
 
     statuses = {
-        N("a.x"): ResolutionStatus("dual", True, True, True),
+        N("a.x"): ResolutionStatus(True, True, True),
         N("b.x"): ResolutionStatus(
-            "v4-only", True, False, True,
-            frozenset({FailureCause("missing-glue", ("ns.b.x",))})),
+            True, False, True, frozenset({FailureCause("missing-glue", ("ns.b.x",))})),
         N("c.x"): ResolutionStatus(
-            "v4-only", True, False, False,
-            frozenset({FailureCause("no-aaaa-for-ns", ("ns.c.x",))})),
+            True, False, False, frozenset({FailureCause("no-aaaa-for-ns", ("ns.c.x",))})),
         N("d.x"): ResolutionStatus(
-            "v4-only", True, False, False,
-            frozenset({FailureCause("no-aaaa-for-ns", ("ns.d.x",))})),
+            True, False, False, frozenset({FailureCause("no-aaaa-for-ns", ("ns.d.x",))})),
     }
     table = ResolutionTable({}, frozenset(), {V4: 1, V6: 1}, {})
     stats = snapshot_stats(table, statuses)
