@@ -207,17 +207,17 @@ def group_domain(
     if name.is_root:
         raise ValueError("the root has no grouping")
     suffix = psl.match(name)
-    depth = len(name.labels)
+    depth = len(name)
     if depth == 1:
         hierarchy = GROUP_TLD
     elif suffix is None:
         # No PSL rule: group under the rightmost label.
         hierarchy = GROUP_SECOND_LEVEL if depth == 2 else GROUP_BELOW_SECOND_LEVEL
-    elif depth == len(suffix.labels):
+    elif depth == len(suffix):
         # A multi-label public suffix is registry infrastructure, grouped
         # with the TLDs.
         hierarchy = GROUP_TLD
-    elif depth == len(suffix.labels) + 1:
+    elif depth == len(suffix) + 1:
         hierarchy = GROUP_SECOND_LEVEL
     else:
         hierarchy = GROUP_BELOW_SECOND_LEVEL

@@ -85,12 +85,12 @@ def _own_addresses(rs: ZoneRecordSet) -> tuple[dict[DomainName, AddrRecords], di
     """(glue, apex): for the names inside the zone, the addresses served
     under a proper ancestor of the zone, and under the zone itself."""
     zone = rs.zone
-    depth = len(zone.labels)
+    depth = len(zone)
     glue: dict[DomainName, AddrRecords] = {}
     apex: dict[DomainName, AddrRecords] = {}
     for (name, bw), addrs in rs.addr_by_bailiwick.items():
         if name.is_within(zone) and zone.is_within(bw):
-            if len(bw.labels) < depth:
+            if len(bw) < depth:
                 glue[name] = glue[name].merged(addrs) if name in glue else addrs
             else:
                 apex[name] = addrs

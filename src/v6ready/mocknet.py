@@ -22,7 +22,7 @@ import json
 import random
 import socket
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
@@ -230,7 +230,7 @@ class Universe:
             fz = self.fixtures[zone]
             if WRONG_NS_SET_CHILD in fz.defects:
                 serial += 1
-                name = DomainName((_CHILD_ONLY_LABEL,) + zone.labels)
+                name = zone.child(_CHILD_ONLY_LABEL)
                 self.extra_child_ns[zone] = FixtureNs(
                     name,
                     (f"10.254.{serial // 256}.{serial % 256}",),
@@ -437,7 +437,7 @@ class Universe:
                 primary = self.apex_ns(zone)
                 soa = SoaData(
                     mname=primary[0] if primary else zone,
-                    rname=DomainName((b"hostmaster",) + zone.labels),
+                    rname=zone.child(b"hostmaster"),
                     serial=serial,
                 )
                 rr = ResourceRecord(zone, RRType.SOA, 3600, soa)
@@ -512,7 +512,7 @@ class Universe:
                     continue
                 rrsets.setdefault((rr.owner, rr.rrtype), []).append(value)
             for (owner, rrtype), values in rrsets.items():
-                key = (owner, rrtype.value, bailiwick, tuple(sorted(set(values))))
+                key = (owner, int(rrtype), bailiwick, tuple(sorted(set(values))))
                 slot = acc.setdefault(key, {
                     "count": 0, "first": entry.timestamp, "last": entry.timestamp})
                 slot["count"] += 1
@@ -929,8 +929,7 @@ def _rewrite_loopback(msg: DnsMessage) -> DnsMessage:
             out.append(rr)
         return tuple(out)
 
-    return replace(
-        msg,
+    return msg._replace(
         answer=rewrite(msg.answer),
         authority=rewrite(msg.authority),
         additional=rewrite(msg.additional),
@@ -961,7 +960,7 @@ def random_universe(
     zones: list[DomainName] = [ROOT]
     for i in range(size):
         parent = rng.choice(zones)
-        if len(parent.labels) >= 6:
+        if len(parent) >= 6:
             parent = ROOT
         zones.append(parent.child(f"z{i}".encode()))
 

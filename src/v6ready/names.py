@@ -1,13 +1,14 @@
 """Domain name normalization and bailiwick arithmetic.
 
-Names are sequences of lowercase ASCII label byte-strings, root = empty
-sequence. IDN labels are passed through as opaque punycode bytes; nothing
-here is Unicode-aware because wire fidelity is what matters.
+Names are tuples of lowercase ASCII label byte-strings, root side first;
+the root is the empty tuple. IDN labels are passed through as opaque
+punycode bytes; nothing here is Unicode-aware because wire fidelity is
+what matters.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Sequence
 
 MAX_LABEL = 63
 MAX_WIRE = 255
@@ -31,84 +32,81 @@ class NameTooLong(DnsNameError):
     pass
 
 
-class DomainName:
-    """An immutable, normalized DNS name.
+class DomainName(tuple):
+    """An immutable, normalized DNS name: a tuple of its labels, root side
+    first, so ``www.example.org`` is ``(b"org", b"example", b"www")`` and
+    the root is ``()``.
 
-    ``labels`` are ordered leftmost-first, so ``www.example.org`` is
-    ``(b"www", b"example", b"org")`` and the root is ``()``.
+    Tuple order is the hierarchical order (siblings group under their
+    parent), and an ancestor is a prefix. Hashing, equality and ordering
+    are the tuple's own, so a name equals a plain tuple with the same
+    items. ``DomainName(labels)`` and ``labels`` take and give the labels
+    leftmost first, as written; ``DomainName(name)`` is ``name``.
     """
 
-    __slots__ = ("labels", "_hash")
+    __slots__ = ()
 
-    labels: tuple[bytes, ...]
-
-    def __init__(self, labels: Iterable[bytes]):
+    def __new__(cls, labels: Iterable[bytes]):
+        if isinstance(labels, DomainName):  # its items run root side first
+            return labels
         lab = tuple(bytes(l).lower() for l in labels)
         if b"" in lab or (lab and max(map(len, lab)) > MAX_LABEL) \
                 or sum(map(len, lab)) + len(lab) + 1 > MAX_WIRE:
             _raise_label_error(lab)
-        object.__setattr__(self, "labels", lab)
-        object.__setattr__(self, "_hash", hash(lab))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DomainName is immutable")
+        return tuple.__new__(cls, lab[::-1])
 
     # -- identity ---------------------------------------------------------
 
-    def __hash__(self) -> int:
-        return self._hash
+    # named in the class so that wrapping them from outside finds them
+    __hash__ = tuple.__hash__
+    __eq__ = tuple.__eq__
+    __lt__ = tuple.__lt__
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, DomainName) and self.labels == other.labels
-
-    def __lt__(self, other: "DomainName") -> bool:
-        # Hierarchical order: compare from the root side so siblings group.
-        return self.labels[::-1] < other.labels[::-1]
+    def __getnewargs__(self) -> tuple[tuple[bytes, ...]]:
+        # copy and pickle call ``__new__``, which takes labels leftmost first
+        return (self.labels,)
 
     def __repr__(self) -> str:
         return f"DomainName({str(self)!r})"
 
     def __str__(self) -> str:
-        if not self.labels:
+        if not self:
             return "."
-        if not b"".join(self.labels).translate(None, _PLAIN):  # nothing to escape
-            return b".".join(self.labels).decode("ascii")
-        return ".".join(_present_label(l) for l in self.labels)
+        if not b"".join(self).translate(None, _PLAIN):  # nothing to escape
+            return b".".join(reversed(self)).decode("ascii")
+        return ".".join(_present_label(l) for l in reversed(self))
 
     # -- structure --------------------------------------------------------
 
     @property
-    def is_root(self) -> bool:
-        return not self.labels
+    def labels(self) -> tuple[bytes, ...]:
+        """The labels leftmost first, as written."""
+        return self[::-1]
 
-    def __len__(self) -> int:
-        return len(self.labels)
+    @property
+    def is_root(self) -> bool:
+        return not self
 
     def parent(self) -> "DomainName":
         """Drop the leftmost label. Undefined for the root."""
-        if not self.labels:
+        if not self:
             raise DnsNameError("the root has no parent")
-        return DomainName(self.labels[1:])
+        return tuple.__new__(DomainName, self[:-1])
 
     def child(self, label: bytes | str) -> "DomainName":
         if isinstance(label, str):
             label = label.encode("ascii")
-        return DomainName((label,) + self.labels)
+        return DomainName((label, *reversed(self)))
 
     def is_within(self, zone: "DomainName") -> bool:
         """True iff self equals ``zone`` or is a descendant of it."""
-        n = len(zone.labels)
-        if n == 0:
-            return True
-        return len(self.labels) >= n and self.labels[-n:] == zone.labels
+        return self[:len(zone)] == zone
 
     def ancestor_at_depth(self, depth: int) -> "DomainName":
         """The enclosing name with ``depth`` labels (0 = root)."""
-        if depth > len(self.labels):
+        if depth > len(self):
             raise DnsNameError("depth exceeds label count")
-        if depth == 0:
-            return ROOT
-        return DomainName(self.labels[-depth:])
+        return tuple.__new__(DomainName, self[:depth])
 
 
 def _raise_label_error(lab: tuple[bytes, ...]) -> None:
@@ -123,13 +121,10 @@ def _raise_label_error(lab: tuple[bytes, ...]) -> None:
     raise NameTooLong(f"name wire length {wire_len} exceeds {MAX_WIRE}")
 
 
-def _checked_name(lab: tuple[bytes, ...]) -> DomainName:
-    """The DomainName of ``lab``, trusted to be lowercase and within every
-    limit: the caller has checked what ``DomainName(labels)`` checks."""
-    out = object.__new__(DomainName)
-    object.__setattr__(out, "labels", lab)
-    object.__setattr__(out, "_hash", hash(lab))
-    return out
+def _checked_name(lab: Sequence[bytes]) -> DomainName:
+    """The DomainName of the labels ``lab``, leftmost first, trusted to be
+    lowercase and within every limit that ``DomainName(labels)`` checks."""
+    return tuple.__new__(DomainName, lab[::-1])
 
 
 ROOT = DomainName(())
@@ -163,7 +158,7 @@ def normalize(name: str | bytes | DomainName) -> DomainName:
         # no escapes: every dot ends a label, and the wire form is one
         # length byte per label plus the root's, two more than the text
         raw = (text[:-1] if text[-1] == "." else text).lower().encode("ascii")
-        lab = tuple(raw.split(b"."))
+        lab = raw.split(b".")
         if b"" in lab:
             raise EmptyLabel(f"empty label in {text!r}")
         if len(raw) + 2 > MAX_WIRE or max(map(len, lab)) > MAX_LABEL:
@@ -222,4 +217,4 @@ def _present_label(label: bytes) -> str:
 
 def enclosing_zones(name: DomainName) -> list[DomainName]:
     """All label-boundary names from the root down to ``name`` inclusive."""
-    return [name.ancestor_at_depth(d) for d in range(len(name.labels) + 1)]
+    return [tuple.__new__(DomainName, name[:d]) for d in range(len(name) + 1)]

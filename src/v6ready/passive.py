@@ -202,7 +202,7 @@ class IngestResult:
     orphan_addresses: int  # names with addresses that no zone lists as an NS
 
 
-_NS, _A, _AAAA, _CNAME = (t.value for t in (RRType.NS, RRType.A, RRType.AAAA, RRType.CNAME))
+_NS, _A, _AAAA, _CNAME = RRType.NS, RRType.A, RRType.AAAA, RRType.CNAME
 
 
 class _Evidence:
@@ -222,9 +222,9 @@ class _Evidence:
         self.ns_map: dict[DomainName, dict[DomainName, set[DomainName]]] = {}
         self.addr_map: dict[DomainName, dict[DomainName, tuple[set[str], set[str]]]] = {}
 
-    def file(self, rrname: DomainName, code: int, bailiwick: DomainName,
+    def file(self, rrname: DomainName, code: RRType, bailiwick: DomainName,
              rdata: Iterable[str]) -> None:
-        """File one tuple of rrtype value ``code``, and count it: as a tuple,
+        """File one tuple of rrtype ``code``, and count it: as a tuple,
         or as malformed if its NS targets are not all names or its
         addresses are not all of its type's family."""
         if code == _NS:
@@ -320,7 +320,7 @@ def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> 
     for lines in files:
         for _, _, _, rrname, rrtype, bailiwick, rdata in _read_fields(
                 lines, evidence.stats, evidence.names, rrtypes):
-            file(rrname, rrtype.value, bailiwick, rdata)
+            file(rrname, rrtype, bailiwick, rdata)
     return evidence.result()
 
 
@@ -329,7 +329,7 @@ def ingest_tuples(tuples: Iterable[PassiveTuple], stats: IngestStats | None = No
     evidence = _Evidence(stats if stats is not None else IngestStats())
     file = evidence.file
     for t in tuples:
-        file(t.rrname, t.rrtype.value, t.bailiwick, t.rdata)
+        file(t.rrname, t.rrtype, t.bailiwick, t.rdata)
     return evidence.result()
 
 
@@ -352,16 +352,15 @@ class ResolutionTable:
 def _ns_zone_index(record_sets: dict[DomainName, ZoneRecordSet]) -> dict[DomainName, DomainName]:
     """Each NS name of ``record_sets`` -> the deepest zone among them (or the
     root) that encloses it."""
-    known = {zone.labels: zone for zone in record_sets}
+    known = {zone: zone for zone in record_sets}
     index: dict[DomainName, DomainName] = {}
     for rs in record_sets.values():
         for targets in rs.ns_by_bailiwick.values():
             for ns in targets:
                 if ns in index:
                     continue
-                labels = ns.labels
-                for i in range(len(labels)):
-                    zone = known.get(labels[i:])
+                for depth in range(len(ns), 0, -1):
+                    zone = known.get(ns[:depth])
                     if zone is not None:
                         break
                 else:
@@ -377,7 +376,7 @@ def _unknown_parent_zones(parents: dict[DomainName, DomainName | None]) -> froze
     base: set[DomainName] = set()
     children: dict[DomainName, list[DomainName]] = {}
     for zone, parent in parents.items():
-        if parent is None or (parent.labels and parent not in parents):
+        if parent is None or (parent and parent not in parents):
             base.add(zone)
         else:
             children.setdefault(parent, []).append(zone)
@@ -399,7 +398,7 @@ def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable
     productive sweeps plus the confirming one. Every record set is read
     once, for both protocols.
     """
-    parents = {zone: rs.delegating_zone() for zone, rs in record_sets.items() if zone.labels}
+    parents = {zone: rs.delegating_zone() for zone, rs in record_sets.items() if zone}
     unknown = _unknown_parent_zones(parents)
     ns_zone = _ns_zone_index(record_sets)
     new: dict[str, list] = {V4: [], V6: []}
@@ -435,7 +434,7 @@ def classify_zones(
     """
     unknown = table.unknown_parent
     return {zone: classify(rs, table.ns_zone, table.resolvable)
-            for zone, rs in record_sets.items() if zone.labels and zone not in unknown}
+            for zone, rs in record_sets.items() if zone and zone not in unknown}
 
 
 # -- aggregate stats --------------------------------------------------------

@@ -93,9 +93,9 @@ def registered(name: DomainName, suffix: DomainName | None) -> DomainName | None
     """The registered domain of ``name`` under ``suffix``, its public suffix
     (``PublicSuffixList.match``): the suffix plus one label; None when the
     name is a suffix itself or matches no rule."""
-    if suffix is None or len(name.labels) <= len(suffix.labels):
+    if suffix is None or len(name) <= len(suffix):
         return None
-    return name.ancestor_at_depth(len(suffix.labels) + 1)
+    return name.ancestor_at_depth(len(suffix) + 1)
 
 
 def registered_or_self(name: DomainName, suffix: DomainName | None) -> DomainName:
@@ -104,6 +104,6 @@ def registered_or_self(name: DomainName, suffix: DomainName | None) -> DomainNam
     domain = registered(name, suffix)
     if domain is not None:
         return domain
-    if len(name.labels) >= 2:
+    if len(name) >= 2:
         return name.ancestor_at_depth(2)
     return name

@@ -24,7 +24,7 @@ import socket
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Protocol
+from typing import Callable, NamedTuple, Protocol
 
 from .names import DomainName
 from .records import CLASS_IN, RRType, V4, V6
@@ -97,8 +97,9 @@ UNREACHABLE = "unreachable"
 MALFORMED = "malformed"
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
+class QueryOutcome(NamedTuple):
+    """A named tuple, equal to a plain tuple with the same items."""
+
     kind: str
     message: DnsMessage | None = None
 
@@ -254,9 +255,7 @@ class QueryEngine:
             msg = decode(raw)
             self._last_reply = (body, msg)
             return msg
-        return DnsMessage(int.from_bytes(raw[:2], "big"), m.qr, m.opcode, m.aa, m.tc,
-                          m.rd, m.ra, m.rcode, m.question, m.answer, m.authority,
-                          m.additional, m.edns)
+        return DnsMessage._make((int.from_bytes(raw[:2], "big"), *m[1:]))
 
 
 def _answers(query: bytes, reply: bytes) -> bool:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import socket
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import ClassVar, Mapping
 
@@ -15,15 +16,15 @@ CLASS_IN = 1
 CLASS_CH = 3
 
 
-@dataclass(frozen=True)
-class RRType:
-    """A 16-bit RR type. Unknown types round-trip through their value.
+class RRType(int):
+    """A 16-bit RR type: an int, so it equals and hashes as its value
+    (``RRType.A == 1``). Unknown types round-trip through their value.
 
-    The value is the only field; the known types are shared class-level
-    constants, which ``from_text`` and ``wire.decode`` hand out.
+    The known types are shared class-level constants, which ``from_text``
+    and ``wire.decode`` hand out. ``str`` gives the type's name.
     """
 
-    value: int
+    __slots__ = ()
 
     NS: ClassVar[RRType]
     A: ClassVar[RRType]
@@ -34,12 +35,20 @@ class RRType:
     CNAME: ClassVar[RRType]
     OPT: ClassVar[RRType]
 
-    def __post_init__(self):
-        if not 0 <= self.value <= 0xFFFF:
-            raise ValueError(f"rrtype out of 16-bit range: {self.value}")
+    def __new__(cls, value: int):
+        if not 0 <= value <= 0xFFFF:
+            raise ValueError(f"rrtype out of 16-bit range: {value}")
+        return int.__new__(cls, value)
+
+    @property
+    def value(self) -> int:
+        return int(self)
+
+    def __repr__(self) -> str:
+        return f"RRType(value={int(self)})"
 
     def __str__(self) -> str:
-        return _TYPE_NAMES.get(self.value, f"TYPE{self.value}")
+        return _TYPE_NAMES.get(self) or f"TYPE{int(self)}"
 
     @classmethod
     def from_text(cls, text: str) -> "RRType":
@@ -68,7 +77,7 @@ RRType.MX = RRType(15)
 RRType.TXT = RRType(16)
 RRType.AAAA = RRType(28)
 RRType.OPT = RRType(41)
-_BY_VALUE = {t.value: t for t in (RRType.A, RRType.NS, RRType.CNAME, RRType.SOA,
+_BY_VALUE = {int(t): t for t in (RRType.A, RRType.NS, RRType.CNAME, RRType.SOA,
                                   RRType.MX, RRType.TXT, RRType.AAAA, RRType.OPT)}
 
 
@@ -126,22 +135,20 @@ def canonical_address(text: str) -> str:
     return unpack_address(pack_address(text))
 
 
-@dataclass(frozen=True)
-class ResourceRecord:
-    """One typed RR."""
+class ResourceRecord(namedtuple("ResourceRecord", "owner rrtype ttl data")):
+    """One typed RR: a tuple (owner, rrtype, ttl, data), equal to a plain
+    tuple with the same items."""
 
-    owner: DomainName
-    rrtype: RRType
-    ttl: int
-    data: object
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rrtype == RRType.A:
-            if not (isinstance(self.data, bytes) and len(self.data) == 4):
+    def __new__(cls, owner: DomainName, rrtype: RRType, ttl: int, data: object):
+        if rrtype == RRType.A:
+            if not (isinstance(data, bytes) and len(data) == 4):
                 raise ValueError("A payload must be exactly 4 bytes")
-        elif self.rrtype == RRType.AAAA:
-            if not (isinstance(self.data, bytes) and len(self.data) == 16):
+        elif rrtype == RRType.AAAA:
+            if not (isinstance(data, bytes) and len(data) == 16):
                 raise ValueError("AAAA payload must be exactly 16 bytes")
+        return tuple.__new__(cls, (owner, rrtype, ttl, data))
 
     @property
     def address(self) -> str:
@@ -193,14 +200,14 @@ class ZoneRecordSet:
     addr_by_bailiwick: Mapping[tuple[DomainName, DomainName], AddrRecords] = field(default_factory=dict)
 
     def _is_proper_ancestor(self, bw: DomainName) -> bool:
-        return len(bw.labels) < len(self.zone.labels) and self.zone.is_within(bw)
+        return len(bw) < len(self.zone) and self.zone.is_within(bw)
 
     def delegating_zone(self) -> DomainName | None:
         """Deepest proper-ancestor bailiwick that served NS for this zone."""
         parents = [b for b in self.ns_by_bailiwick if self._is_proper_ancestor(b)]
         if not parents:
             return None
-        return max(parents, key=lambda b: len(b.labels))
+        return max(parents, key=len)
 
     def ns_parent_view(self) -> frozenset[DomainName]:
         """Union of NS targets observed under proper-ancestor bailiwicks."""

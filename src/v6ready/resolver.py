@@ -303,7 +303,7 @@ class Resolver:
         target = normalize(target)
         if target.is_root:  # no hint is ever probed for it, so no verdict holds
             raise DnsNameError("the root is not a delegation to check")
-        if len(target.labels) > DEPTH_LIMIT:
+        if len(target) > DEPTH_LIMIT:
             raise DepthLimitExceeded(str(target))
         chain = _run(self._walk(target))
         while self._stale:

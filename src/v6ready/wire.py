@@ -10,12 +10,15 @@ and 255-octet wire length, so the ``DomainName`` is built without being
 checked again. A name inside rdata must end within that rdata, and A and
 AAAA rdata must be 4 and 16 bytes. Known record types decode to the
 shared ``RRType`` constants.
+
+``Edns``, ``Question`` and ``DnsMessage`` are named tuples, and equal plain
+tuples with the same items.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .names import MAX_LABEL, MAX_WIRE, DomainName, _checked_name
 from .records import (
@@ -47,20 +50,17 @@ class MessageTooLarge(ValueError):
     """Encoded message would exceed the 64 KiB TCP bound."""
 
 
-@dataclass(frozen=True)
-class Edns:
+class Edns(NamedTuple):
     udp_payload_size: int = 1232
 
 
-@dataclass(frozen=True)
-class Question:
+class Question(NamedTuple):
     qname: DomainName
     qtype: RRType
     qclass: int = CLASS_IN
 
 
-@dataclass(frozen=True)
-class DnsMessage:
+class DnsMessage(NamedTuple):
     id: int = 0
     qr: bool = False
     opcode: int = OPCODE_QUERY
@@ -83,13 +83,14 @@ class DnsMessage:
         })
 
 
+_LENGTH_BYTE = [bytes((n,)) for n in range(MAX_LABEL + 1)]
+
+
 def encode_name(name: DomainName) -> bytes:
-    out = bytearray()
-    for label in name.labels:
-        out.append(len(label))
-        out += label
-    out.append(0)
-    return bytes(out)
+    out = b"\x00"
+    for label in name:  # root side first, so each label goes in front
+        out = _LENGTH_BYTE[len(label)] + label + out
+    return out
 
 
 def _encode_rdata(rr: ResourceRecord) -> bytes:
@@ -128,7 +129,7 @@ def _encode_rr(rr: ResourceRecord, rrclass: int = CLASS_IN) -> bytes:
         raise MessageTooLarge(f"rdata of {rr.owner} is {len(rdata)} bytes")
     return (
         encode_name(rr.owner)
-        + struct.pack("!HHIH", rr.rrtype.value, rrclass, rr.ttl, len(rdata))
+        + struct.pack("!HHIH", rr.rrtype, rrclass, rr.ttl, len(rdata))
         + rdata
     )
 
@@ -158,7 +159,7 @@ def encode(msg: DnsMessage) -> bytes:
     )
     if msg.question:
         out += encode_name(msg.question.qname)
-        out += struct.pack("!HH", msg.question.qtype.value, msg.question.qclass)
+        out += struct.pack("!HH", msg.question.qtype, msg.question.qclass)
     for rr in msg.answer:
         out += _encode_rr(rr)
     for rr in msg.authority:
@@ -167,7 +168,7 @@ def encode(msg: DnsMessage) -> bytes:
         out += _encode_rr(rr)
     if msg.edns:
         out += b"\x00" + struct.pack(
-            "!HHIH", RRType.OPT.value, msg.edns.udp_payload_size, 0, 0
+            "!HHIH", RRType.OPT, msg.edns.udp_payload_size, 0, 0
         )
     if len(out) > MAX_MESSAGE:
         raise MessageTooLarge(f"{len(out)} bytes exceeds {MAX_MESSAGE}")
@@ -221,7 +222,7 @@ def _decode_name(data: bytes, offset: int) -> tuple[DomainName, int]:
         pos = target
     if wire_len > MAX_WIRE:
         raise WireFormatError(f"name wire length {wire_len} exceeds {MAX_WIRE}")
-    return _checked_name(tuple(labels)), end
+    return _checked_name(labels), end
 
 
 def _decode_rdata_name(data: bytes, offset: int, rdend: int) -> tuple[DomainName, int]:

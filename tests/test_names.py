@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -89,6 +92,66 @@ def test_normalize_idempotent_through_presentation(name):
 def test_parent_of_child_is_identity(zone, label):
     child = zone.child(label)
     assert child.parent() == zone
+
+
+# -- the tuple type against a leftmost-first reference -------------------------
+
+# labels as DomainName stores them: lowercase, leftmost first in the reference
+written = st.lists(st.binary(min_size=1, max_size=12).map(bytes.lower),
+                   max_size=5).map(tuple)
+
+
+def ref_within(name, zone):
+    return len(zone) <= len(name) and name[len(name) - len(zone):] == zone
+
+
+@given(st.lists(written, max_size=8))
+def test_sorted_names_follow_the_reversed_label_order(refs):
+    got = [name.labels for name in sorted(DomainName(r) for r in refs)]
+    assert got == sorted(refs, key=lambda r: r[::-1])
+
+
+@given(written, written)
+def test_equality_and_hash_follow_the_labels(a, b):
+    x, y = DomainName(a), DomainName(b)
+    assert (x == y) == (a == b) and (x != y) == (a != b)
+    assert (x < y) == (a[::-1] < b[::-1])
+    if a == b:
+        assert hash(x) == hash(y)
+    # a name is the tuple of its labels, root side first
+    assert x == a[::-1] and hash(x) == hash(a[::-1])
+
+
+@settings(max_examples=150)
+@given(written, written, st.integers(min_value=0, max_value=6), labels)
+def test_structure_matches_the_leftmost_first_reference(a, b, depth, label):
+    name, zone = DomainName(a), DomainName(b)
+    assert name.labels == a and DomainName(name) is name
+    assert name.is_within(zone) == ref_within(a, b)
+    if depth <= len(a):
+        ancestor = name.ancestor_at_depth(depth)
+        assert type(ancestor) is DomainName and ancestor.labels == a[len(a) - depth:]
+    else:
+        with pytest.raises(DnsNameError):
+            name.ancestor_at_depth(depth)
+    if a:
+        assert type(name.parent()) is DomainName and name.parent().labels == a[1:]
+    child = name.child(label)
+    assert type(child) is DomainName and child.labels == (label.lower(),) + a
+    assert [z.labels for z in enclosing_zones(name)] == [
+        a[len(a) - d:] for d in range(len(a) + 1)]
+    assert str(name) == reference_present(a)
+    assert name.is_root == (a == ())
+
+
+@given(written)
+def test_copy_and_pickle_keep_the_name(a):
+    name = DomainName(a)
+    copies = [copy.copy(name), copy.deepcopy(name)]
+    copies += [pickle.loads(pickle.dumps(name, protocol))
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for got in copies:
+        assert type(got) is DomainName and got == name and got.labels == a
 
 
 # -- the parser against the per-character reference ---------------------------

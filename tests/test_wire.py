@@ -1,10 +1,9 @@
-import dataclasses
 import socket
 import struct
 import threading
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from v6ready import wire
 from v6ready.names import DomainName, normalize
@@ -449,10 +448,65 @@ def test_decode_gives_the_shared_rrtype_constants():
 
 
 def test_rrtype_is_a_one_field_value():
-    assert [f.name for f in dataclasses.fields(RRType)] == ["value"]
+    assert RRType(2).value == int(RRType(2)) == 2
     assert RRType(2) == RRType.NS and hash(RRType(2)) == hash(RRType.NS)
     assert RRType(2) is not RRType.NS
     assert RRType(28) != RRType.NS
+
+
+known_types = {"A": 1, "NS": 2, "CNAME": 5, "SOA": 6, "MX": 15, "TXT": 16,
+               "AAAA": 28, "OPT": 41}
+
+
+@settings(max_examples=200)
+@given(st.integers(min_value=-3, max_value=0x10002))
+def test_rrtype_is_its_value_and_prints_its_name(value):
+    if not 0 <= value <= 0xFFFF:
+        with pytest.raises(ValueError, match="16-bit"):
+            RRType(value)
+        return
+    t = RRType(value)
+    name = {v: k for k, v in known_types.items()}.get(value, f"TYPE{value}")
+    assert t == value and hash(t) == hash(value) and t.value == value
+    assert str(t) == f"{t}" == name
+    assert repr(t) == f"RRType(value={value})"
+    assert RRType.from_text(f"TYPE{value}") == t
+    if value in known_types.values():
+        assert RRType.from_text(name) is RRType.from_text(f"type{value}") \
+            is getattr(RRType, name)
+
+
+@example((RRType.A, 4), b"\x01" * 3)
+@example((RRType.AAAA, 16), b"\x01" * 15)
+@given(st.sampled_from([(RRType.A, 4), (RRType.AAAA, 16)]), st.binary(max_size=20))
+def test_address_records_check_their_payload_length(kind, payload):
+    rrtype, size = kind
+    if len(payload) == size:
+        rr = ResourceRecord(normalize("ns.test"), rrtype, 60, payload)
+        assert rr == (normalize("ns.test"), rrtype, 60, payload)
+    else:
+        with pytest.raises(ValueError, match="payload must be exactly"):
+            ResourceRecord(normalize("ns.test"), rrtype, 60, payload)
+
+
+def test_messages_are_tuples_of_their_fields():
+    q = wire.Question(normalize("example.com"), RRType.NS)
+    assert q == (normalize("example.com"), 2, 1)
+    assert wire.Edns(1232) == (1232,) and wire.Edns() == wire.Edns(1232)
+    msg = wire.DnsMessage(id=9, rd=True, question=q, edns=wire.Edns())
+    assert msg[0] == 9 and msg.question is q and len(msg) == 13
+
+
+def test_reply_skeleton_takes_any_field_as_an_override():
+    q = wire.Question(normalize("example.com"), RRType.A)
+    msg = wire.DnsMessage(id=7, rd=True, opcode=2, question=q, edns=wire.Edns())
+    reply = msg.reply_skeleton(aa=True)
+    assert (reply.id, reply.qr, reply.opcode, reply.rd, reply.aa) == (7, True, 2, True, True)
+    assert reply.question is q and reply.edns is None and reply.answer == ()
+    other = wire.Question(normalize("example.net"), RRType.NS)
+    assert msg.reply_skeleton(question=other).question is other
+    assert msg.reply_skeleton(question=None, rd=False, rcode=wire.RCODE_FORMERR) \
+        == wire.DnsMessage(id=7, qr=True, opcode=2, rcode=wire.RCODE_FORMERR)
 
 
 def test_unknown_rrtype_round_trips():
