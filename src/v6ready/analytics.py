@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import itertools
 import re
+import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -244,7 +245,8 @@ def parse_operator_rules(text: str) -> tuple[OperatorRule, ...]:
     """Lines of ``REGEX<whitespace>LABEL``; '#' comments. Default is empty:
     operator knowledge is site-specific and ships as configuration. A line
     without a label, or a pattern that does not compile (a repeat count
-    past the engine's limit and groups nested too deep included), raises a
+    past the engine's limit and groups nested too deep included) or that
+    ``re`` warns about (such as the possible nested set ``[[a]``), raises a
     ValueError."""
     rules = []
     for raw in text.splitlines():
@@ -255,8 +257,10 @@ def parse_operator_rules(text: str) -> tuple[OperatorRule, ...]:
         if len(parts) != 2:
             raise ValueError(f"bad operator rule line: {raw!r}")
         try:
-            pattern = re.compile(parts[0])
-        except (re.error, OverflowError, RecursionError) as exc:
+            with warnings.catch_warnings():  # process-wide: around the compile only
+                warnings.simplefilter("error")
+                pattern = re.compile(parts[0])
+        except (re.error, OverflowError, RecursionError, Warning) as exc:
             raise ValueError(f"bad operator rule pattern {parts[0]!r}: {exc}") from exc
         rules.append(OperatorRule(pattern, parts[1].strip()))
     return tuple(rules)
@@ -270,18 +274,23 @@ def ns_set_key(
     ns_names: Iterable[DomainName],
     psl: PublicSuffixList,
     rules: tuple[OperatorRule, ...] = (),
+    labels: dict[DomainName, str] | None = None,
 ) -> frozenset[str]:
-    """Order-insensitive operator identifier for one zone's NS set."""
+    """Order-insensitive operator identifier for one zone's NS set.
+    ``labels`` keeps each name's operator label from one call to the next."""
+    labels = {} if labels is None else labels
     out = set()
     for ns in ns_names:
-        text = str(ns)
-        label = None
-        for rule in rules:
-            if rule.pattern.search(text):
-                label = rule.label
-                break
+        label = labels.get(ns)
         if label is None:
-            label = str(registered_or_self(ns, psl.match(ns)))
+            text = str(ns)
+            for rule in rules:
+                if rule.pattern.search(text):
+                    label = rule.label
+                    break
+            else:
+                label = str(registered_or_self(ns, psl.match(ns)))
+            labels[ns] = label
         out.add(label)
     return frozenset(out)
 
@@ -310,10 +319,11 @@ def nsset_cdf(
     of zones).
     """
     counts: dict[frozenset[str], int] = {}
+    labels: dict[DomainName, str] = {}  # each NS labelled once
     for ns_names, v6_ok in entries:
         if v6_ok:
             continue
-        key = ns_set_key(ns_names, psl, rules)
+        key = ns_set_key(ns_names, psl, rules, labels)
         counts[key] = counts.get(key, 0) + 1
     result = CdfResult()
     if not counts:

@@ -5,7 +5,8 @@ depends on, and ``_Propagation`` computes their least model: the passive
 path over every record set, the active path over the zones it crawled.
 ``classify`` turns a zone's verdicts and evidence into its status: IPv6
 intent and, unless it resolves over IPv6, the failure causes, which are
-not mutually exclusive.
+not mutually exclusive. Each reader looks up the zone's own NS names in the
+address table that its record set shares with the rest of its aggregate.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .names import DomainName
-from .records import V4, V6, AddrRecords, ZoneRecordSet
+from .records import NO_ADDRS, V4, V6, AddrRecords, ZoneRecordSet
 
 STATE_DUAL = "dual"
 STATE_V4_ONLY = "v4-only"
@@ -75,25 +76,26 @@ def state_of(v4: bool, v6: bool) -> str:
 
 Resolves = Callable[[DomainName, str], bool]  # (zone, protocol) -> resolves
 
-_NO_ADDRS = AddrRecords()
-
 
 # -- verdicts ------------------------------------------------------------------
 
 
-def _own_addresses(rs: ZoneRecordSet) -> tuple[dict[DomainName, AddrRecords], dict[DomainName, AddrRecords]]:
-    """(glue, apex): for the names inside the zone, the addresses served
-    under a proper ancestor of the zone, and under the zone itself."""
-    zone = rs.zone
-    depth = len(zone)
+def _own_addresses(rs: ZoneRecordSet) -> tuple[dict[DomainName, AddrRecords],
+                                                dict[DomainName, AddrRecords]]:
+    """(glue, apex): for the zone's NS names inside the zone, the addresses
+    served under a proper ancestor of the zone, and under the zone itself."""
+    zone, addrs = rs.zone, rs.addrs
     glue: dict[DomainName, AddrRecords] = {}
     apex: dict[DomainName, AddrRecords] = {}
-    for (name, bw), addrs in rs.addr_by_bailiwick.items():
-        if name.is_within(zone) and zone.is_within(bw):
-            if len(bw) < depth:
-                glue[name] = glue[name].merged(addrs) if name in glue else addrs
-            else:
-                apex[name] = addrs
+    for ns in rs.all_ns:
+        if ns.is_within(zone):
+            for depth in range(len(zone)):  # each proper ancestor
+                found = addrs.get((ns, zone[:depth]))
+                if found is not None:
+                    glue[ns] = glue[ns].merged(found) if ns in glue else found
+            found = addrs.get((ns, zone))
+            if found is not None:
+                apex[ns] = found
     return glue, apex
 
 
@@ -114,7 +116,7 @@ def _view_deps(rs: ZoneRecordSet, view: Iterable[DomainName], own: dict[DomainNa
     for ns in view:
         mine = own.get(ns)
         z = ns_zone[ns]
-        served = rs.addr_by_bailiwick.get((ns, z))
+        served = rs.addrs.get((ns, z))
         for proto in (V4, V6):
             zones = deps[proto]
             if zones is None:
@@ -144,10 +146,9 @@ def zone_clauses(
     observed liveness of the zone's NS (None: all assumed live).
     """
     glue, apex = _own_addresses(rs)
-    parent_deps = _view_deps(rs, rs.ns_parent_view(), glue, ns_zone, answers)
-    child_view = rs.ns_child_view()
-    zone_deps = ({V4: None, V6: None} if child_view is None
-                 else _view_deps(rs, child_view, apex, ns_zone, answers))
+    parent_deps = _view_deps(rs, rs.parent_ns, glue, ns_zone, answers)
+    zone_deps = ({V4: None, V6: None} if rs.child_ns is None
+                 else _view_deps(rs, rs.child_ns, apex, ns_zone, answers))
     out: dict[str, list[set[DomainName]] | None] = {}
     for proto in (V4, V6):
         clauses = [deps for deps in ({parent}, parent_deps[proto], zone_deps[proto])
@@ -223,7 +224,7 @@ def _via_own_zone(rs: ZoneRecordSet, ns: DomainName, proto: str,
 
 
 def _intent(rs: ZoneRecordSet, proto: str) -> bool:
-    return any(rs.any_addrs(ns, proto) for ns in rs.all_ns())
+    return not rs.ns_with_addrs[proto].isdisjoint(rs.all_ns)
 
 
 def _failure_causes(
@@ -235,51 +236,50 @@ def _failure_causes(
     answers: Answers | None = None,
 ) -> frozenset[FailureCause]:
     """Causes for a zone that does not resolve over ``proto``."""
-    parent_view = rs.ns_parent_view()
+    parent_view, all_ns = rs.parent_ns, rs.all_ns
     if not _intent(rs, proto):
         # No deeper diagnosis without evidence of intent.
         return frozenset({FailureCause(CAUSE_NO_AAAA_FOR_NS,
-                                       _witnesses(parent_view or rs.all_ns()))})
+                                       _witnesses(parent_view or all_ns))})
+    addressed = rs.ns_with_addrs[proto]
+    inside = {ns for ns in all_ns if ns.is_within(rs.zone)}
     causes: set[FailureCause] = set()
     glue, apex = _own_addresses(rs)
     if not parent_resolvable:
-        parent = rs.delegating_zone()
+        parent = rs.delegating_zone
         causes.add(FailureCause(CAUSE_PARENT_UNRESOLVABLE,
                                 (str(parent),) if parent is not None else ()))
-    if parent_view and not any(rs.any_addrs(ns, proto) for ns in parent_view):
+    if parent_view and addressed.isdisjoint(parent_view):
         causes.add(FailureCause(CAUSE_NO_AAAA_FOR_NS, _witnesses(parent_view)))
     gluless = [
         ns for ns in parent_view
-        if ns.is_within(rs.zone)
-        and not glue.get(ns, _NO_ADDRS).for_protocol(proto)
-        and rs.any_addrs(ns, proto)
+        if ns in inside
+        and not glue.get(ns, NO_ADDRS).for_protocol(proto)
+        and ns in addressed
     ]
     if gluless:
         causes.add(FailureCause(CAUSE_MISSING_GLUE, _witnesses(gluless)))
-    apexless = [
-        ns for ns in rs.all_ns()
-        if ns.is_within(rs.zone) and not apex.get(ns, _NO_ADDRS).for_protocol(proto)
-    ]
+    apexless = [ns for ns in inside if not apex.get(ns, NO_ADDRS).for_protocol(proto)]
     if apexless:
         causes.add(FailureCause(CAUSE_IN_BAILIWICK_NS_WITHOUT_AAAA,
                                 _witnesses(apexless)))
     broken_refs = [
-        ns for ns in rs.all_ns()
-        if not ns.is_within(rs.zone)
+        ns for ns in all_ns
+        if ns not in inside
         and not _via_own_zone(rs, ns, proto, ns_zone, resolves)
-        and rs.any_addrs(ns, proto)
+        and ns in addressed
     ]
     if broken_refs:
         causes.add(FailureCause(CAUSE_OOB_NS_ZONE_UNRESOLVABLE,
                                 _witnesses(broken_refs)))
-    silent = [ns for ns in rs.all_ns() if (answers or {}).get((ns, proto)) is False]
+    silent = [ns for ns in all_ns if (answers or {}).get((ns, proto)) is False]
     if silent:
         causes.add(FailureCause(CAUSE_NS_UNRESPONSIVE, _witnesses(silent)))
     if not causes:
         # Every remaining failure mode is an NS name with no usable
         # address evidence at all; report it as the missing-record case.
-        bare = [ns for ns in rs.all_ns() if not rs.any_addrs(ns, proto)]
-        causes.add(FailureCause(CAUSE_NO_AAAA_FOR_NS, _witnesses(bare or rs.all_ns())))
+        bare = [ns for ns in all_ns if ns not in addressed]
+        causes.add(FailureCause(CAUSE_NO_AAAA_FOR_NS, _witnesses(bare or all_ns)))
     return frozenset(causes)
 
 
@@ -301,7 +301,7 @@ def classify(
     v4, v6 = resolves(rs.zone, V4), resolves(rs.zone, V6)
     failures: frozenset[FailureCause] = frozenset()
     if not v6:
-        failures = _failure_causes(rs, resolves(rs.delegating_zone(), V6), ns_zone, resolves,
+        failures = _failure_causes(rs, resolves(rs.delegating_zone, V6), ns_zone, resolves,
                                    V6, answers)
     return ResolutionStatus(v4, v6, _intent(rs, V6), failures)
 

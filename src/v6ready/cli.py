@@ -452,7 +452,7 @@ def cmd_simulate(args) -> int:
             write_csv(fh, cause_share_rows(snapshot.breakdown))
         if psl is not None:
             entries = [
-                (result.record_sets[zone].all_ns(), statuses[zone].v6)
+                (result.record_sets[zone].all_ns, statuses[zone].v6)
                 for zone in statuses
             ]
             cdf = nsset_cdf(entries, psl, rules)

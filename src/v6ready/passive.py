@@ -10,8 +10,9 @@ computation an iterative fixed point.
 ``_read_fields`` is the one reader of tuple lines: ``_tsv_fields`` and
 ``_json_fields`` state what each form requires of its fields, and
 ``_checked_fields`` the rules every tuple keeps, whatever its form.
-``ingest`` files the fields it reads straight into per-zone maps, without
-building a ``PassiveTuple``; ``iter_tuples`` wraps them in one.
+``ingest`` files the fields it reads straight into maps of NS targets per
+zone and of addresses per name, without building a ``PassiveTuple``;
+``iter_tuples`` wraps them in one.
 ``_Evidence.file`` states what a tuple contributes, for lines and
 ``PassiveTuple``s alike.
 """
@@ -39,6 +40,8 @@ from .records import (
     V6,
     ZoneRecordSet,
     address_protocol,
+    addressed_names,
+    build_record_set,
     canonical_address,
 )
 
@@ -277,32 +280,23 @@ class _Evidence:
         self.stats.tuples += 1
 
     def result(self) -> IngestResult:
-        """The record sets, with the addresses of each (NS, bailiwick) pair
-        built once and shared by every zone that lists the NS, and the
-        count of names with addresses that no zone lists as an NS."""
-        addr_map = self.addr_map
-        shared: dict[DomainName, list[tuple[tuple[DomainName, DomainName], AddrRecords]]] = {}
+        """The record sets, in the order their zones were filed, sharing
+        one address table with an entry per (NS, bailiwick) pair of the
+        zones' NS names, and the count of names with addresses that no zone
+        lists as an NS. Each filed entry is dropped once its frozen form
+        exists."""
+        ns_map, addr_map = self.ns_map, self.addr_map
+        addrs: dict[tuple[DomainName, DomainName], AddrRecords] = {}
+        ns_with_addrs: dict[str, set[DomainName]] = {}
         record_sets: dict[DomainName, ZoneRecordSet] = {}
-        referenced: set[DomainName] = set()
-        for zone, by_bw in self.ns_map.items():
-            all_targets: set[DomainName] = set()
-            for targets in by_bw.values():
-                all_targets |= targets
-            referenced |= all_targets
-            addrs: dict[tuple[DomainName, DomainName], AddrRecords] = {}
-            for ns in all_targets:
-                entries = shared.get(ns)
-                if entries is None:
-                    entries = shared[ns] = [
-                        ((ns, bw), AddrRecords(frozenset(v4s), frozenset(v6s)))
-                        for bw, (v4s, v6s) in addr_map.get(ns, {}).items()]
-                addrs.update(entries)
-            record_sets[zone] = ZoneRecordSet(
-                zone=zone,
-                ns_by_bailiwick={bw: frozenset(ts) for bw, ts in by_bw.items()},
-                addr_by_bailiwick=addrs,
-            )
-        return IngestResult(record_sets, len(addr_map.keys() - referenced))
+        for zone in list(ns_map):
+            by_bw = {bw: frozenset(ts) for bw, ts in ns_map.pop(zone).items()}
+            rs = record_sets[zone] = build_record_set(zone, by_bw, addrs, ns_with_addrs)
+            for ns in rs.all_ns:
+                for bw, (v4s, v6s) in addr_map.pop(ns, {}).items():
+                    addrs[ns, bw] = AddrRecords(frozenset(v4s), frozenset(v6s))
+        ns_with_addrs.update(addressed_names(addrs))
+        return IngestResult(record_sets, len(addr_map))
 
 
 def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> IngestResult:
@@ -310,9 +304,9 @@ def ingest(files: Iterable[Iterable[str]], stats: IngestStats | None = None) -> 
     lines of each of its tuple files in turn.
 
     NS targets are grouped by the responding bailiwick; A/AAAA records are
-    grouped per (name, bailiwick) and attached to every zone that lists the
-    name as an NS. CNAME tuples are skipped; names with addresses but no NS
-    role are retained as orphans. Each non-blank line counts once in
+    grouped per (name, bailiwick) into one table, which every zone that
+    lists the name as an NS reads. CNAME tuples are skipped; names with
+    addresses but no NS role are counted as orphans. Each non-blank line counts once in
     ``stats``, as a tuple or as malformed; a malformed line is skipped.
     """
     evidence = _Evidence(stats if stats is not None else IngestStats())
@@ -355,17 +349,16 @@ def _ns_zone_index(record_sets: dict[DomainName, ZoneRecordSet]) -> dict[DomainN
     known = {zone: zone for zone in record_sets}
     index: dict[DomainName, DomainName] = {}
     for rs in record_sets.values():
-        for targets in rs.ns_by_bailiwick.values():
-            for ns in targets:
-                if ns in index:
-                    continue
-                for depth in range(len(ns), 0, -1):
-                    zone = known.get(ns[:depth])
-                    if zone is not None:
-                        break
-                else:
-                    zone = ROOT
-                index[ns] = zone
+        for ns in rs.all_ns:
+            if ns in index:
+                continue
+            for depth in range(len(ns), 0, -1):
+                zone = known.get(ns[:depth])
+                if zone is not None:
+                    break
+            else:
+                zone = ROOT
+            index[ns] = zone
     return index
 
 
@@ -398,7 +391,7 @@ def fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> ResolutionTable
     productive sweeps plus the confirming one. Every record set is read
     once, for both protocols.
     """
-    parents = {zone: rs.delegating_zone() for zone, rs in record_sets.items() if zone}
+    parents = {zone: rs.delegating_zone for zone, rs in record_sets.items() if zone}
     unknown = _unknown_parent_zones(parents)
     ns_zone = _ns_zone_index(record_sets)
     new: dict[str, list] = {V4: [], V6: []}
@@ -492,6 +485,7 @@ def snapshot_stats(
 
 
 VERDICT_FORMAT = {"format": "zone-verdicts", "version": 1}
+_JSON = json.JSONEncoder(sort_keys=True)  # json.dumps would build one per call
 
 
 def write_verdicts(
@@ -500,7 +494,13 @@ def write_verdicts(
     statuses: dict[DomainName, ResolutionStatus],
 ) -> None:
     """One JSON document per zone, preceded by a format header line."""
-    out.write(json.dumps(VERDICT_FORMAT, sort_keys=True) + "\n")
+    texts: dict[DomainName, str] = {}  # each NS name rendered once
+
+    def sorted_texts(view: frozenset[DomainName]) -> list[str]:
+        return sorted([texts[ns] if ns in texts else texts.setdefault(ns, str(ns))
+                       for ns in view])
+
+    out.write(_JSON.encode(VERDICT_FORMAT) + "\n")
     for zone in sorted(statuses):
         status = statuses[zone]
         rs = record_sets[zone]
@@ -513,9 +513,8 @@ def write_verdicts(
             "causes": sorted(status.causes),
             "cause_witnesses": status.cause_witnesses,
             "views": {
-                "parent_ns": sorted(str(n) for n in rs.ns_parent_view()),
-                "child_ns": (sorted(str(n) for n in rs.ns_child_view())
-                             if rs.ns_child_view() is not None else None),
+                "parent_ns": sorted_texts(rs.parent_ns),
+                "child_ns": sorted_texts(rs.child_ns) if rs.child_ns is not None else None,
             },
         }
-        out.write(json.dumps(doc, sort_keys=True) + "\n")
+        out.write(_JSON.encode(doc) + "\n")

@@ -1,11 +1,12 @@
-"""Typed resource records and per-zone record sets."""
+"""Typed resource records, and the record sets of zones with the address
+table they share."""
 
 from __future__ import annotations
 
 import socket
 from collections import namedtuple
-from dataclasses import dataclass, field
-from typing import ClassVar, Mapping
+from dataclasses import dataclass
+from typing import AbstractSet, ClassVar, Iterable, Mapping
 
 from .names import DomainName
 
@@ -163,12 +164,20 @@ class ResourceRecord(namedtuple("ResourceRecord", "owner rrtype ttl data")):
         return self.data  # type: ignore[return-value]
 
 
-@dataclass(frozen=True)
-class AddrRecords:
-    """Addresses seen for one (ns name, bailiwick) pair, split by protocol."""
+# The one empty address family and NS view: ``frozenset()`` of an empty
+# set is a new set each time in CPython.
+EMPTY: frozenset = frozenset()
 
-    v4: frozenset[str] = frozenset()
-    v6: frozenset[str] = frozenset()
+
+class AddrRecords(namedtuple("AddrRecords", "v4 v6")):
+    """Addresses seen for one (ns name, bailiwick) pair, split by protocol:
+    a tuple (v4, v6) of frozensets, equal to a plain tuple with the same
+    items. A family with no address is the shared ``EMPTY``."""
+
+    __slots__ = ()
+
+    def __new__(cls, v4: frozenset[str] = EMPTY, v6: frozenset[str] = EMPTY):
+        return tuple.__new__(cls, (v4 or EMPTY, v6 or EMPTY))
 
     def for_protocol(self, proto: str) -> frozenset[str]:
         return self.v4 if proto == V4 else self.v6
@@ -183,57 +192,67 @@ class AddrRecords:
         return AddrRecords(self.v4, self.v6 | {rr.address})
 
 
-_NO_ADDRS = AddrRecords()
+NO_ADDRS = AddrRecords()
+
+AddrTable = Mapping[tuple[DomainName, DomainName], AddrRecords]
 
 
-@dataclass(frozen=True)
-class ZoneRecordSet:
-    """Everything observed about one zone's delegation.
+class ZoneRecordSet(namedtuple("ZoneRecordSet", "zone delegating_zone parent_ns child_ns "
+                                                "all_ns addrs ns_with_addrs")):
+    """Everything observed about one zone's delegation, built once by
+    ``build_record_set``: a tuple, equal to a plain tuple with the same
+    items.
 
-    NS sets are keyed by the bailiwick of the response that carried them,
-    so a parent/child disagreement survives as two distinct entries.
-    Address records are keyed by (ns name, bailiwick) the same way.
+    NS sets are observed per bailiwick, so a parent/child disagreement
+    survives as two views: ``parent_ns``, the targets served under proper
+    ancestors of the zone, the deepest of which is ``delegating_zone``
+    (None if none served any), and ``child_ns``, those the zone claims for
+    itself (None if never seen). ``all_ns`` holds every target. ``addrs``
+    maps (ns name, bailiwick) to the addresses served for the name there,
+    and ``ns_with_addrs`` each protocol to the names with any address over
+    it; every record set of an aggregate shares both.
     """
 
-    zone: DomainName
-    ns_by_bailiwick: Mapping[DomainName, frozenset[DomainName]] = field(default_factory=dict)
-    addr_by_bailiwick: Mapping[tuple[DomainName, DomainName], AddrRecords] = field(default_factory=dict)
-
-    def _is_proper_ancestor(self, bw: DomainName) -> bool:
-        return len(bw) < len(self.zone) and self.zone.is_within(bw)
-
-    def delegating_zone(self) -> DomainName | None:
-        """Deepest proper-ancestor bailiwick that served NS for this zone."""
-        parents = [b for b in self.ns_by_bailiwick if self._is_proper_ancestor(b)]
-        if not parents:
-            return None
-        return max(parents, key=len)
-
-    def ns_parent_view(self) -> frozenset[DomainName]:
-        """Union of NS targets observed under proper-ancestor bailiwicks."""
-        out: set[DomainName] = set()
-        for bw, targets in self.ns_by_bailiwick.items():
-            if self._is_proper_ancestor(bw):
-                out |= targets
-        return frozenset(out)
-
-    def ns_child_view(self) -> frozenset[DomainName] | None:
-        """NS targets the zone claims for itself, or None if never seen."""
-        return self.ns_by_bailiwick.get(self.zone)
-
-    def all_ns(self) -> frozenset[DomainName]:
-        out: set[DomainName] = set()
-        for targets in self.ns_by_bailiwick.values():
-            out |= targets
-        return frozenset(out)
+    __slots__ = ()
 
     def addrs_with_bailiwick(self, ns: DomainName, bw: DomainName, proto: str) -> frozenset[str]:
-        return self.addr_by_bailiwick.get((ns, bw), _NO_ADDRS).for_protocol(proto)
+        return self.addrs.get((ns, bw), NO_ADDRS).for_protocol(proto)
 
-    def any_addrs(self, ns: DomainName, proto: str) -> frozenset[str]:
-        out: set[str] = set()
-        for (name, _bw), addrs in self.addr_by_bailiwick.items():
-            if name == ns:
-                out |= addrs.for_protocol(proto)
-        return frozenset(out)
 
+def _union(views: Iterable[frozenset]) -> frozenset:
+    """The union of ``views``: one of them where it holds all the others."""
+    out = EMPTY
+    for view in views:
+        if out <= view:
+            out = view
+        elif not view <= out:
+            out = out | view
+    return out
+
+
+def build_record_set(zone: DomainName,
+                     ns_by_bailiwick: Mapping[DomainName, frozenset[DomainName]],
+                     addrs: AddrTable,
+                     ns_with_addrs: Mapping[str, AbstractSet[DomainName]]) -> ZoneRecordSet:
+    """The record set of ``zone``, given the NS targets each bailiwick
+    served for it and its aggregate's shared ``addrs`` and
+    ``ns_with_addrs`` (see ``addressed_names``)."""
+    parent, parent_views = None, []
+    for bw, targets in ns_by_bailiwick.items():
+        if len(bw) < len(zone) and zone.is_within(bw):
+            parent_views.append(targets)
+            if parent is None or len(bw) > len(parent):
+                parent = bw
+    return ZoneRecordSet(zone, parent, _union(parent_views), ns_by_bailiwick.get(zone),
+                         _union(ns_by_bailiwick.values()), addrs, ns_with_addrs)
+
+
+def addressed_names(addrs: AddrTable) -> dict[str, set[DomainName]]:
+    """Per protocol, the names with any address over it in ``addrs``."""
+    v4_names, v6_names = set(), set()
+    for (ns, _bw), (v4, v6) in addrs.items():
+        if v4:
+            v4_names.add(ns)
+        if v6:
+            v6_names.add(ns)
+    return {V4: v4_names, V6: v6_names}

@@ -31,11 +31,14 @@ from .query import QueryEngine, ServerAddress, RESPONSE
 from .records import (
     AddrRecords,
     CLASS_CH,
+    NO_ADDRS,
     ResourceRecord,
     RRType,
     V4,
     V6,
     ZoneRecordSet,
+    addressed_names,
+    build_record_set,
 )
 from .wire import DnsMessage, RCODE_NOERROR
 
@@ -222,15 +225,12 @@ class _ZoneInfo:
         ns_by_bw = {self.parent_zone: self.parent_ns}
         if self.child_ns is not None:
             ns_by_bw[self.zone] = self.child_ns
-        return ZoneRecordSet(self.zone, ns_by_bw, dict(self.addrs))
+        return build_record_set(self.zone, ns_by_bw, self.addrs, addressed_names(self.addrs))
 
     def ns_zones(self) -> dict[DomainName, DomainName]:
         """Each NS -> its host zone, or else the zone itself (adds nothing)."""
         return {ns: self.hosts.get(ns, self.zone)
                 for ns in self.parent_ns | (self.child_ns or frozenset())}
-
-
-_NO_ADDRS = AddrRecords()
 
 
 def _run(task):
@@ -453,7 +453,7 @@ class Resolver:
     def _note_addr(self, info: _ZoneInfo, bailiwick: DomainName, rr: ResourceRecord) -> None:
         """File the address ``rr`` carries for ``info``."""
         key = (rr.owner, bailiwick)
-        info.addrs[key] = info.addrs.get(key, _NO_ADDRS).with_record(rr)
+        info.addrs[key] = info.addrs.get(key, NO_ADDRS).with_record(rr)
         self._filed.add((info.zone, key, rr.data))
 
     @staticmethod

@@ -34,7 +34,7 @@ def unknown_parent_zones(record_sets: dict[DomainName, ZoneRecordSet]) -> frozen
     for zone, rs in record_sets.items():
         if zone == ROOT:
             continue
-        parent = rs.delegating_zone()
+        parent = rs.delegating_zone
         if parent is None or (parent != ROOT and parent not in record_sets):
             base.add(zone)
         else:
@@ -60,7 +60,7 @@ def jacobi_fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> Resoluti
     known_zones = set(record_sets) | {ROOT}
     ns_zone: dict[DomainName, DomainName] = {}
     for rs in record_sets.values():
-        for ns in rs.all_ns():
+        for ns in rs.all_ns:
             if ns not in ns_zone:
                 ns_zone[ns] = enclosing_known_zone(ns, known_zones)
 
@@ -80,7 +80,7 @@ def jacobi_fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> Resoluti
 
             def ctx_for(rs: ZoneRecordSet) -> dict[DomainName, NsContext]:
                 out = {}
-                for ns in rs.all_ns():
+                for ns in rs.all_ns:
                     z = ns_zone.get(ns, ROOT)
                     ok = z == ROOT or z in snapshot
                     out[ns] = NsContext(
@@ -94,7 +94,7 @@ def jacobi_fixed_point(record_sets: dict[DomainName, ZoneRecordSet]) -> Resoluti
                 if zone in unknown or zone in resolved:
                     continue
                 rs = record_sets[zone]
-                parent = rs.delegating_zone()
+                parent = rs.delegating_zone
                 parent_ok = parent == ROOT or parent in snapshot
                 if not parent_ok:
                     continue

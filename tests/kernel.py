@@ -6,12 +6,14 @@ evaluated before both paths took their verdicts from one propagation
 contexts for the zones of its NS; ``classify`` adds the parent's status and
 builds the zone's status with ``v6ready.classify.classify``.
 ``tests/jacobi.py`` iterates ``view_flags`` to a fixed point.
+``scanned_addrs`` is the reference for the lookups in a record set's
+shared address table: a scan of every (name, bailiwick) pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping
 
 from v6ready import classify as model
 from v6ready.classify import Answers, FailureCause, ResolutionStatus, _failure_causes
@@ -61,8 +63,20 @@ def _via_own_zone(rs: ZoneRecordSet, ns: DomainName, proto: str,
 def _glue_addrs(rs: ZoneRecordSet, ns: DomainName, proto: str) -> frozenset[str]:
     """Addresses for ``ns`` observed under any proper ancestor of the zone."""
     out: set[str] = set()
-    for (name, bw), addrs in rs.addr_by_bailiwick.items():
-        if name == ns and len(bw.labels) < len(rs.zone.labels) and rs.zone.is_within(bw):
+    for depth in range(len(rs.zone.labels)):
+        out |= rs.addrs_with_bailiwick(ns, rs.zone.ancestor_at_depth(depth), proto)
+    return frozenset(out)
+
+
+def scanned_addrs(rs: ZoneRecordSet, ns: DomainName, proto: str,
+                  bailiwick: Callable[[DomainName], bool] = lambda bw: True) -> frozenset[str]:
+    """The addresses over ``proto`` served for ``ns`` under every
+    bailiwick that ``bailiwick`` accepts, found by scanning each (name,
+    bailiwick) pair of the record set's address table: the reference for
+    the lookups ``v6ready.classify`` makes in the table."""
+    out: set[str] = set()
+    for (name, bw), addrs in rs.addrs.items():
+        if name == ns and bailiwick(bw):
             out |= addrs.for_protocol(proto)
     return frozenset(out)
 
@@ -100,15 +114,13 @@ def view_flags(
     A zone whose own NS claims were never observed gets zone_ok vacuously;
     absence of an observation is not evidence of breakage.
     """
-    parent_view = rs.ns_parent_view()
     glue_ok = any(_ns_usable(rs, ns, proto, contexts, True, answers)
-                  for ns in parent_view)
-    child_view = rs.ns_child_view()
-    if child_view is None:
+                  for ns in rs.parent_ns)
+    if rs.child_ns is None:
         zone_ok = True
     else:
         zone_ok = any(_ns_usable(rs, ns, proto, contexts, False, answers)
-                      for ns in child_view)
+                      for ns in rs.child_ns)
     return glue_ok, zone_ok
 
 
@@ -125,7 +137,7 @@ def classify(
     v4, v6 = (getattr(parent_status, proto) and all(view_flags(rs, contexts, proto, answers))
               for proto in (V4, V6))
     ns_zone, ns_resolves = _model_args(contexts)
-    own = {(rs.zone, V4): v4, (rs.zone, V6): v6, (rs.delegating_zone(), V6): parent_status.v6}
+    own = {(rs.zone, V4): v4, (rs.zone, V6): v6, (rs.delegating_zone, V6): parent_status.v6}
 
     def resolves(zone: DomainName, proto: str) -> bool:
         return own[zone, proto] if (zone, proto) in own else ns_resolves(zone, proto)

@@ -13,7 +13,7 @@ from v6ready.classify import (
     failure_breakdown,
 )
 from v6ready.mocknet import fixture_tuples, random_universe
-from v6ready.records import V4, V6, AddrRecords, ZoneRecordSet
+from v6ready.records import V4, V6, AddrRecords, addressed_names, build_record_set
 
 
 def rs(zone, parent, ns_parent, ns_child=None, addrs=None):
@@ -22,10 +22,9 @@ def rs(zone, parent, ns_parent, ns_child=None, addrs=None):
     ns_by_bw = {parent: frozenset(N(n) for n in ns_parent)}
     if ns_child is not None:
         ns_by_bw[zone] = frozenset(N(n) for n in ns_child)
-    addr_by_bw = {}
-    for (name, bw), (v4, v6) in (addrs or {}).items():
-        addr_by_bw[(N(name), N(bw))] = AddrRecords(frozenset(v4), frozenset(v6))
-    return ZoneRecordSet(zone, ns_by_bw, addr_by_bw)
+    table = {(N(name), N(bw)): AddrRecords(frozenset(v4), frozenset(v6))
+             for (name, bw), (v4, v6) in (addrs or {}).items()}
+    return build_record_set(zone, ns_by_bw, table, addressed_names(table))
 
 
 def test_oob_ns_with_only_a_records_is_no_aaaa():

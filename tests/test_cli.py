@@ -834,8 +834,9 @@ def test_simulate_toplist_field_over_the_csv_limit_exits_two(tmp_path, capsys):
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("pattern", ["a{99999999999}", "(" * 1200 + ")" * 1200],
-                         ids=["repeat-count-too-large", "groups-nested-too-deep"])
+@pytest.mark.parametrize("pattern", ["a{99999999999}", "(" * 1200 + ")" * 1200, "[[a]"],
+                         ids=["repeat-count-too-large", "groups-nested-too-deep",
+                              "re-warns-possible-nested-set"])
 def test_simulate_operator_rule_the_engine_cannot_compile_exits_two(tmp_path, capsys, pattern):
     rules = tmp_path / "rules.txt"
     rules.write_text(f"{pattern} op\n")

@@ -95,22 +95,24 @@ def test_disjoint_parent_and_child_ns_sets():
     # v6-less extra, but here we assert the conjunction over views using
     # the passive kernel directly.
     from kernel import ROOT_STATUS, classify
-    from v6ready.records import ZoneRecordSet
+    from v6ready.records import addressed_names, build_record_set
 
-    rs = ZoneRecordSet(
-        zone=N("d.t"),
-        ns_by_bailiwick={
+    table = {
+        (N("ns-parent.d.t"), N("t")): AddrRecords(
+            frozenset({"10.72.0.1"}), frozenset({"fd00:72::1"})),
+        (N("ns-parent.d.t"), N("d.t")): AddrRecords(
+            frozenset({"10.72.0.1"}), frozenset({"fd00:72::1"})),
+        (N("ns-child.d.t"), N("d.t")): AddrRecords(
+            frozenset({"10.72.0.2"}), frozenset()),
+    }
+    rs = build_record_set(
+        N("d.t"),
+        {
             N("t"): frozenset({N("ns-parent.d.t")}),
             N("d.t"): frozenset({N("ns-child.d.t")}),
         },
-        addr_by_bailiwick={
-            (N("ns-parent.d.t"), N("t")): AddrRecords(
-                frozenset({"10.72.0.1"}), frozenset({"fd00:72::1"})),
-            (N("ns-parent.d.t"), N("d.t")): AddrRecords(
-                frozenset({"10.72.0.1"}), frozenset({"fd00:72::1"})),
-            (N("ns-child.d.t"), N("d.t")): AddrRecords(
-                frozenset({"10.72.0.2"}), frozenset()),
-        },
+        table,
+        addressed_names(table),
     )
     status = classify(rs, ROOT_STATUS, {})
     assert status.v4 is True

@@ -37,8 +37,8 @@ def checked_fixed_point(record_sets):
 def test_single_ns_tuple_builds_parent_view():
     result = ingest_tuples([T("example.com", "NS", "com", ["ns1.example.com"])])
     zone = result.record_sets[N("example.com")]
-    assert zone.ns_parent_view() == frozenset({N("ns1.example.com")})
-    assert zone.ns_child_view() is None
+    assert zone.parent_ns == frozenset({N("ns1.example.com")})
+    assert zone.child_ns is None
 
 
 def test_parent_and_child_views_both_retained():
@@ -47,8 +47,8 @@ def test_parent_and_child_views_both_retained():
         T("example.com", "NS", "example.com", ["ns2.example.com"]),
     ])
     zone = result.record_sets[N("example.com")]
-    assert zone.ns_parent_view() == frozenset({N("ns1.example.com")})
-    assert zone.ns_child_view() == frozenset({N("ns2.example.com")})
+    assert zone.parent_ns == frozenset({N("ns1.example.com")})
+    assert zone.child_ns == frozenset({N("ns2.example.com")})
 
 
 def test_orphan_address_retained():
@@ -67,7 +67,7 @@ def test_cname_tuples_skipped_and_counted():
     ], stats)
     assert stats.cname_skipped == 1
     zone = result.record_sets[N("example.com")]
-    assert zone.any_addrs(N("ns1.example.com"), V4) == frozenset()
+    assert N("ns1.example.com") not in zone.ns_with_addrs[V4]
 
 
 def test_malformed_tuples_counted_never_abort():
@@ -412,9 +412,11 @@ def _every_flaw(form: str) -> list[str]:
 
 
 def _record_set_order(result):
-    """Everything in a result, in its dicts' order."""
-    return ([(zone, list(rs.ns_by_bailiwick.items()), list(rs.addr_by_bailiwick.items()))
-             for zone, rs in result.record_sets.items()],
+    """Everything in a result, in its dicts' order: each zone's views, then
+    the address table its record sets share."""
+    shared = next(iter(result.record_sets.values()), None)
+    return ([(zone, rs[:5]) for zone, rs in result.record_sets.items()],
+            [] if shared is None else [list(shared.addrs.items()), shared.ns_with_addrs],
             result.orphan_addresses)
 
 
@@ -675,12 +677,12 @@ def test_classify_zones_agrees_with_table_flags():
             assert status.v4 == table.resolvable(zone, V4), str(zone)
             assert status.v6 == table.resolvable(zone, V6), str(zone)
             rs = result.record_sets[zone]
-            parent = rs.delegating_zone()
+            parent = rs.delegating_zone
             parent_status = ROOT_STATUS if parent == ROOT else statuses[parent]
             contexts = {
                 ns: NsContext(table.ns_zone[ns], table.resolvable(table.ns_zone[ns], V4),
                               table.resolvable(table.ns_zone[ns], V6))
-                for ns in rs.all_ns()
+                for ns in rs.all_ns
             }
             assert classify(rs, parent_status, contexts) == status, str(zone)
 
