@@ -33,7 +33,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from universes import combined_two_scenario_universe, with_liveness_faults  # noqa: E402
+from universes import (  # noqa: E402
+    RecordingTransport,
+    combined_two_scenario_universe,
+    with_liveness_faults,
+)
 from v6ready import cli  # noqa: E402
 from v6ready.mocknet import fixture_tuples, random_universe  # noqa: E402
 
@@ -265,6 +269,31 @@ def test_query_traffic_fingerprint(tmp_path):
             edns.udp_payload_size if edns else None)).encode() + b"\n")
     assert len(queries) == 110
     assert digest.hexdigest() == TRAFFIC_SHA256
+
+
+# sha256 over the replies to those 110 queries, with the server address and
+# transport of each, in the order they are sent
+REPLY_SHA256 = "c5b7afe14d444ebbdf7235b2cbc8ec5e4cbb1aecb5ad9d72faf1f04ebc0e25da"
+
+
+def test_reply_traffic_fingerprint(tmp_path):
+    """The bytes the servers send back: every reply after its ID (the one
+    part the query picks), or the exception raised where none came."""
+    recorder = RecordingTransport(combined_two_scenario_universe())
+    hints = _hints(tmp_path)
+    rc, _ = _quiet(["scan", str(GOLDEN / "domains.txt"), "--output",
+                    str(tmp_path / "scan.jsonl"), "--concurrency", "1",
+                    "--roots", hints, *FAST], recorder)
+    assert rc == 0
+    rc, _ = _quiet(["check", "www.sub.example.org", "--format", "structured",
+                    "--roots", hints, *FAST], recorder)
+    assert rc in (0, 1)
+    digest = hashlib.sha256()
+    for address, transport, _query, reply in recorder.exchanges:
+        body = reply[2:] if isinstance(reply, bytes) else reply
+        digest.update(repr((address, transport, body)).encode() + b"\n")
+    assert len(recorder.exchanges) == 110
+    assert digest.hexdigest() == REPLY_SHA256
 
 
 if __name__ == "__main__":

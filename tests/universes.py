@@ -19,7 +19,12 @@ from v6ready.mocknet import (
 )
 from v6ready.names import normalize
 from v6ready.passive import classify_zones, fixed_point, ingest_tuples
-from v6ready.query import QueryEngine, QueryPolicy
+from v6ready.query import (
+    QueryEngine,
+    QueryPolicy,
+    TransportTimeout,
+    TransportUnreachable,
+)
 from v6ready.records import V4, V6, AddrRecords
 from v6ready.resolver import PROTOCOL_BOTH, Resolver
 
@@ -252,6 +257,25 @@ def with_liveness_faults(universe: Universe, seed: int, rate: float = 0.15) -> U
             fz = replace(fz, defects=fz.defects | {defect})
         fixtures[zone] = fz
     return Universe(fixtures, seed=seed)
+
+
+class RecordingTransport:
+    """A universe as a transport that keeps every exchange in order:
+    (server address, transport, query bytes, reply bytes), where the reply
+    is the name of the exception raised if the universe did not answer."""
+
+    def __init__(self, universe: Universe):
+        self.universe = universe
+        self.exchanges: list[tuple[str, str, bytes, bytes | str]] = []
+
+    def exchange(self, server, transport, payload, timeout):
+        try:
+            reply = self.universe.exchange(server, transport, payload, timeout)
+        except (TransportTimeout, TransportUnreachable) as exc:
+            self.exchanges.append((server.ip, transport, payload, type(exc).__name__))
+            raise
+        self.exchanges.append((server.ip, transport, payload, reply))
+        return reply
 
 
 def with_short_a_record(raw: bytes) -> bytes:
