@@ -22,9 +22,10 @@ import json
 import random
 import socket
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import INPUT_ENCODING
 from .names import ROOT, DomainName, normalize
@@ -55,6 +56,7 @@ from .wire import (
     WireFormatError,
     decode,
     encode,
+    encode_records,
     frame_tcp,
     read_tcp_frame,
 )
@@ -153,8 +155,7 @@ DEFAULT_ROOT = zone_fixture(
 # they are reached through hints only, like the real priming set.
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     timestamp: int
     direction: str  # "query" | "response"
     address: str
@@ -185,12 +186,35 @@ class PacketLog:
         return out
 
 
+class CompiledAnswer(NamedTuple):
+    """The record sections of an answer that never changes, and the wire
+    form of their records in order, shared by every reply that sends it."""
+
+    answer: tuple[ResourceRecord, ...]
+    authority: tuple[ResourceRecord, ...]
+    additional: tuple[ResourceRecord, ...]
+    records: bytes
+
+
 _CHILD_ONLY_LABEL = b"ns-child-only"
 _VERSION_BIND = normalize("version.bind")
+_FAMILIES = ((V4, RRType.A), (V6, RRType.AAAA))
 
 
 class Universe:
-    """A deterministic virtual network implementing the Transport protocol."""
+    """A deterministic virtual network implementing the Transport protocol.
+
+    ``fixtures`` maps each fixture's ``zone`` to it. A Universe is fixed
+    once built: its fixtures, and the indexes made from them, are never
+    changed. So each delegation's referral and each zone's apex NS answer
+    are compiled on first use, records and wire form, and every later
+    reply shares them. To change a fixture, build a new Universe.
+
+    Only the clock, the packet log, the loss draws and a one-slot memo of
+    the last query decoded change as it answers. A query whose bytes after
+    the ID repeat the last one reuses its decoded message under its own
+    ID; a query that does not decode is dropped (``TransportTimeout``).
+    """
 
     def __init__(self, fixtures: dict[DomainName, FixtureZone], seed: int = 0,
                  latency: Mapping[str, int] | None = None,
@@ -202,6 +226,14 @@ class Universe:
         self.loss = dict(loss or {})
         self._rng = random.Random(seed)
         self._index()
+        # Compiled on first use, each entry written in one assignment of a
+        # finished value, so threads sharing the Universe may race to
+        # compile an entry but never see half of one.
+        self._referrals: dict[DomainName, CompiledAnswer] = {}
+        self._apex_ns_answers: dict[DomainName, CompiledAnswer] = {}
+        self._sorted_names: list[DomainName] | None = None
+        # (query bytes after the ID, the decoded query)
+        self._last_query: tuple = (None, None)
 
     # -- construction -------------------------------------------------------
 
@@ -216,11 +248,6 @@ class Universe:
             while parent not in self.fixtures:
                 parent = parent.parent()
             self.parent[zone] = parent
-        self.children: dict[DomainName, list[DomainName]] = {z: [] for z in self.fixtures}
-        for zone, par in self.parent.items():
-            self.children[par].append(zone)
-        for kids in self.children.values():
-            kids.sort()
 
         # Synthetic child-only servers use reserved ranges (10.254.0.0/16 and
         # fd00:fffe::/32); fixtures must not allocate addresses there.
@@ -331,25 +358,46 @@ class Universe:
     def exchange(self, server: ServerAddress, transport: str, payload: bytes,
                  timeout: float) -> bytes:
         proto = server.protocol
-        msg = decode(payload)
+        msg = self._decode_query(payload)
         self.clock += 1 + self.latency.get(server.ip, 0)
+        if msg is None:  # dropped, as a server drops what it cannot read
+            raise TransportTimeout("query does not decode")
         self.log.append(LogEntry(self.clock, "query", server.ip, proto, transport, msg))
         name = self.address_name.get(server.ip)
         if name is None:
             raise TransportUnreachable(f"no server at {server.ip}")
         if self.loss.get(server.ip) and self._rng.random() < self.loss[server.ip]:
             raise TransportTimeout("packet lost")
-        reply = self._answer(name, server.ip, msg, transport)
-        if reply is None:
+        answered = self._answer(name, server.ip, msg, transport)
+        if answered is None:
             raise TransportTimeout(f"{server.ip} does not respond")
+        reply, records = answered
         self.clock += 1
         self.log.append(LogEntry(self.clock, "response", server.ip, proto, transport, reply))
-        return encode(reply)
+        return encode(reply, records)
+
+    def _decode_query(self, payload: bytes) -> DnsMessage | None:
+        """``decode(payload)``, or None if it does not decode. A query whose
+        bytes after the ID repeat the last decoded one shares that message,
+        which is immutable, under its own ID."""
+        body = payload[2:]
+        last_body, last = self._last_query
+        if body == last_body:
+            return DnsMessage._make((int.from_bytes(payload[:2], "big"), *last[1:]))
+        try:
+            msg = decode(payload)
+        except WireFormatError:
+            return None
+        self._last_query = (body, msg)
+        return msg
 
     # -- server behavior ----------------------------------------------------
 
     def _answer(self, name: DomainName, address: str, msg: DnsMessage,
-                transport: str) -> DnsMessage | None:
+                transport: str) -> tuple[DnsMessage, bytes | None] | None:
+        """The reply of the server ``name`` at ``address``, with the wire
+        form of its records if they are compiled (else None); None if the
+        server does not respond."""
         owner = self.owner_zone[name]
         defects = self.fixtures[owner].defects
         if BLACKHOLE_ALL in defects:
@@ -358,23 +406,23 @@ class Universe:
             return None
         q = msg.question
         if q is None:
-            return msg.reply_skeleton(rcode=RCODE_FORMERR)
+            return msg.reply_skeleton(rcode=RCODE_FORMERR), None
         if q.qclass == CLASS_CH:
             if q.qtype == RRType.TXT and q.qname == _VERSION_BIND:
                 version = self.fixtures[owner].version
                 if version:
                     rr = ResourceRecord(q.qname, RRType.TXT, 0, (version.encode(),))
-                    return msg.reply_skeleton(aa=True, answer=(rr,))
-            return msg.reply_skeleton(rcode=RCODE_REFUSED)
+                    return msg.reply_skeleton(aa=True, answer=(rr,)), None
+            return msg.reply_skeleton(rcode=RCODE_REFUSED), None
 
         zone = self._deepest_served(name, q.qname)
         if zone is None:
-            return msg.reply_skeleton(rcode=RCODE_REFUSED)
+            return msg.reply_skeleton(rcode=RCODE_REFUSED), None
         zdefects = self.fixtures[zone].defects
         if FORMERR_ON_EDNS in zdefects and msg.edns is not None:
-            return msg.reply_skeleton(rcode=RCODE_FORMERR)
+            return msg.reply_skeleton(rcode=RCODE_FORMERR), None
         if TRUNCATE_UDP in zdefects and transport == UDP:
-            return msg.reply_skeleton(tc=True)
+            return msg.reply_skeleton(tc=True), None
 
         delegated = self._delegation_for(zone, q.qname, name)
         if delegated is not None:
@@ -390,69 +438,79 @@ class Universe:
 
     def _delegation_for(self, zone: DomainName, qname: DomainName,
                         server: DomainName) -> DomainName | None:
-        for child in self.children.get(zone, ()):
-            if qname.is_within(child):
-                if child in self.serves.get(server, ()):
-                    continue  # also authoritative for the child: answer directly
-                return child
+        """The child of ``zone`` that ``qname`` is in, unless ``server`` also
+        serves it: the first fixture zone below ``zone`` among the
+        ancestors of ``qname``, which are its prefixes."""
+        fixtures = self.fixtures
+        for depth in range(len(zone) + 1, len(qname) + 1):
+            fz = fixtures.get(qname[:depth])
+            if fz is not None:
+                if fz.zone in self.serves.get(server, ()):
+                    return None  # also authoritative for the child: answer directly
+                return fz.zone
         return None
 
-    def _referral(self, msg: DnsMessage, child: DomainName) -> DnsMessage:
-        authority = tuple(
-            ResourceRecord(child, RRType.NS, 3600, target)
-            for target in self.delegation_ns(child)
-        )
-        additional = []
-        for target in self.delegation_ns(child):
-            for proto, rrtype in ((V4, RRType.A), (V6, RRType.AAAA)):
-                for addr in self.glue_addrs(child, target, proto):
-                    additional.append(ResourceRecord(
-                        target, rrtype, 3600, pack_address(addr)))
-        return msg.reply_skeleton(authority=authority, additional=tuple(additional))
+    def _referral(self, msg: DnsMessage, child: DomainName) -> tuple[DnsMessage, bytes]:
+        """The parent's referral to ``child``: its NS set, then the glue."""
+        compiled = self._referrals.get(child)
+        if compiled is None:
+            ns = self.delegation_ns(child)
+            compiled = self._referrals[child] = _compile(
+                (), tuple(ResourceRecord(child, RRType.NS, 3600, t) for t in ns),
+                tuple(ResourceRecord(t, rrtype, 3600, pack_address(addr))
+                      for t in ns for proto, rrtype in _FAMILIES
+                      for addr in self.glue_addrs(child, t, proto)))
+        return (msg.reply_skeleton(authority=compiled.authority,
+                                   additional=compiled.additional),
+                compiled.records)
+
+    def _apex_ns(self, zone: DomainName) -> CompiledAnswer:
+        """The apex NS answer of ``zone``: its own NS set, then the
+        addresses of its in-zone servers."""
+        compiled = self._apex_ns_answers.get(zone)
+        if compiled is None:
+            ns = self.apex_ns(zone)
+            compiled = self._apex_ns_answers[zone] = _compile(
+                tuple(ResourceRecord(zone, RRType.NS, 3600, t) for t in ns), (),
+                tuple(ResourceRecord(t, rrtype, 3600, pack_address(addr))
+                      for t in ns if t.is_within(zone) for proto, rrtype in _FAMILIES
+                      for addr in self.apex_addrs(t, proto)))
+        return compiled
 
     def _apex_answer(self, msg: DnsMessage, zone: DomainName,
-                     server: DomainName) -> DnsMessage:
+                     server: DomainName) -> tuple[DnsMessage, bytes | None]:
         q = msg.question
         assert q is not None
         fz = self.fixtures[zone]
         if q.qname == zone:
             if q.qtype == RRType.NS:
-                answer = tuple(
-                    ResourceRecord(zone, RRType.NS, 3600, t)
-                    for t in self.apex_ns(zone)
-                )
-                additional = []
-                for t in self.apex_ns(zone):
-                    if not t.is_within(zone):
-                        continue
-                    for proto, rrtype in ((V4, RRType.A), (V6, RRType.AAAA)):
-                        for addr in self.apex_addrs(t, proto):
-                            additional.append(ResourceRecord(t, rrtype, 3600, pack_address(addr)))
-                return msg.reply_skeleton(aa=True, answer=answer,
-                                          additional=tuple(additional))
+                compiled = self._apex_ns(zone)
+                return (msg.reply_skeleton(aa=True, answer=compiled.answer,
+                                           additional=compiled.additional),
+                        compiled.records)
             if q.qtype == RRType.SOA:
                 serial = 1
                 if fz.soa_serials:
                     serial = fz.soa_serials.get(server, 1)
-                primary = self.apex_ns(zone)
+                primary = self._apex_ns(zone).answer
                 soa = SoaData(
-                    mname=primary[0] if primary else zone,
+                    mname=primary[0].data if primary else zone,
                     rname=zone.child(b"hostmaster"),
                     serial=serial,
                 )
                 rr = ResourceRecord(zone, RRType.SOA, 3600, soa)
-                return msg.reply_skeleton(aa=True, answer=(rr,))
+                return msg.reply_skeleton(aa=True, answer=(rr,)), None
             if q.qtype == RRType.TXT:
                 if fz.txt:
                     rr = ResourceRecord(zone, RRType.TXT, 3600, fz.txt)
-                    return msg.reply_skeleton(aa=True, answer=(rr,))
-                return msg.reply_skeleton(aa=True)
+                    return msg.reply_skeleton(aa=True, answer=(rr,)), None
+                return msg.reply_skeleton(aa=True), None
             if q.qtype == RRType.MX:
                 answer = tuple(
                     ResourceRecord(zone, RRType.MX, 3600, MxData(pref, host))
                     for pref, host in fz.mx
                 )
-                return msg.reply_skeleton(aa=True, answer=answer)
+                return msg.reply_skeleton(aa=True, answer=answer), None
             if (q.qtype in (RRType.A, RRType.AAAA)
                     and self.owner_zone.get(zone) == zone):
                 # the apex name doubles as a nameserver host
@@ -461,12 +519,12 @@ class Universe:
                     ResourceRecord(zone, q.qtype, 3600, pack_address(a))
                     for a in self.apex_addrs(zone, proto)
                 )
-                return msg.reply_skeleton(aa=True, answer=answer)
-            return msg.reply_skeleton(aa=True)
+                return msg.reply_skeleton(aa=True, answer=answer), None
+            return msg.reply_skeleton(aa=True), None
         for owner, target in fz.cnames:
             if q.qname == owner:
                 rr = ResourceRecord(owner, RRType.CNAME, 3600, target)
-                return msg.reply_skeleton(aa=True, answer=(rr,))
+                return msg.reply_skeleton(aa=True, answer=(rr,)), None
         if q.qname in self.host_of and self.owner_zone[q.qname] == zone:
             if q.qtype in (RRType.A, RRType.AAAA):
                 proto = V4 if q.qtype == RRType.A else V6
@@ -474,16 +532,30 @@ class Universe:
                     ResourceRecord(q.qname, q.qtype, 3600, pack_address(a))
                     for a in self.apex_addrs(q.qname, proto)
                 )
-                return msg.reply_skeleton(aa=True, answer=answer)
-            return msg.reply_skeleton(aa=True)
+                return msg.reply_skeleton(aa=True, answer=answer), None
+            return msg.reply_skeleton(aa=True), None
         if self._has_names_below(q.qname):
-            return msg.reply_skeleton(aa=True)
-        return msg.reply_skeleton(aa=True, rcode=RCODE_NXDOMAIN)
+            return msg.reply_skeleton(aa=True), None
+        return msg.reply_skeleton(aa=True, rcode=RCODE_NXDOMAIN), None
 
     def _has_names_below(self, qname: DomainName) -> bool:
-        return any(z.is_within(qname) for z in self.fixtures) or any(
-            n.is_within(qname) for n in self.host_of
-        )
+        """Whether a fixture zone or host name is ``qname`` or below it.
+        Those names have ``qname`` as a prefix, so in sorted order the
+        first name from ``qname`` on is one of them if any is."""
+        names = self._sorted_names
+        if names is None:
+            names = self._sorted_names = sorted({*self.fixtures, *self.host_of})
+        i = bisect_left(names, qname)
+        return i < len(names) and names[i].is_within(qname)
+
+    def _zone_of(self, qname: DomainName) -> DomainName:
+        """The deepest fixture zone that ``qname`` is in: the longest of its
+        prefixes that is a fixture (the root is one)."""
+        for depth in range(len(qname), 0, -1):
+            fz = self.fixtures.get(qname[:depth])
+            if fz is not None:
+                return fz.zone
+        return ROOT
 
     # -- exports -------------------------------------------------------------
 
@@ -531,6 +603,12 @@ class Universe:
                 rdata=values,
             ))
         return out
+
+
+def _compile(answer: tuple[ResourceRecord, ...], authority: tuple[ResourceRecord, ...],
+             additional: tuple[ResourceRecord, ...]) -> CompiledAnswer:
+    return CompiledAnswer(answer, authority, additional,
+                          encode_records(answer, authority, additional))
 
 
 def _rr_text(rr: ResourceRecord) -> str | None:
@@ -846,20 +924,15 @@ class LoopbackServer:
         q = msg.question
         if q is None:
             return encode(msg.reply_skeleton(rcode=RCODE_FORMERR))
-        zone = None
-        for z in self.universe.fixtures:
-            if q.qname.is_within(z) and (zone is None or len(z) > len(zone)):
-                zone = z
-        if zone is None:
-            return encode(msg.reply_skeleton(rcode=RCODE_REFUSED))
+        zone = self.universe._zone_of(q.qname)
         candidates = [n for n in self.universe.apex_ns(zone)
                       if n in self.universe.owner_zone]
         if not candidates:
             return encode(msg.reply_skeleton(rcode=RCODE_REFUSED))
-        reply = self.universe._answer(candidates[0], family_addr, msg, transport)
-        if reply is None:
+        answered = self.universe._answer(candidates[0], family_addr, msg, transport)
+        if answered is None:
             return None
-        return encode(_rewrite_loopback(reply))
+        return encode(_rewrite_loopback(answered[0]))
 
     def start(self) -> None:
         self._running = True

@@ -134,8 +134,18 @@ def _encode_rr(rr: ResourceRecord, rrclass: int = CLASS_IN) -> bytes:
     )
 
 
-def encode(msg: DnsMessage) -> bytes:
-    """Wire bytes for ``msg``; appends an OPT record iff ``edns`` is set."""
+def encode_records(*sections: tuple[ResourceRecord, ...]) -> bytes:
+    """The wire form of the records of ``sections``, in order."""
+    return b"".join([_encode_rr(rr) for section in sections for rr in section])
+
+
+def encode(msg: DnsMessage, records: bytes | None = None) -> bytes:
+    """Wire bytes for ``msg``; appends an OPT record iff ``edns`` is set.
+
+    ``records``, if given, must be ``encode_records(msg.answer,
+    msg.authority, msg.additional)``, encoded before: a server that sends
+    the same sections again lays them out from those bytes.
+    """
     flags = (
         (int(msg.qr) << 15)
         | ((msg.opcode & 0xF) << 11)
@@ -160,12 +170,9 @@ def encode(msg: DnsMessage) -> bytes:
     if msg.question:
         out += encode_name(msg.question.qname)
         out += struct.pack("!HH", msg.question.qtype, msg.question.qclass)
-    for rr in msg.answer:
-        out += _encode_rr(rr)
-    for rr in msg.authority:
-        out += _encode_rr(rr)
-    for rr in msg.additional:
-        out += _encode_rr(rr)
+    if records is None:
+        records = encode_records(msg.answer, msg.authority, msg.additional)
+    out += records
     if msg.edns:
         out += b"\x00" + struct.pack(
             "!HHIH", RRType.OPT, msg.edns.udp_payload_size, 0, 0

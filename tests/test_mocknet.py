@@ -361,3 +361,32 @@ def test_latency_and_loss_knobs():
                              rng=random_mod.Random(1), sleep=lambda s: None)
         engine.query(ServerAddress(addr), N("t"), RRType.SOA)
     assert u_slow.log.entries[0].timestamp > u_fast.log.entries[0].timestamp
+
+
+def test_query_that_does_not_decode_is_dropped():
+    from v6ready.query import ServerAddress, TransportTimeout
+
+    u = healthy_depth3_universe()
+    root_ip = u.root_hints()[0][2]
+    for payload in (b"\x00\x01", b"\x00\x01" + bytes(9), b"\x12\x34\x00\x00\x00\x01"):
+        before = u.clock
+        with pytest.raises(TransportTimeout):
+            u.exchange(ServerAddress(root_ip), "udp", payload, 1)
+        assert u.clock == before + 1
+    assert u.log.entries == []
+
+
+def test_a_repeated_query_is_logged_under_its_own_id():
+    from v6ready.query import ServerAddress
+    from v6ready.records import RRType
+    from v6ready.wire import DnsMessage, Question, decode, encode
+
+    u = healthy_depth3_universe()
+    query = DnsMessage(id=1, question=Question(N("s.d.t"), RRType.NS))
+    replies = [u.exchange(ServerAddress(ip), "udp", encode(query._replace(id=i)), 1)
+               for i, (_name, _proto, ip) in enumerate(u.root_hints(), 1)]
+    assert [e.message.id for e in u.log.entries] == [1, 1, 2, 2, 3, 3, 4, 4]
+    assert [e.message for e in u.log.queries()] == [
+        query._replace(id=i) for i in (1, 2, 3, 4)]
+    assert [decode(r).id for r in replies] == [1, 2, 3, 4]
+    assert len({r[2:] for r in replies}) == 1
