@@ -210,10 +210,11 @@ class Universe:
     are compiled on first use, records and wire form, and every later
     reply shares them. To change a fixture, build a new Universe.
 
-    Only the clock, the packet log, the loss draws and a one-slot memo of
-    the last query decoded change as it answers. A query whose bytes after
-    the ID repeat the last one reuses its decoded message under its own
-    ID; a query that does not decode is dropped (``TransportTimeout``).
+    As it answers, only the clock, the packet log, the loss generator, the
+    compiled answers and a one-slot memo of the last decoded query change.
+    A query whose bytes after the ID repeat the last one reuses its decoded
+    message under its own ID; a query that does not decode is dropped
+    (``TransportTimeout``).
     """
 
     def __init__(self, fixtures: dict[DomainName, FixtureZone], seed: int = 0,
