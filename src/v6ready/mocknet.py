@@ -442,9 +442,8 @@ class Universe:
         """The child of ``zone`` that ``qname`` is in, unless ``server`` also
         serves it: the first fixture zone below ``zone`` among the
         ancestors of ``qname``, which are its prefixes."""
-        fixtures = self.fixtures
         for depth in range(len(zone) + 1, len(qname) + 1):
-            fz = fixtures.get(qname[:depth])
+            fz = self.fixtures.get(qname[:depth])
             if fz is not None:
                 if fz.zone in self.serves.get(server, ()):
                     return None  # also authoritative for the child: answer directly
