@@ -701,6 +701,66 @@ def test_environment_format_outside_its_choices_exits_two(tmp_path, capsys, monk
     assert u.log.entries == []
 
 
+# -- a check or scan setting out of its range ----------------------------------
+
+# (flag, value, error text); None stands for the text of the unreadable
+# root hints, which names their path
+BAD_SETTINGS = [
+    ("--roots", "{missing}", None),
+    ("--retries", "0", "--retries must be >= 1"),
+    ("--timeout", "0", "timeouts must be positive"),
+    ("--tcp-timeout", "-1", "timeouts must be positive"),
+    ("--retry-wait", "-1", "--retry-wait must be >= 0"),
+    ("--concurrency", "0", "--concurrency must be >= 1"),
+    ("--port", "0", "--port out of range"),
+    ("--port", "70000", "--port out of range"),
+]
+CONFLICT = "--v4-only and --v6-only are mutually exclusive"
+
+
+def _bad_setting_cases():
+    """(command, flags, environment, error text): each bad setting once as
+    a flag and once as its ``V6READY_*`` value."""
+    for command in ("check", "scan"):
+        for flag, value, message in BAD_SETTINGS:
+            if flag == "--concurrency" and command == "check":
+                continue
+            env = "V6READY_" + flag[2:].upper().replace("-", "_")
+            yield pytest.param(command, [f"{flag}={value}"], {}, message,
+                               id=f"{command} {flag}={value}")
+            yield pytest.param(command, [], {env: value}, message,
+                               id=f"{command} {env}={value}")
+        yield pytest.param(command, ["--v4-only"], {"V6READY_V6_ONLY": "1"}, CONFLICT,
+                           id=f"{command} --v4-only V6READY_V6_ONLY=1")
+        yield pytest.param(command, [], {"V6READY_V4_ONLY": "1", "V6READY_V6_ONLY": "1"},
+                           CONFLICT, id=f"{command} V6READY_V4_ONLY=1 V6READY_V6_ONLY=1")
+
+
+@pytest.mark.parametrize("command, flags, env, message", list(_bad_setting_cases()))
+def test_a_setting_out_of_range_prints_one_error_line_before_any_query(
+        tmp_path, capsys, monkeypatch, command, flags, env, message):
+    u = healthy_depth3_universe()
+    missing = str(tmp_path / "missing.hints")
+    if message is None:
+        with pytest.raises(OSError) as unreadable:
+            open(missing)
+        message = f"--roots {missing}: {unreadable.value}"
+    for name, value in env.items():
+        monkeypatch.setenv(name, value.format(missing=missing))
+    domains = tmp_path / "domains.txt"
+    domains.write_text("d.t\n")
+    out = tmp_path / "results.jsonl"
+    argv = (["check", "d.t"] if command == "check"
+            else ["scan", str(domains), "--output", str(out)])
+    if "V6READY_ROOTS" not in env:
+        argv += ["--roots", write_hints(tmp_path, u)]
+    rc = run_cli([*argv, "--seed", "1", *(f.format(missing=missing) for f in flags)], u)
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+    assert u.log.entries == []
+
+
 def test_scan_with_worker_pool(tmp_path, capsys):
     u = four_state_universe()
     domains = tmp_path / "domains.txt"
