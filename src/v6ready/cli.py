@@ -22,8 +22,8 @@ import sys
 import threading
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
+from threading import TIMEOUT_MAX
 
 from . import INPUT_ENCODING
 from .analytics import (
@@ -58,7 +58,6 @@ from .resolver import (
     PROTOCOL_V6_ONLY,
     Resolver,
     RootUnreachable,
-    default_root_hints,
     load_root_hints,
 )
 
@@ -70,95 +69,51 @@ ENV_PREFIX = "V6READY_"
 FORMATS = ("text", "structured")
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def _env(name: str) -> str | None:
     return os.environ.get(ENV_PREFIX + name)
 
 
-@dataclass
-class RunConfig:
-    roots: list[tuple[DomainName, str, str]]  # the root hints
-    protocol_filter: str
-    timeout: float
-    tcp_timeout: float
-    retries: int
-    retry_wait: float
-    concurrency: int
-    fmt: str
-    seed: int | None
-    port: int
-
-    @classmethod
-    def from_args(cls, args) -> "RunConfig":
-        filt = PROTOCOL_BOTH
-        if getattr(args, "v4_only", False) and getattr(args, "v6_only", False):
-            raise ConfigError("--v4-only and --v6-only are mutually exclusive")
-        if getattr(args, "v4_only", False):
-            filt = PROTOCOL_V4_ONLY
-        if getattr(args, "v6_only", False):
-            filt = PROTOCOL_V6_ONLY
-        if args.roots is None:
-            roots = default_root_hints()
-        else:
-            try:
-                roots = load_root_hints(args.roots)
-            except (OSError, ValueError) as exc:
-                raise ConfigError(f"--roots {args.roots}: {exc}") from None
-        cfg = cls(
-            roots=roots,
-            protocol_filter=filt,
-            timeout=args.timeout,
-            tcp_timeout=args.tcp_timeout,
-            retries=args.retries,
-            retry_wait=args.retry_wait,
-            concurrency=getattr(args, "concurrency", 1),
-            fmt=args.format,
-            seed=args.seed,
-            port=args.port,
-        )
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        if self.retries < 1:
-            raise ConfigError("--retries must be >= 1")
-        if self.timeout <= 0 or self.tcp_timeout <= 0:
-            raise ConfigError("timeouts must be positive")
-        if self.retry_wait < 0:
-            raise ConfigError("--retry-wait must be >= 0")
-        if self.fmt not in FORMATS:
-            raise ConfigError(f"--format must be one of {', '.join(FORMATS)}")
-        if self.concurrency < 1:
-            raise ConfigError("--concurrency must be >= 1")
-        if not 1 <= self.port <= 65535:
-            raise ConfigError("--port out of range")
-
-    def policy(self) -> QueryPolicy:
-        return QueryPolicy(
-            max_retries=self.retries,
-            retry_wait=self.retry_wait,
-            udp_timeout=self.timeout,
-            tcp_timeout=self.tcp_timeout,
-        )
+def _settings(args) -> tuple[list[tuple[DomainName, str, str]] | None, str, QueryPolicy]:
+    """The root hints (None for the default), protocol filter and query policy
+    of a ``check`` or ``scan`` command line. The first setting out of its range
+    is a ValueError; sockets and sleeps refuse waits over ``TIMEOUT_MAX``."""
+    if args.v4_only and args.v6_only:
+        raise ValueError("--v4-only and --v6-only are mutually exclusive")
+    try:
+        roots = None if args.roots is None else load_root_hints(args.roots)
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"--roots {args.roots}: {exc}") from None
+    if args.retries < 1:
+        raise ValueError("--retries must be >= 1")
+    if args.timeout <= 0 or args.tcp_timeout <= 0:
+        raise ValueError("timeouts must be positive")
+    if not (args.timeout <= TIMEOUT_MAX and args.tcp_timeout <= TIMEOUT_MAX):  # or NaN
+        raise ValueError(f"timeouts must be finite and at most {TIMEOUT_MAX:.0f} seconds")
+    if args.retry_wait < 0:
+        raise ValueError("--retry-wait must be >= 0")
+    if not args.retry_wait <= TIMEOUT_MAX:  # or NaN
+        raise ValueError(f"--retry-wait must be finite and at most {TIMEOUT_MAX:.0f} seconds")
+    if args.format not in FORMATS:
+        raise ValueError(f"--format must be one of {', '.join(FORMATS)}")
+    if getattr(args, "concurrency", 1) < 1:
+        raise ValueError("--concurrency must be >= 1")
+    if not 1 <= args.port <= 65535:
+        raise ValueError("--port out of range")
+    protocol_filter = (PROTOCOL_V4_ONLY if args.v4_only else
+                       PROTOCOL_V6_ONLY if args.v6_only else PROTOCOL_BOTH)
+    policy = QueryPolicy(max_retries=args.retries, retry_wait=args.retry_wait,
+                         udp_timeout=args.timeout, tcp_timeout=args.tcp_timeout)
+    return roots, protocol_filter, policy
 
 
-def _transport(cfg: RunConfig, transport_factory=None):
-    return transport_factory(cfg) if transport_factory else UdpTcpTransport()
-
-
-def _build_resolver(cfg: RunConfig, transport,
+def _build_resolver(args, settings, transport,
                     cache: ResponseCache | None = None) -> Resolver:
-    rng = random.Random(cfg.seed) if cfg.seed is not None else random.Random()
-    engine = QueryEngine(transport, policy=cfg.policy(), cache=cache, rng=rng)
-    return Resolver(
-        engine,
-        root_hints=cfg.roots,
-        protocol_filter=cfg.protocol_filter,
-        server_port=cfg.port,
-    )
+    """A resolver with ``_settings(args)``; a seed of None seeds from the OS."""
+    roots, protocol_filter, policy = settings
+    engine = QueryEngine(transport, policy=policy, cache=cache,
+                         rng=random.Random(args.seed))
+    return Resolver(engine, root_hints=roots, protocol_filter=protocol_filter,
+                    server_port=args.port)
 
 
 # -- check ---------------------------------------------------------------------
@@ -178,9 +133,8 @@ def _render_check_text(result) -> str:
     if result.steps:
         lines.append("delegation chain:")
         for step in result.steps:
-            state = step.status.state if step.status else "?"
             parent_ns = ", ".join(sorted(str(n) for n in step.parent_ns_set))
-            lines.append(f"  {step.zone} [{state}] parent NS: {parent_ns}")
+            lines.append(f"  {step.zone} [{step.status.state}] parent NS: {parent_ns}")
             if step.child_ns_set is not None and step.child_ns_set != step.parent_ns_set:
                 child_ns = ", ".join(sorted(str(n) for n in step.child_ns_set))
                 lines.append(f"    child NS: {child_ns}")
@@ -197,21 +151,20 @@ def _render_check_text(result) -> str:
 
 def cmd_check(args, transport_factory=None) -> int:
     try:
-        cfg = RunConfig.from_args(args)
+        settings = _settings(args)
         target = normalize(args.domain)
-    except (ConfigError, DnsNameError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    resolver = _build_resolver(cfg, _transport(cfg, transport_factory))
+    transport = transport_factory(args) if transport_factory else UdpTcpTransport()
+    resolver = _build_resolver(args, settings, transport)
     try:
         result = resolver.resolve_chain(target, enrich_result=True, probe_liveness=True)
     except (RootUnreachable, DepthLimitExceeded, DnsNameError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    if cfg.fmt == "structured":
-        print(json.dumps(result.to_json_dict(), sort_keys=True, indent=2))
-    else:
-        print(_render_check_text(result))
+    print(json.dumps(result.to_json_dict(), sort_keys=True, indent=2)
+          if args.format == "structured" else _render_check_text(result))
     return EXIT_OK if result.v6_resolvable else EXIT_NOT_V6
 
 
@@ -284,20 +237,20 @@ def _in_order(pool: ThreadPoolExecutor, fn, items, window: int):
 def cmd_scan(args, transport_factory=None) -> int:
     out_path = Path(args.output) if args.output else Path(args.list + ".results.jsonl")
     try:
-        cfg = RunConfig.from_args(args)
+        settings = _settings(args)
         domains = _parse_domain_list(args.list)
         completed = _scanned_domains(out_path)
-    except (ConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    transport = _transport(cfg, transport_factory)
+    transport = transport_factory(args) if transport_factory else UdpTcpTransport()
     shared_cache = ResponseCache()
     local = threading.local()
 
     def get_resolver() -> Resolver:
         if not hasattr(local, "resolver"):
-            local.resolver = _build_resolver(cfg, transport, shared_cache)
+            local.resolver = _build_resolver(args, settings, transport, shared_cache)
         return local.resolver
 
     def work(item) -> tuple[str, str]:
@@ -316,10 +269,10 @@ def cmd_scan(args, transport_factory=None) -> int:
     skipped = len(domains) - len(pending)
     # workers resolve concurrently; rows land here in input order, so the
     # output writes stay single-threaded
-    pool = ThreadPoolExecutor(max_workers=cfg.concurrency)
+    pool = ThreadPoolExecutor(max_workers=args.concurrency)
     try:
         with open(out_path, "a", encoding="utf-8") as out:
-            for state, line in _in_order(pool, work, pending, SCAN_WINDOW * cfg.concurrency):
+            for state, line in _in_order(pool, work, pending, SCAN_WINDOW * args.concurrency):
                 out.write(line)
                 out.flush()
                 states[state] += 1
@@ -330,10 +283,8 @@ def cmd_scan(args, transport_factory=None) -> int:
     total = sum(states.values())
     print(f"scanned {total} domains ({skipped} already in the output)")
     for state in (*STATES, "error"):
-        if total:
-            print(f"  {state:8s} {states[state]:6d}  {100.0 * states[state] / total:6.2f}%")
-        else:
-            print(f"  {state:8s} {states[state]:6d}")
+        share = f"  {100.0 * states[state] / total:6.2f}%" if total else ""
+        print(f"  {state:8s} {states[state]:6d}{share}")
     print(f"results: {out_path}")
     return EXIT_OK
 
@@ -486,12 +437,14 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                        default=_env("V6_ONLY") == "1")
     # An environment value stays a string: argparse converts it with the
     # flag's type only when the subcommand that owns the flag is parsed.
-    p.add_argument("--timeout", type=float, default=_env("TIMEOUT") or 3.0,
+    p.add_argument("--timeout", type=float, default=_env("TIMEOUT") or QueryPolicy.udp_timeout,
                    help="UDP timeout seconds")
-    p.add_argument("--tcp-timeout", type=float, default=_env("TCP_TIMEOUT") or 10.0)
-    p.add_argument("--retries", type=int, default=_env("RETRIES") or 4,
+    p.add_argument("--tcp-timeout", type=float,
+                   default=_env("TCP_TIMEOUT") or QueryPolicy.tcp_timeout)
+    p.add_argument("--retries", type=int, default=_env("RETRIES") or QueryPolicy.max_retries,
                    help="attempts per transport path")
-    p.add_argument("--retry-wait", type=float, default=_env("RETRY_WAIT") or 20.0,
+    p.add_argument("--retry-wait", type=float,
+                   default=_env("RETRY_WAIT") or QueryPolicy.retry_wait,
                    help="seconds between timeout-driven attempts")
     p.add_argument("--format", choices=FORMATS, default=_env("FORMAT") or "text")
     p.add_argument("--seed", type=int, default=_env("SEED") or None)
@@ -595,6 +548,11 @@ def main(argv=None, transport_factory=None) -> int:
     reused by the later ones. A command line that fails to parse returns
     2 after argparse prints the usage and the error on stderr, and ``-h``
     returns 0 after it prints the help; neither raises ``SystemExit``.
+
+    ``check`` and ``scan`` call ``transport_factory``, if given, once with
+    their parsed arguments (the ``argparse.Namespace``) after checking
+    their settings, and send every query over the transport it returns;
+    without it they use a ``UdpTcpTransport``.
     """
     try:
         args = _parser_for(_env_values()).parse_args(argv)

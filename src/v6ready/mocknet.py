@@ -88,7 +88,8 @@ class FixtureNs:
     """One nameserver host: its name and the addresses it listens on.
 
     Addresses are stored in canonical presentation form so they compare
-    equal to what a wire round-trip produces.
+    equal to what a wire round-trip produces; one of the other family is a
+    ValueError.
     """
 
     name: DomainName
@@ -96,8 +97,11 @@ class FixtureNs:
     v6: tuple[str, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "v4", tuple(canonical_address(a) for a in self.v4))
-        object.__setattr__(self, "v6", tuple(canonical_address(a) for a in self.v6))
+        for proto in (V4, V6):
+            addrs = tuple(canonical_address(a) for a in getattr(self, proto))
+            if any((":" in a) != (proto == V6) for a in addrs):
+                raise ValueError(f"{self.name}: {proto} holds an address of the other family")
+            object.__setattr__(self, proto, addrs)
 
     def addrs(self, proto: str) -> tuple[str, ...]:
         return self.v4 if proto == V4 else self.v6
@@ -130,20 +134,18 @@ class FixtureZone:
             raise ValueError(f"unknown defects: {sorted(unknown)}")
 
 
+def _hosts(entries: Iterable[tuple[str, Iterable[str], Iterable[str]]]) -> tuple[FixtureNs, ...]:
+    return tuple(FixtureNs(normalize(name), tuple(v4), tuple(v6)) for name, v4, v6 in entries)
+
+
 def zone_fixture(zone: str, ns: Iterable[tuple[str, Iterable[str], Iterable[str]]],
                  **kwargs) -> FixtureZone:
-    """Terse constructor: ns entries are (name, v4 addrs, v6 addrs)."""
-    entries = tuple(
-        FixtureNs(normalize(name), tuple(v4), tuple(v6)) for name, v4, v6 in ns
-    )
+    """Terse constructor: ns and hosted entries are (name, v4 addrs, v6 addrs)."""
     if "hosted" in kwargs:
-        kwargs["hosted"] = tuple(
-            FixtureNs(normalize(name), tuple(v4), tuple(v6))
-            for name, v4, v6 in kwargs["hosted"]
-        )
+        kwargs["hosted"] = _hosts(kwargs["hosted"])
     if "defects" in kwargs:
         kwargs["defects"] = frozenset(kwargs["defects"])
-    return FixtureZone(zone=normalize(zone), ns=entries, **kwargs)
+    return FixtureZone(zone=normalize(zone), ns=_hosts(ns), **kwargs)
 
 
 DEFAULT_ROOT = zone_fixture(
@@ -808,51 +810,56 @@ def dump_fixtures(out, fixtures: Iterable[FixtureZone]) -> None:
         out.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+def _fixture_zone(doc: dict) -> FixtureZone:
+    """One zone document of a fixture file."""
+    def hosts(entries):  # [{"name": ..., "v4": [...], "v6": [...]}, ...]
+        return _hosts((e["name"], e.get("v4", ()), e.get("v6", ())) for e in entries)
+
+    glue = None
+    if "glue_in_parent" in doc:  # {NS name: {"v4": [...], "v6": [...]}}
+        glue = {e.name: AddrRecords(frozenset(e.v4), frozenset(e.v6)) for e in
+                hosts({**a, "name": ns} for ns, a in doc["glue_in_parent"].items())}
+    return FixtureZone(
+        zone=normalize(doc["zone"]),
+        ns=hosts(doc.get("ns", ())),
+        hosted=hosts(doc.get("hosted", ())),
+        glue_in_parent=glue,
+        defects=frozenset(doc.get("defects", ())),
+        version=doc.get("version"),
+        soa_serials={normalize(n): s
+                     for n, s in doc.get("soa_serials", {}).items()} or None,
+        txt=tuple(t.encode() for t in doc.get("txt", ())),
+        mx=tuple((pref, normalize(host)) for pref, host in doc.get("mx", ())),
+        cnames=tuple((normalize(a), normalize(b)) for a, b in doc.get("cnames", ())),
+    )
+
+
 def load_fixtures(path) -> list[FixtureZone]:
     """Read a fixture file produced by dump_fixtures (or written by hand).
-    A header of another format or version is a ValueError."""
-    fixtures = []
-    lines = [l for l in Path(path).read_text(encoding=INPUT_ENCODING).splitlines()
-             if l.strip()]
-    if not lines:
-        return []
-    header = json.loads(lines[0])
-    if header.get("format") != "mocknet-fixtures":
-        raise ValueError(f"not a fixture file: {path}")
-    if header.get("version") != 1:
-        raise ValueError(f"{path}: fixture file version {header.get('version')!r}, not 1")
-    for line in lines[1:]:
-        doc = json.loads(line)
-
-        def entries(key):
-            return tuple(
-                FixtureNs(normalize(e["name"]), tuple(e.get("v4", ())),
-                          tuple(e.get("v6", ())))
-                for e in doc.get(key, ())
-            )
-
-        glue = None
-        if "glue_in_parent" in doc:
-            glue = {
-                normalize(ns): AddrRecords(frozenset(a.get("v4", ())),
-                                           frozenset(a.get("v6", ())))
-                for ns, a in doc["glue_in_parent"].items()
-            }
-        fixtures.append(FixtureZone(
-            zone=normalize(doc["zone"]),
-            ns=entries("ns"),
-            hosted=entries("hosted"),
-            glue_in_parent=glue,
-            defects=frozenset(doc.get("defects", ())),
-            version=doc.get("version"),
-            soa_serials={normalize(n): s
-                         for n, s in doc.get("soa_serials", {}).items()} or None,
-            txt=tuple(t.encode() for t in doc.get("txt", ())),
-            mx=tuple((pref, normalize(host)) for pref, host in doc.get("mx", ())),
-            cnames=tuple((normalize(a), normalize(b))
-                         for a, b in doc.get("cnames", ())),
-        ))
-    return fixtures
+    A header of another format or version, or a line that is not a zone
+    document of the shape dump_fixtures writes (a bad address, a list where
+    a mapping belongs, no zone, ...), is a ValueError naming ``path:line``."""
+    fixtures = None  # until the header is read
+    for number, line in enumerate(Path(path).read_text(encoding=INPUT_ENCODING).splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            doc = json.loads(line)
+            if not isinstance(doc, dict):
+                raise ValueError("not a JSON object")
+            if fixtures is not None:
+                fixtures.append(_fixture_zone(doc))
+            elif doc.get("format") != "mocknet-fixtures":
+                raise ValueError("not a fixture file")
+            elif doc.get("version") != 1:
+                raise ValueError(f"fixture file version {doc.get('version')!r}, not 1")
+            else:
+                fixtures = []
+        except KeyError as exc:
+            raise ValueError(f"{path}:{number}: no {exc} key") from None
+        except (ValueError, TypeError, AttributeError, OSError, RecursionError) as exc:
+            raise ValueError(f"{path}:{number}: {exc}") from None
+    return fixtures or []
 
 
 class LoopbackServer:

@@ -87,8 +87,10 @@ class QueryPolicy:
     def __post_init__(self):
         if self.max_retries < 1:
             raise ValueError("max_retries must be >= 1")
-        if self.retry_wait < 0 or self.udp_timeout < 0 or self.tcp_timeout < 0:
-            raise ValueError("waits must be >= 0")
+        # NaN fails both comparisons; sockets and sleeps refuse waits over TIMEOUT_MAX
+        if not all(0 <= wait <= threading.TIMEOUT_MAX
+                   for wait in (self.retry_wait, self.udp_timeout, self.tcp_timeout)):
+            raise ValueError("waits must be >= 0, finite and at most threading.TIMEOUT_MAX")
 
 
 RESPONSE = "response"

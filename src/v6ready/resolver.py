@@ -134,9 +134,9 @@ class DelegationStep:
     child_ns_set: frozenset[DomainName] | None
     glue: dict[DomainName, AddrRecords]
     queried_servers: list[tuple[str, str, str]]  # (address, protocol, outcome kind)
-    cname_ns: frozenset[DomainName] = frozenset()
-    out_of_zone: tuple[ResourceRecord, ...] = ()
-    status: ResolutionStatus | None = None
+    cname_ns: frozenset[DomainName]
+    out_of_zone: tuple[ResourceRecord, ...]
+    status: ResolutionStatus
 
 
 @dataclass
@@ -189,8 +189,8 @@ class ChainResult:
                         f"{rr.owner} {rr.rrtype} {rr.address}"
                         for rr in s.out_of_zone
                     ],
-                    "state": s.status.state if s.status else None,
-                    "causes": sorted(s.status.causes) if s.status else [],
+                    "state": s.status.state,
+                    "causes": sorted(s.status.causes),
                 }
                 for s in self.steps
             ],
@@ -219,7 +219,7 @@ class _ZoneInfo:
     cname_ns: set[DomainName] = field(default_factory=set)
     out_of_zone: list[ResourceRecord] = field(default_factory=list)
     silent: bool = False  # no server of the parent answered the NS query for it
-    status: ResolutionStatus | None = None
+    step: DelegationStep | None = None  # built once its evidence is final
 
     def record_set(self) -> ZoneRecordSet:
         ns_by_bw = {self.parent_zone: self.parent_ns}
@@ -312,20 +312,9 @@ class Resolver:
                 chain = _run(self._walk(target))
         self._propagate()
         deepest = chain[-1]
-        steps = [
-            DelegationStep(
-                zone=info.zone,
-                parent_ns_set=info.parent_ns,
-                child_ns_set=info.child_ns,
-                glue=_own_addresses(info.record_set())[0],
-                queried_servers=list(info.queried),
-                cname_ns=frozenset(info.cname_ns),
-                out_of_zone=tuple(info.out_of_zone),
-                status=self._status(info),
-            )
-            for info in chain[1:]  # the root is not a delegation
-        ]
-        result = ChainResult(target, self.protocol_filter, steps, self._status(deepest))
+        steps = [self._step(info) for info in chain[1:]]  # the root is not a delegation
+        status = steps[-1].status if steps else self._root_status()
+        result = ChainResult(target, self.protocol_filter, steps, status)
         if enrich_result and deepest.zone != ROOT:
             result.enrichment, result.server_version = self.enrich(
                 deepest.zone, deepest.servers)
@@ -597,19 +586,26 @@ class Resolver:
     def _resolves(self, zone: DomainName, proto: str) -> bool:
         return zone in self._propagations[proto].resolved
 
-    def _status(self, info: _ZoneInfo) -> ResolutionStatus:
-        """The zone's status, memoised once its verdicts are final."""
-        if info.zone == ROOT:
-            v4, v6 = (self._resolves(ROOT, proto) for proto in (V4, V6))
-            return ResolutionStatus(v4, v6, intent_v6=True)
-        if info.status is None and info.silent:
-            names = {str(ns) for ns, _addr in self._zones[info.parent_zone].servers}
-            silent = FailureCause(CAUSE_NS_UNRESPONSIVE, tuple(sorted(names)))
-            info.status = ResolutionStatus(False, False, False, frozenset({silent}))
-        elif info.status is None:
-            info.status = classify(info.record_set(), info.ns_zones(), self._resolves,
-                                   info.answers)
-        return info.status
+    def _root_status(self) -> ResolutionStatus:
+        v4, v6 = (self._resolves(ROOT, proto) for proto in (V4, V6))
+        return ResolutionStatus(v4, v6, intent_v6=True)
+
+    def _step(self, info: _ZoneInfo) -> DelegationStep:
+        """The step of a zone below the root, built by the first chain that
+        reports it, after ``_propagate``: its evidence and verdicts are final
+        then, so every later chain shares the step, and its lists, as is."""
+        if info.step is None:
+            record_set = info.record_set()
+            if info.silent:
+                names = {str(ns) for ns, _addr in self._zones[info.parent_zone].servers}
+                silent = FailureCause(CAUSE_NS_UNRESPONSIVE, tuple(sorted(names)))
+                status = ResolutionStatus(False, False, False, frozenset({silent}))
+            else:
+                status = classify(record_set, info.ns_zones(), self._resolves, info.answers)
+            info.step = DelegationStep(
+                info.zone, info.parent_ns, info.child_ns, _own_addresses(record_set)[0],
+                info.queried, frozenset(info.cname_ns), tuple(info.out_of_zone), status)
+        return info.step
 
     # -- enrichment and liveness ---------------------------------------------
 

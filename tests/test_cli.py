@@ -715,6 +715,19 @@ BAD_SETTINGS = [
     ("--port", "0", "--port out of range"),
     ("--port", "70000", "--port out of range"),
 ]
+# Sockets and sleeps refuse a wait that is not finite or exceeds
+# threading.TIMEOUT_MAX; -inf fails the earlier sign check first.
+FINITE = f"must be finite and at most {threading.TIMEOUT_MAX:.0f} seconds"
+BAD_SETTINGS += [
+    (flag, value, f"{subject} {FINITE}")
+    for flag, subject in [("--timeout", "timeouts"), ("--tcp-timeout", "timeouts"),
+                          ("--retry-wait", "--retry-wait")]
+    for value in ("nan", "inf", "1e10")
+] + [
+    ("--timeout", "-inf", "timeouts must be positive"),
+    ("--tcp-timeout", "-inf", "timeouts must be positive"),
+    ("--retry-wait", "-inf", "--retry-wait must be >= 0"),
+]
 CONFLICT = "--v4-only and --v6-only are mutually exclusive"
 
 

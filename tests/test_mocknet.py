@@ -1,7 +1,8 @@
 import json
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from universes import (
     combined_two_scenario_universe,
@@ -12,6 +13,7 @@ from universes import (
     passive_verdicts,
 )
 from v6ready.mocknet import (
+    ALL_DEFECTS,
     AddressCollision,
     BLACKHOLE_V6,
     FixtureNs,
@@ -20,6 +22,7 @@ from v6ready.mocknet import (
     build_universe,
     fixture_tuples,
     ground_truth,
+    load_fixtures,
     random_universe,
     zone_fixture,
 )
@@ -390,3 +393,83 @@ def test_a_repeated_query_is_logged_under_its_own_id():
         query._replace(id=i) for i in (1, 2, 3, 4)]
     assert [decode(r).id for r in replies] == [1, 2, 3, 4]
     assert len({r[2:] for r in replies}) == 1
+
+
+# -- fixture files of any text -------------------------------------------------
+
+FIXTURE_HEADER = '{"format": "mocknet-fixtures", "version": 1}'
+FIXTURE_KEYS = ["zone", "ns", "hosted", "glue_in_parent", "defects", "version",
+                "soa_serials", "txt", "mx", "cnames", "name", "v4", "v6"]
+fixture_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-1, 2**40), st.text(max_size=6),
+    st.sampled_from([".", "t", "a.t", "ns.a.t", "bad..name", "10.0.0.1", "fd00::1",
+                     "10.0.0.256", "x", "drop-aaaa-glue", "wrong-ns-set-child"]))
+fixture_values = st.recursive(
+    fixture_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(FIXTURE_KEYS) | st.text(max_size=4),
+                                            inner, max_size=3)),
+    max_leaves=10)
+fixture_names = st.sampled_from([".", "t", "a.t", "ns.t", "ns.a.t", "b.a.t", "x.y"])
+fixture_addrs = st.lists(st.sampled_from(["10.0.0.1", "10.0.0.2", "fd00::1", "fd00::2",
+                                          "10.254.0.1"]), max_size=2)
+fixture_hosts = st.lists(st.fixed_dictionaries(
+    {"name": fixture_names}, optional={"v4": fixture_addrs, "v6": fixture_addrs}), max_size=2)
+# documents of the right shape, with names and addresses that may clash
+zone_docs = st.fixed_dictionaries({"zone": fixture_names}, optional={
+    "ns": fixture_hosts, "hosted": fixture_hosts,
+    "defects": st.lists(st.sampled_from(sorted(ALL_DEFECTS)), max_size=2),
+    "glue_in_parent": st.dictionaries(fixture_names, st.fixed_dictionaries(
+        {}, optional={"v4": fixture_addrs, "v6": fixture_addrs}), max_size=2)})
+fixture_lines = st.one_of(
+    zone_docs.map(json.dumps),
+    st.dictionaries(st.sampled_from(FIXTURE_KEYS), fixture_values, max_size=5).map(json.dumps),
+    st.sampled_from([
+        json.dumps({"zone": ".", "ns": [{"name": "a.root", "v4": ["10.0.0.1"]}]}),
+        json.dumps({"zone": "t", "ns": [{"name": "ns.t", "v4": ["10.0.0.2"],
+                                          "v6": ["fd00::2"]}]}),
+        json.dumps({"zone": "a.t", "ns": [{"name": "ns.t"}], "defects": ["wrong-ns-set-child"],
+                    "glue_in_parent": {"ns.t": {"v4": ["10.0.0.2"]}}}),
+        "[1]", "", "{", FIXTURE_HEADER]),
+    st.text(max_size=10))
+fixture_texts = st.one_of(
+    st.text(max_size=60),
+    *(st.lists(lines, max_size=5).map(lambda lines: "\n".join([FIXTURE_HEADER, *lines]))
+      for lines in (fixture_lines, zone_docs.map(json.dumps))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(fixture_texts)
+@example("[1]\n")
+@example(FIXTURE_HEADER + "\n[1]\n")
+@example(FIXTURE_HEADER + '\n{"ns": []}\n')
+@example(FIXTURE_HEADER + '\n{"zone": ".", "ns": [{"name": "a.root", "v4": "10.0.0.1"}]}\n')
+@example(FIXTURE_HEADER + '\n{"zone": ".", "ns": [{"name": "a.root", "v4": ["x"]}]}\n')
+@example(FIXTURE_HEADER + '\n{"zone": ".", "ns": [{"name": "a.root", "v4": ["fd00::1"]}]}\n')
+def test_a_fixture_file_of_any_text_loads_or_raises_a_value_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "any-fixtures.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    try:
+        fixtures = load_fixtures(path)
+    except ValueError as exc:
+        assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), exc
+        return
+    try:
+        build_universe(fixtures)
+    except ValueError:
+        pass
+
+
+@pytest.mark.parametrize("lines, number", [
+    (["[1]"], 1),
+    ([FIXTURE_HEADER, "[1]"], 2),
+    ([FIXTURE_HEADER, "", '{"ns": []}'], 3),
+    ([FIXTURE_HEADER, '{"zone": ".", "ns": [{"name": "a.root", "v4": "10.0.0.1"}]}'], 2),
+    ([FIXTURE_HEADER, '{"zone": ".", "ns": [{"name": "a.root", "v4": ["x"]}]}'], 2),
+], ids=["header-not-an-object", "zone-not-an-object", "no-zone", "v4-a-string",
+        "v4-not-an-address"])
+def test_a_malformed_fixture_line_is_a_value_error_naming_its_line(tmp_path, lines, number):
+    path = tmp_path / "fixtures.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{number}: "):
+        load_fixtures(path)

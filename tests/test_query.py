@@ -202,6 +202,14 @@ def test_policy_validation():
         QueryPolicy(retry_wait=-1)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 1e10])
+@pytest.mark.parametrize("field", ["retry_wait", "udp_timeout", "tcp_timeout"])
+def test_policy_refuses_a_wait_that_sockets_and_sleeps_refuse(field, value):
+    with pytest.raises(ValueError, match="finite"):
+        QueryPolicy(**{field: value})
+    assert getattr(QueryPolicy(**{field: threading.TIMEOUT_MAX}), field) == threading.TIMEOUT_MAX
+
+
 def test_engines_given_one_empty_cache_share_it():
     transport = ScriptedTransport("ok")
     cache = ResponseCache()

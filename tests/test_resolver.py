@@ -483,3 +483,31 @@ def test_each_zone_is_discovered_once_per_resolver():
         discovered += len(resolver._found)
         zones += len({info.zone for info in resolver._found})
     assert discovered == zones > 3900
+
+
+def test_chains_through_one_zone_share_its_step(monkeypatch):
+    # A zone's evidence is final once a chain reports it, so its step (glue
+    # and status included) is built once, and so is the record set behind it.
+    from v6ready import resolver as resolver_module
+
+    built = Counter()
+    build = resolver_module.build_record_set
+
+    def counting(zone, *rest):
+        built[zone] += 1
+        return build(zone, *rest)
+
+    monkeypatch.setattr(resolver_module, "build_record_set", counting)
+    for seed in range(5):
+        base, truth = random_universe(seed, 30)
+        u = with_liveness_faults(base, seed)
+        resolver = make_resolver(u)
+        steps, chains = {}, Counter()
+        for zone in sorted(truth):
+            for step in resolver.resolve_chain(zone).steps:
+                assert steps.setdefault(step.zone, step) is step, (seed, step.zone)
+                chains[step.zone] += 1
+        fed = {info.zone for info in resolver._found[:resolver._fed] if not info.silent}
+        assert max(chains.values()) > 2
+        assert max(built[zone] for zone in fed) <= 2, seed
+        built.clear()
