@@ -283,8 +283,10 @@ def cmd_scan(args, transport_factory=None) -> int:
     total = sum(states.values())
     print(f"scanned {total} domains ({skipped} already in the output)")
     for state in (*STATES, "error"):
-        share = f"  {100.0 * states[state] / total:6.2f}%" if total else ""
-        print(f"  {state:8s} {states[state]:6d}{share}")
+        if total:
+            print(f"  {state:8s} {states[state]:6d}  {100.0 * states[state] / total:6.2f}%")
+        else:
+            print(f"  {state:8s} {states[state]:6d}")
     print(f"results: {out_path}")
     return EXIT_OK
 
