@@ -23,12 +23,12 @@ import random
 import socket
 import threading
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple
 
 from . import INPUT_ENCODING
-from .names import ROOT, DomainName, normalize
+from .names import ROOT, DomainName, deepest_known, normalize
 from .passive import PassiveTuple
 from .query import (
     ServerAddress,
@@ -39,14 +39,16 @@ from .query import (
 from .records import (
     AddrRecords,
     CLASS_CH,
-    MxData,
+    NO_ADDRS,
     ResourceRecord,
     RRType,
     SoaData,
     V4,
     V6,
+    VERSION_BIND,
     canonical_address,
     pack_address,
+    record_text,
 )
 from .wire import (
     DnsMessage,
@@ -55,6 +57,7 @@ from .wire import (
     RCODE_REFUSED,
     WireFormatError,
     decode,
+    decode_after_id,
     encode,
     encode_records,
     frame_tcp,
@@ -98,23 +101,31 @@ class FixtureNs:
 
     def __post_init__(self):
         for proto in (V4, V6):
-            addrs = tuple(canonical_address(a) for a in getattr(self, proto))
-            if any((":" in a) != (proto == V6) for a in addrs):
-                raise ValueError(f"{self.name}: {proto} holds an address of the other family")
-            object.__setattr__(self, proto, addrs)
+            object.__setattr__(self, proto, _canonical(self.name, proto, getattr(self, proto)))
 
     def addrs(self, proto: str) -> tuple[str, ...]:
         return self.v4 if proto == V4 else self.v6
 
 
+def _canonical(owner: DomainName, proto: str, addrs: Iterable[str]) -> tuple[str, ...]:
+    """``addrs`` in canonical form; one of the other family than ``proto``
+    is a ValueError."""
+    out = tuple(canonical_address(a) for a in addrs)
+    if any((":" in a) != (proto == V6) for a in out):
+        raise ValueError(f"{owner}: {proto} holds an address of the other family")
+    return out
+
+
 @dataclass(frozen=True)
 class FixtureZone:
-    """One zone of the simulated tree.
+    """One zone of the simulated tree, checked as it is built.
 
     ``ns`` entries carry addresses only when the name is inside this zone;
     out-of-bailiwick NS addresses belong to their host zone (declare them
     there, via ``ns`` or ``hosted``). ``glue_in_parent`` optionally narrows
-    which addresses the parent serves as glue, per NS name.
+    which addresses the parent serves as glue, per NS name, in canonical
+    form. ``soa_serials`` holds 32-bit serials per NS name, and ``version``
+    one TXT string of at most 255 bytes.
     """
 
     zone: DomainName
@@ -124,14 +135,34 @@ class FixtureZone:
     defects: frozenset[str] = frozenset()
     version: str | None = None
     soa_serials: Mapping[DomainName, int] | None = None
-    txt: tuple[bytes, ...] = ()
-    mx: tuple[tuple[int, DomainName], ...] = ()
     cnames: tuple[tuple[DomainName, DomainName], ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "defects", frozenset(self.defects))
         unknown = self.defects - ALL_DEFECTS
         if unknown:
             raise ValueError(f"unknown defects: {sorted(unknown)}")
+        for entry in self.hosted:
+            if not entry.name.is_within(self.zone):
+                raise OrphanZone(f"host {entry.name} declared in {self.zone} but not within it")
+        for entry in self.ns:
+            if (entry.v4 or entry.v6) and not entry.name.is_within(self.zone):
+                raise AddressCollision(f"out-of-bailiwick NS {entry.name} of {self.zone} must not "
+                                       f"declare addresses; declare them in its host zone")
+        glue, serials = self.glue_in_parent, self.soa_serials or {}
+        if not all(isinstance(ns, DomainName) for ns in [*(glue or ()), *serials]):
+            raise ValueError(f"{self.zone}: glue_in_parent and soa_serials are keyed by names")
+        if glue is not None:
+            object.__setattr__(self, "glue_in_parent", {ns: AddrRecords(*(
+                frozenset(_canonical(ns, proto, addrs.for_protocol(proto))) for proto in (V4, V6)))
+                for ns, addrs in glue.items()})
+        for ns, serial in serials.items():
+            if type(serial) is not int or not 0 <= serial <= 0xFFFFFFFF:
+                raise ValueError(f"{self.zone}: serial {serial!r} of {ns} is not an int "
+                                 f"in 0..2**32-1")
+        if self.version is not None and (not isinstance(self.version, str)
+                                         or len(self.version.encode()) > 255):
+            raise ValueError(f"{self.zone}: version {self.version!r} is not one TXT string")
 
 
 def _hosts(entries: Iterable[tuple[str, Iterable[str], Iterable[str]]]) -> tuple[FixtureNs, ...]:
@@ -143,8 +174,6 @@ def zone_fixture(zone: str, ns: Iterable[tuple[str, Iterable[str], Iterable[str]
     """Terse constructor: ns and hosted entries are (name, v4 addrs, v6 addrs)."""
     if "hosted" in kwargs:
         kwargs["hosted"] = _hosts(kwargs["hosted"])
-    if "defects" in kwargs:
-        kwargs["defects"] = frozenset(kwargs["defects"])
     return FixtureZone(zone=normalize(zone), ns=_hosts(ns), **kwargs)
 
 
@@ -199,7 +228,6 @@ class CompiledAnswer(NamedTuple):
 
 
 _CHILD_ONLY_LABEL = b"ns-child-only"
-_VERSION_BIND = normalize("version.bind")
 _FAMILIES = ((V4, RRType.A), (V6, RRType.AAAA))
 
 
@@ -213,10 +241,9 @@ class Universe:
     reply shares them. To change a fixture, build a new Universe.
 
     As it answers, only the clock, the packet log, the loss generator, the
-    compiled answers and a one-slot memo of the last decoded query change.
-    A query whose bytes after the ID repeat the last one reuses its decoded
-    message under its own ID; a query that does not decode is dropped
-    (``TransportTimeout``).
+    compiled answers and a one-slot memo of the last decoded query
+    (``wire.decode_after_id``) change. A query that does not decode is
+    dropped (``TransportTimeout``).
     """
 
     def __init__(self, fixtures: dict[DomainName, FixtureZone], seed: int = 0,
@@ -235,7 +262,7 @@ class Universe:
         self._referrals: dict[DomainName, CompiledAnswer] = {}
         self._apex_ns_answers: dict[DomainName, CompiledAnswer] = {}
         self._sorted_names: list[DomainName] | None = None
-        # (query bytes after the ID, the decoded query)
+        # the slot of ``wire.decode_after_id``
         self._last_query: tuple = (None, None)
 
     # -- construction -------------------------------------------------------
@@ -243,14 +270,9 @@ class Universe:
     def _index(self) -> None:
         if ROOT not in self.fixtures:
             raise OrphanZone("no root fixture")
-        self.parent: dict[DomainName, DomainName] = {}
-        for zone in self.fixtures:
-            if zone == ROOT:
-                continue
-            parent = zone.parent()
-            while parent not in self.fixtures:
-                parent = parent.parent()
-            self.parent[zone] = parent
+        self.parent: dict[DomainName, DomainName] = {
+            zone: deepest_known(zone.parent(), self.fixtures).zone
+            for zone in self.fixtures if zone != ROOT}
 
         # Synthetic child-only servers use reserved ranges (10.254.0.0/16 and
         # fd00:fffe::/32); fixtures must not allocate addresses there.
@@ -276,9 +298,6 @@ class Universe:
             if zone in self.extra_child_ns:
                 hosts.append(self.extra_child_ns[zone])
             for entry in hosts:
-                if not entry.name.is_within(zone):
-                    raise OrphanZone(
-                        f"host {entry.name} declared in {zone} but not within it")
                 known = self.host_of.get(entry.name)
                 if known is not None and known != entry:
                     raise AddressCollision(f"conflicting declarations for {entry.name}")
@@ -290,20 +309,12 @@ class Universe:
                         raise AddressCollision(
                             f"{addr} claimed by {claimed} and {entry.name}")
                     self.address_name[addr] = entry.name
-        for zone, fz in self.fixtures.items():
-            for entry in fz.ns:
-                if not entry.name.is_within(zone) and (entry.v4 or entry.v6):
-                    raise AddressCollision(
-                        f"out-of-bailiwick NS {entry.name} of {zone} must not "
-                        f"declare addresses; declare them in its host zone")
 
         # zones each host name serves (delegation view plus child extras)
         self.serves: dict[DomainName, set[DomainName]] = {}
-        for zone, fz in self.fixtures.items():
-            for entry in fz.ns:
-                self.serves.setdefault(entry.name, set()).add(zone)
-            if zone in self.extra_child_ns:
-                self.serves.setdefault(self.extra_child_ns[zone].name, set()).add(zone)
+        for zone in self.fixtures:
+            for name in self.apex_ns(zone):
+                self.serves.setdefault(name, set()).add(zone)
 
     # -- views used by both the answer path and the exports ------------------
 
@@ -311,11 +322,9 @@ class Universe:
         return sorted(e.name for e in self.fixtures[zone].ns)
 
     def apex_ns(self, zone: DomainName) -> list[DomainName]:
-        names = [e.name for e in self.fixtures[zone].ns]
+        names = self.delegation_ns(zone)
         extra = self.extra_child_ns.get(zone)
-        if extra:
-            names.append(extra.name)
-        return sorted(names)
+        return sorted([*names, extra.name]) if extra else names
 
     def glue_addrs(self, zone: DomainName, ns: DomainName, proto: str) -> tuple[str, ...]:
         """Glue the parent serves when delegating ``zone``, for one NS name."""
@@ -325,11 +334,7 @@ class Universe:
         if proto == V6 and DROP_AAAA_GLUE in fz.defects:
             return ()
         if fz.glue_in_parent is not None:
-            subset = fz.glue_in_parent.get(ns)
-            if subset is None:
-                return ()
-            return tuple(sorted(canonical_address(a)
-                                for a in subset.for_protocol(proto)))
+            return tuple(sorted(fz.glue_in_parent.get(ns, NO_ADDRS).for_protocol(proto)))
         host = self.host_of.get(ns)
         return tuple(sorted(host.addrs(proto))) if host else ()
 
@@ -348,23 +353,19 @@ class Universe:
         return tuple(sorted(host.addrs(proto))) if host else ()
 
     def root_hints(self) -> list[tuple[DomainName, str, str]]:
-        hints = []
-        for entry in self.fixtures[ROOT].ns:
-            for addr in entry.v4:
-                hints.append((entry.name, V4, addr))
-            for addr in entry.v6:
-                hints.append((entry.name, V6, addr))
-        return hints
+        return [(entry.name, proto, addr) for entry in self.fixtures[ROOT].ns
+                for proto in (V4, V6) for addr in entry.addrs(proto)]
 
     # -- transport ----------------------------------------------------------
 
     def exchange(self, server: ServerAddress, transport: str, payload: bytes,
                  timeout: float) -> bytes:
         proto = server.protocol
-        msg = self._decode_query(payload)
         self.clock += 1 + self.latency.get(server.ip, 0)
-        if msg is None:  # dropped, as a server drops what it cannot read
-            raise TransportTimeout("query does not decode")
+        try:
+            msg, self._last_query = decode_after_id(payload, self._last_query)
+        except WireFormatError:  # dropped, as a server drops what it cannot read
+            raise TransportTimeout("query does not decode") from None
         self.log.append(LogEntry(self.clock, "query", server.ip, proto, transport, msg))
         name = self.address_name.get(server.ip)
         if name is None:
@@ -378,21 +379,6 @@ class Universe:
         self.clock += 1
         self.log.append(LogEntry(self.clock, "response", server.ip, proto, transport, reply))
         return encode(reply, records)
-
-    def _decode_query(self, payload: bytes) -> DnsMessage | None:
-        """``decode(payload)``, or None if it does not decode. A query whose
-        bytes after the ID repeat the last decoded one shares that message,
-        which is immutable, under its own ID."""
-        body = payload[2:]
-        last_body, last = self._last_query
-        if body == last_body:
-            return DnsMessage._make((int.from_bytes(payload[:2], "big"), *last[1:]))
-        try:
-            msg = decode(payload)
-        except WireFormatError:
-            return None
-        self._last_query = (body, msg)
-        return msg
 
     # -- server behavior ----------------------------------------------------
 
@@ -411,7 +397,7 @@ class Universe:
         if q is None:
             return msg.reply_skeleton(rcode=RCODE_FORMERR), None
         if q.qclass == CLASS_CH:
-            if q.qtype == RRType.TXT and q.qname == _VERSION_BIND:
+            if q.qtype == RRType.TXT and q.qname == VERSION_BIND:
                 version = self.fixtures[owner].version
                 if version:
                     rr = ResourceRecord(q.qname, RRType.TXT, 0, (version.encode(),))
@@ -502,32 +488,12 @@ class Universe:
                 )
                 rr = ResourceRecord(zone, RRType.SOA, 3600, soa)
                 return msg.reply_skeleton(aa=True, answer=(rr,)), None
-            if q.qtype == RRType.TXT:
-                if fz.txt:
-                    rr = ResourceRecord(zone, RRType.TXT, 3600, fz.txt)
+        else:
+            for owner, target in fz.cnames:
+                if q.qname == owner:
+                    rr = ResourceRecord(owner, RRType.CNAME, 3600, target)
                     return msg.reply_skeleton(aa=True, answer=(rr,)), None
-                return msg.reply_skeleton(aa=True), None
-            if q.qtype == RRType.MX:
-                answer = tuple(
-                    ResourceRecord(zone, RRType.MX, 3600, MxData(pref, host))
-                    for pref, host in fz.mx
-                )
-                return msg.reply_skeleton(aa=True, answer=answer), None
-            if (q.qtype in (RRType.A, RRType.AAAA)
-                    and self.owner_zone.get(zone) == zone):
-                # the apex name doubles as a nameserver host
-                proto = V4 if q.qtype == RRType.A else V6
-                answer = tuple(
-                    ResourceRecord(zone, q.qtype, 3600, pack_address(a))
-                    for a in self.apex_addrs(zone, proto)
-                )
-                return msg.reply_skeleton(aa=True, answer=answer), None
-            return msg.reply_skeleton(aa=True), None
-        for owner, target in fz.cnames:
-            if q.qname == owner:
-                rr = ResourceRecord(owner, RRType.CNAME, 3600, target)
-                return msg.reply_skeleton(aa=True, answer=(rr,)), None
-        if q.qname in self.host_of and self.owner_zone[q.qname] == zone:
+        if self.owner_zone.get(q.qname) == zone:  # a host of this zone, maybe its apex
             if q.qtype in (RRType.A, RRType.AAAA):
                 proto = V4 if q.qtype == RRType.A else V6
                 answer = tuple(
@@ -553,11 +519,7 @@ class Universe:
     def _zone_of(self, qname: DomainName) -> DomainName:
         """The deepest fixture zone that ``qname`` is in: the longest of its
         prefixes that is a fixture (the root is one)."""
-        for depth in range(len(qname), 0, -1):
-            fz = self.fixtures.get(qname[:depth])
-            if fz is not None:
-                return fz.zone
-        return ROOT
+        return deepest_known(qname, self.fixtures).zone
 
     # -- exports -------------------------------------------------------------
 
@@ -581,10 +543,8 @@ class Universe:
             rrsets: dict[tuple[DomainName, RRType], list[str]] = {}
             for rr in (entry.message.answer + entry.message.authority
                        + entry.message.additional):
-                value = _rr_text(rr)
-                if value is None:
-                    continue
-                rrsets.setdefault((rr.owner, rr.rrtype), []).append(value)
+                if rr.rrtype in (RRType.NS, RRType.A, RRType.AAAA):
+                    rrsets.setdefault((rr.owner, rr.rrtype), []).append(record_text(rr))
             for (owner, rrtype), values in rrsets.items():
                 key = (owner, int(rrtype), bailiwick, tuple(sorted(set(values))))
                 slot = acc.setdefault(key, {
@@ -613,14 +573,6 @@ def _compile(answer: tuple[ResourceRecord, ...], authority: tuple[ResourceRecord
                           encode_records(answer, authority, additional))
 
 
-def _rr_text(rr: ResourceRecord) -> str | None:
-    if rr.rrtype == RRType.NS:
-        return str(rr.target)
-    if rr.rrtype in (RRType.A, RRType.AAAA):
-        return rr.address
-    return None
-
-
 def build_universe(fixtures: Iterable[FixtureZone] | dict[DomainName, FixtureZone],
                    seed: int = 0, **kwargs) -> Universe:
     """Index fixtures into a queryable universe.
@@ -640,7 +592,10 @@ def build_universe(fixtures: Iterable[FixtureZone] | dict[DomainName, FixtureZon
 # -- static record-level export ---------------------------------------------
 
 
-def fixture_tuples(universe: Universe, base_time: int = 1_600_000_000) -> list[PassiveTuple]:
+FIXTURE_TIME = 1_600_000_000  # time_first and time_last of every fixture tuple
+
+
+def fixture_tuples(universe: Universe) -> list[PassiveTuple]:
     """The complete record-level view of a universe as passive tuples.
 
     This is what a sensor with full visibility would have collected: both
@@ -652,7 +607,7 @@ def fixture_tuples(universe: Universe, base_time: int = 1_600_000_000) -> list[P
     def emit(rrname, rrtype, bailiwick, values):
         values = tuple(sorted(values))
         if values:
-            out.append(PassiveTuple(1, base_time, base_time, rrname, rrtype,
+            out.append(PassiveTuple(1, FIXTURE_TIME, FIXTURE_TIME, rrname, rrtype,
                                     bailiwick, values))
 
     for zone in sorted(universe.fixtures):
@@ -801,35 +756,46 @@ def dump_fixtures(out, fixtures: Iterable[FixtureZone]) -> None:
         if fz.soa_serials:
             doc["soa_serials"] = {str(n): s for n, s in sorted(
                 fz.soa_serials.items(), key=lambda kv: str(kv[0]))}
-        if fz.txt:
-            doc["txt"] = [t.decode("utf-8", "replace") for t in fz.txt]
-        if fz.mx:
-            doc["mx"] = [[pref, str(host)] for pref, host in fz.mx]
         if fz.cnames:
             doc["cnames"] = [[str(a), str(b)] for a, b in fz.cnames]
         out.write(json.dumps(doc, sort_keys=True) + "\n")
 
 
+# a document's keys are the fields of what it describes
+_ZONE_KEYS = frozenset(f.name for f in fields(FixtureZone))
+_HOST_KEYS = frozenset(f.name for f in fields(FixtureNs))
+_ADDR_KEYS = _HOST_KEYS - {"name"}
+
+
+def _check_keys(doc: dict, keys: frozenset[str]) -> None:
+    """A ValueError naming a key of ``doc`` that is not in ``keys``, if any."""
+    if not doc.keys() <= keys:
+        raise ValueError(f"unknown key {min(doc.keys() - keys)!r}")
+
+
 def _fixture_zone(doc: dict) -> FixtureZone:
     """One zone document of a fixture file."""
-    def hosts(entries):  # [{"name": ..., "v4": [...], "v6": [...]}, ...]
-        return _hosts((e["name"], e.get("v4", ()), e.get("v6", ())) for e in entries)
+    def addrs(entry, keys=_ADDR_KEYS):  # {"v4": [...], "v6": [...]}
+        _check_keys(entry, keys)
+        return entry.get(V4, ()), entry.get(V6, ())
 
+    def hosts(entries):  # [{"name": ..., "v4": [...], "v6": [...]}, ...]
+        return _hosts((e["name"], *addrs(e, _HOST_KEYS)) for e in entries)
+
+    _check_keys(doc, _ZONE_KEYS)
     glue = None
     if "glue_in_parent" in doc:  # {NS name: {"v4": [...], "v6": [...]}}
-        glue = {e.name: AddrRecords(frozenset(e.v4), frozenset(e.v6)) for e in
-                hosts({**a, "name": ns} for ns, a in doc["glue_in_parent"].items())}
+        glue = {normalize(ns): AddrRecords(*map(frozenset, addrs(a)))
+                for ns, a in doc["glue_in_parent"].items()}
     return FixtureZone(
         zone=normalize(doc["zone"]),
         ns=hosts(doc.get("ns", ())),
         hosted=hosts(doc.get("hosted", ())),
         glue_in_parent=glue,
-        defects=frozenset(doc.get("defects", ())),
+        defects=doc.get("defects", ()),
         version=doc.get("version"),
         soa_serials={normalize(n): s
                      for n, s in doc.get("soa_serials", {}).items()} or None,
-        txt=tuple(t.encode() for t in doc.get("txt", ())),
-        mx=tuple((pref, normalize(host)) for pref, host in doc.get("mx", ())),
         cnames=tuple((normalize(a), normalize(b)) for a, b in doc.get("cnames", ())),
     )
 

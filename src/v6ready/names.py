@@ -8,12 +8,13 @@ what matters.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence, TypeVar
 
 MAX_LABEL = 63
 MAX_WIRE = 255
 # the label bytes that present as themselves
 _PLAIN = bytes(b for b in range(0x21, 0x7F) if b not in b".\\")
+_V = TypeVar("_V")
 
 
 class DnsNameError(ValueError):
@@ -218,3 +219,14 @@ def _present_label(label: bytes) -> str:
 def enclosing_zones(name: DomainName) -> list[DomainName]:
     """All label-boundary names from the root down to ``name`` inclusive."""
     return [tuple.__new__(DomainName, name[:d]) for d in range(len(name) + 1)]
+
+
+def deepest_known(name: DomainName, known: Mapping[DomainName, _V]) -> _V | None:
+    """The value ``known`` holds for the deepest name enclosing ``name``
+    that is one of its keys: the longest of its prefixes, down to the root,
+    that is a key. None if none is."""
+    for depth in range(len(name), -1, -1):
+        value = known.get(name[:depth])
+        if value is not None:
+            return value
+    return None

@@ -32,7 +32,7 @@ from typing import IO, Iterable, Iterator
 from . import INPUT_ENCODING
 from .classify import (STATES, FailureBreakdown, ResolutionStatus, _Propagation, classify,
                        failure_breakdown, zone_clauses)
-from .names import ROOT, DnsNameError, DomainName, normalize
+from .names import ROOT, DnsNameError, DomainName, deepest_known, normalize
 from .records import (
     AddrRecords,
     RRType,
@@ -347,19 +347,8 @@ def _ns_zone_index(record_sets: dict[DomainName, ZoneRecordSet]) -> dict[DomainN
     """Each NS name of ``record_sets`` -> the deepest zone among them (or the
     root) that encloses it."""
     known = {zone: zone for zone in record_sets}
-    index: dict[DomainName, DomainName] = {}
-    for rs in record_sets.values():
-        for ns in rs.all_ns:
-            if ns in index:
-                continue
-            for depth in range(len(ns), 0, -1):
-                zone = known.get(ns[:depth])
-                if zone is not None:
-                    break
-            else:
-                zone = ROOT
-            index[ns] = zone
-    return index
+    known.setdefault(ROOT, ROOT)
+    return {ns: deepest_known(ns, known) for rs in record_sets.values() for ns in rs.all_ns}
 
 
 def _unknown_parent_zones(parents: dict[DomainName, DomainName | None]) -> frozenset[DomainName]:

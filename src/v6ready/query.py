@@ -34,7 +34,7 @@ from .wire import (
     Question,
     RCODE_FORMERR,
     WireFormatError,
-    decode,
+    decode_after_id,
     encode,
     frame_tcp,
     read_tcp_frame,
@@ -170,7 +170,7 @@ class QueryEngine:
         self._sleep = sleep
         # ((qname, qtype, qclass, edns), query bytes after the ID)
         self._last_query: tuple = (None, b"")
-        # (reply bytes after the ID, the decoded reply)
+        # the slot of ``wire.decode_after_id``
         self._last_reply: tuple = (None, None)
 
     def query(
@@ -228,7 +228,7 @@ class QueryEngine:
             if not _answers(payload, raw):
                 return QueryOutcome(MALFORMED)
             try:
-                msg = self._decode_reply(raw)
+                msg, self._last_reply = decode_after_id(raw, self._last_reply)
             except WireFormatError:
                 return QueryOutcome(MALFORMED)
             if not msg.qr:
@@ -247,17 +247,6 @@ class QueryEngine:
             ))[2:]
             self._last_query = (question, body)
         return body
-
-    def _decode_reply(self, raw: bytes) -> DnsMessage:
-        """``decode(raw)``. A reply whose bytes after the ID repeat the last
-        decoded one shares that message's sections, which are immutable."""
-        body = raw[2:]
-        last_body, m = self._last_reply
-        if body != last_body:
-            msg = decode(raw)
-            self._last_reply = (body, msg)
-            return msg
-        return DnsMessage._make((int.from_bytes(raw[:2], "big"), *m[1:]))
 
 
 def _answers(query: bytes, reply: bytes) -> bool:

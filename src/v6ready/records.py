@@ -8,13 +8,15 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import AbstractSet, ClassVar, Iterable, Mapping
 
-from .names import DomainName
+from .names import DomainName, normalize
 
 V4 = "v4"
 V6 = "v6"
 
 CLASS_IN = 1
 CLASS_CH = 3
+# The CHAOS-class name a server answers with its software version.
+VERSION_BIND = normalize("version.bind")
 
 
 class RRType(int):
@@ -162,6 +164,23 @@ class ResourceRecord(namedtuple("ResourceRecord", "owner rrtype ttl data")):
         if self.rrtype not in (RRType.NS, RRType.CNAME):
             raise ValueError("target only defined for NS/CNAME records")
         return self.data  # type: ignore[return-value]
+
+
+def record_text(rr: ResourceRecord) -> str:
+    """The presentation text of the data of ``rr``."""
+    if rr.rrtype in (RRType.NS, RRType.CNAME):
+        return str(rr.target)
+    if rr.rrtype in (RRType.A, RRType.AAAA):
+        return rr.address
+    if rr.rrtype == RRType.SOA:
+        soa = rr.data
+        return (f"{soa.mname} {soa.rname} {soa.serial} {soa.refresh} "
+                f"{soa.retry} {soa.expire} {soa.minimum}")
+    if rr.rrtype == RRType.MX:
+        return f"{rr.data.preference} {rr.data.exchange}"
+    if rr.rrtype == RRType.TXT:
+        return b" ".join(rr.data).decode("utf-8", "replace")
+    return rr.data.hex() if isinstance(rr.data, bytes) else str(rr.data)
 
 
 # The one empty address family and NS view: ``frozenset()`` of an empty

@@ -36,9 +36,11 @@ from .records import (
     RRType,
     V4,
     V6,
+    VERSION_BIND,
     ZoneRecordSet,
     addressed_names,
     build_record_set,
+    record_text,
 )
 from .wire import DnsMessage, RCODE_NOERROR
 
@@ -62,10 +64,6 @@ class PolicyViolation(AssertionError):
 
 # Labels a target may have: zone cuts one chain may pass.
 DEPTH_LIMIT = 32
-
-# The CHAOS-class name a server answers with its software version.
-VERSION_BIND = normalize("version.bind")
-
 
 # Published root server set; tests point hints at the simulated universe.
 DEFAULT_ROOT_HINTS: tuple[tuple[str, str, str], ...] = (
@@ -624,7 +622,7 @@ class Resolver:
                     per_server[addr.ip] = [f"<{outcome.kind}>"]
                     continue
                 per_server[addr.ip] = sorted(
-                    _record_text(rr) for rr in outcome.message.answer
+                    record_text(rr) for rr in outcome.message.answer
                     if rr.rrtype == rrtype
                 )
             enrichment[str(rrtype)] = per_server
@@ -669,20 +667,3 @@ def _invalid_address(addr: str) -> bool:
     except ValueError:
         return True
     return parsed.is_unspecified
-
-
-def _record_text(rr: ResourceRecord) -> str:
-    if rr.rrtype in (RRType.NS, RRType.CNAME):
-        return str(rr.target)
-    if rr.rrtype in (RRType.A, RRType.AAAA):
-        return rr.address
-    if rr.rrtype == RRType.SOA:
-        soa = rr.data
-        return (f"{soa.mname} {soa.rname} {soa.serial} {soa.refresh} "
-                f"{soa.retry} {soa.expire} {soa.minimum}")
-    if rr.rrtype == RRType.MX:
-        return f"{rr.data.preference} {rr.data.exchange}"
-    if rr.rrtype == RRType.TXT:
-        return b" ".join(rr.data).decode("utf-8", "replace")
-    return rr.data.hex() if isinstance(rr.data, bytes) else str(rr.data)
-

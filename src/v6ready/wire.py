@@ -333,6 +333,19 @@ def decode(data: bytes) -> DnsMessage:
     )
 
 
+def decode_after_id(data: bytes, slot: tuple) -> tuple[DnsMessage, tuple]:
+    """``decode(data)``, and the one-slot memo to store for the next call,
+    in one assignment: ``slot`` is ``(None, None)`` or what the last call
+    returned. When ``data`` repeats the bytes after the ID of the slot's
+    message, that message, which is immutable, is shared under the ID of
+    ``data``."""
+    body = data[2:]
+    if body == slot[0]:
+        return DnsMessage._make((int.from_bytes(data[:2], "big"), *slot[1][1:])), slot
+    msg = decode(data)
+    return msg, (body, msg)
+
+
 def frame_tcp(payload: bytes) -> bytes:
     """Prefix ``payload`` with the 2-byte length used on DNS-over-TCP."""
     if len(payload) > MAX_MESSAGE:

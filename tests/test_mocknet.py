@@ -27,7 +27,9 @@ from v6ready.mocknet import (
     zone_fixture,
 )
 from v6ready.names import ROOT, normalize
-from v6ready.records import V4, V6
+from v6ready.query import TCP, UDP, ServerAddress, TransportTimeout, TransportUnreachable
+from v6ready.records import CLASS_CH, V4, V6, VERSION_BIND, AddrRecords, RRType
+from v6ready.wire import DnsMessage, Edns, Question, decode, encode
 
 N = normalize
 
@@ -78,6 +80,24 @@ def test_glue_subset_and_defect_rules():
     assert u.glue_addrs(sub, ns3, V4) == ("10.0.7.1",)
     assert u.glue_addrs(sub, ns3, V6) == ()  # withheld by glue_in_parent
     assert u.apex_addrs(ns3, V6) == ("fd00::71",)
+
+
+def test_a_fixture_zone_checks_its_values_as_it_is_built():
+    ns = [("ns.t", ["10.0.0.1"], ["fd00::1"])]
+    glue = zone_fixture("t", ns, glue_in_parent={
+        N("ns.t"): AddrRecords(frozenset({"10.0.0.1"}), frozenset({"fd00:0:0::1"}))})
+    assert glue.glue_in_parent == {N("ns.t"): AddrRecords(frozenset({"10.0.0.1"}),
+                                                          frozenset({"fd00::1"}))}
+    for bad in ({"glue_in_parent": {N("ns.t"): AddrRecords(frozenset({"fd00::1"}))}},
+                {"glue_in_parent": {"ns.t": AddrRecords(frozenset({"10.0.0.1"}))}},
+                {"soa_serials": {"ns.t": 1}},
+                {"soa_serials": {N("ns.t"): True}},
+                {"soa_serials": {N("ns.t"): 2**32}},
+                {"soa_serials": {N("ns.t"): 1.0}},
+                {"version": b"srv"},
+                {"version": "x" * 256}):
+        with pytest.raises(ValueError):
+            zone_fixture("t", ns, **bad)
 
 
 def test_deterministic_packet_log_for_same_seed():
@@ -398,6 +418,9 @@ def test_a_repeated_query_is_logged_under_its_own_id():
 # -- fixture files of any text -------------------------------------------------
 
 FIXTURE_HEADER = '{"format": "mocknet-fixtures", "version": 1}'
+ROOT_DOC = json.dumps({"zone": ".", "ns": [{"name": "a.root", "v4": ["10.0.0.53"]}]})
+# what ``check`` asks at a zone, besides the CHAOS-class version.bind
+CHECK_QTYPES = (RRType.NS, RRType.SOA, RRType.TXT, RRType.MX, RRType.A, RRType.AAAA)
 FIXTURE_KEYS = ["zone", "ns", "hosted", "glue_in_parent", "defects", "version",
                 "soa_serials", "txt", "mx", "cnames", "name", "v4", "v6"]
 fixture_scalars = st.one_of(
@@ -415,14 +438,31 @@ fixture_addrs = st.lists(st.sampled_from(["10.0.0.1", "10.0.0.2", "fd00::1", "fd
                                           "10.254.0.1"]), max_size=2)
 fixture_hosts = st.lists(st.fixed_dictionaries(
     {"name": fixture_names}, optional={"v4": fixture_addrs, "v6": fixture_addrs}), max_size=2)
-# documents of the right shape, with names and addresses that may clash
-zone_docs = st.fixed_dictionaries({"zone": fixture_names}, optional={
-    "ns": fixture_hosts, "hosted": fixture_hosts,
-    "defects": st.lists(st.sampled_from(sorted(ALL_DEFECTS)), max_size=2),
-    "glue_in_parent": st.dictionaries(fixture_names, st.fixed_dictionaries(
-        {}, optional={"v4": fixture_addrs, "v6": fixture_addrs}), max_size=2)})
+# serials and versions of every JSON type, in range and just out of it
+fixture_serials = st.one_of(st.integers(-1, 2**32), st.just(2**32 - 1), st.booleans(),
+                            st.floats(0, 2), st.text(max_size=2), st.none())
+fixture_versions = st.one_of(st.text(max_size=8), st.integers(), st.booleans(), st.none(),
+                             st.lists(st.text(max_size=2), max_size=1),
+                             st.sampled_from(["x" * 255, "x" * 256, "\u00e9" * 128, "\ud800"]))
+
+
+def zone_docs(serials, versions):
+    """Documents of the right shape, with names and addresses that may clash."""
+    return st.fixed_dictionaries({"zone": fixture_names}, optional={
+        "ns": fixture_hosts, "hosted": fixture_hosts,
+        "defects": st.lists(st.sampled_from(sorted(ALL_DEFECTS)), max_size=2),
+        "glue_in_parent": st.dictionaries(fixture_names, st.fixed_dictionaries(
+            {}, optional={"v4": fixture_addrs, "v6": fixture_addrs}), max_size=2),
+        "soa_serials": st.dictionaries(fixture_names, serials, max_size=2),
+        "version": versions}).map(json.dumps)
+
+
+any_zone_docs = zone_docs(fixture_serials, fixture_versions)
+# values in range, so more files load and build and their servers get queried
+good_zone_docs = zone_docs(st.integers(0, 2**32 - 1),
+                           st.text(max_size=8) | st.sampled_from(["x" * 255, "\u00e9" * 127]))
 fixture_lines = st.one_of(
-    zone_docs.map(json.dumps),
+    any_zone_docs,
     st.dictionaries(st.sampled_from(FIXTURE_KEYS), fixture_values, max_size=5).map(json.dumps),
     st.sampled_from([
         json.dumps({"zone": ".", "ns": [{"name": "a.root", "v4": ["10.0.0.1"]}]}),
@@ -435,7 +475,10 @@ fixture_lines = st.one_of(
 fixture_texts = st.one_of(
     st.text(max_size=60),
     *(st.lists(lines, max_size=5).map(lambda lines: "\n".join([FIXTURE_HEADER, *lines]))
-      for lines in (fixture_lines, zone_docs.map(json.dumps))))
+      for lines in (fixture_lines, any_zone_docs)),
+    # a root with a server first, so more files build
+    st.lists(good_zone_docs, max_size=4).map(
+        lambda lines: "\n".join([FIXTURE_HEADER, ROOT_DOC, *lines])))
 
 
 @settings(max_examples=500, deadline=None)
@@ -446,7 +489,14 @@ fixture_texts = st.one_of(
 @example(FIXTURE_HEADER + '\n{"zone": ".", "ns": [{"name": "a.root", "v4": "10.0.0.1"}]}\n')
 @example(FIXTURE_HEADER + '\n{"zone": ".", "ns": [{"name": "a.root", "v4": ["x"]}]}\n')
 @example(FIXTURE_HEADER + '\n{"zone": ".", "ns": [{"name": "a.root", "v4": ["fd00::1"]}]}\n')
+@example(FIXTURE_HEADER + "\n" + ROOT_DOC[:-1] + ', "soa_serials": {"a.root": "x"}}\n')
+@example(FIXTURE_HEADER + "\n" + ROOT_DOC[:-1] + ', "soa_serials": {"a.root": 4294967296}}\n')
+@example(FIXTURE_HEADER + "\n" + ROOT_DOC[:-1] + ', "soa_serials": {"a.root": true}}\n')
+@example(FIXTURE_HEADER + "\n" + ROOT_DOC[:-1] + ', "version": 5}\n')
 def test_a_fixture_file_of_any_text_loads_or_raises_a_value_error(tmp_path_factory, text):
+    """A fixture file loads or is a ValueError naming its line; one that
+    loads and builds answers every query ``check`` sends with bytes or a
+    transport error."""
     path = tmp_path_factory.getbasetemp() / "any-fixtures.jsonl"
     path.write_bytes(text.encode("utf-8"))
     try:
@@ -455,21 +505,56 @@ def test_a_fixture_file_of_any_text_loads_or_raises_a_value_error(tmp_path_facto
         assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), exc
         return
     try:
-        build_universe(fixtures)
+        u = build_universe(fixtures)
     except ValueError:
-        pass
+        return
+    questions = [Question(VERSION_BIND, RRType.TXT, CLASS_CH)] + [
+        Question(zone, qtype) for zone in u.fixtures for qtype in CHECK_QTYPES]
+    for ip in u.address_name:
+        for question in questions:
+            for transport, edns in ((UDP, Edns()), (TCP, None)):
+                query = encode(DnsMessage(id=7, question=question, edns=edns))
+                try:
+                    reply = u.exchange(ServerAddress(ip), transport, query, 1)
+                except (TransportTimeout, TransportUnreachable):
+                    continue
+                assert decode(reply).question == question
 
 
-@pytest.mark.parametrize("lines, number", [
-    (["[1]"], 1),
-    ([FIXTURE_HEADER, "[1]"], 2),
-    ([FIXTURE_HEADER, "", '{"ns": []}'], 3),
-    ([FIXTURE_HEADER, '{"zone": ".", "ns": [{"name": "a.root", "v4": "10.0.0.1"}]}'], 2),
-    ([FIXTURE_HEADER, '{"zone": ".", "ns": [{"name": "a.root", "v4": ["x"]}]}'], 2),
+def _root_with(**keys):
+    return [FIXTURE_HEADER, json.dumps({**json.loads(ROOT_DOC), **keys})]
+
+
+@pytest.mark.parametrize("lines, number, named", [
+    (["[1]"], 1, ""),
+    ([FIXTURE_HEADER, "[1]"], 2, ""),
+    ([FIXTURE_HEADER, "", '{"ns": []}'], 3, ""),
+    ([FIXTURE_HEADER, '{"zone": ".", "ns": [{"name": "a.root", "v4": "10.0.0.1"}]}'], 2, ""),
+    ([FIXTURE_HEADER, '{"zone": ".", "ns": [{"name": "a.root", "v4": ["x"]}]}'], 2, ""),
+    (_root_with(glue_in_parnet={}), 2, "'glue_in_parnet'"),
+    (_root_with(txt=["hello"]), 2, "'txt'"),
+    (_root_with(mx=[["ab", "x.t"]]), 2, "'mx'"),
+    ([FIXTURE_HEADER, '{"zone": ".", "ns": [{"name": "a.root", "v5": []}]}'], 2, "'v5'"),
+    (_root_with(glue_in_parent={"a.root": {"name": "a.root"}}), 2, "'name'"),
+    (_root_with(soa_serials={"a.root": "x"}), 2, "serial"),
+    (_root_with(soa_serials={"a.root": 2**32}), 2, "serial"),
+    (_root_with(soa_serials={"a.root": True}), 2, "serial"),
+    (_root_with(soa_serials={"a.root": -1}), 2, "serial"),
+    (_root_with(version=5), 2, "version"),
+    (_root_with(version="x" * 256), 2, "version"),
+    (_root_with(glue_in_parent={"a.root": {"v4": ["fd00::1"]}}), 2, "other family"),
+    ([FIXTURE_HEADER, ROOT_DOC, '{"zone": "t", "hosted": [{"name": "ns.u"}]}'], 3,
+     "not within it"),
+    ([FIXTURE_HEADER, ROOT_DOC, '{"zone": "t", "ns": [{"name": "ns.u", "v4": ["10.0.0.1"]}]}'],
+     3, "must not declare addresses"),
 ], ids=["header-not-an-object", "zone-not-an-object", "no-zone", "v4-a-string",
-        "v4-not-an-address"])
-def test_a_malformed_fixture_line_is_a_value_error_naming_its_line(tmp_path, lines, number):
+        "v4-not-an-address", "zone-key-misspelt", "txt-key", "mx-key", "host-key-unknown",
+        "glue-key-unknown", "serial-text", "serial-past-32-bits", "serial-bool",
+        "serial-negative", "version-a-number", "version-past-255-bytes",
+        "glue-of-the-other-family", "host-outside-its-zone", "oob-ns-with-addresses"])
+def test_a_malformed_fixture_line_is_a_value_error_naming_its_line(tmp_path, lines, number,
+                                                                   named):
     path = tmp_path / "fixtures.jsonl"
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{number}: "):
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{number}: .*{re.escape(named)}"):
         load_fixtures(path)

@@ -310,23 +310,27 @@ def test_every_sent_query_equals_a_freshly_encoded_one(questions, edns_payload, 
                 edns=wire.Edns(edns_payload) if edns else None))
 
 
+# bound at import, so the replies' own decodes are never counted
+_decode = wire.decode
+
+
 def _ns_reply(payload, transport):
     """The same answer from every server: only the ID differs."""
-    msg = wire.decode(payload)
+    msg = _decode(payload)
     ns = ResourceRecord(msg.question.qname, RRType.NS, 300, normalize("ns1.example.com"))
     return wire.encode(msg.reply_skeleton(aa=True, answer=(ns,)))
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, module, name):
     calls = []
-    real = getattr(query_module, name)
-    monkeypatch.setattr(query_module, name, lambda *a: calls.append(1) or real(*a))
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(1) or real(*a))
     return calls
 
 
 def test_servers_sending_the_same_reply_share_one_decoded_answer(monkeypatch):
-    encodes = _count_calls(monkeypatch, "encode")
-    decodes = _count_calls(monkeypatch, "decode")
+    encodes = _count_calls(monkeypatch, query_module, "encode")
+    decodes = _count_calls(monkeypatch, wire, "decode")
     recorder = Recorder(_ns_reply)
     engine = _engine(recorder)
     first = engine.query(ServerAddress("192.0.2.1"), QNAME, RRType.NS)
@@ -368,8 +372,8 @@ def test_malformed_reply_after_a_good_one_is_malformed_and_never_remembered():
 
 
 def test_each_new_engine_starts_with_empty_slots(monkeypatch):
-    encodes = _count_calls(monkeypatch, "encode")
-    decodes = _count_calls(monkeypatch, "decode")
+    encodes = _count_calls(monkeypatch, query_module, "encode")
+    decodes = _count_calls(monkeypatch, wire, "decode")
     transport = Recorder(_ns_reply)
     for seed in (1, 2):
         outcome = _engine(transport, seed).query(SERVER, QNAME, RRType.NS)
