@@ -108,9 +108,12 @@ class FixtureNs:
 
 
 def _canonical(owner: DomainName, proto: str, addrs: Iterable[str]) -> tuple[str, ...]:
-    """``addrs`` in canonical form; one of the other family than ``proto``
-    is a ValueError."""
-    out = tuple(canonical_address(a) for a in addrs)
+    """``addrs`` in canonical form; text that is no address, or one of the
+    other family than ``proto``, is a ValueError naming ``owner``."""
+    try:
+        out = tuple(canonical_address(a) for a in addrs)
+    except OSError:
+        raise ValueError(f"{owner}: {proto} holds text that is not an address") from None
     if any((":" in a) != (proto == V6) for a in out):
         raise ValueError(f"{owner}: {proto} holds an address of the other family")
     return out
@@ -627,95 +630,54 @@ def fixture_tuples(universe: Universe) -> list[PassiveTuple]:
     return out
 
 
-# -- brute-force ground truth -------------------------------------------------
+# -- ground truth ---------------------------------------------------------------
 
 
 def ground_truth(universe: Universe) -> dict[DomainName, dict[str, bool]]:
-    """Per-zone resolvability by exhaustive path enumeration.
+    """Per-zone resolvability over each protocol, read from the fixtures
+    alone (not from tuples), as the least fixed point of the delegations.
 
-    Independent of the fixed-point code: recursive descent over fixture
-    data. A dependency loop is cut on the current path (it cannot prove
-    resolution by itself); a True found despite a cut is sound and cached,
-    while a False reached through a cut is path-dependent and is not.
+    At first only the root resolves, if one of its servers listens and
+    responds over the protocol. The zones are then swept until a sweep
+    adds none: a zone resolves once its parent does and both NS views name
+    a usable server, the delegation view by its glue and the apex view by
+    its apex addresses. A server is usable when it responds and, in
+    bailiwick, has those addresses; out of bailiwick, when its owner zone
+    resolves and serves its apex addresses. So a zone resolves exactly
+    when it has a finite derivation, and a dependency cycle with no way
+    out resolves nothing.
     """
-    memo: dict[tuple[DomainName, str], bool] = {}
+    def least_model(proto: str) -> set[DomainName]:
+        dark = {BLACKHOLE_ALL, BLACKHOLE_V6} if proto == V6 else {BLACKHOLE_ALL}
 
-    def server_responds(ns: DomainName, proto: str) -> bool:
-        owner = universe.owner_zone.get(ns)
-        if owner is None:
-            return False
-        defects = universe.fixtures[owner].defects
-        if BLACKHOLE_ALL in defects:
-            return False
-        if BLACKHOLE_V6 in defects and proto == V6:
-            return False
-        return True
-
-    def resolvable(zone: DomainName, proto: str,
-                   path: frozenset[DomainName]) -> tuple[bool, bool]:
-        """(result, cut): cut means a cycle cut may have hidden a path."""
-        key = (zone, proto)
-        if key in memo:
-            return memo[key], False
-        if zone in path:
-            return False, True
-        if zone == ROOT:
-            ok = any(
-                universe.listen_addrs(e.name, proto) and server_responds(e.name, proto)
-                for e in universe.fixtures[ROOT].ns
-            )
-            memo[key] = ok
-            return ok, False
-        path = path | {zone}
-        cut = False
-
-        def via_own_zone(ns: DomainName) -> bool:
-            nonlocal cut
+        def responds(ns: DomainName) -> bool:
             owner = universe.owner_zone.get(ns)
-            if owner is None:
-                return False
-            ok, t = resolvable(owner, proto, path)
-            cut = cut or t
-            if not ok:
-                return False
-            return bool(universe.apex_addrs(ns, proto)) and server_responds(ns, proto)
+            return owner is not None and not dark & universe.fixtures[owner].defects
 
-        parent_ok, t = resolvable(universe.parent[zone], proto, path)
-        cut = cut or t
-        if not parent_ok:
-            result = False
-        else:
-            glue_ok = False
-            for ns in universe.delegation_ns(zone):
-                if ns.is_within(zone):
-                    if universe.glue_addrs(zone, ns, proto) and server_responds(ns, proto):
-                        glue_ok = True
-                        break
-                elif via_own_zone(ns):
-                    glue_ok = True
-                    break
-            zone_ok = False
-            for ns in universe.apex_ns(zone):
-                if ns.is_within(zone):
-                    if universe.apex_addrs(ns, proto) and server_responds(ns, proto):
-                        zone_ok = True
-                        break
-                elif via_own_zone(ns):
-                    zone_ok = True
-                    break
-            result = glue_ok and zone_ok
-        if result or not cut:
-            memo[key] = result
-        return result, cut and not result
+        def usable(zone: DomainName, ns: DomainName, in_bailiwick: tuple[str, ...]) -> bool:
+            if ns.is_within(zone):
+                return bool(in_bailiwick) and responds(ns)
+            return (universe.owner_zone.get(ns) in done
+                    and bool(universe.apex_addrs(ns, proto)) and responds(ns))
 
-    truth = {}
-    for zone in sorted(universe.fixtures):
-        if zone == ROOT:
-            continue
-        truth[zone] = {
-            p: resolvable(zone, p, frozenset())[0] for p in (V4, V6)
-        }
-    return truth
+        done = {ROOT} if any(universe.listen_addrs(e.name, proto) and responds(e.name)
+                             for e in universe.fixtures[ROOT].ns) else set()
+        grown = True
+        while grown:
+            grown = False
+            for zone in zones:
+                if (zone not in done and universe.parent[zone] in done
+                        and any(usable(zone, ns, universe.glue_addrs(zone, ns, proto))
+                                for ns in universe.delegation_ns(zone))
+                        and any(usable(zone, ns, universe.apex_addrs(ns, proto))
+                                for ns in universe.apex_ns(zone))):
+                    done.add(zone)
+                    grown = True
+        return done
+
+    zones = sorted(z for z in universe.fixtures if z != ROOT)
+    resolved = {proto: least_model(proto) for proto in (V4, V6)}
+    return {zone: {proto: zone in resolved[proto] for proto in (V4, V6)} for zone in zones}
 
 
 # -- random universes ----------------------------------------------------------
@@ -773,11 +735,19 @@ def _check_keys(doc: dict, keys: frozenset[str]) -> None:
         raise ValueError(f"unknown key {min(doc.keys() - keys)!r}")
 
 
+def _list(doc: dict, key: str) -> list:
+    """``doc[key]``, which must be a list, or an empty list without the key."""
+    value = doc.get(key, [])
+    if not isinstance(value, list):
+        raise ValueError(f"{key!r} is not a list")
+    return value
+
+
 def _fixture_zone(doc: dict) -> FixtureZone:
     """One zone document of a fixture file."""
     def addrs(entry, keys=_ADDR_KEYS):  # {"v4": [...], "v6": [...]}
         _check_keys(entry, keys)
-        return entry.get(V4, ()), entry.get(V6, ())
+        return _list(entry, V4), _list(entry, V6)
 
     def hosts(entries):  # [{"name": ..., "v4": [...], "v6": [...]}, ...]
         return _hosts((e["name"], *addrs(e, _HOST_KEYS)) for e in entries)
@@ -789,14 +759,14 @@ def _fixture_zone(doc: dict) -> FixtureZone:
                 for ns, a in doc["glue_in_parent"].items()}
     return FixtureZone(
         zone=normalize(doc["zone"]),
-        ns=hosts(doc.get("ns", ())),
-        hosted=hosts(doc.get("hosted", ())),
+        ns=hosts(_list(doc, "ns")),
+        hosted=hosts(_list(doc, "hosted")),
         glue_in_parent=glue,
-        defects=doc.get("defects", ()),
+        defects=_list(doc, "defects"),
         version=doc.get("version"),
         soa_serials={normalize(n): s
                      for n, s in doc.get("soa_serials", {}).items()} or None,
-        cnames=tuple((normalize(a), normalize(b)) for a, b in doc.get("cnames", ())),
+        cnames=tuple((normalize(a), normalize(b)) for a, b in _list(doc, "cnames")),
     )
 
 
@@ -804,7 +774,8 @@ def load_fixtures(path) -> list[FixtureZone]:
     """Read a fixture file produced by dump_fixtures (or written by hand).
     A header of another format or version, or a line that is not a zone
     document of the shape dump_fixtures writes (a bad address, a list where
-    a mapping belongs, no zone, ...), is a ValueError naming ``path:line``."""
+    a mapping belongs or the other way round, no zone, ...), is a
+    ValueError naming ``path:line``."""
     fixtures = None  # until the header is read
     for number, line in enumerate(Path(path).read_text(encoding=INPUT_ENCODING).splitlines(), 1):
         if not line.strip():
@@ -823,7 +794,7 @@ def load_fixtures(path) -> list[FixtureZone]:
                 fixtures = []
         except KeyError as exc:
             raise ValueError(f"{path}:{number}: no {exc} key") from None
-        except (ValueError, TypeError, AttributeError, OSError, RecursionError) as exc:
+        except (ValueError, TypeError, AttributeError, RecursionError) as exc:
             raise ValueError(f"{path}:{number}: {exc}") from None
     return fixtures or []
 
@@ -1004,11 +975,17 @@ def random_universe(
     rng = random.Random(seed)
 
     zones: list[DomainName] = [ROOT]
+    # each zone's subtree, itself included, as ascending positions in zones
+    subtree: dict[DomainName, list[int]] = {}
     for i in range(size):
         parent = rng.choice(zones)
         if len(parent) >= 6:
             parent = ROOT
-        zones.append(parent.child(f"z{i}".encode()))
+        zone = parent.child(f"z{i}".encode())
+        subtree[zone] = []
+        for depth in range(1, len(zone) + 1):
+            subtree[zone.ancestor_at_depth(depth)].append(len(zones))
+        zones.append(zone)
 
     counter = [0]
 
@@ -1028,10 +1005,18 @@ def random_universe(
         for j in range(count):
             host = zone
             if zone != ROOT and rng.random() < rates["oob-ns"]:
-                pool = zones[:idx] if acyclic_oob else zones
-                candidates = [z for z in pool if z != ROOT and not z.is_within(zone)]
-                if candidates:
-                    host = rng.choice(candidates)
+                # the n candidates are the zones but the root and zone's
+                # subtree (with acyclic_oob, zones[1:idx]), in order; choice
+                # of range(n) draws the index that choice of their list would
+                skip = () if acyclic_oob else subtree[zone]
+                n = (idx if acyclic_oob else len(zones)) - 1 - len(skip)
+                if n:
+                    pos = 1 + rng.choice(range(n))
+                    for s in skip:
+                        if s > pos:
+                            break
+                        pos += 1
+                    host = zones[pos]
             name = host.child(f"ns{j}-{idx}".encode())
             want_v4 = zone == ROOT or rng.random() >= rates["ns-no-v4"]
             want_v6 = True if zone == ROOT else rng.random() >= rates["ns-no-v6"]

@@ -5,7 +5,9 @@ import random
 import time
 from contextlib import contextmanager
 
+import reference_truth
 from universes import (
+    CYCLE_DENSE,
     N,
     TEST_POLICY,
     broken_oob_universe,
@@ -116,6 +118,36 @@ def test_oracle_equivalence():
                 zones_checked += 1
         assert universes >= 200
         assert zones_checked > 5000
+
+
+def test_oracle_equivalence_at_scale():
+    with criterion("oracle-equivalence-at-scale", 30.0):
+        # the referee against its path-enumeration reference, key order
+        # included, on every universe test_oracle_equivalence draws and on
+        # cycle-dense ones up to 1k zones, each as drawn and with liveness
+        # faults
+        rate_profiles = [
+            None,
+            {"ns-no-v6": 0.4, "drop-aaaa-glue": 0.2},
+            {"oob-ns": 0.5, "drop-aaaa-apex": 0.2, "wrong-ns-set-child": 0.2},
+            {"ns-no-v4": 0.15, "ns-no-v6": 0.1},
+        ]
+        draws = [(seed, 5 + (seed * 13) % 96, rate_profiles[seed % len(rate_profiles)])
+                 for seed in range(200)]
+        draws += [(seed, size, CYCLE_DENSE) for seed, size in ((1, 250), (2, 500), (3, 1000))]
+        for seed, size, rates in draws:
+            u, _truth = random_universe(seed, size, rates)
+            for universe in (u, with_liveness_faults(u, seed)):
+                expected = reference_truth.ground_truth(universe)
+                got = ground_truth(universe)
+                assert [(z, list(t.items())) for z, t in got.items()] == [
+                    (z, list(t.items())) for z, t in expected.items()], (seed, size)
+        # the fixed point against the referee where cycles are dense
+        for size in (2000, 4000, 8000):
+            u, truth = random_universe(size, size, CYCLE_DENSE)
+            result_sets, table, _ = passive_verdicts(fixture_tuples(u))
+            assert {zone: passive_res(result_sets, table, zone) for zone in truth} == truth
+            assert {t[V6] for t in truth.values()} == {True, False}, size
 
 
 def test_active_passive_agreement():

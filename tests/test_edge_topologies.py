@@ -1,6 +1,7 @@
 """Hand-built delegation shapes the random generator does not produce,
 checked for three-way agreement (ground truth, fixed point, active walk)."""
 
+import reference_truth
 from universes import N, crawl, passive_res, passive_verdicts, root_fixture, healthy_zone
 from v6ready.mocknet import (
     FixtureNs,
@@ -8,6 +9,7 @@ from v6ready.mocknet import (
     build_universe,
     fixture_tuples,
     ground_truth,
+    zone_fixture,
 )
 from v6ready.names import ROOT
 from v6ready.records import AddrRecords, V4, V6
@@ -15,6 +17,7 @@ from v6ready.records import AddrRecords, V4, V6
 
 def three_way(universe):
     truth = ground_truth(universe)
+    assert truth == reference_truth.ground_truth(universe)
     rs, table, _statuses = passive_verdicts(fixture_tuples(universe))
     _resolver, results = crawl(universe)
     for zone, expected in truth.items():
@@ -197,3 +200,15 @@ def test_sibling_cross_hosting_resolves():
     truth = three_way(u)
     assert truth[N("x.t")] == {V4: True, V6: True}
     assert truth[N("y.t")] == {V4: True, V6: True}
+
+
+def test_server_hosted_in_the_root_serves_a_tld():
+    # com's only server is out of its bailiwick and lives in the root zone
+    # itself, which resolves from the hints: com resolves over both.
+    u = build_universe([
+        zone_fixture(".", [("a.root", ["10.0.0.1"], ["fd00::1"])],
+                     hosted=[("ns.hints", ["10.0.0.9"], ["fd00::9"])]),
+        FixtureZone(zone=N("com"), ns=(FixtureNs(N("ns.hints")),)),
+    ])
+    assert u.owner_zone[N("ns.hints")] == ROOT
+    assert three_way(u) == {N("com"): {V4: True, V6: True}}

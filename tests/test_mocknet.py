@@ -1,10 +1,14 @@
+import hashlib
+import io
 import json
 import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import reference_truth
 from universes import (
+    CYCLE_DENSE,
     combined_two_scenario_universe,
     crawl,
     healthy_depth3_universe,
@@ -22,6 +26,7 @@ from v6ready.mocknet import (
     build_universe,
     fixture_tuples,
     ground_truth,
+    dump_fixtures,
     load_fixtures,
     random_universe,
     zone_fixture,
@@ -142,6 +147,16 @@ def test_random_universe_reproducible():
         assert u1.fixtures[z] == u2.fixtures[z]
 
 
+def test_random_universe_draws_are_pinned():
+    # the sha256 of the file as random_universe drew it when it scanned
+    # every zone for each out-of-bailiwick NS's host
+    u, _truth = random_universe(7, 300, CYCLE_DENSE)
+    out = io.StringIO()
+    dump_fixtures(out, u.fixtures.values())
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == (
+        "c6a6493df4330eba264babdb4a5a16e3bbb8aebc526da163ff8752b741569182")
+
+
 def test_zero_defect_rates_mean_all_dual():
     rates = {k: 0.0 for k in ("ns-no-v6", "ns-no-v4", "oob-ns", "drop-aaaa-glue",
                               "drop-aaaa-apex", "wrong-ns-set-child",
@@ -165,63 +180,10 @@ def test_blackhole_v6_on_root_kills_all_v6():
     assert all(t[V4] for t in truth.values())
 
 
-def _independent_reachability(universe):
-    """Second oracle: iterative frontier expansion, written from scratch."""
-    out = {}
-    for proto in (V4, V6):
-        def alive(ns):
-            owner = universe.owner_zone.get(ns)
-            if owner is None:
-                return False
-            d = universe.fixtures[owner].defects
-            if "blackhole-all" in d or ("blackhole-v6" in d and proto == V6):
-                return False
-            return True
-
-        resolved = set()
-        root_ok = any(
-            universe.listen_addrs(e.name, proto) and alive(e.name)
-            for e in universe.fixtures[ROOT].ns
-        )
-        while True:
-            added = False
-            for zone in universe.fixtures:
-                if zone == ROOT or zone in resolved:
-                    continue
-                parent = universe.parent[zone]
-                parent_ok = root_ok if parent == ROOT else parent in resolved
-                if not parent_ok:
-                    continue
-
-                def usable(ns, side):
-                    if ns.is_within(zone):
-                        pool = (universe.glue_addrs(zone, ns, proto) if side == "glue"
-                                else universe.apex_addrs(ns, proto))
-                        return bool(pool) and alive(ns)
-                    owner = universe.owner_zone.get(ns)
-                    if owner is None or owner == ROOT:
-                        return False
-                    return (owner in resolved and bool(universe.apex_addrs(ns, proto))
-                            and alive(ns))
-
-                glue_ok = any(usable(ns, "glue") for ns in universe.delegation_ns(zone))
-                zone_ok = any(usable(ns, "zone") for ns in universe.apex_ns(zone))
-                if glue_ok and zone_ok:
-                    resolved.add(zone)
-                    added = True
-            if not added:
-                break
-        for zone in universe.fixtures:
-            if zone == ROOT:
-                continue
-            out.setdefault(zone, {})[proto] = zone in resolved
-    return out
-
-
 def test_ground_truth_matches_second_enumerator():
     for seed in range(12):
         u, truth = random_universe(seed, 50)
-        assert truth == _independent_reachability(u), f"seed {seed}"
+        assert truth == reference_truth.ground_truth(u), f"seed {seed}"
 
 
 def test_conformance_no_defects_active_and_passive_dual():
@@ -427,6 +389,15 @@ fixture_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-1, 2**40), st.text(max_size=6),
     st.sampled_from([".", "t", "a.t", "ns.a.t", "bad..name", "10.0.0.1", "fd00::1",
                      "10.0.0.256", "x", "drop-aaaa-glue", "wrong-ns-set-child"]))
+def test_a_malformed_address_in_code_is_a_value_error_naming_its_owner():
+    for v4, v6 in ((["x"], []), ([], ["fd00::g"]), (["10.0.0.256"], [])):
+        with pytest.raises(ValueError, match=r"^ns\.t: "):
+            zone_fixture("t", [("ns.t", v4, v6)])
+    with pytest.raises(ValueError, match=r"^ns\.t: "):
+        zone_fixture("t", [("ns.t", ["10.0.0.1"], [])], glue_in_parent={
+            N("ns.t"): AddrRecords(frozenset({"x"}), frozenset())})
+
+
 fixture_values = st.recursive(
     fixture_scalars,
     lambda inner: st.one_of(st.lists(inner, max_size=3),
@@ -547,11 +518,21 @@ def _root_with(**keys):
      "not within it"),
     ([FIXTURE_HEADER, ROOT_DOC, '{"zone": "t", "ns": [{"name": "ns.u", "v4": ["10.0.0.1"]}]}'],
      3, "must not declare addresses"),
+    ([FIXTURE_HEADER, '{"zone": ".", "ns": [{"name": "a.root", "v4": {"10.0.0.53": 1}}]}'], 2,
+     "'v4' is not a list"),
+    ([FIXTURE_HEADER, '{"zone": ".", "ns": [{"name": "a.root", "v4": ["10.0.0.53"], "v6": ""}]}'],
+     2, "'v6' is not a list"),
+    (_root_with(defects={"truncate-udp": 0}), 2, "'defects' is not a list"),
+    (_root_with(hosted=""), 2, "'hosted' is not a list"),
+    (_root_with(cnames={}), 2, "'cnames' is not a list"),
+    ([FIXTURE_HEADER, '{"zone": ".", "ns": {"name": "a.root"}}'], 2, "'ns' is not a list"),
 ], ids=["header-not-an-object", "zone-not-an-object", "no-zone", "v4-a-string",
         "v4-not-an-address", "zone-key-misspelt", "txt-key", "mx-key", "host-key-unknown",
         "glue-key-unknown", "serial-text", "serial-past-32-bits", "serial-bool",
         "serial-negative", "version-a-number", "version-past-255-bytes",
-        "glue-of-the-other-family", "host-outside-its-zone", "oob-ns-with-addresses"])
+        "glue-of-the-other-family", "host-outside-its-zone", "oob-ns-with-addresses",
+        "v4-a-mapping", "v6-a-string", "defects-a-mapping", "hosted-a-string",
+        "cnames-a-mapping", "ns-a-mapping"])
 def test_a_malformed_fixture_line_is_a_value_error_naming_its_line(tmp_path, lines, number,
                                                                    named):
     path = tmp_path / "fixtures.jsonl"

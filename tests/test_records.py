@@ -30,13 +30,18 @@ def _old_views(zone, ns_by_bailiwick):
 @settings(max_examples=500, deadline=None)
 @given(names, st.dictionaries(names, ns_sets, max_size=5))
 @example(N("x.a"), {N("a"): frozenset({N("ns.a")}), N("x.a"): frozenset({N("ns.a")})})
+# parent_ns, the union of the root's and a's views, equals b's view, which
+# is no parent view of a.a: it is a new frozenset
+@example(N("a.a"), {DomainName(()): frozenset({N("ns.b.a")}), N("a"): frozenset({N("ns")}),
+                    N("b"): frozenset({N("ns.b.a"), N("ns")})})
 def test_builder_fields_equal_the_views_derived_per_bailiwick(zone, ns_by_bailiwick):
     rs = build_record_set(zone, ns_by_bailiwick, {}, {V4: set(), V6: set()})
     assert rs[:5] == (zone, *_old_views(zone, ns_by_bailiwick))
-    # a view that equals one bailiwick's targets is that frozenset, and an
-    # empty one may be the shared empty set
-    views = list(ns_by_bailiwick.values())
-    for view in (rs.parent_ns, rs.all_ns):
+    # a view that equals one of the views it is the union of is that
+    # frozenset, and an empty one may be the shared empty set
+    parent_views = [ns for bw, ns in ns_by_bailiwick.items()
+                    if len(bw) < len(zone) and zone.is_within(bw)]
+    for view, views in ((rs.parent_ns, parent_views), (rs.all_ns, list(ns_by_bailiwick.values()))):
         if view in views or not view:
             assert any(view is v for v in [*views, EMPTY])
 

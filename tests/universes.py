@@ -32,6 +32,10 @@ N = normalize
 
 TEST_POLICY = QueryPolicy(retry_wait=0.0, udp_timeout=0.2, tcp_timeout=0.2)
 
+# defect rates under which out-of-bailiwick NS, and so dependency cycles,
+# are common (for random_universe)
+CYCLE_DENSE = {"oob-ns": 0.6, "drop-aaaa-glue": 0.3, "drop-aaaa-apex": 0.2, "ns-no-v6": 0.3}
+
 
 def root_fixture() -> FixtureZone:
     return zone_fixture(".", [
