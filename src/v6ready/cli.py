@@ -142,10 +142,6 @@ def _render_check_text(result) -> str:
         lines.append("nameserver liveness:")
         for addr, proto, verdict in result.liveness:
             lines.append(f"  {addr} {proto} {verdict}")
-    if result.server_version:
-        lines.append("server versions:")
-        for addr in sorted(result.server_version):
-            lines.append(f"  {addr}: {result.server_version[addr]}")
     return "\n".join(lines)
 
 

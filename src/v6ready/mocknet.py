@@ -38,14 +38,13 @@ from .query import (
 )
 from .records import (
     AddrRecords,
-    CLASS_CH,
+    CLASS_IN,
     NO_ADDRS,
     ResourceRecord,
     RRType,
     SoaData,
     V4,
     V6,
-    VERSION_BIND,
     canonical_address,
     pack_address,
     record_text,
@@ -127,8 +126,7 @@ class FixtureZone:
     out-of-bailiwick NS addresses belong to their host zone (declare them
     there, via ``ns`` or ``hosted``). ``glue_in_parent`` optionally narrows
     which addresses the parent serves as glue, per NS name, in canonical
-    form. ``soa_serials`` holds 32-bit serials per NS name, and ``version``
-    one TXT string of at most 255 bytes.
+    form. ``soa_serials`` holds 32-bit serials per NS name.
     """
 
     zone: DomainName
@@ -136,7 +134,6 @@ class FixtureZone:
     hosted: tuple[FixtureNs, ...] = ()
     glue_in_parent: Mapping[DomainName, AddrRecords] | None = None
     defects: frozenset[str] = frozenset()
-    version: str | None = None
     soa_serials: Mapping[DomainName, int] | None = None
     cnames: tuple[tuple[DomainName, DomainName], ...] = ()
 
@@ -163,9 +160,6 @@ class FixtureZone:
             if type(serial) is not int or not 0 <= serial <= 0xFFFFFFFF:
                 raise ValueError(f"{self.zone}: serial {serial!r} of {ns} is not an int "
                                  f"in 0..2**32-1")
-        if self.version is not None and (not isinstance(self.version, str)
-                                         or len(self.version.encode()) > 255):
-            raise ValueError(f"{self.zone}: version {self.version!r} is not one TXT string")
 
 
 def _hosts(entries: Iterable[tuple[str, Iterable[str], Iterable[str]]]) -> tuple[FixtureNs, ...]:
@@ -390,8 +384,7 @@ class Universe:
         """The reply of the server ``name`` at ``address``, with the wire
         form of its records if they are compiled (else None); None if the
         server does not respond."""
-        owner = self.owner_zone[name]
-        defects = self.fixtures[owner].defects
+        defects = self.fixtures[self.owner_zone[name]].defects
         if BLACKHOLE_ALL in defects:
             return None
         if BLACKHOLE_V6 in defects and ":" in address:
@@ -399,16 +392,8 @@ class Universe:
         q = msg.question
         if q is None:
             return msg.reply_skeleton(rcode=RCODE_FORMERR), None
-        if q.qclass == CLASS_CH:
-            if q.qtype == RRType.TXT and q.qname == VERSION_BIND:
-                version = self.fixtures[owner].version
-                if version:
-                    rr = ResourceRecord(q.qname, RRType.TXT, 0, (version.encode(),))
-                    return msg.reply_skeleton(aa=True, answer=(rr,)), None
-            return msg.reply_skeleton(rcode=RCODE_REFUSED), None
-
         zone = self._deepest_served(name, q.qname)
-        if zone is None:
+        if zone is None or q.qclass != CLASS_IN:  # not a name and class it serves
             return msg.reply_skeleton(rcode=RCODE_REFUSED), None
         zdefects = self.fixtures[zone].defects
         if FORMERR_ON_EDNS in zdefects and msg.edns is not None:
@@ -713,8 +698,6 @@ def dump_fixtures(out, fixtures: Iterable[FixtureZone]) -> None:
                 for ns, a in sorted(fz.glue_in_parent.items(),
                                     key=lambda kv: str(kv[0]))
             }
-        if fz.version is not None:
-            doc["version"] = fz.version
         if fz.soa_serials:
             doc["soa_serials"] = {str(n): s for n, s in sorted(
                 fz.soa_serials.items(), key=lambda kv: str(kv[0]))}
@@ -743,6 +726,14 @@ def _list(doc: dict, key: str) -> list:
     return value
 
 
+def _cname(entry) -> tuple[DomainName, DomainName]:
+    """A ``cnames`` entry, which must be a list of two names."""
+    if not (isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(name, str) for name in entry)):
+        raise ValueError(f"cnames entry {entry!r} is not a list of two names")
+    return normalize(entry[0]), normalize(entry[1])
+
+
 def _fixture_zone(doc: dict) -> FixtureZone:
     """One zone document of a fixture file."""
     def addrs(entry, keys=_ADDR_KEYS):  # {"v4": [...], "v6": [...]}
@@ -763,10 +754,9 @@ def _fixture_zone(doc: dict) -> FixtureZone:
         hosted=hosts(_list(doc, "hosted")),
         glue_in_parent=glue,
         defects=_list(doc, "defects"),
-        version=doc.get("version"),
         soa_serials={normalize(n): s
                      for n, s in doc.get("soa_serials", {}).items()} or None,
-        cnames=tuple((normalize(a), normalize(b)) for a, b in _list(doc, "cnames")),
+        cnames=tuple(map(_cname, _list(doc, "cnames"))),
     )
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple, Protocol
 
 from .names import DomainName
-from .records import CLASS_IN, RRType, V4, V6
+from .records import RRType, V4, V6
 from .wire import (
     DnsMessage,
     Edns,
@@ -109,7 +109,7 @@ class QueryOutcome(NamedTuple):
 class ResponseCache:
     """Shared outcome cache with in-flight coalescing.
 
-    A key is (server ip, port, qname, qtype, qclass). Failure outcomes are
+    A key is (server ip, port, qname, qtype). Failure outcomes are
     stored exactly like successes; there is no eviction within a run.
     """
 
@@ -168,37 +168,32 @@ class QueryEngine:
         self.cache = cache if cache is not None else ResponseCache()
         self.rng = rng or random.Random()
         self._sleep = sleep
-        # ((qname, qtype, qclass, edns), query bytes after the ID)
+        # ((qname, qtype, edns), query bytes after the ID)
         self._last_query: tuple = (None, b"")
         # the slot of ``wire.decode_after_id``
         self._last_reply: tuple = (None, None)
 
-    def query(
-        self,
-        server: ServerAddress,
-        qname: DomainName,
-        qtype: RRType,
-        qclass: int = CLASS_IN,
-    ) -> QueryOutcome:
-        key = (server.ip, server.port, qname, qtype, qclass)
+    def query(self, server: ServerAddress, qname: DomainName, qtype: RRType) -> QueryOutcome:
+        """The outcome of one class-IN question to ``server``."""
+        key = (server.ip, server.port, qname, qtype)
         cached = self.cache.begin(key)
         if cached is not None:
             return cached
         try:
-            outcome = self._run(server, qname, qtype, qclass)
+            outcome = self._run(server, qname, qtype)
         except BaseException:
             self.cache.abort(key)
             raise
         self.cache.fulfill(key, outcome)
         return outcome
 
-    def _run(self, server, qname, qtype, qclass) -> QueryOutcome:
+    def _run(self, server, qname, qtype) -> QueryOutcome:
         transport = UDP
         edns = self.policy.edns_payload is not None
         tried: set[tuple[str, bool]] = set()
         while True:
             tried.add((transport, edns))
-            outcome = self._attempt_path(server, qname, qtype, qclass, transport, edns)
+            outcome = self._attempt_path(server, qname, qtype, transport, edns)
             if outcome.kind != RESPONSE:
                 return outcome
             msg = outcome.message
@@ -211,9 +206,9 @@ class QueryEngine:
                 continue
             return outcome
 
-    def _attempt_path(self, server, qname, qtype, qclass, transport, edns) -> QueryOutcome:
+    def _attempt_path(self, server, qname, qtype, transport, edns) -> QueryOutcome:
         timeout = self.policy.udp_timeout if transport == UDP else self.policy.tcp_timeout
-        body = self._query_body(qname, qtype, qclass, edns)
+        body = self._query_body(qname, qtype, edns)
         for attempt in range(self.policy.max_retries):
             if attempt:
                 self._sleep(self.policy.retry_wait)
@@ -236,13 +231,13 @@ class QueryEngine:
             return QueryOutcome(RESPONSE, msg)
         return QueryOutcome(TIMEOUT)
 
-    def _query_body(self, qname, qtype, qclass, edns) -> bytes:
+    def _query_body(self, qname, qtype, edns) -> bytes:
         """The encoded query after its 2-byte ID."""
-        question = (qname, qtype, qclass, edns)
+        question = (qname, qtype, edns)
         last_question, body = self._last_query
         if last_question != question:
             body = encode(DnsMessage(
-                question=Question(qname, qtype, qclass),
+                question=Question(qname, qtype),
                 edns=Edns(self.policy.edns_payload) if edns else None,
             ))[2:]
             self._last_query = (question, body)

@@ -8,15 +8,12 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import AbstractSet, ClassVar, Iterable, Mapping
 
-from .names import DomainName, normalize
+from .names import DomainName
 
 V4 = "v4"
 V6 = "v6"
 
 CLASS_IN = 1
-CLASS_CH = 3
-# The CHAOS-class name a server answers with its software version.
-VERSION_BIND = normalize("version.bind")
 
 
 class RRType(int):
@@ -95,12 +92,6 @@ class SoaData:
     minimum: int = 300
 
 
-@dataclass(frozen=True)
-class MxData:
-    preference: int
-    exchange: DomainName
-
-
 def ascii_int(text: str) -> int | None:
     """``text`` as a number if it is ASCII digits only, else None: ``int``
     also takes "+1", "1_0", " 2 " and other scripts' digits ("²" passes
@@ -176,10 +167,6 @@ def record_text(rr: ResourceRecord) -> str:
         soa = rr.data
         return (f"{soa.mname} {soa.rname} {soa.serial} {soa.refresh} "
                 f"{soa.retry} {soa.expire} {soa.minimum}")
-    if rr.rrtype == RRType.MX:
-        return f"{rr.data.preference} {rr.data.exchange}"
-    if rr.rrtype == RRType.TXT:
-        return b" ".join(rr.data).decode("utf-8", "replace")
     return rr.data.hex() if isinstance(rr.data, bytes) else str(rr.data)
 
 

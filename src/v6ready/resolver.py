@@ -30,24 +30,22 @@ from .names import ROOT, DnsNameError, DomainName, enclosing_zones, normalize
 from .query import QueryEngine, ServerAddress, RESPONSE
 from .records import (
     AddrRecords,
-    CLASS_CH,
     NO_ADDRS,
     ResourceRecord,
     RRType,
     V4,
     V6,
-    VERSION_BIND,
     ZoneRecordSet,
     addressed_names,
     build_record_set,
     record_text,
 )
-from .wire import DnsMessage, RCODE_NOERROR
+from .wire import DnsMessage
 
 PROTOCOL_BOTH = "both"
 PROTOCOL_V4_ONLY = "v4-only"
 PROTOCOL_V6_ONLY = "v6-only"
-CHAIN_RESULT_VERSION = 4
+CHAIN_RESULT_VERSION = 5
 
 
 class RootUnreachable(Exception):
@@ -144,7 +142,6 @@ class ChainResult:
     steps: list[DelegationStep]
     status: ResolutionStatus
     enrichment: dict[str, dict[str, list[str]]] = field(default_factory=dict)
-    server_version: dict[str, str] = field(default_factory=dict)
     liveness: list[tuple[str, str, str]] = field(default_factory=list)
 
     @property
@@ -193,7 +190,6 @@ class ChainResult:
                 for s in self.steps
             ],
             "enrichment": self.enrichment,
-            "server_version": self.server_version,
             "liveness": [list(entry) for entry in self.liveness],
         }
 
@@ -314,8 +310,7 @@ class Resolver:
         status = steps[-1].status if steps else self._root_status()
         result = ChainResult(target, self.protocol_filter, steps, status)
         if enrich_result and deepest.zone != ROOT:
-            result.enrichment, result.server_version = self.enrich(
-                deepest.zone, deepest.servers)
+            result.enrichment = self.enrich(deepest.zone, deepest.servers)
         if probe_liveness:
             for ns in sorted(deepest.parent_ns | (deepest.child_ns or frozenset())):
                 addrs = self._known_addrs(deepest, ns)
@@ -608,13 +603,12 @@ class Resolver:
     # -- enrichment and liveness ---------------------------------------------
 
     def enrich(self, zone: DomainName, servers: list[tuple[DomainName, ServerAddress]]):
-        """NS/TXT/SOA/MX answers per server, plus CHAOS-class version text.
+        """NS and SOA answers per server.
 
         Disagreements between servers are preserved per server address.
         """
         enrichment: dict[str, dict[str, list[str]]] = {}
-        versions: dict[str, str] = {}
-        for rrtype in (RRType.NS, RRType.TXT, RRType.SOA, RRType.MX):
+        for rrtype in (RRType.NS, RRType.SOA):
             per_server: dict[str, list[str]] = {}
             for _ns, addr in servers:
                 outcome = self.engine.query(addr, zone, rrtype)
@@ -626,17 +620,7 @@ class Resolver:
                     if rr.rrtype == rrtype
                 )
             enrichment[str(rrtype)] = per_server
-        for _ns, addr in servers:
-            outcome = self.engine.query(addr, VERSION_BIND, RRType.TXT, CLASS_CH)
-            if outcome.kind == RESPONSE and outcome.message.rcode == RCODE_NOERROR:
-                chunks = [
-                    b"".join(rr.data).decode("utf-8", "replace")
-                    for rr in outcome.message.answer
-                    if rr.rrtype == RRType.TXT
-                ]
-                if chunks:
-                    versions[addr.ip] = chunks[0]
-        return enrichment, versions
+        return enrichment
 
     def probe_ns_liveness(self, ns: DomainName, addrs: AddrRecords,
                           zone: DomainName) -> list[tuple[str, str, str]]:

@@ -24,7 +24,6 @@ from .names import MAX_LABEL, MAX_WIRE, DomainName, _checked_name
 from .records import (
     _BY_VALUE,
     CLASS_IN,
-    MxData,
     ResourceRecord,
     RRType,
     SoaData,
@@ -107,29 +106,18 @@ def _encode_rdata(rr: ResourceRecord) -> bytes:
             + struct.pack("!IIIII", soa.serial, soa.refresh, soa.retry,
                           soa.expire, soa.minimum)
         )
-    if t == RRType.MX:
-        mx: MxData = rr.data  # type: ignore[assignment]
-        return struct.pack("!H", mx.preference) + encode_name(mx.exchange)
-    if t == RRType.TXT:
-        out = bytearray()
-        for chunk in rr.data:  # type: ignore[union-attr]
-            for i in range(0, max(len(chunk), 1), 255):
-                piece = chunk[i : i + 255]
-                out.append(len(piece))
-                out += piece
-        return bytes(out)
     if isinstance(rr.data, bytes):
         return rr.data
     raise WireFormatError(f"cannot encode rdata for {t}")
 
 
-def _encode_rr(rr: ResourceRecord, rrclass: int = CLASS_IN) -> bytes:
+def _encode_rr(rr: ResourceRecord) -> bytes:
     rdata = _encode_rdata(rr)
     if len(rdata) > 0xFFFF:
         raise MessageTooLarge(f"rdata of {rr.owner} is {len(rdata)} bytes")
     return (
         encode_name(rr.owner)
-        + struct.pack("!HHIH", rr.rrtype, rrclass, rr.ttl, len(rdata))
+        + struct.pack("!HHIH", rr.rrtype, CLASS_IN, rr.ttl, len(rdata))
         + rdata
     )
 
@@ -257,22 +245,6 @@ def _decode_rdata(data: bytes, rdstart: int, rdlen: int, rrtype: RRType) -> obje
             raise WireFormatError("short SOA rdata")
         serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", data, off)
         return SoaData(mname, rname, serial, refresh, retry, expire, minimum)
-    if rrtype is RRType.MX:
-        if rdlen < 2:
-            raise WireFormatError("short MX rdata")
-        (pref,) = struct.unpack_from("!H", data, rdstart)
-        exchange, _ = _decode_rdata_name(data, rdstart + 2, rdend)
-        return MxData(pref, exchange)
-    if rrtype is RRType.TXT:
-        chunks = []
-        pos = rdstart
-        while pos < rdend:
-            n = data[pos]
-            if pos + 1 + n > rdend:
-                raise WireFormatError("TXT string runs past rdata")
-            chunks.append(data[pos + 1 : pos + 1 + n])
-            pos += 1 + n
-        return tuple(chunks)
     return data[rdstart:rdend]
 
 

@@ -19,6 +19,7 @@ from universes import (
     healthy_depth3_universe,
     healthy_zone,
     root_fixture,
+    with_liveness_faults,
 )
 from v6ready import cli
 from v6ready.analytics import load_operator_rules, load_tld_list, load_toplist
@@ -114,6 +115,33 @@ def test_check_unreachable_roots_exits_two(tmp_path, capsys):
         transport_factory=lambda cfg: Dead(),
     )
     assert rc == 2
+
+
+@pytest.mark.parametrize("seed", [None, 11, 12, 13, 14, 15])
+def test_check_asks_only_ns_soa_a_and_aaaa_of_class_in(tmp_path, capsys, seed):
+    """``check`` asks what its verdict and liveness rows need, and its
+    enrichment holds NS and SOA answers only: on the combined universe and
+    on seeded trees with black-holed servers."""
+    if seed is None:
+        u = combined_two_scenario_universe()
+    else:
+        u = with_liveness_faults(random_universe(seed, 20)[0], seed)
+    hints = write_hints(tmp_path, u)
+    enriched = 0
+    for zone in sorted(u.fixtures)[1:]:  # every zone but the root
+        rc = run_cli(["check", str(zone), "--format", "structured", "--roots", hints, *FAST], u)
+        out = capsys.readouterr().out
+        if rc == 2:  # no root server answers: no chain result
+            continue
+        doc = json.loads(out)
+        if doc["steps"]:
+            assert sorted(doc["enrichment"]) == ["NS", "SOA"], zone
+            enriched += 1
+    assert enriched
+    questions = [e.message.question for e in u.log.queries()]
+    assert questions
+    assert {(q.qclass, str(q.qtype)) for q in questions} <= {
+        (1, "NS"), (1, "SOA"), (1, "A"), (1, "AAAA")}
 
 
 def test_check_conflicting_protocol_flags_rejected(tmp_path, capsys):

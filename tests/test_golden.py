@@ -242,9 +242,9 @@ def test_golden_output_identical(produced, key):
     assert produced[key] == (EXPECTED / key).read_bytes(), key
 
 
-# sha256 over the 110 queries of one `scan` of domains.txt and one enriched
+# sha256 over the 98 queries of one `scan` of domains.txt and one enriched
 # `check` on combined_two_scenario_universe, in the order they are sent
-TRAFFIC_SHA256 = "2481a7ac2ffbd8900ddc4aa326f2c7cd3500d5f433daef2727a7749222758518"
+TRAFFIC_SHA256 = "b117840aee2ae978b630a82893d2168f095b0459e34400a499f79d07645c949b"
 
 
 def test_query_traffic_fingerprint(tmp_path):
@@ -267,13 +267,13 @@ def test_query_traffic_fingerprint(tmp_path):
         digest.update(repr((
             entry.address, entry.transport, str(q.qname), str(q.qtype), q.qclass,
             edns.udp_payload_size if edns else None)).encode() + b"\n")
-    assert len(queries) == 110
+    assert len(queries) == 98
     assert digest.hexdigest() == TRAFFIC_SHA256
 
 
-# sha256 over the replies to those 110 queries, with the server address and
+# sha256 over the replies to those 98 queries, with the server address and
 # transport of each, in the order they are sent
-REPLY_SHA256 = "c5b7afe14d444ebbdf7235b2cbc8ec5e4cbb1aecb5ad9d72faf1f04ebc0e25da"
+REPLY_SHA256 = "2be20b6907170c8744fb1becc6380a7e5f2357ade706d95ac9fe0b538d91abaa"
 
 
 def test_reply_traffic_fingerprint(tmp_path):
@@ -292,7 +292,7 @@ def test_reply_traffic_fingerprint(tmp_path):
     for address, transport, _query, reply in recorder.exchanges:
         body = reply[2:] if isinstance(reply, bytes) else reply
         digest.update(repr((address, transport, body)).encode() + b"\n")
-    assert len(recorder.exchanges) == 110
+    assert len(recorder.exchanges) == 98
     assert digest.hexdigest() == REPLY_SHA256
 
 

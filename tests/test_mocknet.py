@@ -33,8 +33,8 @@ from v6ready.mocknet import (
 )
 from v6ready.names import ROOT, normalize
 from v6ready.query import TCP, UDP, ServerAddress, TransportTimeout, TransportUnreachable
-from v6ready.records import CLASS_CH, V4, V6, VERSION_BIND, AddrRecords, RRType
-from v6ready.wire import DnsMessage, Edns, Question, decode, encode
+from v6ready.records import V4, V6, AddrRecords, RRType
+from v6ready.wire import RCODE_REFUSED, DnsMessage, Edns, Question, decode, encode
 
 N = normalize
 
@@ -98,9 +98,7 @@ def test_a_fixture_zone_checks_its_values_as_it_is_built():
                 {"soa_serials": {"ns.t": 1}},
                 {"soa_serials": {N("ns.t"): True}},
                 {"soa_serials": {N("ns.t"): 2**32}},
-                {"soa_serials": {N("ns.t"): 1.0}},
-                {"version": b"srv"},
-                {"version": "x" * 256}):
+                {"soa_serials": {N("ns.t"): 1.0}}):
         with pytest.raises(ValueError):
             zone_fixture("t", ns, **bad)
 
@@ -208,19 +206,17 @@ def test_export_faithfulness_from_crawl_history():
             assert passive_res(rs, table, zone) == expected, str(zone)
 
 
-def test_version_and_serials_served():
+def test_serials_served():
     u = build_universe([
         zone_fixture(".", [("a.root", ["10.0.0.1"], [])]),
         zone_fixture(
             "com",
             [("ns1.com", ["10.1.0.1"], []), ("ns2.com", ["10.1.0.2"], [])],
-            version="srv-1.2",
             soa_serials={N("ns1.com"): 100, N("ns2.com"): 200},
         ),
     ])
     resolver = make_resolver(u)
     result = resolver.resolve_chain("com", enrich_result=True)
-    assert set(result.server_version.values()) == {"srv-1.2"}
     serials = {addr: rows[0].split()[2]
                for addr, rows in result.enrichment["SOA"].items() if rows}
     assert sorted(serials.values()) == ["100", "200"]
@@ -381,8 +377,10 @@ def test_a_repeated_query_is_logged_under_its_own_id():
 
 FIXTURE_HEADER = '{"format": "mocknet-fixtures", "version": 1}'
 ROOT_DOC = json.dumps({"zone": ".", "ns": [{"name": "a.root", "v4": ["10.0.0.53"]}]})
-# what ``check`` asks at a zone, besides the CHAOS-class version.bind
-CHECK_QTYPES = (RRType.NS, RRType.SOA, RRType.TXT, RRType.MX, RRType.A, RRType.AAAA)
+# what ``check`` asks at a zone
+CHECK_QTYPES = (RRType.NS, RRType.SOA, RRType.A, RRType.AAAA)
+# a question of another class than IN, which every server refuses
+CHAOS_QUESTION = Question(normalize("version.bind"), RRType.TXT, 3)
 FIXTURE_KEYS = ["zone", "ns", "hosted", "glue_in_parent", "defects", "version",
                 "soa_serials", "txt", "mx", "cnames", "name", "v4", "v6"]
 fixture_scalars = st.one_of(
@@ -409,29 +407,24 @@ fixture_addrs = st.lists(st.sampled_from(["10.0.0.1", "10.0.0.2", "fd00::1", "fd
                                           "10.254.0.1"]), max_size=2)
 fixture_hosts = st.lists(st.fixed_dictionaries(
     {"name": fixture_names}, optional={"v4": fixture_addrs, "v6": fixture_addrs}), max_size=2)
-# serials and versions of every JSON type, in range and just out of it
+# serials of every JSON type, in range and just out of it
 fixture_serials = st.one_of(st.integers(-1, 2**32), st.just(2**32 - 1), st.booleans(),
                             st.floats(0, 2), st.text(max_size=2), st.none())
-fixture_versions = st.one_of(st.text(max_size=8), st.integers(), st.booleans(), st.none(),
-                             st.lists(st.text(max_size=2), max_size=1),
-                             st.sampled_from(["x" * 255, "x" * 256, "\u00e9" * 128, "\ud800"]))
 
 
-def zone_docs(serials, versions):
+def zone_docs(serials):
     """Documents of the right shape, with names and addresses that may clash."""
     return st.fixed_dictionaries({"zone": fixture_names}, optional={
         "ns": fixture_hosts, "hosted": fixture_hosts,
         "defects": st.lists(st.sampled_from(sorted(ALL_DEFECTS)), max_size=2),
         "glue_in_parent": st.dictionaries(fixture_names, st.fixed_dictionaries(
             {}, optional={"v4": fixture_addrs, "v6": fixture_addrs}), max_size=2),
-        "soa_serials": st.dictionaries(fixture_names, serials, max_size=2),
-        "version": versions}).map(json.dumps)
+        "soa_serials": st.dictionaries(fixture_names, serials, max_size=2)}).map(json.dumps)
 
 
-any_zone_docs = zone_docs(fixture_serials, fixture_versions)
+any_zone_docs = zone_docs(fixture_serials)
 # values in range, so more files load and build and their servers get queried
-good_zone_docs = zone_docs(st.integers(0, 2**32 - 1),
-                           st.text(max_size=8) | st.sampled_from(["x" * 255, "\u00e9" * 127]))
+good_zone_docs = zone_docs(st.integers(0, 2**32 - 1))
 fixture_lines = st.one_of(
     any_zone_docs,
     st.dictionaries(st.sampled_from(FIXTURE_KEYS), fixture_values, max_size=5).map(json.dumps),
@@ -463,11 +456,13 @@ fixture_texts = st.one_of(
 @example(FIXTURE_HEADER + "\n" + ROOT_DOC[:-1] + ', "soa_serials": {"a.root": "x"}}\n')
 @example(FIXTURE_HEADER + "\n" + ROOT_DOC[:-1] + ', "soa_serials": {"a.root": 4294967296}}\n')
 @example(FIXTURE_HEADER + "\n" + ROOT_DOC[:-1] + ', "soa_serials": {"a.root": true}}\n')
-@example(FIXTURE_HEADER + "\n" + ROOT_DOC[:-1] + ', "version": 5}\n')
+@example(FIXTURE_HEADER + "\n" + ROOT_DOC[:-1] + ', "version": "srv-1.2"}\n')
+@example(FIXTURE_HEADER + "\n" + ROOT_DOC[:-1] + ', "cnames": ["ab", "xy"]}\n')
 def test_a_fixture_file_of_any_text_loads_or_raises_a_value_error(tmp_path_factory, text):
     """A fixture file loads or is a ValueError naming its line; one that
-    loads and builds answers every query ``check`` sends with bytes or a
-    transport error."""
+    loads and builds answers every query ``check`` sends, and a question
+    of another class, with bytes or a transport error; it refuses the
+    other class."""
     path = tmp_path_factory.getbasetemp() / "any-fixtures.jsonl"
     path.write_bytes(text.encode("utf-8"))
     try:
@@ -479,7 +474,7 @@ def test_a_fixture_file_of_any_text_loads_or_raises_a_value_error(tmp_path_facto
         u = build_universe(fixtures)
     except ValueError:
         return
-    questions = [Question(VERSION_BIND, RRType.TXT, CLASS_CH)] + [
+    questions = [CHAOS_QUESTION] + [
         Question(zone, qtype) for zone in u.fixtures for qtype in CHECK_QTYPES]
     for ip in u.address_name:
         for question in questions:
@@ -489,7 +484,10 @@ def test_a_fixture_file_of_any_text_loads_or_raises_a_value_error(tmp_path_facto
                     reply = u.exchange(ServerAddress(ip), transport, query, 1)
                 except (TransportTimeout, TransportUnreachable):
                     continue
-                assert decode(reply).question == question
+                msg = decode(reply)
+                assert msg.question == question
+                if question == CHAOS_QUESTION:
+                    assert msg.rcode == RCODE_REFUSED
 
 
 def _root_with(**keys):
@@ -511,8 +509,7 @@ def _root_with(**keys):
     (_root_with(soa_serials={"a.root": 2**32}), 2, "serial"),
     (_root_with(soa_serials={"a.root": True}), 2, "serial"),
     (_root_with(soa_serials={"a.root": -1}), 2, "serial"),
-    (_root_with(version=5), 2, "version"),
-    (_root_with(version="x" * 256), 2, "version"),
+    (_root_with(version="srv-1.2"), 2, "'version'"),
     (_root_with(glue_in_parent={"a.root": {"v4": ["fd00::1"]}}), 2, "other family"),
     ([FIXTURE_HEADER, ROOT_DOC, '{"zone": "t", "hosted": [{"name": "ns.u"}]}'], 3,
      "not within it"),
@@ -525,14 +522,18 @@ def _root_with(**keys):
     (_root_with(defects={"truncate-udp": 0}), 2, "'defects' is not a list"),
     (_root_with(hosted=""), 2, "'hosted' is not a list"),
     (_root_with(cnames={}), 2, "'cnames' is not a list"),
+    (_root_with(cnames=["ab", "xy"]), 2, "cnames"),
+    (_root_with(cnames=[["a.t", "b.t", "c.t"]]), 2, "cnames"),
+    (_root_with(cnames=[["a.t", 5]]), 2, "cnames"),
     ([FIXTURE_HEADER, '{"zone": ".", "ns": {"name": "a.root"}}'], 2, "'ns' is not a list"),
 ], ids=["header-not-an-object", "zone-not-an-object", "no-zone", "v4-a-string",
         "v4-not-an-address", "zone-key-misspelt", "txt-key", "mx-key", "host-key-unknown",
         "glue-key-unknown", "serial-text", "serial-past-32-bits", "serial-bool",
-        "serial-negative", "version-a-number", "version-past-255-bytes",
+        "serial-negative", "version-key",
         "glue-of-the-other-family", "host-outside-its-zone", "oob-ns-with-addresses",
         "v4-a-mapping", "v6-a-string", "defects-a-mapping", "hosted-a-string",
-        "cnames-a-mapping", "ns-a-mapping"])
+        "cnames-a-mapping", "cnames-entry-a-string", "cnames-entry-of-three",
+        "cnames-entry-not-a-name", "ns-a-mapping"])
 def test_a_malformed_fixture_line_is_a_value_error_naming_its_line(tmp_path, lines, number,
                                                                    named):
     path = tmp_path / "fixtures.jsonl"

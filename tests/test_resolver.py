@@ -153,11 +153,10 @@ def test_liveness_healthy_both_stacks():
     assert all(v == "responsive" for _, _, v in res.liveness)
 
 
-def test_enrichment_mx_absent_is_empty_not_error():
+def test_enrichment_answers_ns_per_server():
     u = healthy_depth3_universe()
     resolver = make_resolver(u)
     res = resolver.resolve_chain("d.t", enrich_result=True)
-    assert all(rows == [] for rows in res.enrichment["MX"].values())
     assert all(rows for rows in res.enrichment["NS"].values())
 
 

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings, strategies as st
 from v6ready import wire
 from v6ready.names import DomainName, normalize
 from v6ready.records import (
-    MxData,
     ResourceRecord,
     RRType,
     SoaData,
@@ -168,9 +167,8 @@ def test_tcp_peer_closing_mid_frame_is_unreachable():
 
 
 def test_message_too_large():
-    big = ResourceRecord(normalize("big.test"), RRType.TXT, 0,
-                         tuple(b"x" * 255 for _ in range(300)))
-    msg = wire.DnsMessage(question=wire.Question(normalize("big.test"), RRType.TXT),
+    big = ResourceRecord(normalize("big.test"), RRType(0xFF31), 0, b"x" * 0x10000)
+    msg = wire.DnsMessage(question=wire.Question(normalize("big.test"), RRType(0xFF31)),
                           answer=(big,))
     with pytest.raises(wire.MessageTooLarge):
         wire.encode(msg)
@@ -194,25 +192,19 @@ def rr_strategy():
         lambda o, ttl, t: ResourceRecord(o, RRType.NS, ttl, t),
         names, st.integers(0, 2**31), names,
     )
-    txt = st.builds(
-        lambda o, ttl, chunks: ResourceRecord(o, RRType.TXT, ttl, tuple(chunks)),
-        names, st.integers(0, 2**31),
-        st.lists(st.binary(min_size=1, max_size=40), min_size=1, max_size=3),
-    )
     soa = st.builds(
         lambda o, ttl, m, r, serial: ResourceRecord(
             o, RRType.SOA, ttl, SoaData(m, r, serial)),
         names, st.integers(0, 2**31), names, names, st.integers(0, 2**32 - 1),
     )
-    mx = st.builds(
-        lambda o, ttl, pref, ex: ResourceRecord(o, RRType.MX, ttl, MxData(pref, ex)),
-        names, st.integers(0, 2**31), st.integers(0, 65535), names,
+    # types without a decoder of their own (MX and TXT among them) keep
+    # their rdata as opaque bytes
+    opaque = st.builds(
+        lambda o, t, ttl, raw: ResourceRecord(o, t, ttl, bytes(raw)),
+        names, st.sampled_from([RRType.MX, RRType.TXT, RRType(0xFF31)]),
+        st.integers(0, 2**31), st.binary(max_size=24),
     )
-    other = st.builds(
-        lambda o, ttl, raw: ResourceRecord(o, RRType(0xFF31), ttl, bytes(raw)),
-        names, st.integers(0, 2**31), st.binary(max_size=24),
-    )
-    return st.one_of(a, aaaa, ns, txt, soa, mx, other)
+    return st.one_of(a, aaaa, ns, soa, opaque)
 
 
 messages = st.builds(
@@ -258,10 +250,6 @@ MALFORMED_RDATA = {
     "a-3-bytes": (one_answer(rr_bytes(1, b"\x01\x02\x03")), "A rdata is 3 bytes, not 4"),
     "aaaa-4-bytes": (one_answer(rr_bytes(28, b"\x01\x02\x03\x04")),
                      "AAAA rdata is 4 bytes, not 16"),
-    "mx-0-bytes-at-end": (one_answer(rr_bytes(15, b"")), "short MX rdata"),
-    "mx-1-byte-at-end": (one_answer(rr_bytes(15, b"\x00")), "short MX rdata"),
-    "mx-name-after-rdata": (one_answer(rr_bytes(15, b"\x00\x0a"), b"\x03net\x00"),
-                            "name runs past rdata"),
     "ns-rdlen-0-then-name": (one_answer(rr_bytes(2, b""), b"\x03net\x00"),
                              "name runs past rdata"),
     "cname-name-over-rdlen": (one_answer(rr_bytes(5, b"\x03n", 2), b"et\x00"),
