@@ -97,8 +97,6 @@ def _settings(args) -> tuple[list[tuple[DomainName, str, str]] | None, str, Quer
         raise ValueError(f"--format must be one of {', '.join(FORMATS)}")
     if getattr(args, "concurrency", 1) < 1:
         raise ValueError("--concurrency must be >= 1")
-    if not 1 <= args.port <= 65535:
-        raise ValueError("--port out of range")
     protocol_filter = (PROTOCOL_V4_ONLY if args.v4_only else
                        PROTOCOL_V6_ONLY if args.v6_only else PROTOCOL_BOTH)
     policy = QueryPolicy(max_retries=args.retries, retry_wait=args.retry_wait,
@@ -112,8 +110,7 @@ def _build_resolver(args, settings, transport,
     roots, protocol_filter, policy = settings
     engine = QueryEngine(transport, policy=policy, cache=cache,
                          rng=random.Random(args.seed))
-    return Resolver(engine, root_hints=roots, protocol_filter=protocol_filter,
-                    server_port=args.port)
+    return Resolver(engine, root_hints=roots, protocol_filter=protocol_filter)
 
 
 # -- check ---------------------------------------------------------------------
@@ -446,8 +443,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
                    help="seconds between timeout-driven attempts")
     p.add_argument("--format", choices=FORMATS, default=_env("FORMAT") or "text")
     p.add_argument("--seed", type=int, default=_env("SEED") or None)
-    p.add_argument("--port", type=int, default=_env("PORT") or 53,
-                   help="server port (loopback test harnesses use high ports)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import json
 import random
-import socket
-import threading
 from bisect import bisect_left
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -55,12 +53,9 @@ from .wire import (
     RCODE_NXDOMAIN,
     RCODE_REFUSED,
     WireFormatError,
-    decode,
     decode_after_id,
     encode,
     encode_records,
-    frame_tcp,
-    read_tcp_frame,
 )
 
 DROP_AAAA_GLUE = "drop-aaaa-glue"
@@ -237,21 +232,17 @@ class Universe:
     are compiled on first use, records and wire form, and every later
     reply shares them. To change a fixture, build a new Universe.
 
-    As it answers, only the clock, the packet log, the loss generator, the
-    compiled answers and a one-slot memo of the last decoded query
-    (``wire.decode_after_id``) change. A query that does not decode is
-    dropped (``TransportTimeout``).
+    As it answers, only the clock, the packet log, the compiled answers
+    and a one-slot memo of the last decoded query
+    (``wire.decode_after_id``) change. The clock steps by one per query
+    and per reply. A query that does not decode is dropped
+    (``TransportTimeout``).
     """
 
-    def __init__(self, fixtures: dict[DomainName, FixtureZone], seed: int = 0,
-                 latency: Mapping[str, int] | None = None,
-                 loss: Mapping[str, float] | None = None):
+    def __init__(self, fixtures: dict[DomainName, FixtureZone]):
         self.fixtures = fixtures
         self.log = PacketLog()
         self.clock = 0
-        self.latency = dict(latency or {})
-        self.loss = dict(loss or {})
-        self._rng = random.Random(seed)
         self._index()
         # Compiled on first use, each entry written in one assignment of a
         # finished value, so threads sharing the Universe may race to
@@ -358,7 +349,7 @@ class Universe:
     def exchange(self, server: ServerAddress, transport: str, payload: bytes,
                  timeout: float) -> bytes:
         proto = server.protocol
-        self.clock += 1 + self.latency.get(server.ip, 0)
+        self.clock += 1
         try:
             msg, self._last_query = decode_after_id(payload, self._last_query)
         except WireFormatError:  # dropped, as a server drops what it cannot read
@@ -367,8 +358,6 @@ class Universe:
         name = self.address_name.get(server.ip)
         if name is None:
             raise TransportUnreachable(f"no server at {server.ip}")
-        if self.loss.get(server.ip) and self._rng.random() < self.loss[server.ip]:
-            raise TransportTimeout("packet lost")
         answered = self._answer(name, server.ip, msg, transport)
         if answered is None:
             raise TransportTimeout(f"{server.ip} does not respond")
@@ -504,11 +493,6 @@ class Universe:
         i = bisect_left(names, qname)
         return i < len(names) and names[i].is_within(qname)
 
-    def _zone_of(self, qname: DomainName) -> DomainName:
-        """The deepest fixture zone that ``qname`` is in: the longest of its
-        prefixes that is a fixture (the root is one)."""
-        return deepest_known(qname, self.fixtures).zone
-
     # -- exports -------------------------------------------------------------
 
     def export_tuples(self) -> list[PassiveTuple]:
@@ -561,8 +545,7 @@ def _compile(answer: tuple[ResourceRecord, ...], authority: tuple[ResourceRecord
                           encode_records(answer, authority, additional))
 
 
-def build_universe(fixtures: Iterable[FixtureZone] | dict[DomainName, FixtureZone],
-                   seed: int = 0, **kwargs) -> Universe:
+def build_universe(fixtures: Iterable[FixtureZone] | dict[DomainName, FixtureZone]) -> Universe:
     """Index fixtures into a queryable universe.
 
     An empty fixture list yields a root-only universe; a non-empty list
@@ -574,7 +557,7 @@ def build_universe(fixtures: Iterable[FixtureZone] | dict[DomainName, FixtureZon
         fmap = {fz.zone: fz for fz in fixtures}
     if not fmap:
         fmap = {ROOT: DEFAULT_ROOT}
-    return Universe(fmap, seed=seed, **kwargs)
+    return Universe(fmap)
 
 
 # -- static record-level export ---------------------------------------------
@@ -789,160 +772,6 @@ def load_fixtures(path) -> list[FixtureZone]:
     return fixtures or []
 
 
-class LoopbackServer:
-    """Serves a universe on real loopback sockets for end-to-end runs.
-
-    One UDP+TCP listener per address family; every A in a response is
-    rewritten to 127.0.0.1 and every AAAA to ::1, so a real client keeps
-    talking to the listener while record presence is preserved. Queries
-    are answered by the deepest fixture zone covering the qname, the way a
-    server authoritative for a whole subtree answers: parent and child
-    views merge, so parent-side defects (withheld glue) are not observable
-    here. Record-absence defects survive. Full-fidelity testing uses the
-    in-process virtual transport instead.
-    """
-
-    def __init__(self, universe: Universe, port: int = 0):
-        self.universe = universe
-        self._threads = []
-        self._running = False
-        # One port must be free across both families; with an ephemeral
-        # request, retry if the v4-chosen port is taken on ::1.
-        last_error = None
-        for _attempt in range(16):
-            socks = []
-            try:
-                udp4 = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-                socks.append(udp4)
-                udp4.bind(("127.0.0.1", port))
-                chosen = udp4.getsockname()[1]
-                tcp4 = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                socks.append(tcp4)
-                tcp4.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                tcp4.bind(("127.0.0.1", chosen))
-                tcp4.listen(16)
-                udp6 = socket.socket(socket.AF_INET6, socket.SOCK_DGRAM)
-                socks.append(udp6)
-                udp6.bind(("::1", chosen))
-                tcp6 = socket.socket(socket.AF_INET6, socket.SOCK_STREAM)
-                socks.append(tcp6)
-                tcp6.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                tcp6.bind(("::1", chosen))
-                tcp6.listen(16)
-            except OSError as exc:
-                last_error = exc
-                for sock in socks:
-                    sock.close()
-                if port:  # explicit port: nothing to retry
-                    raise
-                continue
-            self.udp4, self.tcp4, self.udp6, self.tcp6 = udp4, tcp4, udp6, tcp6
-            self.port = chosen
-            self._socks = socks
-            break
-        else:
-            raise OSError(f"could not bind a common loopback port: {last_error}")
-
-    def root_hints_text(self) -> str:
-        lines = []
-        for name, proto, _addr in self.universe.root_hints():
-            addr = "127.0.0.1" if proto == V4 else "::1"
-            lines.append(f"{name} {proto} {addr}")
-        return "\n".join(sorted(set(lines))) + "\n"
-
-    def _flat_answer(self, payload: bytes, transport: str, family_addr: str) -> bytes | None:
-        try:
-            msg = decode(payload)
-        except WireFormatError:
-            return None
-        q = msg.question
-        if q is None:
-            return encode(msg.reply_skeleton(rcode=RCODE_FORMERR))
-        zone = self.universe._zone_of(q.qname)
-        candidates = [n for n in self.universe.apex_ns(zone)
-                      if n in self.universe.owner_zone]
-        if not candidates:
-            return encode(msg.reply_skeleton(rcode=RCODE_REFUSED))
-        answered = self.universe._answer(candidates[0], family_addr, msg, transport)
-        if answered is None:
-            return None
-        return encode(_rewrite_loopback(answered[0]))
-
-    def start(self) -> None:
-        self._running = True
-
-        def udp_loop(sock, family_addr):
-            while self._running:
-                try:
-                    data, peer = sock.recvfrom(65535)
-                except OSError:
-                    return
-                out = self._flat_answer(data, UDP, family_addr)
-                if out is not None:
-                    sock.sendto(out, peer)
-
-        def tcp_loop(sock, family_addr):
-            while self._running:
-                try:
-                    conn, _peer = sock.accept()
-                except OSError:
-                    return
-                with conn:
-                    try:
-                        data = read_tcp_frame(conn)
-                    except OSError:
-                        continue
-                    out = self._flat_answer(data, "tcp", family_addr)
-                    if out is not None:
-                        conn.sendall(frame_tcp(out))
-
-        pairs = [(self.udp4, udp_loop, "127.0.0.1"), (self.tcp4, tcp_loop, "127.0.0.1"),
-                 (self.udp6, udp_loop, "::1"), (self.tcp6, tcp_loop, "::1")]
-        for sock, fn, family_addr in pairs:
-            t = threading.Thread(target=fn, args=(sock, family_addr), daemon=True)
-            t.start()
-            self._threads.append(t)
-
-    def stop(self) -> None:
-        self._running = False
-        for sock in self._socks:
-            try:
-                sock.close()
-            except OSError:
-                pass
-
-    def __enter__(self):
-        self.start()
-        return self
-
-    def __exit__(self, *exc):
-        self.stop()
-
-
-def _rewrite_loopback(msg: DnsMessage) -> DnsMessage:
-    def rewrite(section):
-        seen = set()
-        out = []
-        for rr in section:
-            if rr.rrtype == RRType.A:
-                rr = ResourceRecord(rr.owner, rr.rrtype, rr.ttl, pack_address("127.0.0.1"))
-            elif rr.rrtype == RRType.AAAA:
-                rr = ResourceRecord(rr.owner, rr.rrtype, rr.ttl, pack_address("::1"))
-            key = (rr.owner, rr.rrtype, rr.data if isinstance(rr.data, bytes) else id(rr))
-            if rr.rrtype in (RRType.A, RRType.AAAA):
-                if key in seen:
-                    continue
-                seen.add(key)
-            out.append(rr)
-        return tuple(out)
-
-    return msg._replace(
-        answer=rewrite(msg.answer),
-        authority=rewrite(msg.authority),
-        additional=rewrite(msg.additional),
-    )
-
-
 def random_universe(
     seed: int,
     size: int,
@@ -1037,5 +866,5 @@ def random_universe(
             zone=zone, ns=entries, hosted=hosted, defects=frozenset(defects),
         )
 
-    universe = Universe(fixtures, seed=seed)
+    universe = Universe(fixtures)
     return universe, ground_truth(universe)

@@ -54,6 +54,8 @@ class TransportUnreachable(Exception):
 
 @dataclass(frozen=True, order=True)
 class ServerAddress:
+    """A server to query: v6ready asks port 53, the one port it names."""
+
     ip: str
     port: int = 53
 
@@ -91,6 +93,9 @@ class QueryPolicy:
         if not all(0 <= wait <= threading.TIMEOUT_MAX
                    for wait in (self.retry_wait, self.udp_timeout, self.tcp_timeout)):
             raise ValueError("waits must be >= 0, finite and at most threading.TIMEOUT_MAX")
+        # a socket timeout of 0 is non-blocking mode, where a silent server reads as unreachable
+        if self.udp_timeout == 0 or self.tcp_timeout == 0:
+            raise ValueError("timeouts must be > 0")
 
 
 RESPONSE = "response"

@@ -260,17 +260,12 @@ class Resolver:
     probes and gathers each again until none is.
     """
 
-    def __init__(
-        self,
-        engine: QueryEngine,
-        root_hints: list[tuple[DomainName, str, str]] | None = None,
-        protocol_filter: str = PROTOCOL_BOTH,
-        server_port: int = 53,
-    ):
+    def __init__(self, engine: QueryEngine,
+                 root_hints: list[tuple[DomainName, str, str]] | None = None,
+                 protocol_filter: str = PROTOCOL_BOTH):
         self.engine = engine
         self.hints = root_hints or default_root_hints()
         self.protocol_filter = protocol_filter
-        self.server_port = server_port
         self._zones: dict[DomainName, _ZoneInfo] = {ROOT: self._root_info()}
         self._found: list[_ZoneInfo] = []  # the zones in the order they were discovered
         self._fed = 0  # the first _fed of _found are in the propagations
@@ -379,7 +374,7 @@ class Resolver:
                 if not self._allowed(proto):
                     continue
                 for addr in sorted(addrs[proto]):
-                    info.servers.append((name, ServerAddress(addr, self.server_port)))
+                    info.servers.append((name, ServerAddress(addr)))
         return info
 
     @staticmethod
@@ -538,7 +533,7 @@ class Resolver:
                 pool = sorted(addrs.for_protocol(proto))
                 if not pool:
                     continue
-                addr = ServerAddress(pool[0], self.server_port)
+                addr = ServerAddress(pool[0])
                 if addr in seen:
                     continue
                 seen.add(addr)
@@ -638,8 +633,7 @@ class Resolver:
                 if _invalid_address(addr):
                     rows.append((addr, proto, "invalid"))
                     continue
-                outcome = self.engine.query(ServerAddress(addr, self.server_port),
-                                            zone, RRType.SOA)
+                outcome = self.engine.query(ServerAddress(addr), zone, RRType.SOA)
                 rows.append((addr, proto,
                              "responsive" if outcome.kind == RESPONSE else "unresponsive"))
         return rows

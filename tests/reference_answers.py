@@ -59,12 +59,3 @@ def has_names_below(universe: Universe, qname: DomainName) -> bool:
     return any(z.is_within(qname) for z in universe.fixtures) or any(
         n.is_within(qname) for n in universe.host_of
     )
-
-
-def zone_of(universe: Universe, qname: DomainName) -> DomainName | None:
-    """The deepest fixture zone that ``qname`` is in."""
-    zone = None
-    for z in universe.fixtures:
-        if qname.is_within(z) and (zone is None or len(z) > len(zone)):
-            zone = z
-    return zone

@@ -24,14 +24,14 @@ from pathlib import Path
 
 import pytest
 
-from universes import healthy_zone, root_fixture
+from relay import Relay
+from universes import ClosedPort, healthy_zone, root_fixture
 from v6ready import cli
 from v6ready.mocknet import (
     BLACKHOLE_V6,
     DROP_AAAA_GLUE,
     FORMERR_ON_EDNS,
     TRUNCATE_UDP,
-    LoopbackServer,
     build_universe,
     fixture_tuples,
     random_universe,
@@ -186,16 +186,13 @@ def test_check_over_loopback_sockets_leaves_no_cycles(tmp_path):
     # the real UdpTcpTransport; the servers truncate UDP, so TCP is used too
     def case(work, size):
         universe, target = chain(size, leaf={TRUNCATE_UDP})
-        server = LoopbackServer(universe)
-        hints = work / "loop.hints"
-        hints.write_text(server.root_hints_text())
-        args = parsed(["check", target, "--roots", str(hints), "--port", str(server.port),
+        args = parsed(["check", target, "--roots", write_hints(work, universe.root_hints()),
                        "--timeout", "1.0", "--tcp-timeout", "1.0", "--retry-wait", "0",
                        "--retries", "2", "--seed", "1"])
 
         def run():
-            with server:
-                _expect(0, cli.cmd_check(args))
+            with Relay(universe) as relay:
+                _expect(0, cli.cmd_check(args, lambda cfg: relay))
         return run
 
     assert_acyclic(case, tmp_path, 0)
@@ -204,10 +201,10 @@ def test_check_over_loopback_sockets_leaves_no_cycles(tmp_path):
 def test_check_against_a_closed_port_leaves_no_cycles(tmp_path):
     def case(work, size):
         hints = [(f"r{i}.root", "v4", f"127.0.0.{i + 1}") for i in range(size)]
-        args = parsed(["check", "d.t", "--roots", write_hints(work, hints), "--port", "1",
+        args = parsed(["check", "d.t", "--roots", write_hints(work, hints),
                        "--timeout", "0.2", "--tcp-timeout", "0.2", "--retry-wait", "0",
                        "--retries", "1", "--seed", "1"])
-        return lambda: _expect(2, cli.cmd_check(args))
+        return lambda: _expect(2, cli.cmd_check(args, lambda cfg: ClosedPort()))
 
     assert_acyclic(case, tmp_path, 0)
 

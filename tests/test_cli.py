@@ -12,8 +12,10 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from relay import Relay
 from universes import (
     N,
+    ClosedPort,
     broken_oob_universe,
     combined_two_scenario_universe,
     healthy_depth3_universe,
@@ -25,7 +27,9 @@ from v6ready import cli
 from v6ready.analytics import load_operator_rules, load_tld_list, load_toplist
 from v6ready.mocknet import (
     BLACKHOLE_V6,
-    LoopbackServer,
+    DROP_AAAA_GLUE,
+    FORMERR_ON_EDNS,
+    TRUNCATE_UDP,
     build_universe,
     fixture_tuples,
     ground_truth,
@@ -740,8 +744,6 @@ BAD_SETTINGS = [
     ("--tcp-timeout", "-1", "timeouts must be positive"),
     ("--retry-wait", "-1", "--retry-wait must be >= 0"),
     ("--concurrency", "0", "--concurrency must be >= 1"),
-    ("--port", "0", "--port out of range"),
-    ("--port", "70000", "--port out of range"),
 ]
 # Sockets and sleeps refuse a wait that is not finite or exceeds
 # threading.TIMEOUT_MAX; -inf fails the earlier sign check first.
@@ -822,27 +824,20 @@ def test_scan_with_worker_pool(tmp_path, capsys):
 # -- end-to-end over real loopback sockets -----------------------------------
 
 
+LOOPBACK = ["--timeout", "0.5", "--tcp-timeout", "0.5", "--retry-wait", "0", "--retries", "2",
+            "--seed", "1"]
+
+
 def test_loopback_end_to_end_exit_codes(tmp_path, capsys):
     u_ok = healthy_depth3_universe()
-    with LoopbackServer(u_ok) as srv:
-        hints = tmp_path / "loop.hints"
-        hints.write_text(srv.root_hints_text())
-        rc = cli.main([
-            "check", "d.t", "--roots", str(hints), "--port", str(srv.port),
-            "--timeout", "1.0", "--tcp-timeout", "1.0", "--retry-wait", "0",
-            "--retries", "2", "--seed", "1",
-        ])
+    with Relay(u_ok) as relay:
+        rc = run_cli(["check", "d.t", "--roots", write_hints(tmp_path, u_ok), *LOOPBACK], relay)
     assert rc == 0
 
     u_bad = broken_oob_universe()
-    with LoopbackServer(u_bad) as srv:
-        hints = tmp_path / "loop2.hints"
-        hints.write_text(srv.root_hints_text())
-        rc = cli.main([
-            "check", "example.org", "--roots", str(hints), "--port", str(srv.port),
-            "--timeout", "1.0", "--tcp-timeout", "1.0", "--retry-wait", "0",
-            "--retries", "2", "--seed", "1",
-        ])
+    with Relay(u_bad) as relay:
+        rc = run_cli(["check", "example.org", "--roots", write_hints(tmp_path, u_bad),
+                      *LOOPBACK], relay)
         out = capsys.readouterr().out
     assert rc == 1
     assert "no-aaaa-for-ns" in out
@@ -852,11 +847,43 @@ def test_loopback_unreachable_port_exits_two(tmp_path):
     hints = tmp_path / "dead.hints"
     hints.write_text("a.root v4 127.0.0.1\n")
     rc = cli.main([
-        "check", "d.t", "--roots", str(hints), "--port", "1",  # closed port
+        "check", "d.t", "--roots", str(hints),
         "--timeout", "0.2", "--tcp-timeout", "0.2", "--retry-wait", "0",
         "--retries", "1", "--seed", "1",
-    ])
+    ], transport_factory=lambda cfg: ClosedPort())
     assert rc == 2
+
+
+def truncating_tree():
+    """``t`` truncates every UDP reply, so each of its answers comes over
+    TCP; it withholds the AAAA glue of ``d.t``; ``e.t`` refuses EDNS."""
+    return build_universe([
+        root_fixture(),
+        healthy_zone("t", 10, defects={TRUNCATE_UDP}),
+        healthy_zone("d.t", 11, defects={DROP_AAAA_GLUE}),
+        healthy_zone("e.t", 12, defects={FORMERR_ON_EDNS}),
+    ])
+
+
+def test_real_sockets_give_the_in_process_documents(tmp_path, capsys):
+    # The relay answers through Universe.exchange, so withheld glue, which
+    # only the parent's referral shows, reaches the client too.
+    for make in (healthy_depth3_universe, broken_oob_universe, combined_two_scenario_universe,
+                 lambda: random_universe(11, 25)[0], lambda: random_universe(12, 25)[0],
+                 lambda: random_universe(13, 25)[0], truncating_tree):
+        in_process, relayed, codes = make(), make(), {}
+        hints = write_hints(tmp_path, in_process)
+        with Relay(relayed) as relay:
+            for zone in sorted(in_process.fixtures)[1:]:  # not the root
+                argv = ["check", str(zone), "--roots", hints, "--format", "structured",
+                        *LOOPBACK]
+                rc = run_cli(argv, in_process)
+                want = capsys.readouterr()
+                assert (run_cli(argv, relay), capsys.readouterr()) == (rc, want), str(zone)
+                codes[str(zone)] = rc
+        assert relayed.log.entries == in_process.log.entries
+    assert codes == {"t": 0, "d.t": 1, "e.t": 0}  # of the truncating tree
+    assert [e for e in relayed.log.queries() if e.transport == "tcp"]
 
 
 def test_check_structured_output_is_deterministic(tmp_path, capsys):
@@ -875,26 +902,18 @@ def test_check_structured_output_is_deterministic(tmp_path, capsys):
 def test_loopback_tcp_fallback_on_truncation(tmp_path, capsys):
     # Real sockets end to end: the zone truncates UDP, so the client must
     # complete the walk over TCP.
-    from v6ready.mocknet import TRUNCATE_UDP
-    from universes import healthy_zone, root_fixture
-    from v6ready.mocknet import build_universe
-
     u = build_universe([
         root_fixture(),
         healthy_zone("t", 10, defects={TRUNCATE_UDP}),
         healthy_zone("d.t", 11, defects={TRUNCATE_UDP}),
     ])
-    with LoopbackServer(u) as srv:
-        hints = tmp_path / "tcp.hints"
-        hints.write_text(srv.root_hints_text())
-        rc = cli.main([
-            "check", "d.t", "--roots", str(hints), "--port", str(srv.port),
-            "--timeout", "1.0", "--tcp-timeout", "1.0", "--retry-wait", "0",
-            "--retries", "2", "--seed", "1", "--format", "structured",
-        ])
+    with Relay(u) as relay:
+        rc = run_cli(["check", "d.t", "--roots", write_hints(tmp_path, u), "--format",
+                      "structured", *LOOPBACK], relay)
     doc = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert doc["state"] == "dual"
+    assert [e for e in u.log.queries() if e.transport == "tcp"]
 
 
 def test_simulate_skips_a_toplist_row_whose_rank_is_not_ascii_digits(tmp_path, capsys):
@@ -1327,13 +1346,13 @@ def test_main_builds_the_parser_once_per_environment(monkeypatch, builds, parsed
     for _ in range(3):
         assert cli.main(["check", "d.t"]) == 0
     assert builds[0] == 1
-    monkeypatch.setenv("V6READY_PORT", "5353")
+    monkeypatch.setenv("V6READY_RETRIES", "2")
     for _ in range(2):
         assert cli.main(["check", "d.t"]) == 0
-    monkeypatch.delenv("V6READY_PORT")
+    monkeypatch.delenv("V6READY_RETRIES")
     assert cli.main(["check", "d.t"]) == 0  # the first environment's parser again
     assert builds[0] == 2
-    assert [args.port for args in parsed_checks] == [53, 53, 53, 5353, 5353, 53]
+    assert [args.retries for args in parsed_checks] == [4, 4, 4, 2, 2, 4]
 
 
 def test_each_call_sees_the_environment_it_runs_in(monkeypatch, builds, parsed_checks):

@@ -316,34 +316,6 @@ def test_restoring_dropped_records_never_breaks_resolution():
             assert before_active[zone].v4_resolvable <= after_active[zone].v4_resolvable
 
 
-def test_latency_and_loss_knobs():
-    import random as random_mod
-
-    from universes import TEST_POLICY, healthy_zone, root_fixture
-    from v6ready.query import QueryEngine, ServerAddress, TIMEOUT
-    from v6ready.records import RRType
-
-    fixtures = [root_fixture(), healthy_zone("t", 10, ns_count=1)]
-    addr = "10.10.0.1"
-
-    # total loss: the engine exhausts its budget and reports a timeout
-    u = build_universe(fixtures, loss={addr: 1.0})
-    engine = QueryEngine(u, policy=TEST_POLICY, rng=random_mod.Random(1),
-                         sleep=lambda s: None)
-    outcome = engine.query(ServerAddress(addr), N("t"), RRType.SOA)
-    assert outcome.kind == TIMEOUT
-    assert len(u.log.queries()) == 4  # every attempt was delivered and lost
-
-    # latency inflates the logical clock between entries
-    u_fast = build_universe(fixtures)
-    u_slow = build_universe(fixtures, latency={addr: 50})
-    for universe in (u_fast, u_slow):
-        engine = QueryEngine(universe, policy=TEST_POLICY,
-                             rng=random_mod.Random(1), sleep=lambda s: None)
-        engine.query(ServerAddress(addr), N("t"), RRType.SOA)
-    assert u_slow.log.entries[0].timestamp > u_fast.log.entries[0].timestamp
-
-
 def test_query_that_does_not_decode_is_dropped():
     from v6ready.query import ServerAddress, TransportTimeout
 

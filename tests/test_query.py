@@ -210,6 +210,15 @@ def test_policy_refuses_a_wait_that_sockets_and_sleeps_refuse(field, value):
     assert getattr(QueryPolicy(**{field: threading.TIMEOUT_MAX}), field) == threading.TIMEOUT_MAX
 
 
+@pytest.mark.parametrize("field", ["udp_timeout", "tcp_timeout"])
+def test_policy_refuses_a_zero_timeout_but_not_a_zero_wait(field):
+    # a socket timeout of 0 is non-blocking mode, where a silent server
+    # would read as unreachable instead of timing out
+    with pytest.raises(ValueError, match="timeouts must be > 0"):
+        QueryPolicy(**{field: 0})
+    assert QueryPolicy(retry_wait=0).retry_wait == 0
+
+
 def test_engines_given_one_empty_cache_share_it():
     transport = ScriptedTransport("ok")
     cache = ResponseCache()

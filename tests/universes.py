@@ -22,8 +22,10 @@ from v6ready.passive import classify_zones, fixed_point, ingest_tuples
 from v6ready.query import (
     QueryEngine,
     QueryPolicy,
+    ServerAddress,
     TransportTimeout,
     TransportUnreachable,
+    UdpTcpTransport,
 )
 from v6ready.records import V4, V6, AddrRecords
 from v6ready.resolver import PROTOCOL_BOTH, Resolver
@@ -260,7 +262,7 @@ def with_liveness_faults(universe: Universe, seed: int, rate: float = 0.15) -> U
             defect = rng.choice((BLACKHOLE_V6, BLACKHOLE_ALL))
             fz = replace(fz, defects=fz.defects | {defect})
         fixtures[zone] = fz
-    return Universe(fixtures, seed=seed)
+    return Universe(fixtures)
 
 
 class RecordingTransport:
@@ -280,6 +282,13 @@ class RecordingTransport:
             raise
         self.exchanges.append((server.ip, transport, payload, reply))
         return reply
+
+
+class ClosedPort(UdpTcpTransport):
+    """Real sockets aimed at port 1 of each server, where nothing listens."""
+
+    def exchange(self, server, transport, payload, timeout):
+        return super().exchange(ServerAddress(server.ip, 1), transport, payload, timeout)
 
 
 def with_short_a_record(raw: bytes) -> bytes:
