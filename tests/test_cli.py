@@ -865,25 +865,76 @@ def truncating_tree():
     ])
 
 
-def test_real_sockets_give_the_in_process_documents(tmp_path, capsys):
-    # The relay answers through Universe.exchange, so withheld glue, which
-    # only the parent's referral shows, reaches the client too.
-    for make in (healthy_depth3_universe, broken_oob_universe, combined_two_scenario_universe,
-                 lambda: random_universe(11, 25)[0], lambda: random_universe(12, 25)[0],
-                 lambda: random_universe(13, 25)[0], truncating_tree):
-        in_process, relayed, codes = make(), make(), {}
-        hints = write_hints(tmp_path, in_process)
-        with Relay(relayed) as relay:
-            for zone in sorted(in_process.fixtures)[1:]:  # not the root
-                argv = ["check", str(zone), "--roots", hints, "--format", "structured",
-                        *LOOPBACK]
-                rc = run_cli(argv, in_process)
-                want = capsys.readouterr()
-                assert (run_cli(argv, relay), capsys.readouterr()) == (rc, want), str(zone)
-                codes[str(zone)] = rc
-        assert relayed.log.entries == in_process.log.entries
-    assert codes == {"t": 0, "d.t": 1, "e.t": 0}  # of the truncating tree
-    assert [e for e in relayed.log.queries() if e.transport == "tcp"]
+def blackholed_tree():
+    """``d.t``'s servers drop every IPv6 query, so the relay stays silent
+    over UDP and holds TCP connections open until the client gives up."""
+    return build_universe([
+        root_fixture(),
+        healthy_zone("t", 10),
+        healthy_zone("d.t", 11, ns_count=1, defects={BLACKHOLE_V6}),
+    ])
+
+
+# The relay answers through Universe.exchange, so withheld glue, which only
+# the parent's referral shows, reaches the client too.
+RELAYED_UNIVERSES = [
+    pytest.param(healthy_depth3_universe, None, id="healthy_depth3"),
+    pytest.param(broken_oob_universe, None, id="broken_oob"),
+    pytest.param(combined_two_scenario_universe, None, id="combined_two_scenario"),
+    *(pytest.param(lambda seed=seed: random_universe(seed, 25)[0], None, id=f"random{seed}")
+      for seed in (11, 12, 13)),
+    pytest.param(truncating_tree, {"t": 0, "d.t": 1, "e.t": 0}, id="truncating"),
+    pytest.param(blackholed_tree, {"t": 0, "d.t": 1}, id="blackholed"),
+]
+
+
+@pytest.mark.parametrize("make, codes", RELAYED_UNIVERSES)
+def test_real_sockets_give_the_in_process_documents(tmp_path, capsys, make, codes):
+    in_process, relayed, seen = make(), make(), {}
+    hints = write_hints(tmp_path, in_process)
+    with Relay(relayed) as relay:
+        for zone in sorted(in_process.fixtures)[1:]:  # not the root
+            argv = ["check", str(zone), "--roots", hints, "--format", "structured", *LOOPBACK]
+            rc = run_cli(argv, in_process)
+            want = capsys.readouterr()
+            assert (run_cli(argv, relay), capsys.readouterr()) == (rc, want), str(zone)
+            seen[str(zone)] = rc
+    assert relayed.log.entries == in_process.log.entries
+    if codes is not None:
+        assert seen == codes
+    if make is truncating_tree:
+        assert [e for e in relayed.log.queries() if e.transport == "tcp"]
+
+
+class PortsSeen:
+    """A universe as a transport that keeps the port of every exchange."""
+
+    def __init__(self, universe):
+        self.universe, self.ports = universe, set()
+
+    def exchange(self, server, transport, payload, timeout):
+        self.ports.add(server.port)
+        return self.universe.exchange(server, transport, payload, timeout)
+
+
+@pytest.mark.parametrize("command", ["check", "scan"])
+def test_the_port_is_neither_a_flag_nor_an_environment_setting(
+        tmp_path, capsys, monkeypatch, command):
+    u = healthy_depth3_universe()
+    domains = tmp_path / "domains.txt"
+    domains.write_text("d.t\n")
+    out = tmp_path / "results.jsonl"
+    argv = (["check", "d.t"] if command == "check"
+            else ["scan", str(domains), "--output", str(out)])
+    argv += ["--roots", write_hints(tmp_path, u), *FAST]
+    assert run_cli([*argv, "--port", "53"], u) == 2
+    assert "unrecognized arguments: --port 53" in capsys.readouterr().err
+    assert not out.exists()
+    assert u.log.entries == []
+    monkeypatch.setenv("V6READY_PORT", "5353")
+    transport = PortsSeen(u)
+    assert run_cli(argv, transport) == 0
+    assert transport.ports == {53}
 
 
 def test_check_structured_output_is_deterministic(tmp_path, capsys):
