@@ -3,8 +3,9 @@
 Behavior per scan policy: UDP first with EDNS, retry over TCP on
 truncation, drop EDNS after a FORMERR, at most ``max_retries``
 timeout-driven attempts per transport path spaced by ``retry_wait``,
-and every outcome (including failures) cached per (server, qname, qtype).
-A reply counts only if it carries the query's ID and question.
+and every outcome (including failures) cached per (server, qname, qtype),
+with one exchange for callers that ask the same key at once. A reply
+counts only if it carries the query's ID and question.
 
 Each engine remembers two packets, one slot each, for its own lifetime:
 the last query it encoded, without its ID, and the last reply it decoded,
@@ -12,9 +13,10 @@ with the bytes after its ID. A resolver asks each server of a zone the
 same question in a row, and the servers send the same bytes apart from
 the ID, so an attempt that repeats the last question only prefixes a
 fresh ID, and a reply that repeats the last body reuses its decoded
-message under its own ID. A slot holds one packet and is overwritten by
-the next, so the memory stays bounded however long a scan runs; slots
-are never shared between engines.
+message under its own ID. Such replies share their section tuples, so
+the resolver reads them once (``Resolver._read_ns_layer``). A slot holds
+one packet and is overwritten by the next, so the memory stays bounded
+however long a scan runs; slots are never shared between engines.
 """
 
 from __future__ import annotations
@@ -116,12 +118,18 @@ class ResponseCache:
 
     A key is (server ip, port, qname, qtype). Failure outcomes are
     stored exactly like successes; there is no eviction within a run.
+    One plain lock guards the entries, the in-flight keys and the
+    counters. A key's first caller claims it; a second caller on a key in
+    flight makes the key's event and waits on it outside the lock, and
+    ``fulfill`` or ``abort`` sets it, so a key nobody waits on costs no
+    event.
     """
 
     def __init__(self):
         self._entries: dict[tuple, QueryOutcome] = {}
-        self._inflight: set[tuple] = set()
-        self._cond = threading.Condition()
+        # a key in flight -> the event its waiters wait on, None while there are none
+        self._inflight: dict[tuple, threading.Event | None] = {}
+        self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
@@ -133,27 +141,34 @@ class ResponseCache:
 
         Blocks while another caller is already fetching the same key.
         """
-        with self._cond:
-            while True:
-                if key in self._entries:
+        while True:
+            with self._lock:
+                outcome = self._entries.get(key)
+                if outcome is not None:
                     self.hits += 1
-                    return self._entries[key]
+                    return outcome
                 if key not in self._inflight:
-                    self._inflight.add(key)
+                    self._inflight[key] = None
                     self.misses += 1
                     return None
-                self._cond.wait()
+                event = self._inflight[key]
+                if event is None:
+                    event = self._inflight[key] = threading.Event()
+            event.wait()
 
     def fulfill(self, key: tuple, outcome: QueryOutcome) -> None:
-        with self._cond:
+        with self._lock:
             self._entries[key] = outcome
-            self._inflight.discard(key)
-            self._cond.notify_all()
+            event = self._inflight.pop(key, None)
+        if event is not None:
+            event.set()
 
     def abort(self, key: tuple) -> None:
-        with self._cond:
-            self._inflight.discard(key)
-            self._cond.notify_all()
+        """Release a claimed key unfilled; a waiter wakes and claims it."""
+        with self._lock:
+            event = self._inflight.pop(key, None)
+        if event is not None:
+            event.set()
 
 
 class QueryEngine:

@@ -29,6 +29,7 @@ from .classify import (CAUSE_NS_UNRESPONSIVE, FailureCause, ResolutionStatus, _o
 from .names import ROOT, DnsNameError, DomainName, enclosing_zones, normalize
 from .query import QueryEngine, ServerAddress, RESPONSE
 from .records import (
+    EMPTY,
     AddrRecords,
     NO_ADDRS,
     ResourceRecord,
@@ -133,6 +134,31 @@ class DelegationStep:
     cname_ns: frozenset[DomainName]
     out_of_zone: tuple[ResourceRecord, ...]
     status: ResolutionStatus
+    _entry: dict | None = field(default=None, init=False, repr=False, compare=False)
+
+    def json_entry(self) -> dict:
+        """The step's entry in chain-result JSON, rendered on first use:
+        a step is final once built, so every chain through it shares the
+        one entry, which nothing may change."""
+        if self._entry is None:
+            self._entry = {
+                "zone": str(self.zone),
+                "parent_ns": sorted(str(n) for n in self.parent_ns_set),
+                "child_ns": (sorted(str(n) for n in self.child_ns_set)
+                             if self.child_ns_set is not None else None),
+                "glue": {
+                    str(ns): {"v4": sorted(a.v4), "v6": sorted(a.v6)}
+                    for ns, a in sorted(self.glue.items(), key=lambda kv: str(kv[0]))
+                },
+                "queried": [list(q) for q in self.queried_servers],
+                "cname_ns": sorted(str(n) for n in self.cname_ns),
+                "out_of_zone_additionals": [
+                    f"{rr.owner} {rr.rrtype} {rr.address}" for rr in self.out_of_zone
+                ],
+                "state": self.status.state,
+                "causes": sorted(self.status.causes),
+            }
+        return self._entry
 
 
 @dataclass
@@ -157,6 +183,8 @@ class ChainResult:
         return self.status.state
 
     def to_json_dict(self) -> dict:
+        """The chain-result document; its step entries are the steps' own
+        (``DelegationStep.json_entry``), shared with every other chain."""
         return {
             "format": "chain-result",
             "version": CHAIN_RESULT_VERSION,
@@ -168,27 +196,7 @@ class ChainResult:
             "intent_v6": self.status.intent_v6,
             "causes": sorted(self.status.causes),
             "cause_witnesses": self.status.cause_witnesses,
-            "steps": [
-                {
-                    "zone": str(s.zone),
-                    "parent_ns": sorted(str(n) for n in s.parent_ns_set),
-                    "child_ns": (sorted(str(n) for n in s.child_ns_set)
-                                 if s.child_ns_set is not None else None),
-                    "glue": {
-                        str(ns): {"v4": sorted(a.v4), "v6": sorted(a.v6)}
-                        for ns, a in sorted(s.glue.items(), key=lambda kv: str(kv[0]))
-                    },
-                    "queried": [list(q) for q in s.queried_servers],
-                    "cname_ns": sorted(str(n) for n in s.cname_ns),
-                    "out_of_zone_additionals": [
-                        f"{rr.owner} {rr.rrtype} {rr.address}"
-                        for rr in s.out_of_zone
-                    ],
-                    "state": s.status.state,
-                    "causes": sorted(s.status.causes),
-                }
-                for s in self.steps
-            ],
+            "steps": [s.json_entry() for s in self.steps],
             "enrichment": self.enrichment,
             "liveness": [list(entry) for entry in self.liveness],
         }
@@ -399,18 +407,20 @@ class Resolver:
         """File what the parent's servers serve for the NS query of
         ``info.zone``; False if they answered and there is no cut. If none
         answered, nothing below the parent can be reached through the name:
-        it is a silent zone, whose step lists the unanswered probes."""
+        it is a silent zone, whose step lists the unanswered probes. Each
+        reply is read once (``_read_ns_layer``), but its out-of-zone
+        additionals are kept once per answering server."""
         targets: set[DomainName] = set()
         glue: list[ResourceRecord] = []
         strays: list[ResourceRecord] = []
         probes = []
-        for (_ns, addr), outcome in self._query_layer(parent.servers, info.zone, RRType.NS):
+        for (_ns, addr), outcome, found, new_glue, stray in self._read_ns_layer(
+                parent.servers, info.zone):
             probes.append((addr.ip, addr.protocol, outcome.kind))
             if outcome.kind != RESPONSE:
                 continue
             if parent.zone == ROOT:
                 self._root_answered.add(addr.protocol)
-            found, new_glue, stray = self._interpret_ns_reply(outcome.message, info.zone)
             targets |= found
             glue.extend(new_glue)
             strays.extend(stray)
@@ -451,6 +461,39 @@ class Resolver:
                     (glue if rr.owner.is_within(cand) else out_of_zone).append(rr)
         return targets, glue, out_of_zone
 
+    def _read_ns_layer(self, servers, cand: DomainName):
+        """Generator: ask every server of a layer for the NS set of ``cand``
+        and yield each ((ns, address), outcome, targets, glue, out_of_zone)
+        as ``_interpret_ns_reply`` reads its reply; all three are empty for
+        an unanswered query.
+
+        Each distinct reply is read once. The servers of a layer mostly
+        send the same bytes, whose decoded sections the engine shares: a
+        reply whose sections are the previous reply's own objects yields
+        that reply's out-of-zone records again, and no targets or glue. Of
+        the glue, only records no earlier reply of the layer carried come,
+        so each is filed once per layer.
+        """
+        last = None
+        seen: set[ResourceRecord] = set()
+        for server, outcome in self._query_layer(servers, cand, RRType.NS):
+            if outcome.kind != RESPONSE:
+                yield server, outcome, EMPTY, (), ()
+                continue
+            msg = outcome.message
+            if (last is not None and msg.answer is last.answer
+                    and msg.authority is last.authority and msg.additional is last.additional):
+                yield server, outcome, EMPTY, (), strays
+                continue
+            last = msg
+            targets, glue, strays = self._interpret_ns_reply(msg, cand)
+            new_glue = []
+            for rr in glue:
+                if rr not in seen:
+                    seen.add(rr)
+                    new_glue.append(rr)
+            yield server, outcome, targets, new_glue, strays
+
     def _gather(self, info: _ZoneInfo):
         """Generator: contact the zone's own servers for its NS set and the
         addresses of its in-bailiwick NS, each out-of-bailiwick NS looked
@@ -487,11 +530,13 @@ class Resolver:
                             self._note_addr(info, info.zone, rr)
 
     def _child_view(self, info: _ZoneInfo, contact) -> frozenset[DomainName] | None:
+        """The NS set the zone's ``contact`` servers serve for it (None if
+        no reply named one), filing the in-zone glue of each distinct
+        reply once (``_read_ns_layer``)."""
         child_ns: set[DomainName] | None = None
-        for (ns, addr), outcome in self._query_layer(contact, info.zone, RRType.NS):
+        for (ns, addr), outcome, found, glue, _strays in self._read_ns_layer(contact, info.zone):
             if not self._note(info, ns, addr, outcome):
                 continue
-            found, glue, _strays = self._interpret_ns_reply(outcome.message, info.zone)
             if found:
                 child_ns = (child_ns or set()) | found
             for rr in glue:

@@ -84,6 +84,11 @@ class DnsMessage(NamedTuple):
 
 _LENGTH_BYTE = [bytes((n,)) for n in range(MAX_LABEL + 1)]
 
+# Decoding builds its named tuples with this, their items in field order:
+# it skips the keyword handling of ``DnsMessage`` and the checks of
+# ``ResourceRecord``, which the decoder has already made.
+_new = tuple.__new__
+
 
 def encode_name(name: DomainName) -> bytes:
     out = b"\x00"
@@ -259,9 +264,10 @@ def _decode_rr(data: bytes, offset: int) -> tuple[ResourceRecord | None, Edns | 
     rrtype = _BY_VALUE.get(tval) or RRType(tval)
     if rrtype is RRType.OPT:
         # class carries the advertised UDP payload size
-        return None, Edns(udp_payload_size=rrclass), off + rdlen
+        return None, _new(Edns, (rrclass,)), off + rdlen
     payload = _decode_rdata(data, off, rdlen, rrtype)
-    return ResourceRecord(owner, rrtype, ttl, payload), None, off + rdlen
+    # positional: _decode_rdata has checked the A and AAAA lengths
+    return _new(ResourceRecord, (owner, rrtype, ttl, payload)), None, off + rdlen
 
 
 def decode(data: bytes) -> DnsMessage:
@@ -278,7 +284,7 @@ def decode(data: bytes) -> DnsMessage:
             raise WireFormatError("truncated question")
         qtype, qclass = struct.unpack_from("!HH", data, offset)
         offset += 4
-        question = Question(qname, _BY_VALUE.get(qtype) or RRType(qtype), qclass)
+        question = _new(Question, (qname, _BY_VALUE.get(qtype) or RRType(qtype), qclass))
     sections: list[list[ResourceRecord]] = [[], [], []]
     edns = None
     for sect, count in zip(sections, (an, ns, ar)):
@@ -288,21 +294,21 @@ def decode(data: bytes) -> DnsMessage:
                 edns = opt
             elif rr is not None:
                 sect.append(rr)
-    return DnsMessage(
-        id=mid,
-        qr=bool(flags & 0x8000),
-        opcode=(flags >> 11) & 0xF,
-        aa=bool(flags & 0x0400),
-        tc=bool(flags & 0x0200),
-        rd=bool(flags & 0x0100),
-        ra=bool(flags & 0x0080),
-        rcode=flags & 0xF,
-        question=question,
-        answer=tuple(sections[0]),
-        authority=tuple(sections[1]),
-        additional=tuple(sections[2]),
-        edns=edns,
-    )
+    return _new(DnsMessage, (
+        mid,
+        bool(flags & 0x8000),  # qr
+        (flags >> 11) & 0xF,  # opcode
+        bool(flags & 0x0400),  # aa
+        bool(flags & 0x0200),  # tc
+        bool(flags & 0x0100),  # rd
+        bool(flags & 0x0080),  # ra
+        flags & 0xF,  # rcode
+        question,
+        tuple(sections[0]),
+        tuple(sections[1]),
+        tuple(sections[2]),
+        edns,
+    ))
 
 
 def decode_after_id(data: bytes, slot: tuple) -> tuple[DnsMessage, tuple]:
@@ -313,7 +319,7 @@ def decode_after_id(data: bytes, slot: tuple) -> tuple[DnsMessage, tuple]:
     ``data``."""
     body = data[2:]
     if body == slot[0]:
-        return DnsMessage._make((int.from_bytes(data[:2], "big"), *slot[1][1:])), slot
+        return _new(DnsMessage, (int.from_bytes(data[:2], "big"), *slot[1][1:])), slot
     msg = decode(data)
     return msg, (body, msg)
 

@@ -67,6 +67,24 @@ def test_check_healthy_zone_exits_zero(tmp_path, capsys):
     assert "state: dual" in out
 
 
+def test_check_renders_step_entries_for_structured_output_only(tmp_path, capsys,
+                                                               monkeypatch):
+    from v6ready.resolver import DelegationStep
+
+    rendered = []
+    entry = DelegationStep.json_entry
+    monkeypatch.setattr(DelegationStep, "json_entry",
+                        lambda step: rendered.append(step.zone) or entry(step))
+    u = healthy_depth3_universe()
+    argv = ["check", "s.d.t", "--roots", write_hints(tmp_path, u), *FAST]
+    assert run_cli(argv, u) == 0
+    assert "delegation chain:" in capsys.readouterr().out and rendered == []
+    assert run_cli([*argv, "--format", "structured"], u) == 0
+    assert [s["zone"] for s in json.loads(capsys.readouterr().out)["steps"]] == [
+        "t", "d.t", "s.d.t"]
+    assert [str(zone) for zone in rendered] == ["t", "d.t", "s.d.t"]
+
+
 def test_check_below_v6_dark_parent_exits_one(tmp_path, capsys):
     u = build_universe([
         root_fixture(),
@@ -1435,17 +1453,21 @@ def test_a_fixed_environment_number_works_after_a_bad_one(tmp_path, capsys, monk
     assert "scanned 2 domains" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("bad", [["--port", "x"], ["--bogus"], ["--format", "json"]],
-                         ids=["bad-number", "unknown-flag", "not-a-choice"])
+@pytest.mark.parametrize("bad, error", [
+    (["--retries", "x"], "invalid int value: 'x'"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--format", "json"], "invalid choice: 'json'"),
+], ids=["bad-number", "unknown-flag", "not-a-choice"])
 def test_a_command_line_that_fails_to_parse_leaves_the_next_call_alone(
-        tmp_path, capsys, collector_restored, bad):
+        tmp_path, capsys, collector_restored, bad, error):
     u = healthy_depth3_universe()
     argv = ["check", "d.t", "--format", "structured", "--roots", write_hints(tmp_path, u),
             *FAST]
     assert run_cli(argv, u) == 0
     before = capsys.readouterr().out
     assert run_cli([*argv, *bad], u) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and error in err
     assert run_cli(argv, u) == 0
     assert capsys.readouterr().out == before
 

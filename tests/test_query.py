@@ -3,6 +3,8 @@ import random
 import socket
 import sys
 import threading
+import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +239,19 @@ def test_cache_distinct_servers_not_shared():
     assert len(transport.exchanges) == 2
 
 
+def _blocked_begins(cache, key, n):
+    """Start ``n`` threads calling ``cache.begin(key)``; returns the threads
+    and the list their results land in."""
+    got = []
+    threads = [threading.Thread(target=lambda: got.append(cache.begin(key)), daemon=True)
+               for _ in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(0.2)
+    return threads, got
+
+
 def test_cache_abort_on_transport_crash():
     class Crashing(ScriptedTransport):
         def exchange(self, *a, **kw):
@@ -248,7 +263,112 @@ def test_cache_abort_on_transport_crash():
         engine.query(SERVER, QNAME, RRType.NS)
     # the in-flight marker must be released so later callers are not stuck
     cache = engine.cache
-    assert cache.begin(("192.0.2.53", 53, QNAME, RRType.NS, 1)) is None
+    threads, got = _blocked_begins(cache, (SERVER.ip, SERVER.port, QNAME, RRType.NS), 1)
+    threads[0].join(5.0)
+    assert got == [None]
+
+
+def test_a_caller_on_a_key_in_flight_waits_for_its_one_exchange():
+    gate = threading.Event()
+
+    class Gated(ScriptedTransport):
+        def exchange(self, server, transport, payload, timeout):
+            assert gate.wait(5.0)
+            return super().exchange(server, transport, payload, timeout)
+
+    transport, cache = Gated("ok"), ResponseCache()
+    engines = [QueryEngine(transport, policy=QueryPolicy(retry_wait=0.0), cache=cache,
+                           rng=random.Random(seed), sleep=lambda s: None)
+               for seed in (1, 2)]
+    results = {}
+
+    def ask(i):
+        results[i] = engines[i].query(SERVER, QNAME, RRType.NS)
+
+    a = threading.Thread(target=ask, args=(0,), daemon=True)
+    a.start()
+    while cache.misses == 0:  # A has claimed the key and is in its exchange
+        a.join(0.01)
+    b = threading.Thread(target=ask, args=(1,), daemon=True)
+    b.start()
+    b.join(0.2)
+    assert b.is_alive() and 1 not in results  # B blocks while A's key is in flight
+    gate.set()
+    a.join(5.0)
+    b.join(5.0)
+    assert results[0].kind == RESPONSE and results[1] is results[0]
+    assert len(transport.exchanges) == 1
+    assert (cache.hits, cache.misses, len(cache)) == (1, 1, 1)
+
+
+def test_fulfill_wakes_every_waiter_and_abort_hands_the_key_to_one():
+    cache = ResponseCache()
+    key = (SERVER.ip, SERVER.port, QNAME, RRType.NS)
+    assert cache.begin(key) is None  # A claims the key
+    threads, got = _blocked_begins(cache, key, 2)
+    assert all(t.is_alive() for t in threads) and got == []
+    cache.abort(key)  # one waiter claims the key; the other waits on for it
+    for _ in range(500):
+        if got:
+            break
+        threads[0].join(0.01)
+    assert got == [None]
+    threads[0].join(0.2)
+    threads[1].join(0.2)
+    assert sum(t.is_alive() for t in threads) == 1
+    assert (cache.hits, cache.misses) == (0, 2)
+    outcome = query_module.QueryOutcome(TIMEOUT)
+    cache.fulfill(key, outcome)
+    for t in threads:
+        t.join(5.0)
+    assert got[0] is None and got[1] is outcome
+    later, more = _blocked_begins(cache, key, 2)
+    for t in later:
+        t.join(5.0)
+    assert more[0] is outcome and more[1] is outcome
+    assert (cache.hits, cache.misses, len(cache)) == (3, 2, 1)
+
+
+def test_engines_sharing_a_cache_under_thread_switches_exchange_each_key_once():
+    # as in scan --concurrency: one engine per thread, one cache for all
+    keys = [(ServerAddress(f"192.0.2.{s}"), normalize(f"n{q}.example"))
+            for s in range(3) for q in range(20)]
+
+    class Yielding(ScriptedTransport):
+        def exchange(self, server, transport, payload, timeout):
+            time.sleep(0)  # another thread may ask for this key while it is in flight
+            return super().exchange(server, transport, payload, timeout)
+
+    transport, cache = Yielding("ok"), ResponseCache()
+    got: dict[tuple, set[int]] = {key: set() for key in keys}
+    start = threading.Barrier(6)
+
+    def run(worker):
+        engine = QueryEngine(transport, policy=QueryPolicy(retry_wait=0.0), cache=cache,
+                             rng=random.Random(worker), sleep=lambda s: None)
+        order = keys * 2
+        random.Random(worker).shuffle(order)
+        start.wait(10)
+        for server, qname in order:
+            got[(server, qname)].add(id(engine.query(server, qname, RRType.NS)))
+
+    threads = [threading.Thread(target=run, args=(w,)) for w in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    # a lost claim would exchange a key twice, and hand out two outcomes
+    exchanged = Counter((ip, msg.question.qname) for ip, _, msg in transport.exchanges)
+    assert sorted(exchanged.values()) == [1] * len(keys)
+    assert all(len(ids) == 1 for ids in got.values())
+    calls = 6 * 2 * len(keys)
+    assert (cache.misses, cache.hits, len(cache)) == (len(keys), calls - len(keys), len(keys))
 
 
 # -- the packet memo: one query and one reply remembered per engine ----------

@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from dataclasses import replace
@@ -40,14 +41,15 @@ from v6ready.mocknet import (
     zone_fixture,
 )
 from v6ready.query import QueryEngine
-from v6ready.records import AddrRecords, V4, V6
+from v6ready.records import AddrRecords, ResourceRecord, RRType, V4, V6
 from v6ready.resolver import (
+    CHAIN_RESULT_VERSION,
     PROTOCOL_V4_ONLY,
     PROTOCOL_V6_ONLY,
     Resolver,
     RootUnreachable,
 )
-from v6ready.wire import decode
+from v6ready.wire import decode, encode
 
 
 def test_broken_oob_scenario_is_v4_only():
@@ -510,3 +512,188 @@ def test_chains_through_one_zone_share_its_step(monkeypatch):
         assert max(chains.values()) > 2
         assert max(built[zone] for zone in fed) <= 2, seed
         built.clear()
+
+
+# -- each reply read once, each step rendered once ---------------------------
+
+
+def reading_layers(monkeypatch):
+    """Per NS layer read (``_probe`` or ``_child_view`` call), in order:
+    (method, zone, readings of replies, Counter of the glue it filed)."""
+    layers, active = [], []
+    interpret = Resolver._interpret_ns_reply
+
+    def reading(msg, cand):
+        if active:
+            active[-1][2].append(msg)
+        return interpret(msg, cand)
+
+    def wrap(name):
+        read = getattr(Resolver, name)
+
+        def counted(self, *args):
+            info = args[1] if name == "_probe" else args[0]
+            active.append((name, info.zone, [], Counter()))
+            try:
+                return read(self, *args)
+            finally:
+                layers.append(active.pop())
+
+        monkeypatch.setattr(Resolver, name, counted)
+
+    note = Resolver._note_addr
+
+    def filing(self, info, bailiwick, rr):
+        if active:
+            active[-1][3][(info.zone, bailiwick, rr)] += 1
+        return note(self, info, bailiwick, rr)
+
+    monkeypatch.setattr(Resolver, "_interpret_ns_reply", staticmethod(reading))
+    monkeypatch.setattr(Resolver, "_note_addr", filing)
+    wrap("_probe")
+    wrap("_child_view")
+    return layers
+
+
+def test_servers_sending_one_referral_are_read_once_and_file_each_glue_record_once(
+        monkeypatch):
+    u = healthy_depth3_universe()
+    layers = reading_layers(monkeypatch)
+    res = make_resolver(u).resolve_chain("s.d.t")
+    assert res.state == "dual"
+    probe = [layer for layer in layers if layer[:2] == ("_probe", N("d.t"))]
+    assert len(probe) == 1
+    _name, _zone, readings, filed = probe[0]
+    # t's two servers, each over v4 and v6, send the same referral, and so
+    # do d.t's own four addresses their NS answer: one reading per layer
+    assert sum(e.direction == "response" and e.message.question == (N("d.t"), RRType.NS, 1)
+               for e in u.log.entries) == 8
+    assert len(readings) == 1
+    assert sorted((str(rr.owner), str(rr.rrtype)) for _z, _bw, rr in filed) == [
+        ("ns0.d.t", "A"), ("ns0.d.t", "AAAA"), ("ns1.d.t", "A"), ("ns1.d.t", "AAAA")]
+    for name, zone, readings, filed in layers:
+        assert len(readings) == 1, (name, zone)
+        assert set(filed.values()) <= {1}, (name, zone)
+
+
+class RewrittenReferrals:
+    """The universe, with each referral to ``child`` passed through
+    ``rewrite(server, message)``."""
+
+    def __init__(self, universe, child: str, rewrite):
+        self.universe, self.child, self.rewrite = universe, N(child), rewrite
+
+    def exchange(self, server, transport, payload, timeout):
+        raw = self.universe.exchange(server, transport, payload, timeout)
+        msg = decode(raw)
+        if msg.question.qname == self.child and msg.authority:
+            return encode(self.rewrite(server, msg))
+        return raw
+
+
+def resolve_through(transport, universe, target):
+    engine = QueryEngine(transport, policy=TEST_POLICY, rng=random.Random(1),
+                         sleep=lambda s: None)
+    return Resolver(engine, root_hints=universe.root_hints()).resolve_chain(target)
+
+
+def test_out_of_zone_additionals_keep_one_entry_per_answering_server(monkeypatch):
+    u = healthy_depth3_universe()
+    stray = ResourceRecord(N("ns.elsewhere"), RRType.A, 3600, bytes([192, 0, 2, 7]))
+    layers = reading_layers(monkeypatch)
+    res = resolve_through(RewrittenReferrals(
+        u, "d.t", lambda _server, msg: msg._replace(additional=msg.additional + (stray,))),
+        u, "d.t")
+    assert [len(readings) for name, zone, readings, _ in layers
+            if (name, zone) == ("_probe", N("d.t"))] == [1]
+    step = res.steps[-1]
+    assert [str(s.zone) for s in res.steps] == ["t", "d.t"]
+    assert step.out_of_zone == (stray,) * 4
+    assert res.to_json_dict()["steps"][-1]["out_of_zone_additionals"] == [
+        "ns.elsewhere A 192.0.2.7"] * 4
+    assert N("ns.elsewhere") not in step.glue
+
+
+def test_replies_that_differ_file_the_glue_they_share_once(monkeypatch):
+    # over IPv6 the referral lists its glue in reverse: t's servers, each
+    # asked over v4 then v6, send two different replies in turn
+    u = healthy_depth3_universe()
+    layers = reading_layers(monkeypatch)
+    res = resolve_through(RewrittenReferrals(
+        u, "d.t", lambda server, msg: (msg._replace(additional=msg.additional[::-1])
+                                       if ":" in server.ip else msg)), u, "d.t")
+    probe = [layer for layer in layers if layer[:2] == ("_probe", N("d.t"))]
+    assert [len(readings) for _, _, readings, _ in probe] == [4]
+    filed = probe[0][3]
+    assert len(filed) == 4 and set(filed.values()) == {1}
+    assert res.to_json_dict() == make_resolver(u).resolve_chain("d.t").to_json_dict()
+
+
+def reference_chain_json(result) -> dict:
+    """The chain-result document as each chain rendered its steps before
+    steps rendered their own entries: the reference for ``to_json_dict``."""
+    return {
+        "format": "chain-result",
+        "version": CHAIN_RESULT_VERSION,
+        "target": str(result.target),
+        "protocol_filter": result.protocol_filter,
+        "state": result.state,
+        "v4_resolvable": result.v4_resolvable,
+        "v6_resolvable": result.v6_resolvable,
+        "intent_v6": result.status.intent_v6,
+        "causes": sorted(result.status.causes),
+        "cause_witnesses": result.status.cause_witnesses,
+        "steps": [
+            {
+                "zone": str(s.zone),
+                "parent_ns": sorted(str(n) for n in s.parent_ns_set),
+                "child_ns": (sorted(str(n) for n in s.child_ns_set)
+                             if s.child_ns_set is not None else None),
+                "glue": {
+                    str(ns): {"v4": sorted(a.v4), "v6": sorted(a.v6)}
+                    for ns, a in sorted(s.glue.items(), key=lambda kv: str(kv[0]))
+                },
+                "queried": [list(q) for q in s.queried_servers],
+                "cname_ns": sorted(str(n) for n in s.cname_ns),
+                "out_of_zone_additionals": [
+                    f"{rr.owner} {rr.rrtype} {rr.address}"
+                    for rr in s.out_of_zone
+                ],
+                "state": s.status.state,
+                "causes": sorted(s.status.causes),
+            }
+            for s in result.steps
+        ],
+        "enrichment": result.enrichment,
+        "liveness": [list(entry) for entry in result.liveness],
+    }
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chain_documents_equal_the_reference_rendering(seed):
+    base, truth = random_universe(seed, 30)
+    u = with_liveness_faults(base, seed)
+    resolver = make_resolver(u)
+    for i, zone in enumerate(sorted(truth)):
+        try:
+            res = resolver.resolve_chain(zone, enrich_result=i % 3 == 0,
+                                         probe_liveness=i % 2 == 0)
+        except RootUnreachable:
+            continue
+        doc = res.to_json_dict()
+        assert doc == reference_chain_json(res), zone
+        assert json.dumps(doc, sort_keys=True) == json.dumps(reference_chain_json(res),
+                                                             sort_keys=True)
+
+
+def test_chains_through_one_zone_share_one_rendered_step_entry():
+    u = build_universe([root_fixture(), healthy_zone("t", 10), healthy_zone("d.t", 11),
+                        healthy_zone("e.t", 12)])
+    resolver = make_resolver(u)
+    d, e = resolver.resolve_chain("d.t"), resolver.resolve_chain("e.t")
+    assert d.steps[0] is e.steps[0]
+    d_doc, e_doc = d.to_json_dict(), e.to_json_dict()
+    assert d_doc["steps"][0] is e_doc["steps"][0]
+    assert d_doc["steps"][0]["zone"] == "t"
+    assert d.to_json_dict()["steps"][1] is d_doc["steps"][1]
+    assert d_doc["steps"][1] is not e_doc["steps"][1]

@@ -230,7 +230,17 @@ messages = st.builds(
 @settings(max_examples=150, deadline=None)
 @given(messages)
 def test_encode_decode_round_trip(msg):
-    assert wire.decode(wire.encode(msg)) == msg
+    decoded = wire.decode(wire.encode(msg))
+    assert decoded == msg
+    # the named tuples equal plain tuples, so equality alone would not see
+    # a decoded item built as the wrong type
+    assert type(decoded) is wire.DnsMessage
+    assert type(decoded.question) is wire.Question
+    assert type(decoded.edns) is (wire.Edns if msg.edns else type(None))
+    for section in (decoded.answer, decoded.authority, decoded.additional):
+        assert type(section) is tuple
+        assert all(type(rr) is ResourceRecord for rr in section)
+    assert decoded._asdict() == msg._asdict()
 
 
 # -- malformed rdata ---------------------------------------------------------
