@@ -118,6 +118,9 @@ class ResponseCache:
 
     A key is (server ip, port, qname, qtype). Failure outcomes are
     stored exactly like successes; there is no eviction within a run.
+    ``intern`` is the ``wire.decode`` intern table of every engine that
+    shares the cache: it lives as long as the replies it serves, so the
+    cached replies of a run hold one object per distinct name and record.
     One plain lock guards the entries, the in-flight keys and the
     counters. A key's first caller claims it; a second caller on a key in
     flight makes the key's event and waits on it outside the lock, and
@@ -130,6 +133,7 @@ class ResponseCache:
         # a key in flight -> the event its waiters wait on, None while there are none
         self._inflight: dict[tuple, threading.Event | None] = {}
         self._lock = threading.Lock()
+        self.intern: dict[bytes, object] = {}
         self.hits = 0
         self.misses = 0
 
@@ -243,7 +247,8 @@ class QueryEngine:
             if not _answers(payload, raw):
                 return QueryOutcome(MALFORMED)
             try:
-                msg, self._last_reply = decode_after_id(raw, self._last_reply)
+                msg, self._last_reply = decode_after_id(raw, self._last_reply,
+                                                         self.cache.intern)
             except WireFormatError:
                 return QueryOutcome(MALFORMED)
             if not msg.qr:

@@ -1,7 +1,9 @@
 """RFC 1035 message encoding/decoding with EDNS(0) and TCP framing.
 
 Encoding never emits name compression; decoding accepts it. The OPT
-pseudo-record is lifted out of the additional section into ``edns``.
+pseudo-record is lifted out of the additional section into ``edns``; an
+OPT in another section, a second OPT or one not owned by the root is
+malformed (RFC 6891 §6.1.1).
 
 The decode contract: ``decode`` raises ``WireFormatError`` and nothing else
 on any input bytes. Each name is read in one pass, which lowercases its
@@ -13,6 +15,16 @@ shared ``RRType`` constants.
 
 ``Edns``, ``Question`` and ``DnsMessage`` are named tuples, and equal plain
 tuples with the same items.
+
+``decode`` may be given an intern table, a dict its caller owns and keeps
+for as long as the messages it decodes. A name or record whose bytes are
+in the form ``encode`` writes, lowercase labels and no compression
+pointer, means the same in any message, so it is decoded once, filed
+under those bytes, and every later message that carries them shares the
+object. A record is filed only if its encoding is its bytes. Any other
+form is read within its message as without a table: a pointer's target
+depends on the message, and a mixed-case name is filed under no bytes.
+An OPT record is never filed.
 """
 
 from __future__ import annotations
@@ -175,12 +187,21 @@ def encode(msg: DnsMessage, records: bytes | None = None) -> bytes:
     return bytes(out)
 
 
-def _decode_name(data: bytes, offset: int) -> tuple[DomainName, int]:
+def _decode_name(data: bytes, offset: int, table: dict | None = None
+                 ) -> tuple[DomainName, int]:
     """The name at ``offset`` and the offset just past it in ``data``.
 
     One walk: each label slice is lowercased as it is read and the wire
-    length is summed, so the name is built without a second check.
+    length is summed, so the name is built without a second check. With
+    a ``table``, a name in canonical form is first looked up by its bytes
+    up to the first zero byte, which end it unless a label holds a zero.
     """
+    if table is not None and offset < len(data) and data[offset] < 0xC0:
+        end = data.find(0, offset) + 1
+        if end:
+            name = table.get(data[offset:end])
+            if name is not None:
+                return name, end
     labels: list[bytes] = []
     wire_len = 1
     jumps = 0
@@ -222,30 +243,37 @@ def _decode_name(data: bytes, offset: int) -> tuple[DomainName, int]:
         pos = target
     if wire_len > MAX_WIRE:
         raise WireFormatError(f"name wire length {wire_len} exceeds {MAX_WIRE}")
-    return _checked_name(labels), end
+    name = _checked_name(labels)
+    if table is not None and not jumps:
+        key = data[offset:end]
+        if key.lower() == key:  # length bytes are below b"A"
+            name = table.setdefault(key, name)
+    return name, end
 
 
-def _decode_rdata_name(data: bytes, offset: int, rdend: int) -> tuple[DomainName, int]:
+def _decode_rdata_name(data: bytes, offset: int, rdend: int,
+                       table: dict | None) -> tuple[DomainName, int]:
     """A name inside rdata; its bytes must end within the rdata."""
-    name, end = _decode_name(data, offset)
+    name, end = _decode_name(data, offset, table)
     if end > rdend:
         raise WireFormatError("name runs past rdata")
     return name, end
 
 
-def _decode_rdata(data: bytes, rdstart: int, rdlen: int, rrtype: RRType) -> object:
+def _decode_rdata(data: bytes, rdstart: int, rdlen: int, rrtype: RRType,
+                  table: dict | None) -> object:
     # a known type arrives as its shared constant, so identity tells types apart
     rdend = rdstart + rdlen
     if rrtype is RRType.NS or rrtype is RRType.CNAME:
-        return _decode_rdata_name(data, rdstart, rdend)[0]
+        return _decode_rdata_name(data, rdstart, rdend, table)[0]
     if rrtype is RRType.A or rrtype is RRType.AAAA:
         size = 4 if rrtype is RRType.A else 16
         if rdlen != size:
             raise WireFormatError(f"{rrtype} rdata is {rdlen} bytes, not {size}")
         return data[rdstart:rdend]
     if rrtype is RRType.SOA:
-        mname, off = _decode_rdata_name(data, rdstart, rdend)
-        rname, off = _decode_rdata_name(data, off, rdend)
+        mname, off = _decode_rdata_name(data, rdstart, rdend, table)
+        rname, off = _decode_rdata_name(data, off, rdend, table)
         if off + 20 > rdend:
             raise WireFormatError("short SOA rdata")
         serial, refresh, retry, expire, minimum = struct.unpack_from("!IIIII", data, off)
@@ -253,24 +281,42 @@ def _decode_rdata(data: bytes, rdstart: int, rdlen: int, rrtype: RRType) -> obje
     return data[rdstart:rdend]
 
 
-def _decode_rr(data: bytes, offset: int) -> tuple[ResourceRecord | None, Edns | None, int]:
-    owner, off = _decode_name(data, offset)
+def _decode_rr(data: bytes, offset: int, table: dict | None
+               ) -> tuple[ResourceRecord | Edns, int]:
+    """The record at ``offset``, or the ``Edns`` of an OPT record, and the
+    offset just past it."""
+    owner, off = _decode_name(data, offset, table)
     if off + 10 > len(data):
         raise WireFormatError("truncated RR header")
     tval, rrclass, ttl, rdlen = struct.unpack_from("!HHIH", data, off)
     off += 10
-    if off + rdlen > len(data):
+    end = off + rdlen
+    if end > len(data):
         raise WireFormatError("rdata runs past message end")
+    shared = table is not None and data[offset] < 0xC0  # no pointer at the owner's start
+    if shared:
+        key = data[offset:end]
+        rr = table.get(key)
+        if rr is not None:
+            return rr, end
     rrtype = _BY_VALUE.get(tval) or RRType(tval)
     if rrtype is RRType.OPT:
+        if owner:
+            raise WireFormatError("OPT owner is not the root")
         # class carries the advertised UDP payload size
-        return None, _new(Edns, (rrclass,)), off + rdlen
-    payload = _decode_rdata(data, off, rdlen, rrtype)
+        return _new(Edns, (rrclass,)), end
+    payload = _decode_rdata(data, off, rdlen, rrtype, table)
     # positional: _decode_rdata has checked the A and AAAA lengths
-    return _new(ResourceRecord, (owner, rrtype, ttl, payload)), None, off + rdlen
+    rr = _new(ResourceRecord, (owner, rrtype, ttl, payload))
+    # filed only in canonical form; a filed owner rules out most others cheaply
+    if shared and data[offset:off - 10] in table and _encode_rr(rr) == key:
+        rr = table.setdefault(key, rr)
+    return rr, end
 
 
-def decode(data: bytes) -> DnsMessage:
+def decode(data: bytes, table: dict | None = None) -> DnsMessage:
+    """The message of ``data``; ``table``, if given, is an intern table
+    (see the module docstring)."""
     if len(data) < 12:
         raise WireFormatError("message shorter than header")
     mid, flags, qd, an, ns, ar = struct.unpack_from("!HHHHHH", data, 0)
@@ -279,7 +325,7 @@ def decode(data: bytes) -> DnsMessage:
     if qd > 1:
         raise WireFormatError(f"unsupported qdcount {qd}")
     if qd == 1:
-        qname, offset = _decode_name(data, offset)
+        qname, offset = _decode_name(data, offset, table)
         if offset + 4 > len(data):
             raise WireFormatError("truncated question")
         qtype, qclass = struct.unpack_from("!HH", data, offset)
@@ -289,10 +335,15 @@ def decode(data: bytes) -> DnsMessage:
     edns = None
     for sect, count in zip(sections, (an, ns, ar)):
         for _ in range(count):
-            rr, opt, offset = _decode_rr(data, offset)
-            if opt is not None:
-                edns = opt
-            elif rr is not None:
+            rr, offset = _decode_rr(data, offset, table)
+            if type(rr) is Edns:
+                # RFC 6891 §6.1.1: at most one OPT, in the additional section
+                if sect is not sections[2]:
+                    raise WireFormatError("OPT record outside the additional section")
+                if edns is not None:
+                    raise WireFormatError("second OPT record")
+                edns = rr
+            else:
                 sect.append(rr)
     return _new(DnsMessage, (
         mid,
@@ -311,8 +362,9 @@ def decode(data: bytes) -> DnsMessage:
     ))
 
 
-def decode_after_id(data: bytes, slot: tuple) -> tuple[DnsMessage, tuple]:
-    """``decode(data)``, and the one-slot memo to store for the next call,
+def decode_after_id(data: bytes, slot: tuple, table: dict | None = None
+                    ) -> tuple[DnsMessage, tuple]:
+    """``decode(data, table)``, and the one-slot memo to store for the next call,
     in one assignment: ``slot`` is ``(None, None)`` or what the last call
     returned. When ``data`` repeats the bytes after the ID of the slot's
     message, that message, which is immutable, is shared under the ID of
@@ -320,7 +372,7 @@ def decode_after_id(data: bytes, slot: tuple) -> tuple[DnsMessage, tuple]:
     body = data[2:]
     if body == slot[0]:
         return _new(DnsMessage, (int.from_bytes(data[:2], "big"), *slot[1][1:])), slot
-    msg = decode(data)
+    msg = decode(data, table)
     return msg, (body, msg)
 
 

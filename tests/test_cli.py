@@ -40,7 +40,8 @@ from v6ready.mocknet import (
 from v6ready.names import DomainName
 from v6ready.passive import IngestStats, iter_tuples, open_tuple_stream
 from v6ready.psl import PublicSuffixList
-from v6ready.records import V4, V6
+from v6ready.query import ResponseCache
+from v6ready.records import V4, V6, RRType
 from v6ready.resolver import load_root_hints
 
 
@@ -364,6 +365,75 @@ def test_scan_rows_depend_only_on_the_domain(tmp_path):
     by_domain = {json.loads(line)["domain"]: line for line in one}
     for line in rows(names[::-1], 1, "reversed"):
         assert line == by_domain[json.loads(line)["domain"]]
+
+
+def cached_names_and_records(cache):
+    """Every name and every record in the messages of ``cache``."""
+    names, records = [], []
+    for outcome in cache._entries.values():
+        msg = outcome.message
+        if msg is None:
+            continue
+        if msg.question is not None:
+            names.append(msg.question.qname)
+        for rr in (*msg.answer, *msg.authority, *msg.additional):
+            records.append(rr)
+            names.append(rr.owner)
+            if rr.rrtype == RRType.SOA:
+                names += [rr.data.mname, rr.data.rname]
+            elif rr.rrtype in (RRType.NS, RRType.CNAME):
+                names.append(rr.data)
+    return names, records
+
+
+def assert_one_object_per_value(values):
+    by_value = {}
+    for value in values:
+        assert by_value.setdefault(value, value) is value, value
+
+
+def scan_sharing(tmp_path, monkeypatch, seed, concurrency):
+    """The rows of a scan over ``random_universe(seed, 200)``, after
+    checking that its cache holds one object per distinct name and record."""
+    caches = []
+
+    class Recorded(ResponseCache):
+        def __init__(self):
+            super().__init__()
+            caches.append(self)
+
+    monkeypatch.setattr(cli, "ResponseCache", Recorded)
+    u, truth = random_universe(seed, 200)
+    domains = tmp_path / "domains.txt"
+    domains.write_text("\n".join(sorted(str(zone) for zone in truth)) + "\n")
+    out = tmp_path / f"rows-{concurrency}.jsonl"
+    assert run_cli(scan_args(tmp_path, u, domains, out, concurrency), u) == 0
+    (cache,) = caches
+    names, records = cached_names_and_records(cache)
+    assert len(records) > len(set(records)) and len(names) > len(set(names))
+    assert_one_object_per_value(names)
+    assert_one_object_per_value(records)
+    return out.read_text()
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_scan_caches_one_object_per_name_and_record(tmp_path, monkeypatch, seed):
+    scan_sharing(tmp_path, monkeypatch, seed, 1)
+
+
+@pytest.mark.parametrize("concurrency", [2, 4])
+def test_engines_sharing_the_intern_table_write_the_rows_of_one_engine(
+        tmp_path, monkeypatch, concurrency):
+    # the workers decode into one table at once, switching threads as
+    # often as the interpreter allows
+    one = scan_sharing(tmp_path, monkeypatch, 1, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = scan_sharing(tmp_path, monkeypatch, 1, concurrency)
+    finally:
+        sys.setswitchinterval(interval)
+    assert many == one
 
 
 def test_scan_survives_a_non_ascii_domain(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import socket
 import struct
+import sys
 import threading
 
 import pytest
@@ -283,13 +284,18 @@ def test_rdata_name_may_point_outside_its_rdata():
     assert wire.decode(raw).answer[0].target == normalize("ns.example.com")
 
 
-@st.composite
-def mangled_messages(draw):
-    """An encoded message with some bytes overwritten and maybe cut short."""
-    raw = bytearray(wire.encode(draw(messages)))
+def mangle(draw, raw: bytes) -> bytes:
+    """``raw`` with some bytes overwritten and maybe cut short."""
+    raw = bytearray(raw)
     for _ in range(draw(st.integers(0, 4))):
         raw[draw(st.integers(0, len(raw) - 1))] = draw(st.integers(0, 255))
     return bytes(raw[: draw(st.integers(0, len(raw)))])
+
+
+@st.composite
+def mangled_messages(draw):
+    """An encoded message with some bytes overwritten and maybe cut short."""
+    return mangle(draw, wire.encode(draw(messages)))
 
 
 @st.composite
@@ -309,14 +315,148 @@ def one_odd_record(draw):
     return one_answer(rr_bytes(rrtype, rdata, rdlen), draw(st.binary(max_size=8)))
 
 
-@settings(max_examples=600, deadline=None)
-@given(st.one_of(st.binary(max_size=200), mangled_messages(), header_and_noise(),
-                 one_odd_record()))
-def test_decode_raises_only_wire_format_error(raw):
+def shape(value):
+    """The types of ``value`` and of everything in it, which equality of
+    named tuples and plain tuples does not see."""
+    if isinstance(value, tuple):
+        return (type(value), tuple(shape(item) for item in value))
+    return type(value)
+
+
+def decoded(raw, table=None):
+    """The message of ``raw`` with its shape, or "error"."""
     try:
-        wire.decode(raw)
+        msg = wire.decode(raw, table)
     except wire.WireFormatError:
-        pass
+        return "error"
+    return msg, shape(msg)
+
+
+# one intern table for every example, as a run's cache keeps one across replies
+SHARED: dict = {}
+any_bytes = st.one_of(st.binary(max_size=200), mangled_messages(), header_and_noise(),
+                     one_odd_record())
+
+
+@settings(max_examples=600, deadline=None)
+@given(any_bytes)
+def test_decode_raises_only_wire_format_error(raw):
+    # and reads the same through the shared intern table
+    assert decoded(raw, SHARED) == decoded(raw)
+
+
+# -- OPT placement (RFC 6891 §6.1.1) -----------------------------------------
+
+
+OPT = b"\x00" + struct.pack("!HHIH", 41, 4096, 0, 0)
+ROOT_A = b"\x00" + rr_bytes(1, b"\x01\x02\x03\x04")
+
+
+def reply_with(an: bytes, ns: bytes, ar: bytes, counts) -> bytes:
+    return struct.pack("!HHHHHH", 1, 0x8000, 0, *counts) + an + ns + ar
+
+
+@pytest.mark.parametrize("raw, message", [
+    (reply_with(OPT, b"", b"", (1, 0, 0)), "OPT record outside the additional section"),
+    (reply_with(b"", OPT, b"", (0, 1, 0)), "OPT record outside the additional section"),
+], ids=["in-answer", "in-authority"])
+def test_an_opt_outside_the_additional_section_is_malformed(raw, message):
+    with pytest.raises(wire.WireFormatError, match=message):
+        wire.decode(raw)
+
+
+def test_a_second_opt_is_malformed():
+    raw = reply_with(b"", b"", OPT + ROOT_A + OPT, (0, 0, 3))
+    with pytest.raises(wire.WireFormatError, match="second OPT record"):
+        wire.decode(raw)
+    assert wire.decode(reply_with(b"", b"", OPT + ROOT_A, (0, 0, 2))).edns == (4096,)
+
+
+def test_an_opt_owned_by_a_name_other_than_the_root_is_malformed():
+    raw = reply_with(b"", b"", b"\x03abc" + OPT, (0, 0, 1))
+    with pytest.raises(wire.WireFormatError, match="OPT owner is not the root"):
+        wire.decode(raw)
+
+
+# -- the intern table ----------------------------------------------------------
+
+
+@st.composite
+def table_and_raw(draw):
+    """Encoded messages to fill a table, and bytes to decode with it: one
+    of them as encoded, mangled or cut short, or any bytes at all."""
+    fill = [wire.encode(m) for m in draw(st.lists(messages, min_size=1, max_size=3))]
+    raw = draw(st.sampled_from(fill))
+    kind = draw(st.sampled_from(["as-encoded", "mangled", "any"]))
+    if kind == "mangled":
+        raw = mangle(draw, raw)
+    elif kind == "any":
+        raw = draw(any_bytes)
+    return fill, raw
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_and_raw())
+def test_a_filled_table_decodes_as_no_table(case):
+    fill, raw = case
+    table: dict = {}
+    for other in fill:
+        assert decoded(other, table) == decoded(other)
+    assert decoded(raw, table) == decoded(raw)
+    assert all(type(v) in (DomainName, ResourceRecord) for v in table.values())
+
+
+def ns_reply(qname: bytes, record: bytes) -> bytes:
+    return (struct.pack("!HHHHHH", 1, 0x8000, 1, 1, 0, 0) + qname + struct.pack("!HH", 2, 1)
+            + record)
+
+
+def test_one_record_whose_rdata_points_back_reads_per_message():
+    # the same NS record bytes, whose target ends in a pointer to the question
+    record = b"\x00" + rr_bytes(2, b"\x02ns\xc0\x0c")
+    table: dict = {}
+    com = wire.decode(ns_reply(b"\x07example\x03com\x00", record), table)
+    org = wire.decode(ns_reply(b"\x07example\x03org\x00", record), table)
+    assert com.answer[0].target == normalize("ns.example.com")
+    assert org.answer[0].target == normalize("ns.example.org")
+    assert com.question.qname is table[b"\x07example\x03com\x00"]
+    assert all(type(v) is DomainName for v in table.values())
+
+
+def test_a_mixed_case_owner_reads_lowercased_and_stays_out_of_the_table():
+    raw = ns_reply(b"\x03foo\x00", b"\x03FoO\x00" + rr_bytes(2, b"\x03bar\x00"))
+    table: dict = {}
+    msg = wire.decode(raw, table)
+    assert msg.answer[0].owner == normalize("foo") == msg.question.qname
+    assert set(table) == {b"\x03foo\x00", b"\x03bar\x00"}
+    assert wire.decode(raw, table) == wire.decode(raw)
+
+
+def test_rdata_past_the_end_raises_after_the_owner_is_found():
+    table: dict = {}
+    wire.decode(ns_reply(b"\x03foo\x00", b"\x03foo\x00" + rr_bytes(2, b"\x03bar\x00")),
+                table)
+    assert b"\x03foo\x00" in table
+    short = ns_reply(b"\x03foo\x00", b"\x03foo\x00" + rr_bytes(2, b"\x03bar", 5))
+    with pytest.raises(wire.WireFormatError, match="rdata runs past message end"):
+        wire.decode(short, table)
+
+
+def test_canonical_replies_share_their_names_and_records():
+    msg = wire.DnsMessage(
+        qr=True, question=wire.Question(normalize("example.com"), RRType.NS),
+        answer=(ResourceRecord(normalize("example.com"), RRType.NS, 60,
+                               normalize("ns.example.com")),),
+        additional=(ResourceRecord(normalize("ns.example.com"), RRType.A, 60,
+                                   pack_address("192.0.2.1")),),
+        edns=wire.Edns())
+    table: dict = {}
+    one = wire.decode(wire.encode(msg), table)
+    two = wire.decode(wire.encode(msg._replace(id=2)), table)
+    assert one == two._replace(id=0) == msg
+    assert one.answer[0] is two.answer[0] and one.additional[0] is two.additional[0]
+    assert one.question.qname is two.question.qname is one.answer[0].owner
+    assert one.answer[0].target is one.additional[0].owner
 
 
 # -- the one-pass name decoder against the per-label reference ---------------
@@ -423,8 +563,11 @@ def wire_names(draw):
 @given(wire_names())
 def test_name_decoder_matches_per_label_reference(case):
     data, offset = case
-    got = decode_outcome(wire._decode_name, data, offset)
-    assert got == decode_outcome(reference_decode_name, data, offset)
+    want = decode_outcome(reference_decode_name, data, offset)
+    assert decode_outcome(wire._decode_name, data, offset) == want
+    table: dict = {}
+    for _ in range(2):  # with a table, the second call may find the name in it
+        assert decode_outcome(lambda d, o: wire._decode_name(d, o, table), data, offset) == want
 
 
 # -- RRType ------------------------------------------------------------------
@@ -514,3 +657,38 @@ def test_unknown_rrtype_round_trips():
     got = wire.decode(wire.encode(msg))
     assert got == msg and got.answer[0].rrtype == odd
     assert str(odd) == str(got.answer[0].rrtype) == "TYPE65329"
+
+
+def test_threads_filling_one_table_share_every_object():
+    # four threads decode the same replies into one fresh table at once,
+    # switching as often as the interpreter allows: a name or record that
+    # two of them file at the same time must still come out as one object
+    long = ".a.b.c.d.e.f.g.h.example"  # a longer walk widens the race
+    replies = [wire.encode(wire.DnsMessage(
+        qr=True, question=wire.Question(normalize(f"z{i}{long}"), RRType.NS),
+        authority=tuple(ResourceRecord(normalize(f"z{i}{long}"), RRType.NS, 60,
+                                       normalize(f"ns{k}.z{i}{long}")) for k in range(3)),
+        additional=tuple(ResourceRecord(normalize(f"ns{k}.z{i}{long}"), RRType.A, 60,
+                                        bytes([192, 0, 2, k])) for k in range(3)),
+    )) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(60):
+            table: dict = {}
+            decoded: list = []
+            threads = [threading.Thread(target=lambda: decoded.extend(
+                wire.decode(raw, table) for raw in replies)) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert not any(t.is_alive() for t in threads) and len(decoded) == 16
+            seen: dict = {}
+            for msg in decoded:
+                for item in (msg.question.qname, *msg.authority, *msg.additional,
+                             *(rr.owner for rr in msg.additional),
+                             *(rr.target for rr in msg.authority)):
+                    assert seen.setdefault(item, item) is item
+    finally:
+        sys.setswitchinterval(interval)
