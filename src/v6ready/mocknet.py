@@ -232,13 +232,11 @@ class Universe:
     are compiled on first use, records and wire form, and every later
     reply shares them. To change a fixture, build a new Universe.
 
-    As it answers, only the clock, the packet log, the compiled answers,
-    a one-slot memo of the last decoded query (``wire.decode_after_id``)
-    and the intern table that query decoding reads and fills change. The
-    Universe owns that table and keeps it as long as it lives, so the
-    logged queries share one object per distinct question name. The clock
-    steps by one per query and per reply. A query that does not decode is
-    dropped (``TransportTimeout``).
+    As it answers, only the clock, the packet log, the compiled answers
+    and a one-slot memo of the last decoded query
+    (``wire.decode_after_id``) change. The clock steps by one per query
+    and per reply. A query that does not decode is dropped
+    (``TransportTimeout``).
     """
 
     def __init__(self, fixtures: dict[DomainName, FixtureZone]):
@@ -252,9 +250,8 @@ class Universe:
         self._referrals: dict[DomainName, CompiledAnswer] = {}
         self._apex_ns_answers: dict[DomainName, CompiledAnswer] = {}
         self._sorted_names: list[DomainName] | None = None
-        # the slot and the table of ``wire.decode_after_id``
+        # the slot of ``wire.decode_after_id``
         self._last_query: tuple = (None, None)
-        self._intern: dict[bytes, object] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -354,8 +351,7 @@ class Universe:
         proto = server.protocol
         self.clock += 1
         try:
-            msg, self._last_query = decode_after_id(payload, self._last_query,
-                                                     self._intern)
+            msg, self._last_query = decode_after_id(payload, self._last_query)
         except WireFormatError:  # dropped, as a server drops what it cannot read
             raise TransportTimeout("query does not decode") from None
         self.log.append(LogEntry(self.clock, "query", server.ip, proto, transport, msg))

@@ -119,8 +119,11 @@ class ResponseCache:
     A key is (server ip, port, qname, qtype). Failure outcomes are
     stored exactly like successes; there is no eviction within a run.
     ``intern`` is the ``wire.decode`` intern table of every engine that
-    shares the cache: it lives as long as the replies it serves, so the
-    cached replies of a run hold one object per distinct name and record.
+    shares the cache, kept as long as the cache: the cached replies of a
+    run hold one object per distinct name and record. It holds every name
+    and record the engines decoded, also those of replies that never
+    reached the cache (truncated, not a response, malformed partway), so
+    it grows at most with the bytes received.
     One plain lock guards the entries, the in-flight keys and the
     counters. A key's first caller claims it; a second caller on a key in
     flight makes the key's event and waits on it outside the lock, and
@@ -133,7 +136,7 @@ class ResponseCache:
         # a key in flight -> the event its waiters wait on, None while there are none
         self._inflight: dict[tuple, threading.Event | None] = {}
         self._lock = threading.Lock()
-        self.intern: dict[bytes, object] = {}
+        self.intern: dict = {}
         self.hits = 0
         self.misses = 0
 

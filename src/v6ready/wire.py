@@ -16,15 +16,14 @@ shared ``RRType`` constants.
 ``Edns``, ``Question`` and ``DnsMessage`` are named tuples, and equal plain
 tuples with the same items.
 
-``decode`` may be given an intern table, a dict its caller owns and keeps
-for as long as the messages it decodes. A name or record whose bytes are
-in the form ``encode`` writes, lowercase labels and no compression
-pointer, means the same in any message, so it is decoded once, filed
-under those bytes, and every later message that carries them shares the
-object. A record is filed only if its encoding is its bytes. Any other
-form is read within its message as without a table: a pointer's target
-depends on the message, and a mixed-case name is filed under no bytes.
-An OPT record is never filed.
+``decode`` may be given an intern table, a dict its caller owns. Each
+name and record the decoder builds is looked up in it by value and, if
+an equal one is there, replaced by that object, so every message decoded
+through one table shares one object per distinct name and record,
+whatever form its bytes took: compressed or not, in any letter case.
+Names and records can share one table, as no name equals a record (a
+record's first item is a name, a name's items are bytes). An OPT record
+is never filed.
 """
 
 from __future__ import annotations
@@ -192,16 +191,8 @@ def _decode_name(data: bytes, offset: int, table: dict | None = None
     """The name at ``offset`` and the offset just past it in ``data``.
 
     One walk: each label slice is lowercased as it is read and the wire
-    length is summed, so the name is built without a second check. With
-    a ``table``, a name in canonical form is first looked up by its bytes
-    up to the first zero byte, which end it unless a label holds a zero.
+    length is summed, so the name is built without a second check.
     """
-    if table is not None and offset < len(data) and data[offset] < 0xC0:
-        end = data.find(0, offset) + 1
-        if end:
-            name = table.get(data[offset:end])
-            if name is not None:
-                return name, end
     labels: list[bytes] = []
     wire_len = 1
     jumps = 0
@@ -244,10 +235,8 @@ def _decode_name(data: bytes, offset: int, table: dict | None = None
     if wire_len > MAX_WIRE:
         raise WireFormatError(f"name wire length {wire_len} exceeds {MAX_WIRE}")
     name = _checked_name(labels)
-    if table is not None and not jumps:
-        key = data[offset:end]
-        if key.lower() == key:  # length bytes are below b"A"
-            name = table.setdefault(key, name)
+    if table is not None:
+        name = table.setdefault(name, name)
     return name, end
 
 
@@ -293,12 +282,6 @@ def _decode_rr(data: bytes, offset: int, table: dict | None
     end = off + rdlen
     if end > len(data):
         raise WireFormatError("rdata runs past message end")
-    shared = table is not None and data[offset] < 0xC0  # no pointer at the owner's start
-    if shared:
-        key = data[offset:end]
-        rr = table.get(key)
-        if rr is not None:
-            return rr, end
     rrtype = _BY_VALUE.get(tval) or RRType(tval)
     if rrtype is RRType.OPT:
         if owner:
@@ -308,9 +291,8 @@ def _decode_rr(data: bytes, offset: int, table: dict | None
     payload = _decode_rdata(data, off, rdlen, rrtype, table)
     # positional: _decode_rdata has checked the A and AAAA lengths
     rr = _new(ResourceRecord, (owner, rrtype, ttl, payload))
-    # filed only in canonical form; a filed owner rules out most others cheaply
-    if shared and data[offset:off - 10] in table and _encode_rr(rr) == key:
-        rr = table.setdefault(key, rr)
+    if table is not None:
+        rr = table.setdefault(rr, rr)
     return rr, end
 
 

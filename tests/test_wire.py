@@ -403,7 +403,7 @@ def test_a_filled_table_decodes_as_no_table(case):
     for other in fill:
         assert decoded(other, table) == decoded(other)
     assert decoded(raw, table) == decoded(raw)
-    assert all(type(v) in (DomainName, ResourceRecord) for v in table.values())
+    assert all(type(v) in (DomainName, ResourceRecord) and k is v for k, v in table.items())
 
 
 def ns_reply(qname: bytes, record: bytes) -> bytes:
@@ -419,16 +419,18 @@ def test_one_record_whose_rdata_points_back_reads_per_message():
     org = wire.decode(ns_reply(b"\x07example\x03org\x00", record), table)
     assert com.answer[0].target == normalize("ns.example.com")
     assert org.answer[0].target == normalize("ns.example.org")
-    assert com.question.qname is table[b"\x07example\x03com\x00"]
-    assert all(type(v) is DomainName for v in table.values())
+    again = wire.decode(ns_reply(b"\x07example\x03com\x00", record), table)
+    assert again.answer[0] is com.answer[0] is table[com.answer[0]]
+    assert all(key is value for key, value in table.items())
 
 
-def test_a_mixed_case_owner_reads_lowercased_and_stays_out_of_the_table():
-    raw = ns_reply(b"\x03foo\x00", b"\x03FoO\x00" + rr_bytes(2, b"\x03bar\x00"))
+def test_a_mixed_case_owner_reads_lowercased_and_shares_the_lowercase_name():
+    raw = ns_reply(b"\x03foo\x00", b"\x03FoO\x00" + rr_bytes(2, b"\x03BAR\x00"))
     table: dict = {}
     msg = wire.decode(raw, table)
-    assert msg.answer[0].owner == normalize("foo") == msg.question.qname
-    assert set(table) == {b"\x03foo\x00", b"\x03bar\x00"}
+    assert msg.answer[0].owner == normalize("foo")
+    assert msg.answer[0].owner is msg.question.qname
+    assert msg.answer[0].target is table[normalize("bar")]
     assert wire.decode(raw, table) == wire.decode(raw)
 
 
@@ -436,13 +438,13 @@ def test_rdata_past_the_end_raises_after_the_owner_is_found():
     table: dict = {}
     wire.decode(ns_reply(b"\x03foo\x00", b"\x03foo\x00" + rr_bytes(2, b"\x03bar\x00")),
                 table)
-    assert b"\x03foo\x00" in table
+    assert normalize("foo") in table
     short = ns_reply(b"\x03foo\x00", b"\x03foo\x00" + rr_bytes(2, b"\x03bar", 5))
     with pytest.raises(wire.WireFormatError, match="rdata runs past message end"):
         wire.decode(short, table)
 
 
-def test_canonical_replies_share_their_names_and_records():
+def test_replies_share_their_names_and_records_in_any_form():
     msg = wire.DnsMessage(
         qr=True, question=wire.Question(normalize("example.com"), RRType.NS),
         answer=(ResourceRecord(normalize("example.com"), RRType.NS, 60,
@@ -450,12 +452,24 @@ def test_canonical_replies_share_their_names_and_records():
         additional=(ResourceRecord(normalize("ns.example.com"), RRType.A, 60,
                                    pack_address("192.0.2.1")),),
         edns=wire.Edns())
+    # the same reply as a server that compresses writes it (RFC 1035 §4.1.4):
+    # the NS owner points at the question, its target ends in a pointer to
+    # it, and the glue owner points at the target, at offset 41
+    compressed = (
+        struct.pack("!HHHHHH", 3, 0x8000, 1, 1, 0, 2)
+        + b"\x07ExAmple\x03com\x00" + struct.pack("!HH", 2, 1)
+        + b"\xc0\x0c" + rr_bytes(2, b"\x02ns\xc0\x0c")
+        + b"\xc0\x29" + rr_bytes(1, pack_address("192.0.2.1"))
+        + b"\x00" + struct.pack("!HHIH", 41, 1232, 0, 0))
     table: dict = {}
     one = wire.decode(wire.encode(msg), table)
     two = wire.decode(wire.encode(msg._replace(id=2)), table)
-    assert one == two._replace(id=0) == msg
-    assert one.answer[0] is two.answer[0] and one.additional[0] is two.additional[0]
-    assert one.question.qname is two.question.qname is one.answer[0].owner
+    three = wire.decode(compressed, table)
+    assert one == two._replace(id=0) == three._replace(id=0) == msg
+    for other in (two, three):
+        assert other.answer[0] is one.answer[0] and other.additional[0] is one.additional[0]
+        assert other.question.qname is one.question.qname
+    assert one.question.qname is one.answer[0].owner
     assert one.answer[0].target is one.additional[0].owner
 
 
