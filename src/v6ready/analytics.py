@@ -266,10 +266,6 @@ def parse_operator_rules(text: str) -> tuple[OperatorRule, ...]:
     return tuple(rules)
 
 
-def load_operator_rules(path: str | Path) -> tuple[OperatorRule, ...]:
-    return parse_operator_rules(Path(path).read_text(encoding=INPUT_ENCODING))
-
-
 def ns_set_key(
     ns_names: Iterable[DomainName],
     psl: PublicSuffixList,

@@ -1,11 +1,12 @@
 """Operator-facing commands: single-domain check, bulk scan, and passive
 simulation over tuple files.
 
-Every flag can also be supplied through an environment variable with the
-``V6READY_`` prefix (``V6READY_ROOTS``, ``V6READY_TIMEOUT``, ...); explicit
-flags win. ``main`` reads the environment on every call; it builds the
-argument parser once per process for each distinct set of ``V6READY_*``
-values and reuses it. Exit codes for ``check``: 0 = resolvable in an
+Every flag but ``simulate --month`` and ``--out`` can also be supplied
+through an environment variable with the ``V6READY_`` prefix
+(``V6READY_ROOTS``, ``V6READY_TIMEOUT``, ...); explicit flags win.
+``main`` reads the environment on every call; it builds the argument
+parser once per process for each distinct set of ``V6READY_*`` values and
+reuses it. Exit codes for ``check``: 0 = resolvable in an
 IPv6-only environment, 1 = not, 2 = operational error.
 """
 
@@ -23,7 +24,6 @@ import threading
 from collections import Counter, deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from threading import TIMEOUT_MAX
 
 from . import INPUT_ENCODING
 from .analytics import (
@@ -75,32 +75,24 @@ def _env(name: str) -> str | None:
 
 def _settings(args) -> tuple[list[tuple[DomainName, str, str]] | None, str, QueryPolicy]:
     """The root hints (None for the default), protocol filter and query policy
-    of a ``check`` or ``scan`` command line. The first setting out of its range
-    is a ValueError; sockets and sleeps refuse waits over ``TIMEOUT_MAX``."""
+    of a ``check`` or ``scan`` command line. The first setting out of its range,
+    in the order of the README's settings table, is a ValueError; the query
+    settings are checked by ``QueryPolicy``."""
     if args.v4_only and args.v6_only:
         raise ValueError("--v4-only and --v6-only are mutually exclusive")
     try:
         roots = None if args.roots is None else load_root_hints(args.roots)
     except (OSError, ValueError) as exc:
         raise ValueError(f"--roots {args.roots}: {exc}") from None
-    if args.retries < 1:
-        raise ValueError("--retries must be >= 1")
-    if args.timeout <= 0 or args.tcp_timeout <= 0:
-        raise ValueError("timeouts must be positive")
-    if not (args.timeout <= TIMEOUT_MAX and args.tcp_timeout <= TIMEOUT_MAX):  # or NaN
-        raise ValueError(f"timeouts must be finite and at most {TIMEOUT_MAX:.0f} seconds")
-    if args.retry_wait < 0:
-        raise ValueError("--retry-wait must be >= 0")
-    if not args.retry_wait <= TIMEOUT_MAX:  # or NaN
-        raise ValueError(f"--retry-wait must be finite and at most {TIMEOUT_MAX:.0f} seconds")
-    if args.format not in FORMATS:
+    policy = QueryPolicy(max_retries=args.retries, retry_wait=args.retry_wait,
+                         udp_timeout=args.timeout, tcp_timeout=args.tcp_timeout)
+    # argparse checks a flag's value against its choices, not its default
+    if getattr(args, "format", "text") not in FORMATS:
         raise ValueError(f"--format must be one of {', '.join(FORMATS)}")
     if getattr(args, "concurrency", 1) < 1:
         raise ValueError("--concurrency must be >= 1")
     protocol_filter = (PROTOCOL_V4_ONLY if args.v4_only else
                        PROTOCOL_V6_ONLY if args.v6_only else PROTOCOL_BOTH)
-    policy = QueryPolicy(max_retries=args.retries, retry_wait=args.retry_wait,
-                         udp_timeout=args.timeout, tcp_timeout=args.tcp_timeout)
     return roots, protocol_filter, policy
 
 
@@ -425,11 +417,9 @@ def cmd_simulate(args) -> int:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--roots", default=_env("ROOTS"),
                    help="root hints file (name protocol address per line)")
-    proto = p.add_mutually_exclusive_group()
-    proto.add_argument("--v4-only", action="store_true",
-                       default=_env("V4_ONLY") == "1")
-    proto.add_argument("--v6-only", action="store_true",
-                       default=_env("V6_ONLY") == "1")
+    # at most one of them, flag or environment: checked by ``_settings``
+    p.add_argument("--v4-only", action="store_true", default=_env("V4_ONLY") == "1")
+    p.add_argument("--v6-only", action="store_true", default=_env("V6_ONLY") == "1")
     # An environment value stays a string: argparse converts it with the
     # flag's type only when the subcommand that owns the flag is parsed.
     p.add_argument("--timeout", type=float, default=_env("TIMEOUT") or QueryPolicy.udp_timeout,
@@ -441,7 +431,6 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--retry-wait", type=float,
                    default=_env("RETRY_WAIT") or QueryPolicy.retry_wait,
                    help="seconds between timeout-driven attempts")
-    p.add_argument("--format", choices=FORMATS, default=_env("FORMAT") or "text")
     p.add_argument("--seed", type=int, default=_env("SEED") or None)
 
 
@@ -449,13 +438,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="v6ready",
         description="Check whether DNS zones resolve in an IPv6-only world.",
-        epilog=f"Flags may also be set via {ENV_PREFIX}* environment variables.",
+        epilog=f"Most flags may also be set via {ENV_PREFIX}* environment variables.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="check one zone or FQDN")
     p_check.add_argument("domain")
     _add_common_flags(p_check)
+    p_check.add_argument("--format", choices=FORMATS, default=_env("FORMAT") or "text")
 
     p_scan = sub.add_parser("scan", help="scan a domain list (resumable)")
     p_scan.add_argument("list", help="domain-per-line file or rank,domain CSV")

@@ -45,6 +45,8 @@ from .wire import (
 UDP = "udp"
 TCP = "tcp"
 
+EDNS = Edns()  # the OPT record of every query until a FORMERR drops it
+
 
 class TransportTimeout(Exception):
     pass
@@ -86,18 +88,26 @@ class QueryPolicy:
     retry_wait: float = 20.0
     udp_timeout: float = 3.0
     tcp_timeout: float = 10.0
-    edns_payload: int | None = 1232
 
     def __post_init__(self):
+        """The one check of these ranges, in the order of the README's
+        settings table; the first value out of its range is a ValueError.
+        Sockets and sleeps refuse waits over ``threading.TIMEOUT_MAX``. A
+        NaN passes the sign checks, as every comparison with it is false,
+        and fails the finite ones."""
+        longest = threading.TIMEOUT_MAX
         if self.max_retries < 1:
-            raise ValueError("max_retries must be >= 1")
-        # NaN fails both comparisons; sockets and sleeps refuse waits over TIMEOUT_MAX
-        if not all(0 <= wait <= threading.TIMEOUT_MAX
-                   for wait in (self.retry_wait, self.udp_timeout, self.tcp_timeout)):
-            raise ValueError("waits must be >= 0, finite and at most threading.TIMEOUT_MAX")
+            raise ValueError("retries must be >= 1")
+        timeouts = (self.udp_timeout, self.tcp_timeout)
         # a socket timeout of 0 is non-blocking mode, where a silent server reads as unreachable
-        if self.udp_timeout == 0 or self.tcp_timeout == 0:
-            raise ValueError("timeouts must be > 0")
+        if any(timeout <= 0 for timeout in timeouts):
+            raise ValueError("timeouts must be positive")
+        if not all(timeout <= longest for timeout in timeouts):
+            raise ValueError(f"timeouts must be finite and at most {longest:.0f} seconds")
+        if self.retry_wait < 0:
+            raise ValueError("the retry wait must be >= 0")
+        if not self.retry_wait <= longest:
+            raise ValueError(f"the retry wait must be finite and at most {longest:.0f} seconds")
 
 
 RESPONSE = "response"
@@ -216,7 +226,7 @@ class QueryEngine:
 
     def _run(self, server, qname, qtype) -> QueryOutcome:
         transport = UDP
-        edns = self.policy.edns_payload is not None
+        edns = True
         tried: set[tuple[str, bool]] = set()
         while True:
             tried.add((transport, edns))
@@ -266,7 +276,7 @@ class QueryEngine:
         if last_question != question:
             body = encode(DnsMessage(
                 question=Question(qname, qtype),
-                edns=Edns(self.policy.edns_payload) if edns else None,
+                edns=EDNS if edns else None,
             ))[2:]
             self._last_query = (question, body)
         return body

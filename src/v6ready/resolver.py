@@ -46,6 +46,8 @@ from .wire import DnsMessage
 PROTOCOL_BOTH = "both"
 PROTOCOL_V4_ONLY = "v4-only"
 PROTOCOL_V6_ONLY = "v6-only"
+# each protocol filter -> the protocols a walk under it queries over
+_PROTOCOLS = {PROTOCOL_BOTH: (V4, V6), PROTOCOL_V4_ONLY: (V4,), PROTOCOL_V6_ONLY: (V6,)}
 CHAIN_RESULT_VERSION = 5
 
 
@@ -55,10 +57,6 @@ class RootUnreachable(Exception):
 
 class DepthLimitExceeded(Exception):
     pass
-
-
-class PolicyViolation(AssertionError):
-    """Internal invariant broke: a query escaped the protocol filter."""
 
 
 # Labels a target may have: zone cuts one chain may pass.
@@ -273,7 +271,11 @@ class Resolver:
                  protocol_filter: str = PROTOCOL_BOTH):
         self.engine = engine
         self.hints = root_hints or default_root_hints()
+        if protocol_filter not in _PROTOCOLS:
+            raise ValueError(f"unknown protocol filter {protocol_filter!r}")
         self.protocol_filter = protocol_filter
+        # every server list is built over these, so no query leaves them
+        self.protocols = _PROTOCOLS[protocol_filter]
         self._zones: dict[DomainName, _ZoneInfo] = {ROOT: self._root_info()}
         self._found: list[_ZoneInfo] = []  # the zones in the order they were discovered
         self._fed = 0  # the first _fed of _found are in the propagations
@@ -284,13 +286,6 @@ class Resolver:
         self._filed: set[tuple[DomainName, tuple[DomainName, DomainName], bytes]] = set()
         self._root_answered: set[str] = set()  # protocols over which a root hint answered
         self._propagations = {V4: _Propagation(), V6: _Propagation()}
-
-    def _allowed(self, proto: str) -> bool:
-        if self.protocol_filter == PROTOCOL_V4_ONLY:
-            return proto == V4
-        if self.protocol_filter == PROTOCOL_V6_ONLY:
-            return proto == V6
-        return True
 
     # -- public entry points --------------------------------------------------
 
@@ -378,9 +373,7 @@ class Resolver:
             addrs = by_name[name]
             info.addrs[(name, ROOT)] = AddrRecords(frozenset(addrs[V4]),
                                                    frozenset(addrs[V6]))
-            for proto in (V4, V6):
-                if not self._allowed(proto):
-                    continue
+            for proto in self.protocols:
                 for addr in sorted(addrs[proto]):
                     info.servers.append((name, ServerAddress(addr)))
         return info
@@ -393,15 +386,6 @@ class Resolver:
         key = (ns, addr.protocol)
         info.answers[key] = answered or info.answers.get(key, False)
         return answered
-
-    def _query_layer(self, servers, qname, qtype):
-        """Query (qname, qtype) at every server of a layer, joining before
-        anything descends."""
-        for _ns, addr in servers:
-            if not self._allowed(addr.protocol):
-                raise PolicyViolation(f"{addr} violates {self.protocol_filter}")
-        return [((ns, addr), self.engine.query(addr, qname, qtype))
-                for ns, addr in servers]
 
     def _probe(self, parent: _ZoneInfo, info: _ZoneInfo) -> bool:
         """File what the parent's servers serve for the NS query of
@@ -476,7 +460,8 @@ class Resolver:
         """
         last = None
         seen: set[ResourceRecord] = set()
-        for server, outcome in self._query_layer(servers, cand, RRType.NS):
+        for server in servers:
+            outcome = self.engine.query(server[1], cand, RRType.NS)
             if outcome.kind != RESPONSE:
                 yield server, outcome, EMPTY, (), ()
                 continue
@@ -572,9 +557,7 @@ class Resolver:
                         if rr.owner == ns and rr.rrtype in (RRType.A, RRType.AAAA):
                             self._note_addr(info, host.zone, rr)
             addrs = self._known_addrs(info, ns)
-            for proto in (V4, V6):
-                if not self._allowed(proto):
-                    continue
+            for proto in self.protocols:
                 pool = sorted(addrs.for_protocol(proto))
                 if not pool:
                     continue
@@ -671,9 +654,7 @@ class Resolver:
         0.0.0.0) are rejected before any probe.
         """
         rows = []
-        for proto in (V4, V6):
-            if not self._allowed(proto):
-                continue
+        for proto in self.protocols:
             for addr in sorted(addrs.for_protocol(proto)):
                 if _invalid_address(addr):
                     rows.append((addr, proto, "invalid"))

@@ -44,9 +44,7 @@ MAX_MESSAGE = 0xFFFF  # TCP length prefix bound
 
 RCODE_NOERROR = 0
 RCODE_FORMERR = 1
-RCODE_SERVFAIL = 2
 RCODE_NXDOMAIN = 3
-RCODE_NOTIMP = 4
 RCODE_REFUSED = 5
 
 OPCODE_QUERY = 0

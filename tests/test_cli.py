@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import zlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,7 @@ from universes import (
     with_liveness_faults,
 )
 from v6ready import cli
-from v6ready.analytics import load_operator_rules, load_tld_list, load_toplist
+from v6ready.analytics import load_tld_list, load_toplist, parse_operator_rules
 from v6ready.mocknet import (
     BLACKHOLE_V6,
     DROP_AAAA_GLUE,
@@ -171,8 +172,9 @@ def test_check_conflicting_protocol_flags_rejected(tmp_path, capsys):
     u = healthy_depth3_universe()
     rc = run_cli(["check", "d.t", "--v4-only", "--v6-only",
                   "--roots", write_hints(tmp_path, u)], u)
-    assert rc == 2  # argparse mutual exclusion
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert rc == 2
+    assert capsys.readouterr().err == "error: --v4-only and --v6-only are mutually exclusive\n"
+    assert u.log.entries == []
 
 
 def four_state_universe():
@@ -819,6 +821,26 @@ def test_environment_format_outside_its_choices_exits_two(tmp_path, capsys, monk
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: --format")
     assert u.log.entries == []
+    # --format is a flag of check alone: its environment value stops no scan
+    domains = tmp_path / "domains.txt"
+    domains.write_text("d.t\n")
+    rc = run_cli(["scan", str(domains), "--roots", write_hints(tmp_path, u),
+                  "--output", str(tmp_path / "results.jsonl"), *FAST], u)
+    assert rc == 0
+    assert "scanned 1 domains" in capsys.readouterr().out
+
+
+def test_scan_has_no_format_flag(tmp_path, capsys):
+    u = healthy_depth3_universe()
+    domains = tmp_path / "domains.txt"
+    domains.write_text("d.t\n")
+    out = tmp_path / "results.jsonl"
+    rc = run_cli(["scan", str(domains), "--roots", write_hints(tmp_path, u),
+                  "--output", str(out), "--format", "structured", *FAST], u)
+    assert rc == 2
+    assert "unrecognized arguments: --format structured" in capsys.readouterr().err
+    assert not out.exists()
+    assert u.log.entries == []
 
 
 # -- a check or scan setting out of its range ----------------------------------
@@ -827,10 +849,10 @@ def test_environment_format_outside_its_choices_exits_two(tmp_path, capsys, monk
 # root hints, which names their path
 BAD_SETTINGS = [
     ("--roots", "{missing}", None),
-    ("--retries", "0", "--retries must be >= 1"),
+    ("--retries", "0", "retries must be >= 1"),
     ("--timeout", "0", "timeouts must be positive"),
     ("--tcp-timeout", "-1", "timeouts must be positive"),
-    ("--retry-wait", "-1", "--retry-wait must be >= 0"),
+    ("--retry-wait", "-1", "the retry wait must be >= 0"),
     ("--concurrency", "0", "--concurrency must be >= 1"),
 ]
 # Sockets and sleeps refuse a wait that is not finite or exceeds
@@ -839,12 +861,12 @@ FINITE = f"must be finite and at most {threading.TIMEOUT_MAX:.0f} seconds"
 BAD_SETTINGS += [
     (flag, value, f"{subject} {FINITE}")
     for flag, subject in [("--timeout", "timeouts"), ("--tcp-timeout", "timeouts"),
-                          ("--retry-wait", "--retry-wait")]
+                          ("--retry-wait", "the retry wait")]
     for value in ("nan", "inf", "1e10")
 ] + [
     ("--timeout", "-inf", "timeouts must be positive"),
     ("--tcp-timeout", "-inf", "timeouts must be positive"),
-    ("--retry-wait", "-inf", "--retry-wait must be >= 0"),
+    ("--retry-wait", "-inf", "the retry wait must be >= 0"),
 ]
 CONFLICT = "--v4-only and --v6-only are mutually exclusive"
 
@@ -861,6 +883,8 @@ def _bad_setting_cases():
                                id=f"{command} {flag}={value}")
             yield pytest.param(command, [], {env: value}, message,
                                id=f"{command} {env}={value}")
+        yield pytest.param(command, ["--v4-only", "--v6-only"], {}, CONFLICT,
+                           id=f"{command} --v4-only --v6-only")
         yield pytest.param(command, ["--v4-only"], {"V6READY_V6_ONLY": "1"}, CONFLICT,
                            id=f"{command} --v4-only V6READY_V6_ONLY=1")
         yield pytest.param(command, [], {"V6READY_V4_ONLY": "1", "V6READY_V6_ONLY": "1"},
@@ -1183,7 +1207,20 @@ def test_a_psl_that_is_not_utf8_fails_on_every_call_until_it_is_mended(tmp_path,
     assert (outdir / "nsset-cdf.csv").exists()
 
 
-def test_two_calls_with_the_same_side_files_write_the_same_outputs(tmp_path, capsys):
+def test_two_calls_with_the_same_side_files_write_the_same_outputs(tmp_path, capsys,
+                                                                   monkeypatch):
+    parses = Counter()
+
+    def counted(name, parse):
+        def count(*args):
+            parses[name] += 1
+            return parse(*args)
+        return count
+
+    for name in ("parse_tld_list", "parse_toplist", "parse_operator_rules"):
+        monkeypatch.setattr(cli, name, counted(name, getattr(cli, name)))
+    monkeypatch.setattr(cli.PublicSuffixList, "parse",
+                        counted("psl", cli.PublicSuffixList.parse))
     rules = tmp_path / "rules.txt"
     rules.write_text("\\.z0$ zero\n^ns0- first\n")
     flags = [*SIDE_FLAGS, "--operator-rules", str(rules), "--month", "2023-02"]
@@ -1191,6 +1228,9 @@ def test_two_calls_with_the_same_side_files_write_the_same_outputs(tmp_path, cap
     second = _simulate_outputs(tmp_path / "second", *flags)
     assert {"states.csv", "nsset-cdf.csv"} <= first.keys()
     assert second == first
+    # each content is parsed once per process, on the first call
+    assert parses == dict.fromkeys(
+        ["psl", "parse_tld_list", "parse_toplist", "parse_operator_rules"], 1)
 
 
 # -- a UTF-8 byte-order mark at the start of an input file -------------------
@@ -1229,7 +1269,8 @@ def test_a_byte_order_mark_is_not_part_of_the_first_tld(tmp_path):
 
 
 def test_a_byte_order_mark_is_not_part_of_the_first_operator_rule(tmp_path):
-    rules = load_operator_rules(_with_bom(tmp_path / "rules.txt", r"\.example\.net$ ex" + "\n"))
+    path = _with_bom(tmp_path / "rules.txt", r"\.example\.net$ ex" + "\n")
+    rules = cli._side_file("--operator-rules", str(path), parse_operator_rules)
     assert [(rule.pattern.pattern, rule.label) for rule in rules] == [(r"\.example\.net$", "ex")]
 
 

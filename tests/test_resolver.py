@@ -97,6 +97,12 @@ def test_protocol_isolation_v4_only_emits_no_v6_packets():
     assert len(u.log.queries(V4)) > 0
 
 
+@pytest.mark.parametrize("protocol_filter", ["v6", "V6-ONLY", ""])
+def test_an_unknown_protocol_filter_is_refused(protocol_filter):
+    with pytest.raises(ValueError, match="unknown protocol filter"):
+        make_resolver(healthy_depth3_universe(), protocol_filter)
+
+
 def test_query_frugality_and_qname_minimization_depth4():
     u = healthy_depth4_universe()
     resolver = make_resolver(u)
