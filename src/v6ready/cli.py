@@ -1,13 +1,13 @@
 """Operator-facing commands: single-domain check, bulk scan, and passive
 simulation over tuple files.
 
-Every flag but ``simulate --month`` and ``--out`` can also be supplied
-through an environment variable with the ``V6READY_`` prefix
-(``V6READY_ROOTS``, ``V6READY_TIMEOUT``, ...); explicit flags win.
-``main`` reads the environment on every call; it builds the argument
-parser once per process for each distinct set of ``V6READY_*`` values and
-reuses it. Exit codes for ``check``: 0 = resolvable in an
-IPv6-only environment, 1 = not, 2 = operational error.
+Every flag but ``--help`` and ``simulate --month`` and ``--out`` can also
+be supplied through an environment variable with the ``V6READY_`` prefix
+(``V6READY_ROOTS``, ``V6READY_TIMEOUT``, ...). ``main`` reads the
+environment on every call and hands each set variable to argparse as the
+flag it stands for, so one set of checks holds for both; explicit flags
+win. Exit codes for ``check``: 0 = resolvable in an IPv6-only
+environment, 1 = not, 2 = operational error.
 """
 
 from __future__ import annotations
@@ -66,11 +66,10 @@ EXIT_NOT_V6 = 1
 EXIT_ERROR = 2
 
 ENV_PREFIX = "V6READY_"
+NO_VARIABLE = ("--help", "--month", "--out")  # the flags with no V6READY_* variable
+# what argparse reads as the help flag: no other flag starts with --h
+HELP = frozenset(["-h", "--h", "--he", "--hel", "--help"])
 FORMATS = ("text", "structured")
-
-
-def _env(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
 
 
 def _settings(args) -> tuple[list[tuple[DomainName, str, str]] | None, str, QueryPolicy]:
@@ -86,9 +85,6 @@ def _settings(args) -> tuple[list[tuple[DomainName, str, str]] | None, str, Quer
         raise ValueError(f"--roots {args.roots}: {exc}") from None
     policy = QueryPolicy(max_retries=args.retries, retry_wait=args.retry_wait,
                          udp_timeout=args.timeout, tcp_timeout=args.tcp_timeout)
-    # argparse checks a flag's value against its choices, not its default
-    if getattr(args, "format", "text") not in FORMATS:
-        raise ValueError(f"--format must be one of {', '.join(FORMATS)}")
     if getattr(args, "concurrency", 1) < 1:
         raise ValueError("--concurrency must be >= 1")
     protocol_filter = (PROTOCOL_V4_ONLY if args.v4_only else
@@ -415,77 +411,78 @@ def cmd_simulate(args) -> int:
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--roots", default=_env("ROOTS"),
-                   help="root hints file (name protocol address per line)")
-    # at most one of them, flag or environment: checked by ``_settings``
-    p.add_argument("--v4-only", action="store_true", default=_env("V4_ONLY") == "1")
-    p.add_argument("--v6-only", action="store_true", default=_env("V6_ONLY") == "1")
-    # An environment value stays a string: argparse converts it with the
-    # flag's type only when the subcommand that owns the flag is parsed.
-    p.add_argument("--timeout", type=float, default=_env("TIMEOUT") or QueryPolicy.udp_timeout,
+    p.add_argument("--roots", help="root hints file (name protocol address per line)")
+    # at most one of them: checked by ``_settings``
+    p.add_argument("--v4-only", action="store_true")
+    p.add_argument("--v6-only", action="store_true")
+    p.add_argument("--timeout", type=float, default=QueryPolicy.udp_timeout,
                    help="UDP timeout seconds")
-    p.add_argument("--tcp-timeout", type=float,
-                   default=_env("TCP_TIMEOUT") or QueryPolicy.tcp_timeout)
-    p.add_argument("--retries", type=int, default=_env("RETRIES") or QueryPolicy.max_retries,
+    p.add_argument("--tcp-timeout", type=float, default=QueryPolicy.tcp_timeout)
+    p.add_argument("--retries", type=int, default=QueryPolicy.max_retries,
                    help="attempts per transport path")
-    p.add_argument("--retry-wait", type=float,
-                   default=_env("RETRY_WAIT") or QueryPolicy.retry_wait,
+    p.add_argument("--retry-wait", type=float, default=QueryPolicy.retry_wait,
                    help="seconds between timeout-driven attempts")
-    p.add_argument("--seed", type=int, default=_env("SEED") or None)
+    p.add_argument("--seed", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="v6ready",
         description="Check whether DNS zones resolve in an IPv6-only world.",
-        epilog=f"Most flags may also be set via {ENV_PREFIX}* environment variables.",
+        epilog=f"Every flag but {' and '.join(NO_VARIABLE[1:])} may also be set by its "
+               f"{ENV_PREFIX}* variable ({ENV_PREFIX}TCP_TIMEOUT: --tcp-timeout); flags win.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_check = sub.add_parser("check", help="check one zone or FQDN")
     p_check.add_argument("domain")
     _add_common_flags(p_check)
-    p_check.add_argument("--format", choices=FORMATS, default=_env("FORMAT") or "text")
+    p_check.add_argument("--format", choices=FORMATS, default="text")
 
     p_scan = sub.add_parser("scan", help="scan a domain list (resumable)")
     p_scan.add_argument("list", help="domain-per-line file or rank,domain CSV")
-    p_scan.add_argument("--output", default=_env("OUTPUT"),
-                        help="results JSONL path; domains already in it are skipped")
-    p_scan.add_argument("--concurrency", type=int, default=_env("CONCURRENCY") or 8)
+    p_scan.add_argument("--output", help="results JSONL path; domains already in it are skipped")
+    p_scan.add_argument("--concurrency", type=int, default=8)
     _add_common_flags(p_scan)
 
     p_sim = sub.add_parser("simulate", help="passive fixed-point simulation")
     p_sim.add_argument("tuples", nargs="+", help="tuple files (TSV or JSONL, .gz ok)")
-    p_sim.add_argument("--psl", default=_env("PSL"), help="public suffix list file")
-    p_sim.add_argument("--tlds", default=_env("TLDS"), help="TLD list file")
-    p_sim.add_argument("--toplist", default=_env("TOPLIST"),
-                       help="rank,domain CSV")
-    p_sim.add_argument("--operator-rules", default=_env("OPERATOR_RULES"),
-                       help="NS operator collapse patterns (regex label)")
-    p_sim.add_argument("--month", default=None, help="snapshot tag for stats")
+    p_sim.add_argument("--psl", help="public suffix list file")
+    p_sim.add_argument("--tlds", help="TLD list file")
+    p_sim.add_argument("--toplist", help="rank,domain CSV")
+    p_sim.add_argument("--operator-rules", help="NS operator collapse patterns (regex label)")
+    p_sim.add_argument("--month", help="snapshot tag for stats")
     p_sim.add_argument("--out", default="v6ready-out", help="output directory")
 
     return parser
 
 
-# A parser's defaults hold the ``V6READY_*`` values of the moment it was
-# built (argparse converts and checks a string default only when it
-# parses), so one is kept per distinct set of them. ``parse_args`` changes
-# nothing in a parser, so overlapping calls of ``main`` share one. A few
-# are kept, at about 30 KB each: a process that sets a fresh value for
-# every call (a new ``V6READY_OUTPUT`` per scan, say) keeps no more.
-@functools.lru_cache(maxsize=8)
-def _parser_for(env: frozenset) -> argparse.ArgumentParser:
-    """``build_parser()``, built while the ``V6READY_*`` environment
-    holds the ``(name, value)`` pairs ``env``."""
-    return build_parser()
+@functools.cache
+def _parser() -> tuple[argparse.ArgumentParser, dict[str, list[tuple[str, str, bool]]]]:
+    """``build_parser()``, built by the first call of ``main`` and shared by
+    the later ones (``parse_args`` changes nothing in it), and each
+    command's (variable, flag, is a switch) for its flags but NO_VARIABLE."""
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    return parser, {
+        command: [(ENV_PREFIX + flag[2:].upper().replace("-", "_"), flag, action.nargs == 0)
+                  for action in sub._actions for flag in action.option_strings
+                  if flag.startswith("--") and flag not in NO_VARIABLE]
+        for command, sub in commands.items()}
 
 
-def _env_values() -> frozenset:
-    """The ``(name, value)`` pairs of the ``V6READY_*`` environment."""
-    environ = os.environ
-    return frozenset([(name, environ[name]) for name in environ
-                      if name.startswith(ENV_PREFIX)])
+def _with_environment(argv: list[str]) -> list[str]:
+    """``argv`` with each set ``V6READY_*`` variable of its command put in as
+    its flag after the command word, before the user's flags, which win:
+    ``--flag=VALUE`` (even for a switch), or the bare switch for ``1``. A
+    call for the help (before any ``--``) gets none."""
+    flags = _parser()[1].get(argv[0]) if argv else None
+    if not flags or HELP.intersection(argv[:argv.index("--")] if "--" in argv else argv):
+        return argv
+    given = [flag if switch and value == "1" else f"{flag}={value}"
+             for variable, flag, switch in flags if (value := os.environ.get(variable))]
+    return [argv[0], *given, *argv[1:]]
 
 
 # The collector is one per process, so is the count of the commands that
@@ -526,11 +523,12 @@ def main(argv=None, transport_factory=None) -> int:
     library API (``Resolver``, ``ingest``, ``fixed_point``, ...) leaves the
     host process's policy alone.
 
-    The environment is read on every call. The parser for its
-    ``V6READY_*`` values is built by the first call that sees them and
-    reused by the later ones. A command line that fails to parse returns
-    2 after argparse prints the usage and the error on stderr, and ``-h``
-    returns 0 after it prints the help; neither raises ``SystemExit``.
+    Each call reads the environment: every set ``V6READY_*`` variable of
+    the command is parsed as the flag it stands for (``_with_environment``)
+    by the one parser, built by the first call. A command line that fails
+    to parse returns 2 after argparse prints the usage and the error on
+    stderr, and ``-h`` returns 0 after it prints the help; neither raises
+    ``SystemExit``.
 
     ``check`` and ``scan`` call ``transport_factory``, if given, once with
     their parsed arguments (the ``argparse.Namespace``) after checking
@@ -538,7 +536,7 @@ def main(argv=None, transport_factory=None) -> int:
     without it they use a ``UdpTcpTransport``.
     """
     try:
-        args = _parser_for(_env_values()).parse_args(argv)
+        args = _parser()[0].parse_args(_with_environment(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:  # argparse's exit after the help or an error
         return EXIT_ERROR if exc.code else EXIT_OK
     _pause_collector()

@@ -1,8 +1,10 @@
+import argparse
 import gc
 import gzip
 import ipaddress
 import json
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -819,7 +821,7 @@ def test_environment_format_outside_its_choices_exits_two(tmp_path, capsys, monk
     monkeypatch.setenv("V6READY_FORMAT", "json")
     rc = run_cli(["check", "d.t", "--roots", write_hints(tmp_path, u), *FAST], u)
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: --format")
+    assert "argument --format: invalid choice: 'json'" in capsys.readouterr().err
     assert u.log.entries == []
     # --format is a flag of check alone: its environment value stops no scan
     domains = tmp_path / "domains.txt"
@@ -1494,7 +1496,7 @@ def test_threads_racing_through_main_each_run_paused(monkeypatch, collector_rest
     assert gc.isenabled()
 
 
-# -- one parser per environment ------------------------------------------------
+# -- one parser per process ----------------------------------------------------
 
 
 @pytest.fixture
@@ -1508,9 +1510,9 @@ def builds(monkeypatch, collector_restored):
         return build()
 
     monkeypatch.setattr(cli, "build_parser", counting)
-    cli._parser_for.cache_clear()
+    cli._parser.cache_clear()
     yield count
-    cli._parser_for.cache_clear()
+    cli._parser.cache_clear()
 
 
 @pytest.fixture
@@ -1522,7 +1524,7 @@ def parsed_checks(monkeypatch):
     return seen
 
 
-def test_main_builds_the_parser_once_per_environment(monkeypatch, builds, parsed_checks):
+def test_main_builds_the_parser_once_per_process(monkeypatch, builds, parsed_checks):
     for _ in range(3):
         assert cli.main(["check", "d.t"]) == 0
     assert builds[0] == 1
@@ -1530,8 +1532,8 @@ def test_main_builds_the_parser_once_per_environment(monkeypatch, builds, parsed
     for _ in range(2):
         assert cli.main(["check", "d.t"]) == 0
     monkeypatch.delenv("V6READY_RETRIES")
-    assert cli.main(["check", "d.t"]) == 0  # the first environment's parser again
-    assert builds[0] == 2
+    assert cli.main(["check", "d.t"]) == 0
+    assert builds[0] == 1
     assert [args.retries for args in parsed_checks] == [4, 4, 4, 2, 2, 4]
 
 
@@ -1623,3 +1625,169 @@ def test_threads_racing_through_main_each_get_their_own_arguments(monkeypatch, b
     assert not any(thread.is_alive() for thread in threads)
     assert matched == [True] * 8
     assert 1 <= builds[0] <= 8
+
+
+# -- each V6READY_* value read as the flag it stands for ----------------------
+
+# (command, variable, flag, is a switch), as ``cli`` derives them from its parser
+VARIABLES = [(command, *entry) for command, entries in cli._parser()[1].items()
+             for entry in entries]
+BARE = {"check": ["check", "d.t"], "scan": ["scan", "domains.txt"],
+        "simulate": ["simulate", "t.tsv"]}
+
+
+@pytest.fixture
+def parsed_commands(monkeypatch):
+    """The parsed arguments of each command that ``main`` runs."""
+    seen = []
+    for name in ("cmd_check", "cmd_scan"):
+        monkeypatch.setattr(cli, name,
+                            lambda args, transport_factory=None: seen.append(args) or 0)
+    monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args) or 0)
+    return seen
+
+
+def _action(command: str, flag: str):
+    """The action of ``flag`` in the parser of ``command`` that ``main`` uses."""
+    commands = next(action for action in cli._parser()[0]._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+    return commands[command]._option_string_actions[flag]
+
+
+@pytest.mark.parametrize("command, variable, flag", [
+    pytest.param(command, variable, flag, id=f"{command} {variable}")
+    for command, variable, flag, switch in VARIABLES if not switch])
+def test_a_variable_alone_sets_its_flag_and_the_flag_wins(
+        monkeypatch, parsed_commands, command, variable, flag):
+    action = _action(command, flag)
+    given, wanted = action.choices or {int: ("3", "5"), float: ("0.5", "1.5")}.get(
+        action.type, ("given", "wanted"))
+    monkeypatch.setenv(variable, wanted)
+    assert cli.main(BARE[command]) == 0
+    assert cli.main([*BARE[command], flag, given]) == 0
+    convert = action.type or str
+    assert [getattr(args, action.dest) for args in parsed_commands] == [
+        convert(wanted), convert(given)]
+    assert convert(wanted) != action.default
+
+
+@pytest.mark.parametrize("command, variable, flag", [
+    pytest.param(command, variable, flag, id=f"{command} {variable}")
+    for command, variable, flag, switch in VARIABLES if switch])
+def test_a_switch_variable_is_set_by_one_unset_when_empty_and_refused_otherwise(
+        monkeypatch, capsys, parsed_commands, command, variable, flag):
+    dest = _action(command, flag).dest
+    for value, want in [("1", True), ("", False)]:
+        monkeypatch.setenv(variable, value)
+        assert cli.main(BARE[command]) == 0
+        assert getattr(parsed_commands.pop(), dest) is want
+    for value in ("yes", "true", "0", "2"):
+        monkeypatch.setenv(variable, value)
+        assert cli.main(BARE[command]) == 2
+        assert f"argument {flag}: ignored explicit argument '{value}'" in capsys.readouterr().err
+    assert parsed_commands == []
+
+
+def _protocol_run(tmp_path, command, env, monkeypatch):
+    """(exit code, the protocols queried, whether an output was written)
+    of ``command`` on the healthy depth-3 tree under ``env``."""
+    u = healthy_depth3_universe()
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    domains = tmp_path / "domains.txt"
+    domains.write_text("d.t\n")
+    out = tmp_path / "results.jsonl"
+    argv = (["check", "d.t"] if command == "check"
+            else ["scan", str(domains), "--output", str(out)])
+    rc = run_cli([*argv, "--roots", write_hints(tmp_path, u), *FAST], u)
+    return rc, {entry.protocol for entry in u.log.queries()}, out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "scan"])
+@pytest.mark.parametrize("variable", ["V6READY_V4_ONLY", "V6READY_V6_ONLY"])
+@pytest.mark.parametrize("value", ["yes", "true", "0"])
+def test_a_protocol_switch_set_to_anything_but_one_stops_before_any_query(
+        tmp_path, capsys, monkeypatch, command, variable, value):
+    assert _protocol_run(tmp_path, command, {variable: value}, monkeypatch) == (2, set(), False)
+    assert "ignored explicit argument" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["check", "scan"])
+@pytest.mark.parametrize("env, protocols", [
+    ({"V6READY_V6_ONLY": "1"}, {V6}), ({"V6READY_V4_ONLY": "1"}, {V4}),
+    ({"V6READY_V4_ONLY": "", "V6READY_V6_ONLY": ""}, {V4, V6}),
+], ids=["v6-only", "v4-only", "empty"])
+def test_a_protocol_switch_of_one_walks_only_that_protocol(
+        tmp_path, monkeypatch, command, env, protocols):
+    rc, seen, _ = _protocol_run(tmp_path, command, env, monkeypatch)
+    assert seen == protocols
+    # every zone of the tree is dual-stack, so only the v4-only walk misses v6
+    assert rc == (1 if command == "check" and protocols == {V4} else 0)
+
+
+def test_an_output_variable_that_starts_with_a_dash_is_the_output_path(
+        tmp_path, capsys, monkeypatch):
+    u = healthy_depth3_universe()
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "domains.txt").write_text("d.t\n")
+    monkeypatch.setenv("V6READY_OUTPUT", "-rows.jsonl")
+    assert run_cli(["scan", "domains.txt", "--roots", write_hints(tmp_path, u), *FAST], u) == 0
+    assert "results: -rows.jsonl" in capsys.readouterr().out
+    assert [json.loads(line)["domain"] for line in
+            (tmp_path / "-rows.jsonl").read_text().splitlines()] == ["d.t"]
+
+
+@pytest.mark.parametrize("argv", [[], *([command] for command in BARE)],
+                         ids=["v6ready", *BARE])
+@pytest.mark.parametrize("ask", ["-h", "--help", "--hel"])
+def test_help_returns_zero_whatever_the_variables_hold(monkeypatch, capsys, argv, ask):
+    for name in ("V6READY_TIMEOUT", "V6READY_CONCURRENCY", "V6READY_V6_ONLY"):
+        monkeypatch.setenv(name, "x")
+    assert cli.main([*argv, ask]) == 0
+    assert capsys.readouterr().out.startswith(" ".join(["usage: v6ready", *argv]))
+
+
+def test_a_target_after_the_double_dash_that_reads_like_help_keeps_the_variables(
+        tmp_path, capsys, monkeypatch):
+    u = healthy_depth3_universe()
+    monkeypatch.setenv("V6READY_ROOTS", write_hints(tmp_path, u))
+    monkeypatch.setenv("V6READY_FORMAT", "structured")
+    assert run_cli(["check", *FAST, "--", "-h"], u) in (0, 1)
+    assert json.loads(capsys.readouterr().out)["target"] == "-h"
+    assert u.log.entries
+
+
+# -- the console entry, in a fresh process -------------------------------------
+
+
+def _console(args, env, cwd) -> subprocess.CompletedProcess:
+    """``python -m v6ready.cli ARGS`` in ``cwd`` with the ``V6READY_*``
+    environment ``env`` alone."""
+    environ = {name: value for name, value in os.environ.items()
+               if not name.startswith(cli.ENV_PREFIX)}
+    source = str(Path(cli.__file__).resolve().parents[1])
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [source, environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "v6ready.cli", *args], env={**environ, **env},
+                          cwd=cwd, capture_output=True, text=True, timeout=120)
+
+
+def test_the_console_entry_reads_side_files_from_the_environment_as_from_flags(tmp_path):
+    outputs = []
+    for name, flags, env in [
+        ("flags", SIDE_FLAGS, {}),
+        ("environment", [], {"V6READY_PSL": SIDE_FLAGS[1], "V6READY_TLDS": SIDE_FLAGS[3],
+                             "V6READY_TOPLIST": SIDE_FLAGS[5]}),
+    ]:
+        done = _console(["simulate", str(GOLDEN / "tuples.tsv"), *flags, "--out", name],
+                        env, tmp_path)
+        assert (done.returncode, done.stderr) == (0, ""), done.stderr
+        outputs.append({path.name: path.read_bytes()
+                        for path in sorted((tmp_path / name).iterdir())})
+    assert "nsset-cdf.csv" in outputs[0]
+    assert outputs[0] == outputs[1]
+
+
+def test_the_console_entry_prints_the_help_under_a_bad_variable(tmp_path):
+    done = _console(["check", "-h"], {"V6READY_TIMEOUT": "x"}, tmp_path)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: v6ready check")

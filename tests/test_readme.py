@@ -11,7 +11,6 @@ from v6ready import cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
-CLI_SOURCE = ROOT / "src" / "v6ready" / "cli.py"
 COMMANDS = ("check", "scan", "simulate")
 FLAG_TABLE = "\n| flag | commands | environment variable |"
 VARIABLE = re.compile(r"V6READY_[A-Z0-9_]*[A-Z0-9]")
@@ -50,6 +49,5 @@ def test_readme_names_each_commands_flags():
 
 
 def test_readme_names_the_environment_variables_cli_reads():
-    read = {cli.ENV_PREFIX + name for name in
-            re.findall(r'_env\("([A-Z0-9_]+)"\)', CLI_SOURCE.read_text(encoding="utf-8"))}
+    read = {variable for entries in cli._parser()[1].values() for variable, _, _ in entries}
     assert set(VARIABLE.findall(command_line_section())) == read
